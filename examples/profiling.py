@@ -50,8 +50,11 @@ def main() -> None:
     total = spans["algorithm1.run"]["total"]
     print("\nheadlines")
     print(f"  algorithm1.run wall time     {total:.3f}s")
+    # The per-cone phases nest under the pipeline's decompose pass.
     for phase in ("collapse", "dontcare", "decompose", "instantiate"):
-        stat = spans.get(f"algorithm1.run/algorithm1.{phase}")
+        stat = spans.get(
+            f"algorithm1.run/pipeline.decompose/algorithm1.{phase}"
+        )
         if stat:
             print(f"  {phase:<12} {stat['total']:6.3f}s "
                   f"({100 * stat['total'] / total:4.1f}% of run)")

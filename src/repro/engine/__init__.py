@@ -7,6 +7,9 @@ over a shared :class:`SynthesisContext`:
   checked at pass boundaries (and per signal inside the decompose
   pass); exhaustion degrades gracefully to structural copy, never
   raises.
+* :func:`decompose_sink` — Algorithm 1's per-sink step (collapse,
+  widen, bi-decompose, accept, instantiate), shared by the serial pass
+  and the parallel worker.
 * :class:`Pass` / :class:`Pipeline` — the stage protocol, a registry of
   standard passes (``cleanup``, ``dontcares``, ``decompose``,
   ``finalize``, ``sweep``, ``strash``), and a builder with declarative
@@ -47,6 +50,7 @@ from repro.engine.passes import (
     StrashPass,
     SweepPass,
     available_passes,
+    decompose_sink,
     make_pass,
     register_pass,
 )
@@ -80,6 +84,7 @@ __all__ = [
     "SynthesisOptions",
     "SynthesisReport",
     "available_passes",
+    "decompose_sink",
     "load_checkpoint",
     "make_pass",
     "network_from_dict",

@@ -1,18 +1,20 @@
 """Process-pool parallel cone synthesis.
 
 Algorithm 1's decompose loop treats every combinational sink
-independently: collapse the cone, widen with unreachable-state don't
-cares, bi-decompose, accept or keep.  The
-:class:`ParallelConeScheduler` shards exactly that loop across a
-``concurrent.futures.ProcessPoolExecutor``: the parent extracts one
-serialized :class:`~repro.synth.conetask.ConeTask` per eligible sink
-(cone slice + don't-care cubes + options), workers rebuild each task in
-a private :class:`~repro.bdd.manager.BDDManager` and run
-:func:`~repro.synth.conetask.run_cone_task`, and the parent merges the
+independently, and its per-sink step is one function,
+:func:`~repro.engine.passes.decompose_sink`, whichever transport runs
+it.  The :class:`ParallelConeScheduler` shards the loop across a
+``concurrent.futures.ProcessPoolExecutor``: the parent classifies the
+sinks exactly as the serial pass does and extracts one serialized
+:class:`~repro.synth.conetask.ConeTask` per eligible sink (cone slice +
+don't-care cubes + options), workers rebuild each task in a private
+:class:`~repro.bdd.manager.BDDManager` and run the shared step through
+:func:`~repro.synth.conetask.run_cone_task`, and the parent commits the
 returned replacement networks **in the fixed sink order** — which is
 what makes ``workers=N`` bit-identical to ``workers=1`` (``workers=1``
 runs the very same serialized tasks through the very same worker
-function, just inline).
+function, just inline).  The commit skips a sink that an earlier cone's
+structural copy has materialised by then, as the serial loop does.
 
 Failure is degradation, not death:
 
@@ -39,15 +41,17 @@ import concurrent.futures
 import multiprocessing
 import sys
 import time
+from functools import partial
 from typing import Any, Optional
 
 from repro import obs as _obs
-from repro.engine.context import SignalRecord, SynthesisContext
+from repro.engine.context import SynthesisContext
 from repro.engine.passes import (
+    ConeOutcome,
     _BasePass,
-    cone_literals,
-    copy_cone,
-    record,
+    commit_sink,
+    cone_options,
+    plan_sinks,
     register_pass,
 )
 from repro.synth.conetask import (
@@ -329,11 +333,12 @@ def _merge_worker_trace(result: dict[str, Any]) -> None:
 class DecomposeParallelPass(_BasePass):
     """The Algorithm 1 decompose loop, sharded across worker processes.
 
-    Classification (skip / copy / decompose) mirrors the in-process
-    ``decompose`` pass exactly; eligible cones become serialized
-    :class:`ConeTask` objects, the scheduler runs them, and results are
-    merged in sink order.  Worker failures degrade their cone to a
-    structural copy and mark the context degraded — never fatal.
+    Classification (:func:`~repro.engine.passes.plan_sinks`) and commit
+    (:func:`~repro.engine.passes.commit_sink`) are the serial pass's own;
+    eligible cones become serialized :class:`ConeTask` objects, the
+    scheduler runs them, and results are merged in sink order.  Worker
+    failures degrade their cone to a structural copy and mark the
+    context degraded — never fatal.
 
     Test/chaos params: ``fault_spec`` (``{sink: mode}`` with modes from
     :data:`repro.synth.conetask.FAULT_MODES`) injects worker faults;
@@ -346,63 +351,26 @@ class DecomposeParallelPass(_BasePass):
 
     def run(self, context: SynthesisContext) -> None:
         source = context.source
-        rebuilt = context.ensure_rebuilt()
-        governor = context.governor
-        max_cone_inputs = self.opt(context, "max_cone_inputs")
         workers = max(1, int(self.opt(context, "parallel_workers") or 1))
-        timeout = self.params.get(
-            "worker_timeout", context.options.worker_timeout
-        )
+        timeout = self.opt(context, "worker_timeout")
         fault_spec: dict[str, str] = self.params.get("fault_spec") or {}
         abort_after = self.params.get("_abort_after_merges")
 
-        task_options = {
-            "max_support": self.opt(context, "max_support"),
-            "gates": list(self.opt(context, "gates")),
-            "objective": self.opt(context, "objective"),
-            "sharing_choice": self.opt(context, "sharing_choice"),
-            "enable_sharing": self.opt(context, "enable_sharing"),
-            "acceptance_ratio": self.opt(context, "acceptance_ratio"),
-            "backend": self.opt(context, "backend"),
-            "cegar_iterations": self.opt(context, "cegar_iterations"),
-        }
-
-        # -- classification (identical to the serial pass) --------------
-        tasks: list[ConeTask] = []
-        for sink in source.combinational_sinks():
-            if sink in source.inputs or sink in source.latches:
-                context.signal_map[sink] = sink
-                continue
-            if rebuilt.is_signal(sink):
-                # Already materialised — either by an earlier structural
-                # copy or by a merge before a mid-shard checkpoint.
-                context.signal_map[sink] = sink
-                continue
-            if governor.out_of_budget():
-                context.mark_degraded(governor.reason or "budget exhausted")
-                copy_cone(source, rebuilt, sink)
-                context.signal_map[sink] = sink
-                context.records.append(record(SignalRecord(sink, 0, "copied")))
-                continue
-            cone_inputs = source.cone_inputs(sink)
-            if len(cone_inputs) > max_cone_inputs:
-                copy_cone(source, rebuilt, sink)
-                context.signal_map[sink] = sink
-                context.records.append(
-                    record(SignalRecord(sink, len(cone_inputs), "kept-large"))
-                )
-                continue
-            tasks.append(
-                extract_cone_task(
-                    source,
-                    sink,
-                    dc_cubes=self._cone_dc_cubes(context, sink, cone_inputs),
-                    options=task_options,
-                    node_budget=context.options.node_budget,
-                    time_budget=timeout,
-                    fault=fault_spec.get(sink),
-                )
+        task_options = cone_options(partial(self.opt, context))
+        tasks = [
+            extract_cone_task(
+                source,
+                sink,
+                dc_cubes=self._cone_dc_cubes(context, sink, cone_inputs),
+                options=task_options,
+                node_budget=context.options.node_budget,
+                time_budget=timeout,
+                fault=fault_spec.get(sink),
             )
+            for sink, cone_inputs in plan_sinks(
+                context, self.opt(context, "max_cone_inputs")
+            )
+        ]
 
         context.artifacts["parallel.workers"] = workers
         if not tasks:
@@ -425,10 +393,8 @@ class DecomposeParallelPass(_BasePass):
         # around pool creation so forked workers inherit the write end
         # and stream cone events while in flight.  Purely out-of-band —
         # dispatch, execution and merge below are untouched.
-        bus = None
         bus_mod = sys.modules.get("repro.obs.bus")
-        if bus_mod is not None:
-            bus = bus_mod.active()
+        bus = bus_mod.active() if bus_mod is not None else None
         if bus is not None:
             if cost_model:
                 try:
@@ -507,17 +473,14 @@ class DecomposeParallelPass(_BasePass):
                 )
         context.artifacts["parallel.degraded_cones"] = degraded_cones
         context.artifacts["parallel.tasks"] = {
-            "total": len(tasks),
-            "degraded": len(degraded_cones),
+            "total": len(tasks), "degraded": len(degraded_cones)
         }
         context.artifacts["parallel.cone_stats"] = cone_stats
         # Per-cone routing outcome ("auto" resolved per cone in the
         # worker) next to the dispatch order it applied to.
-        dispatch = context.artifacts.get("parallel.dispatch")
-        if dispatch is not None:
-            dispatch["backends"] = {
-                row["sink"]: row["backend"] for row in cone_stats
-            }
+        context.artifacts["parallel.dispatch"]["backends"] = {
+            row["sink"]: row["backend"] for row in cone_stats
+        }
         # Ledger append via sys.modules — never an import, so ledger-off
         # runs stay I/O-free (bench_ledger asserts the module is absent).
         ledger_mod = sys.modules.get("repro.obs.ledger")
@@ -584,63 +547,34 @@ class DecomposeParallelPass(_BasePass):
     ) -> None:
         from repro.synth.conetask import merge_cone_result
 
-        source = context.source
-        rebuilt = context.ensure_rebuilt()
         sink = task.sink
         action = result.get("action")
         _merge_worker_trace(result)
         nodes = result.get("nodes_allocated")
         if nodes:
             context.governor.add_external_nodes(int(nodes))
+        splice = None
         if action == "decomposed":
-            merge_cone_result(rebuilt, sink, result["replacement"])
-            context.signal_map[sink] = sink
-            context.records.append(
-                record(
-                    SignalRecord(
-                        sink,
-                        int(result.get("cone_inputs") or 0),
-                        "decomposed",
-                        result.get("tree_cost"),
-                        result.get("original_cost"),
-                        backend=result.get("backend"),
-                    )
-                )
+            splice = partial(
+                merge_cone_result, sink=sink, replacement=result["replacement"]
             )
-            if _obs.enabled():
-                _obs.inc("parallel.tasks.completed")
+        if action in ("decomposed", "kept-cost"):
+            outcome = ConeOutcome(
+                action, tree_cost=result.get("tree_cost"),
+                original_cost=result.get("original_cost"),
+                backend=result.get("backend"),
+            )
+        else:
+            # "copied" (worker budget exhaustion) or "failed" (worker
+            # never delivered): structural copy, context degraded.
+            reason = result.get("degrade_reason") or "worker degraded"
+            outcome = ConeOutcome("copied", degrade_reason=reason)
+        cone_inputs = int(result.get("cone_inputs") or 0)
+        if not commit_sink(context, sink, cone_inputs, outcome, splice):
             return
-        if action == "kept-cost":
-            copy_cone(source, rebuilt, sink)
-            context.signal_map[sink] = sink
-            context.records.append(
-                record(
-                    SignalRecord(
-                        sink,
-                        int(result.get("cone_inputs") or 0),
-                        "kept-cost",
-                        result.get("tree_cost"),
-                        result.get("original_cost"),
-                        backend=result.get("backend"),
-                    )
-                )
-            )
-            if _obs.enabled():
-                _obs.inc("parallel.tasks.completed")
-            return
-        # "copied" (worker budget exhaustion) or "failed" (worker never
-        # delivered): structural copy, context degraded, cone listed.
-        reason = result.get("degrade_reason") or "worker degraded"
-        copy_cone(source, rebuilt, sink)
-        context.signal_map[sink] = sink
-        context.mark_degraded(reason)
-        degraded_cones.append(sink)
-        context.records.append(
-            record(
-                SignalRecord(
-                    sink, int(result.get("cone_inputs") or 0), "copied"
-                )
-            )
-        )
-        if _obs.enabled() and action == "copied":
-            _obs.inc("parallel.tasks.worker_degraded")
+        if outcome.action == "copied":
+            degraded_cones.append(sink)
+            if _obs.enabled() and action == "copied":
+                _obs.inc("parallel.tasks.worker_degraded")
+        elif _obs.enabled():
+            _obs.inc("parallel.tasks.completed")

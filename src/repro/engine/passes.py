@@ -11,7 +11,9 @@ passes can be instantiated by name from JSON/dict pipeline configs (see
 The standard passes re-express the stages of the paper's Algorithm 1
 (latch cleanup, don't-care retrieval, interval widening +
 bi-decomposition, instantiation, structural cleanup) that used to be
-fused into one monolithic loop.  Budget checks go through the context's
+fused into one monolithic loop.  The decompose loop's per-sink step,
+:func:`decompose_sink`, is also what a parallel worker runs on its cone
+(see :mod:`repro.engine.parallel`).  Budget checks go through the context's
 :class:`~repro.engine.governor.ResourceGovernor`: exhaustion downgrades
 the remaining cones to structural copy and marks the context degraded —
 it never raises.
@@ -19,12 +21,18 @@ it never raises.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Protocol, runtime_checkable
+from dataclasses import dataclass
+from functools import partial
+from typing import (
+    Any, Callable, ContextManager, Iterator, Mapping, Optional, Protocol,
+    runtime_checkable,
+)
 
 from repro import obs as _obs
 from repro.bdd.manager import FALSE
 from repro.bidec.recursive import DecTree
 from repro.engine.context import SignalRecord, SynthesisContext
+from repro.engine.governor import ResourceGovernor
 from repro.intervals import Interval
 from repro.network.netlist import Network
 from repro.network.transform import (
@@ -151,9 +159,9 @@ class DontCarePass(_BasePass):
 
 @register_pass("decompose")
 class DecomposePass(_BasePass):
-    """The Algorithm 1 loop: collapse each sink's cone, widen it with
-    unreachable-state don't cares, bi-decompose, and instantiate the
-    tree into the rebuilt network with sharing.
+    """The Algorithm 1 loop: run :func:`decompose_sink` on each sink in
+    order, instantiating accepted trees straight into the rebuilt network
+    so the cross-cone sharing table spans the whole design.
 
     Budget exhaustion (checked per signal through the governor) copies
     the remaining cones structurally and marks the context degraded."""
@@ -163,119 +171,32 @@ class DecomposePass(_BasePass):
     def run(self, context: SynthesisContext) -> None:
         source = context.source
         rebuilt = context.ensure_rebuilt()
-        governor = context.governor
-        max_cone_inputs = self.opt(context, "max_cone_inputs")
-        acceptance_ratio = self.opt(context, "acceptance_ratio")
-        sharing_choice = self.opt(context, "sharing_choice")
-        use_sharing = self.opt(context, "enable_sharing") or sharing_choice
-
-        for sink in source.combinational_sinks():
-            # Per-sink safe point for --auto-reorder: between sinks the
-            # only live collapser-manager handles are the cone cache and
-            # the sharing table, both remapped by the compaction.
-            context.maybe_compact_bdds()
-            if sink in source.inputs or sink in source.latches:
-                context.signal_map[sink] = sink
-                continue
-            if rebuilt.is_signal(sink):
-                # Already materialised as part of an earlier structural copy.
-                context.signal_map[sink] = sink
-                continue
-            if governor.out_of_budget():
-                context.mark_degraded(governor.reason or "budget exhausted")
-                copy_cone(source, rebuilt, sink)
-                context.signal_map[sink] = sink
-                context.records.append(record(SignalRecord(sink, 0, "copied")))
-                continue
-            cone_inputs = source.cone_inputs(sink)
-            if len(cone_inputs) > max_cone_inputs:
-                copy_cone(source, rebuilt, sink)
-                context.signal_map[sink] = sink
-                context.records.append(
-                    record(SignalRecord(sink, len(cone_inputs), "kept-large"))
-                )
-                continue
+        dc_manager = context.dc_manager
+        options = cone_options(partial(self.opt, context))
+        # The per-sink safe point for --auto-reorder: between sinks the
+        # only live collapser-manager handles are the cone cache and the
+        # sharing table, both remapped by the compaction.
+        for sink, cone_inputs in plan_sinks(
+            context,
+            self.opt(context, "max_cone_inputs"),
+            safe_point=context.maybe_compact_bdds,
+        ):
             collapser = context.ensure_collapser()
-            with _obs.span("algorithm1.collapse"):
-                f = collapser.node_function(sink)
-            unreachable = FALSE
-            if context.dc_manager is not None:
-                ps_support = {
-                    name for name in cone_inputs if name in source.latches
-                }
-                if ps_support:
-                    with _obs.span("algorithm1.dontcare"):
-                        unreachable = context.dc_manager.unreachable_for(
-                            ps_support, collapser.manager, collapser.var_of
-                        )
-            interval = Interval.with_dont_cares(
-                collapser.manager, f, unreachable
-            )
-            with _obs.span("algorithm1.decompose"):
-                from repro.bidec.api import decompose_cone
-                from repro.bidec.backends import backend_for_interval
-
-                backend_name, backend = backend_for_interval(
-                    self.opt(context, "backend"),
-                    interval,
-                    cegar_iterations=self.opt(context, "cegar_iterations"),
-                    governor=governor,
-                )
-                tree = decompose_cone(
-                    interval,
-                    max_support=self.opt(context, "max_support"),
-                    gates=tuple(self.opt(context, "gates")),
-                    objective=self.opt(context, "objective"),
-                    sharing_choice=sharing_choice,
-                    share_table=context.share_table,
-                    backend=backend,
-                )
-            original_cost = cone_literals(source, sink)
-            tree_cost = tree.cost()
-            if tree_cost > acceptance_ratio * max(original_cost, 1):
-                copy_cone(source, rebuilt, sink)
-                context.signal_map[sink] = sink
-                context.records.append(
-                    record(
-                        SignalRecord(
-                            sink,
-                            len(cone_inputs),
-                            "kept-cost",
-                            tree_cost,
-                            original_cost,
-                            backend=backend_name,
-                        )
+            ps_support = {n for n in cone_inputs if n in source.latches}
+            outcome = decompose_sink(
+                source, sink, collapser, rebuilt, options,
+                governor=context.governor,
+                share_table=context.share_table,
+                dont_cares=(
+                    lambda: dc_manager.unreachable_for(
+                        ps_support, collapser.manager, collapser.var_of
                     )
                 )
-                continue
-            var_to_signal = {
-                var: name for name, var in collapser.var_of.items()
-            }
-            with _obs.span("algorithm1.instantiate"):
-                new_signal = instantiate_dectree(
-                    rebuilt,
-                    tree,
-                    var_to_signal,
-                    sink,
-                    context.share_table if use_sharing else None,
-                )
-            # Keep the sink's own name alive (primary-output names are part
-            # of the interface; sweep squeezes the alias out elsewhere).
-            rebuilt.add_node(sink, "buf", [new_signal])
-            context.signal_map[sink] = sink
-            context.records.append(
-                record(
-                    SignalRecord(
-                        sink,
-                        len(cone_inputs),
-                        "decomposed",
-                        tree_cost,
-                        original_cost,
-                        backend=backend_name,
-                    ),
-                    tree,
-                )
+                if dc_manager is not None and ps_support
+                else None,
+                phase=lambda name: _obs.span(f"algorithm1.{name}"),
             )
+            commit_sink(context, sink, len(cone_inputs), outcome)
 
 
 @register_pass("finalize")
@@ -374,6 +295,201 @@ def cone_literals(network: Network, sink: str) -> int:
         elif node.op == "not":
             total += 1
     return total
+
+
+#: The decomposition knobs :func:`decompose_sink` reads.  The same dict
+#: travels as a :class:`~repro.synth.conetask.ConeTask`'s ``options``, so
+#: these keys are part of every task key and ledger row.
+CONE_OPTION_KEYS = (
+    "max_support", "gates", "objective", "sharing_choice",
+    "enable_sharing", "acceptance_ratio", "backend", "cegar_iterations",
+)
+
+
+def cone_options(lookup: Callable[[str], Any]) -> dict[str, Any]:
+    """The JSON-friendly cone-options dict, each key read through
+    ``lookup`` (a pass's :meth:`_BasePass.opt`, or ``getattr`` on a
+    :class:`SynthesisOptions`)."""
+    options = {key: lookup(key) for key in CONE_OPTION_KEYS}
+    options["gates"] = list(options["gates"])
+    return options
+
+
+@dataclass
+class ConeOutcome:
+    """What :func:`decompose_sink` did with one cone.
+
+    ``action`` is ``decomposed`` (the tree is instantiated in the target
+    network), ``kept-cost`` (the tree failed the acceptance test),
+    ``copied`` (a budget tripped mid-cone; ``degrade_reason`` says which)
+    or, for outcomes decided before the step, ``kept-large``.
+    """
+
+    action: str
+    #: The accepted tree (``decomposed`` only).
+    tree: Optional[DecTree] = None
+    tree_cost: Optional[int] = None
+    original_cost: Optional[int] = None
+    backend: Optional[str] = None
+    degrade_reason: Optional[str] = None
+    #: The widened interval, once formed (hashed for the ledger).
+    interval: Optional[Interval] = None
+
+
+def decompose_sink(
+    network: Network,
+    sink: str,
+    collapser: Any,
+    target: Network,
+    options: Mapping[str, Any],
+    *,
+    governor: ResourceGovernor,
+    share_table: dict[int, str],
+    dont_cares: Optional[Callable[[], int]],
+    phase: Callable[[str], ContextManager[Any]],
+) -> ConeOutcome:
+    """Algorithm 1's per-signal step, shared by the serial pass and the
+    parallel worker.
+
+    Collapses ``sink``'s cone of ``network`` with ``collapser``, widens
+    it with ``dont_cares()`` (the unreachable states in the collapser's
+    manager; ``None`` = no don't cares), bi-decomposes the interval on
+    the backend ``options`` route it to, and — when the tree passes the
+    acceptance test against the cone's literal count — instantiates it
+    into ``target`` under ``sink``'s own name.  ``share_table`` carries
+    equal-function sharing across the cones decomposed into the same
+    ``target``.  Each phase (``collapse``, ``dontcare``, ``decompose``,
+    ``instantiate``) runs inside ``phase(name)``.  A governor budget that
+    trips after the collapse or the decomposition ends the step with a
+    ``copied`` outcome and leaves ``target`` untouched.
+    """
+    with phase("collapse"):
+        f = collapser.node_function(sink)
+    if governor.out_of_budget():
+        return ConeOutcome("copied", degrade_reason=governor.reason)
+    unreachable = FALSE
+    if dont_cares is not None:
+        with phase("dontcare"):
+            unreachable = dont_cares()
+    interval = Interval.with_dont_cares(collapser.manager, f, unreachable)
+    with phase("decompose"):
+        from repro.bidec.api import decompose_cone
+        from repro.bidec.backends import backend_for_interval
+
+        backend_name, backend = backend_for_interval(
+            options["backend"], interval,
+            cegar_iterations=options["cegar_iterations"], governor=governor,
+        )
+        tree = decompose_cone(
+            interval, max_support=options["max_support"],
+            gates=tuple(options["gates"]), objective=options["objective"],
+            sharing_choice=options["sharing_choice"],
+            share_table=share_table, backend=backend,
+        )
+    if governor.out_of_budget():
+        return ConeOutcome(
+            "copied", backend=backend_name, degrade_reason=governor.reason,
+            interval=interval,
+        )
+    original_cost = cone_literals(network, sink)
+    tree_cost = tree.cost()
+    if tree_cost > options["acceptance_ratio"] * max(original_cost, 1):
+        return ConeOutcome(
+            "kept-cost", None, tree_cost, original_cost, backend_name,
+            interval=interval,
+        )
+    use_sharing = options["enable_sharing"] or options["sharing_choice"]
+    var_to_signal = {var: name for name, var in collapser.var_of.items()}
+    with phase("instantiate"):
+        new_signal = instantiate_dectree(
+            target, tree, var_to_signal, sink,
+            share_table if use_sharing else None,
+        )
+        # Keep the sink's own name alive (primary-output names are part
+        # of the interface; sweep squeezes the alias out elsewhere).
+        target.add_node(sink, "buf", [new_signal])
+    return ConeOutcome(
+        "decomposed", tree, tree_cost, original_cost, backend_name,
+        interval=interval,
+    )
+
+
+def plan_sinks(
+    context: SynthesisContext,
+    max_cone_inputs: int,
+    safe_point: Optional[Callable[[], Any]] = None,
+) -> Iterator[tuple[str, list[str]]]:
+    """Classify ``context.source``'s combinational sinks in order and
+    yield ``(sink, cone_inputs)`` for each one to decompose.
+
+    Cone sources and sinks already materialised in the rebuilt network
+    are skipped; once the governor's budget is out, and for cones wider
+    than ``max_cone_inputs``, the sink is committed as a structural copy
+    right here.  A generator, so a serial caller's decompositions land
+    before the next sink is classified; ``safe_point`` runs ahead of
+    every sink.
+    """
+    source = context.source
+    rebuilt = context.ensure_rebuilt()
+    governor = context.governor
+    for sink in source.combinational_sinks():
+        if safe_point is not None:
+            safe_point()
+        if (
+            sink in source.inputs
+            or sink in source.latches
+            or rebuilt.is_signal(sink)
+        ):
+            # A cone source, or materialised already — by an earlier
+            # structural copy or a merge before a mid-shard checkpoint.
+            context.signal_map[sink] = sink
+            continue
+        if governor.out_of_budget():
+            copied = ConeOutcome("copied", degrade_reason=governor.reason)
+            commit_sink(context, sink, 0, copied)
+            continue
+        cone_inputs = source.cone_inputs(sink)
+        if len(cone_inputs) > max_cone_inputs:
+            kept = ConeOutcome("kept-large")
+            commit_sink(context, sink, len(cone_inputs), kept)
+            continue
+        yield sink, cone_inputs
+
+
+def commit_sink(
+    context: SynthesisContext,
+    sink: str,
+    cone_inputs: int,
+    outcome: ConeOutcome,
+    splice: Optional[Callable[[Network], Any]] = None,
+) -> bool:
+    """Fold one sink's outcome into ``context``: its logic, the degraded
+    flag and its published :class:`SignalRecord`.
+
+    A decomposed cone is in place already (the serial step instantiates
+    into the rebuilt network) or added by ``splice``; any other outcome
+    is copied structurally.  Returns False, committing nothing, if the
+    sink exists by then: a parallel merge can find it materialised by an
+    earlier cone's structural copy, a sink the serial loop skips."""
+    rebuilt = context.ensure_rebuilt()
+    if outcome.action != "decomposed" or splice is not None:
+        if rebuilt.is_signal(sink):
+            return False
+        if splice is not None:
+            splice(rebuilt)
+        else:
+            copy_cone(context.source, rebuilt, sink)
+    context.signal_map[sink] = sink
+    if outcome.action == "copied":
+        context.mark_degraded(outcome.degrade_reason or "budget exhausted")
+        signal_record = SignalRecord(sink, cone_inputs, "copied")
+    else:
+        signal_record = SignalRecord(
+            sink, cone_inputs, outcome.action, outcome.tree_cost,
+            outcome.original_cost, backend=outcome.backend,
+        )
+    context.records.append(record(signal_record, outcome.tree))
+    return True
 
 
 def record(

@@ -37,8 +37,8 @@ Cone events add ``sink`` plus event-specific fields:
 
 =================  ====================================================
 ``cone.start``     ``sink``, ``cone_inputs``
-``cone.progress``  ``sink``, ``phase`` (collapse/decompose/instantiate),
-                   ``dur``
+``cone.progress``  ``sink``, ``phase`` (collapse/dontcare/decompose/
+                   instantiate), ``dur``
 ``heartbeat``      ``sink`` currently in flight (``None`` when idle)
 ``cone.degrade``   ``sink``, ``reason``
 ``cone.end``       ``sink``, ``action``, ``elapsed``
@@ -198,8 +198,8 @@ def cone_started(sink: str, **fields: Any) -> None:
 
 
 def cone_progress(sink: str, phase: str, dur: float) -> None:
-    """Worker hook: one internal phase (collapse/decompose/instantiate)
-    of the in-flight cone completed."""
+    """Worker hook: one phase of the in-flight cone's step
+    (collapse/dontcare/decompose/instantiate) completed."""
     emitter = _current_emitter()
     if emitter is None:
         return

@@ -12,18 +12,21 @@ cone rewrite needs in plain JSON-friendly data:
   present-state support, shipped as disjoint BDD path cubes over latch
   *names* so the worker can rebuild the interval ``[f&~u, f|u]`` in a
   private manager with any variable numbering,
-* the decomposition **options** (support bound, gate repertoire,
-  objective, acceptance ratio, sharing flags) and per-task resource
-  budgets.
+* the decomposition **options** (the
+  :data:`~repro.engine.passes.CONE_OPTION_KEYS` dict) and per-task
+  resource budgets.
 
-:func:`run_cone_task` is the process-pool entry point: it rebuilds the
-slice in a fresh :class:`~repro.bdd.manager.BDDManager`, collapses the
-sink, widens with the don't cares, bi-decomposes, applies the acceptance
-test, and returns a serialized replacement network (or a ``kept``/
-``copied`` verdict).  It is deterministic — same task dict, same result
-— which is what lets the scheduler promise ``workers=N`` bit-identical
-to ``workers=1``.  :func:`merge_cone_result` folds a result back into
-the growing rebuilt network in the parent.
+:func:`run_cone_task` is the process-pool entry point — transport only:
+it decodes the task, rebuilds the slice in a fresh
+:class:`~repro.bdd.manager.BDDManager` under a worker-local governor,
+and runs the same :func:`~repro.engine.passes.decompose_sink` step as
+the serial pass, with a don't-care callback that rebuilds the shipped
+cubes.  It returns a serialized replacement network (or a
+``kept-cost``/``copied`` verdict) plus the ledger's
+:func:`interval_signature`.  It is deterministic — same task dict, same
+result — which is what lets the scheduler promise ``workers=N``
+bit-identical to ``workers=1``.  :func:`merge_cone_result` folds a
+result back into the growing rebuilt network in the parent.
 """
 
 from __future__ import annotations
@@ -34,8 +37,10 @@ import os
 import sys
 import time
 import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from functools import partial
+from typing import Any, Iterator, Optional
 
 CONE_TASK_VERSION = 1
 
@@ -56,7 +61,8 @@ class ConeTask:
     #: no don't-care information applies (combinational cone, cube
     #: blow-up, or don't cares disabled).
     dc_cubes: Optional[list[list[list[Any]]]]
-    #: Decomposition knobs the worker honours.
+    #: Decomposition knobs the worker honours; a missing key takes its
+    #: :class:`~repro.engine.context.SynthesisOptions` default.
     options: dict[str, Any] = field(default_factory=dict)
     #: Per-task budgets enforced by a worker-local governor.
     node_budget: Optional[int] = None
@@ -199,13 +205,18 @@ def merge_cone_result(rebuilt, sink: str, replacement: dict[str, Any]) -> int:
     collision (the rename map applies to downstream fanins within the
     replacement).  The slice's inputs already exist in ``rebuilt`` as
     primary inputs or latches, so only logic nodes are added.  Returns
-    the number of nodes merged.
+    the number of nodes merged.  Raises ``ValueError``, leaving
+    ``rebuilt`` untouched, when ``sink`` is already defined there: the
+    sink's own name must survive as the cone's output alias.
     """
     from repro.engine.checkpoint import network_from_dict
 
+    if rebuilt.is_signal(sink):
+        raise ValueError(
+            f"cone sink {sink!r} already defined in the rebuilt network"
+        )
     piece = network_from_dict(replacement)
     rename: dict[str, str] = {}
-    added = 0
     for name, node in piece.nodes.items():
         fanins = [rename.get(f, f) for f in node.fanins]
         target_name = name
@@ -213,13 +224,7 @@ def merge_cone_result(rebuilt, sink: str, replacement: dict[str, Any]) -> int:
             target_name = rebuilt.fresh_name(f"{name}_p")
             rename[name] = target_name
         rebuilt.add_node(target_name, node.op, fanins, node.cover)
-        added += 1
-    if rename.get(sink):
-        # The sink's own name must survive as the cone's output alias.
-        raise ValueError(
-            f"cone sink {sink!r} already defined in the rebuilt network"
-        )
-    return added
+    return len(piece.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -287,23 +292,25 @@ def _apply_fault(fault: Optional[str]) -> None:
 def run_cone_task(data: dict[str, Any]) -> dict[str, Any]:
     """Process-pool entry point: execute one serialized cone task.
 
+    Rebuilds the slice in a private manager under a worker-local
+    governor and runs :func:`~repro.engine.passes.decompose_sink` on it,
+    instantiating an accepted tree into a fresh replacement network.
     Always returns a result dict (``action`` of ``decomposed``,
     ``kept-cost`` or ``copied``); unexpected exceptions propagate to the
     parent through the executor so their tracebacks reach the crash
     bundle.  Worker-local budget exhaustion is *not* an error — it comes
     back as ``action="copied"`` with a ``degrade_reason``.
     """
-    from repro.bidec.api import decompose_cone
     from repro.bdd.manager import BDDManager, FALSE
     from repro.engine.checkpoint import network_from_dict, network_to_dict
+    from repro.engine.context import SynthesisOptions
     from repro.engine.governor import ResourceGovernor
-    from repro.engine.passes import cone_literals
-    from repro.intervals import Interval
+    from repro.engine.passes import cone_options, decompose_sink
     from repro.network.bdd_build import ConeCollapser
     from repro.network.netlist import Network
-    from repro.network.transform import instantiate_dectree
 
     task = ConeTask.from_dict(data)
+    sink = task.sink
     started_wall = time.time()
     began = time.perf_counter()
     phases: list[dict[str, float]] = []
@@ -312,144 +319,81 @@ def run_cone_task(data: dict[str, Any]) -> dict[str, Any]:
     # is a single None-check no-op.
     bus_mod = sys.modules.get("repro.obs.bus")
 
-    def phase(name: str):
-        class _Phase:
-            def __enter__(self_inner):
-                self_inner.start = time.perf_counter()
-                return self_inner
-
-            def __exit__(self_inner, *exc):
-                dur = time.perf_counter() - self_inner.start
-                phases.append(
-                    {
-                        "name": name,
-                        "start": self_inner.start - began,
-                        "dur": dur,
-                    }
-                )
-                if bus_mod is not None:
-                    bus_mod.cone_progress(task.sink, name, dur)
-                return False
-
-        return _Phase()
+    @contextmanager
+    def phase(name: str) -> Iterator[None]:
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            dur = time.perf_counter() - start
+            phases.append({"name": name, "start": start - began, "dur": dur})
+            if bus_mod is not None:
+                bus_mod.cone_progress(sink, name, dur)
 
     _apply_fault(task.fault)
-    options = task.options
     node_budget = 0 if task.fault == "starve" else task.node_budget
     governor = ResourceGovernor(
         time_budget=task.time_budget, node_budget=node_budget
     )
     slice_net = network_from_dict(task.slice)
-    sink = task.sink
     if bus_mod is not None:
         bus_mod.cone_started(sink, cone_inputs=len(slice_net.inputs))
-
-    signature: Optional[str] = None
-    backend_name: Optional[str] = None
-
-    def base(action: str, **extra: Any) -> dict[str, Any]:
-        result = {
-            "version": CONE_TASK_VERSION,
-            "sink": sink,
-            "action": action,
-            "signature": signature,
-            "cone_inputs": len(slice_net.inputs),
-            "tree_cost": None,
-            "original_cost": None,
-            "replacement": None,
-            "degrade_reason": None,
-            "backend": backend_name,
-            "pid": os.getpid(),
-            "started_wall": started_wall,
-            "elapsed": time.perf_counter() - began,
-            "phases": phases,
-            "nodes_allocated": governor.nodes_allocated(),
-        }
-        result.update(extra)
-        if bus_mod is not None:
-            bus_mod.cone_finished(
-                sink,
-                action,
-                elapsed=round(result["elapsed"], 6),
-                degrade_reason=result["degrade_reason"],
-            )
-        return result
 
     manager = governor.attach_manager(BDDManager())
     collapser = ConeCollapser(
         slice_net, manager, source_order=list(slice_net.inputs)
     )
-    with phase("collapse"):
-        f = collapser.node_function(sink)
-    if governor.out_of_budget():
-        return base("copied", degrade_reason=governor.reason)
 
-    unreachable = FALSE
-    if task.dc_cubes:
-        var_of = collapser.var_of
+    def dont_cares() -> int:
+        unreachable = FALSE
         for cube in task.dc_cubes:
-            literals = {var_of[name]: bool(pol) for name, pol in cube}
-            unreachable = manager.apply_or(
-                unreachable, manager.cube(literals)
-            )
-    interval = Interval.with_dont_cares(manager, f, unreachable)
-    # Exact cone identity (function + don't cares) for the ledger; the
-    # BDD is already built, so this is a linear walk over its DAG.
-    signature = interval_signature(manager, interval)
+            literals = {collapser.var_of[name]: bool(pol) for name, pol in cube}
+            unreachable = manager.apply_or(unreachable, manager.cube(literals))
+        return unreachable
 
-    with phase("decompose"):
-        from repro.bidec.backends import backend_for_interval
-
-        backend_name, backend = backend_for_interval(
-            options.get("backend", "bdd"),
-            interval,
-            cegar_iterations=int(options.get("cegar_iterations", 512)),
-            governor=governor,
-        )
-        share_table: dict[int, str] = {}
-        tree = decompose_cone(
-            interval,
-            max_support=int(options.get("max_support", 12)),
-            gates=tuple(options.get("gates", ("or", "and", "xor"))),
-            objective=options.get("objective", "balanced"),
-            sharing_choice=bool(options.get("sharing_choice", False)),
-            share_table=share_table,
-            backend=backend,
-        )
-    if governor.out_of_budget():
-        return base("copied", degrade_reason=governor.reason)
-
-    original_cost = cone_literals(slice_net, sink)
-    tree_cost = tree.cost()
-    acceptance_ratio = float(options.get("acceptance_ratio", 1.25))
-    if tree_cost > acceptance_ratio * max(original_cost, 1):
-        return base(
-            "kept-cost", tree_cost=tree_cost, original_cost=original_cost
-        )
-
-    with phase("instantiate"):
-        replacement = Network(f"{slice_net.name}::rebuilt")
-        for name in slice_net.inputs:
-            replacement.add_input(name)
-        var_to_signal = {var: name for name, var in collapser.var_of.items()}
-        use_sharing = bool(options.get("enable_sharing", True)) or bool(
-            options.get("sharing_choice", False)
-        )
-        new_signal = instantiate_dectree(
-            replacement,
-            tree,
-            var_to_signal,
-            sink,
-            share_table if use_sharing else None,
-        )
-        replacement.add_node(sink, "buf", [new_signal])
-        replacement.add_output(sink)
-    return base(
-        "decomposed",
-        tree_cost=tree_cost,
-        original_cost=original_cost,
-        replacement=network_to_dict(replacement),
+    replacement = Network(f"{slice_net.name}::rebuilt")
+    for name in slice_net.inputs:
+        replacement.add_input(name)
+    defaults = cone_options(partial(getattr, SynthesisOptions()))
+    outcome = decompose_sink(
+        slice_net, sink, collapser, replacement,
+        {**defaults, **task.options},
+        governor=governor,
+        # Sharing stays within the cone: node ids are manager-local.
+        share_table={},
+        dont_cares=dont_cares if task.dc_cubes else None,
+        phase=phase,
     )
+    decomposed = outcome.action == "decomposed"
+    if decomposed:
+        replacement.add_output(sink)
+    signature = None
+    if outcome.interval is not None:
+        # Exact cone identity (function + don't cares) for the ledger.
+        signature = interval_signature(manager, outcome.interval)
+    result = {
+        "version": CONE_TASK_VERSION,
+        "sink": sink,
+        "action": outcome.action,
+        "signature": signature,
+        "cone_inputs": len(slice_net.inputs),
+        "tree_cost": outcome.tree_cost,
+        "original_cost": outcome.original_cost,
+        "replacement": network_to_dict(replacement) if decomposed else None,
+        "degrade_reason": outcome.degrade_reason,
+        "backend": outcome.backend,
+        "pid": os.getpid(),
+        "started_wall": started_wall,
+        "elapsed": time.perf_counter() - began,
+        "phases": phases,
+        "nodes_allocated": governor.nodes_allocated(),
+    }
+    if bus_mod is not None:
+        bus_mod.cone_finished(
+            sink, outcome.action, elapsed=round(result["elapsed"], 6),
+            degrade_reason=outcome.degrade_reason,
+        )
+    return result
 
 
 def format_worker_error(exc: BaseException) -> dict[str, str]:

@@ -74,6 +74,12 @@ class TestExamples:
         assert "phase timings" in out
         assert "BDD cache efficiency" in out
         assert "algorithm1.run wall time" in out
+        rows = out.split("headlines", 1)[1].splitlines()
+        for phase in ("collapse", "decompose"):
+            assert any(
+                row.split()[:1] == [phase] and "% of run" in row
+                for row in rows
+            ), f"no {phase} headline"
         assert "metric families" in out
         data = json.loads(report.read_text())
         assert data["run"]["bench"] == "s344"
