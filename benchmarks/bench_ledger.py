@@ -24,7 +24,6 @@ import time
 from conftest import get_table, record_bench_json
 
 from repro.cli import main
-from repro.synth import SynthesisOptions, algorithm1
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
 from strategies import wide_circuit  # noqa: E402
@@ -127,35 +126,4 @@ def test_ledger_off_path_is_import_free(tmp_path):
     record_bench_json(
         "bench_ledger", "off_path_import_free", 0.0,
         metrics={"ledger_module_imported": False},
-    )
-
-
-def test_profile_guided_dispatch_stays_deterministic(tmp_path):
-    """Sanity row for the trajectory record: a ledger-seeded second run
-    (LPT dispatch) must still be bit-identical to the cold run."""
-    from repro.engine.checkpoint import network_to_dict
-    from repro.obs import ledger as obs_ledger
-
-    net = wide_circuit(3, outputs=12, latches=16)
-    options = SynthesisOptions(parallel_workers=2)
-    cold = algorithm1(net.copy(), options)
-
-    ledger = obs_ledger.RunLedger(tmp_path / "runs.db")
-    for _ in range(2):
-        run_id = ledger.begin_run(command="bench")
-        obs_ledger.activate(ledger, run_id)
-        try:
-            warm = algorithm1(net.copy(), options)
-        finally:
-            obs_ledger.finish_active()
-            obs_ledger.deactivate()
-    ledger.close()
-    assert network_to_dict(warm.network) == network_to_dict(cold.network)
-    assert warm.artifacts["parallel.dispatch"]["profile_guided"] is True
-    record_bench_json(
-        "bench_ledger", "profile_guided_bit_identical", 0.0,
-        metrics={
-            "cones": len(warm.artifacts["parallel.dispatch"]["order"]),
-            "bit_identical": True,
-        },
     )

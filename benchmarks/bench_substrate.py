@@ -247,14 +247,15 @@ def test_sat_solver(benchmark):
 def test_cone_task_telemetry_overhead(benchmark, request):
     """Cost of the live-telemetry hooks on the parallel cone hot path.
 
-    ``run_cone_task`` reaches the bus only through ``sys.modules.get``,
-    so a run without the telemetry flags must pay nothing for the hooks.
+    ``run_cone_task`` reaches the bus only as an installed obs sink, so
+    a run without the telemetry flags must pay nothing for the hooks.
     One fixed cone workload is run three ways: the default off path with
-    the bus module not even imported (the pedantic-timed rows), the
-    module imported but no emitter attached, and a live bus draining a
-    real pipe.  The record is informational (``gated: false``) — the
+    the bus module not even imported (the pedantic-timed rows), a bus
+    installed but no emitter attached, and a live bus draining a real
+    pipe.  The record is informational (``gated: false``) — the
     number that matters is ``disabled_overhead`` staying ≈0.
     """
+    from repro import obs
     from repro.benchgen import iscas_analog
     from repro.synth.conetask import extract_cone_task, run_cone_task
 
@@ -290,14 +291,16 @@ def test_cone_task_telemetry_overhead(benchmark, request):
         if saved is not None:
             sys.modules["repro.obs.bus"] = saved
 
-    # Imported but inactive: the hooks fire but find no emitter.
+    # Installed but inactive: the hooks fire but find no emitter.
     bus_mod = importlib.import_module("repro.obs.bus")
-    inactive = best_of()
-
-    # Live: a real bus, events written into its pipe and drained.
-    bus = bus_mod.TelemetryBus(run_id="bench-overhead")
-    with bus.attached():
-        attached = best_of()
+    bus = obs.install(bus_mod.TelemetryBus(run_id="bench-overhead"))
+    try:
+        inactive = best_of()
+        # Live: events written into the bus's pipe and drained.
+        with bus.attached():
+            attached = best_of()
+    finally:
+        obs.uninstall(bus)
     bus.close()
     assert bus.events_dropped == 0
     assert bus.counts.get("cone.start", 0) >= len(tasks)

@@ -23,6 +23,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from repro import obs
 from repro.benchgen import iscas_analog
 from repro.cli import render_top
 from repro.obs import bus as obs_bus
@@ -41,13 +42,13 @@ def main() -> None:
     metrics_path = outdir / "metrics.om"
     log_path = outdir / "run.jsonl"
 
-    # The CLI assembles exactly this stack when the flags are given;
-    # engine layers only ever see it through sys.modules, so a run
-    # without it never imports any of these modules.
-    logger = obs_logging.StructuredLogger(log_path, run_id="live-demo")
-    obs_logging.install(logger)
-    bus = obs_bus.TelemetryBus(run_id="live-demo")
-    obs_bus.activate(bus)
+    # The CLI assembles exactly this stack when the flags are given:
+    # the log and the bus are obs sinks, so every engine fact reaches
+    # both.  A run without the flags never imports these modules.
+    logger = obs.install(
+        obs_logging.StructuredLogger(log_path, run_id="live-demo")
+    )
+    bus = obs.install(obs_bus.TelemetryBus(run_id="live-demo"))
     exporter = openmetrics.MetricsExporter(path=metrics_path, bus=bus)
     monitor = RuntimeMonitor(
         interval=0.2, status_file=status_path, bus=bus, exporter=exporter
@@ -61,9 +62,9 @@ def main() -> None:
     # Teardown order matters: monitor took its final sample above,
     # exporter flushes last, then the bus drains to EOF.
     exporter.close()
-    obs_bus.deactivate()
+    obs.uninstall(bus)
     bus.close()
-    obs_logging.uninstall()
+    obs.uninstall(logger)
     logger.close()
 
     print(f"== {bench}: workers={workers}, "

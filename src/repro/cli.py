@@ -77,10 +77,12 @@ out-of-band: synthesis output is bit-identical with telemetry on or off.
 The same long-run commands accept ``--ledger PATH``: append this run —
 wall/literal/degradation results, per-pass timings, per-cone rows keyed
 by the canonical task signature — to a persistent SQLite run ledger
-(WAL mode, safe for concurrent appenders).  On later ledger-enabled
-runs the parallel scheduler loads a cone cost model from that history
-and dispatches shards longest-first (LPT); the merge stays plan-ordered,
-so the output is bit-identical with or without history.
+(WAL mode, safe for concurrent appenders).
+
+Every command runs inside one observability scope (:class:`_Run`): it
+installs the sinks these flags ask for into :mod:`repro.obs` — each
+engine fact is emitted once and reaches all of them — and uninstalls
+them on every exit path, crash included.
 """
 
 from __future__ import annotations
@@ -116,134 +118,213 @@ def _save(network: Network, path: str) -> None:
         save_blif(network, path)
 
 
-def _obs_begin(args: argparse.Namespace) -> bool:
-    """Enable instrumentation when ``--profile``/``--stats-json`` was
-    given (before any manager is built, so cache stats are tracked)."""
-    if getattr(args, "profile", False) or getattr(args, "stats_json", None):
-        from repro import obs
+class _Run:
+    """One command's observability scope.
 
-        obs.reset()
-        obs.enable()
-        return True
-    return False
-
-
-def _obs_finish(args: argparse.Namespace, active: bool, **run_info) -> None:
-    """Emit the requested report(s) and switch instrumentation back off."""
-    if not active:
-        return
-    from repro import obs
-
-    obs.disable()
-    report = obs.report()
-    if run_info:
-        report["run"] = run_info
-    if getattr(args, "stats_json", None):
-        obs.write_report(args.stats_json, report)
-        print(f"wrote {args.stats_json}")
-    if getattr(args, "profile", False):
-        print(obs.render_profile(report))
-
-
-class _Diagnostics:
-    """Per-command tracing/monitoring/telemetry lifecycle for the CLI
-    flags.  This is the *only* place the live-telemetry modules
-    (``repro.obs.bus`` / ``openmetrics`` / ``logging``) are imported —
-    engine layers reach them through ``sys.modules``, so a run without
-    these flags never loads them (the CI telemetry-smoke job asserts it
-    in a fresh interpreter)."""
+    Entering it installs into :mod:`repro.obs` the sinks the command's
+    flags ask for — trace recorder, structured log, telemetry bus, plus
+    the metrics exporter and runtime monitor that read them — and
+    :meth:`open_ledger` adds the ledger run once the input is loaded.
+    Leaving it always takes them down again: after success, after an
+    early error return, and after a crash, which first writes the crash
+    bundle from the installed sinks.  The live-telemetry and ledger
+    modules are imported only when their flags are given, so a run
+    without them never loads them."""
 
     def __init__(self, args: argparse.Namespace) -> None:
+        self.args = args
+        #: The command's exit status (``None`` until it returned).
+        self.code: "int | None" = None
+        #: The stats report's ``run`` section.
+        self.info: dict = {"command": args.command}
+        if getattr(args, "file", None):
+            self.info["input"] = args.file
+        #: Result columns of the ledger's run row.
+        self.results: dict = {}
+        self.recorder = self.logger = self.bus = None
+        self.exporter = self.monitor = self.ledger = None
+        self._installed: list = []
+        self._scope = None
+
+    def _flag(self, name: str):
+        return getattr(self.args, name, None)
+
+    @property
+    def _reports(self) -> bool:
+        return bool(
+            self._flag("profile") or self._flag("stats_json")
+            or self.args.command == "profile"
+        )
+
+    def __enter__(self) -> "_Run":
+        try:
+            self._open()
+        except BaseException as exc:
+            self.__exit__(type(exc), exc, exc.__traceback__)
+            raise
+        return self
+
+    def _install(self, sink):
+        from repro import obs
+
+        self._installed.append(obs.install(sink))
+        return sink
+
+    def _open(self) -> None:
         from repro import obs
         from repro.obs import crashdump
-        from repro.obs import trace as obs_trace
 
-        self.trace_path = getattr(args, "trace", None)
-        status_file = getattr(args, "status_file", None)
-        interval = getattr(args, "monitor_interval", 1.0)
-        metrics_file = getattr(args, "metrics_file", None)
-        metrics_port = getattr(args, "metrics_port", None)
-        log_json = getattr(args, "log_json", None)
-        self.recorder = None
-        self.monitor = None
-        self.logger = None
-        self.bus = None
-        self.exporter = None
-        self._enabled_obs = False
+        flag = self._flag
         crashdump.clear_crash_context()
-        crashdump.set_crash_context(command=getattr(args, "command", None))
-        # Tracing rides the obs switch: enable it (without clobbering a
-        # --profile/--stats-json reset that already happened) so spans
-        # and manager stats are collected.
-        if not obs.enabled():
+        crashdump.set_crash_context(command=self.args.command)
+        live = (
+            flag("status_file") or flag("metrics_file") or flag("log_json")
+            or flag("metrics_port") is not None
+        )
+        if self._reports or live or flag("trace"):
+            # Before any manager is built, so cache stats are tracked.
             obs.reset()
-            obs.enable()
-            self._enabled_obs = True
-        if self.trace_path:
-            self.recorder = obs_trace.install()
-        # Structured run log first, so every later layer (bus mirror,
-        # pipeline boundaries) can write into it from the start.
-        if log_json:
-            from repro.obs import logging as obs_logging
+            self._scope = obs.scope()
+            self._scope.__enter__()
+        if flag("trace"):
+            self.recorder = self._install(obs.TraceRecorder())
+        if flag("log_json"):
+            from repro.obs.logging import StructuredLogger
 
-            self.logger = obs_logging.StructuredLogger(log_json)
-            obs_logging.install(self.logger)
+            self.logger = self._install(StructuredLogger(flag("log_json")))
             self.logger.info(
-                "run.start",
-                command=getattr(args, "command", None),
+                "run.start", command=self.args.command,
                 argv=list(sys.argv[1:]),
             )
-        # The telemetry bus backs every live view (status.json worker
-        # rows, OpenMetrics worker gauges, log-mirrored cone events), so
-        # any of those outputs brings it up.  Out-of-band by design:
-        # synthesis output is bit-identical with or without it.
-        if status_file or metrics_file or metrics_port is not None or log_json:
-            from repro.obs import bus as obs_bus
+        if live:
+            # The bus backs every live view (status.json worker rows,
+            # OpenMetrics worker gauges, log-mirrored cone events).
+            # Out-of-band by design: output is bit-identical without it.
+            from repro.obs.bus import TelemetryBus
 
-            self.bus = obs_bus.TelemetryBus()
-            obs_bus.activate(self.bus)
-        if metrics_file or metrics_port is not None:
-            from repro.obs import openmetrics as obs_openmetrics
+            self.bus = self._install(TelemetryBus())
+        if flag("metrics_file") or flag("metrics_port") is not None:
+            from repro.obs.openmetrics import MetricsExporter
 
-            self.exporter = obs_openmetrics.MetricsExporter(
-                path=metrics_file, port=metrics_port, bus=self.bus
+            self.exporter = MetricsExporter(
+                path=flag("metrics_file"), port=flag("metrics_port"),
+                bus=self.bus,
             )
             if self.exporter.bound_port is not None:
                 print(
                     "metrics endpoint: "
                     f"http://127.0.0.1:{self.exporter.bound_port}/metrics"
                 )
-        if interval and interval > 0 and (
-            self.trace_path or status_file or self.exporter is not None
+        interval = flag("monitor_interval") or 0
+        if interval > 0 and (
+            flag("trace") or flag("status_file") or self.exporter is not None
         ):
-            from repro.obs import RuntimeMonitor
-
-            self.monitor = RuntimeMonitor(
-                interval=interval,
-                status_file=status_file,
-                recorder=self.recorder,
-                bus=self.bus,
-                exporter=self.exporter,
+            self.monitor = obs.RuntimeMonitor(
+                interval=interval, status_file=flag("status_file"),
+                bus=self.bus, exporter=self.exporter,
             )
             self.monitor.start()
 
-    def make_governor(self, options) -> "object | None":
-        """A governor built from the options' budgets, registered with
-        the monitor so status samples show remaining budget."""
+    def governor(self, options):
+        """A governor built from the options' budgets and registered
+        with the monitor, so status samples show the remaining budget
+        (``None`` without a monitor: the engine builds its own)."""
+        if self.monitor is None:
+            return None
         from repro.engine import ResourceGovernor
 
-        governor = ResourceGovernor(
+        self.monitor.governor = ResourceGovernor(
             time_budget=options.time_budget, node_budget=options.node_budget
         )
-        if self.monitor is not None:
-            self.monitor.governor = governor
-        return governor
+        return self.monitor.governor
 
-    def _teardown_telemetry(self, chatter: bool) -> None:
-        """Shared success/crash teardown of the live-telemetry layer, in
-        dependency order: final monitor sample (reads bus), final
-        exposition (reads bus), bus drain/close (mirrors into log), log
-        close last."""
+    def open_ledger(self, network, options, pipeline=None) -> None:
+        """Register this run in the ``--ledger`` file (if given) and
+        install its :class:`~repro.obs.ledger.LedgerRun` sink."""
+        path = self._flag("ledger")
+        if not path:
+            return
+        from repro import obs
+        from repro.obs import ledger as obs_ledger
+
+        ledger = obs_ledger.RunLedger(path)
+        try:
+            run_id = ledger.begin_run(
+                command=self.args.command,
+                argv=list(sys.argv[1:]),
+                input=self._flag("file") or self._flag("target"),
+                netlist_signature=obs_ledger.netlist_signature(network),
+                config_hash=obs_ledger.config_hash(
+                    options,
+                    pipeline.pass_names() if pipeline is not None else None,
+                ),
+                workers=getattr(options, "parallel_workers", 0) or 0,
+                instrumented=obs.enabled(),
+            )
+        except BaseException:
+            ledger.close()
+            raise
+        self.ledger = self._install(obs_ledger.LedgerRun(ledger, run_id))
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        from repro import obs
+
+        if exc is not None:
+            self._crash(exc)
+        try:
+            self._close(chatter=exc is None)
+        finally:
+            for sink in self._installed:
+                obs.uninstall(sink)
+            if self._scope is not None:
+                self._scope.__exit__(None, None, None)
+        if exc is None and self.code == 0 and self._reports:
+            report = obs.report()
+            report["run"] = self.info
+            if self._flag("stats_json"):
+                obs.write_report(self.args.stats_json, report)
+                print(f"wrote {self.args.stats_json}")
+            if self._flag("profile") or self.args.command == "profile":
+                print(obs.render_profile(report))
+        return False
+
+    def _crash(self, exc: BaseException) -> None:
+        """Best-effort crash diagnostics: flush the partial trace, write
+        the crash bundle (for instrumented runs or an explicit
+        ``--crash-dump``, so plain usage never litters the working
+        directory), and mark the ledger run crashed."""
+        from repro.obs import crashdump
+
+        flag = self._flag
+        if self.recorder is not None:
+            try:
+                self.recorder.write(flag("trace"))
+                print(
+                    f"wrote {flag('trace')} (partial trace)", file=sys.stderr
+                )
+            except Exception:
+                pass
+        dump = flag("crash_dump")
+        if dump is None and any(
+            flag(name) for name in
+            ("trace", "status_file", "stats_json", "checkpoint", "profile")
+        ):
+            dump = f"repro_crash_{self.args.command}.json"
+        if dump is not None:
+            written = crashdump.write_crash_bundle(dump, exc)
+            if written is not None:
+                print(f"crash bundle written to {written}", file=sys.stderr)
+        if self.ledger is not None:
+            self.ledger.finish(
+                "crashed", extra={"error": f"{type(exc).__name__}: {exc}"}
+            )
+
+    def _close(self, chatter: bool) -> None:
+        """Teardown in dependency order: the final monitor sample (reads
+        the bus and the ledger sink), the final exposition (reads the
+        bus), the bus drain (mirrors into the log), the log, the trace
+        file, the ledger row.  ``chatter`` is off after a crash, whose
+        diagnostics are already written."""
         if self.monitor is not None:
             self.monitor.stop()
             if chatter and self.monitor.status_file is not None:
@@ -253,169 +334,48 @@ class _Diagnostics:
             if chatter and self.exporter.path is not None:
                 print(f"wrote {self.exporter.path}")
         if self.bus is not None:
-            from repro.obs import bus as obs_bus
-
-            if obs_bus.active() is self.bus:
-                obs_bus.deactivate()
             self.bus.close()
         if self.logger is not None:
-            from repro.obs import logging as obs_logging
-
+            bus = self.bus
             self.logger.info(
                 "run.end",
-                bus_events=(
-                    self.bus.events_total() if self.bus is not None else 0
-                ),
-                bus_dropped=(
-                    self.bus.events_dropped if self.bus is not None else 0
-                ),
+                bus_events=bus.events_total() if bus is not None else 0,
+                bus_dropped=bus.events_dropped if bus is not None else 0,
             )
-            if obs_logging.active() is self.logger:
-                obs_logging.uninstall()
             self.logger.close()
             if chatter and self.logger.path is not None:
                 print(
                     f"wrote {self.logger.path} "
                     f"({self.logger.records_written} log records)"
                 )
-
-    def finish(self) -> None:
-        from repro import obs
-        from repro.obs import trace as obs_trace
-
-        self._teardown_telemetry(chatter=True)
-        if self.recorder is not None:
-            obs_trace.uninstall()
-            written = self.recorder.write(self.trace_path)
+        if chatter and self.recorder is not None:
+            written = self.recorder.write(self.args.trace)
             print(
                 f"wrote {written} ({len(self.recorder.records())} trace "
                 f"records, {self.recorder.dropped} dropped)"
             )
-        if self._enabled_obs:
-            obs.disable()
+        if self.ledger is not None:
+            if chatter and self.code == 0:
+                self.ledger.finish(
+                    peak_nodes=self._peak_nodes(), **self.results
+                )
+            elif chatter:
+                self.ledger.finish("failed")
+            self.ledger.ledger.close()
+            if chatter:
+                print(f"ledger: run {self.ledger.run_id} -> "
+                      f"{self.ledger.ledger.path}")
 
-    def abort(self) -> None:
-        """Crash-path teardown: stop the sampler thread, close the
-        telemetry layer and uninstall the tracer without the
-        success-path chatter (the crash handler has already flushed the
-        partial trace and embedded the log tail)."""
+    @staticmethod
+    def _peak_nodes() -> "int | None":
+        """Peak BDD node count of this run when instrumentation is on
+        (``None`` otherwise — an uninstrumented run tracks no managers)."""
         from repro import obs
-        from repro.obs import trace as obs_trace
 
-        self._teardown_telemetry(chatter=False)
-        if self.recorder is not None:
-            obs_trace.uninstall()
-        if self._enabled_obs:
-            obs.disable()
+        return obs.registry().bdd_peak_nodes() if obs.enabled() else None
 
 
-#: The diagnostics of the currently-running CLI command, so the crash
-#: handler can tear down the sampler thread and tracer it started.
-_ACTIVE_DIAG: "_Diagnostics | None" = None
-
-
-def _diag_begin(args: argparse.Namespace) -> "_Diagnostics | None":
-    """Start tracing/monitoring when any of the diagnostic flags was
-    given (after :func:`_obs_begin`, whose reset must come first)."""
-    global _ACTIVE_DIAG
-    if (
-        getattr(args, "trace", None)
-        or getattr(args, "status_file", None)
-        or getattr(args, "metrics_file", None)
-        or getattr(args, "metrics_port", None) is not None
-        or getattr(args, "log_json", None)
-    ):
-        _ACTIVE_DIAG = _Diagnostics(args)
-        return _ACTIVE_DIAG
-    return None
-
-
-def _diag_finish(diag: "_Diagnostics | None") -> None:
-    global _ACTIVE_DIAG
-    if diag is not None:
-        diag.finish()
-    _ACTIVE_DIAG = None
-
-
-def _ledger_begin(
-    args: argparse.Namespace, command: str, network, options, pipeline=None
-):
-    """Open the run ledger and register this run when ``--ledger`` was
-    given; returns an ``(ledger, run_id)`` handle or ``None``.
-
-    This is the *only* place the ledger module is imported — engine
-    layers reach the active run through ``sys.modules``, so runs
-    without the flag never load it (and never touch the disk for it).
-    """
-    path = getattr(args, "ledger", None)
-    if not path:
-        return None
-    from repro import obs
-    from repro.obs import crashdump
-    from repro.obs import ledger as obs_ledger
-
-    ledger = obs_ledger.RunLedger(path)
-    run_id = ledger.begin_run(
-        command=command,
-        argv=list(sys.argv[1:]),
-        input=getattr(args, "file", None) or getattr(args, "target", None),
-        netlist_signature=obs_ledger.netlist_signature(network),
-        config_hash=obs_ledger.config_hash(
-            options,
-            pipeline.pass_names() if pipeline is not None else None,
-        ),
-        workers=getattr(options, "parallel_workers", 0) or 0,
-        instrumented=obs.enabled(),
-    )
-    obs_ledger.activate(ledger, run_id)
-    crashdump.set_crash_context(
-        ledger_path=str(ledger.path), ledger_run_id=run_id
-    )
-    if _ACTIVE_DIAG is not None:
-        if _ACTIVE_DIAG.monitor is not None:
-            _ACTIVE_DIAG.monitor.extra["ledger"] = {
-                "path": str(ledger.path), "run_id": run_id
-            }
-        # Correlate the live-telemetry streams with the ledger row:
-        # bus records and log lines carry the run id from here on.
-        if _ACTIVE_DIAG.bus is not None:
-            _ACTIVE_DIAG.bus.run_id = run_id
-        if _ACTIVE_DIAG.logger is not None:
-            _ACTIVE_DIAG.logger.run_id = run_id
-    return ledger, run_id
-
-
-def _ledger_finish(handle, status: str = "finished", **fields) -> None:
-    """Finalise and close the run opened by :func:`_ledger_begin`."""
-    if handle is None:
-        return
-    from repro.obs import ledger as obs_ledger
-
-    ledger, run_id = handle
-    try:
-        ledger.finish_run(run_id, status=status, **fields)
-    finally:
-        obs_ledger.deactivate()
-        ledger.close()
-    print(f"ledger: run {run_id} -> {ledger.path}")
-
-
-def _peak_nodes() -> "int | None":
-    """Peak BDD node count of this run when instrumentation is on
-    (``None`` otherwise — an uninstrumented run tracks no managers)."""
-    from repro import obs
-
-    if not obs.enabled():
-        return None
-    try:
-        from repro.obs.registry import registry
-
-        return registry().bdd_peak_nodes()
-    except Exception:
-        return None
-
-
-def cmd_stats(args: argparse.Namespace) -> int:
+def cmd_stats(args: argparse.Namespace, run: _Run) -> int:
     network = _load(args.file)
     stats = network.stats()
     print(f"{network.name}:")
@@ -484,14 +444,12 @@ def _synthesis_options(args: argparse.Namespace):
     )
 
 
-def cmd_optimize(args: argparse.Namespace) -> int:
+def cmd_optimize(args: argparse.Namespace, run: _Run) -> int:
     import json
 
     from repro.network import outputs_equal
     from repro.synth import algorithm1
 
-    obs_active = _obs_begin(args)
-    diag = _diag_begin(args)
     network = _load(args.file)
     options = _synthesis_options(args)
     if args.resume:
@@ -503,7 +461,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             return 1
         from repro.engine import resume_pipeline
 
-        ledger = _ledger_begin(args, "optimize", network, options)
+        run.open_ledger(network, options)
         report = resume_pipeline(args.checkpoint).to_report()
     else:
         pipeline = None
@@ -515,18 +473,16 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                 config.get("options", {}), base=options
             )
             pipeline = Pipeline.from_config(config)
-        ledger = _ledger_begin(args, "optimize", network, options, pipeline)
-        governor = diag.make_governor(options) if diag else None
+        run.open_ledger(network, options, pipeline)
         report = algorithm1(
             network,
             options,
             pipeline=pipeline,
-            governor=governor,
+            governor=run.governor(options),
             checkpoint=args.checkpoint,
         )
     if not outputs_equal(network, report.network, cycles=32):
         print("ERROR: random simulation found a mismatch", file=sys.stderr)
-        _ledger_finish(ledger, status="failed")
         return 1
     before, after = network.stats(), report.network.stats()
     print(
@@ -541,10 +497,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             print(f"degraded cones: {', '.join(cones)}")
     _save(report.network, args.output)
     print(f"wrote {args.output}")
-    _ledger_finish(
-        ledger,
+    run.results.update(
         wall=report.runtime,
-        peak_nodes=_peak_nodes(),
         literals_before=before["literals"],
         literals_after=after["literals"],
         latches=len(report.network.latches),
@@ -554,14 +508,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             1 for r in report.records if getattr(r, "action", None) == "copied"
         ),
     )
-    _diag_finish(diag)
     from repro.engine.checkpoint import json_safe_artifacts
 
-    _obs_finish(
-        args,
-        obs_active,
-        command="optimize",
-        input=args.file,
+    run.info.update(
         literals_before=before["literals"],
         literals_after=after["literals"],
         decomposed=report.decomposed(),
@@ -572,18 +521,16 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_resynth(args: argparse.Namespace) -> int:
+def cmd_resynth(args: argparse.Namespace, run: _Run) -> int:
     import time
 
     from repro.network import outputs_equal
     from repro.synth import resynthesis_loop
 
-    obs_active = _obs_begin(args)
-    diag = _diag_begin(args)
     network = _load(args.file)
     options = _synthesis_options(args)
-    ledger = _ledger_begin(args, "resynth", network, options)
-    governor = diag.make_governor(options) if diag else None
+    run.open_ledger(network, options)
+    governor = run.governor(options)
     began = time.perf_counter()
     report = resynthesis_loop(
         network, options, max_rounds=args.rounds, governor=governor
@@ -591,7 +538,6 @@ def cmd_resynth(args: argparse.Namespace) -> int:
     wall = time.perf_counter() - began
     if not outputs_equal(network, report.network, cycles=32):
         print("ERROR: random simulation found a mismatch", file=sys.stderr)
-        _ledger_finish(ledger, status="failed")
         return 1
     trajectory = " -> ".join(str(n) for n in report.literal_trajectory)
     print(f"literal trajectory: {trajectory}")
@@ -604,10 +550,8 @@ def cmd_resynth(args: argparse.Namespace) -> int:
         print("degraded: resource budget exhausted mid-loop")
     _save(report.network, args.output)
     print(f"wrote {args.output}")
-    _ledger_finish(
-        ledger,
+    run.results.update(
         wall=wall,
-        peak_nodes=_peak_nodes(),
         literals_before=report.literal_trajectory[0]
         if report.literal_trajectory else None,
         literals_after=report.network.literal_count(),
@@ -616,12 +560,7 @@ def cmd_resynth(args: argparse.Namespace) -> int:
         extra={"rounds": len(report.rounds),
                "trajectory": report.literal_trajectory},
     )
-    _diag_finish(diag)
-    _obs_finish(
-        args,
-        obs_active,
-        command="resynth",
-        input=args.file,
+    run.info.update(
         trajectory=report.literal_trajectory,
         rounds=len(report.rounds),
         degraded=report.degraded,
@@ -629,10 +568,9 @@ def cmd_resynth(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_map(args: argparse.Namespace) -> int:
+def cmd_map(args: argparse.Namespace, run: _Run) -> int:
     from repro.mapping import load_library, map_network
 
-    obs_active = _obs_begin(args)
     network = _load(args.file)
     if args.optimize:
         from repro.network import outputs_equal
@@ -651,22 +589,15 @@ def cmd_map(args: argparse.Namespace) -> int:
         f"area={result.area:.1f} delay={result.delay:.2f} "
         f"gates={result.num_gates}"
     )
-    _obs_finish(
-        args,
-        obs_active,
-        command="map",
-        input=args.file,
-        area=result.area,
-        delay=result.delay,
-        gates=result.num_gates,
+    run.info.update(
+        area=result.area, delay=result.delay, gates=result.num_gates
     )
     return 0
 
 
-def cmd_reach(args: argparse.Namespace) -> int:
+def cmd_reach(args: argparse.Namespace, run: _Run) -> int:
     from repro.reach import DontCareManager
 
-    obs_active = _obs_begin(args)
     network = _load(args.file)
     manager = DontCareManager(
         network,
@@ -684,25 +615,19 @@ def cmd_reach(args: argparse.Namespace) -> int:
         )
     log2_states = manager.approximate_log2_states()
     print(f"approx log2(reachable states) = {log2_states:.2f}")
-    _obs_finish(
-        args,
-        obs_active,
-        command="reach",
-        input=args.file,
-        partitions=len(manager.partitions),
-        log2_states=log2_states,
+    run.info.update(
+        partitions=len(manager.partitions), log2_states=log2_states
     )
     return 0
 
 
-def cmd_decompose(args: argparse.Namespace) -> int:
+def cmd_decompose(args: argparse.Namespace, run: _Run) -> int:
     from repro.bdd import BDDManager, support
     from repro.bidec import decompose_interval
     from repro.intervals import Interval
     from repro.network import ConeCollapser
     from repro.reach import DontCareManager
 
-    obs_active = _obs_begin(args)
     network = _load(args.file)
     signal = args.signal
     if not network.is_signal(signal):
@@ -754,12 +679,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             )
     else:
         print("with states:    (no present-state support)")
-    _obs_finish(args, obs_active, command="decompose", input=args.file,
-                signal=signal)
+    run.info["signal"] = signal
     return 0
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: argparse.Namespace, run: _Run) -> int:
     from repro.network.check import (
         combinational_equivalent_bdd,
         combinational_equivalent_sat,
@@ -785,7 +709,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 2
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace, run: _Run) -> int:
     from repro.network import random_simulation, save_vcd
 
     network = _load(args.file)
@@ -798,14 +722,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_convert(args: argparse.Namespace) -> int:
+def cmd_convert(args: argparse.Namespace, run: _Run) -> int:
     network = _load(args.file)
     _save(network, args.output)
     print(f"wrote {args.output}")
     return 0
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
+def cmd_generate(args: argparse.Namespace, run: _Run) -> int:
     from repro.benchgen import ISCAS_SPECS, MACRO_SPECS, industrial_analog, iscas_analog
 
     if args.name in ISCAS_SPECS:
@@ -821,14 +745,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
+def cmd_profile(args: argparse.Namespace, run: _Run) -> int:
     import time
 
-    from repro import obs
+    from repro.synth import SynthesisOptions
 
-    obs.reset()
-    obs.enable()
-    diag = _diag_begin(args)
     start = time.perf_counter()
     if Path(args.target).exists():
         network = _load(args.target)
@@ -854,20 +775,14 @@ def cmd_profile(args: argparse.Namespace) -> int:
             )
             return 1
         name = args.target
-    run_info: dict = {"command": "profile", "workload": args.workload,
-                      "target": name}
-    from repro.synth import SynthesisOptions as _Options
-
-    ledger = _ledger_begin(
-        args, "profile", network,
-        _Options(time_budget=args.time_budget),
-    )
+    run_info = run.info
+    run_info.update(workload=args.workload, target=name)
+    options = SynthesisOptions(time_budget=args.time_budget)
+    run.open_ledger(network, options)
     if args.workload == "optimize":
-        from repro.synth import SynthesisOptions, algorithm1
+        from repro.synth import algorithm1
 
-        report = algorithm1(
-            network, SynthesisOptions(time_budget=args.time_budget)
-        )
+        report = algorithm1(network, options)
         run_info["decomposed"] = report.decomposed()
         run_info["literals_before"] = network.stats()["literals"]
         run_info["literals_after"] = report.network.stats()["literals"]
@@ -886,32 +801,22 @@ def cmd_profile(args: argparse.Namespace) -> int:
     else:
         raise ValueError(f"unknown workload {args.workload!r}")
     run_info["wall_time"] = time.perf_counter() - start
-    _ledger_finish(
-        ledger,
+    run.results.update(
         wall=run_info["wall_time"],
-        peak_nodes=_peak_nodes(),
         literals_before=run_info.get("literals_before"),
         literals_after=run_info.get("literals_after"),
         area=run_info.get("area"),
         delay=run_info.get("delay"),
         extra={"workload": args.workload},
     )
-    _diag_finish(diag)
-    obs.disable()
-    snapshot = obs.report()
-    snapshot["run"] = run_info
     print(
         f"profile: {args.workload} on {name} "
         f"({run_info['wall_time']:.2f}s wall)"
     )
-    print(obs.render_profile(snapshot))
-    if args.stats_json:
-        obs.write_report(args.stats_json, snapshot)
-        print(f"wrote {args.stats_json}")
     return 0
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
+def cmd_trace(args: argparse.Namespace, run: _Run) -> int:
     import json
 
     from repro.obs import trace as obs_trace
@@ -1057,7 +962,7 @@ def _history_export(ledger, args) -> int:
     return 0
 
 
-def cmd_history(args: argparse.Namespace) -> int:
+def cmd_history(args: argparse.Namespace, run: _Run) -> int:
     from repro.obs.ledger import LedgerError, RunLedger
 
     try:
@@ -1180,7 +1085,7 @@ def render_top(
     return "\n".join(lines)
 
 
-def cmd_top(args: argparse.Namespace) -> int:
+def cmd_top(args: argparse.Namespace, run: _Run) -> int:
     """Tail a run's status.json (+ optional metrics file) into a live
     refreshing terminal view."""
     import json as _json
@@ -1188,18 +1093,18 @@ def cmd_top(args: argparse.Namespace) -> int:
 
     def read_status() -> "dict | None":
         try:
-            return _json.loads(Path(args.status_file).read_text())
+            return _json.loads(Path(args.watch_status).read_text())
         except (OSError, ValueError):
             return None
 
     def read_metrics() -> "dict | None":
-        if not args.metrics_file:
+        if not args.watch_metrics:
             return None
         from repro.obs import openmetrics as obs_openmetrics
 
         try:
             return obs_openmetrics.parse_openmetrics(
-                Path(args.metrics_file).read_text()
+                Path(args.watch_metrics).read_text()
             )
         except (OSError, ValueError):
             return None
@@ -1219,54 +1124,6 @@ def cmd_top(args: argparse.Namespace) -> int:
             _time.sleep(max(0.05, args.interval))
         except KeyboardInterrupt:  # pragma: no cover - interactive exit
             return 0
-
-
-def _write_crash_diagnostics(args: argparse.Namespace, exc: BaseException) -> None:
-    """Best-effort crash bundle + trace flush for instrumented runs.
-
-    Only fires when the command opted into diagnostics (any of the
-    trace/monitor/profile/stats flags, or an explicit ``--crash-dump``)
-    so plain CLI usage never litters the working directory."""
-    from repro.obs import crashdump
-    from repro.obs import trace as obs_trace
-
-    recorder = obs_trace.active()
-    trace_path = getattr(args, "trace", None)
-    if recorder is not None and trace_path:
-        # Flush the ring buffer so the timeline up to the crash survives.
-        try:
-            recorder.write(trace_path)
-            print(f"wrote {trace_path} (partial trace)", file=sys.stderr)
-        except Exception:
-            pass
-    dump = getattr(args, "crash_dump", None)
-    if dump is None:
-        instrumented = trace_path or any(
-            getattr(args, flag, None)
-            for flag in ("status_file", "stats_json", "checkpoint")
-        ) or getattr(args, "profile", False)
-        if not instrumented:
-            return
-        dump = f"repro_crash_{getattr(args, 'command', 'run')}.json"
-    written = crashdump.write_crash_bundle(dump, exc)
-    if written is not None:
-        print(f"crash bundle written to {written}", file=sys.stderr)
-    # Mark the active ledger run crashed (after the bundle, which reads
-    # the active-run identity).  sys.modules lookup — see repro.obs.ledger.
-    ledger_mod = sys.modules.get("repro.obs.ledger")
-    if ledger_mod is not None:
-        try:
-            ledger_mod.finish_active(
-                status="crashed",
-                extra={"error": f"{type(exc).__name__}: {exc}"},
-            )
-            ledger_mod.deactivate()
-        except Exception:
-            pass
-    global _ACTIVE_DIAG
-    if _ACTIVE_DIAG is not None:
-        _ACTIVE_DIAG.abort()
-        _ACTIVE_DIAG = None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1546,10 +1403,13 @@ def build_parser() -> argparse.ArgumentParser:
              "--status-file (and optionally --metrics-file) another "
              "repro process is writing",
     )
-    p.add_argument("--status-file", required=True, metavar="PATH",
+    # Inputs, not this run's outputs: their own dest keeps the run
+    # scope from treating them as --status-file/--metrics-file.
+    p.add_argument("--status-file", dest="watch_status", required=True,
+                   metavar="PATH",
                    help="status.json the observed run rewrites")
-    p.add_argument("--metrics-file", metavar="PATH", default=None,
-                   help="OpenMetrics textfile of the same run")
+    p.add_argument("--metrics-file", dest="watch_metrics", metavar="PATH",
+                   default=None, help="OpenMetrics textfile of the same run")
     p.add_argument("--interval", type=float, default=1.0, metavar="SECS",
                    help="refresh period (default 1.0)")
     p.add_argument("--iterations", type=int, default=None, metavar="N",
@@ -1591,16 +1451,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except Exception as exc:
-        # Crash diagnostics for instrumented runs: bundle + partial
-        # trace flush, then the exception propagates unchanged.
-        try:
-            _write_crash_diagnostics(args, exc)
-        except Exception:  # pragma: no cover - diagnostics must not mask
-            pass
-        raise
+    with _Run(args) as run:
+        run.code = args.func(args, run)
+    return run.code
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via tests/main

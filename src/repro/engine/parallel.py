@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import concurrent.futures
 import multiprocessing
-import sys
 import time
+from contextlib import ExitStack
 from functools import partial
 from typing import Any, Optional
 
@@ -104,59 +104,23 @@ class ParallelConeScheduler:
     a process pool with ``fork`` start method where available.  The
     parent-side wait per future is ``timeout + TIMEOUT_GRACE`` seconds
     (unlimited when ``timeout`` is ``None``); note the inline path
-    cannot enforce timeouts.
-
-    A :class:`~repro.obs.costmodel.ConeCostModel` (optional) reorders
-    *dispatch only*: tasks are submitted to the pool longest-predicted
-    first (LPT), which trims the makespan tail, while callers still
-    merge in their own fixed order — results are keyed by sink, so the
-    dispatch permutation cannot change the output.  The order actually
-    used is recorded in :attr:`dispatch_order` after each ``execute``.
+    cannot enforce timeouts.  Tasks are dispatched in plan order.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        timeout: Optional[float] = None,
-        cost_model: Optional[Any] = None,
-    ) -> None:
+    def __init__(self, workers: int, timeout: Optional[float] = None) -> None:
         self.workers = max(1, int(workers))
         self.timeout = timeout
-        self.cost_model = cost_model
-        #: Sinks in the order the last ``execute`` dispatched them.
-        self.dispatch_order: list[str] = []
 
     # -- execution ------------------------------------------------------
-
-    def _dispatch_permutation(self, tasks: list[ConeTask]) -> list[int]:
-        """LPT permutation from the cost model, or the identity (static
-        plan order) when no model is loaded or prediction fails."""
-        identity = list(range(len(tasks)))
-        model = self.cost_model
-        if model is None:
-            return identity
-        try:
-            order = list(model.order(tasks))
-        except Exception:
-            if _obs.enabled():
-                _obs.inc("parallel.costmodel.errors")
-            return identity
-        if sorted(order) != identity:  # not a permutation — ignore it
-            return identity
-        return order
 
     def execute(self, tasks: list[ConeTask]) -> dict[str, dict[str, Any]]:
         """Run every task; returns ``{sink: result_or_failure}`` with an
         entry for each task (failures never raise)."""
         if not tasks:
-            self.dispatch_order = []
             return {}
-        order = self._dispatch_permutation(tasks)
-        dispatch = [tasks[i] for i in order]
-        self.dispatch_order = [task.sink for task in dispatch]
         if self.workers == 1:
-            return self._execute_inline(dispatch)
-        return self._execute_pool(dispatch)
+            return self._execute_inline(tasks)
+        return self._execute_pool(tasks)
 
     def _execute_inline(
         self, tasks: list[ConeTask]
@@ -186,7 +150,8 @@ class ParallelConeScheduler:
         except ValueError:  # pragma: no cover - non-POSIX platforms
             mp_context = None
         return concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, mp_context=mp_context
+            max_workers=workers, mp_context=mp_context,
+            initializer=_keep_worker_sinks,
         )
 
     def _reap(
@@ -299,34 +264,39 @@ class ParallelConeScheduler:
             )
 
 
-def _merge_worker_trace(result: dict[str, Any]) -> None:
-    """Mirror a worker's phase timings into the installed trace recorder
-    as external spans on a per-worker-pid track."""
-    from repro.obs import trace as _trace
+def _keep_worker_sinks() -> None:
+    """Pool initializer: a forked worker reports through the bus pipe
+    alone, so it drops its inherited copies of the parent's other obs
+    sinks (trace buffer, log file handle, ledger connection)."""
+    for sink in _obs.sinks():
+        if not callable(getattr(sink, "cone_started", None)):
+            _obs.uninstall(sink)
 
-    recorder = _trace.active()
-    if recorder is None:
-        return
+
+def _merge_worker_trace(result: dict[str, Any]) -> None:
+    """Mirror a worker's phase timings into the installed trace
+    recorders as external spans on a per-worker-pid track."""
     started = result.get("started_wall")
     pid = result.get("pid")
     if started is None or pid is None:
         return
     sink = result.get("sink")
-    recorder.emit_external_span(
-        "parallel.cone",
-        started,
-        float(result.get("elapsed", 0.0)),
-        tid=int(pid),
-        args={"sink": sink, "action": result.get("action")},
-    )
-    for phase in result.get("phases") or ():
+    for recorder in _obs.sinks("emit_external_span"):
         recorder.emit_external_span(
-            f"parallel.{phase['name']}",
-            started + float(phase["start"]),
-            float(phase["dur"]),
+            "parallel.cone",
+            started,
+            float(result.get("elapsed", 0.0)),
             tid=int(pid),
-            args={"sink": sink},
+            args={"sink": sink, "action": result.get("action")},
         )
+        for phase in result.get("phases") or ():
+            recorder.emit_external_span(
+                f"parallel.{phase['name']}",
+                started + float(phase["start"]),
+                float(phase["dur"]),
+                tid=int(pid),
+                args={"sink": sink},
+            )
 
 
 @register_pass("decompose_parallel")
@@ -378,10 +348,7 @@ class DecomposeParallelPass(_BasePass):
             return
 
         # -- execution ---------------------------------------------------
-        cost_model = self._load_cost_model()
-        scheduler = ParallelConeScheduler(
-            workers, timeout=timeout, cost_model=cost_model
-        )
+        scheduler = ParallelConeScheduler(workers, timeout=timeout)
         if _obs.enabled():
             _obs.set_gauge("parallel.workers", workers)
             _obs.inc("parallel.tasks", len(tasks))
@@ -389,38 +356,22 @@ class DecomposeParallelPass(_BasePass):
             _obs.set_gauge("parallel.cones.total", len(tasks))
             _obs.set_gauge("parallel.cones.merged", 0)
             _obs.set_gauge("parallel.cones.degraded", 0)
-        # Live telemetry bus (sys.modules only — never an import): attach
-        # around pool creation so forked workers inherit the write end
-        # and stream cone events while in flight.  Purely out-of-band —
-        # dispatch, execution and merge below are untouched.
-        bus_mod = sys.modules.get("repro.obs.bus")
-        bus = bus_mod.active() if bus_mod is not None else None
-        if bus is not None:
-            if cost_model:
-                try:
-                    bus.set_expected_costs(
-                        {t.sink: cost_model.predict(t) for t in tasks}
-                    )
-                except Exception:
-                    pass
-            bus.record_local(
-                "shard.dispatch", cones=len(tasks), workers=workers,
-                profile_guided=bool(cost_model),
-            )
+        _obs.event("shard.dispatch", cones=len(tasks), workers=workers)
         began = time.perf_counter()
-        with _obs.span("algorithm1.parallel.execute"):
-            if bus is not None:
-                with bus.attached():
-                    results = scheduler.execute(tasks)
-            else:
-                results = scheduler.execute(tasks)
+        with _obs.span("algorithm1.parallel.execute"), ExitStack() as stack:
+            # Attach every installed bus around pool creation, so forked
+            # workers inherit its write end and stream cone events while
+            # in flight.  Purely out-of-band: execution and the merge
+            # below are untouched.
+            for bus in _obs.sinks("attached"):
+                stack.enter_context(bus.attached())
+            results = scheduler.execute(tasks)
         if _obs.enabled():
             _obs.observe(
                 "parallel.execute.elapsed", time.perf_counter() - began
             )
         context.artifacts["parallel.dispatch"] = {
-            "order": list(scheduler.dispatch_order),
-            "profile_guided": bool(cost_model),
+            "order": [task.sink for task in tasks],
             "backend_option": task_options["backend"],
         }
 
@@ -434,32 +385,33 @@ class DecomposeParallelPass(_BasePass):
                 sink, "missing", "no result returned"
             )
             self._merge_one(context, task, result, degraded_cones)
-            cone_stats.append(
-                {
-                    "sink": sink,
-                    "task_key": task.task_key(),
-                    "signature": result.get("signature"),
-                    "cone_inputs": int(
-                        result.get("cone_inputs")
-                        or len(task.slice.get("inputs", []))
-                    ),
-                    "action": result.get("action"),
-                    "elapsed": result.get("elapsed"),
-                    "tree_cost": result.get("tree_cost"),
-                    "original_cost": result.get("original_cost"),
-                    "pid": result.get("pid"),
-                    "backend": result.get("backend"),
-                }
-            )
+            row = {
+                "sink": sink,
+                "task_key": task.task_key(),
+                "signature": result.get("signature"),
+                "cone_inputs": int(
+                    result.get("cone_inputs")
+                    or len(task.slice.get("inputs", []))
+                ),
+                "action": result.get("action"),
+                "elapsed": result.get("elapsed"),
+                "tree_cost": result.get("tree_cost"),
+                "original_cost": result.get("original_cost"),
+                "pid": result.get("pid"),
+                "backend": result.get("backend"),
+            }
+            cone_stats.append(row)
             merges += 1
-            if bus is not None:
-                bus.record_local(
-                    "cone.merged",
-                    sink=sink,
-                    action=result.get("action"),
-                    merged=merges,
-                    total=len(tasks),
-                )
+            # One fact for the bus's progress view, the run log and the
+            # ledger's cone row.
+            _obs.event(
+                "cone.merged",
+                sink=sink,
+                action=result.get("action"),
+                merged=merges,
+                total=len(tasks),
+                cone=row,
+            )
             if _obs.enabled():
                 _obs.set_gauge("parallel.cones.merged", merges)
                 _obs.set_gauge(
@@ -481,35 +433,6 @@ class DecomposeParallelPass(_BasePass):
         context.artifacts["parallel.dispatch"]["backends"] = {
             row["sink"]: row["backend"] for row in cone_stats
         }
-        # Ledger append via sys.modules — never an import, so ledger-off
-        # runs stay I/O-free (bench_ledger asserts the module is absent).
-        ledger_mod = sys.modules.get("repro.obs.ledger")
-        if ledger_mod is not None:
-            ledger_mod.record_cones_active(cone_stats)
-
-    def _load_cost_model(self) -> Optional[Any]:
-        """The cone cost model for this run: the ``_cost_model``
-        ephemeral param (test hook) wins; otherwise learn from the
-        active ledger's history when one is live.  Never raises — no
-        model just means static plan order."""
-        model = self.params.get("_cost_model")
-        if model is not None:
-            return model
-        ledger_mod = sys.modules.get("repro.obs.ledger")
-        if ledger_mod is None:
-            return None
-        active = ledger_mod.active_run()
-        if active is None:
-            return None
-        try:
-            from repro.obs.costmodel import ConeCostModel
-
-            loaded = ConeCostModel.from_ledger(active[0])
-        except Exception:
-            if _obs.enabled():
-                _obs.inc("parallel.costmodel.errors")
-            return None
-        return loaded if loaded else None
 
     # -- helpers ----------------------------------------------------------
 

@@ -22,7 +22,6 @@ be resumed with :func:`repro.engine.checkpoint.resume_pipeline`.
 
 from __future__ import annotations
 
-import sys
 import time
 from typing import Any, Optional, Sequence, Union
 
@@ -191,31 +190,17 @@ class Pipeline:
                 context.mark_degraded(governor.reason or "budget exhausted")
             if _obs.enabled():
                 _obs.inc("pipeline.passes")
-                _obs.event(
-                    "pipeline.pass",
-                    index=index,
-                    pass_name=pass_.name,
-                    elapsed=elapsed,
-                    exhausted=exhausted,
-                    **metrics,
-                )
-            # Ledger pass row, appended at the boundary so a crashed run
-            # still shows how far it got.  The sys.modules lookup keeps
-            # ledger-off runs import-free (see repro.obs.ledger).
-            ledger_mod = sys.modules.get("repro.obs.ledger")
-            if ledger_mod is not None:
-                ledger_mod.record_pass_active(
-                    index, pass_.name, elapsed, exhausted,
-                    metrics=metrics or None,
-                )
-            # Structured run log (sys.modules — CLI-installed only).
-            log_mod = sys.modules.get("repro.obs.logging")
-            if log_mod is not None:
-                log_mod.log_event(
-                    "info", "pipeline.pass", index=index,
-                    pass_name=pass_.name, elapsed=round(elapsed, 6),
-                    exhausted=exhausted, **metrics,
-                )
+            # One fact for every sink: the trace, the run log, and the
+            # ledger's pass row (appended at the boundary, so a crashed
+            # run still shows how far it got).
+            _obs.event(
+                "pipeline.pass",
+                index=index,
+                pass_name=pass_.name,
+                elapsed=elapsed,
+                exhausted=exhausted,
+                **metrics,
+            )
             if checkpoint is not None:
                 from repro.engine.checkpoint import save_checkpoint
 

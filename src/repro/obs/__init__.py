@@ -14,13 +14,16 @@ Everything is a no-op while disabled (the default), so library code is
 instrumented unconditionally.  See :mod:`repro.obs.registry` for the
 data model and :mod:`repro.obs.reporting` for rendering/persistence.
 
-The *live telemetry* layer — :mod:`repro.obs.bus` (cross-process worker
-event stream), :mod:`repro.obs.openmetrics` (OpenMetrics exposition)
-and :mod:`repro.obs.logging` (structured JSONL run log) — is
-deliberately **not** re-exported here: those modules are imported only
-by the CLI when their flags are given, and engine layers reach them
-solely through ``sys.modules.get(...)``, so a run without the flags
-never loads them at all.
+Run facts also reach the *sinks* installed with :func:`install` and
+removed with :func:`uninstall` — the one install API: a
+:class:`TraceRecorder`, a :class:`repro.obs.logging.StructuredLogger`,
+a :class:`repro.obs.bus.TelemetryBus`, a
+:class:`repro.obs.ledger.LedgerRun`.  Each fact (a span, an
+``obs.event`` such as a pass boundary or a cone merge) is emitted once
+and reaches every installed sink, whether or not metrics are on.  The
+live-telemetry and ledger modules are deliberately **not** re-exported
+here: only the CLI imports them, when their flags are given, so a run
+without the flags never loads them at all.
 """
 
 from repro.obs.registry import (
@@ -33,14 +36,19 @@ from repro.obs.registry import (
     enabled,
     event,
     inc,
+    install,
+    log,
     observe,
     registry,
     report,
     reset,
+    run_id,
     scope,
     set_gauge,
+    sinks,
     span,
     track_bdd_manager,
+    uninstall,
 )
 from repro.obs.reporting import cache_efficiency, render_profile, write_report
 from repro.obs.trace import TraceRecorder, tracing
@@ -60,17 +68,22 @@ __all__ = [
     "enabled",
     "event",
     "inc",
+    "install",
+    "log",
     "observe",
     "registry",
     "render_profile",
     "report",
     "reset",
+    "run_id",
     "scope",
     "set_crash_context",
     "set_gauge",
+    "sinks",
     "span",
     "track_bdd_manager",
     "tracing",
+    "uninstall",
     "write_crash_bundle",
     "write_report",
 ]

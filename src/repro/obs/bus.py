@@ -25,15 +25,16 @@ Design constraints, in order:
   guarantees atomic pipe writes up to that size), so a reader never
   sees two workers' bytes interleaved mid-line; an oversized record is
   replaced by a small ``truncated`` marker rather than split.
-* **Import-free when off.**  Engine layers reach the bus exclusively
-  through ``sys.modules.get("repro.obs.bus")`` — a run without
-  telemetry flags never imports this module (the CI telemetry-smoke
-  job asserts exactly that in a fresh interpreter).
+* **Import-free when off.**  Engine layers reach the bus only as an
+  installed obs sink (``obs.install(bus)``) — a run without telemetry
+  flags never imports this module (``tests/test_telemetry.py`` asserts
+  exactly that in a fresh interpreter).
 
 Record schema (version :data:`RECORD_VERSION`): every record carries
-``v``, ``ev`` (event name), ``pid``, ``t`` (unix time), and — when the
-bus was built with them — ``run`` (ledger/CLI run id) and ``shard``.
-Cone events add ``sink`` plus event-specific fields:
+``v``, ``ev`` (event name), ``pid``, ``t`` (unix time), ``run`` (the
+bus's run id, else the one the obs sink list names) when known, and
+``shard`` when the bus was built with one.  Cone events add ``sink``
+plus event-specific fields:
 
 =================  ====================================================
 ``cone.start``     ``sink``, ``cone_inputs``
@@ -44,23 +45,28 @@ Cone events add ``sink`` plus event-specific fields:
 ``cone.end``       ``sink``, ``action``, ``elapsed``
 =================  ====================================================
 
-The parent may also fold local (non-pipe) events into the same
-aggregate via :meth:`TelemetryBus.record_local` — merge progress and
-dispatch records use this, so the stream a dashboard sees is one
-coherent timeline.
+The parent also folds its own ``shard.dispatch`` and ``cone.merged``
+obs events into the same aggregate (:meth:`TelemetryBus.event` →
+:meth:`TelemetryBus.record_local`), so the stream a dashboard sees is
+one coherent timeline.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import sys
 import threading
 import time
 from collections import deque
 from typing import Any, Iterator, Optional
 
+from repro.obs.registry import log as _log
+from repro.obs.registry import run_id as _run_id
+
 RECORD_VERSION = 1
+
+#: The parent's own obs events the bus folds into its aggregate.
+LOCAL_EVENTS = ("shard.dispatch", "cone.merged")
 
 #: Hard cap on one encoded record.  POSIX guarantees pipe writes up to
 #: ``PIPE_BUF`` (>= 512, 4096 on Linux) are atomic; staying well under
@@ -73,12 +79,6 @@ DEFAULT_HEARTBEAT = 0.5
 #: Default liveness horizon: a worker whose cone has been in flight
 #: with no event for this long is considered stalled.
 DEFAULT_STALL_AFTER = 10.0
-
-#: Multiple of the cost-model prediction beyond which an in-flight cone
-#: is flagged stalled even while heartbeats still arrive (a live worker
-#: grinding far past its history is exactly the blow-up case the paper's
-#: workloads hit).
-STALL_COST_FACTOR = 8.0
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +234,19 @@ def worker_dropped() -> int:
 class TelemetryBus:
     """Parent-side transport + aggregate of the worker event stream.
 
-    Construct in the parent (``run_id`` stamps every record), then wrap
-    pool execution in :meth:`attached` so forked workers inherit the
-    write end.  A daemon reader thread ingests records as they arrive;
-    :meth:`snapshot` / :meth:`worker_summary` expose the aggregate to
-    the monitor and the OpenMetrics exporter.  :meth:`close` detaches,
-    drains, and releases both pipe ends.
+    Construct in the parent and install it as an obs sink; the parallel
+    pass wraps pool execution in :meth:`attached` so forked workers
+    inherit the write end, and workers reach the ``cone_*`` hooks below
+    through the inherited sink list.  A daemon reader thread ingests
+    records as they arrive; :meth:`snapshot` / :meth:`worker_summary`
+    expose the aggregate to the monitor and the OpenMetrics exporter.
+    :meth:`close` detaches, drains, and releases both pipe ends.
     """
+
+    # Worker-side hooks (the module-level functions above).
+    cone_started = staticmethod(cone_started)
+    cone_progress = staticmethod(cone_progress)
+    cone_finished = staticmethod(cone_finished)
 
     def __init__(
         self,
@@ -268,8 +274,6 @@ class TelemetryBus:
         self.parse_errors = 0
         #: Per-pid cumulative drop counts reported by emitters.
         self._reported_drops: dict[int, int] = {}
-        #: Cost-model predictions per sink (see ``set_expected_costs``).
-        self.expected_costs: dict[str, float] = {}
         self._reader = threading.Thread(
             target=self._read_loop, name="repro-bus-reader", daemon=True
         )
@@ -279,8 +283,9 @@ class TelemetryBus:
 
     def meta(self) -> dict[str, Any]:
         fields: dict[str, Any] = {}
-        if self.run_id is not None:
-            fields["run"] = self.run_id
+        run = self.run_id or _run_id()
+        if run is not None:
+            fields["run"] = run
         if self.shard is not None:
             fields["shard"] = self.shard
         return fields
@@ -291,17 +296,6 @@ class TelemetryBus:
         the write fd and meta; the previous target is restored on exit
         (attachments nest)."""
         return _Attachment(self)
-
-    def set_expected_costs(self, costs: dict[str, float]) -> None:
-        """Per-sink predicted seconds from the ledger cost model; used
-        by :meth:`worker_summary` to flag cones grinding far past their
-        history as stalled."""
-        with self._lock:
-            self.expected_costs = {
-                str(sink): float(cost)
-                for sink, cost in costs.items()
-                if cost and cost > 0
-            }
 
     # -- ingest ---------------------------------------------------------
 
@@ -335,7 +329,17 @@ class TelemetryBus:
                 self.parse_errors += 1
             return
         self._aggregate(record, received=time.time())
-        self._mirror_to_log(record)
+        # Worker records are facts no other sink saw: mirror them into
+        # the run log.  A record the log rejects must not stop the
+        # reader thread.
+        try:
+            _log(
+                "debug", f"bus.{record.get('ev')}",
+                **{k: v for k, v in record.items()
+                   if k not in ("v", "ev", "t")},
+            )
+        except Exception:
+            pass
 
     def record_local(self, ev: str, **fields: Any) -> None:
         """Fold a parent-side event (merge progress, dispatch) into the
@@ -345,7 +349,11 @@ class TelemetryBus:
         record.update(self.meta())
         record.update(fields)
         self._aggregate(record, received=record["t"], local=True)
-        self._mirror_to_log(record)
+
+    def event(self, name: str, fields: dict[str, Any]) -> None:
+        """Sink method: fold the parent's :data:`LOCAL_EVENTS`."""
+        if name in LOCAL_EVENTS:
+            self.record_local(name, **fields)
 
     def _aggregate(
         self, record: dict[str, Any], received: float, local: bool = False
@@ -390,21 +398,6 @@ class TelemetryBus:
             elif ev == "cone.degrade":
                 worker["degraded"] = worker.get("degraded", 0) + 1
 
-    def _mirror_to_log(self, record: dict[str, Any]) -> None:
-        """Mirror the event into the structured logger when one is
-        installed (sys.modules lookup — no import on the off path)."""
-        log_mod = sys.modules.get("repro.obs.logging")
-        if log_mod is None:
-            return
-        try:
-            fields = {
-                k: v for k, v in record.items()
-                if k not in ("v", "ev", "t")
-            }
-            log_mod.log_event("debug", f"bus.{record.get('ev')}", **fields)
-        except Exception:
-            pass
-
     # -- aggregate views ------------------------------------------------
 
     @property
@@ -428,17 +421,13 @@ class TelemetryBus:
 
         A worker is **stalled** when its cone has been in flight with no
         event (not even a heartbeat) for ``stall_after`` seconds — the
-        signature of a dead or wedged process — or when a live worker
-        has ground past :data:`STALL_COST_FACTOR` times the ledger cost
-        model's prediction for that cone (see
-        :meth:`set_expected_costs`).
+        signature of a dead or wedged process.
         """
         horizon = self.stall_after if stall_after is None else stall_after
         current = time.time() if now is None else now
         rows: list[dict[str, Any]] = []
         with self._lock:
             workers = [dict(w) for w in self.workers.values()]
-            expected = dict(self.expected_costs)
         for worker in sorted(workers, key=lambda w: w["pid"]):
             row = {
                 "pid": worker["pid"],
@@ -454,24 +443,11 @@ class TelemetryBus:
             }
             if worker["state"] == "busy":
                 started = worker.get("sink_started") or current
-                in_flight = max(0.0, current - started)
-                row["in_flight_s"] = round(in_flight, 3)
-                predicted = expected.get(str(worker.get("sink")))
-                if predicted is not None:
-                    row["predicted_s"] = round(predicted, 3)
+                row["in_flight_s"] = round(max(0.0, current - started), 3)
                 if row["last_event_age"] > horizon:
                     row["stalled"] = True
                     row["stall_reason"] = (
                         f"no event for {row['last_event_age']:.1f}s"
-                    )
-                elif (
-                    predicted is not None
-                    and in_flight > max(horizon, STALL_COST_FACTOR * predicted)
-                ):
-                    row["stalled"] = True
-                    row["stall_reason"] = (
-                        f"in flight {in_flight:.1f}s vs "
-                        f"{predicted:.3f}s predicted"
                     )
             rows.append(row)
         return rows
@@ -485,7 +461,7 @@ class TelemetryBus:
             parse_errors = self.parse_errors
             reported = sum(self._reported_drops.values())
         return {
-            "run": self.run_id,
+            "run": self.run_id or _run_id(),
             "started_at": self.started_at,
             "events": counts,
             "events_total": sum(counts.values()),
@@ -564,27 +540,3 @@ def _detach() -> None:
     _WORKER_FD = None
     _WORKER_META = {}
     _emitter = None
-
-
-# ---------------------------------------------------------------------------
-# Active-bus registry (the ledger idiom: reached via sys.modules only)
-# ---------------------------------------------------------------------------
-
-_active_bus: Optional[TelemetryBus] = None
-
-
-def activate(bus: TelemetryBus) -> None:
-    """Make ``bus`` the process-wide active bus (engine layers find it
-    through ``sys.modules.get("repro.obs.bus").active()``)."""
-    global _active_bus
-    _active_bus = bus
-
-
-def deactivate() -> None:
-    global _active_bus
-    _active_bus = None
-
-
-def active() -> Optional[TelemetryBus]:
-    """The active bus, or ``None``."""
-    return _active_bus

@@ -5,9 +5,11 @@ symbolic step.  :func:`write_crash_bundle` snapshots the run's state
 into one JSON file *before* the exception propagates: the exception and
 formatted traceback, the full obs report (spans, counters, events — the
 ``governor.exhausted`` and ``pipeline.pass`` events make degraded runs
-attributable), the tail of the installed trace recorder's ring buffer,
-per-manager BDD statistics, and whatever *crash context* the engine
-registered on the way down (the live pass, the latest checkpoint path).
+attributable), per-manager BDD statistics, whatever *crash context* the
+engine registered on the way down (the live pass, the latest checkpoint
+path), and the keys each installed obs sink contributes through its
+``crash_keys()`` — the trace recorder's tail, the run log's tail, the
+ledger run's identity.
 
 The engine layers call :func:`set_crash_context` at cheap, meaningful
 moments (pass start, checkpoint write); the CLI's top-level handler
@@ -29,12 +31,9 @@ from typing import Any, Optional
 
 from repro.obs.registry import registry as _global_registry
 from repro.obs.registry import report as _obs_report
-from repro.obs.registry import tracer as _get_tracer
+from repro.obs.registry import sinks as _sinks
 
 BUNDLE_VERSION = 1
-
-#: Default number of trailing trace records embedded in a bundle.
-TRACE_TAIL = 500
 
 _context_lock = threading.Lock()
 _crash_context: dict[str, Any] = {}
@@ -101,9 +100,7 @@ def _manager_rows() -> list[dict[str, Any]]:
 
 
 def build_crash_bundle(
-    exc: BaseException,
-    trace_tail: int = TRACE_TAIL,
-    extra: Optional[dict[str, Any]] = None,
+    exc: BaseException, extra: Optional[dict[str, Any]] = None
 ) -> dict[str, Any]:
     """Assemble the diagnostic bundle dict for ``exc`` (every section is
     individually best-effort)."""
@@ -125,37 +122,12 @@ def build_crash_bundle(
         bundle["obs_report"] = _obs_report()
     except Exception as report_exc:  # pragma: no cover - defensive
         bundle["obs_report"] = {"error": repr(report_exc)}
-    recorder = _get_tracer()
-    if recorder is not None:
+    bundle["bdd_managers"] = _manager_rows()
+    for sink in _sinks("crash_keys"):
         try:
-            bundle["trace"] = {
-                "dropped": recorder.dropped,
-                "tail": recorder.tail(trace_tail),
-            }
+            bundle.update(sink.crash_keys())
         except Exception:  # pragma: no cover - defensive
             pass
-    bundle["bdd_managers"] = _manager_rows()
-    # Ledger identity (path + run id) so a post-mortem can pull the
-    # crashed run's pass/cone rows.  sys.modules lookup — no import, so
-    # ledger-off runs add no I/O here either.
-    ledger_mod = sys.modules.get("repro.obs.ledger")
-    if ledger_mod is not None:
-        try:
-            info = ledger_mod.active_info()
-        except Exception:  # pragma: no cover - defensive
-            info = None
-        if info:
-            bundle["ledger"] = info
-    # Structured-log tail (same sys.modules idiom): the run's last words
-    # in wall-clock order, even when the log file itself is unavailable.
-    log_mod = sys.modules.get("repro.obs.logging")
-    if log_mod is not None:
-        try:
-            tail = log_mod.active_tail()
-        except Exception:  # pragma: no cover - defensive
-            tail = []
-        if tail:
-            bundle["log_tail"] = tail
     if extra:
         bundle["extra"] = dict(extra)
     return bundle
@@ -164,13 +136,12 @@ def build_crash_bundle(
 def write_crash_bundle(
     path: str | Path,
     exc: BaseException,
-    trace_tail: int = TRACE_TAIL,
     extra: Optional[dict[str, Any]] = None,
 ) -> Optional[Path]:
     """Write the bundle for ``exc`` to ``path`` (atomically); returns
     the path, or ``None`` when even best-effort writing failed."""
     try:
-        bundle = build_crash_bundle(exc, trace_tail=trace_tail, extra=extra)
+        bundle = build_crash_bundle(exc, extra=extra)
         target = Path(path)
         target.parent.mkdir(parents=True, exist_ok=True)
         scratch = target.with_suffix(target.suffix + ".tmp")

@@ -4,8 +4,7 @@ PRs 1 and 4 made a *single* run observable — metrics, traces, a status
 heartbeat, crash bundles — but every record died with the process.  The
 ledger is the cross-run memory: an SQLite database (WAL-mode, safe for
 concurrent appenders) holding one row per run, per pipeline pass, and
-per decomposed cone, so tooling can compare run N against run N-1 and
-the parallel scheduler can learn per-cone costs from history.
+per decomposed cone, so tooling can compare run N against run N-1.
 
 Three tables:
 
@@ -20,18 +19,18 @@ Three tables:
     appended *at the pass boundary* so a crashed run still shows how far
     it got.
 ``cones``
-    One row per cone the decompose loop processed: the structural
+    One row per cone the parallel decompose pass merged: the structural
     :meth:`~repro.synth.conetask.ConeTask.task_key` (known before
-    dispatch — what the cost model predicts by), the exact
-    function-canonical interval ``signature`` computed by the worker
-    from its BDD (the key a future cross-run cone cache needs), the
-    action taken, and the worker-measured elapsed time that feeds the
-    LPT dispatch order.
+    dispatch), the exact function-canonical interval ``signature``
+    computed by the worker from its BDD (the key a future cross-run cone
+    cache needs), the action taken, and the worker-measured elapsed
+    time.
 
 Everything here is **off by default**: no CLI flag, no import, no I/O.
-The engine layers reach the ledger only through :func:`active_run` via a
-``sys.modules`` lookup, so a run without ``--ledger`` never even imports
-this module (``benchmarks/bench_ledger.py`` asserts exactly that).
+A :class:`LedgerRun` installed as an obs sink turns the engine's
+``pipeline.pass`` and ``cone.merged`` events into rows; only the CLI
+imports this module, so a run without ``--ledger`` never loads it
+(``tests/test_telemetry.py`` asserts exactly that).
 
 The JSONL export (:meth:`RunLedger.export_jsonl`) is the artifact form:
 one self-contained JSON object per run, nested passes and cones
@@ -446,30 +445,6 @@ class RunLedger:
             )
         ]
 
-    def cone_costs(self) -> dict[str, dict[str, float]]:
-        """Mean observed elapsed per structural task key, across every
-        recorded run — the cost model's lookup table."""
-        return {
-            r["task_key"]: {"mean": r["mean"], "count": r["n"]}
-            for r in self._conn.execute(
-                "SELECT task_key, AVG(elapsed) AS mean, COUNT(*) AS n "
-                "FROM cones WHERE task_key IS NOT NULL AND elapsed IS NOT "
-                "NULL GROUP BY task_key"
-            )
-        }
-
-    def input_bucket_costs(self) -> dict[int, float]:
-        """Mean observed elapsed per cone-input count — the fallback for
-        cones never seen before."""
-        return {
-            int(r["cone_inputs"]): r["mean"]
-            for r in self._conn.execute(
-                "SELECT cone_inputs, AVG(elapsed) AS mean FROM cones "
-                "WHERE cone_inputs IS NOT NULL AND elapsed IS NOT NULL "
-                "GROUP BY cone_inputs"
-            )
-        }
-
     # -- export ---------------------------------------------------------
 
     def export_jsonl(self, path: str | Path) -> int:
@@ -499,6 +474,11 @@ _QUALITY_METRICS = (
     ("degraded_cones", 0),
 )
 
+#: Shortest base-run wall time (seconds) worth a wall-time verdict:
+#: below it, scheduler noise outweighs any slowdown the threshold could
+#: catch, so :func:`compare_runs` adds a note instead.
+MIN_COMPARED_WALL = 0.5
+
 
 def compare_runs(
     base: dict[str, Any],
@@ -511,7 +491,8 @@ def compare_runs(
     Quality metrics (literal count, mapped area, degraded-cone count)
     regress on *any* increase; wall time regresses beyond
     ``wall_threshold`` (fractional) — but wall is only compared when both
-    runs agree on the ``instrumented`` flag, same as the bench gate.
+    runs agree on the ``instrumented`` flag, same as the bench gate, and
+    the base run took longer than :data:`MIN_COMPARED_WALL`.
     Returns ``{"rows": [...], "regressions": [...], "notes": [...]}``.
     """
     rows: list[dict[str, Any]] = []
@@ -544,6 +525,11 @@ def compare_runs(
             notes.append(
                 "instrumented flag differs — wall times not comparable, "
                 "skipped"
+            )
+        elif b_wall <= MIN_COMPARED_WALL:
+            notes.append(
+                f"base run took {b_wall:.3f}s, within the "
+                f"{MIN_COMPARED_WALL}s noise floor — wall times not compared"
             )
         else:
             ratio = c_wall / b_wall
@@ -591,82 +577,59 @@ def trajectory_regressions(
 
 
 # ---------------------------------------------------------------------------
-# The active run (how the engine reaches the ledger without importing it)
+# The run in flight, as an obs sink
 # ---------------------------------------------------------------------------
 
-#: The (ledger, run_id) pair of the CLI run in flight, or ``None``.
-#: Engine layers look this module up via ``sys.modules`` — if the module
-#: was never imported there is no active run by definition, so the
-#: ledger-off path stays import-free and I/O-free.
-_active: Optional[tuple[RunLedger, str]] = None
+#: ``pipeline.pass`` event fields that are columns; the rest are metrics.
+_PASS_FIELDS = ("index", "pass_name", "elapsed", "exhausted")
 
 
-def activate(ledger: RunLedger, run_id: str) -> None:
-    """Mark ``run_id`` in ``ledger`` as the process's active run."""
-    global _active
-    _active = (ledger, run_id)
+class LedgerRun:
+    """Obs sink writing one run's rows: a ``pipeline.pass`` event
+    becomes a pass row, a ``cone.merged`` event a cone row (buffered
+    and written in one batch ahead of the next pass or run row).
+    Appends never kill the synthesis run: a failure is counted as
+    ``ledger.errors`` instead."""
 
+    def __init__(self, ledger: RunLedger, run_id: str) -> None:
+        self.ledger = ledger
+        self.run_id = run_id
+        self._cones: list[dict[str, Any]] = []
 
-def deactivate() -> None:
-    """Clear the active run (the ledger object is *not* closed)."""
-    global _active
-    _active = None
+    def info(self) -> dict[str, str]:
+        """Where the run's rows live (status.json / crash bundles)."""
+        return {"path": str(self.ledger.path), "run_id": self.run_id}
 
+    def crash_keys(self) -> dict[str, Any]:
+        return {"ledger": self.info()}
 
-def active_run() -> Optional[tuple[RunLedger, str]]:
-    """The active (ledger, run_id) pair, or ``None``."""
-    return _active
+    status_keys = crash_keys
 
+    def event(self, name: str, fields: dict[str, Any]) -> None:
+        if name == "cone.merged":
+            self._cones.append(fields["cone"])
+        elif name == "pipeline.pass":
+            metrics = {
+                k: v for k, v in fields.items() if k not in _PASS_FIELDS
+            }
+            self._guarded(
+                self.ledger.record_pass, self.run_id, fields["index"],
+                fields["pass_name"], fields["elapsed"], fields["exhausted"],
+                metrics=metrics or None,
+            )
 
-def active_info() -> Optional[dict[str, str]]:
-    """JSON-friendly identity of the active run (for status.json and
-    crash bundles)."""
-    if _active is None:
-        return None
-    ledger, run_id = _active
-    return {"path": str(ledger.path), "run_id": run_id}
+    def finish(self, status: str = "finished", **fields: Any) -> None:
+        """Finalise the run row (best-effort, like every append)."""
+        self._guarded(self.ledger.finish_run, self.run_id, status, **fields)
 
+    def _guarded(self, append, *args: Any, **kwargs: Any) -> None:
+        from repro import obs as _obs
 
-def _swallow(fn, *args: Any, **kwargs: Any) -> None:
-    """Ledger appends from engine hot paths must never kill a synthesis
-    run; failures are counted instead (``obs.ledger.errors``)."""
-    from repro import obs as _obs
-
-    try:
-        fn(*args, **kwargs)
-    except Exception:
-        if _obs.enabled():
-            _obs.inc("ledger.errors")
-
-
-def record_pass_active(
-    index: int,
-    name: str,
-    elapsed: Optional[float],
-    exhausted: bool = False,
-    metrics: Optional[dict[str, Any]] = None,
-) -> None:
-    """Append a pass row to the active run (no-op when none)."""
-    if _active is None:
-        return
-    ledger, run_id = _active
-    _swallow(
-        ledger.record_pass, run_id, index, name, elapsed, exhausted,
-        metrics=metrics,
-    )
-
-
-def record_cones_active(rows: list[dict[str, Any]]) -> None:
-    """Append cone rows to the active run (no-op when none)."""
-    if _active is None or not rows:
-        return
-    ledger, run_id = _active
-    _swallow(ledger.record_cones, run_id, rows)
-
-
-def finish_active(status: str = "finished", **fields: Any) -> None:
-    """Finalise the active run (no-op when none); best-effort."""
-    if _active is None:
-        return
-    ledger, run_id = _active
-    _swallow(ledger.finish_run, run_id, status, **fields)
+        try:
+            if self._cones:
+                self.ledger.record_cones(self.run_id, self._cones)
+                self._cones = []
+            append(*args, **kwargs)
+        except Exception:
+            if _obs.enabled():
+                _obs.inc("ledger.errors")

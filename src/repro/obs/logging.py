@@ -1,23 +1,22 @@
 """Structured JSONL run log (``--log-json PATH``).
 
 One JSON object per line, leveled and run/cone-correlated: every record
-carries ``t`` (unix time), ``level``, ``event``, ``pid``, the run id the
-logger was installed with, and whatever keyword fields the call site
-adds (``sink``, ``pass``, ...).  Three consumers:
+carries ``t`` (unix time), ``level``, ``event``, ``pid``, the run id
+(the logger's own, else the one the obs sink list names), and whatever
+keyword fields the call site adds (``sink``, ``pass``, ...).  Installed
+as an obs sink (``obs.install(logger)``) it has three consumers:
 
-* the file itself — greppable, ``jq``-able, append-only;
+* the file itself — greppable, ``jq``-able, append-only; every obs
+  event (pass boundaries, cone merges, ...) lands here at ``info``;
 * a bounded in-memory tail that :mod:`repro.obs.crashdump` embeds in
   crash bundles, so a post-mortem shows the run's last words even when
   the log file is unavailable;
-* the telemetry bus mirrors its records here (at ``debug``), so one
-  file interleaves pass boundaries, cone lifecycle, and worker events
-  in wall-clock order.
+* the telemetry bus mirrors its worker records here (at ``debug``), so
+  one file interleaves pass boundaries, cone lifecycle, and worker
+  events in wall-clock order.
 
-The module-level ``install``/``log_event``/``active_tail`` API follows
-the ledger idiom: engine layers reach it only through
-``sys.modules.get("repro.obs.logging")`` and the CLI is the sole
-importer, so a run without ``--log-json`` never loads this module.
-(The absolute-import policy means this name never shadows the stdlib
+Only the CLI imports this module, when ``--log-json`` is given.  (The
+absolute-import policy means this name never shadows the stdlib
 ``logging`` either.)
 """
 
@@ -31,10 +30,15 @@ from collections import deque
 from pathlib import Path
 from typing import Any, Optional
 
+from repro.obs.registry import run_id as _run_id
+
 LEVELS = {"debug": 10, "info": 20, "warning": 30, "error": 40}
 
-#: Records kept for crash bundles (see :func:`active_tail`).
+#: Records kept in memory for crash bundles.
 DEFAULT_TAIL = 200
+
+#: Of those, the newest ones a crash bundle embeds.
+CRASH_TAIL = 50
 
 
 class StructuredLogger:
@@ -85,8 +89,9 @@ class StructuredLogger:
             "event": event,
             "pid": os.getpid(),
         }
-        if self.run_id is not None:
-            record["run"] = self.run_id
+        run = self.run_id or _run_id()
+        if run is not None:
+            record["run"] = run
         record.update(fields)
         line = json.dumps(record, separators=(",", ":"), default=str)
         with self._lock:
@@ -119,6 +124,15 @@ class StructuredLogger:
             records = records[-limit:]
         return records
 
+    def event(self, name: str, fields: dict[str, Any]) -> None:
+        """Sink method: an obs event becomes an ``info`` record."""
+        self.log("info", name, **fields)
+
+    def crash_keys(self) -> dict[str, Any]:
+        """Sink method: the run's last words for a crash bundle."""
+        tail = self.tail_records(CRASH_TAIL)
+        return {"log_tail": tail} if tail else {}
+
     def close(self) -> None:
         with self._lock:
             if self._handle is not None:
@@ -134,51 +148,3 @@ class StructuredLogger:
     def __exit__(self, *exc: object) -> bool:
         self.close()
         return False
-
-
-# ---------------------------------------------------------------------------
-# Active-logger registry (reached via sys.modules only; CLI installs it)
-# ---------------------------------------------------------------------------
-
-_active: Optional[StructuredLogger] = None
-
-
-def install(logger: StructuredLogger) -> None:
-    """Make ``logger`` the process-wide log sink."""
-    global _active
-    _active = logger
-
-
-def uninstall() -> None:
-    global _active
-    _active = None
-
-
-def active() -> Optional[StructuredLogger]:
-    """The installed logger, or ``None``."""
-    return _active
-
-
-def log_event(level: str, event: str, **fields: Any) -> bool:
-    """Log through the installed logger (no-op returning False when
-    none is installed).  This is the call every other obs module makes
-    after a successful ``sys.modules.get("repro.obs.logging")``."""
-    logger = _active
-    if logger is None:
-        return False
-    try:
-        return logger.log(level, event, **fields)
-    except Exception:
-        return False
-
-
-def active_tail(limit: int = 50) -> list[dict[str, Any]]:
-    """Tail of the installed logger (empty without one) — what the
-    crash-bundle builder embeds."""
-    logger = _active
-    if logger is None:
-        return []
-    try:
-        return logger.tail_records(limit)
-    except Exception:
-        return []

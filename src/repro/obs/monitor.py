@@ -13,7 +13,8 @@ Each sample goes two places:
 * atomically rewritten into a ``status.json`` heartbeat file (write to
   a sibling temp file, then ``rename``), so external tooling — a watch
   loop, a dashboard, an ops cron — can observe a run in flight without
-  touching the process.
+  touching the process.  Installed obs sinks add their
+  ``status_keys()`` (the ledger run names its row here).
 
 The monitor never throws into the host run: sampling errors are counted
 (``monitor.sample_errors``) and swallowed.
@@ -31,7 +32,7 @@ from typing import Any, Optional
 
 from repro.obs.registry import Registry
 from repro.obs.registry import registry as _global_registry
-from repro.obs.registry import tracer as _get_tracer
+from repro.obs.registry import sinks as _sinks
 
 #: Default sampling period in seconds.
 DEFAULT_INTERVAL = 1.0
@@ -99,9 +100,6 @@ class RuntimeMonitor:
         self.samples = 0
         self.sample_errors = 0
         self.last_sample: Optional[dict[str, Any]] = None
-        #: Static fields merged into every sample (the CLI stamps the
-        #: ledger identity here so status.json names the run's row).
-        self.extra: dict[str, Any] = {}
 
     # -- lifecycle ------------------------------------------------------
 
@@ -147,13 +145,6 @@ class RuntimeMonitor:
             self.sample_errors += 1
 
     # -- sampling -------------------------------------------------------
-
-    def _recorder_now(self) -> Optional[Any]:
-        """The explicit recorder if one was given, else whatever trace
-        recorder is currently installed process-wide."""
-        if self._recorder is not None:
-            return self._recorder
-        return _get_tracer()
 
     def bdd_totals(self) -> dict[str, Any]:
         """Aggregate node/unique/cache-entry counts over the live
@@ -225,14 +216,20 @@ class RuntimeMonitor:
                 }
             except Exception:
                 pass
-        for key, value in self.extra.items():
-            sample.setdefault(key, value)
+        for sink in _sinks("status_keys"):
+            for key, value in sink.status_keys().items():
+                sample.setdefault(key, value)
         if self.governor is not None:
             snapshot = self.governor.snapshot()
             snapshot["remaining_time"] = self.governor.remaining_time()
             sample["governor"] = snapshot
-        recorder = self._recorder_now()
-        if recorder is not None:
+        # The explicit recorder if one was given, else every installed
+        # counter sink.
+        if self._recorder is not None:
+            recorders = (self._recorder,)
+        else:
+            recorders = _sinks("counter")
+        for recorder in recorders:
             recorder.counter(
                 "bdd",
                 {

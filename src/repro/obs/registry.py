@@ -16,6 +16,22 @@ subsystem at a time.  Span timings are keyed by the full nesting path
 (``algorithm1.run/reach.fixpoint``), giving a phase-scoped profile; the
 span stack is thread-local so concurrent workers do not corrupt each
 other's paths.
+
+Facts also go to the installed *sinks* (:func:`install`): the trace
+recorder, the structured log, the telemetry bus, a ledger run.  A sink
+implements only the methods it needs, and each fact is emitted once:
+
+``begin(name, args)`` / ``end(name)``
+    span edges (spans reach sinks even while metrics are off);
+``event(name, fields)``
+    every :func:`event`, likewise independent of the metrics switch;
+``counter(name, values)``, ``log(level, name, **fields)``,
+``crash_keys()``, ``status_keys()``, ``attached()``, ``cone_*``
+    monitor samples, log records, crash-bundle and status.json keys,
+    and the parallel pass's worker transport, looked up with
+    :func:`sinks`.
+
+A sink with a ``run_id`` attribute names the run (:func:`run_id`).
 """
 
 from __future__ import annotations
@@ -32,21 +48,55 @@ MAX_EVENTS = 1024
 
 _enabled = False
 
-#: Installed :class:`repro.obs.trace.TraceRecorder` (or ``None``).  Span
-#: begin/end and events are mirrored into it; kept here (not in
-#: ``trace``) so the span fast path needs no cross-module import.
-_tracer = None
+_sinks_lock = threading.Lock()
+_sinks: tuple[Any, ...] = ()
+#: The sinks with span / event methods, kept apart for the fast paths.
+_span_sinks: tuple[Any, ...] = ()
+_event_sinks: tuple[Any, ...] = ()
 
 
-def set_tracer(recorder) -> None:
-    """Install (or with ``None``, remove) the process-wide trace sink."""
-    global _tracer
-    _tracer = recorder
+def _set_sinks(new: tuple[Any, ...]) -> None:
+    global _sinks, _span_sinks, _event_sinks
+    _sinks = new
+    _span_sinks = sinks("begin")
+    _event_sinks = sinks("event")
 
 
-def tracer():
-    """The installed trace recorder, or ``None``."""
-    return _tracer
+def install(sink: Any) -> Any:
+    """Add ``sink`` to the process-wide sink list (a no-op when it is
+    already there) and return it."""
+    with _sinks_lock:
+        if not any(s is sink for s in _sinks):
+            _set_sinks(_sinks + (sink,))
+    return sink
+
+
+def uninstall(sink: Any) -> None:
+    """Remove ``sink`` from the sink list (a no-op when absent)."""
+    with _sinks_lock:
+        _set_sinks(tuple(s for s in _sinks if s is not sink))
+
+
+def sinks(method: Optional[str] = None) -> tuple[Any, ...]:
+    """The installed sinks in install order, or only those that
+    implement ``method``."""
+    installed = _sinks
+    if method is None:
+        return installed
+    return tuple(s for s in installed if callable(getattr(s, method, None)))
+
+
+def run_id() -> Optional[str]:
+    """The id of the run in flight: the first sink ``run_id`` set."""
+    return next(
+        (s.run_id for s in _sinks if getattr(s, "run_id", None)), None
+    )
+
+
+def log(level: str, name: str, **fields: Any) -> None:
+    """Write one record to every sink that keeps a log."""
+    for sink in sinks("log"):
+        sink.log(level, name, **fields)
 
 
 def enabled() -> bool:
@@ -244,9 +294,6 @@ class Registry:
             if len(self.events) == self.events.maxlen:
                 self.events_dropped += 1
             self.events.append(entry)
-        recorder = _tracer
-        if recorder is not None:
-            recorder.instant(name, fields or None)
 
     # -- span stack -----------------------------------------------------
 
@@ -438,21 +485,20 @@ class _SpanHandle:
         stack = _REGISTRY.span_stack()
         stack.append(self.name)
         self.path = "/".join(stack)
-        recorder = _tracer
-        if recorder is not None:
-            recorder.begin(self.name, {"path": self.path})
+        for sink in _span_sinks:
+            sink.begin(self.name, {"path": self.path})
         self.start = time.perf_counter()
         return self
 
     def __exit__(self, *exc: object) -> bool:
         elapsed = time.perf_counter() - self.start
-        recorder = _tracer
-        if recorder is not None:
-            recorder.end(self.name)
+        for sink in _span_sinks:
+            sink.end(self.name)
         stack = _REGISTRY.span_stack()
         if stack and stack[-1] == self.name:
             stack.pop()
-        _REGISTRY.record_span(self.path, elapsed)
+        if _enabled:
+            _REGISTRY.record_span(self.path, elapsed)
         return False
 
 
@@ -471,8 +517,9 @@ _NULL_SPAN = _NullSpan()
 
 def span(name: str) -> Any:
     """Timed span context manager.  Nesting is recorded: the aggregation
-    key is the ``/``-joined path of active span names on this thread."""
-    if not _enabled:
+    key is the ``/``-joined path of active span names on this thread.
+    Installed span sinks see it even while metrics are off."""
+    if not _enabled and not _span_sinks:
         return _NULL_SPAN
     return _SpanHandle(name)
 
@@ -509,10 +556,13 @@ def observe(name: str, value: float) -> None:
 
 
 def event(name: str, **fields: Any) -> None:
-    """Append a timestamped event (bounded buffer of :data:`MAX_EVENTS`)."""
-    if not _enabled:
-        return
-    _REGISTRY.event(name, **fields)
+    """Emit one fact: appended to the bounded event buffer (of
+    :data:`MAX_EVENTS`) while metrics are on, and handed to every
+    installed event sink either way."""
+    if _enabled:
+        _REGISTRY.event(name, **fields)
+    for sink in _event_sinks:
+        sink.event(name, fields)
 
 
 def track_bdd_manager(manager: Any) -> None:

@@ -14,12 +14,11 @@ exportable as
 * **JSONL** — one record per line, streaming-friendly for external
   tooling (convert back with ``repro trace FILE --convert OUT``).
 
-Install a recorder with :func:`install` (or the :func:`tracing` context
-manager) and the registry's span/event machinery mirrors every span
-begin/end and obs event into it; the :class:`~repro.obs.monitor.
-RuntimeMonitor` feeds counter samples the same way.  Recording costs one
-lock acquisition per record and is completely off (a single ``None``
-check) when no recorder is installed.
+Install a recorder as an obs sink (``obs.install(recorder)``, or the
+:func:`tracing` context manager) and every span begin/end and obs event
+is mirrored into it; the :class:`~repro.obs.monitor.RuntimeMonitor`
+feeds counter samples the same way.  Recording costs one lock
+acquisition per record and nothing when no recorder is installed.
 """
 
 from __future__ import annotations
@@ -35,12 +34,15 @@ from typing import Any, Iterable, Optional
 # NB: ``from repro.obs import registry`` would resolve to the accessor
 # *function* the package re-exports, not the module — import the needed
 # names straight from the submodule instead.
+from repro.obs.registry import install as _install
 from repro.obs.registry import scope as _obs_scope
-from repro.obs.registry import set_tracer as _set_tracer
-from repro.obs.registry import tracer as _get_tracer
+from repro.obs.registry import uninstall as _uninstall
 
 #: Default ring-buffer capacity (records, oldest dropped first).
 DEFAULT_CAPACITY = 200_000
+
+#: Trailing records a crash bundle embeds.
+CRASH_TAIL = 500
 
 
 class TraceRecorder:
@@ -114,6 +116,16 @@ class TraceRecorder:
         if args:
             record["args"] = args
         self._append(record)
+
+    def event(self, name: str, fields: dict[str, Any]) -> None:
+        """Sink method: an obs event becomes an instant."""
+        self.instant(name, fields or None)
+
+    def crash_keys(self) -> dict[str, Any]:
+        """Sink method: the buffer's tail for a crash bundle."""
+        return {
+            "trace": {"dropped": self.dropped, "tail": self.tail(CRASH_TAIL)}
+        }
 
     def emit_external_span(
         self,
@@ -229,36 +241,9 @@ class TraceRecorder:
         return target
 
 
-# ---------------------------------------------------------------------------
-# Global install (the registry mirrors spans/events into the recorder)
-# ---------------------------------------------------------------------------
-
-
-def install(recorder: Optional[TraceRecorder] = None) -> TraceRecorder:
-    """Install ``recorder`` (default: a fresh one) as the process-wide
-    trace sink.  Spans are only recorded while :func:`repro.obs.enable`
-    is on — tracing rides on the same switch as the metrics."""
-    if recorder is None:
-        recorder = TraceRecorder()
-    _set_tracer(recorder)
-    return recorder
-
-
-def uninstall() -> Optional[TraceRecorder]:
-    """Remove and return the installed recorder (``None`` if absent)."""
-    recorder = _get_tracer()
-    _set_tracer(None)
-    return recorder
-
-
-def active() -> Optional[TraceRecorder]:
-    """The installed recorder, or ``None``."""
-    return _get_tracer()
-
-
 class tracing:
     """Context manager: install a recorder (and optionally enable obs)
-    for a block, restoring the previous state on exit::
+    for a block, uninstalling it on exit::
 
         with obs.tracing() as recorder:
             run_workload()
@@ -274,11 +259,9 @@ class tracing:
         self.recorder = recorder or TraceRecorder(capacity)
         self._enable_obs = enable_obs
         self._scope: Optional[_obs_scope] = None
-        self._previous: Optional[TraceRecorder] = None
 
     def __enter__(self) -> TraceRecorder:
-        self._previous = _get_tracer()
-        _set_tracer(self.recorder)
+        _install(self.recorder)
         if self._enable_obs:
             self._scope = _obs_scope()
             self._scope.__enter__()
@@ -287,7 +270,7 @@ class tracing:
     def __exit__(self, *exc: object) -> bool:
         if self._scope is not None:
             self._scope.__exit__(*exc)
-        _set_tracer(self._previous)
+        _uninstall(self.recorder)
         return False
 
 

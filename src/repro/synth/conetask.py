@@ -34,13 +34,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import sys
 import time
 import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Iterator, Optional
+
+from repro import obs as _obs
 
 CONE_TASK_VERSION = 1
 
@@ -92,7 +93,7 @@ class ConeTask:
         deterministic (sorted cone inputs, topological node order), so
         the same cone of the same design under the same knobs always
         hashes the same.  This is the key the ledger records costs
-        under and the cost model predicts by; the *exact*
+        under; the *exact*
         function-canonical key (the interval signature) is computed
         worker-side by :func:`interval_signature` once the BDD exists.
         """
@@ -314,10 +315,9 @@ def run_cone_task(data: dict[str, Any]) -> dict[str, Any]:
     started_wall = time.time()
     began = time.perf_counter()
     phases: list[dict[str, float]] = []
-    # Live telemetry is reached via sys.modules only: a run without the
-    # bus never imports it, and without an attached pipe every call below
-    # is a single None-check no-op.
-    bus_mod = sys.modules.get("repro.obs.bus")
+    # The installed telemetry buses (none on a run without the flags);
+    # each call below is a no-op unless the bus attached its pipe.
+    buses = _obs.sinks("cone_progress")
 
     @contextmanager
     def phase(name: str) -> Iterator[None]:
@@ -327,8 +327,8 @@ def run_cone_task(data: dict[str, Any]) -> dict[str, Any]:
         finally:
             dur = time.perf_counter() - start
             phases.append({"name": name, "start": start - began, "dur": dur})
-            if bus_mod is not None:
-                bus_mod.cone_progress(sink, name, dur)
+            for bus in buses:
+                bus.cone_progress(sink, name, dur)
 
     _apply_fault(task.fault)
     node_budget = 0 if task.fault == "starve" else task.node_budget
@@ -336,8 +336,8 @@ def run_cone_task(data: dict[str, Any]) -> dict[str, Any]:
         time_budget=task.time_budget, node_budget=node_budget
     )
     slice_net = network_from_dict(task.slice)
-    if bus_mod is not None:
-        bus_mod.cone_started(sink, cone_inputs=len(slice_net.inputs))
+    for bus in buses:
+        bus.cone_started(sink, cone_inputs=len(slice_net.inputs))
 
     manager = governor.attach_manager(BDDManager())
     collapser = ConeCollapser(
@@ -388,8 +388,8 @@ def run_cone_task(data: dict[str, Any]) -> dict[str, Any]:
         "phases": phases,
         "nodes_allocated": governor.nodes_allocated(),
     }
-    if bus_mod is not None:
-        bus_mod.cone_finished(
+    for bus in buses:
+        bus.cone_finished(
             sink, outcome.action, elapsed=round(result["elapsed"], 6),
             degrade_reason=outcome.degrade_reason,
         )

@@ -45,6 +45,51 @@ class TestStats:
         assert "inputs: 1" in capsys.readouterr().out
 
 
+class TestRunScope:
+    """Every exit path of a command takes down what its flags set up."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "{demo}", "-o", "{tmp}/o.blif", "--resume",
+             "--trace", "{tmp}/t.trace", "--log-json", "{tmp}/l.jsonl"],
+            ["optimize", "{demo}", "-o", "{tmp}/o.blif", "--resume",
+             "--checkpoint", "{tmp}/absent.json", "--status-file",
+             "{tmp}/s.json"],
+            ["decompose", "{demo}", "nosuch", "--profile"],
+            ["profile", "nosuch", "--trace", "{tmp}/t.trace"],
+        ],
+        ids=["resume-no-checkpoint", "resume-missing", "decompose", "profile"],
+    )
+    def test_early_error_return_tears_down(self, argv, demo_path, tmp_path):
+        from repro import obs
+
+        argv = [a.format(demo=demo_path, tmp=tmp_path) for a in argv]
+        assert main(argv) == 1
+        assert not obs.enabled()
+        assert obs.sinks() == ()
+
+    def test_simulation_mismatch_fails_ledger_run(
+        self, demo_path, tmp_path, monkeypatch
+    ):
+        import repro.network
+        from repro import obs
+        from repro.obs.ledger import RunLedger
+
+        monkeypatch.setattr(
+            repro.network, "outputs_equal", lambda *a, **k: False
+        )
+        db = str(tmp_path / "runs.db")
+        assert main(["optimize", demo_path, "-o", str(tmp_path / "o.blif"),
+                     "--ledger", db, "--stats-json",
+                     str(tmp_path / "s.json")]) == 1
+        assert not obs.enabled()
+        assert obs.sinks() == ()
+        assert not (tmp_path / "s.json").exists()
+        with RunLedger(db, readonly=True) as ledger:
+            assert [r["status"] for r in ledger.runs()] == ["failed"]
+
+
 class TestOptimize:
     def test_optimize_roundtrip(self, demo_path, tmp_path, capsys):
         out_path = str(tmp_path / "opt.blif")

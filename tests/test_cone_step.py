@@ -122,13 +122,13 @@ class TestPhaseNames:
         bus = obs_bus.TelemetryBus(
             run_id="phases", heartbeat_interval=0, max_recent=4096
         )
-        obs_bus.activate(bus)
+        obs.install(bus)
         try:
             algorithm1(
                 iscas_analog("s344"), SynthesisOptions(parallel_workers=1)
             )
         finally:
-            obs_bus.deactivate()
+            obs.uninstall(bus)
             bus.close()
         names = {r.get("name") for r in traced.records()}
         assert "parallel.cone" in names

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.benchgen import generate_sequential_circuit, iscas_analog
 from repro.engine import (
     Pipeline,
@@ -96,13 +97,37 @@ class TestDegradation:
         """A budget sized to trip partway through the decompose loop
         leaves a mixed decomposed/copied network that still checks out.
 
-        The first cone alone allocates about 12.7k nodes and the whole
-        run about 14.3k; a cone whose budget trips mid-step is copied,
-        so the budget must sit between the two."""
+        A cone whose budget trips mid-step is copied, so the budget must
+        sit between the nodes allocated once the first cone is done and
+        the whole run's total — both read off an unbudgeted run, so a
+        kernel change that moves node counts moves the budget too."""
         net = iscas_analog("s344")
+        options = SynthesisOptions(max_partition_size=8)
+        governor = ResourceGovernor()
+
+        class FirstCone:
+            """Obs sink noting the allocation after the first cone."""
+
+            nodes = None
+
+            def event(self, name, fields):
+                if name == "algorithm1.signal" and self.nodes is None:
+                    self.nodes = governor.nodes_allocated()
+
+        probe = obs.install(FirstCone())
+        try:
+            with obs.scope():
+                algorithm1(net, options, governor=governor)
+        finally:
+            obs.uninstall(probe)
+            obs.reset()
+        first, total = probe.nodes, governor.nodes_allocated()
+        assert first is not None and first < total
         report = algorithm1(
             net,
-            SynthesisOptions(max_partition_size=8, node_budget=13500),
+            SynthesisOptions(
+                max_partition_size=8, node_budget=(first + total) // 2
+            ),
         )
         assert report.degraded
         assert outputs_equal(net, report.network, cycles=30)

@@ -160,9 +160,9 @@ class TestGuideSnippets:
         obs.reset()
 
     def test_run_ledger_snippet(self, tmp_path):
+        from repro import obs
         from repro.benchgen import iscas_analog
         from repro.obs import ledger as obs_ledger
-        from repro.obs.costmodel import ConeCostModel
         from repro.synth import SynthesisOptions, algorithm1
 
         net = iscas_analog("s344")
@@ -171,28 +171,27 @@ class TestGuideSnippets:
             command="optimize", input="s344",
             netlist_signature=obs_ledger.netlist_signature(net),
         )
-        obs_ledger.activate(ledger, run_id)
+        run = obs.install(obs_ledger.LedgerRun(ledger, run_id))
         report = algorithm1(net.copy(), SynthesisOptions(parallel_workers=2))
-        obs_ledger.finish_active(wall=report.runtime)
-        obs_ledger.deactivate()
+        run.finish(wall=report.runtime)
+        obs.uninstall(run)
 
         assert ledger.run(run_id)["status"] == "finished"
         assert ledger.cones(run_id)
-        model = ConeCostModel.from_ledger(ledger)
-        assert model
+        assert ledger.passes(run_id)
         ledger.close()
 
     def test_live_telemetry_snippet(self):
+        from repro import obs
         from repro.benchgen import iscas_analog
         from repro.obs import bus as obs_bus
         from repro.obs import openmetrics
         from repro.synth import SynthesisOptions, algorithm1
 
         net = iscas_analog("s344")
-        bus = obs_bus.TelemetryBus(run_id="demo")
-        obs_bus.activate(bus)
+        bus = obs.install(obs_bus.TelemetryBus(run_id="demo"))
         report = algorithm1(net, SynthesisOptions(parallel_workers=2))
-        obs_bus.deactivate()
+        obs.uninstall(bus)
         bus.close()
 
         snap = bus.snapshot()

@@ -323,99 +323,6 @@ class TestScheduler:
 
 
 # ---------------------------------------------------------------------------
-# Profile-guided dispatch (run-ledger cost model)
-# ---------------------------------------------------------------------------
-
-
-class _ReverseOrderModel:
-    """A cost model that reverses dispatch order outright (the extreme
-    permutation — if output survives this, it survives any LPT order)."""
-
-    def __bool__(self):
-        return True
-
-    def order(self, tasks):
-        return list(range(len(tasks)))[::-1]
-
-
-class TestProfileGuidedDispatch:
-    def test_cost_model_reorders_dispatch_but_not_output(self):
-        """A dispatch permutation must be invisible in the result: the
-        merge is plan-ordered regardless of submission order."""
-        net = small_circuit(7)
-        options = SynthesisOptions(parallel_workers=2)
-        baseline = algorithm1(net.copy(), options)
-        dispatch = baseline.artifacts["parallel.dispatch"]
-        assert dispatch["profile_guided"] is False
-        plan_order = dispatch["order"]
-        assert len(plan_order) >= 3
-
-        pipe = Pipeline(["cleanup", "dontcares"])
-        pipe.add("decompose_parallel", _cost_model=_ReverseOrderModel())
-        for name in ("finalize", "sweep", "strash", "sweep"):
-            pipe.add(name)
-        reordered = algorithm1(net.copy(), options, pipeline=pipe)
-        assert (
-            reordered.artifacts["parallel.dispatch"]["order"]
-            == list(reversed(plan_order))
-        )
-        assert reordered.artifacts["parallel.dispatch"]["profile_guided"]
-        assert canonical_report(reordered) == canonical_report(baseline)
-
-    def test_seeded_ledger_drives_lpt_order_bit_identically(self, tmp_path):
-        """End-to-end acceptance check: seed the ledger with one run,
-        rewrite its per-cone costs to force a known LPT order, and the
-        next ledger-enabled run must dispatch in exactly that order
-        while producing the bit-identical network."""
-        import sqlite3
-
-        from repro.obs import ledger as obs_ledger
-
-        net = small_circuit(7)
-        options = SynthesisOptions(parallel_workers=2)
-        baseline = algorithm1(net.copy(), options)
-        plan_order = baseline.artifacts["parallel.dispatch"]["order"]
-
-        ledger = obs_ledger.RunLedger(tmp_path / "runs.db")
-        run_id = ledger.begin_run(command="test")
-        obs_ledger.activate(ledger, run_id)
-        try:
-            seeded = algorithm1(net.copy(), options)
-        finally:
-            obs_ledger.finish_active()
-            obs_ledger.deactivate()
-        # Empty history at model-load time: dispatch stays plan-ordered.
-        assert seeded.artifacts["parallel.dispatch"]["order"] == plan_order
-        assert not seeded.artifacts["parallel.dispatch"]["profile_guided"]
-        assert len(ledger.cones(run_id)) == len(plan_order)
-
-        # Force recorded costs ascending in plan order, so LPT must
-        # dispatch in exactly reversed plan order (timing-independent).
-        conn = sqlite3.connect(tmp_path / "runs.db")
-        with conn:
-            for index, sink in enumerate(plan_order):
-                conn.execute(
-                    "UPDATE cones SET elapsed=? WHERE sink=?",
-                    (float(index + 1), sink),
-                )
-        conn.close()
-
-        run_id2 = ledger.begin_run(command="test")
-        obs_ledger.activate(ledger, run_id2)
-        try:
-            guided = algorithm1(net.copy(), options)
-        finally:
-            obs_ledger.finish_active()
-            obs_ledger.deactivate()
-            ledger.close()
-        dispatch = guided.artifacts["parallel.dispatch"]
-        assert dispatch["profile_guided"] is True
-        assert dispatch["order"] == list(reversed(plan_order))
-        assert dispatch["order"] != plan_order
-        assert canonical_report(guided) == canonical_report(baseline)
-
-
-# ---------------------------------------------------------------------------
 # Hypothesis differential suite
 # ---------------------------------------------------------------------------
 

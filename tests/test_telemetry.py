@@ -12,8 +12,8 @@ The promises under test, in the bus's own priority order:
 * **observable failure** — a worker that dies with a cone in flight is
   flagged *stalled* by the monitor's liveness rules, and a crashing run
   embeds the structured log's tail in its crash bundle;
-* **import-free when off** — a run without telemetry flags never
-  imports any of the three live-telemetry modules.
+* **import-free when off** — a run without telemetry or ledger flags
+  never imports any of the live-telemetry modules or the ledger.
 """
 
 from __future__ import annotations
@@ -31,10 +31,9 @@ from repro.engine import Pipeline, SynthesisContext, SynthesisOptions
 from repro.engine.checkpoint import network_to_dict
 from repro.obs import bus as obs_bus
 from repro.obs import crashdump
-from repro.obs import ledger as obs_ledger
 from repro.obs import logging as obs_logging
 from repro.obs import openmetrics
-from repro.obs.ledger import RunLedger
+from repro.obs.ledger import LedgerRun, RunLedger
 from repro.obs.monitor import RuntimeMonitor, process_rss_kb
 from repro.synth import algorithm1
 
@@ -244,22 +243,6 @@ class TestStallDetection:
         )
         assert fresh["stalled"] is False
 
-    def test_cost_model_flags_grinding_cone(self, bus):
-        """A live (heartbeating) worker grinding far past the ledger
-        cost model's prediction is stalled even though events flow."""
-        worker = self._busy_worker(bus)
-        bus.set_expected_costs({"n9": 0.01, "ignored": 0.0})
-        gap = worker["last_seen"] - worker["sink_started"]
-        assert gap > 0
-        horizon = 1.0
-        now = worker["sink_started"] + horizon + gap / 2
-        assert now - worker["last_seen"] < horizon  # still heartbeating
-        (row,) = bus.worker_summary(stall_after=horizon, now=now)
-        assert row["in_flight_s"] > horizon
-        assert row["predicted_s"] == 0.01
-        assert row["stalled"] is True
-        assert "predicted" in row["stall_reason"]
-
     def test_monitor_folds_stall_into_status(self, bus, tmp_path):
         self._busy_worker(bus)
         status = tmp_path / "status.json"
@@ -287,7 +270,7 @@ class TestWorkerFaults:
         net = small_circuit(7)
         victim = decompose_sinks(net)[1]
         bus = obs_bus.TelemetryBus(run_id="faultrun", heartbeat_interval=0)
-        obs_bus.activate(bus)
+        obs.install(bus)
         try:
             context = SynthesisContext(
                 net.copy(), SynthesisOptions(parallel_workers=2)
@@ -299,7 +282,7 @@ class TestWorkerFaults:
             pipe.run(context)
             report = context.to_report()
         finally:
-            obs_bus.deactivate()
+            obs.uninstall(bus)
         assert report.degraded
         total = bus.counts.get("cone.merged", 0)
         assert total > 0
@@ -343,13 +326,13 @@ class TestWorkerFaults:
         logger = obs_logging.StructuredLogger(
             tmp_path / "run.jsonl", run_id="r1"
         )
-        obs_logging.install(logger)
+        obs.install(logger)
         try:
-            obs_logging.log_event("info", "pipeline.pass", index=0)
-            obs_logging.log_event("error", "governor.exhausted", pass_name="x")
+            obs.log("info", "pipeline.pass", index=0)
+            obs.log("error", "governor.exhausted", pass_name="x")
             bundle = crashdump.build_crash_bundle(RuntimeError("boom"))
         finally:
-            obs_logging.uninstall()
+            obs.uninstall(logger)
             logger.close()
         tail = bundle["log_tail"]
         assert [r["event"] for r in tail] == [
@@ -359,7 +342,7 @@ class TestWorkerFaults:
         assert bundle["exception"]["message"] == "boom"
 
     def test_crash_bundle_without_logger_has_no_tail(self):
-        assert obs_logging.active() is None
+        assert obs.sinks("log") == ()
         bundle = crashdump.build_crash_bundle(RuntimeError("quiet"))
         assert "log_tail" not in bundle
 
@@ -566,18 +549,17 @@ class TestStructuredLogger:
         logger.close()
 
     def test_module_registry_and_tail(self, tmp_path):
-        assert obs_logging.log_event("info", "nobody.home") is False
-        assert obs_logging.active_tail() == []
+        obs.log("info", "nobody.home")  # no logger installed: a no-op
         logger = obs_logging.StructuredLogger(tmp_path / "run.jsonl")
-        obs_logging.install(logger)
+        obs.install(logger)
         try:
-            assert obs_logging.active() is logger
-            assert obs_logging.log_event("debug", "hello", n=1) is True
-            assert obs_logging.active_tail()[-1]["event"] == "hello"
+            assert obs.sinks("log") == (logger,)
+            obs.log("debug", "hello", n=1)
+            assert logger.crash_keys()["log_tail"][-1]["event"] == "hello"
         finally:
-            obs_logging.uninstall()
+            obs.uninstall(logger)
             logger.close()
-        assert obs_logging.active() is None
+        assert obs.sinks("log") == ()
 
 
 # ---------------------------------------------------------------------------
@@ -606,11 +588,11 @@ class TestPassDeltas:
     def test_ledger_pass_rows_carry_metrics(self, tmp_path):
         with RunLedger(tmp_path / "runs.db") as ledger:
             run_id = ledger.begin_run(command="test")
-            obs_ledger.activate(ledger, run_id)
+            sink = obs.install(LedgerRun(ledger, run_id))
             try:
                 algorithm1(small_circuit(3), SynthesisOptions())
             finally:
-                obs_ledger.deactivate()
+                obs.uninstall(sink)
             rows = ledger.passes(run_id)
             assert rows
             for row in rows:
@@ -633,10 +615,12 @@ class TestOutOfBand:
         golden = canonical_report(
             algorithm1(net.copy(), SynthesisOptions(parallel_workers=2))
         )
-        logger = obs_logging.StructuredLogger(tmp_path / "run.jsonl")
-        obs_logging.install(logger)
-        bus = obs_bus.TelemetryBus(run_id="det", heartbeat_interval=0.05)
-        obs_bus.activate(bus)
+        logger = obs.install(
+            obs_logging.StructuredLogger(tmp_path / "run.jsonl")
+        )
+        bus = obs.install(
+            obs_bus.TelemetryBus(run_id="det", heartbeat_interval=0.05)
+        )
         exporter = openmetrics.MetricsExporter(
             path=tmp_path / "m.om", bus=bus
         )
@@ -651,10 +635,10 @@ class TestOutOfBand:
                     f"telemetry changed output at workers={workers}"
                 )
         finally:
-            obs_bus.deactivate()
+            obs.uninstall(bus)
             exporter.close()
             bus.close()
-            obs_logging.uninstall()
+            obs.uninstall(logger)
             logger.close()
         assert bus.counts.get("cone.start", 0) > 0
         assert bus.events_dropped == 0
@@ -666,28 +650,38 @@ class TestOutOfBand:
         assert mirrored
         openmetrics.parse_openmetrics((tmp_path / "m.om").read_text())
 
-    def test_disabled_path_imports_nothing(self):
-        """A fresh interpreter running a parallel synthesis without
-        telemetry flags must never import the live-telemetry modules."""
+    def test_disabled_path_imports_nothing(self, tmp_path):
+        """A fresh interpreter running a parallel ``repro optimize``
+        without telemetry or ledger flags must never import the
+        live-telemetry modules or the ledger (no import, no I/O)."""
+        from repro.benchgen import generate_sequential_circuit
+        from repro.network import save_blif
+
+        bench = tmp_path / "offpath.blif"
+        save_blif(
+            generate_sequential_circuit(
+                "offpath", num_inputs=3, num_outputs=2, num_latches=3, seed=1
+            ),
+            str(bench),
+        )
         script = (
             "import sys\n"
-            "from repro.benchgen import generate_sequential_circuit\n"
-            "from repro.synth import SynthesisOptions, algorithm1\n"
-            "net = generate_sequential_circuit('offpath', num_inputs=3,"
-            " num_outputs=2, num_latches=3, seed=1)\n"
-            "algorithm1(net, SynthesisOptions(parallel_workers=2))\n"
+            "from repro.cli import main\n"
+            f"assert main(['optimize', {str(bench)!r}, '-o', "
+            f"{str(tmp_path / 'out.blif')!r}, '--workers', '2']) == 0\n"
             "banned = [m for m in ('repro.obs.bus', 'repro.obs.openmetrics',"
-            " 'repro.obs.logging') if m in sys.modules]\n"
-            "assert not banned, f'telemetry imported on off path: {banned}'\n"
+            " 'repro.obs.logging', 'repro.obs.ledger') if m in sys.modules]\n"
+            "assert not banned, f'imported on the off path: {banned}'\n"
         )
         import subprocess
 
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         result = subprocess.run(
             [sys.executable, "-c", script],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": "src"},
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
+            cwd=str(tmp_path),
             timeout=300,
         )
         assert result.returncode == 0, result.stderr
@@ -776,3 +770,6 @@ class TestTopView:
         out = capsys.readouterr().out
         assert "repro top — pid 4242" in out
         assert "repro_parallel_tasks_total" in out
+        # The watched run's files are inputs: top never rewrites them.
+        assert json.loads(status_path.read_text()) == self._status()
+        assert "repro_parallel_tasks_total" in metrics_path.read_text()

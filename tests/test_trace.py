@@ -16,14 +16,16 @@ from repro.obs.monitor import RuntimeMonitor, process_rss_kb
 
 @pytest.fixture(autouse=True)
 def _clean_state():
-    """Every test starts/ends with no tracer, empty registry, no crash
+    """Every test starts/ends with no sinks, empty registry, no crash
     context."""
-    obs_trace.uninstall()
+    for sink in obs.sinks():
+        obs.uninstall(sink)
     obs.disable()
     obs.reset()
     crashdump.clear_crash_context()
     yield
-    obs_trace.uninstall()
+    for sink in obs.sinks():
+        obs.uninstall(sink)
     obs.disable()
     obs.reset()
     crashdump.clear_crash_context()
@@ -126,25 +128,30 @@ class TestRegistryMirroring:
         assert obs.report()["spans"]["outer/inner"]["count"] == 1
 
     def test_no_recording_while_obs_disabled(self):
-        recorder = obs_trace.install()
+        """Metrics off records no aggregate; an installed sink still
+        sees the span."""
+        recorder = obs.install(obs_trace.TraceRecorder())
         with obs.span("quiet"):
             pass
-        assert recorder.records() == []
-        obs_trace.uninstall()
+        assert [r["ph"] for r in recorder.records()] == ["B", "E"]
+        assert obs.report()["spans"] == {}
+        obs.uninstall(recorder)
 
     def test_install_uninstall(self):
-        recorder = obs_trace.install()
-        assert obs_trace.active() is recorder
-        assert obs_trace.uninstall() is recorder
-        assert obs_trace.active() is None
-        assert obs_trace.uninstall() is None
+        recorder = obs.install(obs_trace.TraceRecorder())
+        assert obs.install(recorder) is recorder  # idempotent
+        assert obs.sinks() == (recorder,)
+        obs.uninstall(recorder)
+        assert obs.sinks() == ()
+        obs.uninstall(recorder)  # absent: a no-op
+        assert obs.sinks() == ()
 
     def test_tracing_context_restores_previous(self):
-        outer = obs_trace.install()
+        outer = obs.install(obs_trace.TraceRecorder())
         with obs.tracing() as inner:
-            assert obs_trace.active() is inner
-        assert obs_trace.active() is outer
-        obs_trace.uninstall()
+            assert obs.sinks() == (outer, inner)
+        assert obs.sinks() == (outer,)
+        obs.uninstall(outer)
 
 
 class TestConcurrentSpans:
@@ -357,7 +364,7 @@ class TestRuntimeMonitor:
         assert rss is None or rss > 0
 
     def test_monitor_uses_installed_tracer_by_default(self):
-        recorder = obs_trace.install()
+        recorder = obs.install(obs_trace.TraceRecorder())
         monitor = RuntimeMonitor(interval=60.0)
         monitor.sample()
         assert any(r["ph"] == "C" for r in recorder.records())
@@ -446,7 +453,7 @@ class TestCrashDiagnostics:
         obs.enable()
         manager = BDDManager(4)
         manager.apply_and(manager.var(0), manager.var(1))
-        recorder = obs_trace.install()
+        obs.install(obs_trace.TraceRecorder())
         with obs.span("doomed"):
             obs.event("last.words", detail="x")
         crashdump.set_crash_context(pipeline_pass="decompose", checkpoint="ck.json")
@@ -535,7 +542,7 @@ class TestCrashDiagnostics:
         assert bundle["context"]["command"] == "optimize"
         # The partial trace was flushed and the tracer torn down.
         assert trace_path.exists()
-        assert obs_trace.active() is None
+        assert obs.sinks() == ()
         assert not obs.enabled()
 
     def test_cli_crash_without_diagnostics_writes_nothing(
@@ -587,7 +594,7 @@ class TestCliTraceFlags:
         assert status["bdd"]["nodes"] > 0
         assert status["governor"]["exhausted"] is False
         # Tracing must not leak into later commands.
-        assert obs_trace.active() is None
+        assert obs.sinks() == ()
         assert not obs.enabled()
 
     def test_trace_subcommand_summarizes_cli_trace(self, tmp_path, capsys):
