@@ -211,6 +211,26 @@ def test_reachability_image(benchmark, request):
     capture_substrate_metrics(request, run)
 
 
+def test_cone_collapse(benchmark, request):
+    """Algorithm 1's collapse step: every combinational sink of a
+    macro-block analog through one fresh :class:`ConeCollapser`, so the
+    network layer's per-cone walks are timed with the BDD work."""
+    from repro.benchgen import industrial_analog
+    from repro.network import ConeCollapser
+
+    network = industrial_analog("seq7", 0.35)
+    sinks = network.combinational_sinks()
+
+    def setup():
+        return (ConeCollapser(network),), {}
+
+    def run(collapser):
+        return collapser.functions(sinks)
+
+    benchmark.pedantic(run, setup=setup, rounds=ROUNDS)
+    capture_substrate_metrics(request, lambda: run(*setup()[0]))
+
+
 def test_or_partition_space(benchmark):
     from repro.bidec import or_partition_space
     from repro.intervals import Interval

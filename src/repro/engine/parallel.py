@@ -54,6 +54,7 @@ from repro.engine.passes import (
     plan_sinks,
     register_pass,
 )
+from repro.network.netlist import TopologicalIndex
 from repro.synth.conetask import (
     ConeTask,
     dont_care_cubes,
@@ -327,10 +328,12 @@ class DecomposeParallelPass(_BasePass):
         abort_after = self.params.get("_abort_after_merges")
 
         task_options = cone_options(partial(self.opt, context))
+        order = TopologicalIndex(source)
         tasks = [
             extract_cone_task(
                 source,
                 sink,
+                order=order,
                 dc_cubes=self._cone_dc_cubes(context, sink, cone_inputs),
                 options=task_options,
                 node_budget=context.options.node_budget,
@@ -338,7 +341,7 @@ class DecomposeParallelPass(_BasePass):
                 fault=fault_spec.get(sink),
             )
             for sink, cone_inputs in plan_sinks(
-                context, self.opt(context, "max_cone_inputs")
+                context, self.opt(context, "max_cone_inputs"), order
             )
         ]
 
@@ -384,7 +387,7 @@ class DecomposeParallelPass(_BasePass):
             result = results.get(sink) or _failure(
                 sink, "missing", "no result returned"
             )
-            self._merge_one(context, task, result, degraded_cones)
+            self._merge_one(context, task, result, degraded_cones, order)
             row = {
                 "sink": sink,
                 "task_key": task.task_key(),
@@ -467,6 +470,7 @@ class DecomposeParallelPass(_BasePass):
         task: ConeTask,
         result: dict[str, Any],
         degraded_cones: list[str],
+        order: TopologicalIndex,
     ) -> None:
         from repro.synth.conetask import merge_cone_result
 
@@ -493,7 +497,7 @@ class DecomposeParallelPass(_BasePass):
             reason = result.get("degrade_reason") or "worker degraded"
             outcome = ConeOutcome("copied", degrade_reason=reason)
         cone_inputs = int(result.get("cone_inputs") or 0)
-        if not commit_sink(context, sink, cone_inputs, outcome, splice):
+        if not commit_sink(context, sink, cone_inputs, outcome, order, splice):
             return
         if outcome.action == "copied":
             degraded_cones.append(sink)

@@ -34,7 +34,7 @@ from repro.bidec.recursive import DecTree
 from repro.engine.context import SignalRecord, SynthesisContext
 from repro.engine.governor import ResourceGovernor
 from repro.intervals import Interval
-from repro.network.netlist import Network
+from repro.network.netlist import Network, TopologicalIndex
 from repro.network.transform import (
     cleanup_latches,
     instantiate_dectree,
@@ -173,12 +173,14 @@ class DecomposePass(_BasePass):
         rebuilt = context.ensure_rebuilt()
         dc_manager = context.dc_manager
         options = cone_options(partial(self.opt, context))
+        order = TopologicalIndex(source)
         # The per-sink safe point for --auto-reorder: between sinks the
         # only live collapser-manager handles are the cone cache and the
         # sharing table, both remapped by the compaction.
         for sink, cone_inputs in plan_sinks(
             context,
             self.opt(context, "max_cone_inputs"),
+            order,
             safe_point=context.maybe_compact_bdds,
         ):
             collapser = context.ensure_collapser()
@@ -196,7 +198,7 @@ class DecomposePass(_BasePass):
                 else None,
                 phase=lambda name: _obs.span(f"algorithm1.{name}"),
             )
-            commit_sink(context, sink, len(cone_inputs), outcome)
+            commit_sink(context, sink, len(cone_inputs), outcome, order)
 
 
 @register_pass("finalize")
@@ -214,9 +216,10 @@ class FinalizePass(_BasePass):
         for latch in rebuilt.latches.values():
             latch.data_in = context.signal_map.get(latch.data_in, latch.data_in)
         # Make sure structurally copied sinks that were never reached exist.
+        order = TopologicalIndex(source)
         for sink in rebuilt.combinational_sinks():
             if not rebuilt.is_signal(sink):
-                copy_cone(source, rebuilt, sink)
+                copy_cone(source, rebuilt, sink, order)
 
 
 @register_pass("sweep")
@@ -265,16 +268,20 @@ class _InductionAdapter:
         return self._invariant.unreachable_for(target, relevant)
 
 
-def copy_cone(source: Network, target: Network, sink: str) -> None:
+def copy_cone(
+    source: Network,
+    target: Network,
+    sink: str,
+    order: Optional[TopologicalIndex] = None,
+) -> None:
     """Structurally copy a sink's cone into the rebuilt network, keeping
-    original names (idempotent)."""
-    for name in source.topological_order():
-        if name not in source.transitive_fanin([sink]):
-            continue
-        if target.is_signal(name):
-            continue
-        node = source.nodes[name]
-        target.add_node(name, node.op, list(node.fanins), node.cover)
+    original names (idempotent).  ``order`` is the calling pass's index
+    over ``source``; without one, this call sorts the whole source."""
+    order = order or TopologicalIndex(source)
+    for name in order.sort(source.transitive_fanin([sink])):
+        if not target.is_signal(name):
+            node = source.nodes[name]
+            target.add_node(name, node.op, list(node.fanins), node.cover)
 
 
 def cone_literals(network: Network, sink: str) -> int:
@@ -417,6 +424,7 @@ def decompose_sink(
 def plan_sinks(
     context: SynthesisContext,
     max_cone_inputs: int,
+    order: TopologicalIndex,
     safe_point: Optional[Callable[[], Any]] = None,
 ) -> Iterator[tuple[str, list[str]]]:
     """Classify ``context.source``'s combinational sinks in order and
@@ -425,9 +433,9 @@ def plan_sinks(
     Cone sources and sinks already materialised in the rebuilt network
     are skipped; once the governor's budget is out, and for cones wider
     than ``max_cone_inputs``, the sink is committed as a structural copy
-    right here.  A generator, so a serial caller's decompositions land
-    before the next sink is classified; ``safe_point`` runs ahead of
-    every sink.
+    right here (through the pass's ``order`` over the source).  A
+    generator, so a serial caller's decompositions land before the next
+    sink is classified; ``safe_point`` runs ahead of every sink.
     """
     source = context.source
     rebuilt = context.ensure_rebuilt()
@@ -446,12 +454,12 @@ def plan_sinks(
             continue
         if governor.out_of_budget():
             copied = ConeOutcome("copied", degrade_reason=governor.reason)
-            commit_sink(context, sink, 0, copied)
+            commit_sink(context, sink, 0, copied, order)
             continue
         cone_inputs = source.cone_inputs(sink)
         if len(cone_inputs) > max_cone_inputs:
             kept = ConeOutcome("kept-large")
-            commit_sink(context, sink, len(cone_inputs), kept)
+            commit_sink(context, sink, len(cone_inputs), kept, order)
             continue
         yield sink, cone_inputs
 
@@ -461,6 +469,7 @@ def commit_sink(
     sink: str,
     cone_inputs: int,
     outcome: ConeOutcome,
+    order: TopologicalIndex,
     splice: Optional[Callable[[Network], Any]] = None,
 ) -> bool:
     """Fold one sink's outcome into ``context``: its logic, the degraded
@@ -468,9 +477,10 @@ def commit_sink(
 
     A decomposed cone is in place already (the serial step instantiates
     into the rebuilt network) or added by ``splice``; any other outcome
-    is copied structurally.  Returns False, committing nothing, if the
-    sink exists by then: a parallel merge can find it materialised by an
-    earlier cone's structural copy, a sink the serial loop skips."""
+    is copied structurally, in the pass's ``order`` over the source.
+    Returns False, committing nothing, if the sink exists by then: a
+    parallel merge can find it materialised by an earlier cone's
+    structural copy, a sink the serial loop skips."""
     rebuilt = context.ensure_rebuilt()
     if outcome.action != "decomposed" or splice is not None:
         if rebuilt.is_signal(sink):
@@ -478,7 +488,7 @@ def commit_sink(
         if splice is not None:
             splice(rebuilt)
         else:
-            copy_cone(context.source, rebuilt, sink)
+            copy_cone(context.source, rebuilt, sink, order)
     context.signal_map[sink] = sink
     if outcome.action == "copied":
         context.mark_degraded(outcome.degrade_reason or "budget exhausted")

@@ -6,7 +6,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from repro.bdd.manager import BDDManager, FALSE, TRUE
-from repro.network.netlist import Network
+from repro.network.netlist import Network, TopologicalIndex
 
 
 class ConeCollapser:
@@ -15,6 +15,13 @@ class ConeCollapser:
     One manager hosts a variable per combinational source (primary input
     or latch output), created lazily in a caller-controllable order; node
     functions are cached so overlapping cones share work.
+
+    Collapsing a signal evaluates the nodes of its cone not evaluated yet
+    (those behind a cut point too) in the network's topological order,
+    which fixes the order source variables are created in; the cost grows
+    with those nodes, not with the network.  The network must not be
+    edited while a collapser over it is in use: cached functions would go
+    stale, and of the edits only an added node is noticed.
     """
 
     def __init__(
@@ -23,6 +30,7 @@ class ConeCollapser:
         manager: Optional[BDDManager] = None,
         source_order: Optional[Sequence[str]] = None,
         cut_points: Optional[set[str]] = None,
+        index: Optional[TopologicalIndex] = None,
     ) -> None:
         self.network = network
         self.manager = manager if manager is not None else BDDManager()
@@ -31,6 +39,9 @@ class ConeCollapser:
         self.cut_points = set(cut_points or ())
         self._var_of: dict[str, int] = {}
         self._cache: dict[str, int] = {}
+        # Topological positions of the network's nodes (shareable by
+        # collapsers over the same network).
+        self._index = index if index is not None else TopologicalIndex(network)
         if source_order is not None:
             for name in source_order:
                 self.source_var(name)
@@ -66,18 +77,31 @@ class ConeCollapser:
         cached = self._cache.get(signal)
         if cached is not None:
             return cached
-        # Iterative cone evaluation in topological order restricted to the
-        # transitive fanin, to avoid Python recursion limits on deep cones.
-        cone = self.network.transitive_fanin([signal])
-        for name in self.network.topological_order():
-            if name not in cone or name in self._cache:
-                continue
+        for name in self._index.sort(self._unevaluated(signal)):
             if name in self.cut_points:
                 continue  # read as a free variable, never evaluated
             node = self.network.nodes[name]
             operands = [self._signal_node(fanin) for fanin in node.fanins]
             self._cache[name] = self._apply(node, operands)
         return self._cache[signal]
+
+    def _unevaluated(self, signal: str) -> set[str]:
+        """``signal``'s cone down to the evaluated nodes: an iterative
+        walk (deep cones would hit Python's recursion limit) that stops
+        at cached nodes and passes through cut points."""
+        nodes = self.network.nodes
+        cache = self._cache
+        found: set[str] = set()
+        stack = [signal]
+        while stack:
+            name = stack.pop()
+            if name in found or name in cache:
+                continue
+            found.add(name)
+            node = nodes.get(name)
+            if node is not None:
+                stack.extend(node.fanins)
+        return found
 
     def _signal_node(self, name: str) -> int:
         if (
@@ -157,18 +181,3 @@ class ConeCollapser:
         self.manager = target
         target.mark_reordered()
         return node_map
-
-    def invalidate(self, signals: Iterable[str]) -> None:
-        """Drop cached functions for signals (and their transitive
-        fanouts) after a network edit."""
-        dirty = set(signals)
-        fanouts = self.network.fanout_map()
-        stack = list(dirty)
-        while stack:
-            name = stack.pop()
-            for reader in fanouts.get(name, ()):
-                if reader not in dirty:
-                    dirty.add(reader)
-                    stack.append(reader)
-        for name in dirty:
-            self._cache.pop(name, None)

@@ -304,3 +304,32 @@ class Network:
             f"<Network {self.name!r} i/o={s['inputs']}/{s['outputs']} "
             f"latches={s['latches']} nodes={s['nodes']}>"
         )
+
+
+class TopologicalIndex:
+    """Each node's position in a network's :meth:`~Network.topological_order`.
+
+    Sorting a cone by these positions yields exactly the whole-network
+    order filtered to the cone, in time proportional to the cone.  The
+    positions are computed on first use and recomputed when a cone names
+    a node they lack, so added nodes are found; an edit that rewires
+    existing nodes goes unnoticed.
+    """
+
+    def __init__(self, network: Network) -> None:
+        self.network = network
+        self._position: dict[str, int] = {}
+
+    def sort(self, names: Iterable[str]) -> list[str]:
+        """The node names among ``names`` (sources dropped), in
+        topological order."""
+        nodes = self.network.nodes
+        cone = [name for name in names if name in nodes]
+        position = self._position
+        if any(name not in position for name in cone):
+            position = self._position = {
+                name: index
+                for index, name in enumerate(self.network.topological_order())
+            }
+        cone.sort(key=position.__getitem__)
+        return cone

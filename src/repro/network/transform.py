@@ -32,13 +32,6 @@ def remove_dead_latches(network: Network) -> int:
     feeding only dead logic or other dead latches is dead too."""
     removed_total = 0
     while True:
-        live = network.transitive_fanin(
-            network.outputs
-            + [
-                latch.data_in
-                for latch in network.latches.values()
-            ]
-        )
         # A latch only kept alive by its own (or other dead latches')
         # next-state logic is still dead; iterate to a fixpoint by first
         # considering only primary outputs plus live-latch data.

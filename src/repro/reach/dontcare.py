@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Sequence
 from repro.bdd import quantify as _quantify
 from repro.bdd.compose import transfer
 from repro.bdd.manager import BDDManager, FALSE, TRUE
-from repro.network.netlist import Network
+from repro.network.netlist import Network, TopologicalIndex
 from repro.reach.partition import (
     LatchPartition,
     partitions_for_support,
@@ -66,6 +66,10 @@ class DontCareManager:
         self.auto_reorder = auto_reorder
         self.reorder_threshold = reorder_threshold
         self._results: dict[int, ReachabilityResult] = {}
+        #: One topological index shared by every partition's system
+        #: (each result keeps its system alive, so one per partition
+        #: would add up).
+        self._index = TopologicalIndex(network)
 
     def reachability(self, index: int) -> ReachabilityResult:
         """Reachability result for partition ``index`` (computed on first
@@ -78,7 +82,8 @@ class DontCareManager:
                     auto_reorder_threshold=self.reorder_threshold
                 )
             ts = TransitionSystem(
-                self.network, self.partitions[index].latches, manager=manager
+                self.network, self.partitions[index].latches,
+                manager=manager, index=self._index,
             )
             budget = self.time_budget
             if self.governor is not None:

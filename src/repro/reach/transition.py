@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from repro.bdd.manager import BDDManager
 from repro.network.bdd_build import ConeCollapser
-from repro.network.netlist import Network
+from repro.network.netlist import Network, TopologicalIndex
 
 
 class TransitionSystem:
@@ -29,6 +29,9 @@ class TransitionSystem:
     next_functions:
         Map from latch name to the BDD of its next-state function over
         present-state and free variables.
+
+    Systems over the same network can share one ``index`` (its
+    topological positions) instead of each sorting the network.
     """
 
     def __init__(
@@ -36,6 +39,7 @@ class TransitionSystem:
         network: Network,
         latches: Optional[Sequence[str]] = None,
         manager: Optional[BDDManager] = None,
+        index: Optional[TopologicalIndex] = None,
     ) -> None:
         self.network = network
         self.latches = list(latches if latches is not None else network.latches)
@@ -43,7 +47,7 @@ class TransitionSystem:
         if unknown:
             raise ValueError(f"not latches of the network: {unknown}")
         self.manager = manager if manager is not None else BDDManager()
-        self.collapser = ConeCollapser(network, self.manager)
+        self.collapser = ConeCollapser(network, self.manager, index=index)
         self.ps_var: dict[str, int] = {}
         self.ns_var: dict[str, int] = {}
         for latch in self.latches:
@@ -53,6 +57,9 @@ class TransitionSystem:
             latch: self.collapser.node_function(network.latches[latch].data_in)
             for latch in self.latches
         }
+        # Traversal never collapses again, and a reachability result keeps
+        # its system alive: do not keep every partition's cone cache.
+        self.collapser._cache = {}
 
     # -- variable sets ---------------------------------------------------
 

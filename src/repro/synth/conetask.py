@@ -132,22 +132,23 @@ class ConeTask:
 # ---------------------------------------------------------------------------
 
 
-def extract_cone_slice(source, sink: str):
+def extract_cone_slice(source, sink: str, order=None):
     """The sink's cone as a standalone single-output network.
 
     Cone sources (primary inputs *and* latch outputs) become primary
-    inputs, in the sorted order of :meth:`Network.cone_inputs`, so the
-    slice is purely combinational and its serialization deterministic.
+    inputs, in the sorted order of :meth:`Network.cone_inputs`, and the
+    nodes follow the source's topological order, so the slice is purely
+    combinational and its serialization deterministic.  ``order`` is the
+    calling pass's :class:`~repro.network.netlist.TopologicalIndex` over
+    ``source``; without one, this call sorts the whole source.
     """
-    from repro.network.netlist import Network
+    from repro.network.netlist import Network, TopologicalIndex
 
-    cone = source.transitive_fanin([sink])
+    order = order or TopologicalIndex(source)
     piece = Network(f"{source.name}::{sink}")
     for name in source.cone_inputs(sink):
         piece.add_input(name)
-    for name in source.topological_order():
-        if name not in cone:
-            continue
+    for name in order.sort(source.transitive_fanin([sink])):
         node = source.nodes[name]
         piece.add_node(name, node.op, list(node.fanins), node.cover)
     piece.add_output(sink)
@@ -158,18 +159,20 @@ def extract_cone_task(
     source,
     sink: str,
     *,
+    order=None,
     dc_cubes: Optional[list[list[list[Any]]]] = None,
     options: Optional[dict[str, Any]] = None,
     node_budget: Optional[int] = None,
     time_budget: Optional[float] = None,
     fault: Optional[str] = None,
 ) -> ConeTask:
-    """Build the serialized task for one sink of ``source``."""
+    """Build the serialized task for one sink of ``source`` (``order`` as
+    for :func:`extract_cone_slice`)."""
     from repro.engine.checkpoint import network_to_dict
 
     return ConeTask(
         sink=sink,
-        slice=network_to_dict(extract_cone_slice(source, sink)),
+        slice=network_to_dict(extract_cone_slice(source, sink, order)),
         dc_cubes=dc_cubes,
         options=dict(options or {}),
         node_budget=node_budget,
