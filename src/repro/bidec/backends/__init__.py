@@ -85,12 +85,7 @@ def make_backend(name: str, **params):
 
 
 def route_backend(
-    option: str,
-    *,
-    support_size: int,
-    node_count: Optional[int] = None,
-    support_threshold: int = AUTO_SUPPORT_THRESHOLD,
-    node_threshold: int = AUTO_NODE_THRESHOLD,
+    option: str, *, support_size: int, node_count: Optional[int] = None
 ) -> str:
     """Resolve a ``--backend`` option to a concrete backend name for one
     cone.
@@ -106,9 +101,9 @@ def route_backend(
     if option == "sat-cegar":
         return "sat-cegar"
     if option == "auto":
-        if support_size > support_threshold:
+        if support_size > AUTO_SUPPORT_THRESHOLD:
             return "sat-cegar"
-        if node_count is not None and node_count > node_threshold:
+        if node_count is not None and node_count > AUTO_NODE_THRESHOLD:
             return "sat-cegar"
         return "bdd"
     raise ValueError(

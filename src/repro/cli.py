@@ -7,13 +7,11 @@ Commands
     Print interface/size statistics of a BLIF or ``.bench`` netlist.
 ``optimize FILE -o OUT``
     Run the Algorithm 1 synthesis pipeline and write the optimised
-    netlist.  Every :class:`SynthesisOptions` knob is a flag; resource
-    budgets (``--time-budget``/``--node-budget``) degrade gracefully,
-    ``--pipeline-config`` swaps in a declarative pass list,
-    ``--checkpoint``/``--resume`` persist and pick up pass-boundary
-    state, and ``--workers N`` shards cone decomposition across worker
-    processes (bit-identical output for any worker count;
-    ``--worker-timeout`` bounds each cone).
+    netlist.  Its synthesis flags are generated from the
+    :class:`SynthesisOptions` fields, which document each knob;
+    ``--pipeline-config`` merges more options over them and swaps in its
+    pass list if it has one, and ``--checkpoint``/``--resume`` persist
+    and pick up pass-boundary state.
 ``resynth FILE -o OUT``
     Iterate Algorithm 1 to a literal-count fixpoint (the Section 3.7
     re-synthesis loop), printing the literal trajectory.
@@ -420,38 +418,72 @@ def cmd_stats(args: argparse.Namespace, run: _Run) -> int:
     return 0
 
 
-def _synthesis_options(args: argparse.Namespace):
-    """Build :class:`SynthesisOptions` from the shared synthesis flags."""
-    from repro.synth import SynthesisOptions
+def _add_knob_flags(command: argparse.ArgumentParser) -> None:
+    """Add the flag of each :class:`SynthesisOptions` field that names
+    one, stored under the field's name; a bool knob that defaults to
+    True gets a ``--no-...`` flag that stores False."""
+    from dataclasses import fields
 
+    from repro.engine.context import OPTION_TYPES, SynthesisOptions
+
+    for spec in fields(SynthesisOptions):
+        flag, choices = spec.metadata["flag"], spec.metadata["choices"]
+        if flag is None:
+            continue
+        if isinstance(spec.default, bool):
+            how = {"action": "store_false" if spec.default else "store_true"}
+        else:
+            # The metavar argparse would derive from the flag, not the dest.
+            metavar = None if choices else flag[2:].replace("-", "_").upper()
+            how = {"type": OPTION_TYPES[spec.name][0], "default": spec.default,
+                   "choices": choices, "metavar": metavar}
+        command.add_argument(
+            flag, dest=spec.name, help=spec.metadata["help"], **how
+        )
+
+
+def _options(args: argparse.Namespace):
+    """The :class:`SynthesisOptions` the knob flags set."""
+    from repro.engine import SynthesisOptions
+
+    knobs = SynthesisOptions.__dataclass_fields__
     return SynthesisOptions(
-        use_unreachable_states=not args.no_states,
-        dc_source=args.dc_source,
-        max_partition_size=args.partition_size,
-        max_support=args.max_support,
-        max_cone_inputs=args.cone_inputs,
-        objective=args.objective,
-        acceptance_ratio=args.acceptance_ratio,
-        enable_sharing=not args.no_sharing,
-        time_budget=args.time_budget,
-        node_budget=args.node_budget,
-        parallel_workers=args.workers,
-        worker_timeout=args.worker_timeout,
-        auto_reorder=args.auto_reorder,
-        reorder_threshold=args.reorder_threshold,
-        backend=args.backend,
-        cegar_iterations=args.cegar_iterations,
+        **{name: value for name, value in vars(args).items() if name in knobs}
     )
 
 
-def cmd_optimize(args: argparse.Namespace, run: _Run) -> int:
+def _pipeline_config(path: str, options):
+    """``(options, pipeline)`` from a ``--pipeline-config`` file: its
+    ``options`` merged over ``options``, its ``passes`` as a pipeline, or
+    ``None`` without that key (the standard pipeline runs)."""
     import json
 
+    from repro.engine import Pipeline, SynthesisOptions
+
+    config = json.loads(Path(path).read_text())
+    knobs = config.get("options", {}) if isinstance(config, dict) else None
+    if not isinstance(knobs, dict):
+        raise ValueError('expected {"options": {...}, "passes": [...]}')
+    options = SynthesisOptions.from_dict(knobs, base=options)
+    pipeline = Pipeline.from_config(config) if "passes" in config else None
+    return options, pipeline
+
+
+def _simulation_agrees(network: Network, optimized: Network) -> bool:
+    """The 32-cycle random-simulation gate after synthesis."""
     from repro.network import outputs_equal
+
+    if outputs_equal(network, optimized, cycles=32):
+        return True
+    print("ERROR: random simulation found a mismatch", file=sys.stderr)
+    return False
+
+
+def cmd_optimize(args: argparse.Namespace, run: _Run) -> int:
     from repro.synth import algorithm1
 
     network = _load(args.file)
-    options = _synthesis_options(args)
+    options = _options(args)
     if args.resume:
         if not args.checkpoint:
             print("--resume needs --checkpoint PATH", file=sys.stderr)
@@ -466,13 +498,13 @@ def cmd_optimize(args: argparse.Namespace, run: _Run) -> int:
     else:
         pipeline = None
         if args.pipeline_config:
-            from repro.engine import Pipeline, SynthesisOptions
-
-            config = json.loads(Path(args.pipeline_config).read_text())
-            options = SynthesisOptions.from_dict(
-                config.get("options", {}), base=options
-            )
-            pipeline = Pipeline.from_config(config)
+            try:
+                options, pipeline = _pipeline_config(
+                    args.pipeline_config, options
+                )
+            except (OSError, ValueError) as exc:
+                print(f"error: {args.pipeline_config}: {exc}", file=sys.stderr)
+                return 1
         run.open_ledger(network, options, pipeline)
         report = algorithm1(
             network,
@@ -481,8 +513,7 @@ def cmd_optimize(args: argparse.Namespace, run: _Run) -> int:
             governor=run.governor(options),
             checkpoint=args.checkpoint,
         )
-    if not outputs_equal(network, report.network, cycles=32):
-        print("ERROR: random simulation found a mismatch", file=sys.stderr)
+    if not _simulation_agrees(network, report.network):
         return 1
     before, after = network.stats(), report.network.stats()
     print(
@@ -524,11 +555,10 @@ def cmd_optimize(args: argparse.Namespace, run: _Run) -> int:
 def cmd_resynth(args: argparse.Namespace, run: _Run) -> int:
     import time
 
-    from repro.network import outputs_equal
     from repro.synth import resynthesis_loop
 
     network = _load(args.file)
-    options = _synthesis_options(args)
+    options = _options(args)
     run.open_ledger(network, options)
     governor = run.governor(options)
     began = time.perf_counter()
@@ -536,8 +566,7 @@ def cmd_resynth(args: argparse.Namespace, run: _Run) -> int:
         network, options, max_rounds=args.rounds, governor=governor
     )
     wall = time.perf_counter() - began
-    if not outputs_equal(network, report.network, cycles=32):
-        print("ERROR: random simulation found a mismatch", file=sys.stderr)
+    if not _simulation_agrees(network, report.network):
         return 1
     trajectory = " -> ".join(str(n) for n in report.literal_trajectory)
     print(f"literal trajectory: {trajectory}")
@@ -573,14 +602,10 @@ def cmd_map(args: argparse.Namespace, run: _Run) -> int:
 
     network = _load(args.file)
     if args.optimize:
-        from repro.network import outputs_equal
         from repro.synth import algorithm1
 
         optimized = algorithm1(network).network
-        if not outputs_equal(network, optimized, cycles=32):
-            print(
-                "ERROR: random simulation found a mismatch", file=sys.stderr
-            )
+        if not _simulation_agrees(network, optimized):
             return 1
         network = optimized
     library = load_library(args.library)
@@ -729,16 +754,25 @@ def cmd_convert(args: argparse.Namespace, run: _Run) -> int:
     return 0
 
 
-def cmd_generate(args: argparse.Namespace, run: _Run) -> int:
+def _benchmark(
+    name: str, scale: float = 1.0, unknown: str = "unknown benchmark {!r}"
+) -> "Network | None":
+    """The benchmark analog called ``name`` at ``scale``; ``None``, after
+    printing ``unknown`` and the known names, when there is none."""
     from repro.benchgen import ISCAS_SPECS, MACRO_SPECS, industrial_analog, iscas_analog
 
-    if args.name in ISCAS_SPECS:
-        network = iscas_analog(args.name, latch_scale=args.scale)
-    elif args.name in MACRO_SPECS:
-        network = industrial_analog(args.name, scale=args.scale)
-    else:
-        known = sorted(ISCAS_SPECS) + sorted(MACRO_SPECS)
-        print(f"unknown benchmark {args.name!r}; known: {known}", file=sys.stderr)
+    if name in ISCAS_SPECS:
+        return iscas_analog(name, latch_scale=scale)
+    if name in MACRO_SPECS:
+        return industrial_analog(name, scale=scale)
+    known = sorted(ISCAS_SPECS) + sorted(MACRO_SPECS)
+    print(f"{unknown.format(name)}; known: {known}", file=sys.stderr)
+    return None
+
+
+def cmd_generate(args: argparse.Namespace, run: _Run) -> int:
+    network = _benchmark(args.name, args.scale)
+    if network is None:
         return 1
     _save(network, args.output)
     print(f"wrote {args.output}: {network.stats()}")
@@ -755,24 +789,9 @@ def cmd_profile(args: argparse.Namespace, run: _Run) -> int:
         network = _load(args.target)
         name = Path(args.target).name
     else:
-        from repro.benchgen import (
-            ISCAS_SPECS,
-            MACRO_SPECS,
-            industrial_analog,
-            iscas_analog,
-        )
-
-        if args.target in ISCAS_SPECS:
-            network = iscas_analog(args.target)
-        elif args.target in MACRO_SPECS:
-            network = industrial_analog(args.target)
-        else:
-            known = sorted(ISCAS_SPECS) + sorted(MACRO_SPECS)
-            print(
-                f"{args.target!r} is neither a file nor a known benchmark; "
-                f"known: {known}",
-                file=sys.stderr,
-            )
+        network = _benchmark(args.target, unknown="{!r} is neither a file "
+                             "nor a known benchmark")
+        if network is None:
             return 1
         name = args.target
     run_info = run.info
@@ -1127,6 +1146,9 @@ def cmd_top(args: argparse.Namespace, run: _Run) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.engine import SynthesisOptions
+
+    knobs = SynthesisOptions()
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Sequential logic synthesis using symbolic bi-decomposition",
@@ -1194,71 +1216,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--bdd", action="store_true",
                    help="collapse cones and report BDD manager statistics")
-    p.add_argument("--max-cone-inputs", type=int, default=20,
+    p.add_argument("--max-cone-inputs", type=int,
+                   default=knobs.max_cone_inputs,
                    help="skip cones wider than this when collapsing")
     p.set_defaults(func=cmd_stats)
-
-    def add_synthesis_flags(command: argparse.ArgumentParser) -> None:
-        command.add_argument("--no-states", action="store_true",
-                             help="disable unreachable-state don't cares")
-        command.add_argument("--dc-source",
-                             choices=("reachability", "induction"),
-                             default="reachability",
-                             help="how to approximate unreachable states")
-        command.add_argument("--partition-size", type=int, default=16,
-                             help="latch-partition size cap")
-        command.add_argument("--max-support", type=int, default=12,
-                             help="support size above which the greedy "
-                                  "fallback replaces symbolic enumeration")
-        command.add_argument("--cone-inputs", type=int, default=20,
-                             help="cones wider than this are kept "
-                                  "structurally")
-        command.add_argument("--objective",
-                             choices=("balanced", "min_total"),
-                             default="balanced",
-                             help="partition-size objective")
-        command.add_argument("--acceptance-ratio", type=float, default=1.25,
-                             help="accept a rebuilt cone only if its cost "
-                                  "is at most this multiple of the original")
-        command.add_argument("--no-sharing", action="store_true",
-                             help="disable cross-signal function reuse")
-        command.add_argument("--time-budget", type=float, default=None,
-                             help="global wall-clock budget in seconds "
-                                  "(exhaustion degrades, never fails)")
-        command.add_argument("--node-budget", type=int, default=None,
-                             help="global BDD-node budget "
-                                  "(exhaustion degrades, never fails)")
-        command.add_argument("--workers", type=int, default=0,
-                             help="shard cone decomposition over this many "
-                                  "worker processes (0 = in-process; any "
-                                  "count is bit-identical to --workers 1)")
-        command.add_argument("--worker-timeout", type=float, default=None,
-                             help="per-cone wall-clock limit in parallel "
-                                  "mode; a cone whose worker exceeds it "
-                                  "degrades to a structural copy")
-        command.add_argument("--auto-reorder", action="store_true",
-                             help="dynamically reorder/compact BDD managers "
-                                  "at safe points once they grow past "
-                                  "--reorder-threshold nodes (output is "
-                                  "bit-identical either way)")
-        command.add_argument("--reorder-threshold", type=int, default=50000,
-                             help="node growth since the last rebuild that "
-                                  "triggers --auto-reorder")
-        command.add_argument("--backend",
-                             choices=("bdd", "sat-cegar", "auto"),
-                             default="bdd",
-                             help="bi-decomposition backend: the symbolic "
-                                  "BDD enumeration, the CEGAR-solved 2QBF "
-                                  "SAT search, or per-cone auto-routing")
-        command.add_argument("--cegar-iterations", type=int, default=512,
-                             help="CEGAR candidate budget per cone for the "
-                                  "sat-cegar backend (exhaustion degrades "
-                                  "to the BDD backend)")
 
     p = sub.add_parser("optimize", help="run the Algorithm 1 pipeline")
     p.add_argument("file")
     p.add_argument("-o", "--output", required=True)
-    add_synthesis_flags(p)
+    _add_knob_flags(p)
     p.add_argument("--pipeline-config", metavar="PATH", default=None,
                    help="JSON pipeline config: "
                         '{"options": {...}, "passes": [...]}')
@@ -1280,7 +1246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--rounds", type=int, default=4,
                    help="maximum re-synthesis rounds")
-    add_synthesis_flags(p)
+    _add_knob_flags(p)
     add_obs_flags(p)
     add_trace_flags(p)
     add_ledger_flag(p)
@@ -1297,15 +1263,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reach", help="partitioned reachability analysis")
     p.add_argument("file")
-    p.add_argument("--partition-size", type=int, default=16)
-    p.add_argument("--time-budget", type=float, default=20.0)
+    p.add_argument("--partition-size", type=int,
+                   default=knobs.max_partition_size)
+    p.add_argument("--time-budget", type=float,
+                   default=knobs.reach_time_budget)
     add_obs_flags(p)
     p.set_defaults(func=cmd_reach)
 
     p = sub.add_parser("decompose", help="bi-decompose one signal")
     p.add_argument("file")
     p.add_argument("signal")
-    p.add_argument("--partition-size", type=int, default=16)
+    p.add_argument("--partition-size", type=int,
+                   default=knobs.max_partition_size)
     add_obs_flags(p)
     p.set_defaults(func=cmd_decompose)
 
@@ -1317,7 +1286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", help="netlist path or benchmark name (e.g. s344)")
     p.add_argument("--workload", choices=("optimize", "reach", "map"),
                    default="optimize")
-    p.add_argument("--time-budget", type=float, default=None)
+    p.add_argument("--time-budget", type=float, default=knobs.time_budget)
     p.add_argument("--stats-json", metavar="PATH", default=None,
                    help="also write the JSON report to PATH")
     add_trace_flags(p)

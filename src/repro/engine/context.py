@@ -12,88 +12,129 @@ or rebuilt lazily from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Optional
 
+from repro.bidec.backends import BACKEND_CHOICES
 from repro.engine.governor import ResourceGovernor
 from repro.network.netlist import Network
+
+DC_SOURCES = ("reachability", "induction")
+OBJECTIVES = ("balanced", "min_total")
+GATES = ("or", "and", "xor")
+
+
+def knob(
+    default: Any,
+    help: str,
+    flag: Optional[str] = None,
+    choices: Optional[tuple] = None,
+) -> Any:
+    """A :class:`SynthesisOptions` field: its default, its help text, its
+    ``optimize``/``resynth`` flag (if any) and the values it accepts."""
+    metadata = {"help": help, "flag": flag, "choices": choices}
+    return field(default=default, metadata=metadata)
 
 
 @dataclass
 class SynthesisOptions:
-    """Tuning knobs for Algorithm 1."""
+    """Tuning knobs for Algorithm 1.  The CLI generates its flags from
+    the field metadata, and construction checks every value."""
 
-    #: Use unreachable-state don't cares (the paper's headline feature).
-    use_unreachable_states: bool = True
-    #: How to approximate unreachable states: "reachability" (the paper's
-    #: partitioned traversal) or "induction" (the cheaper [7]-style
-    #: inductive-invariant alternative, see repro.reach.induction).
-    dc_source: str = "reachability"
-    #: Latch-partition size cap (the paper uses ~100 with a native BDD
-    #: package; a pure-Python engine wants smaller partitions).
-    max_partition_size: int = 16
-    #: Per-partition traversal time budget in seconds.
-    reach_time_budget: Optional[float] = 20.0
-    #: Support size above which the greedy fallback replaces the
-    #: exhaustive symbolic enumeration.
-    max_support: int = 12
-    #: Cones with more inputs than this are kept structurally.
-    max_cone_inputs: int = 20
-    #: Decomposition gate repertoire.
-    gates: tuple[str, ...] = ("or", "and", "xor")
-    #: Partition-size objective ("balanced" or "min_total").
-    objective: str = "balanced"
-    #: Reuse equal functions across signals (Figure 3.2 sharing).
-    enable_sharing: bool = True
-    #: Select partitions by sharing at every recursion level (the full
-    #: Section 3.5.3 choice policy; slower than the default, which only
-    #: reuses equal functions at instantiation time).
-    sharing_choice: bool = False
-    #: Accept a rebuilt cone only if its cost is at most this multiple of
-    #: the original cone's literal estimate.
-    acceptance_ratio: float = 1.25
-    #: Run the Section 3.6 latch cleanup first.
-    preprocess_latches: bool = True
-    #: Overall wall-clock budget for the run (seconds; governor-enforced).
-    time_budget: Optional[float] = None
-    #: Overall BDD-node budget across every manager the run allocates
-    #: (governor-enforced; exhaustion degrades to structural copy).
-    node_budget: Optional[int] = None
-    #: Shard per-signal bi-decomposition across worker processes.  ``0``
-    #: keeps the classic in-process ``decompose`` pass; ``N >= 1`` uses
-    #: the :class:`~repro.engine.parallel.ParallelConeScheduler` with
-    #: ``N`` workers (``1`` runs the same per-cone worker code inline,
-    #: so any worker count is bit-identical to ``workers=1``).
-    parallel_workers: int = 0
-    #: Per-cone wall-clock limit in parallel mode (seconds; ``None`` =
-    #: unlimited).  A cone whose worker exceeds it degrades to a
-    #: structural copy instead of stalling the run.
-    worker_timeout: Optional[float] = None
-    #: Automatic dynamic reordering (the ``--auto-reorder`` knob).  At
-    #: safe points — pass boundaries, per-sink boundaries, reachability
-    #: iterations — managers whose node count grew past
-    #: ``reorder_threshold`` since their last rebuild are shrunk:
-    #: traversal managers are re-sifted (``sift_order`` + ``transfer``),
-    #: the long-lived collapser manager gets an order-preserving
-    #: compaction.  Synthesis output is bit-identical either way.
-    auto_reorder: bool = False
-    #: Node-growth trigger for auto-reorder (nodes created since the
-    #: last rebuild of the same manager).
-    reorder_threshold: int = 50000
-    #: Decomposition backend: "bdd" (the paper's symbolic enumeration),
-    #: "sat-cegar" (2QBF partition search CEGAR-solved on the CDCL
-    #: solver), or "auto" (per-cone routing on support size / interval
-    #: node count — see :func:`repro.bidec.backends.route_backend`).
-    backend: str = "bdd"
-    #: CEGAR candidate budget per cone for the sat-cegar backend;
-    #: exhaustion degrades to the BDD backend instead of raising.
-    cegar_iterations: int = 512
+    use_unreachable_states: bool = knob(
+        True, "disable unreachable-state don't cares", "--no-states"
+    )
+    #: "reachability" is the paper's partitioned traversal, "induction"
+    #: the cheaper [7]-style invariant (see repro.reach.induction).
+    dc_source: str = knob(
+        "reachability", "how to approximate unreachable states",
+        "--dc-source", DC_SOURCES,
+    )
+    #: The paper uses ~100 with a native BDD package; a pure-Python
+    #: engine wants smaller partitions.
+    max_partition_size: int = knob(
+        16, "latch-partition size cap", "--partition-size"
+    )
+    reach_time_budget: Optional[float] = knob(
+        20.0, "per-partition traversal time budget in seconds"
+    )
+    max_support: int = knob(
+        12, "support size above which the greedy fallback replaces "
+        "symbolic enumeration", "--max-support",
+    )
+    max_cone_inputs: int = knob(
+        20, "cones wider than this are kept structurally", "--cone-inputs"
+    )
+    gates: tuple[str, ...] = knob(
+        GATES, "decomposition gate repertoire", choices=GATES
+    )
+    objective: str = knob(
+        "balanced", "partition-size objective", "--objective", OBJECTIVES
+    )
+    acceptance_ratio: float = knob(
+        1.25, "accept a rebuilt cone only if its cost is at most this "
+        "multiple of the original", "--acceptance-ratio",
+    )
+    #: Figure 3.2 sharing.
+    enable_sharing: bool = knob(
+        True, "disable cross-signal function reuse", "--no-sharing"
+    )
+    sharing_choice: bool = knob(
+        False, "select partitions by sharing at every recursion level (the "
+        "full Section 3.5.3 policy; slower than reusing equal functions at "
+        "instantiation time only)",
+    )
+    preprocess_latches: bool = knob(
+        True, "run the Section 3.6 latch cleanup first"
+    )
+    #: Both budgets are governor-enforced; the node budget sums every
+    #: manager the run allocates.
+    time_budget: Optional[float] = knob(
+        None, "global wall-clock budget in seconds (exhaustion degrades, "
+        "never fails)", "--time-budget",
+    )
+    node_budget: Optional[int] = knob(
+        None, "global BDD-node budget (exhaustion degrades, never fails)",
+        "--node-budget",
+    )
+    parallel_workers: int = knob(
+        0, "shard cone decomposition over this many worker processes (0 "
+        "= in-process; any count is bit-identical to --workers 1)",
+        "--workers",
+    )
+    worker_timeout: Optional[float] = knob(
+        None, "per-cone wall-clock limit in parallel mode; a cone whose "
+        "worker exceeds it degrades to a structural copy",
+        "--worker-timeout",
+    )
+    auto_reorder: bool = knob(
+        False, "dynamically reorder/compact BDD managers at safe points "
+        "once they grow past --reorder-threshold nodes (output is "
+        "bit-identical either way)", "--auto-reorder",
+    )
+    reorder_threshold: int = knob(
+        50000, "node growth since the last rebuild that triggers "
+        "--auto-reorder", "--reorder-threshold",
+    )
+    backend: str = knob(
+        "bdd", "bi-decomposition backend: the symbolic BDD enumeration, "
+        "the CEGAR-solved 2QBF SAT search, or per-cone auto-routing",
+        "--backend", BACKEND_CHOICES,
+    )
+    cegar_iterations: int = knob(
+        512, "CEGAR candidate budget per cone for the sat-cegar backend "
+        "(exhaustion degrades to the BDD backend)", "--cegar-iterations",
+    )
+
+    def __post_init__(self) -> None:
+        for spec in fields(self):
+            check_option(spec.name, getattr(self, spec.name))
+        self.gates = tuple(self.gates)
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-friendly view (tuples become lists)."""
-        data = dict(vars(self))
-        data["gates"] = list(data["gates"])
-        return data
+        return {**vars(self), "gates": list(self.gates)}
 
     @classmethod
     def from_dict(
@@ -101,13 +142,46 @@ class SynthesisOptions:
     ) -> "SynthesisOptions":
         """Build options from a (possibly partial) dict, starting from
         ``base`` (or the defaults).  Unknown keys raise ``ValueError``."""
-        merged = dict(vars(base)) if base is not None else dict(vars(cls()))
-        for key, value in data.items():
-            if key not in merged:
-                raise ValueError(f"unknown synthesis option {key!r}")
-            merged[key] = value
-        merged["gates"] = tuple(merged["gates"])
-        return cls(**merged)
+        for key in data:
+            if key not in OPTION_TYPES:
+                raise ValueError(
+                    f"unknown synthesis option {key!r} "
+                    f"(known: {', '.join(OPTION_TYPES)})"
+                )
+        return replace(base or cls(), **data)
+
+
+#: ``{field: (value type, None allowed)}``, read from the annotations.
+OPTION_TYPES = {
+    name: (typing.get_args(hint)[0], True)
+    if typing.get_origin(hint) is typing.Union
+    else (typing.get_origin(hint) or hint, False)
+    for name, hint in typing.get_type_hints(SynthesisOptions).items()
+}
+
+
+def check_option(name: str, value: Any) -> None:
+    """Raise ``ValueError``, naming the allowed values, unless ``value``
+    suits the :class:`SynthesisOptions` field ``name``."""
+    kind, optional = OPTION_TYPES[name]
+    choices = SynthesisOptions.__dataclass_fields__[name].metadata["choices"]
+    if choices is not None:  # a tuple knob (gates) takes a list of them
+        items = value if kind is tuple else [value]
+        ok = isinstance(items, (tuple, list)) and len(items) > 0 and all(
+            item in choices for item in items
+        )
+        allowed = ("a non-empty list of " if kind is tuple else "one of ")
+        allowed += ", ".join(map(repr, choices))
+    else:
+        types = (int, float) if kind is float else kind
+        ok = isinstance(value, types) and (
+            isinstance(value, bool) == (kind is bool)
+        )
+        allowed = kind.__name__ + (" or None" if optional else "")
+    if not ok and not (value is None and optional):
+        raise ValueError(
+            f"synthesis option {name}={value!r}: expected {allowed}"
+        )
 
 
 @dataclass

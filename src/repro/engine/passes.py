@@ -31,7 +31,9 @@ from typing import (
 from repro import obs as _obs
 from repro.bdd.manager import FALSE
 from repro.bidec.recursive import DecTree
-from repro.engine.context import SignalRecord, SynthesisContext
+from repro.engine.context import (
+    SignalRecord, SynthesisContext, SynthesisOptions, check_option,
+)
 from repro.engine.governor import ResourceGovernor
 from repro.intervals import Interval
 from repro.network.netlist import Network, TopologicalIndex
@@ -95,11 +97,15 @@ class _BasePass:
 
     A parameter given at construction time overrides the same-named
     attribute of the context's :class:`SynthesisOptions`, which lets a
-    declarative config retune one stage without forking the options."""
+    declarative config retune one stage without forking the options,
+    and gets their value check when the pipeline is built."""
 
     name = "base"
 
     def __init__(self, **params: Any) -> None:
+        for key, value in params.items():
+            if key in SynthesisOptions.__dataclass_fields__:
+                check_option(key, value)
         self.params = params
 
     def opt(self, context: SynthesisContext, key: str) -> Any:
@@ -149,12 +155,10 @@ class DontCarePass(_BasePass):
                 auto_reorder=self.opt(context, "auto_reorder"),
                 reorder_threshold=self.opt(context, "reorder_threshold"),
             )
-        elif dc_source == "induction":
+        else:
             from repro.reach.induction import InductiveInvariant
 
             context.dc_manager = _InductionAdapter(InductiveInvariant(source))
-        else:
-            raise ValueError(f"unknown dc_source {dc_source!r}")
 
 
 @register_pass("decompose")

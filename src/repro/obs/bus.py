@@ -31,10 +31,9 @@ Design constraints, in order:
   exactly that in a fresh interpreter).
 
 Record schema (version :data:`RECORD_VERSION`): every record carries
-``v``, ``ev`` (event name), ``pid``, ``t`` (unix time), ``run`` (the
-bus's run id, else the one the obs sink list names) when known, and
-``shard`` when the bus was built with one.  Cone events add ``sink``
-plus event-specific fields:
+``v``, ``ev`` (event name), ``pid``, ``t`` (unix time) and ``run`` (the
+bus's run id, else the one the obs sink list names) when known.  Cone
+events add ``sink`` plus event-specific fields:
 
 =================  ====================================================
 ``cone.start``     ``sink``, ``cone_inputs``
@@ -220,12 +219,6 @@ def cone_finished(sink: str, action: str, **fields: Any) -> None:
     emitter.emit("cone.end", sink=sink, action=action, **fields)
 
 
-def worker_dropped() -> int:
-    """Cumulative drop count of this process's emitter (0 without one)."""
-    emitter = _emitter
-    return emitter.dropped if emitter is not None else 0
-
-
 # ---------------------------------------------------------------------------
 # Parent side
 # ---------------------------------------------------------------------------
@@ -251,13 +244,11 @@ class TelemetryBus:
     def __init__(
         self,
         run_id: Optional[str] = None,
-        shard: Optional[str] = None,
         heartbeat_interval: float = DEFAULT_HEARTBEAT,
         stall_after: float = DEFAULT_STALL_AFTER,
         max_recent: int = 256,
     ) -> None:
         self.run_id = run_id
-        self.shard = shard
         self.heartbeat_interval = heartbeat_interval
         self.stall_after = stall_after
         self._read_fd, self._write_fd = os.pipe()
@@ -282,13 +273,8 @@ class TelemetryBus:
     # -- attach/detach --------------------------------------------------
 
     def meta(self) -> dict[str, Any]:
-        fields: dict[str, Any] = {}
         run = self.run_id or _run_id()
-        if run is not None:
-            fields["run"] = run
-        if self.shard is not None:
-            fields["shard"] = self.shard
-        return fields
+        return {"run": run} if run is not None else {}
 
     def attached(self) -> "_Attachment":
         """Context manager installing this bus as the process's emit
@@ -473,12 +459,12 @@ class TelemetryBus:
 
     # -- teardown -------------------------------------------------------
 
-    def close(self, drain_timeout: float = 2.0) -> None:
+    def close(self) -> None:
         """Detach (if attached), close the parent's write end, wait for
         the reader to drain to EOF, and release the read end.  EOF
         arrives once every child holding an inherited write fd has
         exited — the scheduler reaps its pools before the CLI closes the
-        bus, so the wait is bounded by ``drain_timeout`` regardless."""
+        bus, so the wait is bounded by two seconds regardless."""
         if self._closed:
             return
         self._closed = True
@@ -489,7 +475,7 @@ class TelemetryBus:
             os.close(self._write_fd)
         except OSError:
             pass
-        self._reader.join(timeout=drain_timeout)
+        self._reader.join(timeout=2.0)
         try:
             os.close(self._read_fd)
         except OSError:

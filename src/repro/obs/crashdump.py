@@ -99,9 +99,7 @@ def _manager_rows() -> list[dict[str, Any]]:
     return rows
 
 
-def build_crash_bundle(
-    exc: BaseException, extra: Optional[dict[str, Any]] = None
-) -> dict[str, Any]:
+def build_crash_bundle(exc: BaseException) -> dict[str, Any]:
     """Assemble the diagnostic bundle dict for ``exc`` (every section is
     individually best-effort)."""
     bundle: dict[str, Any] = {
@@ -128,20 +126,14 @@ def build_crash_bundle(
             bundle.update(sink.crash_keys())
         except Exception:  # pragma: no cover - defensive
             pass
-    if extra:
-        bundle["extra"] = dict(extra)
     return bundle
 
 
-def write_crash_bundle(
-    path: str | Path,
-    exc: BaseException,
-    extra: Optional[dict[str, Any]] = None,
-) -> Optional[Path]:
+def write_crash_bundle(path: str | Path, exc: BaseException) -> Optional[Path]:
     """Write the bundle for ``exc`` to ``path`` (atomically); returns
     the path, or ``None`` when even best-effort writing failed."""
     try:
-        bundle = build_crash_bundle(exc, extra=extra)
+        bundle = build_crash_bundle(exc)
         target = Path(path)
         target.parent.mkdir(parents=True, exist_ok=True)
         scratch = target.with_suffix(target.suffix + ".tmp")

@@ -107,12 +107,7 @@ class RunLedger:
     ``repro history`` commands use.
     """
 
-    def __init__(
-        self,
-        path: str | Path,
-        readonly: bool = False,
-        busy_timeout: float = BUSY_TIMEOUT,
-    ) -> None:
+    def __init__(self, path: str | Path, readonly: bool = False) -> None:
         self.path = Path(path)
         self.readonly = readonly
         if readonly and not self.path.exists():
@@ -121,19 +116,19 @@ class RunLedger:
             if readonly:
                 self._conn = sqlite3.connect(
                     f"file:{self.path}?mode=ro", uri=True,
-                    timeout=busy_timeout,
+                    timeout=BUSY_TIMEOUT,
                 )
             else:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._conn = sqlite3.connect(self.path, timeout=busy_timeout)
+                self._conn = sqlite3.connect(self.path, timeout=BUSY_TIMEOUT)
             self._conn.row_factory = sqlite3.Row
             if not readonly:
                 # WAL lets a reader (history, a dashboard) coexist with a
-                # live appender; busy_timeout makes concurrent appenders
-                # queue instead of erroring.
+                # live appender; the busy timeout makes concurrent
+                # appenders queue instead of erroring.
                 self._conn.execute("PRAGMA journal_mode=WAL")
                 self._conn.execute(
-                    f"PRAGMA busy_timeout={int(busy_timeout * 1000)}"
+                    f"PRAGMA busy_timeout={int(BUSY_TIMEOUT * 1000)}"
                 )
                 self._ensure_schema()
             else:

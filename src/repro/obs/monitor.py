@@ -30,7 +30,6 @@ import time
 from pathlib import Path
 from typing import Any, Optional
 
-from repro.obs.registry import Registry
 from repro.obs.registry import registry as _global_registry
 from repro.obs.registry import sinks as _sinks
 
@@ -76,7 +75,6 @@ class RuntimeMonitor:
         status_file: Optional[str | Path] = None,
         recorder: Optional[Any] = None,
         governor: Optional[Any] = None,
-        registry: Optional[Registry] = None,
         bus: Optional[Any] = None,
         exporter: Optional[Any] = None,
         stall_after: Optional[float] = None,
@@ -85,7 +83,7 @@ class RuntimeMonitor:
         self.status_file = Path(status_file) if status_file else None
         self._recorder = recorder
         self.governor = governor
-        self._registry = registry or _global_registry()
+        self._registry = _global_registry()
         #: Telemetry bus whose worker aggregate is folded into samples
         #: (``sample["workers"]`` / ``sample["bus"]``); optional.
         self.bus = bus
@@ -113,17 +111,15 @@ class RuntimeMonitor:
         self._thread.start()
         return self
 
-    def stop(self, final_sample: bool = True) -> None:
-        """Stop the sampler thread (waits for it) and, by default, take
-        one last synchronous sample so the status file reflects the end
-        state."""
+    def stop(self) -> None:
+        """Stop the sampler thread (waits for it) and take one last
+        synchronous sample so the status file reflects the end state."""
         self._stop.set()
         thread = self._thread
         if thread is not None:
             thread.join(timeout=max(5.0, 2 * self.interval))
             self._thread = None
-        if final_sample:
-            self.sample()
+        self.sample()
 
     def __enter__(self) -> "RuntimeMonitor":
         return self.start()

@@ -318,13 +318,12 @@ class MetricsExporter:
         path: Optional[str | Path] = None,
         port: Optional[int] = None,
         bus: Optional[Any] = None,
-        registry: Optional[Any] = None,
     ) -> None:
         from repro.obs.registry import registry as _global_registry
 
         self.path = Path(path) if path else None
         self.bus = bus
-        self._registry = registry or _global_registry()
+        self._registry = _global_registry()
         self._last_monitor_sample: Optional[dict[str, Any]] = None
         self._server: Optional[ThreadingHTTPServer] = None
         self._server_thread: Optional[threading.Thread] = None

@@ -28,8 +28,9 @@ import os
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 # NB: ``from repro.obs import registry`` would resolve to the accessor
 # *function* the package re-exports, not the module — import the needed
@@ -241,37 +242,22 @@ class TraceRecorder:
         return target
 
 
-class tracing:
-    """Context manager: install a recorder (and optionally enable obs)
-    for a block, uninstalling it on exit::
+@contextmanager
+def tracing() -> Iterator[TraceRecorder]:
+    """Install a recorder and enable obs for a block, uninstalling the
+    recorder on exit::
 
         with obs.tracing() as recorder:
             run_workload()
         recorder.write("run.trace")
     """
-
-    def __init__(
-        self,
-        recorder: Optional[TraceRecorder] = None,
-        capacity: int = DEFAULT_CAPACITY,
-        enable_obs: bool = True,
-    ) -> None:
-        self.recorder = recorder or TraceRecorder(capacity)
-        self._enable_obs = enable_obs
-        self._scope: Optional[_obs_scope] = None
-
-    def __enter__(self) -> TraceRecorder:
-        _install(self.recorder)
-        if self._enable_obs:
-            self._scope = _obs_scope()
-            self._scope.__enter__()
-        return self.recorder
-
-    def __exit__(self, *exc: object) -> bool:
-        if self._scope is not None:
-            self._scope.__exit__(*exc)
-        _uninstall(self.recorder)
-        return False
+    recorder = TraceRecorder()
+    _install(recorder)
+    try:
+        with _obs_scope():
+            yield recorder
+    finally:
+        _uninstall(recorder)
 
 
 # ---------------------------------------------------------------------------
