@@ -52,7 +52,6 @@ from repro.bidec.backends import (
     backend_for_interval,
     make_backend,
     register_backend,
-    route_backend,
 )
 
 __all__ = [
@@ -60,7 +59,6 @@ __all__ = [
     "backend_for_interval",
     "make_backend",
     "register_backend",
-    "route_backend",
     "BiDecomposition",
     "decompose_cone",
     "decompose_interval",

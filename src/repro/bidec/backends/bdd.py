@@ -23,7 +23,7 @@ class BddBackend:
     """Symbolic all-partitions bi-decomposition (Sections 3.3-3.4)."""
 
     def __init__(self, **_params) -> None:
-        # Extra routing parameters (CEGAR knobs, governor) are accepted
+        # Extra parameters (CEGAR knobs, governor) are accepted
         # and ignored so the engine can instantiate any backend with one
         # call signature.
         pass

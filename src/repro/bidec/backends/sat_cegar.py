@@ -203,7 +203,7 @@ class SatCegarBackend:
     across the gate loop); ``fallback`` re-routes the cone to the BDD
     backend when the budget cuts the search short without an answer.
     Cumulative ``stats`` survive across calls so the engine can report
-    per-cone routing outcomes.
+    per-cone outcomes.
     """
 
     def __init__(

@@ -73,9 +73,9 @@ layer is off by default, adds zero imports when off, and is strictly
 out-of-band: synthesis output is bit-identical with telemetry on or off.
 
 The same long-run commands accept ``--ledger PATH``: append this run —
-wall/literal/degradation results, per-pass timings, per-cone rows keyed
-by the canonical task signature — to a persistent SQLite run ledger
-(WAL mode, safe for concurrent appenders).
+wall/literal/degradation results, per-pass timings, one row per
+committed cone with its canonical interval signature — to a persistent
+SQLite run ledger (WAL mode, safe for concurrent appenders).
 
 Every command runs inside one observability scope (:class:`_Run`): it
 installs the sinks these flags ask for into :mod:`repro.obs` — each
@@ -918,12 +918,15 @@ def _history_show(ledger, args) -> int:
         print(f"  cones ({len(cones)} total, slowest {len(slowest)}):")
         for cone in slowest:
             elapsed = cone.get("elapsed")
+            key = (
+                f"key={cone['task_key']}" if cone.get("task_key")
+                else f"signature={cone.get('signature') or '-'}"
+            )
             print(
                 f"    {cone['sink']:<16} {cone.get('action') or '-':<10} "
                 f"{f'{elapsed:.3f}s' if elapsed is not None else '-':>8} "
                 f"{cone.get('backend') or '-':<9} "
-                f"inputs={cone.get('cone_inputs')} "
-                f"key={cone.get('task_key') or '-'}"
+                f"inputs={cone.get('cone_inputs')} {key}"
             )
     return 0
 

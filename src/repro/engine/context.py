@@ -118,8 +118,8 @@ class SynthesisOptions:
         "--auto-reorder", "--reorder-threshold",
     )
     backend: str = knob(
-        "bdd", "bi-decomposition backend: the symbolic BDD enumeration, "
-        "the CEGAR-solved 2QBF SAT search, or per-cone auto-routing",
+        "bdd", "bi-decomposition backend: the symbolic BDD enumeration "
+        "or the CEGAR-solved 2QBF SAT search",
         "--backend", BACKEND_CHOICES,
     )
     cegar_iterations: int = knob(

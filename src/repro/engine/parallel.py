@@ -16,6 +16,14 @@ runs the very same serialized tasks through the very same worker
 function, just inline).  The commit skips a sink that an earlier cone's
 structural copy has materialised by then, as the serial loop does.
 
+A worker sends back its step's
+:class:`~repro.engine.passes.ConeOutcome` as JSON, and the merge
+rebuilds it with :meth:`~repro.engine.passes.ConeOutcome.from_json` and
+commits it through the serial pass's own
+:func:`~repro.engine.passes.commit_sink`.  So each cone is published as
+the same single ``cone`` event on both transports, with the task's
+``task_key`` and the worker's pid added.
+
 Failure is degradation, not death:
 
 * a worker that raises degrades its cone to a structural copy (the
@@ -82,6 +90,12 @@ TIMEOUT_GRACE = 2.0
 #: Cap on don't-care cubes shipped per task; beyond it the task carries
 #: no don't cares (a sound under-approximation).
 MAX_DC_CUBES = 2048
+
+#: The ``parallel.cone_stats`` keys read off a worker's result.
+CONE_STAT_KEYS = (
+    "signature", "action", "elapsed", "tree_cost", "original_cost", "pid",
+    "backend",
+)
 
 
 def _failure(sink: str, kind: str, detail: str) -> dict[str, Any]:
@@ -275,8 +289,9 @@ def _keep_worker_sinks() -> None:
 
 
 def _merge_worker_trace(result: dict[str, Any]) -> None:
-    """Mirror a worker's phase timings into the installed trace
-    recorders as external spans on a per-worker-pid track."""
+    """Mirror a worker's step into the installed trace recorders as
+    external spans on a per-worker-pid track: the cone, and within it
+    each phase, laid end to end from the step's start."""
     started = result.get("started_wall")
     pid = result.get("pid")
     if started is None or pid is None:
@@ -290,14 +305,13 @@ def _merge_worker_trace(result: dict[str, Any]) -> None:
             tid=int(pid),
             args={"sink": sink, "action": result.get("action")},
         )
-        for phase in result.get("phases") or ():
+        offset = started
+        for name, seconds in (result.get("phases") or {}).items():
             recorder.emit_external_span(
-                f"parallel.{phase['name']}",
-                started + float(phase["start"]),
-                float(phase["dur"]),
-                tid=int(pid),
+                f"parallel.{name}", offset, seconds, tid=int(pid),
                 args={"sink": sink},
             )
+            offset += seconds
 
 
 @register_pass("decompose_parallel")
@@ -307,7 +321,8 @@ class DecomposeParallelPass(_BasePass):
     Classification (:func:`~repro.engine.passes.plan_sinks`) and commit
     (:func:`~repro.engine.passes.commit_sink`) are the serial pass's own;
     eligible cones become serialized :class:`ConeTask` objects, the
-    scheduler runs them, and results are merged in sink order.  Worker
+    scheduler runs them, and results are merged in sink order, with one
+    ``parallel.cone_stats`` row per dispatched task.  Worker
     failures degrade their cone to a structural copy and mark the
     context degraded — never fatal.
 
@@ -387,34 +402,14 @@ class DecomposeParallelPass(_BasePass):
             result = results.get(sink) or _failure(
                 sink, "missing", "no result returned"
             )
-            self._merge_one(context, task, result, degraded_cones, order)
             row = {
-                "sink": sink,
-                "task_key": task.task_key(),
-                "signature": result.get("signature"),
-                "cone_inputs": int(
-                    result.get("cone_inputs")
-                    or len(task.slice.get("inputs", []))
-                ),
-                "action": result.get("action"),
-                "elapsed": result.get("elapsed"),
-                "tree_cost": result.get("tree_cost"),
-                "original_cost": result.get("original_cost"),
-                "pid": result.get("pid"),
-                "backend": result.get("backend"),
+                "sink": sink, "task_key": task.task_key(),
+                "cone_inputs": len(task.slice["inputs"]),
+                **{key: result.get(key) for key in CONE_STAT_KEYS},
             }
+            self._merge_one(context, row, result, degraded_cones, order)
             cone_stats.append(row)
             merges += 1
-            # One fact for the bus's progress view, the run log and the
-            # ledger's cone row.
-            _obs.event(
-                "cone.merged",
-                sink=sink,
-                action=result.get("action"),
-                merged=merges,
-                total=len(tasks),
-                cone=row,
-            )
             if _obs.enabled():
                 _obs.set_gauge("parallel.cones.merged", merges)
                 _obs.set_gauge(
@@ -431,8 +426,7 @@ class DecomposeParallelPass(_BasePass):
             "total": len(tasks), "degraded": len(degraded_cones)
         }
         context.artifacts["parallel.cone_stats"] = cone_stats
-        # Per-cone routing outcome ("auto" resolved per cone in the
-        # worker) next to the dispatch order it applied to.
+        # The backend that handled each cone, next to the dispatch order.
         context.artifacts["parallel.dispatch"]["backends"] = {
             row["sink"]: row["backend"] for row in cone_stats
         }
@@ -467,41 +461,37 @@ class DecomposeParallelPass(_BasePass):
     def _merge_one(
         self,
         context: SynthesisContext,
-        task: ConeTask,
+        row: dict[str, Any],
         result: dict[str, Any],
         degraded_cones: list[str],
         order: TopologicalIndex,
     ) -> None:
+        """Commit one task's result; ``row`` is its ``cone_stats`` row."""
         from repro.synth.conetask import merge_cone_result
 
-        sink = task.sink
-        action = result.get("action")
+        sink = row["sink"]
         _merge_worker_trace(result)
         nodes = result.get("nodes_allocated")
         if nodes:
             context.governor.add_external_nodes(int(nodes))
+        outcome = ConeOutcome.from_json(result)
         splice = None
-        if action == "decomposed":
+        if outcome.action == "decomposed":
             splice = partial(
                 merge_cone_result, sink=sink, replacement=result["replacement"]
             )
-        if action in ("decomposed", "kept-cost"):
-            outcome = ConeOutcome(
-                action, tree_cost=result.get("tree_cost"),
-                original_cost=result.get("original_cost"),
-                backend=result.get("backend"),
-            )
-        else:
-            # "copied" (worker budget exhaustion) or "failed" (worker
-            # never delivered): structural copy, context degraded.
-            reason = result.get("degrade_reason") or "worker degraded"
-            outcome = ConeOutcome("copied", degrade_reason=reason)
-        cone_inputs = int(result.get("cone_inputs") or 0)
-        if not commit_sink(context, sink, cone_inputs, outcome, order, splice):
+        elif outcome.action == "failed":
+            # The worker never delivered: structural copy, context
+            # degraded, as for a worker that ran out of budget.
+            outcome.action = "copied"
+        extra = {"task_key": row["task_key"], "worker_pid": row["pid"]}
+        if not commit_sink(
+            context, sink, row["cone_inputs"], outcome, order, splice, extra
+        ):
             return
         if outcome.action == "copied":
             degraded_cones.append(sink)
-            if _obs.enabled() and action == "copied":
+            if _obs.enabled() and result["action"] == "copied":
                 _obs.inc("parallel.tasks.worker_degraded")
         elif _obs.enabled():
             _obs.inc("parallel.tasks.completed")

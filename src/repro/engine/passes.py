@@ -21,7 +21,9 @@ it never raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from functools import partial
 from typing import (
     Any, Callable, ContextManager, Iterator, Mapping, Optional, Protocol,
@@ -30,9 +32,8 @@ from typing import (
 
 from repro import obs as _obs
 from repro.bdd.manager import FALSE
-from repro.bidec.recursive import DecTree
 from repro.engine.context import (
-    SignalRecord, SynthesisContext, SynthesisOptions, check_option,
+    GATES, SignalRecord, SynthesisContext, SynthesisOptions, check_option,
 )
 from repro.engine.governor import ResourceGovernor
 from repro.intervals import Interval
@@ -200,7 +201,7 @@ class DecomposePass(_BasePass):
                 )
                 if dc_manager is not None and ps_support
                 else None,
-                phase=lambda name: _obs.span(f"algorithm1.{name}"),
+                phase=lambda name, _: _obs.span(f"algorithm1.{name}"),
             )
             commit_sink(context, sink, len(cone_inputs), outcome, order)
 
@@ -328,7 +329,8 @@ def cone_options(lookup: Callable[[str], Any]) -> dict[str, Any]:
 
 @dataclass
 class ConeOutcome:
-    """What :func:`decompose_sink` did with one cone.
+    """What :func:`decompose_sink` did with one cone: the one per-cone
+    record, published by :func:`commit_sink` as the ``cone`` event.
 
     ``action`` is ``decomposed`` (the tree is instantiated in the target
     network), ``kept-cost`` (the tree failed the acceptance test),
@@ -337,14 +339,32 @@ class ConeOutcome:
     """
 
     action: str
-    #: The accepted tree (``decomposed`` only).
-    tree: Optional[DecTree] = None
     tree_cost: Optional[int] = None
     original_cost: Optional[int] = None
     backend: Optional[str] = None
     degrade_reason: Optional[str] = None
-    #: The widened interval, once formed (hashed for the ledger).
+    #: The widened interval, once formed (hashed for the ``signature``).
     interval: Optional[Interval] = None
+    #: The accepted tree's gate mix, ``{"or": n, "and": n, "xor": n}``.
+    gates: Optional[dict[str, int]] = None
+    #: Seconds spent in each phase the step ran, in order, and in the
+    #: whole step.
+    phases: dict[str, float] = field(default_factory=dict)
+    elapsed: Optional[float] = None
+    #: :func:`~repro.synth.conetask.interval_signature` of ``interval``:
+    #: set by a worker, computed by :func:`commit_sink` on demand.
+    signature: Optional[str] = None
+
+    def to_json(self) -> dict[str, Any]:
+        """Every field but the manager-bound ``interval``."""
+        return {k: v for k, v in vars(self).items() if k != "interval"}
+
+    @classmethod
+    def from_json(cls, data: Mapping[str, Any]) -> "ConeOutcome":
+        """The outcome in a :meth:`to_json` dict, or in a worker's
+        result (which adds the transport's own keys)."""
+        fields = cls.__dataclass_fields__
+        return cls(**{k: v for k, v in data.items() if k in fields})
 
 
 def decompose_sink(
@@ -357,7 +377,7 @@ def decompose_sink(
     governor: ResourceGovernor,
     share_table: dict[int, str],
     dont_cares: Optional[Callable[[], int]],
-    phase: Callable[[str], ContextManager[Any]],
+    phase: Callable[[str, dict[str, float]], ContextManager[Any]],
 ) -> ConeOutcome:
     """Algorithm 1's per-signal step, shared by the serial pass and the
     parallel worker.
@@ -365,31 +385,49 @@ def decompose_sink(
     Collapses ``sink``'s cone of ``network`` with ``collapser``, widens
     it with ``dont_cares()`` (the unreachable states in the collapser's
     manager; ``None`` = no don't cares), bi-decomposes the interval on
-    the backend ``options`` route it to, and — when the tree passes the
+    the ``options`` backend, and — when the tree passes the
     acceptance test against the cone's literal count — instantiates it
     into ``target`` under ``sink``'s own name.  ``share_table`` carries
     equal-function sharing across the cones decomposed into the same
     ``target``.  Each phase (``collapse``, ``dontcare``, ``decompose``,
-    ``instantiate``) runs inside ``phase(name)``.  A governor budget that
-    trips after the collapse or the decomposition ends the step with a
-    ``copied`` outcome and leaves ``target`` untouched.
+    ``instantiate``) runs inside ``phase(name, seconds)`` and is timed
+    here: by the time the hook exits, ``seconds[name]`` holds the
+    phase's time, and the outcome carries them all.  A governor budget
+    that trips after the collapse or the decomposition ends the step
+    with a ``copied`` outcome and leaves ``target`` untouched.
     """
-    with phase("collapse"):
+    began = time.perf_counter()
+    seconds: dict[str, float] = {}
+
+    @contextmanager
+    def timed(name: str) -> Iterator[None]:
+        with phase(name, seconds):
+            start = time.perf_counter()
+            yield
+            seconds[name] = time.perf_counter() - start
+
+    def outcome(action: str, **fields: Any) -> ConeOutcome:
+        return ConeOutcome(
+            action, phases=seconds, elapsed=time.perf_counter() - began,
+            **fields,
+        )
+
+    with timed("collapse"):
         f = collapser.node_function(sink)
     if governor.out_of_budget():
-        return ConeOutcome("copied", degrade_reason=governor.reason)
+        return outcome("copied", degrade_reason=governor.reason)
     unreachable = FALSE
     if dont_cares is not None:
-        with phase("dontcare"):
+        with timed("dontcare"):
             unreachable = dont_cares()
     interval = Interval.with_dont_cares(collapser.manager, f, unreachable)
-    with phase("decompose"):
+    with timed("decompose"):
         from repro.bidec.api import decompose_cone
         from repro.bidec.backends import backend_for_interval
 
         backend_name, backend = backend_for_interval(
-            options["backend"], interval,
-            cegar_iterations=options["cegar_iterations"], governor=governor,
+            options["backend"], cegar_iterations=options["cegar_iterations"],
+            governor=governor,
         )
         tree = decompose_cone(
             interval, max_support=options["max_support"],
@@ -398,20 +436,20 @@ def decompose_sink(
             share_table=share_table, backend=backend,
         )
     if governor.out_of_budget():
-        return ConeOutcome(
+        return outcome(
             "copied", backend=backend_name, degrade_reason=governor.reason,
             interval=interval,
         )
     original_cost = cone_literals(network, sink)
     tree_cost = tree.cost()
     if tree_cost > options["acceptance_ratio"] * max(original_cost, 1):
-        return ConeOutcome(
-            "kept-cost", None, tree_cost, original_cost, backend_name,
-            interval=interval,
+        return outcome(
+            "kept-cost", tree_cost=tree_cost, original_cost=original_cost,
+            backend=backend_name, interval=interval,
         )
     use_sharing = options["enable_sharing"] or options["sharing_choice"]
     var_to_signal = {var: name for name, var in collapser.var_of.items()}
-    with phase("instantiate"):
+    with timed("instantiate"):
         new_signal = instantiate_dectree(
             target, tree, var_to_signal, sink,
             share_table if use_sharing else None,
@@ -419,9 +457,16 @@ def decompose_sink(
         # Keep the sink's own name alive (primary-output names are part
         # of the interface; sweep squeezes the alias out elsewhere).
         target.add_node(sink, "buf", [new_signal])
-    return ConeOutcome(
-        "decomposed", tree, tree_cost, original_cost, backend_name,
-        interval=interval,
+    gates = dict.fromkeys(GATES, 0)
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node.op != "leaf":
+            gates[node.op] += 1
+            stack.extend(node.children)
+    return outcome(
+        "decomposed", tree_cost=tree_cost, original_cost=original_cost,
+        backend=backend_name, interval=interval, gates=gates,
     )
 
 
@@ -475,16 +520,20 @@ def commit_sink(
     outcome: ConeOutcome,
     order: TopologicalIndex,
     splice: Optional[Callable[[Network], Any]] = None,
+    extra: Optional[Mapping[str, Any]] = None,
 ) -> bool:
     """Fold one sink's outcome into ``context``: its logic, the degraded
-    flag and its published :class:`SignalRecord`.
+    flag and its :class:`SignalRecord`, and publish it as one ``cone``
+    event.
 
     A decomposed cone is in place already (the serial step instantiates
     into the rebuilt network) or added by ``splice``; any other outcome
     is copied structurally, in the pass's ``order`` over the source.
-    Returns False, committing nothing, if the sink exists by then: a
-    parallel merge can find it materialised by an earlier cone's
-    structural copy, a sink the serial loop skips."""
+    ``extra`` adds transport fields to the event (a parallel cone's
+    ``task_key`` and ``worker_pid``).  Returns False, committing
+    nothing, if the sink exists by then: a parallel merge can find it
+    materialised by an earlier cone's structural copy, a sink the
+    serial loop skips."""
     rebuilt = context.ensure_rebuilt()
     if outcome.action != "decomposed" or splice is not None:
         if rebuilt.is_signal(sink):
@@ -502,54 +551,48 @@ def commit_sink(
             sink, cone_inputs, outcome.action, outcome.tree_cost,
             outcome.original_cost, backend=outcome.backend,
         )
-    context.records.append(record(signal_record, outcome.tree))
+    context.records.append(signal_record)
+    if _obs.enabled() or _obs.sinks("event"):
+        _publish_cone(signal_record, outcome, extra or {})
     return True
 
 
-def record(
-    signal_record: SignalRecord, tree: Optional[DecTree] = None
-) -> SignalRecord:
-    """Publish one per-signal outcome to the obs registry (identity
-    passthrough when instrumentation is off).
+def _publish_cone(
+    signal_record: SignalRecord,
+    outcome: ConeOutcome,
+    extra: Mapping[str, Any],
+) -> None:
+    """Emit one committed sink's ``cone`` event — the fact the ledger,
+    bus, log and trace sinks read — and, with metrics on, count the
+    ``algorithm1.*`` metrics from the same payload.
 
-    Decomposed signals additionally contribute the accepted gate mix
-    (``algorithm1.gates.or/and/xor``) and the cost trajectory, and every
-    signal leaves an event so the per-signal literal/area trajectory can
-    be replayed from a report.
-    """
-    if not _obs.enabled():
-        return signal_record
-    action = signal_record.action.replace("-", "_")
-    _obs.inc("algorithm1.signals")
-    _obs.inc(f"algorithm1.signals.{action}")
-    if signal_record.cone_inputs:
-        _obs.observe("algorithm1.cone.inputs", signal_record.cone_inputs)
-    if signal_record.tree_cost is not None:
-        _obs.observe("algorithm1.tree.cost", signal_record.tree_cost)
-    if signal_record.original_cost is not None:
-        _obs.observe("algorithm1.original.cost", signal_record.original_cost)
-    if tree is not None:
-        gate_mix: dict[str, int] = {}
-        stack = [tree]
-        while stack:
-            node = stack.pop()
-            if node.op != "leaf":
-                gate_mix[node.op] = gate_mix.get(node.op, 0) + 1
-                stack.extend(node.children)
-        for gate, count in gate_mix.items():
-            _obs.inc(f"algorithm1.gates.{gate}", count)
-    if signal_record.backend is not None:
-        _obs.inc(
-            "algorithm1.backend."
-            + signal_record.backend.replace("-", "_")
-        )
-    _obs.event(
-        "algorithm1.signal",
-        signal=signal_record.signal,
-        action=signal_record.action,
-        cone_inputs=signal_record.cone_inputs,
-        tree_cost=signal_record.tree_cost,
-        original_cost=signal_record.original_cost,
-        backend=signal_record.backend,
-    )
-    return signal_record
+    The interval signature is computed here only when an event sink is
+    installed (a worker has computed it already)."""
+    if outcome.interval and outcome.signature is None and _obs.sinks("event"):
+        from repro.synth.conetask import interval_signature
+
+        outcome.signature = interval_signature(outcome.interval)
+    cone = {
+        **vars(signal_record),
+        "degrade_reason": outcome.degrade_reason,
+        "gates": outcome.gates,
+        "phases": outcome.phases,
+        "elapsed": outcome.elapsed,
+        "signature": outcome.signature,
+        **extra,
+    }
+    if _obs.enabled():
+        _obs.inc("algorithm1.signals")
+        _obs.inc("algorithm1.signals." + cone["action"].replace("-", "_"))
+        if cone["cone_inputs"]:
+            _obs.observe("algorithm1.cone.inputs", cone["cone_inputs"])
+        if cone["tree_cost"] is not None:
+            _obs.observe("algorithm1.tree.cost", cone["tree_cost"])
+        if cone["original_cost"] is not None:
+            _obs.observe("algorithm1.original.cost", cone["original_cost"])
+        for gate, count in (cone["gates"] or {}).items():
+            if count:
+                _obs.inc(f"algorithm1.gates.{gate}", count)
+        if cone["backend"] is not None:
+            _obs.inc("algorithm1.backend." + cone["backend"].replace("-", "_"))
+    _obs.event("cone", **cone)

@@ -44,10 +44,11 @@ events add ``sink`` plus event-specific fields:
 ``cone.end``       ``sink``, ``action``, ``elapsed``
 =================  ====================================================
 
-The parent also folds its own ``shard.dispatch`` and ``cone.merged``
-obs events into the same aggregate (:meth:`TelemetryBus.event` →
-:meth:`TelemetryBus.record_local`), so the stream a dashboard sees is
-one coherent timeline.
+The parent also folds its own obs events into the same aggregate
+(:meth:`TelemetryBus.event` → :meth:`TelemetryBus.record_local`): the
+parallel pass's ``shard.dispatch``, and the ``cone`` event the engine
+publishes once per committed sink on either transport.  So the stream a
+dashboard sees is one coherent timeline.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from repro.obs.registry import run_id as _run_id
 RECORD_VERSION = 1
 
 #: The parent's own obs events the bus folds into its aggregate.
-LOCAL_EVENTS = ("shard.dispatch", "cone.merged")
+LOCAL_EVENTS = ("shard.dispatch", "cone")
 
 #: Hard cap on one encoded record.  POSIX guarantees pipe writes up to
 #: ``PIPE_BUF`` (>= 512, 4096 on Linux) are atomic; staying well under
@@ -328,8 +329,8 @@ class TelemetryBus:
             pass
 
     def record_local(self, ev: str, **fields: Any) -> None:
-        """Fold a parent-side event (merge progress, dispatch) into the
-        aggregate without a pipe round trip."""
+        """Fold a parent-side event (a committed cone, dispatch) into
+        the aggregate without a pipe round trip."""
         record = {"v": RECORD_VERSION, "ev": ev, "pid": os.getpid(),
                   "t": time.time()}
         record.update(self.meta())

@@ -19,17 +19,18 @@ Three tables:
     appended *at the pass boundary* so a crashed run still shows how far
     it got.
 ``cones``
-    One row per cone the parallel decompose pass merged: the structural
+    One row per committed sink, on either transport: the action taken,
+    the backend, both costs, the step's elapsed time, and the exact
+    function-canonical interval ``signature`` (canonical over the
+    support variables ranked by name — the key a future cross-run cone
+    cache needs).  A parallel cone adds the structural
     :meth:`~repro.synth.conetask.ConeTask.task_key` (known before
-    dispatch), the exact function-canonical interval ``signature``
-    computed by the worker from its BDD (the key a future cross-run cone
-    cache needs), the action taken, and the worker-measured elapsed
-    time.
+    dispatch) and the worker's pid.
 
 Everything here is **off by default**: no CLI flag, no import, no I/O.
 A :class:`LedgerRun` installed as an obs sink turns the engine's
-``pipeline.pass`` and ``cone.merged`` events into rows; only the CLI
-imports this module, so a run without ``--ledger`` never loads it
+``pipeline.pass`` and ``cone`` events into rows; only the CLI imports
+this module, so a run without ``--ledger`` never loads it
 (``tests/test_telemetry.py`` asserts exactly that).
 
 The JSONL export (:meth:`RunLedger.export_jsonl`) is the artifact form:
@@ -581,8 +582,8 @@ _PASS_FIELDS = ("index", "pass_name", "elapsed", "exhausted")
 
 class LedgerRun:
     """Obs sink writing one run's rows: a ``pipeline.pass`` event
-    becomes a pass row, a ``cone.merged`` event a cone row (buffered
-    and written in one batch ahead of the next pass or run row).
+    becomes a pass row, a ``cone`` event a cone row (buffered and
+    written in one batch ahead of the next pass or run row).
     Appends never kill the synthesis run: a failure is counted as
     ``ledger.errors`` instead."""
 
@@ -601,8 +602,11 @@ class LedgerRun:
     status_keys = crash_keys
 
     def event(self, name: str, fields: dict[str, Any]) -> None:
-        if name == "cone.merged":
-            self._cones.append(fields["cone"])
+        if name == "cone":
+            self._cones.append(
+                {**fields, "sink": fields["signal"],
+                 "pid": fields.get("worker_pid")}
+            )
         elif name == "pipeline.pass":
             metrics = {
                 k: v for k, v in fields.items() if k not in _PASS_FIELDS

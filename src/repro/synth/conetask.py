@@ -22,11 +22,12 @@ it decodes the task, rebuilds the slice in a fresh
 and runs the same :func:`~repro.engine.passes.decompose_sink` step as
 the serial pass, with a don't-care callback that rebuilds the shipped
 cubes.  It returns a serialized replacement network (or a
-``kept-cost``/``copied`` verdict) plus the ledger's
-:func:`interval_signature`.  It is deterministic — same task dict, same
-result — which is what lets the scheduler promise ``workers=N``
-bit-identical to ``workers=1``.  :func:`merge_cone_result` folds a
-result back into the growing rebuilt network in the parent.
+``kept-cost``/``copied`` verdict) plus the step's
+:class:`~repro.engine.passes.ConeOutcome` fields, the
+:func:`interval_signature` among them.  It is deterministic — same task
+dict, same result — which is what lets the scheduler promise
+``workers=N`` bit-identical to ``workers=1``.  :func:`merge_cone_result`
+folds a result back into the growing rebuilt network in the parent.
 """
 
 from __future__ import annotations
@@ -236,18 +237,37 @@ def merge_cone_result(rebuilt, sink: str, replacement: dict[str, Any]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def interval_signature(manager, interval) -> str:
+def interval_signature(interval) -> str:
     """Exact function-canonical signature of a don't-care interval.
 
-    BDDs are canonical: two cones compute the same incompletely
-    specified function iff their ``[lower, upper]`` interval BDDs are
-    isomorphic.  This hashes the shared DAG of both bounds by assigning
-    sequential canonical ids in a deterministic postorder (terminals
-    pinned to 0/1, internal nodes keyed by ``(var_name, lo_id, hi_id)``)
-    so the digest is independent of the worker's private node numbering
-    and variable creation order.  Recorded in the ledger's cone rows —
-    the lookup key a future cross-run cone cache needs.
+    BDDs over one variable order are canonical: two cones compute the
+    same incompletely specified function iff their ``[lower, upper]``
+    BDDs, built with the same order, are isomorphic.  This hashes both
+    bounds with their support variables ranked by name — in the
+    interval's own manager when it already orders them so (a worker's
+    slice manager creates its variables in sorted-name order), else
+    after a transfer into a scratch manager that does.  The shared DAG
+    gets sequential canonical ids in a deterministic postorder
+    (terminals pinned to 0/1, internal nodes keyed by
+    ``(var_name, lo_id, hi_id)``), so the digest is independent of node
+    numbering, variable creation order and reordering.  Recorded in the
+    ledger's cone rows — the lookup key a future cross-run cone cache
+    needs.
     """
+    manager, roots = interval.manager, [interval.lower, interval.upper]
+    support = sorted(interval.support())
+    names = [manager.var_name(var) for var in support]
+    if names != sorted(names):
+        from repro.bdd.compose import transfer_multi
+        from repro.bdd.manager import BDDManager
+
+        scratch = BDDManager()
+        var_map = {
+            var: scratch.new_var(manager.var_name(var))
+            for var in sorted(support, key=manager.var_name)
+        }
+        roots = transfer_multi(manager, roots, scratch, var_map)
+        manager = scratch
     ids: dict[int, int] = {0: 0, 1: 1}
     entries: list[list[Any]] = []
 
@@ -271,11 +291,10 @@ def interval_signature(manager, interval) -> str:
                 if lo not in ids:
                     stack.append(lo)
 
-    canonize(interval.lower)
-    canonize(interval.upper)
+    for root in roots:
+        canonize(root)
     payload = json.dumps(
-        {"nodes": entries,
-         "roots": [ids[interval.lower], ids[interval.upper]]},
+        {"nodes": entries, "roots": [ids[root] for root in roots]},
         separators=(",", ":"),
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -299,11 +318,13 @@ def run_cone_task(data: dict[str, Any]) -> dict[str, Any]:
     Rebuilds the slice in a private manager under a worker-local
     governor and runs :func:`~repro.engine.passes.decompose_sink` on it,
     instantiating an accepted tree into a fresh replacement network.
-    Always returns a result dict (``action`` of ``decomposed``,
-    ``kept-cost`` or ``copied``); unexpected exceptions propagate to the
-    parent through the executor so their tracebacks reach the crash
-    bundle.  Worker-local budget exhaustion is *not* an error — it comes
-    back as ``action="copied"`` with a ``degrade_reason``.
+    Always returns a result dict: the outcome's
+    :meth:`~repro.engine.passes.ConeOutcome.to_json` fields (``action``
+    of ``decomposed``, ``kept-cost`` or ``copied``) plus the transport's
+    own.  Unexpected exceptions propagate to the parent through the
+    executor so their tracebacks reach the crash bundle.  Worker-local
+    budget exhaustion is *not* an error — it comes back as
+    ``action="copied"`` with a ``degrade_reason``.
     """
     from repro.bdd.manager import BDDManager, FALSE
     from repro.engine.checkpoint import network_from_dict, network_to_dict
@@ -315,23 +336,15 @@ def run_cone_task(data: dict[str, Any]) -> dict[str, Any]:
 
     task = ConeTask.from_dict(data)
     sink = task.sink
-    started_wall = time.time()
-    began = time.perf_counter()
-    phases: list[dict[str, float]] = []
     # The installed telemetry buses (none on a run without the flags);
     # each call below is a no-op unless the bus attached its pipe.
     buses = _obs.sinks("cone_progress")
 
     @contextmanager
-    def phase(name: str) -> Iterator[None]:
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            dur = time.perf_counter() - start
-            phases.append({"name": name, "start": start - began, "dur": dur})
-            for bus in buses:
-                bus.cone_progress(sink, name, dur)
+    def phase(name: str, seconds: dict[str, float]) -> Iterator[None]:
+        yield
+        for bus in buses:
+            bus.cone_progress(sink, name, seconds[name])
 
     _apply_fault(task.fault)
     node_budget = 0 if task.fault == "starve" else task.node_budget
@@ -358,6 +371,8 @@ def run_cone_task(data: dict[str, Any]) -> dict[str, Any]:
     for name in slice_net.inputs:
         replacement.add_input(name)
     defaults = cone_options(partial(getattr, SynthesisOptions()))
+    # Where the parent's trace places this cone's step.
+    started_wall = time.time()
     outcome = decompose_sink(
         slice_net, sink, collapser, replacement,
         {**defaults, **task.options},
@@ -370,33 +385,23 @@ def run_cone_task(data: dict[str, Any]) -> dict[str, Any]:
     decomposed = outcome.action == "decomposed"
     if decomposed:
         replacement.add_output(sink)
-    signature = None
     if outcome.interval is not None:
-        # Exact cone identity (function + don't cares) for the ledger.
-        signature = interval_signature(manager, outcome.interval)
-    result = {
-        "version": CONE_TASK_VERSION,
-        "sink": sink,
-        "action": outcome.action,
-        "signature": signature,
-        "cone_inputs": len(slice_net.inputs),
-        "tree_cost": outcome.tree_cost,
-        "original_cost": outcome.original_cost,
-        "replacement": network_to_dict(replacement) if decomposed else None,
-        "degrade_reason": outcome.degrade_reason,
-        "backend": outcome.backend,
-        "pid": os.getpid(),
-        "started_wall": started_wall,
-        "elapsed": time.perf_counter() - began,
-        "phases": phases,
-        "nodes_allocated": governor.nodes_allocated(),
-    }
+        outcome.signature = interval_signature(outcome.interval)
     for bus in buses:
         bus.cone_finished(
-            sink, outcome.action, elapsed=round(result["elapsed"], 6),
+            sink, outcome.action, elapsed=round(outcome.elapsed, 6),
             degrade_reason=outcome.degrade_reason,
         )
-    return result
+    return {
+        **outcome.to_json(),
+        "version": CONE_TASK_VERSION,
+        "sink": sink,
+        "cone_inputs": len(slice_net.inputs),
+        "replacement": network_to_dict(replacement) if decomposed else None,
+        "pid": os.getpid(),
+        "started_wall": started_wall,
+        "nodes_allocated": governor.nodes_allocated(),
+    }
 
 
 def format_worker_error(exc: BaseException) -> dict[str, str]:

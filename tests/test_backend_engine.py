@@ -64,17 +64,6 @@ class TestEngineRecords:
         assert dispatch["backends"]  # sink -> routed backend
         assert set(dispatch["backends"].values()) == {"sat-cegar"}
 
-    def test_auto_routes_small_cones_to_bdd(self):
-        net = small_net()
-        report = algorithm1(
-            net.copy(),
-            SynthesisOptions(backend="auto", parallel_workers=2),
-        )
-        dispatch = report.artifacts["parallel.dispatch"]
-        assert dispatch["backend_option"] == "auto"
-        # This circuit's cones sit under the auto thresholds.
-        assert set(dispatch["backends"].values()) == {"bdd"}
-
     def test_sat_backend_matches_bdd_sequentially(self):
         """The whole-pipeline differential check: both backends produce
         sequentially equivalent (not identical) networks."""
@@ -133,14 +122,14 @@ class TestCliAndLedger:
         assert "sat-cegar" in out
 
     def test_workers_bit_identical_across_counts(self, net_path, tmp_path):
-        """--backend auto output is invariant in the worker count (the
-        routing decision is computed from the cone, not the schedule)."""
+        """--backend sat-cegar output is invariant in the worker count
+        (each cone's search depends on the cone, not the schedule)."""
         outs = []
         for workers in (1, 2, 4):
             out_path = str(tmp_path / f"w{workers}.blif")
             assert main([
                 "optimize", net_path, "-o", out_path,
-                "--backend", "auto", "--workers", str(workers),
+                "--backend", "sat-cegar", "--workers", str(workers),
             ]) == 0
             outs.append(open(out_path).read())
         assert outs[0] == outs[1] == outs[2]

@@ -190,7 +190,7 @@ class TestKnobDefaults:
         assert choices == {
             "--dc-source": ("reachability", "induction"),
             "--objective": ("balanced", "min_total"),
-            "--backend": ("bdd", "sat-cegar", "auto"),
+            "--backend": ("bdd", "sat-cegar"),
         }
 
     @pytest.mark.parametrize(

@@ -111,7 +111,7 @@ class TestDegradation:
             nodes = None
 
             def event(self, name, fields):
-                if name == "algorithm1.signal" and self.nodes is None:
+                if name == "cone" and self.nodes is None:
                     self.nodes = governor.nodes_allocated()
 
         probe = obs.install(FirstCone())

@@ -331,7 +331,7 @@ class TestLayerInstrumentation:
         actions = [
             event["action"]
             for event in report["events"]
-            if event["name"] == "algorithm1.signal"
+            if event["name"] == "cone"
         ]
         assert len(actions) == len(synth_report.records)
 

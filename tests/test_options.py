@@ -53,7 +53,7 @@ class TestConstructor:
     def test_good_values_pass(self):
         options = SynthesisOptions(
             gates=["or", "xor"], acceptance_ratio=1, time_budget=None,
-            backend="auto", objective="min_total", dc_source="induction",
+            backend="sat-cegar", objective="min_total", dc_source="induction",
         )
         assert options.gates == ("or", "xor")
 
@@ -91,6 +91,18 @@ class TestPipelineEntries:
         with pytest.raises(ValueError, match="backend='sat'"):
             restore_context(data)
 
+    def test_checkpoint_naming_deleted_auto_backend(self, tmp_path):
+        """``auto`` is no longer a backend: a checkpoint written with it
+        fails on restore like any other unknown value."""
+        checkpoint = tmp_path / "run.json"
+        algorithm1(parse_blif(DEMO), checkpoint=str(checkpoint))
+        data = json.loads(checkpoint.read_text())
+        data["options"]["backend"] = "auto"
+        with pytest.raises(
+            ValueError, match="backend='auto'.*'bdd', 'sat-cegar'$"
+        ):
+            restore_context(data)
+
 
 class TestPipelineConfigCli:
     def _optimize(self, demo_path, tmp_path, config, *flags):
@@ -109,9 +121,11 @@ class TestPipelineConfigCli:
             ({"options": {"backend": "sat"},
               "passes": ["cleanup", "dontcares", "decompose_parallel",
                          "finalize"]},
-             ["backend", "'bdd', 'sat-cegar', 'auto'"]),
+             ["backend", "'bdd', 'sat-cegar'"]),
             ({"options": {"objective": "fast"}},
              ["objective", "'balanced', 'min_total'"]),
+            ({"options": {"backend": "auto"}},
+             ["backend='auto'", "'bdd', 'sat-cegar'"]),
             ({"passes": [{"pass": "decompose_parallel",
                           "objective": "fast"}]},
              ["objective", "'balanced', 'min_total'"]),
@@ -119,8 +133,8 @@ class TestPipelineConfigCli:
             ('{"options": ', []),
             ("[]", []),
         ],
-        ids=["bad-value", "bad-value-no-passes", "bad-pass-param",
-             "unknown-key", "unparsable", "not-an-object"],
+        ids=["bad-value", "bad-value-no-passes", "deleted-auto-backend",
+             "bad-pass-param", "unknown-key", "unparsable", "not-an-object"],
     )
     def test_bad_config_is_one_error_line(
         self, config, names, demo_path, tmp_path, capsys

@@ -138,7 +138,7 @@ class TestSatCegarBackend:
         assert sat.stats["candidates"] >= 1
 
     def test_backend_registry_round_trip(self):
-        from repro.bidec.backends import available_backends, route_backend
+        from repro.bidec.backends import available_backends
 
         assert available_backends() == ["bdd", "sat-cegar"]
         sat = make_backend("sat-cegar", max_iterations=7)
@@ -146,14 +146,3 @@ class TestSatCegarBackend:
         assert sat.max_iterations == 7
         with pytest.raises(ValueError):
             make_backend("qbf-expansion")
-        assert route_backend("bdd", support_size=99) == "bdd"
-        assert route_backend("sat-cegar", support_size=2) == "sat-cegar"
-        assert route_backend("auto", support_size=4, node_count=8) == "bdd"
-        assert route_backend("auto", support_size=11, node_count=8) == (
-            "sat-cegar"
-        )
-        assert route_backend("auto", support_size=4, node_count=10**6) == (
-            "sat-cegar"
-        )
-        with pytest.raises(ValueError):
-            route_backend("frobnicate", support_size=4)

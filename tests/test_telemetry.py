@@ -186,8 +186,8 @@ class TestBusTransport:
 
     def test_record_local_folds_without_worker_row(self, bus):
         bus.record_local("shard.dispatch", cones=4, workers=2)
-        bus.record_local("cone.merged", sink="a", merged=1, total=4)
-        assert bus.counts == {"shard.dispatch": 1, "cone.merged": 1}
+        bus.record_local("cone", sink="a", merged=1, total=4)
+        assert bus.counts == {"shard.dispatch": 1, "cone": 1}
         assert bus.worker_summary() == []
         assert bus.events_total() == 2
 
@@ -284,7 +284,7 @@ class TestWorkerFaults:
         finally:
             obs.uninstall(bus)
         assert report.degraded
-        total = bus.counts.get("cone.merged", 0)
+        total = bus.counts.get("cone", 0)
         assert total > 0
         assert wait_until(
             lambda: bus.counts.get("cone.end", 0) >= total - 1
