@@ -22,7 +22,11 @@ rebuilds it with :meth:`~repro.engine.passes.ConeOutcome.from_json` and
 commits it through the serial pass's own
 :func:`~repro.engine.passes.commit_sink`.  So each cone is published as
 the same single ``cone`` event on both transports, with the task's
-``task_key`` and the worker's pid added.
+``task_key``, the worker's pid and the step's wall-clock ``started``
+added.  A trace recorder draws a forked worker's cone and its phases
+from that event; an inline cone's spans were recorded live.  A forked
+worker keeps only the telemetry bus of the parent's obs sinks, and
+streams its cone's start, phases and end through it.
 
 Failure is degradation, not death:
 
@@ -48,7 +52,6 @@ from __future__ import annotations
 import concurrent.futures
 import multiprocessing
 import time
-from contextlib import ExitStack
 from functools import partial
 from typing import Any, Optional
 
@@ -288,32 +291,6 @@ def _keep_worker_sinks() -> None:
             _obs.uninstall(sink)
 
 
-def _merge_worker_trace(result: dict[str, Any]) -> None:
-    """Mirror a worker's step into the installed trace recorders as
-    external spans on a per-worker-pid track: the cone, and within it
-    each phase, laid end to end from the step's start."""
-    started = result.get("started_wall")
-    pid = result.get("pid")
-    if started is None or pid is None:
-        return
-    sink = result.get("sink")
-    for recorder in _obs.sinks("emit_external_span"):
-        recorder.emit_external_span(
-            "parallel.cone",
-            started,
-            float(result.get("elapsed", 0.0)),
-            tid=int(pid),
-            args={"sink": sink, "action": result.get("action")},
-        )
-        offset = started
-        for name, seconds in (result.get("phases") or {}).items():
-            recorder.emit_external_span(
-                f"parallel.{name}", offset, seconds, tid=int(pid),
-                args={"sink": sink},
-            )
-            offset += seconds
-
-
 @register_pass("decompose_parallel")
 class DecomposeParallelPass(_BasePass):
     """The Algorithm 1 decompose loop, sharded across worker processes.
@@ -376,13 +353,7 @@ class DecomposeParallelPass(_BasePass):
             _obs.set_gauge("parallel.cones.degraded", 0)
         _obs.event("shard.dispatch", cones=len(tasks), workers=workers)
         began = time.perf_counter()
-        with _obs.span("algorithm1.parallel.execute"), ExitStack() as stack:
-            # Attach every installed bus around pool creation, so forked
-            # workers inherit its write end and stream cone events while
-            # in flight.  Purely out-of-band: execution and the merge
-            # below are untouched.
-            for bus in _obs.sinks("attached"):
-                stack.enter_context(bus.attached())
+        with _obs.span("algorithm1.parallel.execute"):
             results = scheduler.execute(tasks)
         if _obs.enabled():
             _obs.observe(
@@ -470,7 +441,6 @@ class DecomposeParallelPass(_BasePass):
         from repro.synth.conetask import merge_cone_result
 
         sink = row["sink"]
-        _merge_worker_trace(result)
         nodes = result.get("nodes_allocated")
         if nodes:
             context.governor.add_external_nodes(int(nodes))
@@ -484,7 +454,10 @@ class DecomposeParallelPass(_BasePass):
             # The worker never delivered: structural copy, context
             # degraded, as for a worker that ran out of budget.
             outcome.action = "copied"
-        extra = {"task_key": row["task_key"], "worker_pid": row["pid"]}
+        extra = {
+            "task_key": row["task_key"], "worker_pid": row["pid"],
+            "started": result.get("started_wall"),
+        }
         if not commit_sink(
             context, sink, row["cone_inputs"], outcome, order, splice, extra
         ):

@@ -26,8 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from typing import (
-    Any, Callable, ContextManager, Iterator, Mapping, Optional, Protocol,
-    runtime_checkable,
+    Any, Callable, Iterator, Mapping, Optional, Protocol, runtime_checkable,
 )
 
 from repro import obs as _obs
@@ -201,7 +200,6 @@ class DecomposePass(_BasePass):
                 )
                 if dc_manager is not None and ps_support
                 else None,
-                phase=lambda name, _: _obs.span(f"algorithm1.{name}"),
             )
             commit_sink(context, sink, len(cone_inputs), outcome, order)
 
@@ -377,7 +375,6 @@ def decompose_sink(
     governor: ResourceGovernor,
     share_table: dict[int, str],
     dont_cares: Optional[Callable[[], int]],
-    phase: Callable[[str, dict[str, float]], ContextManager[Any]],
 ) -> ConeOutcome:
     """Algorithm 1's per-signal step, shared by the serial pass and the
     parallel worker.
@@ -390,9 +387,9 @@ def decompose_sink(
     into ``target`` under ``sink``'s own name.  ``share_table`` carries
     equal-function sharing across the cones decomposed into the same
     ``target``.  Each phase (``collapse``, ``dontcare``, ``decompose``,
-    ``instantiate``) runs inside ``phase(name, seconds)`` and is timed
-    here: by the time the hook exits, ``seconds[name]`` holds the
-    phase's time, and the outcome carries them all.  A governor budget
+    ``instantiate``) runs in an ``algorithm1.<phase>`` obs span, which
+    every installed span sink sees on either transport, and is timed
+    into the outcome's ``phases``.  A governor budget
     that trips after the collapse or the decomposition ends the step
     with a ``copied`` outcome and leaves ``target`` untouched.
     """
@@ -401,7 +398,7 @@ def decompose_sink(
 
     @contextmanager
     def timed(name: str) -> Iterator[None]:
-        with phase(name, seconds):
+        with _obs.span(f"algorithm1.{name}"):
             start = time.perf_counter()
             yield
             seconds[name] = time.perf_counter() - start

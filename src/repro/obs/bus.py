@@ -2,13 +2,15 @@
 
 Everything the observability stack recorded before this module — spans,
 cone timings, ledger rows — became visible only *after* a shard merged
-or the run finished.  The bus is the live transport: worker processes
-(and the inline ``workers=1`` path, which runs the same code) write one
-line-framed JSON record per event to a pipe the parent created before
-forking, and a parent-side reader thread aggregates the stream into a
-per-worker view (`in-flight cone`, last heartbeat, event counts) that
-the :class:`~repro.obs.monitor.RuntimeMonitor` folds into status.json
-and :mod:`repro.obs.openmetrics` renders for scraping.
+or the run finished.  The bus is the live transport.  It owns a pipe,
+created with the bus in the parent; a worker process forked later
+inherits the bus along with the obs sink list, so the worker (and the
+inline ``workers=1`` path, which runs the same code) writes one
+line-framed JSON record per event to that pipe through its own
+per-process emitter.  A parent-side reader thread aggregates the stream
+into a per-worker view (`in-flight cone`, last heartbeat, event counts)
+that the :class:`~repro.obs.monitor.RuntimeMonitor` folds into
+status.json and :mod:`repro.obs.openmetrics` renders for scraping.
 
 Design constraints, in order:
 
@@ -33,7 +35,11 @@ Design constraints, in order:
 Record schema (version :data:`RECORD_VERSION`): every record carries
 ``v``, ``ev`` (event name), ``pid``, ``t`` (unix time) and ``run`` (the
 bus's run id, else the one the obs sink list names) when known.  Cone
-events add ``sink`` plus event-specific fields:
+events add ``sink`` plus event-specific fields.  ``cone.start`` and
+``cone.end`` come from :meth:`TelemetryBus.cone_started` and
+:meth:`TelemetryBus.cone_finished`; ``cone.progress`` is the end of an
+``algorithm1.<phase>`` obs span while a cone is in flight in the
+process, which the bus sees as a span sink:
 
 =================  ====================================================
 ``cone.start``     ``sink``, ``cone_inputs``
@@ -58,7 +64,7 @@ import os
 import threading
 import time
 from collections import deque
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 from repro.obs.registry import log as _log
 from repro.obs.registry import run_id as _run_id
@@ -80,19 +86,9 @@ DEFAULT_HEARTBEAT = 0.5
 #: with no event for this long is considered stalled.
 DEFAULT_STALL_AFTER = 10.0
 
-
-# ---------------------------------------------------------------------------
-# Worker side (also used by the inline workers=1 path in the parent)
-# ---------------------------------------------------------------------------
-
-#: Write-end fd + static record fields, set by ``TelemetryBus.attached()``
-#: *before* the process pool forks so children inherit them.  ``None``
-#: means "no bus" and every emit function returns immediately.
-_WORKER_FD: Optional[int] = None
-_WORKER_META: dict[str, Any] = {}
-_WORKER_HEARTBEAT: float = DEFAULT_HEARTBEAT
-
-_emitter: Optional["_Emitter"] = None
+#: Span-name prefix of the per-cone step's phases, which a cone in
+#: flight reports as ``cone.progress``.
+PHASE_PREFIX = "algorithm1."
 
 
 class _Emitter:
@@ -106,6 +102,8 @@ class _Emitter:
         self.pid = os.getpid()
         self.dropped = 0
         self.current_sink: Optional[str] = None
+        #: Start (``perf_counter``) of each open phase span of that cone.
+        self.phase_began: dict[str, float] = {}
         self._lock = threading.Lock()
         self._hb_thread: Optional[threading.Thread] = None
         self._hb_stop = threading.Event()
@@ -163,101 +161,36 @@ class _Emitter:
         self._hb_stop.set()
 
 
-def _current_emitter() -> Optional[_Emitter]:
-    """The process-local emitter, rebuilt after a fork (a forked child
-    inherits the parent's fd and meta but not its threads or lock
-    state, so the object itself must be fresh)."""
-    global _emitter
-    fd = _WORKER_FD
-    if fd is None:
-        return None
-    emitter = _emitter
-    if emitter is None or emitter.pid != os.getpid() or emitter.fd != fd:
-        emitter = _emitter = _Emitter(fd, _WORKER_META, _WORKER_HEARTBEAT)
-    return emitter
-
-
-def emit(ev: str, **fields: Any) -> bool:
-    """Send one event record (no-op returning False when no bus is
-    attached).  Safe to call from any process/thread."""
-    emitter = _current_emitter()
-    if emitter is None:
-        return False
-    return emitter.emit(ev, **fields)
-
-
-def cone_started(sink: str, **fields: Any) -> None:
-    """Worker hook: a cone's rebuild just began.  Starts the heartbeat
-    thread so liveness is visible even inside an opaque symbolic step."""
-    emitter = _current_emitter()
-    if emitter is None:
-        return
-    emitter.current_sink = sink
-    emitter.ensure_heartbeat()
-    emitter.emit("cone.start", sink=sink, **fields)
-
-
-def cone_progress(sink: str, phase: str, dur: float) -> None:
-    """Worker hook: one phase of the in-flight cone's step
-    (collapse/dontcare/decompose/instantiate) completed."""
-    emitter = _current_emitter()
-    if emitter is None:
-        return
-    emitter.emit("cone.progress", sink=sink, phase=phase,
-                 dur=round(dur, 6))
-
-
-def cone_finished(sink: str, action: str, **fields: Any) -> None:
-    """Worker hook: the cone delivered (any action).  Emits a
-    ``cone.degrade`` first when the worker degraded itself."""
-    emitter = _current_emitter()
-    if emitter is None:
-        return
-    if action == "copied":
-        emitter.emit("cone.degrade", sink=sink,
-                     reason=fields.get("degrade_reason"))
-    emitter.current_sink = None
-    emitter.emit("cone.end", sink=sink, action=action, **fields)
-
-
-# ---------------------------------------------------------------------------
-# Parent side
-# ---------------------------------------------------------------------------
-
-
 class TelemetryBus:
-    """Parent-side transport + aggregate of the worker event stream.
+    """The bus's pipe, its send side, and the aggregate of the stream.
 
-    Construct in the parent and install it as an obs sink; the parallel
-    pass wraps pool execution in :meth:`attached` so forked workers
-    inherit the write end, and workers reach the ``cone_*`` hooks below
-    through the inherited sink list.  A daemon reader thread ingests
-    records as they arrive; :meth:`snapshot` / :meth:`worker_summary`
-    expose the aggregate to the monitor and the OpenMetrics exporter.
-    :meth:`close` detaches, drains, and releases both pipe ends.
+    Construct in the parent and install it as an obs sink.  Any process
+    holding the bus — the parent, or a worker forked from it — sends
+    through :meth:`cone_started`, :meth:`cone_finished` and :meth:`emit`,
+    and through the :meth:`begin`/:meth:`end` span-sink methods, which
+    turn the phases of the cone in flight into ``cone.progress``.  A
+    daemon reader thread ingests records as they arrive;
+    :meth:`snapshot` / :meth:`worker_summary` expose the aggregate to
+    the monitor and the OpenMetrics exporter.  :meth:`close` stops this
+    process's heartbeat, drains, and releases both pipe ends; a closed
+    bus sends nothing.
     """
-
-    # Worker-side hooks (the module-level functions above).
-    cone_started = staticmethod(cone_started)
-    cone_progress = staticmethod(cone_progress)
-    cone_finished = staticmethod(cone_finished)
 
     def __init__(
         self,
         run_id: Optional[str] = None,
         heartbeat_interval: float = DEFAULT_HEARTBEAT,
-        stall_after: float = DEFAULT_STALL_AFTER,
         max_recent: int = 256,
     ) -> None:
         self.run_id = run_id
         self.heartbeat_interval = heartbeat_interval
-        self.stall_after = stall_after
         self._read_fd, self._write_fd = os.pipe()
         # Non-blocking sends are what makes the queue bounded: a full
         # kernel buffer drops (counted) instead of stalling a worker.
         os.set_blocking(self._write_fd, False)
         self._lock = threading.Lock()
         self._closed = False
+        self._emitter: Optional[_Emitter] = None
         self.started_at = time.time()
         self.workers: dict[int, dict[str, Any]] = {}
         self.counts: dict[str, int] = {}
@@ -271,18 +204,89 @@ class TelemetryBus:
         )
         self._reader.start()
 
-    # -- attach/detach --------------------------------------------------
-
     def meta(self) -> dict[str, Any]:
-        run = self.run_id or _run_id()
-        return {"run": run} if run is not None else {}
+        """The static record fields.  The run id is pinned on first use
+        in the parent, so a forked worker, which keeps no sink but the
+        bus, still names the run."""
+        if self.run_id is None:
+            self.run_id = _run_id()
+        return {"run": self.run_id} if self.run_id is not None else {}
 
-    def attached(self) -> "_Attachment":
-        """Context manager installing this bus as the process's emit
-        target.  Enter *before* creating a fork pool so children inherit
-        the write fd and meta; the previous target is restored on exit
-        (attachments nest)."""
-        return _Attachment(self)
+    # -- send side (any process holding the bus) -------------------------
+
+    def _process_emitter(self) -> Optional[_Emitter]:
+        """This process's emitter, rebuilt after a fork: a forked child
+        inherits the bus but not its parent's heartbeat thread or lock
+        state.  ``None`` once the bus is closed."""
+        if self._closed:
+            return None
+        emitter = self._emitter
+        if emitter is None or emitter.pid != os.getpid():
+            emitter = self._emitter = _Emitter(
+                self._write_fd, self.meta(), self.heartbeat_interval
+            )
+        return emitter
+
+    def emit(self, ev: str, **fields: Any) -> bool:
+        """Send one event record; False when it was dropped or the bus
+        is closed.  Safe to call from any process/thread."""
+        emitter = self._process_emitter()
+        return emitter is not None and emitter.emit(ev, **fields)
+
+    def cone_started(self, sink: str, **fields: Any) -> None:
+        """A cone's step just began in this process.  Starts the
+        heartbeat thread so liveness is visible even inside an opaque
+        symbolic step."""
+        emitter = self._process_emitter()
+        if emitter is None:
+            return
+        emitter.current_sink = sink
+        emitter.ensure_heartbeat()
+        emitter.emit("cone.start", sink=sink, **fields)
+
+    def cone_finished(self, sink: str, action: str, **fields: Any) -> None:
+        """The cone delivered (any action).  Emits a ``cone.degrade``
+        first when the step degraded itself."""
+        emitter = self._process_emitter()
+        if emitter is None:
+            return
+        if action == "copied":
+            emitter.emit("cone.degrade", sink=sink,
+                         reason=fields.get("degrade_reason"))
+        emitter.current_sink = None
+        emitter.emit("cone.end", sink=sink, action=action, **fields)
+
+    def _in_flight(self) -> Optional[_Emitter]:
+        """This process's emitter while a cone is in flight here (never
+        builds one)."""
+        emitter = self._emitter
+        if (
+            self._closed or emitter is None or emitter.current_sink is None
+            or emitter.pid != os.getpid()
+        ):
+            return None
+        return emitter
+
+    def begin(self, name: str, args: Optional[dict[str, Any]] = None) -> None:
+        """Sink method: a phase span of the cone in flight opens."""
+        if name.startswith(PHASE_PREFIX):
+            emitter = self._in_flight()
+            if emitter is not None:
+                emitter.phase_began[name] = time.perf_counter()
+
+    def end(self, name: str) -> None:
+        """Sink method: a phase span of the cone in flight closes, which
+        sends ``cone.progress`` with the phase and its duration."""
+        if not name.startswith(PHASE_PREFIX):
+            return
+        emitter = self._in_flight()
+        if emitter is None or name not in emitter.phase_began:
+            return
+        dur = time.perf_counter() - emitter.phase_began.pop(name)
+        emitter.emit(
+            "cone.progress", sink=emitter.current_sink,
+            phase=name[len(PHASE_PREFIX):], dur=round(dur, 6),
+        )
 
     # -- ingest ---------------------------------------------------------
 
@@ -407,10 +411,11 @@ class TelemetryBus:
         """Per-worker liveness rows for status.json.
 
         A worker is **stalled** when its cone has been in flight with no
-        event (not even a heartbeat) for ``stall_after`` seconds — the
-        signature of a dead or wedged process.
+        event (not even a heartbeat) for ``stall_after`` seconds
+        (:data:`DEFAULT_STALL_AFTER` unless given) — the signature of a
+        dead or wedged process.
         """
-        horizon = self.stall_after if stall_after is None else stall_after
+        horizon = DEFAULT_STALL_AFTER if stall_after is None else stall_after
         current = time.time() if now is None else now
         rows: list[dict[str, Any]] = []
         with self._lock:
@@ -461,17 +466,18 @@ class TelemetryBus:
     # -- teardown -------------------------------------------------------
 
     def close(self) -> None:
-        """Detach (if attached), close the parent's write end, wait for
-        the reader to drain to EOF, and release the read end.  EOF
-        arrives once every child holding an inherited write fd has
-        exited — the scheduler reaps its pools before the CLI closes the
-        bus, so the wait is bounded by two seconds regardless."""
+        """Stop this process's heartbeat thread, close the parent's
+        write end, wait for the reader to drain to EOF, and release the
+        read end; the bus sends nothing afterwards.  EOF arrives once
+        every child holding an inherited write fd has exited — the
+        scheduler reaps its pools before the CLI closes the bus, so the
+        wait is bounded by two seconds regardless."""
         if self._closed:
             return
         self._closed = True
-        global _WORKER_FD
-        if _WORKER_FD == self._write_fd:
-            _detach()
+        emitter = self._emitter
+        if emitter is not None and emitter.pid == os.getpid():
+            emitter.stop()
         try:
             os.close(self._write_fd)
         except OSError:
@@ -488,42 +494,3 @@ class TelemetryBus:
     def __exit__(self, *exc: object) -> bool:
         self.close()
         return False
-
-
-class _Attachment:
-    """Installs a bus's write end as the process emit target for a
-    ``with`` block (restoring the previous target on exit)."""
-
-    def __init__(self, bus: TelemetryBus) -> None:
-        self.bus = bus
-        self._previous: Optional[tuple[int, dict[str, Any], float]] = None
-
-    def __enter__(self) -> TelemetryBus:
-        global _WORKER_FD, _WORKER_META, _WORKER_HEARTBEAT, _emitter
-        self._previous = (_WORKER_FD, dict(_WORKER_META), _WORKER_HEARTBEAT)
-        _WORKER_FD = self.bus._write_fd
-        _WORKER_META = self.bus.meta()
-        _WORKER_HEARTBEAT = self.bus.heartbeat_interval
-        _emitter = None
-        return self.bus
-
-    def __exit__(self, *exc: object) -> bool:
-        global _WORKER_FD, _WORKER_META, _WORKER_HEARTBEAT, _emitter
-        emitter = _emitter
-        if emitter is not None:
-            emitter.stop()
-        fd, meta, heartbeat = self._previous
-        _WORKER_FD, _WORKER_META, _WORKER_HEARTBEAT = fd, meta, heartbeat
-        _emitter = None
-        return False
-
-
-def _detach() -> None:
-    """Clear the process emit target (used by ``TelemetryBus.close``)."""
-    global _WORKER_FD, _WORKER_META, _emitter
-    emitter = _emitter
-    if emitter is not None:
-        emitter.stop()
-    _WORKER_FD = None
-    _WORKER_META = {}
-    _emitter = None

@@ -89,16 +89,6 @@ def record_worker_failure(
         del failures[:-MAX_WORKER_FAILURES]
 
 
-def _manager_rows() -> list[dict[str, Any]]:
-    rows = []
-    for manager in _global_registry().live_bdd_managers():
-        try:
-            rows.append(manager.monitor_sample())
-        except Exception:
-            continue
-    return rows
-
-
 def build_crash_bundle(exc: BaseException) -> dict[str, Any]:
     """Assemble the diagnostic bundle dict for ``exc`` (every section is
     individually best-effort)."""
@@ -120,7 +110,7 @@ def build_crash_bundle(exc: BaseException) -> dict[str, Any]:
         bundle["obs_report"] = _obs_report()
     except Exception as report_exc:  # pragma: no cover - defensive
         bundle["obs_report"] = {"error": repr(report_exc)}
-    bundle["bdd_managers"] = _manager_rows()
+    bundle["bdd_managers"] = _global_registry().live_bdd()["per_manager"]
     for sink in _sinks("crash_keys"):
         try:
             bundle.update(sink.crash_keys())

@@ -8,7 +8,7 @@ elapsed wall time, each thread's current span path, and — when given a
 
 Each sample goes two places:
 
-* as ``C`` (counter-track) records into the installed trace recorder,
+* as ``C`` (counter-track) records into every installed trace recorder,
   so Perfetto renders node-count/RSS evolution under the span timeline;
 * atomically rewritten into a ``status.json`` heartbeat file (write to
   a sibling temp file, then ``rename``), so external tooling — a watch
@@ -73,15 +73,12 @@ class RuntimeMonitor:
         self,
         interval: float = DEFAULT_INTERVAL,
         status_file: Optional[str | Path] = None,
-        recorder: Optional[Any] = None,
         governor: Optional[Any] = None,
         bus: Optional[Any] = None,
         exporter: Optional[Any] = None,
-        stall_after: Optional[float] = None,
     ) -> None:
         self.interval = interval
         self.status_file = Path(status_file) if status_file else None
-        self._recorder = recorder
         self.governor = governor
         self._registry = _global_registry()
         #: Telemetry bus whose worker aggregate is folded into samples
@@ -89,9 +86,6 @@ class RuntimeMonitor:
         self.bus = bus
         #: Metrics exporter refreshed after every sample; optional.
         self.exporter = exporter
-        #: Liveness horizon for stalled-cone detection (``None`` uses
-        #: the bus default).
-        self.stall_after = stall_after
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._epoch = time.perf_counter()
@@ -142,38 +136,12 @@ class RuntimeMonitor:
 
     # -- sampling -------------------------------------------------------
 
-    def bdd_totals(self) -> dict[str, Any]:
-        """Aggregate node/unique/cache-entry counts over the live
-        managers the registry tracks, plus per-manager rows."""
-        managers = self._registry.live_bdd_managers()
-        totals = {"managers": len(managers), "nodes": 0, "unique": 0,
-                  "cache_entries": 0, "unique_capacity": 0,
-                  "cache_capacity": 0}
-        rows: list[dict[str, int]] = []
-        for manager in managers:
-            try:
-                row = manager.monitor_sample()
-            except Exception:
-                continue
-            totals["nodes"] += row["nodes"]
-            totals["unique"] += row["unique"]
-            totals["cache_entries"] += row["cache_entries"]
-            totals["unique_capacity"] += row.get("unique_capacity", 0)
-            totals["cache_capacity"] += row.get("cache_capacity", 0)
-            rows.append(row)
-        if totals["unique_capacity"]:
-            totals["unique_load"] = round(
-                totals["unique"] / totals["unique_capacity"], 4
-            )
-        totals["per_manager"] = rows
-        return totals
-
     def sample(self) -> dict[str, Any]:
         """Take one sample: emit trace counters, rewrite the status
         file, remember it as :attr:`last_sample`, and return it."""
         now = time.time()
         elapsed = time.perf_counter() - self._epoch
-        bdd = self.bdd_totals()
+        bdd = self._registry.live_bdd()
         rss = process_rss_kb()
         spans = {
             str(tid): path
@@ -199,9 +167,7 @@ class RuntimeMonitor:
             sample["parallel"] = progress
         if self.bus is not None:
             try:
-                workers = self.bus.worker_summary(
-                    stall_after=self.stall_after
-                )
+                workers = self.bus.worker_summary()
                 sample["workers"] = workers
                 sample["bus"] = {
                     "events_total": self.bus.events_total(),
@@ -219,13 +185,7 @@ class RuntimeMonitor:
             snapshot = self.governor.snapshot()
             snapshot["remaining_time"] = self.governor.remaining_time()
             sample["governor"] = snapshot
-        # The explicit recorder if one was given, else every installed
-        # counter sink.
-        if self._recorder is not None:
-            recorders = (self._recorder,)
-        else:
-            recorders = _sinks("counter")
-        for recorder in recorders:
+        for recorder in _sinks("counter"):
             recorder.counter(
                 "bdd",
                 {

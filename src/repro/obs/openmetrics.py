@@ -1,11 +1,13 @@
 """OpenMetrics text exposition of the registry, monitor and bus state.
 
-Renders the process-wide observability aggregate — registry counters,
-gauges, histograms and span stats, the latest
-:class:`~repro.obs.monitor.RuntimeMonitor` sample, and the
-:class:`~repro.obs.bus.TelemetryBus` worker view — in the OpenMetrics
+Renders the process-wide observability aggregate in the OpenMetrics
 text format (the Prometheus exposition dialect with typed metadata and
-a terminating ``# EOF``).  Two transports:
+a terminating ``# EOF``), each quantity once: registry counters, gauges
+(the live BDD totals and ``parallel.*`` progress among them),
+histograms and span stats; what the latest
+:class:`~repro.obs.monitor.RuntimeMonitor` sample adds (RSS, its clock,
+the governor); and the :class:`~repro.obs.bus.TelemetryBus` worker
+view.  Two transports:
 
 * **textfile** (``--metrics-file``): :meth:`MetricsExporter.export`
   atomically rewrites the file (temp + rename) on every monitor sample,
@@ -138,15 +140,14 @@ def _render_registry(out: _Lines, snapshot: dict[str, Any]) -> None:
 
 
 def _render_monitor(out: _Lines, sample: dict[str, Any]) -> None:
+    """What the registry lacks: RSS, the monitor's own clock and sample
+    count, and the governor (the live BDD and ``parallel.*`` gauges are
+    the registry's already)."""
     gauge_map = {
         "repro_monitor_elapsed_seconds": sample.get("elapsed"),
         "repro_monitor_samples": sample.get("sample_index"),
         "repro_process_rss_kilobytes": sample.get("rss_kb"),
     }
-    bdd = sample.get("bdd") or {}
-    for key in ("managers", "nodes", "unique", "cache_entries"):
-        if key in bdd:
-            gauge_map[f"repro_bdd_live_{key}"] = bdd[key]
     governor = sample.get("governor") or {}
     if "nodes_allocated" in governor:
         gauge_map["repro_governor_nodes_allocated"] = (
@@ -156,8 +157,6 @@ def _render_monitor(out: _Lines, sample: dict[str, Any]) -> None:
         gauge_map["repro_governor_remaining_time_seconds"] = (
             governor["remaining_time"]
         )
-    for key, value in sorted((sample.get("parallel") or {}).items()):
-        gauge_map[metric_name(key)] = value
     for name, value in gauge_map.items():
         if value is None:
             continue
@@ -229,9 +228,11 @@ def parse_openmetrics(text: str) -> dict[str, dict[str, Any]]:
 
     Returns ``{family_name: {"type": ..., "samples": [(labels, value)]}}``.
     Raises ``ValueError`` on any malformed line, a missing ``# EOF``
-    terminator, or a sample for a family with no ``# TYPE``.
+    terminator, a sample for a family with no ``# TYPE``, or a repeated
+    sample (the same name and labels twice).
     """
     families: dict[str, dict[str, Any]] = {}
+    seen: set[tuple[str, frozenset[tuple[str, str]]]] = set()
     saw_eof = False
     for lineno, line in enumerate(text.splitlines(), 1):
         if saw_eof:
@@ -284,6 +285,10 @@ def parse_openmetrics(text: str) -> dict[str, dict[str, Any]]:
                 raise ValueError(
                     f"line {lineno}: malformed labels: {raw_labels!r}"
                 )
+        series = (name, frozenset(labels.items()))
+        if series in seen:
+            raise ValueError(f"line {lineno}: repeated sample {line!r}")
+        seen.add(series)
         raw_value = match.group("value")
         try:
             value = float(raw_value)

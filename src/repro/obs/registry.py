@@ -26,10 +26,10 @@ implements only the methods it needs, and each fact is emitted once:
 ``event(name, fields)``
     every :func:`event`, likewise independent of the metrics switch;
 ``counter(name, values)``, ``log(level, name, **fields)``,
-``crash_keys()``, ``status_keys()``, ``attached()``, ``cone_*``
+``crash_keys()``, ``status_keys()``, ``cone_started`` / ``cone_finished``
     monitor samples, log records, crash-bundle and status.json keys,
-    and the parallel pass's worker transport, looked up with
-    :func:`sinks`.
+    and a cone step's start and end for the telemetry bus, looked up
+    with :func:`sinks`.
 
 A sink with a ``run_id`` attribute names the run (:func:`run_id`).
 """
@@ -248,6 +248,11 @@ class Registry:
         # ones are aggregated at report time, finalized ones flush their
         # totals here so no work is lost when scratch managers die.
         self._bdd_live: "weakref.WeakSet[Any]" = weakref.WeakSet()
+        #: The ``stats`` of dead managers, queued by their finalizers and
+        #: folded into ``_bdd_flushed`` under the lock.  A finalizer runs
+        #: wherever the collector does — even inside one of this
+        #: registry's locked sections — so it must not take the lock.
+        self._bdd_dead: deque[Any] = deque()
         self._bdd_flushed: dict[str, int] = {}
         self._bdd_total_managers = 0
         self._bdd_peak_nodes = 0
@@ -329,11 +334,15 @@ class Registry:
         with self._lock:
             self._bdd_live.add(manager)
             self._bdd_total_managers += 1
-        weakref.finalize(manager, self._flush_bdd_stats, stats)
+        # Queued on this generation's queue: a manager tracked before a
+        # reset() does not count after it.
+        weakref.finalize(manager, self._bdd_dead.append, stats)
 
-    def _flush_bdd_stats(self, stats: Any) -> None:
-        snapshot = stats.as_dict()
-        with self._lock:
+    def _fold_dead_bdd(self) -> None:
+        """Fold the queued final statistics into the flushed totals (the
+        caller holds the lock)."""
+        while self._bdd_dead:
+            snapshot = self._bdd_dead.popleft().as_dict()
             for key, value in snapshot.items():
                 self._bdd_flushed[key] = self._bdd_flushed.get(key, 0) + value
             # No garbage collection in this engine, so a dead manager's
@@ -342,10 +351,31 @@ class Registry:
             if peak > self._bdd_peak_nodes:
                 self._bdd_peak_nodes = peak
 
-    def live_bdd_managers(self) -> list[Any]:
-        """The currently-alive tracked managers (for monitor sampling)."""
+    def live_bdd(self) -> dict[str, Any]:
+        """Totals over the live tracked managers — ``managers``,
+        ``nodes``, ``unique``, ``cache_entries``, ``unique_capacity``,
+        ``cache_capacity`` and, with any capacity, ``unique_load``
+        (unique entries over unique slots) — plus ``per_manager``, one
+        ``monitor_sample()`` row per manager.  The snapshot's
+        ``bdd.*.live`` gauges, the monitor and crash bundles read it."""
         with self._lock:
-            return list(self._bdd_live)
+            managers = list(self._bdd_live)
+        rows: list[dict[str, Any]] = []
+        for manager in managers:
+            try:
+                rows.append(manager.monitor_sample())
+            except Exception:
+                continue
+        totals: dict[str, Any] = {"managers": len(managers)}
+        for key in ("nodes", "unique", "cache_entries", "unique_capacity",
+                    "cache_capacity"):
+            totals[key] = sum(row.get(key, 0) for row in rows)
+        if totals["unique_capacity"]:
+            totals["unique_load"] = round(
+                totals["unique"] / totals["unique_capacity"], 4
+            )
+        totals["per_manager"] = rows
+        return totals
 
     def bdd_peak_nodes(self) -> int:
         """Largest node count any single tracked manager reached, dead
@@ -357,44 +387,34 @@ class Registry:
         """Aggregated (counters, gauges) of every tracked manager, dead
         or alive, namespaced under ``bdd.``."""
         with self._lock:
+            self._fold_dead_bdd()
             totals = dict(self._bdd_flushed)
             live = list(self._bdd_live)
             total_managers = self._bdd_total_managers
             peak = self._bdd_peak_nodes
         # ``peak`` is the largest node count any *single* manager reached
-        # (dead or alive); ``live_nodes`` sums across live managers, so
-        # the two are not ordered relative to each other.
-        live_nodes = 0
-        live_unique = 0
-        live_cache = 0
-        load_sum = 0.0
-        load_managers = 0
+        # (dead or alive); ``bdd.nodes.live`` sums across live managers,
+        # so the two are not ordered relative to each other.
         for manager in live:
             stats = manager.stats
             if stats is None:
                 continue
             for key, value in stats.as_dict().items():
                 totals[key] = totals.get(key, 0) + value
-            live_nodes += manager.num_nodes
-            live_unique += manager.unique_size
-            live_cache += sum(manager.cache_sizes().values())
-            load = getattr(manager, "unique_load_factor", None)
-            if load is not None:
-                load_sum += load()
-                load_managers += 1
             if manager.num_nodes > peak:
                 peak = manager.num_nodes
+        live_bdd = self.live_bdd()
         counters = {f"bdd.{key}": value for key, value in sorted(totals.items())}
         gauges = {
-            "bdd.managers.live": len(live),
+            "bdd.managers.live": live_bdd["managers"],
             "bdd.managers.total": total_managers,
-            "bdd.nodes.live": live_nodes,
+            "bdd.nodes.live": live_bdd["nodes"],
             "bdd.nodes.peak": peak,
-            "bdd.unique.live": live_unique,
-            "bdd.cache.entries.live": live_cache,
+            "bdd.unique.live": live_bdd["unique"],
+            "bdd.cache.entries.live": live_bdd["cache_entries"],
         }
-        if load_managers:
-            gauges["bdd.unique.load"] = round(load_sum / load_managers, 4)
+        if "unique_load" in live_bdd:
+            gauges["bdd.unique.load"] = live_bdd["unique_load"]
         if total_managers == 0:
             return {}, {}
         return counters, gauges
@@ -454,6 +474,7 @@ class Registry:
             self.events.clear()
             self.events_dropped = 0
             self._bdd_live = weakref.WeakSet()
+            self._bdd_dead = deque()
             self._bdd_flushed.clear()
             self._bdd_total_managers = 0
             self._bdd_peak_nodes = 0

@@ -17,8 +17,10 @@ exportable as
 Install a recorder as an obs sink (``obs.install(recorder)``, or the
 :func:`tracing` context manager) and every span begin/end and obs event
 is mirrored into it; the :class:`~repro.obs.monitor.RuntimeMonitor`
-feeds counter samples the same way.  Recording costs one lock
-acquisition per record and nothing when no recorder is installed.
+feeds counter samples the same way.  A cone decomposed in a forked
+parallel worker is drawn from its ``cone`` event, on a track per worker
+pid.  Recording costs one lock acquisition per record and nothing when
+no recorder is installed.
 """
 
 from __future__ import annotations
@@ -73,11 +75,12 @@ class TraceRecorder:
         """Microseconds since the recorder was created (monotonic)."""
         return (time.perf_counter() - self._epoch_perf) * 1e6
 
-    def _append(self, record: dict[str, Any]) -> None:
+    def _append(self, *records: dict[str, Any]) -> None:
         with self._lock:
-            if len(self._records) == self._records.maxlen:
-                self.dropped += 1
-            self._records.append(record)
+            for record in records:
+                if len(self._records) == self._records.maxlen:
+                    self.dropped += 1
+                self._records.append(record)
 
     def begin(self, name: str, args: Optional[dict[str, Any]] = None) -> None:
         """Record the opening edge of a duration span on this thread."""
@@ -119,51 +122,48 @@ class TraceRecorder:
         self._append(record)
 
     def event(self, name: str, fields: dict[str, Any]) -> None:
-        """Sink method: an obs event becomes an instant."""
+        """Sink method: an obs event becomes an instant, and a ``cone``
+        event from a forked worker also draws the worker's step."""
         self.instant(name, fields or None)
+        if name == "cone" and fields.get("worker_pid") not in (None, self.pid):
+            self._worker_cone(fields)
+
+    def _worker_cone(self, cone: dict[str, Any]) -> None:
+        """Draw a forked worker's cone on the track of its pid: a
+        ``parallel.cone`` span holding the step's phases, laid end to
+        end, as ``algorithm1.<phase>`` spans.  The records go in nesting
+        order.  The worker's wall-clock ``started`` is aligned to this
+        recorder's timeline via the wall clock captured at construction
+        (clock skew is negligible on one host).  An inline cone's spans
+        are recorded live instead."""
+        started = cone.get("started")
+        if started is None:
+            return
+        tid = int(cone["worker_pid"])
+
+        def edge(ph: str, name: str, ts: float) -> dict[str, Any]:
+            return {"ph": ph, "ts": round(ts, 3), "pid": self.pid,
+                    "tid": tid, "name": name}
+
+        begin = max(0.0, (started - self._epoch_wall) * 1e6)
+        records = [edge("B", "parallel.cone", begin)]
+        records[0]["args"] = {
+            "sink": cone.get("signal"), "action": cone.get("action"),
+        }
+        offset = begin
+        for phase, seconds in (cone.get("phases") or {}).items():
+            records.append(edge("B", f"algorithm1.{phase}", offset))
+            offset += seconds * 1e6
+            records.append(edge("E", f"algorithm1.{phase}", offset))
+        elapsed = cone.get("elapsed") or 0.0
+        records.append(edge("E", "parallel.cone", begin + elapsed * 1e6))
+        self._append(*records)
 
     def crash_keys(self) -> dict[str, Any]:
         """Sink method: the buffer's tail for a crash bundle."""
         return {
             "trace": {"dropped": self.dropped, "tail": self.tail(CRASH_TAIL)}
         }
-
-    def emit_external_span(
-        self,
-        name: str,
-        wall_start: float,
-        duration_s: float,
-        tid: int,
-        args: Optional[dict[str, Any]] = None,
-    ) -> None:
-        """Record a span measured in *another* process (a parallel
-        worker) on track ``tid``.
-
-        ``wall_start`` is a ``time.time()`` epoch timestamp from the
-        worker; it is aligned to this recorder's timeline via the wall
-        clock captured at construction, so worker spans interleave
-        correctly with the parent's monotonic spans (modulo wall-clock
-        skew, which is negligible on one host)."""
-        ts = max(0.0, (wall_start - self._epoch_wall) * 1e6)
-        begin: dict[str, Any] = {
-            "ph": "B",
-            "ts": round(ts, 3),
-            "pid": self.pid,
-            "tid": tid,
-            "name": name,
-        }
-        if args:
-            begin["args"] = args
-        self._append(begin)
-        self._append(
-            {
-                "ph": "E",
-                "ts": round(ts + max(0.0, duration_s) * 1e6, 3),
-                "pid": self.pid,
-                "tid": tid,
-                "name": name,
-            }
-        )
 
     def counter(self, name: str, values: dict[str, float]) -> None:
         """Record a sample on counter track ``name`` (one series per

@@ -21,8 +21,10 @@ it decodes the task, rebuilds the slice in a fresh
 :class:`~repro.bdd.manager.BDDManager` under a worker-local governor,
 and runs the same :func:`~repro.engine.passes.decompose_sink` step as
 the serial pass, with a don't-care callback that rebuilds the shipped
-cubes.  It returns a serialized replacement network (or a
-``kept-cost``/``copied`` verdict) plus the step's
+cubes.  The step runs in a ``parallel.cone`` obs span around the step's
+own ``algorithm1.<phase>`` spans, and an installed telemetry bus hears
+of the cone's start and end.  It returns a serialized replacement
+network (or a ``kept-cost``/``copied`` verdict) plus the step's
 :class:`~repro.engine.passes.ConeOutcome` fields, the
 :func:`interval_signature` among them.  It is deterministic — same task
 dict, same result — which is what lets the scheduler promise
@@ -37,10 +39,9 @@ import json
 import os
 import time
 import traceback
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 from repro import obs as _obs
 
@@ -316,8 +317,9 @@ def run_cone_task(data: dict[str, Any]) -> dict[str, Any]:
     """Process-pool entry point: execute one serialized cone task.
 
     Rebuilds the slice in a private manager under a worker-local
-    governor and runs :func:`~repro.engine.passes.decompose_sink` on it,
-    instantiating an accepted tree into a fresh replacement network.
+    governor and runs :func:`~repro.engine.passes.decompose_sink` on it
+    in a ``parallel.cone`` span, instantiating an accepted tree into a
+    fresh replacement network.
     Always returns a result dict: the outcome's
     :meth:`~repro.engine.passes.ConeOutcome.to_json` fields (``action``
     of ``decomposed``, ``kept-cost`` or ``copied``) plus the transport's
@@ -337,14 +339,8 @@ def run_cone_task(data: dict[str, Any]) -> dict[str, Any]:
     task = ConeTask.from_dict(data)
     sink = task.sink
     # The installed telemetry buses (none on a run without the flags);
-    # each call below is a no-op unless the bus attached its pipe.
-    buses = _obs.sinks("cone_progress")
-
-    @contextmanager
-    def phase(name: str, seconds: dict[str, float]) -> Iterator[None]:
-        yield
-        for bus in buses:
-            bus.cone_progress(sink, name, seconds[name])
+    # a bus also reports the step's phase spans while the cone is open.
+    buses = _obs.sinks("cone_started")
 
     _apply_fault(task.fault)
     node_budget = 0 if task.fault == "starve" else task.node_budget
@@ -373,15 +369,15 @@ def run_cone_task(data: dict[str, Any]) -> dict[str, Any]:
     defaults = cone_options(partial(getattr, SynthesisOptions()))
     # Where the parent's trace places this cone's step.
     started_wall = time.time()
-    outcome = decompose_sink(
-        slice_net, sink, collapser, replacement,
-        {**defaults, **task.options},
-        governor=governor,
-        # Sharing stays within the cone: node ids are manager-local.
-        share_table={},
-        dont_cares=dont_cares if task.dc_cubes else None,
-        phase=phase,
-    )
+    with _obs.span("parallel.cone"):
+        outcome = decompose_sink(
+            slice_net, sink, collapser, replacement,
+            {**defaults, **task.options},
+            governor=governor,
+            # Sharing stays within the cone: node ids are manager-local.
+            share_table={},
+            dont_cares=dont_cares if task.dc_cubes else None,
+        )
     decomposed = outcome.action == "decomposed"
     if decomposed:
         replacement.add_output(sink)

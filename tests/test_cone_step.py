@@ -7,13 +7,16 @@
   changes to the engine (they hold with ``REPRO_NATIVE=0`` and any
   ``PYTHONHASHSEED``);
 * **phase names** — both transports time the same
-  ``collapse``/``dontcare``/``decompose``/``instantiate`` phases, in
-  obs spans, trace spans and bus events.
+  ``collapse``/``dontcare``/``decompose``/``instantiate`` phases, as
+  ``algorithm1.<phase>`` obs spans (inside ``parallel.cone`` for a
+  parallel cone, drawn on its worker's trace track when forked) and as
+  bus events.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
 
 import pytest
 
@@ -23,6 +26,7 @@ from repro.engine.checkpoint import network_to_dict
 from repro.network import outputs_equal, write_blif
 from repro.network.netlist import Network
 from repro.obs import bus as obs_bus
+from repro.obs.trace import summarize
 from repro.synth import SynthesisOptions, algorithm1
 from repro.synth.conetask import merge_cone_result
 
@@ -135,10 +139,64 @@ class TestPhaseNames:
         assert {"collapse", "decompose", "instantiate"} <= {
             name.split(".", 1)[1]
             for name in names
-            if name and name.startswith("parallel.")
+            if name and name.startswith("algorithm1.")
         }
         progress = {
             r["phase"] for r in bus.recent if r["ev"] == "cone.progress"
         }
         assert {"collapse", "decompose", "instantiate"} <= progress
         assert progress <= PHASES
+
+    def test_in_process_phase_span_paths(self, traced):
+        """Both in-process transports run the step's phases as
+        ``algorithm1.<phase>`` obs spans; an inline parallel cone's sit
+        under ``parallel.cone``."""
+        for workers in (0, 1):
+            obs.reset()
+            algorithm1(
+                iscas_analog("s344"),
+                SynthesisOptions(parallel_workers=workers),
+            )
+            spans = obs.report()["spans"]
+            for phase in ("collapse", "decompose", "instantiate"):
+                paths = [
+                    p for p in spans if p.endswith(f"/algorithm1.{phase}")
+                ]
+                assert paths, (workers, phase)
+                if workers:
+                    assert all(
+                        p.endswith(f"/parallel.cone/algorithm1.{phase}")
+                        for p in paths
+                    ), paths
+
+    def test_forked_worker_cones_enclose_their_phases(self, traced):
+        """Read in record order, every ``parallel.cone`` on a worker's
+        track encloses the step's ``algorithm1.<phase>`` spans, and
+        nothing else; there is one per dispatched cone."""
+        report = algorithm1(
+            iscas_analog("s344"), SynthesisOptions(parallel_workers=2)
+        )
+        records = traced.records()
+        stacks: dict[int, list[list]] = {}
+        cones = []
+        for record in records:
+            if record["tid"] == threading.get_ident():
+                continue  # the parent's own thread
+            if record["ph"] == "B":
+                stacks.setdefault(record["tid"], []).append(
+                    [record["name"], []]
+                )
+            elif record["ph"] == "E":
+                name, enclosed = stacks[record["tid"]].pop()
+                assert name == record["name"]
+                if stacks[record["tid"]]:
+                    stacks[record["tid"]][-1][1].append(name)
+                if name == "parallel.cone":
+                    cones.append(enclosed)
+        assert len(cones) == len(report.artifacts["parallel.cone_stats"])
+        assert all(cones)
+        assert {n for enclosed in cones for n in enclosed} <= {
+            f"algorithm1.{phase}" for phase in PHASES
+        }
+        summary = summarize(records)
+        assert summary["unclosed"] == [] and summary["orphan_ends"] == 0

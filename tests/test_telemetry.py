@@ -23,6 +23,7 @@ import os
 import sys
 import time
 import urllib.request
+from collections import Counter
 
 import pytest
 
@@ -93,16 +94,20 @@ def bus():
 
 class TestBusTransport:
     def test_cone_lifecycle_round_trip(self, bus):
-        with bus.attached():
-            obs_bus.cone_started("n42", cone_inputs=5)
-            obs_bus.cone_progress("n42", "collapse", 0.125)
-            obs_bus.cone_finished("n42", "decomposed", elapsed=0.5)
+        bus.cone_started("n42", cone_inputs=5)
+        bus.begin("algorithm1.collapse")
+        bus.end("algorithm1.collapse")
+        bus.cone_finished("n42", "decomposed", elapsed=0.5)
         assert wait_until(lambda: bus.counts.get("cone.end"))
         assert bus.counts == {
             "cone.start": 1,
             "cone.progress": 1,
             "cone.end": 1,
         }
+        (progress,) = [r for r in bus.recent if r["ev"] == "cone.progress"]
+        assert progress["sink"] == "n42"
+        assert progress["phase"] == "collapse"
+        assert progress["dur"] >= 0
         assert bus.events_dropped == 0
         (worker,) = bus.worker_summary()
         assert worker["pid"] == os.getpid()
@@ -113,11 +118,8 @@ class TestBusTransport:
         assert all(r.get("run") == "testrun" for r in bus.recent)
 
     def test_degrade_event_precedes_copied_end(self, bus):
-        with bus.attached():
-            obs_bus.cone_started("n7", cone_inputs=3)
-            obs_bus.cone_finished(
-                "n7", "copied", degrade_reason="node budget"
-            )
+        bus.cone_started("n7", cone_inputs=3)
+        bus.cone_finished("n7", "copied", degrade_reason="node budget")
         assert wait_until(lambda: bus.counts.get("cone.end"))
         assert bus.counts.get("cone.degrade") == 1
         (worker,) = bus.worker_summary()
@@ -159,17 +161,15 @@ class TestBusTransport:
             os.close(write_fd)
 
     def test_reported_drops_reach_bus_aggregate(self, bus):
-        with bus.attached():
-            emitter = obs_bus._current_emitter()
-            emitter.dropped = 3  # as if back-pressure had struck
-            emitter.emit("cone.start", sink="s")
+        emitter = bus._process_emitter()
+        emitter.dropped = 3  # as if back-pressure had struck
+        emitter.emit("cone.start", sink="s")
         assert wait_until(lambda: bus.counts.get("cone.start"))
         assert bus.events_dropped == 3
         assert bus.snapshot()["events_dropped"] == 3
 
     def test_oversized_record_truncated_not_torn(self, bus):
-        with bus.attached():
-            obs_bus.emit("huge", blob="y" * (2 * obs_bus.MAX_RECORD_BYTES))
+        bus.emit("huge", blob="y" * (2 * obs_bus.MAX_RECORD_BYTES))
         assert wait_until(lambda: bus.counts.get("huge"))
         assert bus.parse_errors == 0
         record = list(bus.recent)[-1]
@@ -194,24 +194,37 @@ class TestBusTransport:
     def test_heartbeat_streams_while_cone_in_flight(self):
         bus = obs_bus.TelemetryBus(heartbeat_interval=0.05)
         try:
-            with bus.attached():
-                obs_bus.cone_started("slow", cone_inputs=9)
-                assert wait_until(
-                    lambda: bus.counts.get("heartbeat", 0) >= 2
-                )
-                obs_bus.cone_finished("slow", "decomposed")
+            bus.cone_started("slow", cone_inputs=9)
+            assert wait_until(lambda: bus.counts.get("heartbeat", 0) >= 2)
+            bus.cone_finished("slow", "decomposed")
             assert wait_until(lambda: bus.counts.get("cone.end"))
             (worker,) = bus.worker_summary()
             assert worker["state"] == "idle"
         finally:
             bus.close()
 
-    def test_attachment_restores_previous_target(self, bus):
-        assert obs_bus._WORKER_FD is None
-        with bus.attached():
-            assert obs_bus._WORKER_FD == bus._write_fd
-        assert obs_bus._WORKER_FD is None
-        assert obs_bus.emit("nobody") is False
+    def test_phase_spans_outside_a_cone_send_nothing(self, bus):
+        bus.begin("algorithm1.collapse")
+        bus.end("algorithm1.collapse")
+        bus.cone_started("n3", cone_inputs=2)
+        bus.begin("pipeline.decompose")
+        bus.end("pipeline.decompose")
+        bus.cone_finished("n3", "decomposed")
+        assert wait_until(lambda: bus.counts.get("cone.end"))
+        assert bus.counts == {"cone.start": 1, "cone.end": 1}
+
+    def test_closed_bus_sends_nothing(self):
+        bus = obs_bus.TelemetryBus(heartbeat_interval=0)
+        bus.cone_started("n1", cone_inputs=2)
+        bus.close()  # drains the record already sent
+        assert bus.counts == {"cone.start": 1}
+        assert bus.emit("nobody") is False
+        bus.begin("algorithm1.collapse")
+        bus.end("algorithm1.collapse")
+        bus.cone_finished("n1", "decomposed")
+        bus.cone_started("n2", cone_inputs=2)
+        assert bus.counts == {"cone.start": 1}
+        assert bus.events_dropped == 0
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +234,9 @@ class TestBusTransport:
 
 class TestStallDetection:
     def _busy_worker(self, bus):
-        with bus.attached():
-            obs_bus.cone_started("n9", cone_inputs=4)
-            time.sleep(0.2)  # a measurable start->heartbeat gap
-            obs_bus.emit("heartbeat", sink="n9")
+        bus.cone_started("n9", cone_inputs=4)
+        time.sleep(0.2)  # a measurable start->heartbeat gap
+        bus.emit("heartbeat", sink="n9")
         assert wait_until(lambda: bus.counts.get("heartbeat"))
         with bus._lock:
             return dict(bus.workers[os.getpid()])
@@ -243,12 +255,13 @@ class TestStallDetection:
         )
         assert fresh["stalled"] is False
 
-    def test_monitor_folds_stall_into_status(self, bus, tmp_path):
+    def test_monitor_folds_stall_into_status(
+        self, bus, tmp_path, monkeypatch
+    ):
         self._busy_worker(bus)
         status = tmp_path / "status.json"
-        monitor = RuntimeMonitor(
-            interval=60, status_file=status, bus=bus, stall_after=0.0
-        )
+        monkeypatch.setattr(obs_bus, "DEFAULT_STALL_AFTER", 0.0)
+        monitor = RuntimeMonitor(interval=60, status_file=status, bus=bus)
         time.sleep(0.05)  # let last_event_age exceed the zero horizon
         sample = monitor.sample()
         assert sample["bus"]["workers_stalled"] == 1
@@ -300,25 +313,25 @@ class TestWorkerFaults:
         assert bus.counts["cone.end"] >= total - 1
         assert bus.counts.get("shard.dispatch") == 1
 
-    def test_killed_mid_cone_worker_marked_stalled(self, bus):
+    def test_killed_mid_cone_worker_marked_stalled(self, bus, monkeypatch):
         """A child that dies *after* cone.start (mid-cone) leaves a busy
         row with no further events — exactly what the stall rules catch,
         and what the monitor surfaces as workers_stalled."""
-        with bus.attached():
-            child = os.fork()
-            if child == 0:
-                # Forked worker: announce a cone, then die silently.
-                obs_bus.cone_started("doomed", cone_inputs=6)
-                os._exit(0)
-            os.waitpid(child, 0)
-            assert wait_until(lambda: bus.counts.get("cone.start"))
+        child = os.fork()
+        if child == 0:
+            # Forked worker: announce a cone, then die silently.
+            bus.cone_started("doomed", cone_inputs=6)
+            os._exit(0)
+        os.waitpid(child, 0)
+        assert wait_until(lambda: bus.counts.get("cone.start"))
         assert bus.parse_errors == 0
         (row,) = bus.worker_summary(stall_after=0.0, now=time.time() + 1.0)
         assert row["pid"] == child
         assert row["state"] == "busy"
         assert row["sink"] == "doomed"
         assert row["stalled"] is True
-        monitor = RuntimeMonitor(interval=60, bus=bus, stall_after=0.0)
+        monkeypatch.setattr(obs_bus, "DEFAULT_STALL_AFTER", 0.0)
+        monitor = RuntimeMonitor(interval=60, bus=bus)
         time.sleep(0.05)
         assert monitor.sample()["bus"]["workers_stalled"] == 1
 
@@ -417,13 +430,13 @@ class TestOpenMetrics:
         )
 
     def test_render_parse_round_trip(self):
+        gauges = {**SAMPLE_REGISTRY["gauges"], "parallel.cones.total": 26}
         text = openmetrics.render(
-            registry_snapshot=SAMPLE_REGISTRY,
+            registry_snapshot={**SAMPLE_REGISTRY, "gauges": gauges},
             monitor_sample={
                 "elapsed": 12.5,
                 "sample_index": 4,
                 "rss_kb": 2048,
-                "parallel": {"parallel.cones.total": 26},
             },
             bus_snapshot=SAMPLE_BUS,
         )
@@ -460,11 +473,40 @@ class TestOpenMetrics:
             ("# TYPE repro_x gauge\nrepro_x one\n# EOF\n", "non-numeric"),
             ("# TYPE repro_x widget\n# EOF\n", "bad TYPE"),
             ("# EOF\nrepro_x 1\n", "after # EOF"),
+            ("# TYPE repro_x gauge\nrepro_x{a=\"1\"} 1\n"
+             "repro_x{a=\"1\"} 2\n# EOF\n", "repeated"),
         ],
     )
     def test_parser_rejects_malformed(self, text, match):
         with pytest.raises(ValueError, match=match):
             openmetrics.parse_openmetrics(text)
+
+    def test_parallel_run_exposes_each_series_once(self, tmp_path, capsys):
+        """A ``--workers 2`` run's final exposition names every series
+        once: the live BDD totals and the ``parallel.*`` gauges come
+        from the registry alone, with no monitor-side aliases."""
+        from repro.benchgen import iscas_analog
+        from repro.cli import main
+        from repro.network import save_blif
+
+        bench = tmp_path / "s344.blif"
+        save_blif(iscas_analog("s344"), str(bench))
+        metrics = tmp_path / "m.om"
+        assert main([
+            "optimize", str(bench), "-o", str(tmp_path / "out.blif"),
+            "--workers", "2", "--metrics-file", str(metrics),
+        ]) == 0
+        text = metrics.read_text()
+        series = Counter(
+            line.rsplit(" ", 1)[0]
+            for line in text.splitlines()
+            if not line.startswith("#")
+        )
+        assert [name for name, count in series.items() if count > 1] == []
+        assert "repro_bdd_live_" not in text
+        families = openmetrics.parse_openmetrics(text)
+        assert "repro_bdd_nodes_live" in families
+        assert families["repro_parallel_workers"]["samples"] == [({}, 2.0)]
 
     def test_exporter_textfile_atomic_refresh(self, tmp_path):
         target = tmp_path / "metrics" / "repro.om"

@@ -312,11 +312,10 @@ class TestRuntimeMonitor:
             manager.apply_and(manager.var(i), manager.var(i + 1))
         governor = ResourceGovernor(time_budget=100.0)
         governor.attach_manager(manager)
-        recorder = obs_trace.TraceRecorder()
+        recorder = obs.install(obs_trace.TraceRecorder())
         status = tmp_path / "status.json"
         monitor = RuntimeMonitor(
-            interval=60.0, status_file=status, recorder=recorder,
-            governor=governor,
+            interval=60.0, status_file=status, governor=governor,
         )
         with obs.span("live.phase"):
             sample = monitor.sample()
