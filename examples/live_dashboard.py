@@ -76,7 +76,7 @@ def main() -> None:
     families = openmetrics.parse_openmetrics(metrics_path.read_text())
     print(render_top(status, families))
 
-    snap = bus.snapshot(recent=0)
+    snap = bus.snapshot()
     print("\nbus aggregate")
     for event, count in sorted(snap["events"].items()):
         print(f"  {event:<16} {count:>6}")
@@ -85,7 +85,7 @@ def main() -> None:
     per_worker = {}
     cone_ends = [
         record for record in map(json.loads, log_path.read_text().splitlines())
-        if record["event"] == "bus.cone.end"
+        if record["ev"] == "bus.cone.end"
     ]
     for record in cone_ends:
         per_worker[record["pid"]] = per_worker.get(record["pid"], 0) + 1

@@ -190,10 +190,10 @@ class _Run:
             from repro.obs.logging import StructuredLogger
 
             self.logger = self._install(StructuredLogger(flag("log_json")))
-            self.logger.info(
+            self.logger.log(obs.record(
                 "run.start", command=self.args.command,
                 argv=list(sys.argv[1:]),
-            )
+            ), "info")
         if live:
             # The bus backs every live view (status.json worker rows,
             # OpenMetrics worker gauges, log-mirrored cone events).
@@ -334,12 +334,14 @@ class _Run:
         if self.bus is not None:
             self.bus.close()
         if self.logger is not None:
+            from repro import obs
+
             bus = self.bus
-            self.logger.info(
+            self.logger.log(obs.record(
                 "run.end",
                 bus_events=bus.events_total() if bus is not None else 0,
                 bus_dropped=bus.events_dropped if bus is not None else 0,
-            )
+            ), "info")
             self.logger.close()
             if chatter and self.logger.path is not None:
                 print(
@@ -1056,13 +1058,13 @@ def render_top(
     progress = status.get("parallel") or {}
     if progress.get("parallel.cones.total"):
         total = int(progress["parallel.cones.total"])
-        merged = int(progress.get("parallel.cones.merged") or 0)
+        finished = int(progress.get("parallel.cones.finished") or 0)
         degraded = int(progress.get("parallel.cones.degraded") or 0)
         width = 30
-        filled = int(width * merged / total) if total else 0
+        filled = int(width * finished / total) if total else 0
         bar = "#" * filled + "-" * (width - filled)
         lines.append(
-            f"  cones: [{bar}] {merged}/{total}"
+            f"  cones: [{bar}] {finished}/{total}"
             + (f"  ({degraded} degraded)" if degraded else "")
         )
     bus = status.get("bus")

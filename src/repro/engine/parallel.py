@@ -26,7 +26,11 @@ the same single ``cone`` event on both transports, with the task's
 added.  A trace recorder draws a forked worker's cone and its phases
 from that event; an inline cone's spans were recorded live.  A forked
 worker keeps only the telemetry bus of the parent's obs sinks, and
-streams its cone's start, phases and end through it.
+streams its cone's start, phases and end through it.  With metrics on,
+the scheduler counts every task whose result it keeps in the
+``parallel.cones.finished`` gauge, out of ``parallel.cones.total``, so
+status.json and ``repro top`` show cones finishing while the workers
+run.
 
 Failure is degradation, not death:
 
@@ -146,14 +150,23 @@ class ParallelConeScheduler:
         results: dict[str, dict[str, Any]] = {}
         for task in tasks:
             try:
-                results[task.sink] = run_cone_task(task.to_dict())
+                result = run_cone_task(task.to_dict())
             except Exception as exc:
                 error = format_worker_error(exc)
                 self._note_failure(task.sink, "exception", error)
-                results[task.sink] = _failure(
-                    task.sink, "exception", error["message"]
-                )
+                result = _failure(task.sink, "exception", error["message"])
+            self._keep(results, task.sink, result)
         return results
+
+    @staticmethod
+    def _keep(
+        results: dict[str, dict[str, Any]], sink: str, result: dict[str, Any]
+    ) -> None:
+        """Keep one task's result (a failure too) and count it in the
+        ``parallel.cones.finished`` progress gauge."""
+        results[sink] = result
+        if _obs.enabled():
+            _obs.set_gauge("parallel.cones.finished", len(results))
 
     def _wait_timeout(self) -> Optional[float]:
         if self.timeout is None:
@@ -206,10 +219,10 @@ class ParallelConeScheduler:
             for task, future in submitted:
                 sink = task.sink
                 try:
-                    results[sink] = future.result(timeout=wait)
+                    result = future.result(timeout=wait)
                 except concurrent.futures.TimeoutError:
                     self._note_failure(sink, "timeout", None)
-                    results[sink] = _failure(
+                    result = _failure(
                         sink, "timeout", f"exceeded {self.timeout}s"
                     )
                 except BrokenProcessPool:
@@ -218,9 +231,8 @@ class ParallelConeScheduler:
                 except Exception as exc:
                     error = format_worker_error(exc)
                     self._note_failure(sink, "exception", error)
-                    results[sink] = _failure(
-                        sink, "exception", error["message"]
-                    )
+                    result = _failure(sink, "exception", error["message"])
+                self._keep(results, sink, result)
         finally:
             self._reap(executor)
         if pool_broke:
@@ -233,7 +245,7 @@ class ParallelConeScheduler:
                 _obs.inc("parallel.pool.broken")
             remaining = [t for t in tasks if t.sink not in results]
             for task in remaining:
-                results[task.sink] = self._run_isolated(task)
+                self._keep(results, task.sink, self._run_isolated(task))
         return results
 
     def _run_isolated(self, task: ConeTask) -> dict[str, Any]:
@@ -349,7 +361,7 @@ class DecomposeParallelPass(_BasePass):
             _obs.inc("parallel.tasks", len(tasks))
             # Progress gauges the RuntimeMonitor mirrors into status.json.
             _obs.set_gauge("parallel.cones.total", len(tasks))
-            _obs.set_gauge("parallel.cones.merged", 0)
+            _obs.set_gauge("parallel.cones.finished", 0)
             _obs.set_gauge("parallel.cones.degraded", 0)
         _obs.event("shard.dispatch", cones=len(tasks), workers=workers)
         began = time.perf_counter()
@@ -382,7 +394,6 @@ class DecomposeParallelPass(_BasePass):
             cone_stats.append(row)
             merges += 1
             if _obs.enabled():
-                _obs.set_gauge("parallel.cones.merged", merges)
                 _obs.set_gauge(
                     "parallel.cones.degraded", len(degraded_cones)
                 )

@@ -19,14 +19,17 @@ removed with :func:`uninstall` — the one install API: a
 :class:`TraceRecorder`, a :class:`repro.obs.logging.StructuredLogger`,
 a :class:`repro.obs.bus.TelemetryBus`, a
 :class:`repro.obs.ledger.LedgerRun`.  Each fact (a span, an
-``obs.event`` such as a pass boundary or a cone merge) is emitted once
-and reaches every installed sink, whether or not metrics are on.  The
+``obs.event`` such as a pass boundary or a committed cone) is emitted
+once and reaches every installed sink, whether or not metrics are on;
+an event is one versioned :func:`record` that the registry and every
+sink read.  The
 live-telemetry and ledger modules are deliberately **not** re-exported
 here: only the CLI imports them, when their flags are given, so a run
 without the flags never loads them at all.
 """
 
 from repro.obs.registry import (
+    ENVELOPE,
     Histogram,
     Registry,
     SpanStat,
@@ -39,6 +42,7 @@ from repro.obs.registry import (
     install,
     log,
     observe,
+    record,
     registry,
     report,
     reset,
@@ -56,6 +60,7 @@ from repro.obs.monitor import RuntimeMonitor
 from repro.obs.crashdump import set_crash_context, write_crash_bundle
 
 __all__ = [
+    "ENVELOPE",
     "Histogram",
     "Registry",
     "RuntimeMonitor",
@@ -71,6 +76,7 @@ __all__ = [
     "install",
     "log",
     "observe",
+    "record",
     "registry",
     "render_profile",
     "report",

@@ -32,9 +32,10 @@ Design constraints, in order:
   flags never imports this module (``tests/test_telemetry.py`` asserts
   exactly that in a fresh interpreter).
 
-Record schema (version :data:`RECORD_VERSION`): every record carries
-``v``, ``ev`` (event name), ``pid``, ``t`` (unix time) and ``run`` (the
-bus's run id, else the one the obs sink list names) when known.  Cone
+Every record is an obs record (:func:`repro.obs.record`): ``v``, ``ev``
+(event name), ``t`` (unix time), ``pid`` and ``run`` (the bus's run id,
+which the parent pins from the first record that names the run, before
+any pool forks, so a forked worker's records carry it too).  Cone
 events add ``sink`` plus event-specific fields.  ``cone.start`` and
 ``cone.end`` come from :meth:`TelemetryBus.cone_started` and
 :meth:`TelemetryBus.cone_finished`; ``cone.progress`` is the end of an
@@ -50,8 +51,8 @@ process, which the bus sees as a span sink:
 ``cone.end``       ``sink``, ``action``, ``elapsed``
 =================  ====================================================
 
-The parent also folds its own obs events into the same aggregate
-(:meth:`TelemetryBus.event` → :meth:`TelemetryBus.record_local`): the
+The parent also folds its own obs event records into the same
+aggregate (:meth:`TelemetryBus.event`, for :data:`LOCAL_EVENTS`): the
 parallel pass's ``shard.dispatch``, and the ``cone`` event the engine
 publishes once per committed sink on either transport.  So the stream a
 dashboard sees is one coherent timeline.
@@ -63,13 +64,11 @@ import json
 import os
 import threading
 import time
-from collections import deque
 from typing import Any, Optional
 
 from repro.obs.registry import log as _log
+from repro.obs.registry import record as _record
 from repro.obs.registry import run_id as _run_id
-
-RECORD_VERSION = 1
 
 #: The parent's own obs events the bus folds into its aggregate.
 LOCAL_EVENTS = ("shard.dispatch", "cone")
@@ -79,7 +78,7 @@ LOCAL_EVENTS = ("shard.dispatch", "cone")
 #: it means a record is written whole or not at all — never torn.
 MAX_RECORD_BYTES = 3072
 
-#: Default worker heartbeat period in seconds (0 disables heartbeats).
+#: Worker heartbeat period in seconds (0 disables heartbeats).
 DEFAULT_HEARTBEAT = 0.5
 
 #: Default liveness horizon: a worker whose cone has been in flight
@@ -95,10 +94,10 @@ class _Emitter:
     """Per-process send side: serialises records and writes them to the
     inherited pipe fd, dropping (and counting) on back-pressure."""
 
-    def __init__(self, fd: int, meta: dict[str, Any], heartbeat: float) -> None:
+    def __init__(self, fd: int, run: Optional[str]) -> None:
         self.fd = fd
-        self.meta = dict(meta)
-        self.heartbeat = heartbeat
+        self.run = run
+        self.heartbeat = DEFAULT_HEARTBEAT
         self.pid = os.getpid()
         self.dropped = 0
         self.current_sink: Optional[str] = None
@@ -108,28 +107,19 @@ class _Emitter:
         self._hb_thread: Optional[threading.Thread] = None
         self._hb_stop = threading.Event()
 
-    def emit(self, ev: str, **fields: Any) -> bool:
-        record: dict[str, Any] = {
-            "v": RECORD_VERSION,
-            "ev": ev,
-            "pid": self.pid,
-            "t": time.time(),
-        }
-        record.update(self.meta)
-        record.update(fields)
+    def _encode(self, record: dict[str, Any]) -> bytes:
+        if self.run is not None:
+            record["run"] = self.run
         if self.dropped:
             record["dropped"] = self.dropped
-        data = (json.dumps(record, separators=(",", ":"), default=str)
+        return (json.dumps(record, separators=(",", ":"), default=str)
                 + "\n").encode()
+
+    def emit(self, ev: str, **fields: Any) -> bool:
+        data = self._encode(_record(ev, **fields))
         if len(data) > MAX_RECORD_BYTES:
             # Replace, don't split: a split record would tear the frame.
-            marker = {
-                "v": RECORD_VERSION, "ev": ev, "pid": self.pid,
-                "t": record["t"], "truncated": True,
-            }
-            if self.dropped:
-                marker["dropped"] = self.dropped
-            data = (json.dumps(marker, separators=(",", ":")) + "\n").encode()
+            data = self._encode(_record(ev, truncated=True))
         with self._lock:
             try:
                 os.write(self.fd, data)
@@ -176,14 +166,8 @@ class TelemetryBus:
     bus sends nothing.
     """
 
-    def __init__(
-        self,
-        run_id: Optional[str] = None,
-        heartbeat_interval: float = DEFAULT_HEARTBEAT,
-        max_recent: int = 256,
-    ) -> None:
+    def __init__(self, run_id: Optional[str] = None) -> None:
         self.run_id = run_id
-        self.heartbeat_interval = heartbeat_interval
         self._read_fd, self._write_fd = os.pipe()
         # Non-blocking sends are what makes the queue bounded: a full
         # kernel buffer drops (counted) instead of stalling a worker.
@@ -194,7 +178,6 @@ class TelemetryBus:
         self.started_at = time.time()
         self.workers: dict[int, dict[str, Any]] = {}
         self.counts: dict[str, int] = {}
-        self.recent: deque[dict[str, Any]] = deque(maxlen=max_recent)
         #: Lines that failed to parse (torn/corrupt) — reader-side drops.
         self.parse_errors = 0
         #: Per-pid cumulative drop counts reported by emitters.
@@ -203,14 +186,6 @@ class TelemetryBus:
             target=self._read_loop, name="repro-bus-reader", daemon=True
         )
         self._reader.start()
-
-    def meta(self) -> dict[str, Any]:
-        """The static record fields.  The run id is pinned on first use
-        in the parent, so a forked worker, which keeps no sink but the
-        bus, still names the run."""
-        if self.run_id is None:
-            self.run_id = _run_id()
-        return {"run": self.run_id} if self.run_id is not None else {}
 
     # -- send side (any process holding the bus) -------------------------
 
@@ -222,9 +197,8 @@ class TelemetryBus:
             return None
         emitter = self._emitter
         if emitter is None or emitter.pid != os.getpid():
-            emitter = self._emitter = _Emitter(
-                self._write_fd, self.meta(), self.heartbeat_interval
-            )
+            self.run_id = self.run_id or _run_id()
+            emitter = self._emitter = _Emitter(self._write_fd, self.run_id)
         return emitter
 
     def emit(self, ev: str, **fields: Any) -> bool:
@@ -324,27 +298,17 @@ class TelemetryBus:
         # the run log.  A record the log rejects must not stop the
         # reader thread.
         try:
-            _log(
-                "debug", f"bus.{record.get('ev')}",
-                **{k: v for k, v in record.items()
-                   if k not in ("v", "ev", "t")},
-            )
+            _log({**record, "ev": f"bus.{record.get('ev')}"}, "debug")
         except Exception:
             pass
 
-    def record_local(self, ev: str, **fields: Any) -> None:
-        """Fold a parent-side event (a committed cone, dispatch) into
-        the aggregate without a pipe round trip."""
-        record = {"v": RECORD_VERSION, "ev": ev, "pid": os.getpid(),
-                  "t": time.time()}
-        record.update(self.meta())
-        record.update(fields)
-        self._aggregate(record, received=record["t"], local=True)
-
-    def event(self, name: str, fields: dict[str, Any]) -> None:
-        """Sink method: fold the parent's :data:`LOCAL_EVENTS`."""
-        if name in LOCAL_EVENTS:
-            self.record_local(name, **fields)
+    def event(self, record: dict[str, Any]) -> None:
+        """Sink method: fold the parent's :data:`LOCAL_EVENTS` into the
+        aggregate without a pipe round trip.  The first record naming
+        the run pins the bus's run id, before any pool forks."""
+        self.run_id = self.run_id or record.get("run")
+        if record["ev"] in LOCAL_EVENTS:
+            self._aggregate(record, received=record["t"], local=True)
 
     def _aggregate(
         self, record: dict[str, Any], received: float, local: bool = False
@@ -353,7 +317,6 @@ class TelemetryBus:
         pid = record.get("pid")
         with self._lock:
             self.counts[ev] = self.counts.get(ev, 0) + 1
-            self.recent.append(record)
             if not isinstance(pid, int):
                 return
             reported = record.get("dropped")
@@ -444,12 +407,11 @@ class TelemetryBus:
             rows.append(row)
         return rows
 
-    def snapshot(self, recent: int = 16) -> dict[str, Any]:
-        """JSON-safe aggregate: event counts, drop accounting, per-worker
-        rows, and the ``recent`` newest raw records."""
+    def snapshot(self) -> dict[str, Any]:
+        """JSON-safe aggregate: event counts, drop accounting and
+        per-worker rows."""
         with self._lock:
             counts = dict(self.counts)
-            tail = list(self.recent)[-recent:] if recent else []
             parse_errors = self.parse_errors
             reported = sum(self._reported_drops.values())
         return {
@@ -460,7 +422,6 @@ class TelemetryBus:
             "events_dropped": parse_errors + reported,
             "parse_errors": parse_errors,
             "workers": self.worker_summary(),
-            "recent": tail,
         }
 
     # -- teardown -------------------------------------------------------

@@ -29,7 +29,7 @@ Three tables:
 
 Everything here is **off by default**: no CLI flag, no import, no I/O.
 A :class:`LedgerRun` installed as an obs sink turns the engine's
-``pipeline.pass`` and ``cone`` events into rows; only the CLI imports
+``pipeline.pass`` and ``cone`` event records into rows; only the CLI imports
 this module, so a run without ``--ledger`` never loads it
 (``tests/test_telemetry.py`` asserts exactly that).
 
@@ -47,6 +47,8 @@ import time
 import uuid
 from pathlib import Path
 from typing import Any, Iterable, Optional
+
+from repro.obs.registry import ENVELOPE
 
 SCHEMA_VERSION = 1
 
@@ -576,13 +578,14 @@ def trajectory_regressions(
 # The run in flight, as an obs sink
 # ---------------------------------------------------------------------------
 
-#: ``pipeline.pass`` event fields that are columns; the rest are metrics.
+#: ``pipeline.pass`` event fields that are columns; the rest, past the
+#: record's envelope, are metrics.
 _PASS_FIELDS = ("index", "pass_name", "elapsed", "exhausted")
 
 
 class LedgerRun:
-    """Obs sink writing one run's rows: a ``pipeline.pass`` event
-    becomes a pass row, a ``cone`` event a cone row (buffered and
+    """Obs sink writing one run's rows: a ``pipeline.pass`` record
+    becomes a pass row, a ``cone`` record a cone row (buffered and
     written in one batch ahead of the next pass or run row).
     Appends never kill the synthesis run: a failure is counted as
     ``ledger.errors`` instead."""
@@ -601,19 +604,20 @@ class LedgerRun:
 
     status_keys = crash_keys
 
-    def event(self, name: str, fields: dict[str, Any]) -> None:
-        if name == "cone":
+    def event(self, record: dict[str, Any]) -> None:
+        if record["ev"] == "cone":
             self._cones.append(
-                {**fields, "sink": fields["signal"],
-                 "pid": fields.get("worker_pid")}
+                {**record, "sink": record["signal"],
+                 "pid": record.get("worker_pid")}
             )
-        elif name == "pipeline.pass":
+        elif record["ev"] == "pipeline.pass":
             metrics = {
-                k: v for k, v in fields.items() if k not in _PASS_FIELDS
+                k: v for k, v in record.items()
+                if k not in _PASS_FIELDS + ENVELOPE
             }
             self._guarded(
-                self.ledger.record_pass, self.run_id, fields["index"],
-                fields["pass_name"], fields["elapsed"], fields["exhausted"],
+                self.ledger.record_pass, self.run_id, record["index"],
+                record["pass_name"], record["elapsed"], record["exhausted"],
                 metrics=metrics or None,
             )
 

@@ -16,6 +16,12 @@ Each sample goes two places:
   touching the process.  Installed obs sinks add their
   ``status_keys()`` (the ledger run names its row here).
 
+A sample sees what no event record carries: the span a long symbolic
+step is still inside (``.../algorithm1.dontcare/reach.fixpoint``, say)
+and the BDD nodes and RSS climbing under it, before that step has
+emitted anything — plus the ``parallel.cones.*`` progress gauges
+(cones finished out of total) while the workers run.
+
 The monitor never throws into the host run: sampling errors are counted
 (``monitor.sample_errors``) and swallowed.
 """
@@ -157,8 +163,8 @@ class RuntimeMonitor:
             "rss_kb": rss,
             "spans": spans,
         }
-        # Worker/cone progress: the parallel pass maintains
-        # ``parallel.cones.*`` gauges while it merges shards.
+        # Worker/cone progress: the parallel scheduler counts finished
+        # cones in ``parallel.cones.*`` gauges while the workers run.
         try:
             progress = self._registry.gauge_values("parallel.")
         except Exception:

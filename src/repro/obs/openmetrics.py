@@ -346,7 +346,7 @@ class MetricsExporter:
         bus_snapshot = None
         if self.bus is not None:
             try:
-                bus_snapshot = self.bus.snapshot(recent=0)
+                bus_snapshot = self.bus.snapshot()
             except Exception:
                 bus_snapshot = None
         return render(

@@ -17,26 +17,35 @@ subsystem at a time.  Span timings are keyed by the full nesting path
 span stack is thread-local so concurrent workers do not corrupt each
 other's paths.
 
-Facts also go to the installed *sinks* (:func:`install`): the trace
-recorder, the structured log, the telemetry bus, a ledger run.  A sink
-implements only the methods it needs, and each fact is emitted once:
+Each event is one *record* (:func:`record`): a dict whose versioned
+envelope (:data:`ENVELOPE`) is ``v`` (:data:`RECORD_VERSION`), ``ev``
+(the event's name), ``t`` (unix time), ``pid`` and, when a sink names
+the run, ``run``, followed by the event's own fields.  :func:`event`
+builds it once, keeps it in the registry's event ring while metrics
+are on, and hands that same dict to the installed *sinks*
+(:func:`install`): the trace recorder, the structured log, the
+telemetry bus, a ledger run.  A sink implements only the methods it
+needs:
 
 ``begin(name, args)`` / ``end(name)``
     span edges (spans reach sinks even while metrics are off);
-``event(name, fields)``
+``event(record)``
     every :func:`event`, likewise independent of the metrics switch;
-``counter(name, values)``, ``log(level, name, **fields)``,
+``counter(name, values)``, ``log(record, level)``,
 ``crash_keys()``, ``status_keys()``, ``cone_started`` / ``cone_finished``
     monitor samples, log records, crash-bundle and status.json keys,
     and a cone step's start and end for the telemetry bus, looked up
     with :func:`sinks`.
 
 A sink with a ``run_id`` attribute names the run (:func:`run_id`).
+Every bounded obs buffer is a :class:`Ring`, which counts exactly what
+it drops.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import threading
 import time
 import weakref
@@ -45,6 +54,12 @@ from typing import Any, Iterable, Iterator, Optional
 
 #: Maximum number of retained events (oldest are dropped first).
 MAX_EVENTS = 1024
+
+#: Version of the record schema every sink reads.
+RECORD_VERSION = 1
+
+#: The keys :func:`record` puts around a fact's own fields.
+ENVELOPE = ("v", "ev", "t", "pid", "run")
 
 _enabled = False
 
@@ -93,10 +108,23 @@ def run_id() -> Optional[str]:
     )
 
 
-def log(level: str, name: str, **fields: Any) -> None:
-    """Write one record to every sink that keeps a log."""
+def record(ev: str, **fields: Any) -> dict[str, Any]:
+    """The fact ``ev`` as one versioned record: the :data:`ENVELOPE`
+    (``run`` only when a sink names the run), then ``fields``."""
+    built: dict[str, Any] = {
+        "v": RECORD_VERSION, "ev": ev, "t": time.time(), "pid": os.getpid(),
+    }
+    run = run_id()
+    if run is not None:
+        built["run"] = run
+    built.update(fields)
+    return built
+
+
+def log(record: dict[str, Any], level: str) -> None:
+    """Write one record at ``level`` to every sink that keeps a log."""
     for sink in sinks("log"):
-        sink.log(level, name, **fields)
+        sink.log(record, level)
 
 
 def enabled() -> bool:
@@ -150,6 +178,35 @@ class scope:
 # ---------------------------------------------------------------------------
 # Metric containers
 # ---------------------------------------------------------------------------
+
+
+class Ring:
+    """A locked bounded buffer of records.  Once it holds ``maxlen``,
+    each append displaces the oldest record and counts it in
+    :attr:`dropped`, so a long run keeps its tail and says what it
+    lost."""
+
+    def __init__(self, maxlen: int) -> None:
+        self.maxlen = maxlen
+        self.dropped = 0
+        self._records: deque[dict[str, Any]] = deque(maxlen=maxlen)
+        self._lock = threading.Lock()
+
+    def append(self, *records: dict[str, Any]) -> None:
+        with self._lock:
+            self.dropped += max(
+                0, len(self._records) + len(records) - self.maxlen
+            )
+            self._records.extend(records)
+
+    def tail(self, n: Optional[int] = None) -> list[dict[str, Any]]:
+        """The newest ``n`` records (every record by default), oldest
+        first."""
+        with self._lock:
+            records = list(self._records)
+        if n is None:
+            return records
+        return records[max(0, len(records) - n):]
 
 
 class Histogram:
@@ -230,15 +287,13 @@ class Registry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._tls = threading.local()
-        self._epoch = time.perf_counter()
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
         self.histograms: dict[str, Histogram] = {}
         self.spans: dict[str, SpanStat] = {}
-        self.events: deque[dict[str, Any]] = deque(maxlen=MAX_EVENTS)
-        #: Events the bounded deque silently displaced (surfaced as the
-        #: ``obs.events_dropped`` counter so truncation is visible).
-        self.events_dropped = 0
+        #: The newest event records; what it drops is surfaced as the
+        #: ``obs.events_dropped`` counter so truncation is visible.
+        self.events = Ring(MAX_EVENTS)
         #: Every thread's live span stack, keyed by thread id — the
         #: stacks themselves are only mutated by their owning thread
         #: (via the thread-local handle); this index lets the runtime
@@ -291,14 +346,6 @@ class Registry:
             if stat is None:
                 stat = self.spans[path] = SpanStat()
             stat.record(elapsed)
-
-    def event(self, name: str, **fields: Any) -> None:
-        entry = {"name": name, "t": round(time.perf_counter() - self._epoch, 6)}
-        entry.update(fields)
-        with self._lock:
-            if len(self.events) == self.events.maxlen:
-                self.events_dropped += 1
-            self.events.append(entry)
 
     # -- span stack -----------------------------------------------------
 
@@ -430,8 +477,8 @@ class Registry:
             gauges = dict(self.gauges)
             histograms = {k: h.as_dict() for k, h in self.histograms.items()}
             spans = {k: s.as_dict() for k, s in self.spans.items()}
-            events = list(self.events)
-            events_dropped = self.events_dropped
+            events = self.events.tail()
+            events_dropped = self.events.dropped
         if events_dropped:
             counters["obs.events_dropped"] = events_dropped
         counters.update(bdd_counters)
@@ -471,14 +518,12 @@ class Registry:
             self.gauges.clear()
             self.histograms.clear()
             self.spans.clear()
-            self.events.clear()
-            self.events_dropped = 0
+            self.events = Ring(MAX_EVENTS)
             self._bdd_live = weakref.WeakSet()
             self._bdd_dead = deque()
             self._bdd_flushed.clear()
             self._bdd_total_managers = 0
             self._bdd_peak_nodes = 0
-            self._epoch = time.perf_counter()
 
 
 _REGISTRY = Registry()
@@ -576,14 +621,17 @@ def observe(name: str, value: float) -> None:
     _REGISTRY.observe(name, value)
 
 
-def event(name: str, **fields: Any) -> None:
-    """Emit one fact: appended to the bounded event buffer (of
-    :data:`MAX_EVENTS`) while metrics are on, and handed to every
-    installed event sink either way."""
+def event(ev: str, **fields: Any) -> None:
+    """Emit one fact: built once as a :func:`record`, appended to the
+    registry's event ring (of :data:`MAX_EVENTS`) while metrics are on,
+    and handed to every installed event sink either way."""
+    if not _enabled and not _event_sinks:
+        return
+    built = record(ev, **fields)
     if _enabled:
-        _REGISTRY.event(name, **fields)
+        _REGISTRY.events.append(built)
     for sink in _event_sinks:
-        sink.event(name, fields)
+        sink.event(built)
 
 
 def track_bdd_manager(manager: Any) -> None:

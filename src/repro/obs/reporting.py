@@ -79,7 +79,7 @@ def pipeline_passes(report: dict[str, Any]) -> list[dict[str, Any]]:
     return [
         event
         for event in report.get("events", [])
-        if event.get("name") == "pipeline.pass"
+        if event.get("ev") == "pipeline.pass"
     ]
 
 

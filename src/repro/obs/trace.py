@@ -16,11 +16,13 @@ exportable as
 
 Install a recorder as an obs sink (``obs.install(recorder)``, or the
 :func:`tracing` context manager) and every span begin/end and obs event
-is mirrored into it; the :class:`~repro.obs.monitor.RuntimeMonitor`
+is mirrored into it: an event record becomes an instant whose ``args``
+are the record's fields without the obs envelope (the trace has its own
+``ts``/``pid``/``tid``).  The :class:`~repro.obs.monitor.RuntimeMonitor`
 feeds counter samples the same way.  A cone decomposed in a forked
-parallel worker is drawn from its ``cone`` event, on a track per worker
-pid.  Recording costs one lock acquisition per record and nothing when
-no recorder is installed.
+parallel worker is drawn from its ``cone`` record, on a track per
+worker pid.  Recording costs one lock acquisition per record and
+nothing when no recorder is installed.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import json
 import os
 import threading
 import time
-from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Optional
@@ -37,11 +38,12 @@ from typing import Any, Iterable, Iterator, Optional
 # NB: ``from repro.obs import registry`` would resolve to the accessor
 # *function* the package re-exports, not the module — import the needed
 # names straight from the submodule instead.
+from repro.obs.registry import ENVELOPE, Ring
 from repro.obs.registry import install as _install
 from repro.obs.registry import scope as _obs_scope
 from repro.obs.registry import uninstall as _uninstall
 
-#: Default ring-buffer capacity (records, oldest dropped first).
+#: Ring-buffer capacity (records, oldest dropped first).
 DEFAULT_CAPACITY = 200_000
 
 #: Trailing records a crash bundle embeds.
@@ -54,33 +56,28 @@ class TraceRecorder:
     Records are plain dicts in Chrome trace-event shape (``ph``/``ts``/
     ``pid``/``tid``/``name`` plus optional ``args``); timestamps are
     microseconds on a monotonic clock whose zero is the recorder's
-    construction time.  The buffer is a ring: when ``capacity`` is
-    exceeded the oldest records are dropped and :attr:`dropped` counts
-    them, so a multi-hour run keeps its *tail* — the part you need when
-    it dies.
+    construction time.  The buffer is a :class:`Ring` of
+    :data:`DEFAULT_CAPACITY`: once it is full the oldest records are
+    dropped and :attr:`dropped` counts them, so a multi-hour run keeps
+    its *tail* — the part you need when it dies.
     """
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        self.capacity = capacity
+    def __init__(self) -> None:
         self.pid = os.getpid()
-        self.dropped = 0
-        self._records: deque[dict[str, Any]] = deque(maxlen=capacity)
-        self._lock = threading.Lock()
+        self._records = Ring(DEFAULT_CAPACITY)
         self._epoch_perf = time.perf_counter()
         self._epoch_wall = time.time()
 
     # -- recording ------------------------------------------------------
 
+    @property
+    def dropped(self) -> int:
+        """Records the ring displaced."""
+        return self._records.dropped
+
     def now_us(self) -> float:
         """Microseconds since the recorder was created (monotonic)."""
         return (time.perf_counter() - self._epoch_perf) * 1e6
-
-    def _append(self, *records: dict[str, Any]) -> None:
-        with self._lock:
-            for record in records:
-                if len(self._records) == self._records.maxlen:
-                    self.dropped += 1
-                self._records.append(record)
 
     def begin(self, name: str, args: Optional[dict[str, Any]] = None) -> None:
         """Record the opening edge of a duration span on this thread."""
@@ -93,11 +90,11 @@ class TraceRecorder:
         }
         if args:
             record["args"] = args
-        self._append(record)
+        self._records.append(record)
 
     def end(self, name: str) -> None:
         """Record the closing edge of the innermost ``name`` span."""
-        self._append(
+        self._records.append(
             {
                 "ph": "E",
                 "ts": round(self.now_us(), 3),
@@ -119,14 +116,18 @@ class TraceRecorder:
         }
         if args:
             record["args"] = args
-        self._append(record)
+        self._records.append(record)
 
-    def event(self, name: str, fields: dict[str, Any]) -> None:
-        """Sink method: an obs event becomes an instant, and a ``cone``
-        event from a forked worker also draws the worker's step."""
-        self.instant(name, fields or None)
-        if name == "cone" and fields.get("worker_pid") not in (None, self.pid):
-            self._worker_cone(fields)
+    def event(self, record: dict[str, Any]) -> None:
+        """Sink method: an obs event record becomes an instant, and a
+        ``cone`` record from a forked worker also draws the worker's
+        step."""
+        args = {k: v for k, v in record.items() if k not in ENVELOPE}
+        self.instant(record["ev"], args or None)
+        if record["ev"] == "cone" and record.get("worker_pid") not in (
+            None, self.pid,
+        ):
+            self._worker_cone(record)
 
     def _worker_cone(self, cone: dict[str, Any]) -> None:
         """Draw a forked worker's cone on the track of its pid: a
@@ -157,7 +158,7 @@ class TraceRecorder:
             records.append(edge("E", f"algorithm1.{phase}", offset))
         elapsed = cone.get("elapsed") or 0.0
         records.append(edge("E", "parallel.cone", begin + elapsed * 1e6))
-        self._append(*records)
+        self._records.append(*records)
 
     def crash_keys(self) -> dict[str, Any]:
         """Sink method: the buffer's tail for a crash bundle."""
@@ -168,7 +169,7 @@ class TraceRecorder:
     def counter(self, name: str, values: dict[str, float]) -> None:
         """Record a sample on counter track ``name`` (one series per
         key) — Perfetto renders these as stacked area charts."""
-        self._append(
+        self._records.append(
             {
                 "ph": "C",
                 "ts": round(self.now_us(), 3),
@@ -183,21 +184,17 @@ class TraceRecorder:
 
     def records(self) -> list[dict[str, Any]]:
         """Snapshot of the buffered records, oldest first."""
-        with self._lock:
-            return list(self._records)
+        return self._records.tail()
 
     def tail(self, count: int = 200) -> list[dict[str, Any]]:
         """The most recent ``count`` records (crash-bundle fodder)."""
-        with self._lock:
-            if count >= len(self._records):
-                return list(self._records)
-            return list(self._records)[-count:]
+        return self._records.tail(count)
 
     def metadata(self) -> dict[str, Any]:
         """Recorder provenance embedded in exports."""
         return {
             "pid": self.pid,
-            "capacity": self.capacity,
+            "capacity": self._records.maxlen,
             "dropped": self.dropped,
             "epoch_unix": self._epoch_wall,
         }

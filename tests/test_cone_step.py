@@ -122,10 +122,19 @@ class TestPhaseNames:
         spans = obs.report()["spans"]
         assert {p for p in PHASES if prefix + p in spans} == PHASES
 
-    def test_worker_phase_spans_and_bus_events(self, traced):
-        bus = obs_bus.TelemetryBus(
-            run_id="phases", heartbeat_interval=0, max_recent=4096
-        )
+    def test_worker_phase_spans_and_bus_events(self, traced, monkeypatch):
+        class Mirror:
+            """Obs log sink: the bus mirrors each record it reads here."""
+
+            def __init__(self):
+                self.records = []
+
+            def log(self, record, level):
+                self.records.append(record)
+
+        monkeypatch.setattr(obs_bus, "DEFAULT_HEARTBEAT", 0)
+        bus = obs_bus.TelemetryBus(run_id="phases")
+        mirror = obs.install(Mirror())
         obs.install(bus)
         try:
             algorithm1(
@@ -134,6 +143,7 @@ class TestPhaseNames:
         finally:
             obs.uninstall(bus)
             bus.close()
+            obs.uninstall(mirror)
         names = {r.get("name") for r in traced.records()}
         assert "parallel.cone" in names
         assert {"collapse", "decompose", "instantiate"} <= {
@@ -142,7 +152,8 @@ class TestPhaseNames:
             if name and name.startswith("algorithm1.")
         }
         progress = {
-            r["phase"] for r in bus.recent if r["ev"] == "cone.progress"
+            r["phase"] for r in mirror.records
+            if r["ev"] == "bus.cone.progress"
         }
         assert {"collapse", "decompose", "instantiate"} <= progress
         assert progress <= PHASES

@@ -110,8 +110,8 @@ class TestDegradation:
 
             nodes = None
 
-            def event(self, name, fields):
-                if name == "cone" and self.nodes is None:
+            def event(self, record):
+                if record["ev"] == "cone" and self.nodes is None:
                     self.nodes = governor.nodes_allocated()
 
         probe = obs.install(FirstCone())
@@ -256,7 +256,7 @@ class TestPipeline:
             snapshot = obs.report()
         obs.reset()
         rows = [e for e in snapshot["events"]
-                if e["name"] == "pipeline.pass"]
+                if e["ev"] == "pipeline.pass"]
         assert [r["pass_name"] for r in rows] == [
             "cleanup", "dontcares", "decompose", "finalize",
             "sweep", "strash", "sweep",

@@ -2,8 +2,9 @@
 
 Satellite coverage for the status.json contract: the heartbeat is
 rewritten atomically (a reader never sees a torn document), it carries
-worker/cone progress while the parallel pass merges shards, and it does
-not go stale — consecutive rewrites land within 2× the monitor interval.
+cone progress as the workers finish cones (before any merge), and it
+does not go stale — consecutive rewrites land within 2× the monitor
+interval.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import time
 import pytest
 
 from repro import obs
+from repro.benchgen import iscas_analog
+from repro.engine.parallel import DecomposeParallelPass
 from repro.obs import RuntimeMonitor
 from repro.synth import SynthesisOptions, algorithm1
 
@@ -108,7 +111,7 @@ class TestMonitorDuringParallelRun:
         total = progressed[-1]["parallel"]["parallel.cones.total"]
         assert total > 0
         final = json.loads(status.read_text())
-        assert final["parallel"]["parallel.cones.merged"] == total
+        assert final["parallel"]["parallel.cones.finished"] == total
         assert final["sample_index"] >= 1
 
         # Freshness: while the run was in flight, consecutive heartbeat
@@ -127,3 +130,24 @@ class TestMonitorDuringParallelRun:
         # stop() path takes a closing sample, so the file cannot be
         # stale once the run is over.
         assert status.stat().st_mtime >= final["time_unix"] - 2 * interval
+
+    def test_progress_counts_cones_finished_before_the_merge(
+        self, obs_session, monkeypatch
+    ):
+        """Every worker's cone counts as finished once the scheduler
+        keeps its result: a sample taken at the first merge already
+        reads all of them."""
+        from repro.cli import render_top
+
+        samples = []
+        merge_one = DecomposeParallelPass._merge_one
+
+        def sampled(self, *args, **kwargs):
+            if not samples:
+                samples.append(RuntimeMonitor(interval=60).sample())
+            return merge_one(self, *args, **kwargs)
+
+        monkeypatch.setattr(DecomposeParallelPass, "_merge_one", sampled)
+        algorithm1(iscas_analog("s344"), SynthesisOptions(parallel_workers=2))
+        (sample,) = samples
+        assert "26/26" in render_top(sample, now=sample["time_unix"])

@@ -70,9 +70,22 @@ class TestRegistryBasics:
             obs.event("fam.tick", index=index)
         events = obs.report()["events"]
         assert len(events) == 5
-        assert events[0]["name"] == "fam.tick"
+        assert events[0]["ev"] == "fam.tick"
         assert events[0]["index"] == 0
         assert all("t" in event for event in events)
+
+    def test_ring_counts_exact_drops_and_tails(self):
+        from repro.obs.registry import Ring
+
+        ring = Ring(3)
+        ring.append({"i": 0})
+        assert ring.dropped == 0
+        ring.append(*({"i": i} for i in range(1, 6)))
+        assert ring.dropped == 3
+        assert [r["i"] for r in ring.tail()] == [3, 4, 5]
+        assert [r["i"] for r in ring.tail(2)] == [4, 5]
+        assert [r["i"] for r in ring.tail(10)] == [3, 4, 5]
+        assert ring.tail(0) == []
 
     def test_enable_disable_scope(self):
         assert not obs.enabled()
@@ -260,7 +273,7 @@ class TestBddManagerTracking:
         events = [
             event
             for event in obs.report()["events"]
-            if event["name"] == "bdd.clear_caches"
+            if event["ev"] == "bdd.clear_caches"
         ]
         assert events and events[0]["evicted"] == evicted
         counters = obs.report()["counters"]
@@ -331,7 +344,7 @@ class TestLayerInstrumentation:
         actions = [
             event["action"]
             for event in report["events"]
-            if event["name"] == "cone"
+            if event["ev"] == "cone"
         ]
         assert len(actions) == len(synth_report.records)
 

@@ -81,10 +81,32 @@ def obs_session():
 
 
 @pytest.fixture
-def bus():
-    instance = obs_bus.TelemetryBus(run_id="testrun", heartbeat_interval=0)
+def bus(monkeypatch):
+    monkeypatch.setattr(obs_bus, "DEFAULT_HEARTBEAT", 0)
+    instance = obs_bus.TelemetryBus(run_id="testrun")
     yield instance
     instance.close()
+
+
+class LogSink:
+    """Obs sink keeping the log records it is handed: the bus mirrors
+    every record it reads into the log."""
+
+    def __init__(self) -> None:
+        self.records: list[dict] = []
+
+    def log(self, record, level):
+        self.records.append(record)
+
+    def named(self, ev):
+        return [r for r in self.records if r["ev"] == ev]
+
+
+@pytest.fixture
+def mirror():
+    sink = obs.install(LogSink())
+    yield sink
+    obs.uninstall(sink)
 
 
 # ---------------------------------------------------------------------------
@@ -93,18 +115,18 @@ def bus():
 
 
 class TestBusTransport:
-    def test_cone_lifecycle_round_trip(self, bus):
+    def test_cone_lifecycle_round_trip(self, bus, mirror):
         bus.cone_started("n42", cone_inputs=5)
         bus.begin("algorithm1.collapse")
         bus.end("algorithm1.collapse")
         bus.cone_finished("n42", "decomposed", elapsed=0.5)
-        assert wait_until(lambda: bus.counts.get("cone.end"))
+        assert wait_until(lambda: len(mirror.records) == 3)
         assert bus.counts == {
             "cone.start": 1,
             "cone.progress": 1,
             "cone.end": 1,
         }
-        (progress,) = [r for r in bus.recent if r["ev"] == "cone.progress"]
+        (progress,) = mirror.named("bus.cone.progress")
         assert progress["sink"] == "n42"
         assert progress["phase"] == "collapse"
         assert progress["dur"] >= 0
@@ -114,18 +136,18 @@ class TestBusTransport:
         assert worker["state"] == "idle"
         assert worker["last_action"] == "decomposed"
         assert worker["events"] == 3
-        # Every record carried the bus meta.
-        assert all(r.get("run") == "testrun" for r in bus.recent)
+        # Every record carried the bus's run id.
+        assert all(r.get("run") == "testrun" for r in mirror.records)
 
-    def test_degrade_event_precedes_copied_end(self, bus):
+    def test_degrade_event_precedes_copied_end(self, bus, mirror):
         bus.cone_started("n7", cone_inputs=3)
         bus.cone_finished("n7", "copied", degrade_reason="node budget")
-        assert wait_until(lambda: bus.counts.get("cone.end"))
+        assert wait_until(lambda: len(mirror.records) == 3)
         assert bus.counts.get("cone.degrade") == 1
         (worker,) = bus.worker_summary()
         assert worker["state"] == "idle"
-        events = [r["ev"] for r in bus.recent]
-        assert events.index("cone.degrade") < events.index("cone.end")
+        events = [r["ev"] for r in mirror.records]
+        assert events.index("bus.cone.degrade") < events.index("bus.cone.end")
 
     def test_backpressure_drops_and_counts_exactly(self):
         """A full kernel buffer drops (bounded queue) and the emitter's
@@ -133,7 +155,7 @@ class TestBusTransport:
         read_fd, write_fd = os.pipe()
         os.set_blocking(write_fd, False)
         try:
-            emitter = obs_bus._Emitter(write_fd, {}, heartbeat=0)
+            emitter = obs_bus._Emitter(write_fd, None)
             sent = 0
             while emitter.dropped == 0 and sent < 20000:
                 emitter.emit("flood", payload="x" * 512)
@@ -168,11 +190,12 @@ class TestBusTransport:
         assert bus.events_dropped == 3
         assert bus.snapshot()["events_dropped"] == 3
 
-    def test_oversized_record_truncated_not_torn(self, bus):
+    def test_oversized_record_truncated_not_torn(self, bus, mirror):
         bus.emit("huge", blob="y" * (2 * obs_bus.MAX_RECORD_BYTES))
-        assert wait_until(lambda: bus.counts.get("huge"))
+        assert wait_until(lambda: mirror.records)
         assert bus.parse_errors == 0
-        record = list(bus.recent)[-1]
+        (record,) = mirror.records
+        assert record["ev"] == "bus.huge"
         assert record.get("truncated") is True
         assert "blob" not in record
 
@@ -184,15 +207,17 @@ class TestBusTransport:
         assert bus.events_dropped == 1
         assert not bus.counts
 
-    def test_record_local_folds_without_worker_row(self, bus):
-        bus.record_local("shard.dispatch", cones=4, workers=2)
-        bus.record_local("cone", sink="a", merged=1, total=4)
+    def test_local_events_fold_without_worker_row(self, bus):
+        bus.event(obs.record("shard.dispatch", cones=4, workers=2))
+        bus.event(obs.record("cone", signal="a", action="decomposed"))
+        bus.event(obs.record("pipeline.pass", index=0))  # not local
         assert bus.counts == {"shard.dispatch": 1, "cone": 1}
         assert bus.worker_summary() == []
         assert bus.events_total() == 2
 
-    def test_heartbeat_streams_while_cone_in_flight(self):
-        bus = obs_bus.TelemetryBus(heartbeat_interval=0.05)
+    def test_heartbeat_streams_while_cone_in_flight(self, monkeypatch):
+        monkeypatch.setattr(obs_bus, "DEFAULT_HEARTBEAT", 0.05)
+        bus = obs_bus.TelemetryBus()
         try:
             bus.cone_started("slow", cone_inputs=9)
             assert wait_until(lambda: bus.counts.get("heartbeat", 0) >= 2)
@@ -213,8 +238,9 @@ class TestBusTransport:
         assert wait_until(lambda: bus.counts.get("cone.end"))
         assert bus.counts == {"cone.start": 1, "cone.end": 1}
 
-    def test_closed_bus_sends_nothing(self):
-        bus = obs_bus.TelemetryBus(heartbeat_interval=0)
+    def test_closed_bus_sends_nothing(self, monkeypatch):
+        monkeypatch.setattr(obs_bus, "DEFAULT_HEARTBEAT", 0)
+        bus = obs_bus.TelemetryBus()
         bus.cone_started("n1", cone_inputs=2)
         bus.close()  # drains the record already sent
         assert bus.counts == {"cone.start": 1}
@@ -276,13 +302,14 @@ class TestStallDetection:
 
 
 class TestWorkerFaults:
-    def test_worker_death_leaves_stream_coherent(self):
+    def test_worker_death_leaves_stream_coherent(self, monkeypatch):
         """A worker hard-killed by an injected fault (os._exit breaks
         the whole pool) never tears the stream: every surviving cone's
         records parse, starts match ends, and nothing is dropped."""
         net = small_circuit(7)
         victim = decompose_sinks(net)[1]
-        bus = obs_bus.TelemetryBus(run_id="faultrun", heartbeat_interval=0)
+        monkeypatch.setattr(obs_bus, "DEFAULT_HEARTBEAT", 0)
+        bus = obs_bus.TelemetryBus(run_id="faultrun")
         obs.install(bus)
         try:
             context = SynthesisContext(
@@ -341,15 +368,15 @@ class TestWorkerFaults:
         )
         obs.install(logger)
         try:
-            obs.log("info", "pipeline.pass", index=0)
-            obs.log("error", "governor.exhausted", pass_name="x")
+            obs.log(obs.record("pipeline.pass", index=0), "info")
+            obs.log(obs.record("governor.exhausted", pass_name="x"), "error")
             bundle = crashdump.build_crash_bundle(RuntimeError("boom"))
         finally:
             obs.uninstall(logger)
             logger.close()
         tail = bundle["log_tail"]
-        assert [r["event"] for r in tail] == [
-            "pipeline.pass", "governor.exhausted",
+        assert [(r["ev"], r["level"]) for r in tail] == [
+            ("pipeline.pass", "info"), ("governor.exhausted", "error"),
         ]
         assert all(r["run"] == "r1" for r in tail)
         assert bundle["exception"]["message"] == "boom"
@@ -555,53 +582,86 @@ class TestOpenMetrics:
 
 
 class TestStructuredLogger:
-    def test_leveled_file_and_tail(self, tmp_path):
+    def test_leveled_file_and_tail(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(obs_logging, "DEFAULT_TAIL", 2)
         path = tmp_path / "run.jsonl"
-        with obs_logging.StructuredLogger(
-            path, level="info", run_id="abc", tail=2
-        ) as logger:
-            assert logger.debug("noise") is False
-            assert logger.info("one", sink="a") is True
-            assert logger.warning("two") is True
-            assert logger.error("three") is True
+        with obs_logging.StructuredLogger(path, run_id="abc") as logger:
+            obs.install(logger)
+            try:
+                obs.log(obs.record("one", sink="a"), "info")
+                obs.log(obs.record("two"), "warning")
+                obs.log(obs.record("three"), "error")
+            finally:
+                obs.uninstall(logger)
         records = [json.loads(l) for l in path.read_text().splitlines()]
-        assert [r["event"] for r in records] == ["one", "two", "three"]
+        assert [(r["ev"], r["level"]) for r in records] == [
+            ("one", "info"), ("two", "warning"), ("three", "error"),
+        ]
+        assert records[0]["v"] == 1
         assert records[0]["run"] == "abc"
         assert records[0]["sink"] == "a"
-        assert records[0]["level"] == "info"
-        # Bounded tail keeps only the newest records.
-        assert [r["event"] for r in logger.tail_records()] == [
-            "two", "three",
-        ]
-        assert [r["event"] for r in logger.tail_records(limit=1)] == [
-            "three",
-        ]
-
-    def test_unknown_level_rejected(self):
-        with pytest.raises(ValueError, match="unknown log level"):
-            obs_logging.StructuredLogger(level="loud")
+        # Bounded tail keeps only the newest records and counts the rest.
+        assert [r["ev"] for r in logger.tail.tail()] == ["two", "three"]
+        assert [r["ev"] for r in logger.tail.tail(1)] == ["three"]
+        assert logger.tail.dropped == 1
 
     def test_unwritable_path_degrades_to_tail(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory\n")
         logger = obs_logging.StructuredLogger(blocker / "run.jsonl")
         assert logger.write_errors == 1
-        assert logger.info("still.recorded") is True
-        assert logger.tail_records()[-1]["event"] == "still.recorded"
+        logger.log(obs.record("still.recorded"), "info")
+        assert logger.tail.tail()[-1]["ev"] == "still.recorded"
+        assert logger.records_written == 0
         logger.close()
 
     def test_module_registry_and_tail(self, tmp_path):
-        obs.log("info", "nobody.home")  # no logger installed: a no-op
+        obs.log(obs.record("nobody.home"), "info")  # no logger: a no-op
         logger = obs_logging.StructuredLogger(tmp_path / "run.jsonl")
         obs.install(logger)
         try:
             assert obs.sinks("log") == (logger,)
-            obs.log("debug", "hello", n=1)
-            assert logger.crash_keys()["log_tail"][-1]["event"] == "hello"
+            obs.log(obs.record("hello", n=1), "debug")
+            assert logger.crash_keys()["log_tail"][-1]["ev"] == "hello"
         finally:
             obs.uninstall(logger)
             logger.close()
         assert obs.sinks("log") == ()
+
+
+class TestOneRecord:
+    def test_registry_log_and_sink_read_one_record(self, tmp_path):
+        """One ``obs.event`` is one versioned record: the stats-json
+        event, the log line less its level and an event sink's record
+        are the same dict."""
+
+        class EventSink:
+            def __init__(self):
+                self.records = []
+
+            def event(self, record):
+                self.records.append(record)
+
+        path = tmp_path / "run.jsonl"
+        logger = obs.install(obs_logging.StructuredLogger(path, run_id="r1"))
+        sink = obs.install(EventSink())
+        obs.reset()
+        try:
+            with obs.scope():
+                obs.event("pipeline.pass", index=0, pass_name="cleanup")
+            obs.write_report(tmp_path / "stats.json")
+        finally:
+            obs.uninstall(sink)
+            obs.uninstall(logger)
+            logger.close()
+            obs.reset()
+        (stats,) = json.loads((tmp_path / "stats.json").read_text())["events"]
+        (line,) = [json.loads(l) for l in path.read_text().splitlines()]
+        assert line.pop("level") == "info"
+        (record,) = sink.records
+        assert stats == line == record
+        assert record["v"] == 1 and record["run"] == "r1"
+        assert record["ev"] == "pipeline.pass" and record["pass_name"] == "cleanup"
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +710,9 @@ class TestPassDeltas:
 
 
 class TestOutOfBand:
-    def test_parallel_bit_identical_with_full_telemetry(self, tmp_path):
+    def test_parallel_bit_identical_with_full_telemetry(
+        self, tmp_path, monkeypatch
+    ):
         """workers=1 and workers=2 with the whole stack live (bus +
         logger + exporter) equal the bare workers=2 run bit for bit."""
         net = small_circuit(3)
@@ -660,9 +722,8 @@ class TestOutOfBand:
         logger = obs.install(
             obs_logging.StructuredLogger(tmp_path / "run.jsonl")
         )
-        bus = obs.install(
-            obs_bus.TelemetryBus(run_id="det", heartbeat_interval=0.05)
-        )
+        monkeypatch.setattr(obs_bus, "DEFAULT_HEARTBEAT", 0.05)
+        bus = obs.install(obs_bus.TelemetryBus(run_id="det"))
         exporter = openmetrics.MetricsExporter(
             path=tmp_path / "m.om", bus=bus
         )
@@ -686,8 +747,7 @@ class TestOutOfBand:
         assert bus.events_dropped == 0
         # The bus mirrored its stream into the structured log.
         mirrored = [
-            r for r in logger.tail_records()
-            if r["event"].startswith("bus.cone.")
+            r for r in logger.tail.tail() if r["ev"].startswith("bus.cone.")
         ]
         assert mirrored
         openmetrics.parse_openmetrics((tmp_path / "m.om").read_text())
@@ -747,7 +807,7 @@ class TestTopView:
             "spans": {"1": "algorithm1", "2": "algorithm1/decompose"},
             "parallel": {
                 "parallel.cones.total": 20,
-                "parallel.cones.merged": 5,
+                "parallel.cones.finished": 5,
                 "parallel.cones.degraded": 1,
             },
             "bus": {

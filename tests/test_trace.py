@@ -73,8 +73,9 @@ class TestTraceRecorder:
         ts = [r["ts"] for r in records]
         assert ts == sorted(ts)
 
-    def test_ring_buffer_drops_oldest_and_counts(self):
-        recorder = obs_trace.TraceRecorder(capacity=10)
+    def test_ring_buffer_drops_oldest_and_counts(self, monkeypatch):
+        monkeypatch.setattr(obs_trace, "DEFAULT_CAPACITY", 10)
+        recorder = obs_trace.TraceRecorder()
         for index in range(25):
             recorder.instant(f"e{index}")
         records = recorder.records()
@@ -401,7 +402,7 @@ class TestGovernorExhaustionEvent:
             assert governor.out_of_budget()  # latched; no second event
         events = [
             e for e in obs.report()["events"]
-            if e["name"] == "governor.exhausted"
+            if e["ev"] == "governor.exhausted"
         ]
         assert len(events) == 1
         event = events[0]
@@ -420,7 +421,7 @@ class TestGovernorExhaustionEvent:
         governor.mark_exhausted("second reason ignored")
         events = [
             e for e in obs.report()["events"]
-            if e["name"] == "governor.exhausted"
+            if e["ev"] == "governor.exhausted"
         ]
         assert len(events) == 1
         assert events[0]["reason"] == "caller said stop"
@@ -496,7 +497,7 @@ class TestCrashDiagnostics:
         assert ctx["pipeline_pass"] == "explode"
         assert ctx["pipeline_index"] == 1
         crash_events = [
-            e for e in obs.report()["events"] if e["name"] == "pipeline.crash"
+            e for e in obs.report()["events"] if e["ev"] == "pipeline.crash"
         ]
         assert len(crash_events) == 1
         assert crash_events[0]["pass_name"] == "explode"
