@@ -13,13 +13,15 @@ introduces them, and retired ones must not block their own removal.
 Entries flagged ``"gated": false`` (informational rows like the
 telemetry-overhead comparison) are always skipped.
 
-Records also carry an ``instrumented`` flag (did obs collection run
-during the timed rounds?).  Tracing and the runtime monitor are off by
-default, and the committed substrate baselines are measured that way;
-when the two sides of a comparison disagree on instrumentation the gate
-*skips* that test with a loud note rather than flag a bogus regression
-(or, worse, bless an instrumented baseline).  Entries written before the
-flag existed are treated as matching.
+Records also carry two run flags: ``instrumented`` (did obs collection
+run during the timed rounds?) and ``native`` (did the native BDD kernel
+run them, or the pure-Python cores?).  Tracing and the runtime monitor
+are off by default and the kernel is on, and the committed substrate
+baselines are measured that way; when the two sides of a comparison
+disagree on either flag the gate *skips* that test with a loud note
+rather than flag a bogus regression (or, worse, bless a baseline
+measured the other way).  Entries written before a flag existed are
+treated as matching.
 
 Usage::
 
@@ -47,12 +49,24 @@ def entry_time(entry: dict) -> tuple[float, str]:
     return float(entry["wall_time"]), "wall_time"
 
 
-def instrumentation_mismatch(base_entry: dict, cur_entry: dict) -> bool:
-    """True when the two records disagree on whether obs instrumentation
-    was live during timing (missing flags — pre-flag baselines — count
-    as matching)."""
-    base_flag = base_entry.get("instrumented")
-    cur_flag = cur_entry.get("instrumented")
+#: Run flags that make two timings incomparable when they differ, with
+#: the advice printed for the tests skipped because of each.
+RUN_FLAGS = {
+    "instrumented": "Re-run the benchmarks with tracing/monitoring off (the "
+                    "default; REPRO_BENCH_OBS unset) to get comparable "
+                    "numbers.",
+    "native": "Re-run the benchmarks on the kernel the baseline used "
+              "(REPRO_NATIVE=require for the native kernel, "
+              "REPRO_NATIVE=0 for the pure-Python cores).",
+}
+
+
+def flag_mismatch(base_entry: dict, cur_entry: dict, flag: str) -> bool:
+    """True when the two records disagree on the run flag ``flag``
+    (missing flags — records older than the flag — count as
+    matching)."""
+    base_flag = base_entry.get(flag)
+    cur_flag = cur_entry.get(flag)
     if base_flag is None or cur_flag is None:
         return False
     return bool(base_flag) != bool(cur_flag)
@@ -62,7 +76,7 @@ def compare(
     baseline: dict[str, dict], current: dict[str, dict], threshold: float
 ) -> int:
     regressions = []
-    mismatched = []
+    mismatched: dict[str, list[str]] = {flag: [] for flag in RUN_FLAGS}
     width = max((len(name) for name in current), default=4)
     print(f"{'test':<{width}}  {'baseline':>10}  {'current':>10}  {'ratio':>7}  signal")
     for name in sorted(current):
@@ -78,11 +92,13 @@ def compare(
             continue
         base_entry = baseline[name]
         cur_entry = current[name]
-        if instrumentation_mismatch(base_entry, cur_entry):
-            mismatched.append(name)
-            side = "current" if cur_entry.get("instrumented") else "baseline"
+        flag = next((flag for flag in RUN_FLAGS
+                     if flag_mismatch(base_entry, cur_entry, flag)), None)
+        if flag is not None:
+            mismatched[flag].append(name)
             print(f"{name:<{width}}  {'—':>10}  {'—':>10}  {'n/a':>7}  "
-                  f"(skipped: {side} run instrumented, timings not comparable)")
+                  f"(skipped: baseline {flag}={base_entry[flag]}, current "
+                  f"{flag}={cur_entry[flag]}; timings not comparable)")
             continue
         cur_time, cur_signal = entry_time(cur_entry)
         # Only compare like with like: fall back to wall_time when the
@@ -101,12 +117,11 @@ def compare(
     removed = sorted(set(baseline) - set(current))
     if removed:
         print(f"absent from current run (skipped): {', '.join(removed)}")
-    if mismatched:
-        print(f"\nWARNING: {len(mismatched)} test(s) skipped because the "
-              f"instrumented flag differs between runs: "
-              f"{', '.join(mismatched)}.\n"
-              f"Re-run the benchmarks with tracing/monitoring off (the "
-              f"default; REPRO_BENCH_OBS unset) to get comparable numbers.")
+    for flag, names in mismatched.items():
+        if names:
+            print(f"\nWARNING: {len(names)} test(s) skipped because the "
+                  f"{flag} flag differs between runs: {', '.join(names)}.\n"
+                  f"{RUN_FLAGS[flag]}")
     if regressions:
         print(f"\nFAIL: {len(regressions)} test(s) regressed beyond "
               f"{100 * threshold:.0f}%:")

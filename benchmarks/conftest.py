@@ -167,7 +167,8 @@ def record_bench_json(module: str, test: str, wall_time: float,
                       metrics: dict | None,
                       timing: dict | None = None,
                       instrumented: bool | None = None,
-                      gated: bool = True) -> Path:
+                      gated: bool = True,
+                      native: bool | None = None) -> Path:
     """Append one test's record to ``results/BENCH_<module>.json``
     (restarting the file once per session, like the text tables).
 
@@ -175,6 +176,9 @@ def record_bench_json(module: str, test: str, wall_time: float,
     timed run — the regression gate refuses to compare instrumented
     timings against uninstrumented baselines, since tracing/monitoring
     is off by default and the committed numbers assume that.
+    ``native`` records whether the native BDD kernel was loaded, since
+    the pure-Python cores run the same work an order of magnitude
+    slower; the gate refuses to compare timings across kernels too.
     ``gated=False`` marks informational rows the gate must skip.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -194,11 +198,23 @@ def record_bench_json(module: str, test: str, wall_time: float,
         entry["timing"] = timing
     if instrumented is not None:
         entry["instrumented"] = instrumented
+    if native is not None:
+        entry["native"] = native
     if not gated:
         entry["gated"] = False
     payload["entries"].append(entry)
     path.write_text(json.dumps(payload, indent=2) + "\n")
     return path
+
+
+def _native_loaded() -> bool:
+    """Whether BDD managers in this process run the native kernel."""
+    from repro.bdd import native
+
+    try:
+        return native.kernel() is not None
+    except RuntimeError:  # REPRO_NATIVE=require and the load failed
+        return False
 
 
 @pytest.fixture(autouse=True)
@@ -230,4 +246,5 @@ def _bench_run_record(request):
             timing=_benchmark_timing(request),
             instrumented=instrumented,
             gated=request.node.get_closest_marker("ungated") is None,
+            native=_native_loaded(),
         )

@@ -3,20 +3,27 @@
  * This file is compiled on demand (``cc -O2 -shared -fPIC``) by
  * ``repro.bdd.native`` and loaded through cffi's ABI mode.  It operates
  * directly on the manager's flat ``array('q')`` buffers — the node
- * arrays, the open-addressed unique table, and the direct-mapped
- * operation caches — so Python and C always see one shared
- * representation.  The traversal order, hash mixing, and eviction
- * policy here mirror the pure-Python fallback cores in
- * ``repro.bdd.manager`` exactly: both kernels create nodes in the same
- * insertion order, which is what keeps synthesis output bit-identical
- * regardless of which kernel ran.
+ * arrays, the open-addressed unique table, the direct-mapped operation
+ * caches and the lossless quantification caches — so Python and C
+ * always see one shared representation.  Every entry point takes one
+ * ``bdd_state`` holding a pointer to each of those buffers; the manager
+ * builds it once and re-points only the fields of a buffer it replaced
+ * or resized.  The traversal order, hash mixing, and eviction policy
+ * here mirror the pure-Python fallback cores in ``repro.bdd.manager``
+ * exactly: both kernels create nodes in the same insertion order, which
+ * is what keeps synthesis output bit-identical regardless of which
+ * kernel ran.
  *
  * Growth protocol: the C side never allocates Python storage.  When an
  * insert would overflow the node arrays it returns ``BDD_GROW_NODES``;
  * when the unique table crosses 75% load it returns
- * ``BDD_GROW_UNIQUE``.  The Python wrapper grows the corresponding
- * structure and restarts the operation — partial results live in the
- * unique table and op caches, so the restart is near-free.
+ * ``BDD_GROW_UNIQUE``; when a cache table must grow it returns
+ * ``BDD_GROW_TABLE(i)``.  The Python wrapper grows the corresponding
+ * structure and restarts the operation.  The nodes an aborted attempt
+ * created live in the unique table, so the restart finds them again and
+ * creates only the rest, in the same order; after a node, unique or
+ * quantify-cache growth the partial results also still live in the
+ * caches, so the restart is near-free.
  */
 
 #include <stdint.h>
@@ -29,29 +36,25 @@
 #define BDD_GROW_NODES (-1)
 #define BDD_GROW_UNIQUE (-2)
 #define BDD_NOMEM (-3)
-#define BDD_GROW_QUANT (-4)  /* primary quantify cache needs a rehash */
-#define BDD_GROW_QUANT2 (-5) /* and_exists cache needs a rehash */
-/* -(6+i): op cache i (0=and 1=or 2=xor 3=not 4=ite) is thrashing — one
- * call evicted more entries than the cache holds — and should double. */
-#define BDD_GROW_OPCACHE(i) (-6 - (i))
+/* -(6+i): cache table i must grow.  An op cache (i < N_OPCACHES) doubles
+ * and drops its entries; a quantify cache doubles by a lossless rehash
+ * (bdd_rehash_quantify). */
+#define BDD_GROW_TABLE(i) (-6 - (i))
 #define OPCACHE_MAX (1 << 16) /* keep in sync with manager._OPCACHE_MAX */
 
-/* ctrl[] layout — keep in sync with repro.bdd.manager. */
+/* Cache tables, in ctrl[] and growth-code order. */
+enum { T_AND, T_OR, T_XOR, T_NOT, T_ITE, T_EX, T_FA, T_AE, N_OPCACHES = T_EX };
+
+/* ctrl[] layout — keep in sync with repro.bdd.manager.  Table i keeps
+ * its slot mask at C_MASK + i (0 while unallocated) and its live-entry
+ * count at C_USED + i. */
 enum {
     C_NNODES = 0,
     C_NODECAP = 1,
     C_UNIQ_MASK = 2,
     C_UNIQ_USED = 3,
-    C_AND_MASK = 4,
-    C_OR_MASK = 5,
-    C_XOR_MASK = 6,
-    C_NOT_MASK = 7,
-    C_ITE_MASK = 8,
-    C_AND_USED = 9,
-    C_OR_USED = 10,
-    C_XOR_USED = 11,
-    C_NOT_USED = 12,
-    C_ITE_USED = 13,
+    C_MASK = 4,
+    C_USED = 12,
 };
 
 /* stats[] layout — keep in sync with repro.bdd.manager. */
@@ -66,6 +69,20 @@ enum {
     S_AE_HIT, S_AE_MISS,
     S_INSERTS, S_CLEARS, S_EVICTED,
 };
+
+/* Every buffer the kernel reads or writes — keep the field order in
+ * sync with repro.bdd.native._CDEF.  A NULL cache field means that
+ * cache is not allocated (its ctrl mask is then 0). */
+typedef struct {
+    int64_t *ctrl;
+    int64_t *level, *lo, *hi;
+    int64_t *uniq;
+    int64_t *and_k, *and_v, *or_k, *or_v, *xor_k, *xor_v, *not_k, *not_v;
+    int64_t *ite_ka, *ite_kb, *ite_v;
+    int64_t *ex_k, *ex_v, *fa_k, *fa_v;
+    int64_t *ae_k1, *ae_k2, *ae_v;
+    int64_t *stat_arr;
+} bdd_state;
 
 /* Hash multipliers shared with the Python probes.  All operands are
  * < 2^31 (node indices) or < 2^30 (levels), so the mixed sum stays
@@ -146,10 +163,12 @@ static inline int push_result(stacks_t *s, int64_t v) {
 
 /* Find-or-create (lvl, lo, hi) in the unique table.  Returns the node,
  * or a negative growth request. */
-static inline int64_t mk(int64_t lvl, int64_t lo, int64_t hi, int64_t *ctrl,
-                         int64_t *level, int64_t *loa, int64_t *hia,
-                         int64_t *uniq, int64_t *stats) {
+static inline int64_t mk(const bdd_state *st, int64_t lvl, int64_t lo,
+                         int64_t hi) {
     if (lo == hi) return lo;
+    int64_t *ctrl = st->ctrl;
+    int64_t *level = st->level, *loa = st->lo, *hia = st->hi;
+    int64_t *uniq = st->uniq;
     uint64_t mask = (uint64_t)ctrl[C_UNIQ_MASK];
     uint64_t slot = ((uint64_t)lvl * M1 + (uint64_t)lo * M2 +
                      (uint64_t)hi * M3) & mask;
@@ -170,16 +189,16 @@ static inline int64_t mk(int64_t lvl, int64_t lo, int64_t hi, int64_t *ctrl,
     uniq[slot] = n;
     ctrl[C_NNODES] = n + 1;
     ctrl[C_UNIQ_USED] += 1;
-    stats[S_INSERTS] += 1;
+    st->stat_arr[S_INSERTS] += 1;
     return n;
 }
 
 /* Direct-mapped cache store with in-place eviction accounting.
  * Returns 1 when a live entry under a different key was overwritten, so
  * callers can count per-call eviction pressure. */
-static inline int cache_put(int64_t *keys, int64_t *vals, uint64_t mask,
-                            int64_t *used, int64_t key, int64_t value,
-                            uint64_t slot, int64_t *stats) {
+static inline int cache_put(int64_t *keys, int64_t *vals, int64_t *used,
+                            int64_t key, int64_t value, uint64_t slot,
+                            int64_t *stats) {
     int64_t old = keys[slot];
     int evicted = 0;
     if (old == 0)
@@ -193,21 +212,35 @@ static inline int cache_put(int64_t *keys, int64_t *vals, uint64_t mask,
     return evicted;
 }
 
-#define ARGS_TAIL                                                         \
-    int64_t *ctrl, int64_t *level, int64_t *loa, int64_t *hia,            \
-    int64_t *uniq, int64_t *and_k, int64_t *and_v, int64_t *or_k,         \
-    int64_t *or_v, int64_t *xor_k, int64_t *xor_v, int64_t *not_k,        \
-    int64_t *not_v, int64_t *ite_ka, int64_t *ite_kb, int64_t *ite_v,     \
-    int64_t *stats
+/* True when one call has overwritten ``ev`` entries of a cache of mask
+ * ``mask`` — more than it holds — and the cache may still double: the
+ * thrash escape.  Mirrors the mid-call check in the Python cores. */
+static inline int thrashing(int64_t ev, uint64_t mask) {
+    return ev > (int64_t)mask && (int64_t)(mask + 1) < OPCACHE_MAX;
+}
 
-#define PASS_TAIL                                                         \
-    ctrl, level, loa, hia, uniq, and_k, and_v, or_k, or_v, xor_k,         \
-    xor_v, not_k, not_v, ite_ka, ite_kb, ite_v, stats
+/* Entry-time op-cache policy, mirroring BDDManager._prep_op: allocate
+ * the op caches on first use, then double any cache above 50%
+ * occupancy until the cap.  Returns 0, or the growth code of the first
+ * table that must grow (an unallocated table "grows" by allocation). */
+static inline int64_t check_opcaches(const bdd_state *st) {
+    const int64_t *ctrl = st->ctrl;
+    if (ctrl[C_MASK + T_AND] == 0) return BDD_GROW_TABLE(T_AND);
+    if (ctrl[C_MASK + T_AND] + 1 < OPCACHE_MAX) {
+        for (int i = 0; i < N_OPCACHES; i++)
+            if (ctrl[C_USED + i] * 2 > ctrl[C_MASK + i])
+                return BDD_GROW_TABLE(i);
+    }
+    return 0;
+}
 
 /* Complement ~f.  Mirrors BDDManager._py_negate. */
-int64_t bdd_negate(int64_t f, ARGS_TAIL) {
+static int64_t negate_core(const bdd_state *st, int64_t f) {
     if (f <= 1) return 1 - f;
-    uint64_t nmask = (uint64_t)ctrl[C_NOT_MASK];
+    int64_t *ctrl = st->ctrl, *stats = st->stat_arr;
+    int64_t *level = st->level, *loa = st->lo, *hia = st->hi;
+    int64_t *not_k = st->not_k, *not_v = st->not_v;
+    uint64_t nmask = (uint64_t)ctrl[C_MASK + T_NOT];
     {
         uint64_t slot = ((uint64_t)f * M1) & nmask;
         if (not_k[slot] == f) {
@@ -242,20 +275,18 @@ int64_t bdd_negate(int64_t f, ARGS_TAIL) {
         } else {
             int64_t hi = s.results[--s.rtop];
             int64_t lo = s.results[s.rtop - 1];
-            int64_t node = mk(level[n], lo, hi, ctrl, level, loa, hia,
-                              uniq, stats);
+            int64_t node = mk(st, level[n], lo, hi);
             if (node < 0) {
                 rc = node;
                 break;
             }
-            uint64_t slot = ((uint64_t)n * M1) & nmask;
-            ev += cache_put(not_k, not_v, nmask, &ctrl[C_NOT_USED], n,
-                            node, slot, stats);
-            slot = ((uint64_t)node * M1) & nmask;
-            ev += cache_put(not_k, not_v, nmask, &ctrl[C_NOT_USED], node,
-                            n, slot, stats);
-            if (ev > (int64_t)nmask && (int64_t)(nmask + 1) < OPCACHE_MAX) {
-                rc = BDD_GROW_OPCACHE(3);
+            int64_t *used = &ctrl[C_USED + T_NOT];
+            ev += cache_put(not_k, not_v, used, n, node,
+                            ((uint64_t)n * M1) & nmask, stats);
+            ev += cache_put(not_k, not_v, used, node, n,
+                            ((uint64_t)node * M1) & nmask, stats);
+            if (thrashing(ev, nmask)) {
+                rc = BDD_GROW_TABLE(T_NOT);
                 break;
             }
             s.results[s.rtop - 1] = node;
@@ -266,25 +297,25 @@ int64_t bdd_negate(int64_t f, ARGS_TAIL) {
     return rc;
 }
 
-/* Binary connectives: op 0 = AND, 1 = OR, 2 = XOR.  The caller has
- * already applied the terminal short-circuits and the operand swap, so
- * f, g >= 2 and f < g on entry; per-frame logic mirrors the Python
- * fallback core exactly. */
-int64_t bdd_apply(int64_t op, int64_t f, int64_t g, ARGS_TAIL) {
+/* Binary connectives: op 0 = AND, 1 = OR, 2 = XOR (the table index of
+ * the op's cache).  The caller has already applied the terminal
+ * short-circuits and the operand swap, so f, g >= 2 and f < g on entry;
+ * per-frame logic mirrors the Python fallback core exactly. */
+static int64_t apply_core(const bdd_state *st, int64_t op, int64_t f,
+                          int64_t g) {
+    int64_t *ctrl = st->ctrl, *stats = st->stat_arr;
+    int64_t *level = st->level, *loa = st->lo, *hia = st->hi;
     int64_t *ck, *cv;
-    uint64_t cmask;
-    int64_t *cused;
     int s_hit, s_miss;
-    if (op == 0) {
-        ck = and_k; cv = and_v; cmask = (uint64_t)ctrl[C_AND_MASK];
-        cused = &ctrl[C_AND_USED]; s_hit = S_AND_HIT; s_miss = S_AND_MISS;
-    } else if (op == 1) {
-        ck = or_k; cv = or_v; cmask = (uint64_t)ctrl[C_OR_MASK];
-        cused = &ctrl[C_OR_USED]; s_hit = S_OR_HIT; s_miss = S_OR_MISS;
+    if (op == T_AND) {
+        ck = st->and_k; cv = st->and_v; s_hit = S_AND_HIT; s_miss = S_AND_MISS;
+    } else if (op == T_OR) {
+        ck = st->or_k; cv = st->or_v; s_hit = S_OR_HIT; s_miss = S_OR_MISS;
     } else {
-        ck = xor_k; cv = xor_v; cmask = (uint64_t)ctrl[C_XOR_MASK];
-        cused = &ctrl[C_XOR_USED]; s_hit = S_XOR_HIT; s_miss = S_XOR_MISS;
+        ck = st->xor_k; cv = st->xor_v; s_hit = S_XOR_HIT; s_miss = S_XOR_MISS;
     }
+    uint64_t cmask = (uint64_t)ctrl[C_MASK + op];
+    int64_t *cused = &ctrl[C_USED + op];
     {
         int64_t key = (f << 31) | g;
         uint64_t slot = ((uint64_t)f * M1 + (uint64_t)g * M2) & cmask;
@@ -302,14 +333,14 @@ int64_t bdd_apply(int64_t op, int64_t f, int64_t g, ARGS_TAIL) {
         frame_t fr = s.frames[--s.top];
         if (fr.tag == 0) {
             int64_t a = fr.a, b = fr.b;
-            if (op == 0) { /* AND terminals */
+            if (op == T_AND) {
                 if (a == b) { if (!push_result(&s, a)) rc = BDD_NOMEM; continue; }
                 if (a == BDD_FALSE || b == BDD_FALSE) {
                     if (!push_result(&s, BDD_FALSE)) rc = BDD_NOMEM; continue;
                 }
                 if (a == BDD_TRUE) { if (!push_result(&s, b)) rc = BDD_NOMEM; continue; }
                 if (b == BDD_TRUE) { if (!push_result(&s, a)) rc = BDD_NOMEM; continue; }
-            } else if (op == 1) { /* OR terminals */
+            } else if (op == T_OR) {
                 if (a == b) { if (!push_result(&s, a)) rc = BDD_NOMEM; continue; }
                 if (a == BDD_TRUE || b == BDD_TRUE) {
                     if (!push_result(&s, BDD_TRUE)) rc = BDD_NOMEM; continue;
@@ -320,14 +351,8 @@ int64_t bdd_apply(int64_t op, int64_t f, int64_t g, ARGS_TAIL) {
                 if (a == b) { if (!push_result(&s, BDD_FALSE)) rc = BDD_NOMEM; continue; }
                 if (a == BDD_FALSE) { if (!push_result(&s, b)) rc = BDD_NOMEM; continue; }
                 if (b == BDD_FALSE) { if (!push_result(&s, a)) rc = BDD_NOMEM; continue; }
-                if (a == BDD_TRUE) {
-                    int64_t r = bdd_negate(b, PASS_TAIL);
-                    if (r < 0) { rc = r; break; }
-                    if (!push_result(&s, r)) rc = BDD_NOMEM;
-                    continue;
-                }
-                if (b == BDD_TRUE) {
-                    int64_t r = bdd_negate(a, PASS_TAIL);
+                if (a == BDD_TRUE || b == BDD_TRUE) {
+                    int64_t r = negate_core(st, a == BDD_TRUE ? b : a);
                     if (r < 0) { rc = r; break; }
                     if (!push_result(&s, r)) rc = BDD_NOMEM;
                     continue;
@@ -359,18 +384,13 @@ int64_t bdd_apply(int64_t op, int64_t f, int64_t g, ARGS_TAIL) {
             int64_t key = fr.a, top = fr.b;
             int64_t hi = s.results[--s.rtop];
             int64_t lo = s.results[s.rtop - 1];
-            int64_t node;
-            if (lo == hi) {
-                node = lo;
-            } else {
-                node = mk(top, lo, hi, ctrl, level, loa, hia, uniq, stats);
-                if (node < 0) { rc = node; break; }
-            }
+            int64_t node = mk(st, top, lo, hi);
+            if (node < 0) { rc = node; break; }
             uint64_t slot = ((uint64_t)(key >> 31) * M1 +
                              (uint64_t)(key & 0x7FFFFFFF) * M2) & cmask;
-            ev += cache_put(ck, cv, cmask, cused, key, node, slot, stats);
-            if (ev > (int64_t)cmask && (int64_t)(cmask + 1) < OPCACHE_MAX) {
-                rc = BDD_GROW_OPCACHE(op);
+            ev += cache_put(ck, cv, cused, key, node, slot, stats);
+            if (thrashing(ev, cmask)) {
+                rc = BDD_GROW_TABLE(op);
                 break;
             }
             s.results[s.rtop - 1] = node;
@@ -383,8 +403,12 @@ int64_t bdd_apply(int64_t op, int64_t f, int64_t g, ARGS_TAIL) {
 
 /* If-then-else.  The caller has applied the top-level short-circuits,
  * so f >= 2 on entry (g, h may still be terminals). */
-int64_t bdd_ite(int64_t f, int64_t g, int64_t h, ARGS_TAIL) {
-    uint64_t imask = (uint64_t)ctrl[C_ITE_MASK];
+static int64_t ite_core(const bdd_state *st, int64_t f, int64_t g,
+                        int64_t h) {
+    int64_t *ctrl = st->ctrl, *stats = st->stat_arr;
+    int64_t *level = st->level, *loa = st->lo, *hia = st->hi;
+    int64_t *ite_ka = st->ite_ka, *ite_kb = st->ite_kb, *ite_v = st->ite_v;
+    uint64_t imask = (uint64_t)ctrl[C_MASK + T_ITE];
     {
         int64_t ka = (f << 31) | g;
         uint64_t slot = ((uint64_t)f * M1 + (uint64_t)g * M2 +
@@ -410,7 +434,7 @@ int64_t bdd_ite(int64_t f, int64_t g, int64_t h, ARGS_TAIL) {
                 if (!push_result(&s, a)) rc = BDD_NOMEM; continue;
             }
             if (b == BDD_FALSE && c == BDD_TRUE) {
-                int64_t r = bdd_negate(a, PASS_TAIL);
+                int64_t r = negate_core(st, a);
                 if (r < 0) { rc = r; break; }
                 if (!push_result(&s, r)) rc = BDD_NOMEM;
                 continue;
@@ -440,19 +464,14 @@ int64_t bdd_ite(int64_t f, int64_t g, int64_t h, ARGS_TAIL) {
             int64_t ka = fr.a, kb = fr.b, top = fr.c;
             int64_t hi = s.results[--s.rtop];
             int64_t lo = s.results[s.rtop - 1];
-            int64_t node;
-            if (lo == hi) {
-                node = lo;
-            } else {
-                node = mk(top, lo, hi, ctrl, level, loa, hia, uniq, stats);
-                if (node < 0) { rc = node; break; }
-            }
+            int64_t node = mk(st, top, lo, hi);
+            if (node < 0) { rc = node; break; }
             uint64_t slot = ((uint64_t)(ka >> 31) * M1 +
                              (uint64_t)(ka & 0x7FFFFFFF) * M2 +
                              (uint64_t)kb * M3) & imask;
             int64_t old = ite_ka[slot];
             if (old == 0)
-                ctrl[C_ITE_USED] += 1;
+                ctrl[C_USED + T_ITE] += 1;
             else if (old != ka || ite_kb[slot] != kb) {
                 stats[S_EVICTED] += 1;
                 ev += 1;
@@ -460,8 +479,8 @@ int64_t bdd_ite(int64_t f, int64_t g, int64_t h, ARGS_TAIL) {
             ite_ka[slot] = ka;
             ite_kb[slot] = kb;
             ite_v[slot] = node;
-            if (ev > (int64_t)imask && (int64_t)(imask + 1) < OPCACHE_MAX) {
-                rc = BDD_GROW_OPCACHE(4);
+            if (thrashing(ev, imask)) {
+                rc = BDD_GROW_TABLE(T_ITE);
                 break;
             }
             s.results[s.rtop - 1] = node;
@@ -474,9 +493,10 @@ int64_t bdd_ite(int64_t f, int64_t g, int64_t h, ARGS_TAIL) {
 
 /* Binary connective with the public-entry short-circuits applied, for
  * use *inside* other kernels (mirrors manager.apply_and/apply_or). */
-static int64_t apply_full(int64_t op, int64_t a, int64_t b, ARGS_TAIL) {
+static int64_t apply_full(const bdd_state *st, int64_t op, int64_t a,
+                          int64_t b) {
     if (a == b) return a;
-    if (op == 0) { /* AND */
+    if (op == T_AND) {
         if (a == BDD_FALSE || b == BDD_FALSE) return BDD_FALSE;
         if (a == BDD_TRUE) return b;
         if (b == BDD_TRUE) return a;
@@ -486,7 +506,7 @@ static int64_t apply_full(int64_t op, int64_t a, int64_t b, ARGS_TAIL) {
         if (b == BDD_FALSE) return a;
     }
     if (a > b) { int64_t t = a; a = b; b = t; }
-    return bdd_apply(op, a, b, PASS_TAIL);
+    return apply_core(st, op, a, b);
 }
 
 /* Is ``lvl`` one of the quantified levels?  ``cube`` is sorted
@@ -518,19 +538,24 @@ static inline int q_put1(int64_t *qk, int64_t *qv, uint64_t qmask,
     return 1;
 }
 
-/* Existential (op 0, OR-combine) / universal (op 1, AND-combine)
+/* Existential (T_EX, OR-combine) / universal (T_FA, AND-combine)
  * abstraction.  Mirrors repro.bdd.quantify.exists/forall frame for
  * frame: tag 0 expand, tag 1 rebuild an unquantified level, tag 2
  * lo-cofactor of a quantified level done (early-exit on the dominating
  * terminal), tag 3 both cofactors done (combine). */
-static int64_t quantify_core(int64_t op, int64_t f, int64_t cid,
-                             const int64_t *cube, int64_t cube_len,
-                             int64_t max_level, int64_t *qk, int64_t *qv,
-                             uint64_t qmask, int64_t *quse, ARGS_TAIL) {
-    int s_hit = (op == 0) ? S_EX_HIT : S_FA_HIT;
-    int s_miss = (op == 0) ? S_EX_MISS : S_FA_MISS;
-    int64_t early = (op == 0) ? BDD_TRUE : BDD_FALSE;
-    int64_t combine = (op == 0) ? 1 : 0; /* OR for exists, AND for forall */
+static int64_t quantify_core(const bdd_state *st, int64_t q, int64_t f,
+                             int64_t cid, const int64_t *cube,
+                             int64_t cube_len, int64_t max_level) {
+    int64_t *ctrl = st->ctrl, *stats = st->stat_arr;
+    int64_t *level = st->level, *loa = st->lo, *hia = st->hi;
+    int64_t *qk = (q == T_EX) ? st->ex_k : st->fa_k;
+    int64_t *qv = (q == T_EX) ? st->ex_v : st->fa_v;
+    uint64_t qmask = (uint64_t)ctrl[C_MASK + q];
+    int64_t *quse = &ctrl[C_USED + q];
+    int s_hit = (q == T_EX) ? S_EX_HIT : S_FA_HIT;
+    int s_miss = (q == T_EX) ? S_EX_MISS : S_FA_MISS;
+    int64_t early = (q == T_EX) ? BDD_TRUE : BDD_FALSE;
+    int64_t combine = (q == T_EX) ? T_OR : T_AND;
     if (f <= 1 || level[f] > max_level) return f;
     {
         int64_t fkey = (f << 31) | cid;
@@ -582,22 +607,17 @@ static int64_t quantify_core(int64_t op, int64_t f, int64_t cid,
         } else if (fr.tag == 1) {
             int64_t hi = s.results[--s.rtop];
             int64_t lo = s.results[s.rtop - 1];
-            int64_t node;
-            if (lo == hi) {
-                node = lo;
-            } else {
-                node = mk(fr.b, lo, hi, ctrl, level, loa, hia, uniq, stats);
-                if (node < 0) { rc = node; break; }
-            }
+            int64_t node = mk(st, fr.b, lo, hi);
+            if (node < 0) { rc = node; break; }
             if (!q_put1(qk, qv, qmask, quse, fr.a, node)) {
-                rc = BDD_GROW_QUANT;
+                rc = BDD_GROW_TABLE(q);
                 break;
             }
             s.results[s.rtop - 1] = node;
         } else if (fr.tag == 2) {
             if (s.results[s.rtop - 1] == early) {
                 if (!q_put1(qk, qv, qmask, quse, fr.a, early)) {
-                    rc = BDD_GROW_QUANT;
+                    rc = BDD_GROW_TABLE(q);
                     break;
                 }
                 continue;
@@ -607,11 +627,10 @@ static int64_t quantify_core(int64_t op, int64_t f, int64_t cid,
                 rc = BDD_NOMEM;
         } else {
             int64_t hi = s.results[--s.rtop];
-            int64_t node = apply_full(combine, s.results[s.rtop - 1], hi,
-                                      PASS_TAIL);
+            int64_t node = apply_full(st, combine, s.results[s.rtop - 1], hi);
             if (node < 0) { rc = node; break; }
             if (!q_put1(qk, qv, qmask, quse, fr.a, node)) {
-                rc = BDD_GROW_QUANT;
+                rc = BDD_GROW_TABLE(q);
                 break;
             }
             s.results[s.rtop - 1] = node;
@@ -622,15 +641,8 @@ static int64_t quantify_core(int64_t op, int64_t f, int64_t cid,
     return rc;
 }
 
-int64_t bdd_quantify(int64_t op, int64_t f, int64_t cid, int64_t *cube,
-                     int64_t cube_len, int64_t max_level, int64_t *qk,
-                     int64_t *qv, int64_t qmask, int64_t *quse, ARGS_TAIL) {
-    return quantify_core(op, f, cid, cube, cube_len, max_level, qk, qv,
-                         (uint64_t)qmask, quse, PASS_TAIL);
-}
-
 /* Lossless insert into the two-word-key and_exists cache; same growth
- * contract as q_put1 but signalled as BDD_GROW_QUANT2. */
+ * contract as q_put1. */
 static inline int ae_put(int64_t *k1, int64_t *k2, int64_t *v,
                          uint64_t mask, int64_t *use, int64_t a, int64_t b,
                          int64_t cid, int64_t value) {
@@ -655,12 +667,14 @@ static inline int ae_put(int64_t *k1, int64_t *k2, int64_t *v,
 /* Fused relational product ∃cube.(f & g).  Mirrors
  * repro.bdd.quantify.and_exists; pair frames pack (a << 31 | b) into
  * one word since both operands are node indices < 2^31. */
-int64_t bdd_and_exists(int64_t f, int64_t g, int64_t cid, int64_t *cube,
-                       int64_t cube_len, int64_t max_level, int64_t *ex_k,
-                       int64_t *ex_v, int64_t ex_mask, int64_t *ex_use,
-                       int64_t *ae_k1, int64_t *ae_k2, int64_t *ae_v,
-                       int64_t ae_mask, int64_t *ae_use, ARGS_TAIL) {
-    uint64_t amask = (uint64_t)ae_mask;
+static int64_t and_exists_core(const bdd_state *st, int64_t f, int64_t g,
+                               int64_t cid, const int64_t *cube,
+                               int64_t cube_len, int64_t max_level) {
+    int64_t *ctrl = st->ctrl, *stats = st->stat_arr;
+    int64_t *level = st->level, *loa = st->lo, *hia = st->hi;
+    int64_t *ae_k1 = st->ae_k1, *ae_k2 = st->ae_k2, *ae_v = st->ae_v;
+    uint64_t amask = (uint64_t)ctrl[C_MASK + T_AE];
+    int64_t *ause = &ctrl[C_USED + T_AE];
     stacks_t s;
     if (!stacks_init(&s)) return BDD_NOMEM;
     int64_t rc = 0;
@@ -677,9 +691,8 @@ int64_t bdd_and_exists(int64_t f, int64_t g, int64_t cid, int64_t *cube,
                 int64_t other = (a == BDD_TRUE) ? b : a;
                 int64_t r = (other == BDD_TRUE)
                     ? BDD_TRUE
-                    : quantify_core(0, other, cid, cube, cube_len,
-                                    max_level, ex_k, ex_v,
-                                    (uint64_t)ex_mask, ex_use, PASS_TAIL);
+                    : quantify_core(st, T_EX, other, cid, cube, cube_len,
+                                    max_level);
                 if (r < 0) { rc = r; break; }
                 if (!push_result(&s, r)) rc = BDD_NOMEM;
                 continue;
@@ -688,7 +701,7 @@ int64_t bdd_and_exists(int64_t f, int64_t g, int64_t cid, int64_t *cube,
             if (la > max_level && lb > max_level) {
                 /* No quantified variable below either operand: the
                  * product degenerates to a plain conjunction. */
-                int64_t r = apply_full(0, a, b, PASS_TAIL);
+                int64_t r = apply_full(st, T_AND, a, b);
                 if (r < 0) { rc = r; break; }
                 if (!push_result(&s, r)) rc = BDD_NOMEM;
                 continue;
@@ -736,25 +749,19 @@ int64_t bdd_and_exists(int64_t f, int64_t g, int64_t cid, int64_t *cube,
             int64_t a = fr.a >> 31, b = fr.a & 0x7FFFFFFF;
             int64_t hi = s.results[--s.rtop];
             int64_t lo = s.results[s.rtop - 1];
-            int64_t node;
-            if (lo == hi) {
-                node = lo;
-            } else {
-                node = mk(fr.b, lo, hi, ctrl, level, loa, hia, uniq, stats);
-                if (node < 0) { rc = node; break; }
-            }
-            if (!ae_put(ae_k1, ae_k2, ae_v, amask, ae_use, a, b, cid,
-                        node)) {
-                rc = BDD_GROW_QUANT2;
+            int64_t node = mk(st, fr.b, lo, hi);
+            if (node < 0) { rc = node; break; }
+            if (!ae_put(ae_k1, ae_k2, ae_v, amask, ause, a, b, cid, node)) {
+                rc = BDD_GROW_TABLE(T_AE);
                 break;
             }
             s.results[s.rtop - 1] = node;
         } else if (fr.tag == 2) {
             int64_t a = fr.a >> 31, b = fr.a & 0x7FFFFFFF;
             if (s.results[s.rtop - 1] == BDD_TRUE) {
-                if (!ae_put(ae_k1, ae_k2, ae_v, amask, ae_use, a, b, cid,
+                if (!ae_put(ae_k1, ae_k2, ae_v, amask, ause, a, b, cid,
                             BDD_TRUE)) {
-                    rc = BDD_GROW_QUANT2;
+                    rc = BDD_GROW_TABLE(T_AE);
                     break;
                 }
                 continue;
@@ -765,12 +772,10 @@ int64_t bdd_and_exists(int64_t f, int64_t g, int64_t cid, int64_t *cube,
         } else {
             int64_t a = fr.a >> 31, b = fr.a & 0x7FFFFFFF;
             int64_t hi = s.results[--s.rtop];
-            int64_t node = apply_full(1, s.results[s.rtop - 1], hi,
-                                      PASS_TAIL);
+            int64_t node = apply_full(st, T_OR, s.results[s.rtop - 1], hi);
             if (node < 0) { rc = node; break; }
-            if (!ae_put(ae_k1, ae_k2, ae_v, amask, ae_use, a, b, cid,
-                        node)) {
-                rc = BDD_GROW_QUANT2;
+            if (!ae_put(ae_k1, ae_k2, ae_v, amask, ause, a, b, cid, node)) {
+                rc = BDD_GROW_TABLE(T_AE);
                 break;
             }
             s.results[s.rtop - 1] = node;
@@ -781,13 +786,54 @@ int64_t bdd_and_exists(int64_t f, int64_t g, int64_t cid, int64_t *cube,
     return rc;
 }
 
-/* Re-seat every live node into a freshly zeroed unique-slot array after
- * Python doubles it (all internal nodes are always live — there is no
- * garbage collection). */
-void bdd_rehash_unique(int64_t *ctrl, int64_t *level, int64_t *loa,
-                       int64_t *hia, int64_t *slots, int64_t new_mask) {
+/* -- Exported entry points ------------------------------------------
+ * Each applies the entry-time op-cache policy, then runs its core.  The
+ * cores call each other directly, without the policy check, as the
+ * Python cores do. */
+
+int64_t bdd_negate(const bdd_state *st, int64_t f) {
+    int64_t rc = check_opcaches(st);
+    return rc ? rc : negate_core(st, f);
+}
+
+int64_t bdd_apply(const bdd_state *st, int64_t op, int64_t f, int64_t g) {
+    int64_t rc = check_opcaches(st);
+    return rc ? rc : apply_core(st, op, f, g);
+}
+
+int64_t bdd_ite(const bdd_state *st, int64_t f, int64_t g, int64_t h) {
+    int64_t rc = check_opcaches(st);
+    return rc ? rc : ite_core(st, f, g, h);
+}
+
+/* Exists (op 0) / forall (op 1) over the sorted levels ``cube``; the
+ * caller has allocated the quantify caches. */
+int64_t bdd_quantify(const bdd_state *st, int64_t op, int64_t f,
+                     int64_t cid, const int64_t *cube, int64_t cube_len,
+                     int64_t max_level) {
+    int64_t rc = check_opcaches(st);
+    return rc ? rc
+              : quantify_core(st, op == 0 ? T_EX : T_FA, f, cid, cube,
+                              cube_len, max_level);
+}
+
+int64_t bdd_and_exists(const bdd_state *st, int64_t f, int64_t g,
+                       int64_t cid, const int64_t *cube, int64_t cube_len,
+                       int64_t max_level) {
+    int64_t rc = check_opcaches(st);
+    return rc ? rc
+              : and_exists_core(st, f, g, cid, cube, cube_len, max_level);
+}
+
+/* Re-seat every live node into the freshly zeroed unique-slot array
+ * ``slots`` after Python doubles it (all internal nodes are always
+ * live — there is no garbage collection).  Python installs ``slots``
+ * and its mask afterwards. */
+void bdd_rehash_unique(const bdd_state *st, int64_t *slots,
+                       int64_t new_mask) {
+    const int64_t *level = st->level, *loa = st->lo, *hia = st->hi;
     uint64_t mask = (uint64_t)new_mask;
-    int64_t n = ctrl[C_NNODES];
+    int64_t n = st->ctrl[C_NNODES];
     for (int64_t node = 2; node < n; node++) {
         uint64_t slot = ((uint64_t)level[node] * M1 +
                          (uint64_t)loa[node] * M2 +
@@ -796,5 +842,44 @@ void bdd_rehash_unique(int64_t *ctrl, int64_t *level, int64_t *loa,
             slot = (slot + 1) & mask;
         slots[slot] = node;
     }
-    ctrl[C_UNIQ_MASK] = new_mask;
+}
+
+/* Re-seat every entry of quantify cache ``q`` (T_EX, T_FA or T_AE) into
+ * the freshly zeroed arrays ``k``/``k2``/``v`` of mask ``new_mask``,
+ * visiting old slots in index order exactly as the Python rehash loops
+ * do, so both kernels leave the same layout.  ``k2`` is used by the
+ * two-word-key and_exists cache only.  Python installs the arrays and
+ * the mask afterwards; occupancy is unchanged (the rehash is lossless). */
+void bdd_rehash_quantify(const bdd_state *st, int64_t q, int64_t *k,
+                         int64_t *k2, int64_t *v, int64_t new_mask) {
+    uint64_t mask = (uint64_t)new_mask;
+    int64_t old_cap = st->ctrl[C_MASK + q] + 1;
+    if (q == T_AE) {
+        const int64_t *ok1 = st->ae_k1, *ok2 = st->ae_k2, *ov = st->ae_v;
+        for (int64_t i = 0; i < old_cap; i++) {
+            int64_t key = ok1[i];
+            if (key == 0) continue;
+            uint64_t slot = ((uint64_t)(key >> 31) * M1 +
+                             (uint64_t)(key & 0x7FFFFFFF) * M2 +
+                             (uint64_t)ok2[i] * M3) & mask;
+            while (k[slot] != 0)
+                slot = (slot + 1) & mask;
+            k[slot] = key;
+            k2[slot] = ok2[i];
+            v[slot] = ov[i];
+        }
+        return;
+    }
+    const int64_t *ok = (q == T_EX) ? st->ex_k : st->fa_k;
+    const int64_t *ov = (q == T_EX) ? st->ex_v : st->fa_v;
+    for (int64_t i = 0; i < old_cap; i++) {
+        int64_t key = ok[i];
+        if (key == 0) continue;
+        uint64_t slot = ((uint64_t)(key >> 31) * M1 +
+                         (uint64_t)(key & 0x7FFFFFFF) * M2) & mask;
+        while (k[slot] != 0)
+            slot = (slot + 1) & mask;
+        k[slot] = key;
+        v[slot] = ov[i];
+    }
 }

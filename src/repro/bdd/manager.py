@@ -28,21 +28,30 @@ shared byte-for-byte with the optional native kernel
   tables (a linear probe of length one) with in-place eviction, CUDD
   style: binary keys pack as ``f << 31 | g`` into one 64-bit word, the
   ternary ``ite`` key keeps its third operand in a parallel array.
-  They start small, double deterministically at 50% occupancy up to a
-  fixed cap, and every in-place overwrite counts as an eviction in
+  They start small and double deterministically at 50% occupancy up to
+  a fixed cap, then evict in place.  A doubling *drops* the cache's
+  entries rather than re-seating them: op caches never decide node
+  numbering, so a dropped entry costs at most a recomputation.  Every
+  in-place overwrite and every dropped entry counts as an eviction in
   :class:`ManagerStats`.
 * quantification caches (``exists``/``forall``/``and_exists``) — *lossless*
   open-addressed tables that grow by rehash (no eviction): persistence
   across calls is what the image-computation loops rely on.
+* ``ctrl`` — a 20-slot control block holding the node count and
+  capacity, the unique table's mask and occupancy, and the mask and
+  occupancy of each of the eight cache tables.
 
 The operator cores are *iterative*: each runs an explicit work stack
 instead of recursing, so chain-shaped BDDs thousands of levels deep
 neither pay per-frame Python call overhead nor hit the interpreter
 recursion limit.  When the native kernel is available the frames run in
-C over the same buffers; the pure-Python cores below are the fallback
-and mirror the C traversal order exactly, so **node numbering is
-bit-identical across kernels** — determinism contracts hold no matter
-which side executed.
+C over the same buffers, reached through one ``bdd_state`` struct that
+the manager builds once and re-points only when a growth replaces or
+resizes a buffer; the kernel checks op-cache occupancy and rehashes the
+quantification caches itself.  The pure-Python cores below are the
+fallback and mirror the C traversal order exactly, so **node numbering
+is bit-identical across kernels** — determinism contracts hold no
+matter which side executed.
 
 Conventions
 -----------
@@ -78,22 +87,41 @@ _M1 = 2654435761  # 0x9E3779B1
 _M2 = 2246822519  # 0x85EBCA77
 _M3 = 3266489917  # 0xC2B2AE3D
 
-# ctrl[] slots — keep in sync with _kernel.c.
+# ctrl[] slots — keep in sync with _kernel.c.  Cache table i (see
+# _TABLES) keeps its slot mask at _C_MASK + i (0 while unallocated) and
+# its live-entry count at _C_USED + i.
 _C_NNODES = 0
 _C_NODECAP = 1
 _C_UNIQ_MASK = 2
 _C_UNIQ_USED = 3
-_C_AND_MASK = 4
-_C_OR_MASK = 5
-_C_XOR_MASK = 6
-_C_NOT_MASK = 7
-_C_ITE_MASK = 8
-_C_AND_USED = 9
-_C_OR_USED = 10
-_C_XOR_USED = 11
-_C_NOT_USED = 12
-_C_ITE_USED = 13
-_CTRL_SLOTS = 14
+_C_MASK = 4
+_C_USED = 12
+_CTRL_SLOTS = 20
+
+#: Cache tables in ctrl[] and kernel growth-code order: the five
+#: direct-mapped op caches, then the three lossless quantify caches.
+_TABLES = ("and", "or", "xor", "not", "ite", "exists", "forall", "and_exists")
+_T_AND, _T_OR, _T_XOR, _T_NOT, _T_ITE, _T_EX, _T_FA, _T_AE = range(8)
+_N_OPCACHES = _T_EX
+(_C_AND_MASK, _C_OR_MASK, _C_XOR_MASK, _C_NOT_MASK, _C_ITE_MASK,
+ _C_EX_MASK, _C_FA_MASK, _C_AE_MASK) = range(_C_MASK, _C_MASK + 8)
+(_C_AND_USED, _C_OR_USED, _C_XOR_USED, _C_NOT_USED, _C_ITE_USED,
+ _C_EX_USED, _C_FA_USED, _C_AE_USED) = range(_C_USED, _C_USED + 8)
+
+#: Each table's arrays: manager attribute ``_<name>``, ``bdd_state``
+#: field ``<name>``.
+_TABLE_ARRAYS = (
+    ("and_k", "and_v"),
+    ("or_k", "or_v"),
+    ("xor_k", "xor_v"),
+    ("not_k", "not_v"),
+    ("ite_ka", "ite_kb", "ite_v"),
+    ("ex_k", "ex_v"),
+    ("fa_k", "fa_v"),
+    ("ae_k1", "ae_k2", "ae_v"),
+)
+_OPCACHE_ARRAYS = sum(_TABLE_ARRAYS[:_N_OPCACHES], ())
+_QCACHE_ARRAYS = sum(_TABLE_ARRAYS[_N_OPCACHES:], ())
 
 # stats[] slots — keep in sync with _kernel.c.
 _S_ITE_HIT = 0
@@ -139,15 +167,20 @@ class VarCube:
     matters, do not construct these directly.
     """
 
-    __slots__ = ("cube_id", "vars", "max_level", "levels")
+    __slots__ = ("cube_id", "vars", "max_level", "levels", "view")
 
-    def __init__(self, cube_id: int, vars: FrozenSet[int], max_level: int) -> None:
+    def __init__(
+        self, cube_id: int, vars: FrozenSet[int], max_level: int, ffi=None
+    ) -> None:
         self.cube_id = cube_id
         self.vars = vars
         self.max_level = max_level
         #: Sorted flat copy of ``vars`` — the native quantify kernel
         #: scans this buffer for level membership.
         self.levels = array("q", sorted(vars))
+        #: ``levels`` exported once to the native kernel (``None`` on
+        #: pure-Python managers).
+        self.view = None if ffi is None else ffi.from_buffer("int64_t[]", self.levels)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.vars)
@@ -198,10 +231,12 @@ class ManagerStats:
     untracked managers.
 
     Structural counters (``inserts``) are exact and kernel-independent;
-    probe counters (hits/misses) can differ marginally between the
-    native and pure-Python kernels because the native grow-and-restart
-    protocol re-probes a partially-finished operation after a growth
-    abort.  Node numbering is unaffected either way.
+    probe counters (hits/misses), ``cache_evicted`` and op-cache
+    occupancy can differ marginally between the native and pure-Python
+    kernels, because the native grow-and-restart protocol re-probes a
+    partially-finished operation after a growth abort and the kernels
+    may double (and so drop) an op cache at slightly different points.
+    Node numbering is unaffected either way.
     """
 
     __slots__ = ("_arr", "_base")
@@ -311,24 +346,23 @@ class BDDManager:
         self._ex_k = self._ex_v = None
         self._fa_k = self._fa_v = None
         self._ae_k1 = self._ae_k2 = self._ae_v = None
-        self._ex_mask = self._fa_mask = self._ae_mask = 0
-        self._ex_used = self._fa_used = self._ae_used = 0
         self._cube_table: dict[FrozenSet[int], VarCube] = {}
         self._var_names: list[str] = []
         self._name_to_var: dict[str, int] = {}
         self._stats: Optional[ManagerStats] = None
-        # Native kernel wiring: cached cffi pointers into the arrays,
-        # dropped whenever a buffer is replaced or resized.
+        # Native kernel wiring: the kernel's bdd_state (one pointer per
+        # buffer) and the cffi views that keep those buffers exported.
         self._ffi = None
         self._lib = None
-        self._bufs = None
-        self._buf_keep = None
+        self._st = None
+        self._views: Optional[dict] = None
         if native is not False:
             from repro.bdd import native as _native
 
             handle = _native.kernel()
             if handle is not None:
                 self._ffi, self._lib = handle
+                self._init_state()
             elif native is True:
                 raise RuntimeError(
                     "native=True but the native BDD kernel is unavailable"
@@ -374,30 +408,15 @@ class BDDManager:
         """Current entry counts of the operation and quantification
         caches (see :meth:`table_metrics` for occupancy *and* capacity)."""
         ctrl = self._ctrl
-        return {
-            "ite": ctrl[_C_ITE_USED],
-            "and": ctrl[_C_AND_USED],
-            "or": ctrl[_C_OR_USED],
-            "xor": ctrl[_C_XOR_USED],
-            "not": ctrl[_C_NOT_USED],
-            "exists": self._ex_used,
-            "forall": self._fa_used,
-            "and_exists": self._ae_used,
-        }
+        return {name: ctrl[_C_USED + index] for index, name in enumerate(_TABLES)}
 
     def cache_capacities(self) -> dict[str, int]:
         """Allocated slot counts per cache (0 while lazily unallocated)."""
-        ctrl = self._ctrl
-        return {
-            "ite": ctrl[_C_ITE_MASK] + 1 if self._ite_ka is not None else 0,
-            "and": ctrl[_C_AND_MASK] + 1 if self._and_k is not None else 0,
-            "or": ctrl[_C_OR_MASK] + 1 if self._or_k is not None else 0,
-            "xor": ctrl[_C_XOR_MASK] + 1 if self._xor_k is not None else 0,
-            "not": ctrl[_C_NOT_MASK] + 1 if self._not_k is not None else 0,
-            "exists": self._ex_mask + 1 if self._ex_k is not None else 0,
-            "forall": self._fa_mask + 1 if self._fa_k is not None else 0,
-            "and_exists": self._ae_mask + 1 if self._ae_k1 is not None else 0,
-        }
+        return {name: self._capacity(index) for index, name in enumerate(_TABLES)}
+
+    def _capacity(self, index: int) -> int:
+        mask = self._ctrl[_C_MASK + index]
+        return mask + 1 if mask else 0
 
     def unique_load_factor(self) -> float:
         """Unique-table occupancy fraction (entries / slots)."""
@@ -431,29 +450,9 @@ class BDDManager:
         factor.  Reads only scalar counters, so it is safe to call from
         a sampler thread while operator cores are running."""
         ctrl = self._ctrl
-        cache_entries = (
-            ctrl[_C_ITE_USED]
-            + ctrl[_C_AND_USED]
-            + ctrl[_C_OR_USED]
-            + ctrl[_C_XOR_USED]
-            + ctrl[_C_NOT_USED]
-            + self._ex_used
-            + self._fa_used
-            + self._ae_used
-        )
-        capacity = 0
-        if self._and_k is not None:
-            capacity += (
-                (ctrl[_C_AND_MASK] + 1)
-                + (ctrl[_C_OR_MASK] + 1)
-                + (ctrl[_C_XOR_MASK] + 1)
-                + (ctrl[_C_NOT_MASK] + 1)
-                + (ctrl[_C_ITE_MASK] + 1)
-            )
-        if self._ex_k is not None:
-            capacity += (self._ex_mask + 1) + (self._fa_mask + 1)
-        if self._ae_k1 is not None:
-            capacity += self._ae_mask + 1
+        tables = range(len(_TABLES))
+        cache_entries = sum(ctrl[_C_USED + index] for index in tables)
+        capacity = sum(self._capacity(index) for index in tables)
         unique_capacity = ctrl[_C_UNIQ_MASK] + 1
         return {
             "nodes": ctrl[_C_NNODES],
@@ -569,7 +568,9 @@ class BDDManager:
         key = frozenset(variables)
         cube = self._cube_table.get(key)
         if cube is None:
-            cube = VarCube(len(self._cube_table), key, max(key) if key else -1)
+            cube = VarCube(
+                len(self._cube_table), key, max(key) if key else -1, self._ffi
+            )
             self._cube_table[key] = cube
         return cube
 
@@ -646,39 +647,59 @@ class BDDManager:
     # Storage growth
     # ------------------------------------------------------------------
 
-    def _drop_bufs(self) -> None:
-        """Release the cached cffi views so the arrays are free to
-        resize (an ``array`` with an exported buffer refuses to grow)."""
-        self._bufs = None
-        self._buf_keep = None
+    def _init_state(self) -> None:
+        """Build the kernel's ``bdd_state``, once per manager: one
+        pointer per buffer, each backed by a cffi view in ``_views``
+        that keeps the buffer exported.  The control block and the stats
+        array never move; every other field is re-pointed by
+        :meth:`_point` after a growth replaces or resizes its array."""
+        self._st = self._ffi.new("bdd_state *")
+        self._views = {}
+        # The caches are unallocated: their fields start NULL.
+        self._point("ctrl", "stat_arr", "level", "lo", "hi", "uniq")
+
+    def _point(self, *names: str) -> None:
+        """Point the named ``bdd_state`` fields at the current
+        ``_<name>`` arrays (NULL for an unallocated cache), replacing
+        the views that kept the old arrays exported.  A no-op on
+        pure-Python managers."""
+        st = self._st
+        if st is None:
+            return
+        ffi = self._ffi
+        views = self._views
+        for name in names:
+            arr = getattr(self, "_" + name)
+            view = ffi.NULL if arr is None else ffi.from_buffer("int64_t[]", arr)
+            views[name] = view
+            setattr(st, name, view)
 
     def _grow_nodes(self) -> None:
         """Double the node arrays in place (same objects, so bound
         locals in running cores stay valid)."""
-        self._drop_bufs()
+        if self._views is not None:
+            # An array with an exported buffer refuses to resize: release
+            # the kernel's views for the resize, re-export them after.
+            self._views["level"] = self._views["lo"] = self._views["hi"] = None
         zeros = bytes(8 * len(self._level))
-        self._level.frombytes(zeros)
-        self._lo.frombytes(zeros)
-        self._hi.frombytes(zeros)
+        try:
+            self._level.frombytes(zeros)
+            self._lo.frombytes(zeros)
+            self._hi.frombytes(zeros)
+        finally:  # the kernel must never see a released buffer
+            self._point("level", "lo", "hi")
         self._ctrl[_C_NODECAP] = len(self._level)
 
     def _grow_unique(self) -> None:
         """Double the unique table and re-seat every live node (all
         internal nodes are always live, so this is a straight rehash)."""
-        self._drop_bufs()
         new_cap = 2 * (self._ctrl[_C_UNIQ_MASK] + 1)
         slots = array("q", bytes(8 * new_cap))
         mask = new_cap - 1
-        if self._lib is not None:
-            ffi = self._ffi
-            raws = [
-                ffi.from_buffer(arr)
-                for arr in (self._ctrl, self._level, self._lo, self._hi, slots)
-            ]
+        if self._st is not None:
             self._lib.bdd_rehash_unique(
-                *(ffi.cast("int64_t *", raw) for raw in raws), mask
+                self._st, self._ffi.from_buffer("int64_t[]", slots), mask
             )
-            del raws
         else:
             la = self._level
             loa = self._lo
@@ -688,9 +709,9 @@ class BDDManager:
                 while slots[slot] != 0:
                     slot = (slot + 1) & mask
                 slots[slot] = node
-            self._ctrl[_C_UNIQ_MASK] = mask
         self._uniq = slots
         self._ctrl[_C_UNIQ_MASK] = mask
+        self._point("uniq")
 
     def _alloc_op_caches(self) -> None:
         ctrl = self._ctrl
@@ -706,178 +727,108 @@ class BDDManager:
         self._ite_ka = array("q", zeros)
         self._ite_kb = array("q", zeros)
         self._ite_v = array("q", zeros)
-        mask = _OPCACHE_INIT - 1
-        for index in (_C_AND_MASK, _C_OR_MASK, _C_XOR_MASK, _C_NOT_MASK,
-                      _C_ITE_MASK):
-            ctrl[index] = mask
-        for index in (_C_AND_USED, _C_OR_USED, _C_XOR_USED, _C_NOT_USED,
-                      _C_ITE_USED):
-            ctrl[index] = 0
-        self._drop_bufs()
-
-    def _grow_binary_cache(self, which: str) -> None:
-        """Double one direct-mapped single-key cache and re-seat its
-        entries (collisions under the new mask overwrite and count as
-        evictions, keeping the counters truthful)."""
-        ctrl = self._ctrl
-        mask_idx, used_idx = {
-            "and": (_C_AND_MASK, _C_AND_USED),
-            "or": (_C_OR_MASK, _C_OR_USED),
-            "xor": (_C_XOR_MASK, _C_XOR_USED),
-            "not": (_C_NOT_MASK, _C_NOT_USED),
-        }[which]
-        old_k = getattr(self, f"_{which}_k")
-        old_v = getattr(self, f"_{which}_v")
-        new_cap = 2 * (ctrl[mask_idx] + 1)
-        mask = new_cap - 1
-        new_k = array("q", bytes(8 * new_cap))
-        new_v = array("q", bytes(8 * new_cap))
-        used = 0
-        evicted = 0
-        if which == "not":
-            for i, key in enumerate(old_k):
-                if key == 0:
-                    continue
-                slot = (key * _M1) & mask
-                if new_k[slot] == 0:
-                    used += 1
-                else:
-                    evicted += 1
-                new_k[slot] = key
-                new_v[slot] = old_v[i]
-        else:
-            for i, key in enumerate(old_k):
-                if key == 0:
-                    continue
-                slot = ((key >> 31) * _M1 + (key & 0x7FFFFFFF) * _M2) & mask
-                if new_k[slot] == 0:
-                    used += 1
-                else:
-                    evicted += 1
-                new_k[slot] = key
-                new_v[slot] = old_v[i]
-        setattr(self, f"_{which}_k", new_k)
-        setattr(self, f"_{which}_v", new_v)
-        ctrl[mask_idx] = mask
-        ctrl[used_idx] = used
-        self._stat_arr[_S_EVICTED] += evicted
-        self._drop_bufs()
-
-    def _grow_ite_cache(self) -> None:
-        ctrl = self._ctrl
-        old_ka, old_kb, old_v = self._ite_ka, self._ite_kb, self._ite_v
-        new_cap = 2 * (ctrl[_C_ITE_MASK] + 1)
-        mask = new_cap - 1
-        new_ka = array("q", bytes(8 * new_cap))
-        new_kb = array("q", bytes(8 * new_cap))
-        new_v = array("q", bytes(8 * new_cap))
-        used = 0
-        evicted = 0
-        for i, ka in enumerate(old_ka):
-            if ka == 0:
-                continue
-            kb = old_kb[i]
-            slot = ((ka >> 31) * _M1 + (ka & 0x7FFFFFFF) * _M2 + kb * _M3) & mask
-            if new_ka[slot] == 0:
-                used += 1
-            else:
-                evicted += 1
-            new_ka[slot] = ka
-            new_kb[slot] = kb
-            new_v[slot] = old_v[i]
-        self._ite_ka, self._ite_kb, self._ite_v = new_ka, new_kb, new_v
-        ctrl[_C_ITE_MASK] = mask
-        ctrl[_C_ITE_USED] = used
-        self._stat_arr[_S_EVICTED] += evicted
-        self._drop_bufs()
+        for index in range(_N_OPCACHES):
+            ctrl[_C_MASK + index] = _OPCACHE_INIT - 1
+            ctrl[_C_USED + index] = 0
+        self._point(*_OPCACHE_ARRAYS)
 
     def _grow_op_cache(self, index: int) -> None:
-        """Double one op cache named by its thrash code index (0=and,
-        1=or, 2=xor, 3=not, 4=ite) — the mid-call escape hatch for a
-        single operation that evicts more entries than the cache holds,
-        where the entry-time occupancy trigger in :meth:`_prep_op` never
-        gets a chance to fire (in-place overwrites do not raise ``used``).
+        """Double op cache ``index`` (0=and, 1=or, 2=xor, 3=not, 4=ite)
+        and drop its entries, counting each dropped live entry as an
+        eviction.  Op caches never decide node numbering — a dropped
+        subproblem recomputes to the identical nodes through the
+        lossless unique table — so dropping costs only recomputation,
+        which is cheaper than re-seating every entry on each doubling.
+        The first call on unallocated caches allocates all five.
+
+        Two triggers land here: the entry-time occupancy policy
+        (:meth:`_prep_op`, or the kernel's own check) and the mid-call
+        thrash escape, for a single operation that evicts more entries
+        than the cache holds — where the entry-time trigger never gets a
+        chance to fire (in-place overwrites do not raise ``used``).
         Without it a direct-mapped cache can thrash a big recursion into
         exponential recomputation."""
-        if index == 4:
-            self._grow_ite_cache()
-        else:
-            self._grow_binary_cache(("and", "or", "xor", "not")[index])
+        if self._and_k is None:
+            self._alloc_op_caches()
+            return
+        ctrl = self._ctrl
+        names = _TABLE_ARRAYS[index]
+        new_cap = 2 * (ctrl[_C_MASK + index] + 1)
+        zeros = bytes(8 * new_cap)
+        for name in names:
+            setattr(self, "_" + name, array("q", zeros))
+        self._stat_arr[_S_EVICTED] += ctrl[_C_USED + index]
+        ctrl[_C_MASK + index] = new_cap - 1
+        ctrl[_C_USED + index] = 0
+        self._point(*names)
 
     def _prep_op(self) -> None:
-        """Per-operation entry hook: allocate the op caches on first use
-        and apply the deterministic growth policy (double at 50%
-        occupancy until the cap, then evict in place).  Growth decisions
-        depend only on the operation sequence for a given kernel; a
-        thrashing call may additionally double its cache mid-operation
-        (grow-and-restart in C, in place in Python), which never changes
-        node numbering because recomputation re-derives nodes through
-        the lossless unique table."""
+        """Per-operation entry hook of the pure-Python cores: allocate
+        the op caches on first use and apply the deterministic growth
+        policy (double at 50% occupancy until the cap, then evict in
+        place).  The native kernel applies the same policy in C at each
+        entry.  Growth decisions depend only on the operation sequence
+        for a given kernel; a thrashing call may additionally double its
+        cache mid-operation (grow-and-restart in C, in place in Python),
+        which never changes node numbering because recomputation
+        re-derives nodes through the lossless unique table."""
         ctrl = self._ctrl
         if self._and_k is None:
             self._alloc_op_caches()
             return
         if ctrl[_C_AND_MASK] + 1 < _OPCACHE_MAX:
             if ctrl[_C_AND_USED] * 2 > ctrl[_C_AND_MASK]:
-                self._grow_binary_cache("and")
+                self._grow_op_cache(_T_AND)
             if ctrl[_C_OR_USED] * 2 > ctrl[_C_OR_MASK]:
-                self._grow_binary_cache("or")
+                self._grow_op_cache(_T_OR)
             if ctrl[_C_XOR_USED] * 2 > ctrl[_C_XOR_MASK]:
-                self._grow_binary_cache("xor")
+                self._grow_op_cache(_T_XOR)
             if ctrl[_C_NOT_USED] * 2 > ctrl[_C_NOT_MASK]:
-                self._grow_binary_cache("not")
+                self._grow_op_cache(_T_NOT)
             if ctrl[_C_ITE_USED] * 2 > ctrl[_C_ITE_MASK]:
-                self._grow_ite_cache()
+                self._grow_op_cache(_T_ITE)
 
     # ------------------------------------------------------------------
     # Native dispatch
     # ------------------------------------------------------------------
 
-    _BUF_ORDER = (
-        "_ctrl", "_level", "_lo", "_hi", "_uniq",
-        "_and_k", "_and_v", "_or_k", "_or_v", "_xor_k", "_xor_v",
-        "_not_k", "_not_v", "_ite_ka", "_ite_kb", "_ite_v", "_stat_arr",
-    )
+    def _grow(self, code: int) -> None:
+        """Grow the structure a C core's negative return code names:
+        -1 the node arrays, -2 the unique table, ``-6 - i`` cache table
+        ``i`` (see ``_TABLES``)."""
+        if code == -1:
+            self._grow_nodes()
+        elif code == -2:
+            self._grow_unique()
+        elif code <= -6 - _N_OPCACHES:
+            self._grow_quantify(-6 - code)
+        elif code <= -6:
+            self._grow_op_cache(-6 - code)
+        else:
+            raise MemoryError("native BDD kernel allocation failed")
 
-    def _make_bufs(self) -> tuple:
-        ffi = self._ffi
-        keep = []
-        ptrs = []
-        for name in self._BUF_ORDER:
-            raw = ffi.from_buffer(getattr(self, name))
-            keep.append(raw)
-            ptrs.append(ffi.cast("int64_t *", raw))
-        self._buf_keep = keep
-        self._bufs = tuple(ptrs)
-        return self._bufs
-
-    def _call_native(self, fn, *args: int) -> int:
-        """Invoke a C core with the grow-and-restart protocol: negative
-        return codes ask Python to grow a structure, then the operation
-        restarts (partial results are already cached, so restarts are
-        near-free and numbering-invariant)."""
+    def _native_retry(self, code: int, fn, *args: int) -> int:
+        """Finish a C core that returned the growth code ``code``: grow
+        what it asked for and re-run it until it returns a node.  The
+        nodes an aborted attempt created live in the unique table, so
+        the restart finds them again and creates only the rest, in the
+        same order: numbering is unchanged.  Unless an op cache was just
+        dropped, the partial results also still sit in the caches and
+        the restart is near-free."""
+        st = self._st
         while True:
-            bufs = self._bufs
-            if bufs is None:
-                bufs = self._make_bufs()
-            result = fn(*args, *bufs)
-            if result >= 0:
-                return result
-            if result == -1:
-                self._grow_nodes()
-            elif result == -2:
-                self._grow_unique()
-            elif result <= -6:
-                self._grow_op_cache(-result - 6)
-            else:
-                raise MemoryError("native BDD kernel allocation failed")
+            self._grow(code)
+            code = fn(st, *args)
+            if code >= 0:
+                return code
 
     # ------------------------------------------------------------------
     # Boolean operators
     # ------------------------------------------------------------------
     #
     # Each public operator applies the terminal short-circuits, then
-    # hands the general case to the C kernel when available, else to the
+    # hands the general case to the C kernel when available (one call
+    # with the manager's bdd_state, plus growth restarts), else to the
     # matching pure-Python core below.  The cores are post-order walks
     # driven by two explicit stacks: ``tasks`` holds tagged frames (tag
     # 0 = expand a subproblem, tag 1 = reduce with children's results),
@@ -902,18 +853,24 @@ class BDDManager:
             return f
         if g == FALSE and h == TRUE:
             return self.negate(f)
+        st = self._st
+        if st is not None:
+            fn = self._lib.bdd_ite
+            result = fn(st, f, g, h)
+            return result if result >= 0 else self._native_retry(result, fn, f, g, h)
         self._prep_op()
-        if self._lib is not None:
-            return self._call_native(self._lib.bdd_ite, f, g, h)
         return self._py_ite(f, g, h)
 
     def negate(self, f: int) -> int:
         """Complement ``~f``."""
         if f <= 1:
             return 1 - f
+        st = self._st
+        if st is not None:
+            fn = self._lib.bdd_negate
+            result = fn(st, f)
+            return result if result >= 0 else self._native_retry(result, fn, f)
         self._prep_op()
-        if self._lib is not None:
-            return self._call_native(self._lib.bdd_negate, f)
         return self._py_negate(f)
 
     def apply_and(self, f: int, g: int) -> int:
@@ -928,9 +885,12 @@ class BDDManager:
             return f
         if f > g:
             f, g = g, f
+        st = self._st
+        if st is not None:
+            fn = self._lib.bdd_apply
+            result = fn(st, 0, f, g)
+            return result if result >= 0 else self._native_retry(result, fn, 0, f, g)
         self._prep_op()
-        if self._lib is not None:
-            return self._call_native(self._lib.bdd_apply, 0, f, g)
         return self._py_apply(0, f, g)
 
     def apply_or(self, f: int, g: int) -> int:
@@ -946,9 +906,12 @@ class BDDManager:
             return f
         if f > g:
             f, g = g, f
+        st = self._st
+        if st is not None:
+            fn = self._lib.bdd_apply
+            result = fn(st, 1, f, g)
+            return result if result >= 0 else self._native_retry(result, fn, 1, f, g)
         self._prep_op()
-        if self._lib is not None:
-            return self._call_native(self._lib.bdd_apply, 1, f, g)
         return self._py_apply(1, f, g)
 
     def apply_xor(self, f: int, g: int) -> int:
@@ -965,9 +928,12 @@ class BDDManager:
             return self.negate(f)
         if f > g:
             f, g = g, f
+        st = self._st
+        if st is not None:
+            fn = self._lib.bdd_apply
+            result = fn(st, 2, f, g)
+            return result if result >= 0 else self._native_retry(result, fn, 2, f, g)
         self._prep_op()
-        if self._lib is not None:
-            return self._call_native(self._lib.bdd_apply, 2, f, g)
         return self._py_apply(2, f, g)
 
     # -- pure-Python fallback cores ------------------------------------
@@ -1028,7 +994,7 @@ class BDDManager:
                 nk[slot] = node
                 nv[slot] = n
                 if ev > nmask and nmask + 1 < _OPCACHE_MAX:
-                    self._grow_binary_cache("not")
+                    self._grow_op_cache(_T_NOT)
                     nk, nv = self._not_k, self._not_v
                     nmask = ctrl[_C_NOT_MASK]
                     ev = 0
@@ -1157,8 +1123,8 @@ class BDDManager:
                 if ev > cmask and cmask + 1 < _OPCACHE_MAX:
                     # Thrash escape: this one call has overwritten more
                     # entries than the cache holds, so grow in place
-                    # (entries are re-seated) and rebind the probe locals.
-                    self._grow_binary_cache(("and", "or", "xor")[op])
+                    # (entries are dropped) and rebind the probe locals.
+                    self._grow_op_cache(op)
                     if op == 0:
                         ck, cv = self._and_k, self._and_v
                         cmask = ctrl[_C_AND_MASK]
@@ -1260,7 +1226,7 @@ class BDDManager:
                 ikb[slot] = kb
                 iv[slot] = node
                 if ev > imask and imask + 1 < _OPCACHE_MAX:
-                    self._grow_ite_cache()
+                    self._grow_op_cache(_T_ITE)
                     ika, ikb, iv = self._ite_ka, self._ite_kb, self._ite_v
                     imask = ctrl[_C_ITE_MASK]
                     ev = 0
@@ -1316,40 +1282,75 @@ class BDDManager:
             self._ae_k1 = array("q", zeros)
             self._ae_k2 = array("q", zeros)
             self._ae_v = array("q", zeros)
-            self._ex_mask = self._fa_mask = self._ae_mask = _QCACHE_INIT - 1
-            self._ex_used = self._fa_used = self._ae_used = 0
+            ctrl = self._ctrl
+            for index in (_T_EX, _T_FA, _T_AE):
+                ctrl[_C_MASK + index] = _QCACHE_INIT - 1
+                ctrl[_C_USED + index] = 0
+            self._point(*_QCACHE_ARRAYS)
 
-    def _grow_quantify(self, which: str) -> None:
-        """Double one single-key quantification cache and re-seat every
-        entry (lossless rehash — these caches never evict)."""
-        karr = getattr(self, f"_{which}_k")
-        varr = getattr(self, f"_{which}_v")
-        new_cap = 2 * (getattr(self, f"_{which}_mask") + 1)
+    def _grow_quantify(self, index: int) -> None:
+        """Double quantify cache ``index`` (5=exists, 6=forall,
+        7=and_exists) and re-seat every entry, visiting the old slots in
+        index order: a lossless rehash (these caches never evict).  The
+        C kernel runs the rehash when it is loaded; the Python loops are
+        the fallback, and the reference the parity tests hold the C
+        rehash to."""
+        ctrl = self._ctrl
+        names = _TABLE_ARRAYS[index]
+        new_cap = 2 * (ctrl[_C_MASK + index] + 1)
         mask = new_cap - 1
-        new_k = array("q", bytes(8 * new_cap))
-        new_v = array("q", bytes(8 * new_cap))
-        for i, k in enumerate(karr):
-            if k == 0:
-                continue
-            slot = ((k >> 31) * _M1 + (k & 0x7FFFFFFF) * _M2) & mask
-            while new_k[slot] != 0:
-                slot = (slot + 1) & mask
-            new_k[slot] = k
-            new_v[slot] = varr[i]
-        setattr(self, f"_{which}_k", new_k)
-        setattr(self, f"_{which}_v", new_v)
-        setattr(self, f"_{which}_mask", mask)
+        zeros = bytes(8 * new_cap)
+        new = [array("q", zeros) for _ in names]
+        if self._st is not None:
+            ffi = self._ffi
+            views = [ffi.from_buffer("int64_t[]", arr) for arr in new]
+            if index != _T_AE:
+                views.insert(1, ffi.NULL)  # no second key word
+            self._lib.bdd_rehash_quantify(self._st, index, *views, mask)
+            del views
+        elif index == _T_AE:
+            old_k1, old_k2, old_v = self._ae_k1, self._ae_k2, self._ae_v
+            new_k1, new_k2, new_v = new
+            for i, k in enumerate(old_k1):
+                if k == 0:
+                    continue
+                slot = ((k >> 31) * _M1 + (k & 0x7FFFFFFF) * _M2
+                        + old_k2[i] * _M3) & mask
+                while new_k1[slot] != 0:
+                    slot = (slot + 1) & mask
+                new_k1[slot] = k
+                new_k2[slot] = old_k2[i]
+                new_v[slot] = old_v[i]
+        else:
+            old_k = getattr(self, "_" + names[0])
+            old_v = getattr(self, "_" + names[1])
+            new_k, new_v = new
+            for i, k in enumerate(old_k):
+                if k == 0:
+                    continue
+                slot = ((k >> 31) * _M1 + (k & 0x7FFFFFFF) * _M2) & mask
+                while new_k[slot] != 0:
+                    slot = (slot + 1) & mask
+                new_k[slot] = k
+                new_v[slot] = old_v[i]
+        for name, arr in zip(names, new):
+            setattr(self, "_" + name, arr)
+        ctrl[_C_MASK + index] = mask
+        self._point(*names)
 
-    def _q_put(self, which: str, key: int, value: int) -> None:
-        """Lossless linear-probe insert into a quantification cache,
-        growing by rehash above 75% load (``key`` packs ``node << 31 |
-        cube_id``; insert only on miss, so existing keys never repeat)."""
-        used = getattr(self, f"_{which}_used")
-        if (used + 1) * 4 > (getattr(self, f"_{which}_mask") + 1) * 3:
-            self._grow_quantify(which)
-        karr = getattr(self, f"_{which}_k")
-        varr = getattr(self, f"_{which}_v")
-        mask = getattr(self, f"_{which}_mask")
+    def _q_put(self, index: int, key: int, value: int) -> None:
+        """Lossless linear-probe insert into the exists (``_T_EX``) or
+        forall (``_T_FA``) cache, growing by rehash above 75% load
+        (``key`` packs ``node << 31 | cube_id``; insert only on miss, so
+        existing keys never repeat)."""
+        ctrl = self._ctrl
+        used = ctrl[_C_USED + index]
+        if (used + 1) * 4 > (ctrl[_C_MASK + index] + 1) * 3:
+            self._grow_quantify(index)
+        karr, varr = (
+            (self._ex_k, self._ex_v) if index == _T_EX else (self._fa_k, self._fa_v)
+        )
+        mask = ctrl[_C_MASK + index]
         slot = ((key >> 31) * _M1 + (key & 0x7FFFFFFF) * _M2) & mask
         while karr[slot] != 0:
             if karr[slot] == key:
@@ -1358,39 +1359,19 @@ class BDDManager:
             slot = (slot + 1) & mask
         karr[slot] = key
         varr[slot] = value
-        setattr(self, f"_{which}_used", used + 1)
-
-    def _grow_ae_cache(self) -> None:
-        """Double the two-word-key and_exists cache (lossless rehash)."""
-        karr1, karr2, varr = self._ae_k1, self._ae_k2, self._ae_v
-        new_cap = 2 * (self._ae_mask + 1)
-        mask = new_cap - 1
-        new_k1 = array("q", bytes(8 * new_cap))
-        new_k2 = array("q", bytes(8 * new_cap))
-        new_v = array("q", bytes(8 * new_cap))
-        for i, k in enumerate(karr1):
-            if k == 0:
-                continue
-            slot = ((k >> 31) * _M1 + (k & 0x7FFFFFFF) * _M2
-                    + karr2[i] * _M3) & mask
-            while new_k1[slot] != 0:
-                slot = (slot + 1) & mask
-            new_k1[slot] = k
-            new_k2[slot] = karr2[i]
-            new_v[slot] = varr[i]
-        self._ae_k1, self._ae_k2, self._ae_v = new_k1, new_k2, new_v
-        self._ae_mask = mask
+        ctrl[_C_USED + index] = used + 1
 
     def _ae_put(self, a: int, b: int, cid: int, value: int) -> None:
         """Lossless insert into the two-word-key and_exists cache."""
-        if (self._ae_used + 1) * 4 > (self._ae_mask + 1) * 3:
-            self._grow_ae_cache()
+        ctrl = self._ctrl
+        used = ctrl[_C_AE_USED]
+        if (used + 1) * 4 > (ctrl[_C_AE_MASK] + 1) * 3:
+            self._grow_quantify(_T_AE)
         k1 = (a << 31) | b
         karr1 = self._ae_k1
         karr2 = self._ae_k2
         varr = self._ae_v
-        mask = self._ae_mask
-        used = self._ae_used
+        mask = ctrl[_C_AE_MASK]
         slot = (a * _M1 + b * _M2 + cid * _M3) & mask
         while karr1[slot] != 0:
             if karr1[slot] == k1 and karr2[slot] == cid:
@@ -1400,112 +1381,26 @@ class BDDManager:
         karr1[slot] = k1
         karr2[slot] = cid
         varr[slot] = value
-        self._ae_used = used + 1
+        ctrl[_C_AE_USED] = used + 1
 
     def _native_quantify(self, op: int, f: int, cube: "VarCube") -> int:
         """Run exists (op 0) / forall (op 1) in the C kernel with the
-        grow-and-restart protocol extended to the quantify cache
-        (code -4): the cache is lossless, so a restart after any growth
-        replays cached sub-results and node numbering is unchanged."""
-        which = "ex" if op == 0 else "fa"
-        self._prep_op()
-        ffi = self._ffi
-        lib = self._lib
-        meta = array("q", (0,))
-        levels = cube.levels
-        while True:
-            bufs = self._bufs
-            if bufs is None:
-                bufs = self._make_bufs()
-            meta[0] = getattr(self, f"_{which}_used")
-            keep = (
-                ffi.from_buffer(levels),
-                ffi.from_buffer(getattr(self, f"_{which}_k")),
-                ffi.from_buffer(getattr(self, f"_{which}_v")),
-                ffi.from_buffer(meta),
-            )
-            result = lib.bdd_quantify(
-                op, f, cube.cube_id,
-                ffi.cast("int64_t *", keep[0]), len(levels),
-                cube.max_level,
-                ffi.cast("int64_t *", keep[1]),
-                ffi.cast("int64_t *", keep[2]),
-                getattr(self, f"_{which}_mask"),
-                ffi.cast("int64_t *", keep[3]),
-                *bufs,
-            )
-            setattr(self, f"_{which}_used", meta[0])
-            del keep
-            if result >= 0:
-                return result
-            if result == -1:
-                self._grow_nodes()
-            elif result == -2:
-                self._grow_unique()
-            elif result == -4:
-                self._grow_quantify(which)
-            elif result <= -6:
-                self._grow_op_cache(-result - 6)
-            else:
-                raise MemoryError("native BDD kernel allocation failed")
+        grow-and-restart protocol; the quantify caches must be
+        allocated.  The cache is lossless, so a restart after any
+        growth replays cached sub-results and node numbering is
+        unchanged."""
+        fn = self._lib.bdd_quantify
+        args = (op, f, cube.cube_id, cube.view, len(cube.levels), cube.max_level)
+        result = fn(self._st, *args)
+        return result if result >= 0 else self._native_retry(result, fn, *args)
 
     def _native_and_exists(self, f: int, g: int, cube: "VarCube") -> int:
-        """Fused ∃cube.(f & g) in the C kernel (growth codes: -4 grows
-        the exists cache it recurses into, -5 the and_exists cache)."""
-        self._prep_op()
-        ffi = self._ffi
-        lib = self._lib
-        ex_meta = array("q", (0,))
-        ae_meta = array("q", (0,))
-        levels = cube.levels
-        while True:
-            bufs = self._bufs
-            if bufs is None:
-                bufs = self._make_bufs()
-            ex_meta[0] = self._ex_used
-            ae_meta[0] = self._ae_used
-            keep = (
-                ffi.from_buffer(levels),
-                ffi.from_buffer(self._ex_k),
-                ffi.from_buffer(self._ex_v),
-                ffi.from_buffer(ex_meta),
-                ffi.from_buffer(self._ae_k1),
-                ffi.from_buffer(self._ae_k2),
-                ffi.from_buffer(self._ae_v),
-                ffi.from_buffer(ae_meta),
-            )
-            result = lib.bdd_and_exists(
-                f, g, cube.cube_id,
-                ffi.cast("int64_t *", keep[0]), len(levels),
-                cube.max_level,
-                ffi.cast("int64_t *", keep[1]),
-                ffi.cast("int64_t *", keep[2]),
-                self._ex_mask,
-                ffi.cast("int64_t *", keep[3]),
-                ffi.cast("int64_t *", keep[4]),
-                ffi.cast("int64_t *", keep[5]),
-                ffi.cast("int64_t *", keep[6]),
-                self._ae_mask,
-                ffi.cast("int64_t *", keep[7]),
-                *bufs,
-            )
-            self._ex_used = ex_meta[0]
-            self._ae_used = ae_meta[0]
-            del keep
-            if result >= 0:
-                return result
-            if result == -1:
-                self._grow_nodes()
-            elif result == -2:
-                self._grow_unique()
-            elif result == -4:
-                self._grow_quantify("ex")
-            elif result == -5:
-                self._grow_ae_cache()
-            elif result <= -6:
-                self._grow_op_cache(-result - 6)
-            else:
-                raise MemoryError("native BDD kernel allocation failed")
+        """Fused ∃cube.(f & g) in the C kernel; the quantify caches must
+        be allocated."""
+        fn = self._lib.bdd_and_exists
+        args = (f, g, cube.cube_id, cube.view, len(cube.levels), cube.max_level)
+        result = fn(self._st, *args)
+        return result if result >= 0 else self._native_retry(result, fn, *args)
 
     # ------------------------------------------------------------------
     # Cofactors and evaluation
@@ -1610,31 +1505,13 @@ class BDDManager:
         evictions are visible in reports.
         """
         ctrl = self._ctrl
-        evicted = (
-            ctrl[_C_ITE_USED]
-            + ctrl[_C_AND_USED]
-            + ctrl[_C_OR_USED]
-            + ctrl[_C_XOR_USED]
-            + ctrl[_C_NOT_USED]
-            + self._ex_used
-            + self._fa_used
-            + self._ae_used
-        )
-        self._and_k = self._and_v = None
-        self._or_k = self._or_v = None
-        self._xor_k = self._xor_v = None
-        self._not_k = self._not_v = None
-        self._ite_ka = self._ite_kb = self._ite_v = None
-        for index in (_C_AND_MASK, _C_OR_MASK, _C_XOR_MASK, _C_NOT_MASK,
-                      _C_ITE_MASK, _C_AND_USED, _C_OR_USED, _C_XOR_USED,
-                      _C_NOT_USED, _C_ITE_USED):
-            ctrl[index] = 0
-        self._ex_k = self._ex_v = None
-        self._fa_k = self._fa_v = None
-        self._ae_k1 = self._ae_k2 = self._ae_v = None
-        self._ex_mask = self._fa_mask = self._ae_mask = 0
-        self._ex_used = self._fa_used = self._ae_used = 0
-        self._drop_bufs()
+        evicted = 0
+        for index, names in enumerate(_TABLE_ARRAYS):
+            evicted += ctrl[_C_USED + index]
+            ctrl[_C_MASK + index] = ctrl[_C_USED + index] = 0
+            for name in names:
+                setattr(self, "_" + name, None)
+        self._point(*_OPCACHE_ARRAYS, *_QCACHE_ARRAYS)
         self._stat_arr[_S_CLEARS] += 1
         self._stat_arr[_S_EVICTED] += evicted
         if self._stats is not None:

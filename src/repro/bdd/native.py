@@ -3,18 +3,20 @@
 The manager's hot operator cores (`ite`, AND/OR/XOR, negate) and the
 quantification cores (exists/forall/and_exists) have a C
 implementation in ``_kernel.c`` that works directly on the manager's
-flat ``array('q')`` buffers.  This module compiles it once per source
-digest (``cc -O2 -shared -fPIC``) into ``_build/`` next to the source
-and loads it through cffi's ABI mode — no setuptools, no extension
-machinery, and a silent fallback to the pure-Python cores when a
-compiler or cffi is unavailable.
+flat ``array('q')`` buffers, reached through one ``bdd_state`` struct
+of buffer pointers per manager (declared in :data:`_CDEF`).  This
+module compiles it once per source digest (``cc -O2 -shared -fPIC``)
+into ``_build/`` next to the source and loads it through cffi's ABI
+mode — no setuptools, no extension machinery, and a silent fallback to
+the pure-Python cores when a compiler or cffi is unavailable.
 
 Environment gate ``REPRO_NATIVE``:
 
 * unset or ``"1"``/``"auto"`` — try to build/load, fall back silently;
 * ``"0"`` — never load the native kernel (pure-Python cores);
-* ``"require"`` — raise ``RuntimeError`` if the kernel cannot load
-  (used by differential tests that would silently test nothing).
+* ``"require"`` — every :func:`kernel` call raises ``RuntimeError``
+  while the kernel cannot load (used by differential tests and
+  benchmarks that would silently test nothing).
 
 Both kernels share one storage layout and one traversal order, so node
 numbering — and therefore synthesis output — is identical either way;
@@ -33,45 +35,30 @@ _DIR = os.path.dirname(os.path.abspath(__file__))
 _SOURCE = os.path.join(_DIR, "_kernel.c")
 _BUILD_DIR = os.path.join(_DIR, "_build")
 
-#: cffi declarations for the kernel entry points (ABI mode).
+#: cffi declarations for the kernel's state struct and entry points (ABI
+#: mode); the struct's field order must match ``_kernel.c``.
 _CDEF = """
-int64_t bdd_negate(int64_t f,
-    int64_t *ctrl, int64_t *level, int64_t *loa, int64_t *hia,
-    int64_t *uniq, int64_t *and_k, int64_t *and_v, int64_t *or_k,
-    int64_t *or_v, int64_t *xor_k, int64_t *xor_v, int64_t *not_k,
-    int64_t *not_v, int64_t *ite_ka, int64_t *ite_kb, int64_t *ite_v,
-    int64_t *stats);
-int64_t bdd_apply(int64_t op, int64_t f, int64_t g,
-    int64_t *ctrl, int64_t *level, int64_t *loa, int64_t *hia,
-    int64_t *uniq, int64_t *and_k, int64_t *and_v, int64_t *or_k,
-    int64_t *or_v, int64_t *xor_k, int64_t *xor_v, int64_t *not_k,
-    int64_t *not_v, int64_t *ite_ka, int64_t *ite_kb, int64_t *ite_v,
-    int64_t *stats);
-int64_t bdd_ite(int64_t f, int64_t g, int64_t h,
-    int64_t *ctrl, int64_t *level, int64_t *loa, int64_t *hia,
-    int64_t *uniq, int64_t *and_k, int64_t *and_v, int64_t *or_k,
-    int64_t *or_v, int64_t *xor_k, int64_t *xor_v, int64_t *not_k,
-    int64_t *not_v, int64_t *ite_ka, int64_t *ite_kb, int64_t *ite_v,
-    int64_t *stats);
-int64_t bdd_quantify(int64_t op, int64_t f, int64_t cid, int64_t *cube,
-    int64_t cube_len, int64_t max_level, int64_t *qk, int64_t *qv,
-    int64_t qmask, int64_t *quse,
-    int64_t *ctrl, int64_t *level, int64_t *loa, int64_t *hia,
-    int64_t *uniq, int64_t *and_k, int64_t *and_v, int64_t *or_k,
-    int64_t *or_v, int64_t *xor_k, int64_t *xor_v, int64_t *not_k,
-    int64_t *not_v, int64_t *ite_ka, int64_t *ite_kb, int64_t *ite_v,
-    int64_t *stats);
-int64_t bdd_and_exists(int64_t f, int64_t g, int64_t cid, int64_t *cube,
-    int64_t cube_len, int64_t max_level, int64_t *ex_k, int64_t *ex_v,
-    int64_t ex_mask, int64_t *ex_use, int64_t *ae_k1, int64_t *ae_k2,
-    int64_t *ae_v, int64_t ae_mask, int64_t *ae_use,
-    int64_t *ctrl, int64_t *level, int64_t *loa, int64_t *hia,
-    int64_t *uniq, int64_t *and_k, int64_t *and_v, int64_t *or_k,
-    int64_t *or_v, int64_t *xor_k, int64_t *xor_v, int64_t *not_k,
-    int64_t *not_v, int64_t *ite_ka, int64_t *ite_kb, int64_t *ite_v,
-    int64_t *stats);
-void bdd_rehash_unique(int64_t *ctrl, int64_t *level, int64_t *loa,
-    int64_t *hia, int64_t *slots, int64_t new_mask);
+typedef struct {
+    int64_t *ctrl;
+    int64_t *level, *lo, *hi;
+    int64_t *uniq;
+    int64_t *and_k, *and_v, *or_k, *or_v, *xor_k, *xor_v, *not_k, *not_v;
+    int64_t *ite_ka, *ite_kb, *ite_v;
+    int64_t *ex_k, *ex_v, *fa_k, *fa_v;
+    int64_t *ae_k1, *ae_k2, *ae_v;
+    int64_t *stat_arr;
+} bdd_state;
+int64_t bdd_negate(const bdd_state *st, int64_t f);
+int64_t bdd_apply(const bdd_state *st, int64_t op, int64_t f, int64_t g);
+int64_t bdd_ite(const bdd_state *st, int64_t f, int64_t g, int64_t h);
+int64_t bdd_quantify(const bdd_state *st, int64_t op, int64_t f,
+    int64_t cid, const int64_t *cube, int64_t cube_len, int64_t max_level);
+int64_t bdd_and_exists(const bdd_state *st, int64_t f, int64_t g,
+    int64_t cid, const int64_t *cube, int64_t cube_len, int64_t max_level);
+void bdd_rehash_unique(const bdd_state *st, int64_t *slots,
+    int64_t new_mask);
+void bdd_rehash_quantify(const bdd_state *st, int64_t q, int64_t *k,
+    int64_t *k2, int64_t *v, int64_t new_mask);
 """
 
 _lock = threading.Lock()
@@ -123,30 +110,25 @@ def _build_and_load() -> tuple[Any, Any]:
 
 def kernel() -> Optional[tuple[Any, Any]]:
     """The loaded ``(ffi, lib)`` pair, or ``None`` when native cores are
-    disabled or unavailable.  Build/load happens once per process."""
+    disabled or unavailable.  Build/load happens once per process; under
+    ``REPRO_NATIVE=require`` every call after a failed load raises."""
     global _loaded, _handle, _failure
-    if _loaded:
-        return _handle
-    with _lock:
-        if _loaded:
-            return _handle
-        mode = _mode()
-        if mode == "0":
-            _failure = "disabled by REPRO_NATIVE=0"
-            _handle = None
-        else:
-            try:
-                _handle = _build_and_load()
-            except Exception as exc:  # missing cffi/cc, compile error
-                _failure = f"{type(exc).__name__}: {exc}"
-                _handle = None
-                if mode == "require":
-                    _loaded = True
-                    raise RuntimeError(
-                        f"REPRO_NATIVE=require but the native BDD kernel "
-                        f"failed to load: {_failure}"
-                    ) from exc
-        _loaded = True
+    if not _loaded:
+        with _lock:
+            if not _loaded:
+                if _mode() == "0":
+                    _failure = "disabled by REPRO_NATIVE=0"
+                else:
+                    try:
+                        _handle = _build_and_load()
+                    except Exception as exc:  # missing cffi/cc, compile error
+                        _failure = f"{type(exc).__name__}: {exc}"
+                _loaded = True
+    if _handle is None and _mode() == "require":
+        raise RuntimeError(
+            f"REPRO_NATIVE=require but the native BDD kernel failed to "
+            f"load: {_failure}"
+        )
     return _handle
 
 

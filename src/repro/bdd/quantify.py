@@ -30,12 +30,17 @@ from repro.bdd.manager import (
     _M1,
     _M2,
     _M3,
+    _C_AE_MASK,
+    _C_EX_MASK,
+    _C_FA_MASK,
     _S_AE_HIT,
     _S_AE_MISS,
     _S_EX_HIT,
     _S_EX_MISS,
     _S_FA_HIT,
     _S_FA_MISS,
+    _T_EX,
+    _T_FA,
 )
 
 
@@ -53,9 +58,10 @@ def exists(
     cid = cube.cube_id
     manager._ensure_quantify_caches()
     sarr = manager._stat_arr
+    ctrl = manager._ctrl
     qk = manager._ex_k
     qv = manager._ex_v
-    qmask = manager._ex_mask
+    qmask = ctrl[_C_EX_MASK]
 
     # Entry probe in Python even when the C kernel is available: a warm
     # repeat then costs one probe chain, not an FFI round trip.
@@ -75,10 +81,10 @@ def exists(
     def put(key: int, value: int) -> None:
         # Growth swaps the arrays; rebind the probe locals afterwards.
         nonlocal qk, qv, qmask
-        manager._q_put("ex", key, value)
+        manager._q_put(_T_EX, key, value)
         qk = manager._ex_k
         qv = manager._ex_v
-        qmask = manager._ex_mask
+        qmask = ctrl[_C_EX_MASK]
     level = manager._level
     lo_arr = manager._lo
     hi_arr = manager._hi
@@ -160,9 +166,10 @@ def forall(
     cid = cube.cube_id
     manager._ensure_quantify_caches()
     sarr = manager._stat_arr
+    ctrl = manager._ctrl
     qk = manager._fa_k
     qv = manager._fa_v
-    qmask = manager._fa_mask
+    qmask = ctrl[_C_FA_MASK]
 
     fkey = (f << 31) | cid
     slot = (f * _M1 + cid * _M2) & qmask
@@ -179,10 +186,10 @@ def forall(
 
     def put(key: int, value: int) -> None:
         nonlocal qk, qv, qmask
-        manager._q_put("fa", key, value)
+        manager._q_put(_T_FA, key, value)
         qk = manager._fa_k
         qv = manager._fa_v
-        qmask = manager._fa_mask
+        qmask = ctrl[_C_FA_MASK]
     level = manager._level
     lo_arr = manager._lo
     hi_arr = manager._hi
@@ -266,10 +273,11 @@ def and_exists(
     if manager._lib is not None:
         return manager._native_and_exists(f, g, cube)
     sarr = manager._stat_arr
+    ctrl = manager._ctrl
     qk1 = manager._ae_k1
     qk2 = manager._ae_k2
     qv = manager._ae_v
-    qmask = manager._ae_mask
+    qmask = ctrl[_C_AE_MASK]
 
     def put(a: int, b: int, value: int) -> None:
         nonlocal qk1, qk2, qv, qmask
@@ -277,7 +285,7 @@ def and_exists(
         qk1 = manager._ae_k1
         qk2 = manager._ae_k2
         qv = manager._ae_v
-        qmask = manager._ae_mask
+        qmask = ctrl[_C_AE_MASK]
 
     level = manager._level
     lo_arr = manager._lo

@@ -1,6 +1,10 @@
 """Unit tests for the open-addressed array kernel: unique-table rehash,
 direct-mapped op-cache eviction, clear semantics, gauge surfaces, and
-native/pure-Python node-id parity."""
+native/pure-Python node-id parity.
+
+The table-semantics classes run on the pure-Python cores; each has a
+``...Native`` subclass that reruns it on the C kernel (skipped when the
+kernel is unavailable)."""
 
 import random
 
@@ -9,6 +13,10 @@ import pytest
 from repro.bdd import native as _native
 from repro.bdd.manager import BDDManager, FALSE, TRUE
 from repro.bdd import quantify
+
+requires_native = pytest.mark.skipif(
+    _native.kernel() is None, reason="native kernel unavailable"
+)
 
 
 def _random_workload(manager, steps=1500, seed=7, num_vars=10):
@@ -82,8 +90,10 @@ class TestUniqueRehash:
 
 
 class TestOpCacheEviction:
+    native = False
+
     def test_in_place_overwrites_are_counted(self):
-        m = BDDManager(10, native=False)
+        m = BDDManager(10, native=self.native)
         stats = m.enable_stats()
         _random_workload(m, steps=3000)
         # A direct-mapped bounded cache under a 3000-op random load must
@@ -98,21 +108,47 @@ class TestOpCacheEviction:
         """The unique table is lossless, so cache eviction may cost time
         but never correctness — the same workload on a fresh manager
         (cold caches) produces the same nodes."""
-        m1 = BDDManager(10, native=False)
+        m1 = BDDManager(10, native=self.native)
         log1 = _random_workload(m1, steps=2500)
-        m2 = BDDManager(10, native=False)
+        m2 = BDDManager(10, native=self.native)
         log2 = _random_workload(m2, steps=2500)
         assert log1 == log2
 
     def test_caches_grow_deterministically(self):
-        m = BDDManager(10, native=False)
+        m = BDDManager(10, native=self.native)
         _random_workload(m, steps=2000)
         caps = m.cache_capacities()
         # Initial size is 256; a 2000-op workload grows the hot caches.
         assert caps["and"] >= 256 and caps["not"] >= 256
-        m2 = BDDManager(10, native=False)
+        m2 = BDDManager(10, native=self.native)
         _random_workload(m2, steps=2000)
         assert m2.cache_capacities() == caps
+
+    def test_doubling_drops_entries(self):
+        """An op cache past 50% occupancy doubles at the next operation
+        and drops what it held: every dropped entry is an eviction."""
+        m = BDDManager(12, native=self.native)
+        stats = m.enable_stats()
+        rng = random.Random(11)
+        nodes = [m.var(i) for i in range(12)] + [m.nvar(i) for i in range(12)]
+        nodes.append(m.apply_and(nodes[0], nodes[1]))  # allocates the caches
+        # Only AND operations, so the occupancy check between them is the
+        # AND cache's own entry check.
+        while m.cache_sizes()["and"] * 2 <= m.cache_capacities()["and"] - 1:
+            node = m.apply_and(*rng.sample(nodes, 2))
+            if node > TRUE:
+                nodes.append(node)
+        held = m.cache_sizes()["and"]
+        capacity = m.cache_capacities()["and"]
+        evicted = stats.cache_evicted
+        m.apply_and(m.var(0), m.var(1))
+        assert m.cache_capacities()["and"] == 2 * capacity
+        assert stats.cache_evicted - evicted >= held
+
+
+@requires_native
+class TestOpCacheEvictionNative(TestOpCacheEviction):
+    native = True
 
 
 def _thrash_one_apply(native):
@@ -138,7 +174,7 @@ def _thrash_one_apply(native):
     m._and_v = array("q", bytes(8 * 4))
     m._ctrl[mgr._C_AND_MASK] = 3
     m._ctrl[mgr._C_AND_USED] = 0
-    m._drop_bufs()
+    m._point("and_k", "and_v")
     return m.apply_and(f, g), m.cache_capacities()
 
 
@@ -147,9 +183,7 @@ class TestThrashGrowth:
         result, caps = _thrash_one_apply(native=False)
         assert caps["and"] > 4
 
-    @pytest.mark.skipif(
-        _native.kernel() is None, reason="native kernel unavailable"
-    )
+    @requires_native
     def test_native_core_grows_mid_call(self):
         """The C core signals thrash with a grow code; the restart must
         produce the same node id as the pure-Python escape."""
@@ -160,10 +194,12 @@ class TestThrashGrowth:
 
 
 class TestQuantifyCaches:
+    native = False
+
     def test_lossless_growth(self):
         """Quantification caches never evict: every previously computed
         (node, cube) result still hits after heavy growth."""
-        m = BDDManager(12, native=False)
+        m = BDDManager(12, native=self.native)
         rng = random.Random(5)
         funcs = []
         for _ in range(60):
@@ -177,6 +213,7 @@ class TestQuantifyCaches:
             quantify.exists(m, f, s) for f in funcs for s in subsets
         ]
         assert m.cache_sizes()["exists"] > 0
+        assert m.cache_capacities()["exists"] > 256  # really rehashed
         stats = m.enable_stats()
         again = [
             quantify.exists(m, f, s) for f in funcs for s in subsets
@@ -185,9 +222,16 @@ class TestQuantifyCaches:
         assert stats.exists_misses == 0  # every repeat was a pure hit
 
 
+@requires_native
+class TestQuantifyCachesNative(TestQuantifyCaches):
+    native = True
+
+
 class TestClearCaches:
+    native = False
+
     def test_clear_resets_all_tables_and_counts(self):
-        m = BDDManager(10, native=False)
+        m = BDDManager(10, native=self.native)
         stats = m.enable_stats()
         log = _random_workload(m, steps=800)
         expected = sum(m.cache_sizes().values())
@@ -201,6 +245,11 @@ class TestClearCaches:
         # No stale probe chains: the identical workload replays to the
         # identical results on the cleared caches.
         assert _random_workload(m, steps=800) == log
+
+
+@requires_native
+class TestClearCachesNative(TestClearCaches):
+    native = True
 
 
 class TestGauges:
@@ -239,9 +288,7 @@ class TestGauges:
         assert stats.inserts >= 1
 
 
-@pytest.mark.skipif(
-    _native.kernel() is None, reason="native kernel unavailable"
-)
+@requires_native
 class TestNativeParity:
     def test_node_ids_bit_identical(self):
         py = BDDManager(10, native=False)
@@ -257,7 +304,8 @@ class TestNativeParity:
         hit/miss counters may differ slightly: the native grow-and-
         restart protocol re-probes the partially-finished operation
         after a growth abort, recounting a few hits/misses the pure
-        kernel (which grows inline) never sees."""
+        kernel (which grows inline) never sees, and op-cache occupancy
+        differs with it."""
         py = BDDManager(10, native=False)
         nat = BDDManager(10, native=True)
         py.enable_stats()
@@ -286,3 +334,55 @@ class TestNativeParity:
             parity_ref = ref.apply_xor(parity_ref, ref.var(v))
         assert parity == parity_ref
         assert nat.num_nodes == ref.num_nodes
+
+    def test_quantify_growth_parity(self):
+        """The C rehash of the quantify caches matches the Python one:
+        over a workload that doubles the exists, forall and and_exists
+        caches several times, both kernels return the same nodes and
+        hold the same quantify-cache entries."""
+        managers = [BDDManager(16, native=flag) for flag in (False, True)]
+        logs = []
+        for m in managers:
+            rng = random.Random(9)
+            funcs = []
+            for _ in range(40):
+                f = FALSE
+                for _ in range(4):
+                    cube = {v: rng.random() < 0.5 for v in rng.sample(range(16), 5)}
+                    f = m.apply_or(f, m.cube(cube))
+                funcs.append(f)
+            log = []
+            for k in range(60):
+                subset = sorted(rng.sample(range(16), 2 + k % 5))
+                f, g = rng.sample(funcs, 2)
+                log.append(quantify.exists(m, f, subset))
+                log.append(quantify.forall(m, g, subset))
+                log.append(quantify.and_exists(m, f, g, subset))
+            logs.append(log)
+        py, nat = managers
+        assert logs[0] == logs[1]
+        assert py.num_nodes == nat.num_nodes
+        for name in ("exists", "forall", "and_exists"):
+            assert py.cache_capacities()[name] >= 4 * 256  # doubled twice+
+            assert py.cache_sizes()[name] == nat.cache_sizes()[name]
+            assert py.cache_capacities()[name] == nat.cache_capacities()[name]
+
+
+class TestRequireMode:
+    def test_failed_load_raises_on_every_call(self, monkeypatch):
+        """Under REPRO_NATIVE=require a failed build keeps failing: no
+        later call quietly falls back to the pure-Python cores."""
+
+        def failing_build():
+            raise RuntimeError("simulated compiler failure")
+
+        monkeypatch.setenv("REPRO_NATIVE", "require")
+        monkeypatch.setattr(_native, "_build_and_load", failing_build)
+        monkeypatch.setattr(_native, "_loaded", False)
+        monkeypatch.setattr(_native, "_handle", None)
+        monkeypatch.setattr(_native, "_failure", None)
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="simulated compiler failure"):
+                _native.kernel()
+        with pytest.raises(RuntimeError, match="REPRO_NATIVE=require"):
+            BDDManager()
