@@ -17,10 +17,15 @@ from repro.bdd.manager import BDDManager, FALSE, TRUE
 def exactly_k(manager: BDDManager, variables: Sequence[int], k: int) -> int:
     """Weight function ``w_k``: true iff exactly ``k`` of ``variables``
     are 1.  Totally symmetric, hence an ``O(n*k)``-node BDD."""
-    if k > len(variables):
+    if not 0 <= k <= len(variables):
         return FALSE
-    table = weight_functions(manager, variables, k)
-    return table[k]
+    return weight_functions(manager, variables, k)[k]
+
+
+def weight_at(weights: Sequence[int], k: int) -> int:
+    """``w_k`` read off a full table ``[w_0, ..., w_n]`` from
+    :func:`weight_functions`: FALSE for a weight outside ``0..n``."""
+    return weights[k] if 0 <= k < len(weights) else FALSE
 
 
 def weight_functions(
@@ -73,11 +78,17 @@ def count_relation(
     """The paper's ``K(c, e) = Σ_i w_i(c) · κ_i(e)`` — relates an
     assignment to the decision variables ``c`` to the binary encoding of
     its weight on the counter bits ``e`` (Section 3.5.2)."""
-    if (1 << len(bits)) <= len(variables):
-        raise ValueError(
-            f"{len(bits)} bits cannot encode weights up to {len(variables)}"
-        )
-    weights = weight_functions(manager, variables)
+    return count_relation_from(manager, weight_functions(manager, variables), bits)
+
+
+def count_relation_from(
+    manager: BDDManager, weights: Sequence[int], bits: Sequence[int]
+) -> int:
+    """:func:`count_relation` over an already built full weight table
+    ``[w_0, ..., w_n]`` of the decision variables."""
+    n = len(weights) - 1
+    if (1 << len(bits)) <= n:
+        raise ValueError(f"{len(bits)} bits cannot encode weights up to {n}")
     relation = FALSE
     for value, weight in enumerate(weights):
         if weight == FALSE:

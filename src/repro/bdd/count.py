@@ -24,19 +24,17 @@ def dag_size_multi(manager: BDDManager, roots: Sequence[int]) -> int:
 
 
 def support(manager: BDDManager, root: int) -> set[int]:
-    """Set of variables ``root`` structurally depends on."""
-    variables: set[int] = set()
-    for node in iter_nodes(manager, root):
-        if node > 1:
-            variables.add(manager.top_var(node))
-    return variables
+    """Set of variables ``root`` structurally depends on, as a fresh set
+    the caller may change (the manager memoises the support itself, see
+    :meth:`BDDManager.support`)."""
+    return set(manager.support(root))
 
 
 def support_multi(manager: BDDManager, roots: Sequence[int]) -> set[int]:
     """Union of the supports of several roots."""
     variables: set[int] = set()
     for root in roots:
-        variables |= support(manager, root)
+        variables |= manager.support(root)
     return variables
 
 
@@ -93,12 +91,9 @@ def iter_models(
     dict binds every listed variable exactly once.
     """
     order = sorted(variables)
-    position = {var: i for i, var in enumerate(order)}
-    for node in iter_nodes(manager, root):
-        if node > 1 and manager.top_var(node) not in position:
-            raise ValueError(
-                f"variable {manager.top_var(node)} in support but not listed"
-            )
+    missing = manager.support(root).difference(order)
+    if missing:
+        raise ValueError(f"variable {min(missing)} in support but not listed")
 
     def recurse(node: int, depth: int) -> Iterator[dict[int, bool]]:
         if node == FALSE:

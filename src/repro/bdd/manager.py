@@ -349,6 +349,12 @@ class BDDManager:
         self._cube_table: dict[FrozenSet[int], VarCube] = {}
         self._var_names: list[str] = []
         self._name_to_var: dict[str, int] = {}
+        # Per-manager memos of facts that never change, because nodes
+        # are append-only and never renumbered: each variable's positive
+        # literal node (0 until first asked for) and each queried root's
+        # support (dropped by clear_caches).
+        self._var_nodes: list[int] = []
+        self._supports: dict[int, FrozenSet[int]] = {}
         self._stats: Optional[ManagerStats] = None
         # Native kernel wiring: the kernel's bdd_state (one pointer per
         # buffer) and the cffi views that keep those buffers exported.
@@ -520,6 +526,7 @@ class BDDManager:
             raise ValueError(f"duplicate variable name: {name!r}")
         self._var_names.append(name)
         self._name_to_var[name] = index
+        self._var_nodes.append(0)
         return index
 
     def new_vars(self, count: int, prefix: str = "x") -> list[int]:
@@ -536,14 +543,21 @@ class BDDManager:
         return self._name_to_var[name]
 
     def var(self, var: int) -> int:
-        """Node for the positive literal of variable ``var``."""
-        if var >= len(self._var_names):
+        """Node for the positive literal of variable ``var``.
+
+        The node is made on the first call and remembered: later calls
+        return it without probing the unique table."""
+        nodes = self._var_nodes
+        if not 0 <= var < len(nodes):
             raise ValueError(f"variable {var} not declared")
-        return self._mk(var, FALSE, TRUE)
+        node = nodes[var]
+        if node == 0:
+            node = nodes[var] = self._mk(var, FALSE, TRUE)
+        return node
 
     def nvar(self, var: int) -> int:
         """Node for the negative literal of variable ``var``."""
-        if var >= len(self._var_names):
+        if not 0 <= var < len(self._var_names):
             raise ValueError(f"variable {var} not declared")
         return self._mk(var, TRUE, FALSE)
 
@@ -606,6 +620,42 @@ class BDDManager:
     def num_nodes(self) -> int:
         """Total number of nodes ever created (including terminals)."""
         return self._ctrl[_C_NNODES]
+
+    def support(self, root: int) -> FrozenSet[int]:
+        """Set of variables ``root`` structurally depends on.
+
+        Computed by one walk over the node arrays on the first call for
+        ``root``, then remembered for the manager's lifetime: a node and
+        everything below it never change, so neither does its support.
+        :meth:`clear_caches` drops the memo."""
+        supports = self._supports
+        found = supports.get(root)
+        if found is not None:
+            return found
+        variables: set[int] = set()
+        if root > 1:
+            level = self._level
+            lo = self._lo
+            hi = self._hi
+            add = variables.add
+            seen = {root}
+            mark = seen.add
+            stack = [root]
+            push = stack.append
+            pop = stack.pop
+            while stack:
+                node = pop()
+                add(level[node])
+                child = lo[node]
+                if child > 1 and child not in seen:
+                    mark(child)
+                    push(child)
+                child = hi[node]
+                if child > 1 and child not in seen:
+                    mark(child)
+                    push(child)
+        found = supports[root] = frozenset(variables)
+        return found
 
     def _mk(self, level: int, lo: int, hi: int) -> int:
         """Find-or-create the node ``(level, lo, hi)``: the linear-probe
@@ -1477,8 +1527,12 @@ class BDDManager:
 
     def cube(self, literals: dict[int, bool]) -> int:
         """Conjunction of literals given as ``{var: polarity}``."""
+        order = sorted(literals, reverse=True)
+        for var in order[:1] + order[-1:]:  # the extremes bound the rest
+            if not 0 <= var < len(self._var_names):
+                raise ValueError(f"variable {var} not declared")
         node = TRUE
-        for var in sorted(literals, reverse=True):
+        for var in order:
             node = self._mk(
                 var,
                 FALSE if literals[var] else node,
@@ -1492,9 +1546,10 @@ class BDDManager:
 
     def clear_caches(self) -> int:
         """Drop all operation caches, including the persistent
-        quantification caches (the unique table and the interned cube
-        table are kept — the latter is bounded by the number of distinct
-        variable sets ever quantified).
+        quantification caches, and the support memo (the unique table,
+        the literal nodes and the interned cube table are kept — the
+        last is bounded by the number of distinct variable sets ever
+        quantified).
 
         The array-backed caches are released wholesale and reallocated
         lazily at their initial size, so no stale probe chain can ever
@@ -1512,6 +1567,7 @@ class BDDManager:
             for name in names:
                 setattr(self, "_" + name, None)
         self._point(*_OPCACHE_ARRAYS, *_QCACHE_ARRAYS)
+        self._supports = {}
         self._stat_arr[_S_CLEARS] += 1
         self._stat_arr[_S_EVICTED] += evicted
         if self._stats is not None:

@@ -18,14 +18,14 @@ parameterized intermediate forms compact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from repro import obs as _obs
 from repro.bdd import builders as _builders
 from repro.bdd import count as _count
 from repro.bdd import quantify as _quantify
-from repro.bdd.compose import transfer
+from repro.bdd.compose import transfer_multi
 from repro.bdd.manager import BDDManager, FALSE, TRUE
 from repro.bidec import parameterize as _param
 from repro.intervals import Interval
@@ -39,6 +39,11 @@ class PartitionSpace:
     decision variables ``c1_vars``/``c2_vars`` (one per entry of
     ``variables``, which are the *original*-manager variable indices),
     plus the analysis operations of Section 3.5.2.
+
+    Every one of those operations reads the weight functions
+    ``[w_0 … w_n]`` of ``c1`` and of ``c2``.  Each table is built once,
+    on first use, and shared with every space derived from this one
+    (:meth:`nontrivial`, the AND space over its inner OR space).
     """
 
     gate: str
@@ -49,6 +54,10 @@ class PartitionSpace:
     c2_vars: tuple[int, ...]
     #: Scratch-manager indices of the function variables (internal).
     x_vars: tuple[int, ...] = ()
+    #: Full weight table per decision vector (internal, shared).
+    weight_tables: dict[tuple[int, ...], list[int]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def bi_size(self) -> int:
@@ -62,28 +71,30 @@ class PartitionSpace:
         """True iff at least one (possibly trivial) partition exists."""
         return self.bi != FALSE
 
+    def weights(self, c_vars: tuple[int, ...]) -> list[int]:
+        """The weight table ``[w_0 … w_n]`` of ``c_vars`` (``c1_vars`` or
+        ``c2_vars``), built on the first call."""
+        table = self.weight_tables.get(c_vars)
+        if table is None:
+            table = _builders.weight_functions(self.manager, c_vars)
+            self.weight_tables[c_vars] = table
+        return table
+
     def nontrivial(self) -> "PartitionSpace":
         """Restrict to non-trivial partitions: each component must drop at
         least one variable (``k_i < n``), ruling out ``g = f`` solutions."""
         n = len(self.variables)
         if n == 0:
             return self._with_bi(FALSE)
-        constraint = self.manager.apply_and(
-            _builders.at_most_k(self.manager, self.c1_vars, n - 1),
-            _builders.at_most_k(self.manager, self.c2_vars, n - 1),
+        manager = self.manager
+        constraint = manager.apply_and(
+            manager.disjoin(self.weights(self.c1_vars)[:n]),
+            manager.disjoin(self.weights(self.c2_vars)[:n]),
         )
-        return self._with_bi(self.manager.apply_and(self.bi, constraint))
+        return self._with_bi(manager.apply_and(self.bi, constraint))
 
     def _with_bi(self, bi: int) -> "PartitionSpace":
-        return PartitionSpace(
-            gate=self.gate,
-            manager=self.manager,
-            bi=bi,
-            variables=self.variables,
-            c1_vars=self.c1_vars,
-            c2_vars=self.c2_vars,
-            x_vars=self.x_vars,
-        )
+        return replace(self, bi=bi)
 
     # -- size-pair analysis (Section 3.5.2) ------------------------------
 
@@ -126,8 +137,12 @@ class PartitionSpace:
         bits_needed = max(1, n.bit_length())
         e1 = [self.manager.new_var() for _ in range(bits_needed)]
         e2 = [self.manager.new_var() for _ in range(bits_needed)]
-        k_rel1 = _builders.count_relation(self.manager, self.c1_vars, e1)
-        k_rel2 = _builders.count_relation(self.manager, self.c2_vars, e2)
+        k_rel1 = _builders.count_relation_from(
+            self.manager, self.weights(self.c1_vars), e1
+        )
+        k_rel2 = _builders.count_relation_from(
+            self.manager, self.weights(self.c2_vars), e2
+        )
         product = self.manager.conjoin([self.bi, k_rel1, k_rel2])
         bi_kappa = _quantify.exists(
             self.manager, product, list(self.c1_vars) + list(self.c2_vars)
@@ -193,8 +208,8 @@ class PartitionSpace:
         )
 
     def _constrain_sizes(self, k1: int, k2: int) -> int:
-        w1 = _builders.exactly_k(self.manager, self.c1_vars, k1)
-        w2 = _builders.exactly_k(self.manager, self.c2_vars, k2)
+        w1 = _builders.weight_at(self.weights(self.c1_vars), k1)
+        w2 = _builders.weight_at(self.weights(self.c2_vars), k2)
         return self.manager.conjoin([self.bi, w1, w2])
 
     def pick_partition(
@@ -337,8 +352,9 @@ def or_partition_space(
         scratch = _make_scratch(len(variables), with_y=False)
         var_map = {orig: scratch.x_vars[i] for i, orig in enumerate(variables)}
         sm = scratch.manager
-        lower = transfer(interval.manager, interval.lower, sm, var_map)
-        upper = transfer(interval.manager, interval.upper, sm, var_map)
+        lower, upper = transfer_multi(
+            interval.manager, [interval.lower, interval.upper], sm, var_map
+        )
         forced: list[int] = []
         if node_budget is None:
             u1 = _param.parameterized_forall(sm, upper, scratch.x_vars, scratch.c1_vars)
@@ -375,15 +391,7 @@ def and_partition_space(
     (Section 3.3.1 duality); the feasible partitions coincide."""
     with _obs.span("bidec.build.and"):
         inner = or_partition_space(interval.complement(), variables)
-        space = PartitionSpace(
-            gate="and",
-            manager=inner.manager,
-            bi=inner.bi,
-            variables=inner.variables,
-            c1_vars=inner.c1_vars,
-            c2_vars=inner.c2_vars,
-            x_vars=inner.x_vars,
-        )
+        space = replace(inner, gate="and")
     _record_space(space)
     return space
 
@@ -413,8 +421,9 @@ def xor_partition_space(
         scratch = _make_scratch(len(variables), with_y=True)
         var_map = {orig: scratch.x_vars[i] for i, orig in enumerate(variables)}
         sm = scratch.manager
-        lower = transfer(interval.manager, interval.lower, sm, var_map)
-        upper = transfer(interval.manager, interval.upper, sm, var_map)
+        lower, upper = transfer_multi(
+            interval.manager, [interval.lower, interval.upper], sm, var_map
+        )
         xs, ys = scratch.x_vars, scratch.y_vars
         c1, c2 = scratch.c1_vars, scratch.c2_vars
 

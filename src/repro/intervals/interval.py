@@ -121,16 +121,23 @@ class Interval:
         return self.abstract(variables).is_consistent()
 
     def support(self) -> set[int]:
-        """Union of the structural supports of the two bounds."""
-        return _count.support(self.manager, self.lower) | _count.support(
-            self.manager, self.upper
-        )
+        """Union of the structural supports of the two bounds, as a
+        fresh set the caller may change."""
+        support = self.manager.support
+        variables = set(support(self.lower))
+        if self.upper != self.lower:
+            variables |= support(self.upper)
+        return variables
 
     def essential_support(self) -> set[int]:
         """Variables that *every* member depends on — i.e. variables whose
         individual abstraction is infeasible."""
+        # Sorted: abstraction makes nodes, and a set's iteration order
+        # can depend on its insertion history.
         return {
-            var for var in self.support() if not self.can_abstract([var])
+            var
+            for var in sorted(self.support())
+            if not self.can_abstract([var])
         }
 
     def reduce_support(self) -> tuple["Interval", set[int]]:

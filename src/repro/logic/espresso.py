@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.bdd import count as _count
 from repro.bdd.manager import BDDManager, FALSE, TRUE
 from repro.logic.sop import Cover, Cube, isop
 
@@ -69,7 +68,9 @@ def reduce_cube(
     if essential == FALSE:
         return cube
     literals: dict[int, bool] = {}
-    for var in _count.support(manager, essential) | set(cube.as_dict()):
+    # Sorted: cofactors make nodes, and a set's iteration order can
+    # depend on its insertion history.
+    for var in sorted(manager.support(essential).union(cube.as_dict())):
         low = manager.cofactor(essential, var, False)
         high = manager.cofactor(essential, var, True)
         if low == FALSE:

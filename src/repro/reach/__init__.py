@@ -2,7 +2,13 @@
 extraction (Section 3.5.1)."""
 
 from repro.reach.transition import TransitionSystem
-from repro.reach.image import image_monolithic, image_early, preimage_monolithic
+from repro.reach.image import (
+    ImageSchedule,
+    image_early,
+    image_monolithic,
+    image_schedule,
+    preimage_monolithic,
+)
 from repro.reach.traversal import (
     ReachabilityResult,
     forward_reachable,
@@ -26,8 +32,10 @@ __all__ = [
     "InductiveInvariant",
     "propose_candidates",
     "TransitionSystem",
+    "ImageSchedule",
     "image_monolithic",
     "image_early",
+    "image_schedule",
     "preimage_monolithic",
     "ReachabilityResult",
     "forward_reachable",

@@ -6,12 +6,14 @@ Two strategies, compared by the A1 ablation bench:
   relational product per step;
 * early quantification — keep the relation as per-latch conjuncts and
   quantify each variable as soon as no remaining conjunct mentions it
-  (the standard IWLS-era schedule).
+  (the standard IWLS-era schedule).  The schedule depends only on the
+  relation, so it is built once per relation (:func:`image_schedule`)
+  and reused by every image step.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import NamedTuple, Sequence
 
 from repro import obs as _obs
 from repro.bdd import count as _count
@@ -32,26 +34,48 @@ def image_monolithic(
     return rename(manager, quantified, ts.ns_to_ps())
 
 
+class ImageSchedule(NamedTuple):
+    """The early-quantification schedule of a partitioned relation."""
+
+    #: The conjuncts, in fold order.
+    parts: tuple[int, ...]
+    #: Each conjunct's support.
+    supports: tuple[frozenset[int], ...]
+    #: For each position, the union of the supports of the conjuncts
+    #: after it: a variable outside it may leave the product there.
+    later: tuple[frozenset[int], ...]
+
+
+def image_schedule(manager: BDDManager, parts: Sequence[int]) -> ImageSchedule:
+    """Schedule the conjuncts ``parts`` of a relation in ``manager``.
+
+    Nodes never change, so a schedule stays valid for as long as its
+    manager does; a reorder that rebuilds the relation in a new manager
+    needs a new schedule."""
+    supports = tuple(manager.support(part) for part in parts)
+    later: list[frozenset[int]] = []
+    running: frozenset[int] = frozenset()
+    for support in reversed(supports):
+        later.append(running)
+        running |= support
+    later.reverse()
+    return ImageSchedule(tuple(parts), supports, tuple(later))
+
+
 def image_early(
-    ts: TransitionSystem, states: int, parts: Sequence[int]
+    ts: TransitionSystem, states: int, schedule: ImageSchedule
 ) -> int:
     """Clustered image with early quantification.
 
-    Conjuncts are folded in one at a time; after each fold, the variables
-    that no later conjunct mentions are existentially quantified away
-    immediately, keeping intermediate products small.
+    Conjuncts are folded in one at a time in ``schedule`` order; after
+    each fold, the variables that no later conjunct mentions are
+    existentially quantified away immediately, keeping intermediate
+    products small.
     """
     manager = ts.manager
     track = _obs.enabled()
     to_quantify = set(ts.ps_vars()) | set(ts.free_vars())
-    supports = [_count.support(manager, part) for part in parts]
     current = states
-    remaining_support: list[set[int]] = []
-    running: set[int] = set()
-    for support in reversed(supports):
-        remaining_support.append(set(running))
-        running |= support
-    remaining_support.reverse()
     # Running (over-approximate) support of the growing product: start
     # from the states' support and fold in each conjunct's, subtracting
     # quantified variables as they leave.  A superset is sound — ∃x f = f
@@ -59,10 +83,10 @@ def image_early(
     # product for its exact support on every fold (which made the
     # schedule itself quadratic in the number of conjuncts).
     current_support = _count.support(manager, states)
-    for index, part in enumerate(parts):
+    steps = zip(schedule.parts, schedule.supports, schedule.later)
+    for index, (part, support, later) in enumerate(steps):
         current = manager.apply_and(current, part)
-        current_support |= supports[index]
-        later = remaining_support[index]
+        current_support |= support
         ready = (to_quantify & current_support) - later
         if ready:
             current = _quantify.exists(manager, current, ready)

@@ -11,7 +11,7 @@ from typing import Optional
 from repro import obs as _obs
 from repro.bdd import count as _count
 from repro.bdd.manager import FALSE
-from repro.reach.image import image_early, image_monolithic
+from repro.reach.image import image_early, image_monolithic, image_schedule
 from repro.reach.transition import TransitionSystem
 
 
@@ -85,16 +85,9 @@ def forward_reachable(
     track = _obs.enabled()
     start = time.perf_counter()
     with _obs.span("reach.fixpoint"):
-        if strategy == "monolithic":
-            relation = ts.monolithic_relation()
-            step = lambda frontier: image_monolithic(ts, frontier, relation)
-        elif strategy == "early":
-            parts = ts.part_relations()
-            step = lambda frontier: image_early(ts, frontier, parts)
-            if track:
-                _obs.observe("reach.relation.parts", len(parts))
-        else:
-            raise ValueError(f"unknown image strategy {strategy!r}")
+        step = _image_step(ts, strategy)
+        if track and strategy == "early":
+            _obs.observe("reach.relation.parts", ts.num_state_bits())
         reached = ts.initial_states()
         frontier = reached
         iterations = 0
@@ -115,8 +108,8 @@ def forward_reachable(
             if auto_reorder and manager.reorder_due():
                 # Iteration boundary = safe point: the only live handles
                 # are the reached set and frontier, passed through the
-                # rebuild; relations and the step closure are rebuilt
-                # against the re-sifted manager.
+                # rebuild; the relation, its schedule and the step are
+                # rebuilt against the re-sifted manager.
                 size_before = manager.num_nodes
                 with _obs.span("reach.reorder"):
                     reached, frontier = ts.reorder_manager(
@@ -126,14 +119,7 @@ def forward_reachable(
                     governor.detach_manager(manager)
                     governor.attach_manager(ts.manager)
                 manager = ts.manager
-                if strategy == "monolithic":
-                    relation = ts.monolithic_relation()
-                    step = lambda frontier: image_monolithic(
-                        ts, frontier, relation
-                    )
-                else:
-                    parts = ts.part_relations()
-                    step = lambda frontier: image_early(ts, frontier, parts)
+                step = _image_step(ts, strategy)
                 if track:
                     _obs.event(
                         "bdd.reorder.reach",
@@ -166,6 +152,19 @@ def forward_reachable(
         converged=converged,
         runtime=time.perf_counter() - start,
     )
+
+
+def _image_step(ts: TransitionSystem, strategy: str):
+    """The image operator over ``ts``'s current manager.  The relation
+    (and for ``"early"`` its quantification schedule) is built here
+    once, for every step until a reorder replaces the manager."""
+    if strategy == "monolithic":
+        relation = ts.monolithic_relation()
+        return lambda frontier: image_monolithic(ts, frontier, relation)
+    if strategy == "early":
+        schedule = image_schedule(ts.manager, ts.part_relations())
+        return lambda frontier: image_early(ts, frontier, schedule)
+    raise ValueError(f"unknown image strategy {strategy!r}")
 
 
 def explicit_reachable_states(network, latches=None, max_states: int = 1 << 20) -> set[tuple[bool, ...]]:

@@ -21,6 +21,7 @@ from repro.bdd.reorder import reorder, sift_order
 from repro.network.bdd_build import ConeCollapser
 from repro.network.blif import write_blif
 from repro.reach.transition import TransitionSystem
+from repro.reach import traversal as _traversal
 from repro.reach.traversal import forward_reachable
 from repro.synth import SynthesisOptions, algorithm1
 
@@ -137,19 +138,29 @@ class TestReorderSemantics:
         for old, new in var_map.items():
             assert manager.var_name(old) == new_manager.var_name(new)
 
-    def test_reach_auto_reorder_same_states(self):
+    def test_reach_auto_reorder_same_states(self, monkeypatch):
         """Reachability with in-flight re-sifting reaches exactly the
-        same state set (counted over latch valuations)."""
+        same state set (counted over latch valuations).  The re-sift
+        really happens: it replaces the system's manager, and the image
+        schedule is rebuilt against the new one."""
+        schedules = []
+        build = _traversal.image_schedule
+
+        def counting(manager, parts):
+            schedules.append(manager)
+            return build(manager, parts)
+
+        monkeypatch.setattr(_traversal, "image_schedule", counting)
         for seed in (3, 7):
             network = small_circuit(seed)
             plain = forward_reachable(TransitionSystem(network))
-            sifted = forward_reachable(
-                TransitionSystem(
-                    network,
-                    manager=BDDManager(auto_reorder_threshold=150),
-                ),
-                auto_reorder=True,
-            )
+            first = BDDManager(auto_reorder_threshold=150)
+            ts = TransitionSystem(network, manager=first)
+            del schedules[:]
+            sifted = forward_reachable(ts, auto_reorder=True)
+            assert ts.manager is not first
+            assert len(schedules) > 1 and schedules[0] is first
+            assert schedules[-1] is ts.manager
             assert plain.converged and sifted.converged
             assert plain.iterations == sifted.iterations
             assert plain.num_states() == sifted.num_states()

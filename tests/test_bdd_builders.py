@@ -26,9 +26,10 @@ from repro.bdd import (
 class TestWeights:
     def test_exactly_k_counts(self):
         m = BDDManager(6)
-        for k in range(7):
+        for k in range(-1, 8):  # no assignment has weight -1 or 7
             node = exactly_k(m, list(range(6)), k)
-            assert sat_count(m, node, 6) == math.comb(6, k)
+            expected = math.comb(6, k) if 0 <= k <= 6 else 0
+            assert sat_count(m, node, 6) == expected
 
     def test_weights_partition_space(self):
         """The w_k functions partition the assignment space."""

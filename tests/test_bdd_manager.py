@@ -53,9 +53,20 @@ class TestVariables:
         assert m.literal(0, False) == m.nvar(0)
 
     def test_undeclared_var_rejected(self):
-        m = BDDManager(1)
-        with pytest.raises(ValueError):
-            m.var(5)
+        """A literal or cube over a variable outside ``0..num_vars-1``
+        raises instead of building a node at that level."""
+        m = BDDManager(3)
+        builders = (
+            m.var,
+            m.nvar,
+            lambda var: m.cube({var: True}),
+            lambda var: m.cube({0: True, var: False, 2: True}),
+        )
+        for bad in (-2, -1, 3, 7):
+            for build in builders:
+                with pytest.raises(ValueError, match="not declared"):
+                    build(bad)
+        assert m.num_nodes == 2  # nothing was built on the way
 
 
 class TestCanonicity:

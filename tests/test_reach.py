@@ -11,6 +11,7 @@ from repro.reach import (
     forward_reachable,
     image_early,
     image_monolithic,
+    image_schedule,
     preimage_monolithic,
 )
 
@@ -80,13 +81,31 @@ class TestImages:
     def test_strategies_agree(self):
         ts = TransitionSystem(mod6_counter())
         relation = ts.monolithic_relation()
-        parts = ts.part_relations()
+        schedule = image_schedule(ts.manager, ts.part_relations())
         frontier = ts.initial_states()
         for _ in range(4):
             a = image_monolithic(ts, frontier, relation)
-            b = image_early(ts, frontier, parts)
+            b = image_early(ts, frontier, schedule)
             assert a == b
             frontier = a
+
+    def test_schedule_reused_across_steps(self):
+        """One schedule serves every fixpoint step: each image equals the
+        image under a schedule built fresh for that step."""
+        ts = TransitionSystem(mod6_counter())
+        manager = ts.manager
+        schedule = image_schedule(manager, ts.part_relations())
+        reached = frontier = ts.initial_states()
+        steps = 0
+        while frontier != 0:
+            fresh = image_schedule(manager, ts.part_relations())
+            image = image_early(ts, frontier, schedule)
+            assert image == image_early(ts, frontier, fresh)
+            frontier = manager.apply_and(image, manager.negate(reached))
+            reached = manager.apply_or(reached, frontier)
+            steps += 1
+        assert steps > 2
+        assert reached == forward_reachable(ts).reached
 
     def test_preimage_duality(self):
         """x in preimage(S) iff image({x}) intersects S — checked on the
