@@ -14,8 +14,8 @@ Entries flagged ``"gated": false`` (informational rows like the
 telemetry-overhead comparison) are always skipped.
 
 Records also carry two run flags: ``instrumented`` (did obs collection
-run during the timed rounds?) and ``native`` (did the native BDD kernel
-run them, or the pure-Python cores?).  Tracing and the runtime monitor
+run during the timed rounds?) and ``native`` (did the native kernel's
+BDD and SAT cores run them, or the pure-Python cores?).  Tracing and the runtime monitor
 are off by default and the kernel is on, and the committed substrate
 baselines are measured that way; when the two sides of a comparison
 disagree on either flag the gate *skips* that test with a loud note

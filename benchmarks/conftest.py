@@ -176,9 +176,10 @@ def record_bench_json(module: str, test: str, wall_time: float,
     timed run — the regression gate refuses to compare instrumented
     timings against uninstrumented baselines, since tracing/monitoring
     is off by default and the committed numbers assume that.
-    ``native`` records whether the native BDD kernel was loaded, since
-    the pure-Python cores run the same work an order of magnitude
-    slower; the gate refuses to compare timings across kernels too.
+    ``native`` records whether the native kernel (the BDD and SAT cores)
+    was loaded, since the pure-Python cores run the same work an order
+    of magnitude slower; the gate refuses to compare timings across
+    kernels too.
     ``gated=False`` marks informational rows the gate must skip.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -208,7 +209,8 @@ def record_bench_json(module: str, test: str, wall_time: float,
 
 
 def _native_loaded() -> bool:
-    """Whether BDD managers in this process run the native kernel."""
+    """Whether BDD managers and SAT solvers in this process run the
+    native kernel."""
     from repro.bdd import native
 
     try:

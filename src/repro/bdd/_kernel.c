@@ -336,14 +336,16 @@ static int64_t apply_core(const bdd_state *st, int64_t op, int64_t f,
             if (op == T_AND) {
                 if (a == b) { if (!push_result(&s, a)) rc = BDD_NOMEM; continue; }
                 if (a == BDD_FALSE || b == BDD_FALSE) {
-                    if (!push_result(&s, BDD_FALSE)) rc = BDD_NOMEM; continue;
+                    if (!push_result(&s, BDD_FALSE)) rc = BDD_NOMEM;
+                    continue;
                 }
                 if (a == BDD_TRUE) { if (!push_result(&s, b)) rc = BDD_NOMEM; continue; }
                 if (b == BDD_TRUE) { if (!push_result(&s, a)) rc = BDD_NOMEM; continue; }
             } else if (op == T_OR) {
                 if (a == b) { if (!push_result(&s, a)) rc = BDD_NOMEM; continue; }
                 if (a == BDD_TRUE || b == BDD_TRUE) {
-                    if (!push_result(&s, BDD_TRUE)) rc = BDD_NOMEM; continue;
+                    if (!push_result(&s, BDD_TRUE)) rc = BDD_NOMEM;
+                    continue;
                 }
                 if (a == BDD_FALSE) { if (!push_result(&s, b)) rc = BDD_NOMEM; continue; }
                 if (b == BDD_FALSE) { if (!push_result(&s, a)) rc = BDD_NOMEM; continue; }
@@ -431,7 +433,8 @@ static int64_t ite_core(const bdd_state *st, int64_t f, int64_t g,
             if (a == BDD_FALSE) { if (!push_result(&s, c)) rc = BDD_NOMEM; continue; }
             if (b == c) { if (!push_result(&s, b)) rc = BDD_NOMEM; continue; }
             if (b == BDD_TRUE && c == BDD_FALSE) {
-                if (!push_result(&s, a)) rc = BDD_NOMEM; continue;
+                if (!push_result(&s, a)) rc = BDD_NOMEM;
+                continue;
             }
             if (b == BDD_FALSE && c == BDD_TRUE) {
                 int64_t r = negate_core(st, a);

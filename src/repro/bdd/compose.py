@@ -39,7 +39,10 @@ def vector_compose(manager: BDDManager, f: int, substitution: Mapping[int, int])
         cache[node] = result
         return result
 
-    return walk(f)
+    try:
+        return walk(f)
+    finally:
+        del walk  # it holds itself (and the manager) through its closure
 
 
 def rename(manager: BDDManager, f: int, mapping: Mapping[int, int]) -> int:

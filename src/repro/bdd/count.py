@@ -111,7 +111,10 @@ def iter_models(
                 rest[var] = value
                 yield rest
 
-    yield from recurse(root, 0)
+    try:
+        yield from recurse(root, 0)
+    finally:
+        del recurse  # it holds itself (and the manager) through its closure
 
 
 def iter_cubes(

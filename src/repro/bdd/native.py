@@ -1,16 +1,26 @@
-"""On-demand build and load of the native BDD operator kernel.
+"""On-demand build and load of the native kernel.
 
-The manager's hot operator cores (`ite`, AND/OR/XOR, negate) and the
-quantification cores (exists/forall/and_exists) have a C
-implementation in ``_kernel.c`` that works directly on the manager's
-flat ``array('q')`` buffers, reached through one ``bdd_state`` struct
-of buffer pointers per manager (declared in :data:`_CDEF`).  This
-module compiles it once per source digest (``cc -O2 -shared -fPIC``)
-into ``_build/`` next to the source and loads it through cffi's ABI
-mode — no setuptools, no extension machinery, and a silent fallback to
-the pure-Python cores when a compiler or cffi is unavailable.
+The native kernel is one shared object compiled from two C sources:
 
-Environment gate ``REPRO_NATIVE``:
+* ``_kernel.c`` (next to this module) — the BDD manager's hot operator
+  cores (`ite`, AND/OR/XOR, negate) and quantification cores
+  (exists/forall/and_exists).  They work directly on the manager's flat
+  ``array('q')`` buffers, reached through one ``bdd_state`` struct of
+  buffer pointers per manager.
+* ``repro/sat/_solver.c`` — the CDCL core behind
+  :class:`repro.sat.solver.Solver`.  It owns its state (one
+  ``sat_solver`` per solver, freed through ``ffi.gc``), because a solve
+  appends learnt clauses mid-search and cannot be restarted the way a
+  BDD operation is.
+
+Both are declared in :data:`_CDEF`.  This module compiles them once per
+digest of both sources and the declarations (``cc -O2 -shared -fPIC``)
+into ``_build/`` next to this module and loads the result through
+cffi's ABI mode — no setuptools, no extension machinery, and a silent
+fallback to the pure-Python cores when a compiler or cffi is
+unavailable.
+
+Environment gate ``REPRO_NATIVE`` (one gate for both cores):
 
 * unset or ``"1"``/``"auto"`` — try to build/load, fall back silently;
 * ``"0"`` — never load the native kernel (pure-Python cores);
@@ -18,9 +28,10 @@ Environment gate ``REPRO_NATIVE``:
   while the kernel cannot load (used by differential tests and
   benchmarks that would silently test nothing).
 
-Both kernels share one storage layout and one traversal order, so node
-numbering — and therefore synthesis output — is identical either way;
-:func:`kernel` only decides how fast the frames run.
+Each C core mirrors its pure-Python counterpart step for step: the BDD
+cores create nodes in the same order, and the solver makes the same
+decisions and learns the same clauses.  So synthesis output is
+identical either way; :func:`kernel` only decides how fast it runs.
 """
 
 from __future__ import annotations
@@ -32,11 +43,15 @@ import threading
 from typing import Any, Optional
 
 _DIR = os.path.dirname(os.path.abspath(__file__))
-_SOURCE = os.path.join(_DIR, "_kernel.c")
+_SOURCES = (
+    os.path.join(_DIR, "_kernel.c"),
+    os.path.join(os.path.dirname(_DIR), "sat", "_solver.c"),
+)
 _BUILD_DIR = os.path.join(_DIR, "_build")
 
-#: cffi declarations for the kernel's state struct and entry points (ABI
-#: mode); the struct's field order must match ``_kernel.c``.
+#: cffi declarations for both cores' state and entry points (ABI mode);
+#: ``bdd_state``'s field order must match ``_kernel.c``, and
+#: ``sat_solver`` is opaque.
 _CDEF = """
 typedef struct {
     int64_t *ctrl;
@@ -59,6 +74,18 @@ void bdd_rehash_unique(const bdd_state *st, int64_t *slots,
     int64_t new_mask);
 void bdd_rehash_quantify(const bdd_state *st, int64_t q, int64_t *k,
     int64_t *k2, int64_t *v, int64_t new_mask);
+typedef struct sat_solver sat_solver;
+sat_solver *sat_new(void);
+void sat_free(sat_solver *s);
+int32_t sat_num_vars(const sat_solver *s);
+int sat_set_num_vars(sat_solver *s, int32_t n);
+int sat_add_clause(sat_solver *s, const int32_t *lits, int32_t n);
+int sat_add_clauses(sat_solver *s, const int32_t *lits,
+    const int32_t *sizes, int32_t count);
+int sat_solve(sat_solver *s, const int32_t *assumptions, int32_t count);
+void sat_model(const sat_solver *s, _Bool *out);
+int32_t sat_num_clauses(const sat_solver *s);
+const int32_t *sat_clause(const sat_solver *s, int32_t i, int32_t *size);
 """
 
 _lock = threading.Lock()
@@ -83,10 +110,14 @@ def _compiler() -> Optional[str]:
 def _build_and_load() -> tuple[Any, Any]:
     from cffi import FFI
 
-    with open(_SOURCE, "rb") as handle:
-        source = handle.read()
-    digest = hashlib.sha256(source + _CDEF.encode()).hexdigest()[:16]
-    so_path = os.path.join(_BUILD_DIR, f"repro_bdd_kernel_{digest}.so")
+    digest = hashlib.sha256()
+    for path in _SOURCES:
+        with open(path, "rb") as handle:
+            digest.update(handle.read())
+    digest.update(_CDEF.encode())
+    so_path = os.path.join(
+        _BUILD_DIR, f"repro_native_{digest.hexdigest()[:16]}.so"
+    )
     if not os.path.exists(so_path):
         cc = _compiler()
         if cc is None:
@@ -96,7 +127,7 @@ def _build_and_load() -> tuple[Any, Any]:
         # (parallel workers importing simultaneously) never race.
         scratch = os.path.join(_BUILD_DIR, f".tmp_{os.getpid()}.so")
         subprocess.run(
-            [cc, "-O2", "-shared", "-fPIC", "-o", scratch, _SOURCE],
+            [cc, "-O2", "-shared", "-fPIC", "-o", scratch, *_SOURCES],
             check=True,
             capture_output=True,
             timeout=120,
@@ -126,8 +157,8 @@ def kernel() -> Optional[tuple[Any, Any]]:
                 _loaded = True
     if _handle is None and _mode() == "require":
         raise RuntimeError(
-            f"REPRO_NATIVE=require but the native BDD kernel failed to "
-            f"load: {_failure}"
+            f"REPRO_NATIVE=require but the native kernel (BDD and SAT "
+            f"cores) failed to load: {_failure}"
         )
     return _handle
 

@@ -123,7 +123,10 @@ def isop(manager: BDDManager, lower: int, upper: int) -> tuple[Cover, int]:
         cache[key] = result
         return result
 
-    cubes, g = recurse(lower, upper)
+    try:
+        cubes, g = recurse(lower, upper)
+    finally:
+        del recurse  # it holds itself (and the manager) through its closure
     return Cover(list(cubes)), g
 
 

@@ -99,7 +99,10 @@ class TruthTable:
             hi = build(prefix | (1 << depth), depth + 1)
             return manager.ite(manager.var(var), hi, lo)
 
-        return build(0, 0)
+        try:
+            return build(0, 0)
+        finally:
+            del build  # it holds itself (and the manager) through its closure
 
     # -- combinators ---------------------------------------------------
 

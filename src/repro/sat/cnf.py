@@ -55,8 +55,7 @@ class CnfBuilder:
     def to_solver(self) -> Solver:
         solver = Solver()
         solver.num_vars = self.num_vars
-        for clause in self.clauses:
-            solver.add_clause(clause)
+        solver.add_clauses(self.clauses)
         return solver
 
     def to_dimacs(self) -> str:
@@ -153,4 +152,7 @@ def encode_bdd(
         literal_of[node] = output
         return output
 
-    return walk(root)
+    try:
+        return walk(root)
+    finally:
+        del walk  # it holds itself (and the manager) through its closure

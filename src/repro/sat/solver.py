@@ -7,6 +7,21 @@ learning, VSIDS-style activity decay, phase saving, and Luby restarts.
 
 Literals are non-zero ints in DIMACS convention: ``v`` / ``-v`` for
 variable ``v >= 1``.
+
+:class:`Solver` runs one of two cores that perform the same search.  The
+C core (``_solver.c``, built into the native kernel by
+:mod:`repro.bdd.native`) runs whenever that kernel loads; the
+pure-Python core below is the ``REPRO_NATIVE=0`` fallback and the
+reference the C core is tested against.  Both make the same decisions,
+learn the same clauses and return the same models, so no output depends
+on which one ran.
+
+Clauses may be added after any :meth:`Solver.solve` call, satisfiable
+or not: :meth:`Solver.add_clause` first returns the solver to decision
+level 0 (MiniSat's precondition for adding a clause), so the clause is
+simplified against the root assignment and a resulting unit is asserted
+there.  Read a model after a satisfiable solve and before the next
+``add_clause``.
 """
 
 from __future__ import annotations
@@ -15,7 +30,131 @@ from typing import Iterable, Optional, Sequence
 
 
 class Solver:
-    """Incremental CDCL solver with assumption support."""
+    """Incremental CDCL solver with assumption support.
+
+    ``native``: ``True``/``False`` forces the C core on or off for this
+    solver; ``None`` (the default) uses it when
+    :func:`repro.bdd.native.kernel` loads.  Both cores give identical
+    answers, models and clause databases.
+    """
+
+    def __init__(self, native: Optional[bool] = None) -> None:
+        self._py: Optional[_PythonCore] = None
+        self._s = None
+        if native is not False:
+            from repro.bdd import native as _native
+
+            handle = _native.kernel()
+            if handle is not None:
+                self._ffi, self._lib = handle
+                solver = self._lib.sat_new()
+                if solver == self._ffi.NULL:
+                    raise MemoryError("native SAT core allocation failed")
+                self._s = self._ffi.gc(solver, self._lib.sat_free)
+            elif native is True:
+                raise RuntimeError(
+                    "native=True but the native kernel is unavailable"
+                )
+        if self._s is None:
+            self._py = _PythonCore()
+
+    @property
+    def native(self) -> bool:
+        """True when this solver runs on the C core."""
+        return self._s is not None
+
+    @property
+    def num_vars(self) -> int:
+        """Variables ``1..num_vars`` are decided and reported by
+        :meth:`model`; settable, and raised by :meth:`add_clause`."""
+        if self._py is not None:
+            return self._py.num_vars
+        return self._lib.sat_num_vars(self._s)
+
+    @num_vars.setter
+    def num_vars(self, value: int) -> None:
+        if self._py is not None:
+            self._py.num_vars = value
+        else:
+            self._check(self._lib.sat_set_num_vars(self._s, value))
+
+    @property
+    def clauses(self) -> list[list[int]]:
+        """A copy of the clause database: the added clauses (simplified,
+        in their current literal order), then the learnt ones."""
+        if self._py is not None:
+            return [list(clause) for clause in self._py.clauses]
+        ffi, lib = self._ffi, self._lib
+        size = ffi.new("int32_t *")
+        result = []
+        for index in range(lib.sat_num_clauses(self._s)):
+            literals = lib.sat_clause(self._s, index, size)
+            result.append(ffi.unpack(literals, size[0]))
+        return result
+
+    def new_var(self) -> int:
+        if self._py is not None:
+            return self._py.new_var()
+        self.num_vars += 1
+        return self.num_vars
+
+    def add_clause(self, literals: Iterable[int]) -> bool:
+        """Add a clause; returns False if the formula became trivially
+        unsatisfiable."""
+        if self._py is not None:
+            return self._py.add_clause(literals)
+        if not isinstance(literals, (list, tuple)):
+            literals = list(literals)
+        return self._check(
+            self._lib.sat_add_clause(self._s, literals, len(literals))
+        )
+
+    def add_clauses(self, clauses: Iterable[Sequence[int]]) -> bool:
+        """Add each clause in order, as :meth:`add_clause` does (the C
+        core takes them all in one call); returns False if any
+        ``add_clause`` would have."""
+        if self._py is not None:
+            ok = True
+            for clause in clauses:
+                ok = self._py.add_clause(clause) and ok
+            return ok
+        clauses = list(clauses)
+        literals = [literal for clause in clauses for literal in clause]
+        sizes = [len(clause) for clause in clauses]
+        return self._check(
+            self._lib.sat_add_clauses(self._s, literals, sizes, len(sizes))
+        )
+
+    def solve(self, assumptions: Sequence[int] = ()) -> bool:
+        """Decide satisfiability under the given assumption literals."""
+        if self._py is not None:
+            return self._py.solve(assumptions)
+        if not isinstance(assumptions, (list, tuple)):
+            assumptions = list(assumptions)
+        return self._check(
+            self._lib.sat_solve(self._s, assumptions, len(assumptions))
+        )
+
+    def model(self) -> dict[int, bool]:
+        """Assignment after a satisfiable :meth:`solve` call (unassigned
+        variables default to False)."""
+        if self._py is not None:
+            return self._py.model()
+        count = self._lib.sat_num_vars(self._s)
+        values = self._ffi.new("_Bool[]", count)
+        self._lib.sat_model(self._s, values)
+        return dict(zip(range(1, count + 1), self._ffi.unpack(values, count)))
+
+    @staticmethod
+    def _check(result: int) -> bool:
+        if result < 0:
+            raise MemoryError("native SAT core allocation failed")
+        return result == 1
+
+
+class _PythonCore:
+    """The pure-Python CDCL core: the fallback when the native kernel
+    does not load, and the reference the C core mirrors step by step."""
 
     def __init__(self) -> None:
         self.num_vars = 0
@@ -47,7 +186,9 @@ class Solver:
             self.num_vars = max(self.num_vars, abs(lit))
         if not self._ok:
             return False
-        # Root-level simplification only applies to decisions at level 0.
+        # Simplify against level 0, so undo whatever a satisfiable
+        # solve() left on the trail first.
+        self._cancel_until(0)
         simplified = []
         for lit in clause:
             value = self._root_value(lit)

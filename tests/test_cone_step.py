@@ -85,7 +85,8 @@ E4_OPTIONS = dict(
 #: BLIF digests of fixed runs: s344 and seq5 under several transports
 #: and backends, then the other 12 canonical circuits with the options
 #: the flow benchmark runs them under (defaults for the ISCAS analogs,
-#: ``E4_OPTIONS`` for the macro blocks).
+#: ``E4_OPTIONS`` for the macro blocks), then the other five ``iscas_sat``
+#: circuits under the sat-cegar backend.
 GOLDENS = [
     pytest.param("s344", {}, "1873bead5e96f505", id="s344"),
     pytest.param(
@@ -113,6 +114,21 @@ GOLDENS = [
     pytest.param("seq7", E4_OPTIONS, "8e39dfe0d859d5e8", id="seq7-e4"),
     pytest.param("seq8", E4_OPTIONS, "d6dd3664ff81052b", id="seq8-e4"),
     pytest.param("seq9", E4_OPTIONS, "7e6c0aa99729fed9", id="seq9-e4"),
+    pytest.param(
+        "s526", {"backend": "sat-cegar"}, "679f8bfd911c7556", id="s526-sat"
+    ),
+    pytest.param(
+        "s713", {"backend": "sat-cegar"}, "dddb66f079699cdb", id="s713-sat"
+    ),
+    pytest.param(
+        "s838", {"backend": "sat-cegar"}, "432deb48b2e70c6f", id="s838-sat"
+    ),
+    pytest.param(
+        "s953", {"backend": "sat-cegar"}, "05e3ce7e289e4930", id="s953-sat"
+    ),
+    pytest.param(
+        "s1269", {"backend": "sat-cegar"}, "80b9df41897b711e", id="s1269-sat"
+    ),
 ]
 
 
