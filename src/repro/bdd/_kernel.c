@@ -23,7 +23,14 @@
  * created live in the unique table, so the restart finds them again and
  * creates only the rest, in the same order; after a node, unique or
  * quantify-cache growth the partial results also still live in the
- * caches, so the restart is near-free.
+ * caches, so the restart is near-free.  A table doubles in place when
+ * its arrays already hold the room (``bdd_grow_unique``,
+ * ``bdd_grow_table``); the manager extends them first otherwise.
+ *
+ * Every exported entry checks the node ids it is handed against the
+ * node count and returns ``BDD_BAD_NODE`` for one the manager never
+ * made, so a stray id raises ``ValueError`` instead of reading outside
+ * the node arrays.
  */
 
 #include <stdint.h>
@@ -36,9 +43,11 @@
 #define BDD_GROW_NODES (-1)
 #define BDD_GROW_UNIQUE (-2)
 #define BDD_NOMEM (-3)
+#define BDD_BAD_NODE (-4) /* a node id the manager never made */
+#define BDD_BAD_VAR (-5)  /* transfer: a level var_map lacks or maps badly */
 /* -(6+i): cache table i must grow.  An op cache (i < N_OPCACHES) doubles
  * and drops its entries; a quantify cache doubles by a lossless rehash
- * (bdd_rehash_quantify). */
+ * (bdd_grow_table). */
 #define BDD_GROW_TABLE(i) (-6 - (i))
 #define OPCACHE_MAX (1 << 16) /* keep in sync with manager._OPCACHE_MAX */
 
@@ -67,7 +76,7 @@ enum {
     S_EX_HIT, S_EX_MISS,
     S_FA_HIT, S_FA_MISS,
     S_AE_HIT, S_AE_MISS,
-    S_INSERTS, S_CLEARS, S_EVICTED,
+    S_INSERTS, S_CLEARS, S_EVICTED, N_STATS,
 };
 
 /* Every buffer the kernel reads or writes — keep the field order in
@@ -83,6 +92,31 @@ typedef struct {
     int64_t *ae_k1, *ae_k2, *ae_v;
     int64_t *stat_arr;
 } bdd_state;
+
+/* Point ``arrs`` at cache table t's arrays (keys first, values last);
+ * returns how many there are. */
+static int table_arrays(const bdd_state *st, int64_t t, int64_t *arrs[3]) {
+    switch (t) {
+    case T_AND: arrs[0] = st->and_k; arrs[1] = st->and_v; return 2;
+    case T_OR: arrs[0] = st->or_k; arrs[1] = st->or_v; return 2;
+    case T_XOR: arrs[0] = st->xor_k; arrs[1] = st->xor_v; return 2;
+    case T_NOT: arrs[0] = st->not_k; arrs[1] = st->not_v; return 2;
+    case T_ITE:
+        arrs[0] = st->ite_ka; arrs[1] = st->ite_kb; arrs[2] = st->ite_v;
+        return 3;
+    case T_EX: arrs[0] = st->ex_k; arrs[1] = st->ex_v; return 2;
+    case T_FA: arrs[0] = st->fa_k; arrs[1] = st->fa_v; return 2;
+    default:
+        arrs[0] = st->ae_k1; arrs[1] = st->ae_k2; arrs[2] = st->ae_v;
+        return 3;
+    }
+}
+
+/* True for an id that is not a node of this manager (negative ids
+ * included). */
+static inline int bad_node(const bdd_state *st, int64_t f) {
+    return (uint64_t)f >= (uint64_t)st->ctrl[C_NNODES];
+}
 
 /* Hash multipliers shared with the Python probes.  All operands are
  * < 2^31 (node indices) or < 2^30 (levels), so the mixed sum stays
@@ -494,10 +528,9 @@ static int64_t ite_core(const bdd_state *st, int64_t f, int64_t g,
     return rc;
 }
 
-/* Binary connective with the public-entry short-circuits applied, for
- * use *inside* other kernels (mirrors manager.apply_and/apply_or). */
-static int64_t apply_full(const bdd_state *st, int64_t op, int64_t a,
-                          int64_t b) {
+/* The terminal short-circuits of manager.apply_and/apply_or: the
+ * result, or -1 when the core must run. */
+static inline int64_t apply_shortcut(int64_t op, int64_t a, int64_t b) {
     if (a == b) return a;
     if (op == T_AND) {
         if (a == BDD_FALSE || b == BDD_FALSE) return BDD_FALSE;
@@ -508,8 +541,43 @@ static int64_t apply_full(const bdd_state *st, int64_t op, int64_t a,
         if (a == BDD_FALSE) return b;
         if (b == BDD_FALSE) return a;
     }
+    return -1;
+}
+
+/* Binary connective with the public-entry short-circuits applied, for
+ * use *inside* other kernels (mirrors manager.apply_and/apply_or). */
+static int64_t apply_full(const bdd_state *st, int64_t op, int64_t a,
+                          int64_t b) {
+    int64_t r = apply_shortcut(op, a, b);
+    if (r >= 0) return r;
     if (a > b) { int64_t t = a; a = b; b = t; }
     return apply_core(st, op, a, b);
+}
+
+/* manager.apply_and/apply_or as a whole, for the builder walks: the
+ * short-circuits, then the entry-time op-cache check, then the core. */
+static int64_t apply_entry(const bdd_state *st, int64_t op, int64_t a,
+                           int64_t b) {
+    int64_t r = apply_shortcut(op, a, b);
+    if (r >= 0) return r;
+    r = check_opcaches(st);
+    if (r) return r;
+    if (a > b) { int64_t t = a; a = b; b = t; }
+    return apply_core(st, op, a, b);
+}
+
+/* manager.ite as a whole (the ~f case through manager.negate), for the
+ * builder walks. */
+static int64_t ite_entry(const bdd_state *st, int64_t f, int64_t g,
+                         int64_t h) {
+    if (f == BDD_TRUE) return g;
+    if (f == BDD_FALSE) return h;
+    if (g == h) return g;
+    if (g == BDD_TRUE && h == BDD_FALSE) return f;
+    int64_t rc = check_opcaches(st);
+    if (rc) return rc;
+    if (g == BDD_FALSE && h == BDD_TRUE) return negate_core(st, f);
+    return ite_core(st, f, g, h);
 }
 
 /* Is ``lvl`` one of the quantified levels?  ``cube`` is sorted
@@ -790,21 +858,25 @@ static int64_t and_exists_core(const bdd_state *st, int64_t f, int64_t g,
 }
 
 /* -- Exported entry points ------------------------------------------
- * Each applies the entry-time op-cache policy, then runs its core.  The
- * cores call each other directly, without the policy check, as the
- * Python cores do. */
+ * Each checks its node operands, applies the entry-time op-cache
+ * policy, then runs its core.  The cores call each other directly,
+ * without either check, as the Python cores do. */
 
 int64_t bdd_negate(const bdd_state *st, int64_t f) {
+    if (bad_node(st, f)) return BDD_BAD_NODE;
     int64_t rc = check_opcaches(st);
     return rc ? rc : negate_core(st, f);
 }
 
 int64_t bdd_apply(const bdd_state *st, int64_t op, int64_t f, int64_t g) {
+    if (bad_node(st, f) || bad_node(st, g)) return BDD_BAD_NODE;
     int64_t rc = check_opcaches(st);
     return rc ? rc : apply_core(st, op, f, g);
 }
 
 int64_t bdd_ite(const bdd_state *st, int64_t f, int64_t g, int64_t h) {
+    if (bad_node(st, f) || bad_node(st, g) || bad_node(st, h))
+        return BDD_BAD_NODE;
     int64_t rc = check_opcaches(st);
     return rc ? rc : ite_core(st, f, g, h);
 }
@@ -814,6 +886,7 @@ int64_t bdd_ite(const bdd_state *st, int64_t f, int64_t g, int64_t h) {
 int64_t bdd_quantify(const bdd_state *st, int64_t op, int64_t f,
                      int64_t cid, const int64_t *cube, int64_t cube_len,
                      int64_t max_level) {
+    if (bad_node(st, f)) return BDD_BAD_NODE;
     int64_t rc = check_opcaches(st);
     return rc ? rc
               : quantify_core(st, op == 0 ? T_EX : T_FA, f, cid, cube,
@@ -823,20 +896,48 @@ int64_t bdd_quantify(const bdd_state *st, int64_t op, int64_t f,
 int64_t bdd_and_exists(const bdd_state *st, int64_t f, int64_t g,
                        int64_t cid, const int64_t *cube, int64_t cube_len,
                        int64_t max_level) {
+    if (bad_node(st, f) || bad_node(st, g)) return BDD_BAD_NODE;
     int64_t rc = check_opcaches(st);
     return rc ? rc
               : and_exists_core(st, f, g, cid, cube, cube_len, max_level);
 }
 
-/* Re-seat every live node into the freshly zeroed unique-slot array
- * ``slots`` after Python doubles it (all internal nodes are always
- * live — there is no garbage collection).  Python installs ``slots``
- * and its mask afterwards. */
-void bdd_rehash_unique(const bdd_state *st, int64_t *slots,
-                       int64_t new_mask) {
+/* -- Table maintenance ---------------------------------------------- */
+
+/* Zero the prefix of every buffer that the manager's current life used:
+ * the node arrays up to the node count, the unique table and each
+ * allocated cache up to its mask, and the stats and control block.
+ * Every word past those prefixes is zero already, so the buffers end up
+ * all zero; BDDManager.reset then writes the fresh control values and
+ * the terminals. */
+void bdd_clear(const bdd_state *st) {
+    int64_t *ctrl = st->ctrl;
+    size_t nodes = (size_t)ctrl[C_NNODES] * sizeof(int64_t);
+    memset(st->level, 0, nodes);
+    memset(st->lo, 0, nodes);
+    memset(st->hi, 0, nodes);
+    memset(st->uniq, 0, (size_t)(ctrl[C_UNIQ_MASK] + 1) * sizeof(int64_t));
+    for (int64_t t = 0; t <= T_AE; t++) {
+        if (ctrl[C_MASK + t] == 0) continue; /* unallocated: nothing used */
+        int64_t *arrs[3];
+        int k = table_arrays(st, t, arrs);
+        for (int i = 0; i < k; i++)
+            memset(arrs[i], 0,
+                   (size_t)(ctrl[C_MASK + t] + 1) * sizeof(int64_t));
+    }
+    memset(st->stat_arr, 0, N_STATS * sizeof(int64_t));
+    memset(ctrl, 0, (C_USED + T_AE + 1) * sizeof(int64_t));
+}
+
+/* Double the unique table to ``new_mask`` in place — its array already
+ * holds new_mask + 1 slots — and re-seat every live node (all internal
+ * nodes are always live: there is no garbage collection). */
+void bdd_grow_unique(const bdd_state *st, int64_t new_mask) {
+    int64_t *ctrl = st->ctrl, *slots = st->uniq;
     const int64_t *level = st->level, *loa = st->lo, *hia = st->hi;
     uint64_t mask = (uint64_t)new_mask;
-    int64_t n = st->ctrl[C_NNODES];
+    memset(slots, 0, (size_t)(ctrl[C_UNIQ_MASK] + 1) * sizeof(int64_t));
+    int64_t n = ctrl[C_NNODES];
     for (int64_t node = 2; node < n; node++) {
         uint64_t slot = ((uint64_t)level[node] * M1 +
                          (uint64_t)loa[node] * M2 +
@@ -845,44 +946,339 @@ void bdd_rehash_unique(const bdd_state *st, int64_t *slots,
             slot = (slot + 1) & mask;
         slots[slot] = node;
     }
+    ctrl[C_UNIQ_MASK] = new_mask;
 }
 
-/* Re-seat every entry of quantify cache ``q`` (T_EX, T_FA or T_AE) into
- * the freshly zeroed arrays ``k``/``k2``/``v`` of mask ``new_mask``,
- * visiting old slots in index order exactly as the Python rehash loops
- * do, so both kernels leave the same layout.  ``k2`` is used by the
- * two-word-key and_exists cache only.  Python installs the arrays and
- * the mask afterwards; occupancy is unchanged (the rehash is lossless). */
-void bdd_rehash_quantify(const bdd_state *st, int64_t q, int64_t *k,
-                         int64_t *k2, int64_t *v, int64_t new_mask) {
-    uint64_t mask = (uint64_t)new_mask;
-    int64_t old_cap = st->ctrl[C_MASK + q] + 1;
-    if (q == T_AE) {
-        const int64_t *ok1 = st->ae_k1, *ok2 = st->ae_k2, *ov = st->ae_v;
-        for (int64_t i = 0; i < old_cap; i++) {
-            int64_t key = ok1[i];
-            if (key == 0) continue;
-            uint64_t slot = ((uint64_t)(key >> 31) * M1 +
-                             (uint64_t)(key & 0x7FFFFFFF) * M2 +
-                             (uint64_t)ok2[i] * M3) & mask;
-            while (k[slot] != 0)
-                slot = (slot + 1) & mask;
-            k[slot] = key;
-            k2[slot] = ok2[i];
-            v[slot] = ov[i];
-        }
-        return;
+/* Double cache table t to ``new_mask`` in place; its arrays already hold
+ * new_mask + 1 slots.  An op cache drops its entries (each live one
+ * counts as an eviction).  A quantify cache re-seats every entry,
+ * visiting the old slots in index order exactly as the Python rehash
+ * loop does, so both kernels leave the same layout; occupancy is
+ * unchanged (the rehash is lossless).  Returns 0, or BDD_NOMEM when the
+ * copy of the old entries cannot be allocated (the table is then
+ * untouched). */
+int64_t bdd_grow_table(const bdd_state *st, int64_t t, int64_t new_mask) {
+    int64_t *ctrl = st->ctrl;
+    int64_t *arrs[3];
+    int k = table_arrays(st, t, arrs);
+    size_t old_cap = (size_t)(ctrl[C_MASK + t] + 1);
+    if (t < N_OPCACHES) {
+        for (int i = 0; i < k; i++)
+            memset(arrs[i], 0, old_cap * sizeof(int64_t));
+        st->stat_arr[S_EVICTED] += ctrl[C_USED + t];
+        ctrl[C_USED + t] = 0;
+        ctrl[C_MASK + t] = new_mask;
+        return 0;
     }
-    const int64_t *ok = (q == T_EX) ? st->ex_k : st->fa_k;
-    const int64_t *ov = (q == T_EX) ? st->ex_v : st->fa_v;
-    for (int64_t i = 0; i < old_cap; i++) {
+    int64_t *old = malloc(old_cap * (size_t)k * sizeof(int64_t));
+    if (!old) return BDD_NOMEM;
+    for (int i = 0; i < k; i++) {
+        memcpy(old + i * old_cap, arrs[i], old_cap * sizeof(int64_t));
+        memset(arrs[i], 0, old_cap * sizeof(int64_t));
+    }
+    uint64_t mask = (uint64_t)new_mask;
+    const int64_t *ok = old, *ov = old + (k - 1) * old_cap;
+    const int64_t *ok2 = old + old_cap; /* and_exists only */
+    int64_t *nk = arrs[0], *nv = arrs[k - 1];
+    for (size_t i = 0; i < old_cap; i++) {
         int64_t key = ok[i];
         if (key == 0) continue;
-        uint64_t slot = ((uint64_t)(key >> 31) * M1 +
-                         (uint64_t)(key & 0x7FFFFFFF) * M2) & mask;
-        while (k[slot] != 0)
+        uint64_t mix = (uint64_t)(key >> 31) * M1 +
+                       (uint64_t)(key & 0x7FFFFFFF) * M2;
+        if (t == T_AE) mix += (uint64_t)ok2[i] * M3;
+        uint64_t slot = mix & mask;
+        while (nk[slot] != 0)
             slot = (slot + 1) & mask;
-        k[slot] = key;
-        v[slot] = ov[i];
+        nk[slot] = key;
+        if (t == T_AE) arrs[1][slot] = ok2[i];
+        nv[slot] = ov[i];
     }
+    free(old);
+    ctrl[C_MASK + t] = new_mask;
+    return 0;
+}
+
+/* -- Builder walks ---------------------------------------------------
+ * Kernel versions of the Python node builders in repro.bdd.builders and
+ * repro.bdd.compose.  Each makes its node, ``ite`` and AND/OR calls in
+ * the order of the Python walk, with the public entries' short-circuits
+ * and entry-time op-cache check before each, so both produce the same
+ * nodes, the same caches and the same statistics.  On a growth request
+ * the entry returns the code and the manager calls it again from the
+ * top; what the walk finished lives on in its ``bdd_walk``, so the
+ * restart re-runs only the operation that asked for the growth, exactly
+ * as a growth restart of that single operation would. */
+
+/* Scratch state of one builder entry, kept across its restarts.  The
+ * manager owns one, all zero between entries; bdd_walk_clear frees
+ * what an entry allocated and zeroes it again. */
+typedef struct {
+    int64_t *memo;     /* (node, result) pairs, open-addressed; node 0 = empty */
+    int64_t memo_mask; /* slot count - 1; 0 while unallocated */
+    int64_t memo_used;
+    int64_t *table;    /* level -> substitution node / target variable */
+    int64_t table_len;
+    int64_t *log;      /* transfer: (source, target) pairs, finishing order */
+    int64_t log_len;
+    int64_t log_cap;
+    int64_t step;      /* count_relation: the next weight */
+    int64_t acc;       /* count_relation: the relation so far */
+    int64_t part;      /* count_relation: finished AND + 1, or 0 */
+    int64_t err;       /* after BDD_BAD_VAR: the source level */
+} bdd_walk;
+
+#define MEMO_INIT 64
+#define NO_ENTRY INT64_MIN /* a level without substitution / mapping */
+
+void bdd_walk_clear(bdd_walk *w) {
+    free(w->memo);
+    free(w->table);
+    free(w->log);
+    memset(w, 0, sizeof(*w));
+}
+
+/* The memo's result for ``node`` (>= 2), or -1. */
+static inline int64_t memo_get(const bdd_walk *w, int64_t node) {
+    if (w->memo_mask == 0) return -1;
+    uint64_t mask = (uint64_t)w->memo_mask;
+    uint64_t slot = ((uint64_t)node * M1) & mask;
+    for (;;) {
+        int64_t key = w->memo[2 * slot];
+        if (key == node) return w->memo[2 * slot + 1];
+        if (key == 0) return -1;
+        slot = (slot + 1) & mask;
+    }
+}
+
+/* Record ``node`` -> ``value``; the memo doubles at half load, so it is
+ * sized to the nodes the walk visits, not to the manager.  Returns 0 on
+ * allocation failure. */
+static int memo_put(bdd_walk *w, int64_t node, int64_t value) {
+    if ((w->memo_used + 1) * 2 > w->memo_mask + 1) {
+        int64_t old_cap = w->memo_mask ? w->memo_mask + 1 : 0;
+        int64_t cap = old_cap ? 2 * old_cap : MEMO_INIT;
+        int64_t *fresh = calloc((size_t)(2 * cap), sizeof(int64_t));
+        if (!fresh) return 0;
+        uint64_t mask = (uint64_t)(cap - 1);
+        for (int64_t i = 0; i < old_cap; i++) {
+            int64_t key = w->memo[2 * i];
+            if (key == 0) continue;
+            uint64_t slot = ((uint64_t)key * M1) & mask;
+            while (fresh[2 * slot] != 0)
+                slot = (slot + 1) & mask;
+            fresh[2 * slot] = key;
+            fresh[2 * slot + 1] = w->memo[2 * i + 1];
+        }
+        free(w->memo);
+        w->memo = fresh;
+        w->memo_mask = cap - 1;
+    }
+    uint64_t mask = (uint64_t)w->memo_mask;
+    uint64_t slot = ((uint64_t)node * M1) & mask;
+    while (w->memo[2 * slot] != 0 && w->memo[2 * slot] != node)
+        slot = (slot + 1) & mask;
+    if (w->memo[2 * slot] == 0) w->memo_used += 1;
+    w->memo[2 * slot] = node;
+    w->memo[2 * slot + 1] = value;
+    return 1;
+}
+
+/* Fill the walk's level table from ``n`` (key, value) pairs: entry l
+ * holds the value of key l, or NO_ENTRY; keys outside 0..len-1 name no
+ * level of the walked nodes and are dropped.  NULL keys map every level
+ * to itself.  With ``nodes`` set the values are substitution nodes of
+ * ``st`` and each must be one.  Returns 0, BDD_NOMEM or BDD_BAD_NODE. */
+int64_t bdd_walk_table(const bdd_state *st, bdd_walk *w, const int64_t *keys,
+                       const int64_t *vals, int64_t n, int64_t len,
+                       int64_t nodes) {
+    free(w->table);
+    w->table = malloc((size_t)(len > 0 ? len : 1) * sizeof(int64_t));
+    w->table_len = len;
+    if (!w->table) return BDD_NOMEM;
+    for (int64_t l = 0; l < len; l++)
+        w->table[l] = keys ? NO_ENTRY : l;
+    for (int64_t i = 0; keys && i < n; i++) {
+        if (nodes && bad_node(st, vals[i])) return BDD_BAD_NODE;
+        if (keys[i] >= 0 && keys[i] < len) w->table[keys[i]] = vals[i];
+    }
+    return 0;
+}
+
+/* Weight functions: ``out[j]`` = "exactly j of ``vars`` are 1" for
+ * j = 0..m, over ``n`` distinct declared variables sorted from the
+ * highest index down.  Mirrors builders._py_weight_functions: variable
+ * by variable, one mk per weight j = 0..m.  Only mk runs here, and mk
+ * finds a node it made before, so a restart simply starts over.
+ * Returns 0 or a growth code. */
+int64_t bdd_weight_functions(const bdd_state *st, const int64_t *vars,
+                             int64_t n, int64_t m, int64_t *out) {
+    out[0] = BDD_TRUE;
+    for (int64_t j = 1; j <= m; j++) out[j] = BDD_FALSE;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t take = BDD_FALSE; /* old out[j - 1] */
+        for (int64_t j = 0; j <= m; j++) {
+            int64_t skip = out[j];
+            int64_t node = mk(st, vars[i], skip, take);
+            if (node < 0) return node;
+            take = skip;
+            out[j] = node;
+        }
+    }
+    return 0;
+}
+
+/* The encoding relation K(c, e) = OR_v w_v(c) & kappa_v(e) over the
+ * weight table ``weights`` (w_0..w_{n-1}) and the little-endian counter
+ * ``bits`` (distinct declared variables).  Mirrors
+ * builders._py_count_relation_from: for each weight that is not FALSE,
+ * the cube kappa_v from the highest bit variable down, its AND with
+ * w_v, and the OR into the relation.  The walk keeps the relation, the
+ * next weight and a finished AND, so a restart resumes at the operation
+ * that asked for growth.  Returns the relation or a negative code. */
+int64_t bdd_count_relation(const bdd_state *st, bdd_walk *w,
+                           const int64_t *weights, int64_t n,
+                           const int64_t *bits, int64_t nbits) {
+    for (int64_t i = 0; i < n; i++)
+        if (bad_node(st, weights[i])) return BDD_BAD_NODE;
+    for (; w->step < n; w->step++) {
+        int64_t value = w->step, weight = weights[value];
+        if (weight == BDD_FALSE) continue;
+        if (w->part == 0) {
+            int64_t cube = BDD_TRUE, above = INT64_MAX;
+            for (int64_t k = 0; k < nbits; k++) {
+                /* The next bit down: the largest variable below the
+                 * last one placed (bits are distinct). */
+                int64_t pos = -1;
+                for (int64_t b = 0; b < nbits; b++)
+                    if (bits[b] < above && (pos < 0 || bits[b] > bits[pos]))
+                        pos = b;
+                above = bits[pos];
+                int64_t one = pos < 63 ? (value >> pos) & 1 : 0;
+                cube = mk(st, above, one ? BDD_FALSE : cube,
+                          one ? cube : BDD_FALSE);
+                if (cube < 0) return cube;
+            }
+            int64_t part = apply_entry(st, T_AND, weight, cube);
+            if (part < 0) return part;
+            w->part = part + 1;
+        }
+        int64_t relation = apply_entry(st, T_OR, w->acc, w->part - 1);
+        if (relation < 0) return relation;
+        w->acc = relation;
+        w->part = 0;
+    }
+    return w->acc;
+}
+
+/* Simultaneous substitution of the walk's level table (set by
+ * bdd_walk_table with nodes) into ``f``.  Mirrors
+ * compose._py_vector_compose: a post-order walk that finishes the lo
+ * subtree, then the hi subtree, then takes the level's substitute (or
+ * makes its literal node) and calls ite(selector, hi, lo).  Finished
+ * nodes live on in the memo across restarts.  Returns the result or a
+ * negative code. */
+int64_t bdd_vector_compose(const bdd_state *st, bdd_walk *w, int64_t f) {
+    if (bad_node(st, f)) return BDD_BAD_NODE;
+    if (f <= 1) return f;
+    const int64_t *level = st->level, *loa = st->lo, *hia = st->hi;
+    stacks_t s;
+    if (!stacks_init(&s)) return BDD_NOMEM;
+    int64_t rc = 0;
+    if (!push_frame(&s, 0, f, 0, 0)) rc = BDD_NOMEM;
+    while (rc == 0 && s.top > 0) {
+        frame_t fr = s.frames[--s.top];
+        int64_t n = fr.a;
+        if (fr.tag == 0) {
+            int64_t hit = n <= 1 ? n : memo_get(w, n);
+            if (hit >= 0) {
+                if (!push_result(&s, hit)) rc = BDD_NOMEM;
+                continue;
+            }
+            if (!push_frame(&s, 1, n, 0, 0) ||
+                !push_frame(&s, 0, hia[n], 0, 0) ||
+                !push_frame(&s, 0, loa[n], 0, 0))
+                rc = BDD_NOMEM;
+        } else {
+            int64_t hi = s.results[--s.rtop];
+            int64_t lo = s.results[s.rtop - 1];
+            int64_t lvl = level[n];
+            int64_t sel = lvl < w->table_len ? w->table[lvl] : NO_ENTRY;
+            if (sel == NO_ENTRY) sel = mk(st, lvl, BDD_FALSE, BDD_TRUE);
+            int64_t node = sel < 0 ? sel : ite_entry(st, sel, hi, lo);
+            if (node < 0) { rc = node; break; }
+            if (!memo_put(w, n, node)) { rc = BDD_NOMEM; break; }
+            s.results[s.rtop - 1] = node;
+        }
+    }
+    if (rc == 0) rc = s.results[0];
+    stacks_free(&s);
+    return rc;
+}
+
+/* Rebuild the ``nroots`` nodes ``roots`` of manager ``src`` inside
+ * ``st``, replacing each root by its copy once all are done.  The walk's
+ * level table maps source levels to target variables (``nvars`` are
+ * declared).  Mirrors compose._py_transfer_multi: roots in order, each a
+ * post-order walk that finishes the lo subtree, then the hi subtree,
+ * then makes the target literal node and calls ite(literal, hi, lo).
+ * With ``log`` set, every finished node is appended to the walk's log.
+ * Returns 0 or a negative code; after BDD_BAD_VAR the walk's ``err``
+ * names the source level the table lacks or maps outside 0..nvars-1. */
+int64_t bdd_transfer(const bdd_state *src, const bdd_state *st, bdd_walk *w,
+                     int64_t *roots, int64_t nroots, int64_t nvars,
+                     int64_t log) {
+    for (int64_t i = 0; i < nroots; i++)
+        if (bad_node(src, roots[i])) return BDD_BAD_NODE;
+    const int64_t *level = src->level, *loa = src->lo, *hia = src->hi;
+    stacks_t s;
+    if (!stacks_init(&s)) return BDD_NOMEM;
+    int64_t rc = 0;
+    for (int64_t i = 0; rc == 0 && i < nroots; i++) {
+        if (roots[i] <= 1 || memo_get(w, roots[i]) >= 0) continue;
+        s.top = 0;
+        if (!push_frame(&s, 0, roots[i], 0, 0)) rc = BDD_NOMEM;
+        while (rc == 0 && s.top > 0) {
+            frame_t fr = s.frames[--s.top];
+            int64_t n = fr.a;
+            if (n <= 1 || memo_get(w, n) >= 0) continue;
+            if (fr.tag == 0) {
+                if (!push_frame(&s, 1, n, 0, 0) ||
+                    !push_frame(&s, 0, hia[n], 0, 0) ||
+                    !push_frame(&s, 0, loa[n], 0, 0))
+                    rc = BDD_NOMEM;
+                continue;
+            }
+            int64_t lo = loa[n] <= 1 ? loa[n] : memo_get(w, loa[n]);
+            int64_t hi = hia[n] <= 1 ? hia[n] : memo_get(w, hia[n]);
+            int64_t lvl = level[n];
+            int64_t var = lvl < w->table_len ? w->table[lvl] : NO_ENTRY;
+            if (var < 0 || var >= nvars) {
+                w->err = lvl;
+                rc = BDD_BAD_VAR;
+                break;
+            }
+            int64_t lit = mk(st, var, BDD_FALSE, BDD_TRUE);
+            int64_t node = lit < 0 ? lit : ite_entry(st, lit, hi, lo);
+            if (node < 0) { rc = node; break; }
+            if (!memo_put(w, n, node)) { rc = BDD_NOMEM; break; }
+            if (log) {
+                if (w->log_len == w->log_cap) {
+                    int64_t cap = w->log_cap ? 2 * w->log_cap : MEMO_INIT;
+                    int64_t *grown =
+                        realloc(w->log, (size_t)(2 * cap) * sizeof(int64_t));
+                    if (!grown) { rc = BDD_NOMEM; break; }
+                    w->log = grown;
+                    w->log_cap = cap;
+                }
+                w->log[2 * w->log_len] = n;
+                w->log[2 * w->log_len + 1] = node;
+                w->log_len += 1;
+            }
+        }
+    }
+    stacks_free(&s);
+    if (rc != 0) return rc;
+    for (int64_t i = 0; i < nroots; i++)
+        if (roots[i] > 1) roots[i] = memo_get(w, roots[i]);
+    return 0;
 }

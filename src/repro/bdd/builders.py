@@ -5,13 +5,33 @@ These are the combinatorial-set helpers of Section 3.5.2: the weight
 functions ``w_k(c)`` that constrain how many decision variables are set,
 the encoding relation ``K(c, e)`` between decision assignments and binary
 counters, and the ``gte``/``equ`` comparators used by dominance pruning.
+
+On a native manager :func:`weight_functions` and
+:func:`count_relation_from` run as kernel walks that make their nodes in
+the order of the Python walks below (``_py_weight_functions``,
+``_py_count_relation_from``), which stay as the pure-Python fallback and
+the parity reference.  Both kernels read the variable lists only after
+:func:`_check_vars` has accepted them.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.bdd.manager import BDDManager, FALSE, TRUE
+from repro.bdd.manager import BDDManager, FALSE, TRUE, _bad_node
+
+
+def _check_vars(manager: BDDManager, variables: Sequence[int], what: str) -> None:
+    """Reject duplicate or undeclared variables (``ValueError``), as
+    :meth:`BDDManager.var` and :meth:`BDDManager.cube` reject undeclared
+    ones: a duplicate would break the variable order of a weight
+    function or let the later polarity of a counter bit win."""
+    if not variables:
+        return
+    if min(variables) < 0 or max(variables) >= manager.num_vars:
+        raise ValueError(f"{what} {list(variables)} include an undeclared variable")
+    if len(set(variables)) != len(variables):
+        raise ValueError(f"{what} {list(variables)} repeat a variable")
 
 
 def exactly_k(manager: BDDManager, variables: Sequence[int], k: int) -> int:
@@ -35,16 +55,33 @@ def weight_functions(
 
     Builds the whole family in one dynamic-programming sweep (the BDDs
     share almost all of their nodes).  ``max_weight`` defaults to
-    ``len(variables)``.
+    ``len(variables)``.  ``variables`` must be distinct declared
+    variables (``ValueError`` otherwise).
     """
+    _check_vars(manager, variables, "weight variables")
     n = len(variables)
     if max_weight is None:
         max_weight = n
     max_weight = min(max_weight, n)
-    # Process variables bottom-up (highest level first) so _mk levels are
-    # consistent.  counts[j] = BDD over the already-processed suffix that
-    # exactly j of those variables are 1.
+    # Process variables bottom-up (highest level first) so node levels
+    # are consistent.
     ordered = sorted(variables, reverse=True)
+    if manager._st is None or max_weight < 0:
+        return _py_weight_functions(manager, ordered, max_weight)
+    out = manager._ffi.new("int64_t[]", max_weight + 1)
+    manager._native_walk(
+        manager._lib.bdd_weight_functions, manager._st, ordered, n, max_weight, out
+    )
+    return manager._ffi.unpack(out, max_weight + 1)
+
+
+def _py_weight_functions(
+    manager: BDDManager, ordered: Sequence[int], max_weight: int
+) -> list[int]:
+    """:func:`weight_functions` over checked variables sorted from the
+    highest index down, one node per weight ``j = 0..max_weight`` and
+    variable.  ``counts[j]`` is the BDD over the already-processed
+    suffix that exactly ``j`` of those variables are 1."""
     counts = [TRUE] + [FALSE] * max_weight
     for var in ordered:
         new_counts = []
@@ -64,9 +101,11 @@ def at_most_k(manager: BDDManager, variables: Sequence[int], k: int) -> int:
 
 def encode_int(manager: BDDManager, bits: Sequence[int], value: int) -> int:
     """Minterm ``κ_value(e)``: the cube asserting that the little-endian
-    binary counter on ``bits`` equals ``value``."""
-    if value >= (1 << len(bits)):
-        raise ValueError(f"{value} does not fit in {len(bits)} bits")
+    binary counter on ``bits`` (distinct declared variables) equals the
+    non-negative ``value``."""
+    if not 0 <= value < (1 << len(bits)):
+        raise ValueError(f"{value} does not fit in {len(bits)} unsigned bits")
+    _check_vars(manager, bits, "counter bits")
     return manager.cube(
         {bit: bool((value >> i) & 1) for i, bit in enumerate(bits)}
     )
@@ -89,6 +128,33 @@ def count_relation_from(
     n = len(weights) - 1
     if (1 << len(bits)) <= n:
         raise ValueError(f"{len(bits)} bits cannot encode weights up to {n}")
+    _check_vars(manager, bits, "counter bits")
+    if manager._st is None:
+        return _py_count_relation_from(manager, weights, bits)
+    walk = manager._walk
+    try:
+        return manager._native_walk(
+            manager._lib.bdd_count_relation,
+            manager._st,
+            walk,
+            list(weights),
+            len(weights),
+            list(bits),
+            len(bits),
+        )
+    finally:
+        manager._lib.bdd_walk_clear(walk)
+
+
+def _py_count_relation_from(
+    manager: BDDManager, weights: Sequence[int], bits: Sequence[int]
+) -> int:
+    """:func:`count_relation_from` over checked ``bits``: for each weight
+    that is not FALSE, the value's cube, its AND with the weight and the
+    OR into the relation."""
+    for weight in weights:
+        if not 0 <= weight < manager.num_nodes:
+            raise _bad_node(weight)
     relation = FALSE
     for value, weight in enumerate(weights):
         if weight == FALSE:

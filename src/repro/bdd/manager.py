@@ -41,6 +41,19 @@ shared byte-for-byte with the optional native kernel
   capacity, the unique table's mask and occupancy, and the mask and
   occupancy of each of the eight cache tables.
 
+A table's *capacity* — the length of its arrays — is separate from its
+*mask*, the size the growth policy has reached.  :meth:`BDDManager.reset`
+returns a manager to the state of a fresh one: it zeroes the prefix of
+each buffer the ending life used and writes the fresh masks and node
+capacity into ``ctrl``, but every array keeps its length.  A doubling
+that fits the capacity then happens in place — an op cache zeroes its
+entries, the unique table and a quantification cache re-seat theirs in
+their own zeroed prefix — with no new array and no re-pointing of the
+kernel; only a doubling past the capacity extends the arrays.  Every
+word past a table's mask (past the node count, for the node arrays)
+stays zero, so a reset manager takes the same growth decisions and
+leaves the same layouts as a fresh one.
+
 The operator cores are *iterative*: each runs an explicit work stack
 instead of recursing, so chain-shaped BDDs thousands of levels deep
 neither pay per-frame Python call overhead nor hit the interpreter
@@ -145,6 +158,12 @@ _S_CLEARS = 17
 _S_EVICTED = 18
 _N_STATS = 19
 
+# Kernel return codes besides growth requests (keep in sync with
+# _kernel.c): a node id the manager never made, and a transfer level
+# that var_map lacks or maps to an undeclared variable.
+_BAD_NODE = -4
+_BAD_VAR = -5
+
 #: Initial node-array capacity (entries).
 _NODE_INIT = 1 << 8
 #: Initial unique-table slot count; grows by rehash above 75% load.
@@ -155,6 +174,16 @@ _OPCACHE_INIT = 1 << 8
 _OPCACHE_MAX = 1 << 16
 #: Initial quantification-cache slot count (grows by rehash, lossless).
 _QCACHE_INIT = 1 << 8
+
+
+def _zero(arr: array, count: int) -> None:
+    """Zero the first ``count`` entries of ``arr`` in place (the
+    pure-Python side of the kernel's prefix clears)."""
+    arr[:count] = array("q", bytes(8 * count))
+
+
+def _bad_node(node: int) -> ValueError:
+    return ValueError(f"node {node} was not made by this manager")
 
 
 class VarCube:
@@ -361,6 +390,7 @@ class BDDManager:
         self._ffi = None
         self._lib = None
         self._st = None
+        self._walk = None
         self._views: Optional[dict] = None
         if native is not False:
             from repro.bdd import native as _native
@@ -702,8 +732,10 @@ class BDDManager:
         pointer per buffer, each backed by a cffi view in ``_views``
         that keeps the buffer exported.  The control block and the stats
         array never move; every other field is re-pointed by
-        :meth:`_point` after a growth replaces or resizes its array."""
+        :meth:`_point` after a growth replaces or resizes its array.
+        The builder walks' ``bdd_walk`` is made here too."""
         self._st = self._ffi.new("bdd_state *")
+        self._walk = self._ffi.new("bdd_walk *")
         self._views = {}
         # The caches are unallocated: their fields start NULL.
         self._point("ctrl", "stat_arr", "level", "lo", "hi", "uniq")
@@ -724,63 +756,66 @@ class BDDManager:
             views[name] = view
             setattr(st, name, view)
 
-    def _grow_nodes(self) -> None:
-        """Double the node arrays in place (same objects, so bound
-        locals in running cores stay valid)."""
-        if self._views is not None:
-            # An array with an exported buffer refuses to resize: release
-            # the kernel's views for the resize, re-export them after.
-            self._views["level"] = self._views["lo"] = self._views["hi"] = None
-        zeros = bytes(8 * len(self._level))
+    def _room(self, names: Sequence[str], capacity: int) -> None:
+        """Give each named array at least ``capacity`` zeroed entries.
+        An array that already has the room is left alone, and the kernel
+        keeps its pointer.  A short one is extended in place (the same
+        object, so locals bound in running cores stay valid) and a
+        missing one is made; both are re-pointed."""
+        moved = []
         try:
-            self._level.frombytes(zeros)
-            self._lo.frombytes(zeros)
-            self._hi.frombytes(zeros)
+            for name in names:
+                arr = getattr(self, "_" + name)
+                if arr is not None and len(arr) >= capacity:
+                    continue
+                moved.append(name)
+                if arr is None:
+                    setattr(self, "_" + name, array("q", bytes(8 * capacity)))
+                    continue
+                if self._views is not None:
+                    # An array with an exported buffer refuses to resize:
+                    # release the kernel's view, re-export it after.
+                    self._views[name] = None
+                arr.frombytes(bytes(8 * (capacity - len(arr))))
         finally:  # the kernel must never see a released buffer
-            self._point("level", "lo", "hi")
-        self._ctrl[_C_NODECAP] = len(self._level)
+            if moved:
+                self._point(*moved)
+
+    def _grow_nodes(self) -> None:
+        """Double the node capacity, extending the arrays only when
+        they are shorter."""
+        capacity = 2 * self._ctrl[_C_NODECAP]
+        self._room(("level", "lo", "hi"), capacity)
+        self._ctrl[_C_NODECAP] = capacity
 
     def _grow_unique(self) -> None:
         """Double the unique table and re-seat every live node (all
         internal nodes are always live, so this is a straight rehash)."""
-        new_cap = 2 * (self._ctrl[_C_UNIQ_MASK] + 1)
-        slots = array("q", bytes(8 * new_cap))
-        mask = new_cap - 1
+        ctrl = self._ctrl
+        old_size = ctrl[_C_UNIQ_MASK] + 1
+        mask = 2 * old_size - 1
+        self._room(("uniq",), mask + 1)
         if self._st is not None:
-            self._lib.bdd_rehash_unique(
-                self._st, self._ffi.from_buffer("int64_t[]", slots), mask
-            )
-        else:
-            la = self._level
-            loa = self._lo
-            ha = self._hi
-            for node in range(2, self._ctrl[_C_NNODES]):
-                slot = (la[node] * _M1 + loa[node] * _M2 + ha[node] * _M3) & mask
-                while slots[slot] != 0:
-                    slot = (slot + 1) & mask
-                slots[slot] = node
-        self._uniq = slots
-        self._ctrl[_C_UNIQ_MASK] = mask
-        self._point("uniq")
+            self._lib.bdd_grow_unique(self._st, mask)
+            return
+        slots = self._uniq
+        _zero(slots, old_size)
+        la = self._level
+        loa = self._lo
+        ha = self._hi
+        for node in range(2, ctrl[_C_NNODES]):
+            slot = (la[node] * _M1 + loa[node] * _M2 + ha[node] * _M3) & mask
+            while slots[slot] != 0:
+                slot = (slot + 1) & mask
+            slots[slot] = node
+        ctrl[_C_UNIQ_MASK] = mask
 
     def _alloc_op_caches(self) -> None:
         ctrl = self._ctrl
-        zeros = bytes(8 * _OPCACHE_INIT)
-        self._and_k = array("q", zeros)
-        self._and_v = array("q", zeros)
-        self._or_k = array("q", zeros)
-        self._or_v = array("q", zeros)
-        self._xor_k = array("q", zeros)
-        self._xor_v = array("q", zeros)
-        self._not_k = array("q", zeros)
-        self._not_v = array("q", zeros)
-        self._ite_ka = array("q", zeros)
-        self._ite_kb = array("q", zeros)
-        self._ite_v = array("q", zeros)
+        self._room(_OPCACHE_ARRAYS, _OPCACHE_INIT)
         for index in range(_N_OPCACHES):
             ctrl[_C_MASK + index] = _OPCACHE_INIT - 1
             ctrl[_C_USED + index] = 0
-        self._point(*_OPCACHE_ARRAYS)
 
     def _grow_op_cache(self, index: int) -> None:
         """Double op cache ``index`` (0=and, 1=or, 2=xor, 3=not, 4=ite)
@@ -798,32 +833,39 @@ class BDDManager:
         chance to fire (in-place overwrites do not raise ``used``).
         Without it a direct-mapped cache can thrash a big recursion into
         exponential recomputation."""
-        if self._and_k is None:
+        ctrl = self._ctrl
+        if ctrl[_C_AND_MASK] == 0:
             self._alloc_op_caches()
             return
-        ctrl = self._ctrl
         names = _TABLE_ARRAYS[index]
-        new_cap = 2 * (ctrl[_C_MASK + index] + 1)
-        zeros = bytes(8 * new_cap)
+        old_size = ctrl[_C_MASK + index] + 1
+        self._room(names, 2 * old_size)
+        if self._st is not None:
+            self._lib.bdd_grow_table(self._st, index, 2 * old_size - 1)
+            return
         for name in names:
-            setattr(self, "_" + name, array("q", zeros))
+            _zero(getattr(self, "_" + name), old_size)
         self._stat_arr[_S_EVICTED] += ctrl[_C_USED + index]
-        ctrl[_C_MASK + index] = new_cap - 1
+        ctrl[_C_MASK + index] = 2 * old_size - 1
         ctrl[_C_USED + index] = 0
-        self._point(*names)
 
-    def _prep_op(self) -> None:
-        """Per-operation entry hook of the pure-Python cores: allocate
-        the op caches on first use and apply the deterministic growth
-        policy (double at 50% occupancy until the cap, then evict in
-        place).  The native kernel applies the same policy in C at each
-        entry.  Growth decisions depend only on the operation sequence
-        for a given kernel; a thrashing call may additionally double its
-        cache mid-operation (grow-and-restart in C, in place in Python),
-        which never changes node numbering because recomputation
-        re-derives nodes through the lossless unique table."""
+    def _prep_op(self, *nodes: int) -> None:
+        """Per-operation entry hook of the pure-Python cores: reject an
+        operand the manager never made (``ValueError``, as the kernel's
+        entries do), allocate the op caches on first use and apply the
+        deterministic growth policy (double at 50% occupancy until the
+        cap, then evict in place).  The native kernel applies the same
+        policy in C at each entry.  Growth decisions depend only on the
+        operation sequence for a given kernel; a thrashing call may
+        additionally double its cache mid-operation (grow-and-restart in
+        C, in place in Python), which never changes node numbering
+        because recomputation re-derives nodes through the lossless
+        unique table."""
         ctrl = self._ctrl
-        if self._and_k is None:
+        for node in nodes:
+            if not 0 <= node < ctrl[_C_NNODES]:
+                raise _bad_node(node)
+        if ctrl[_C_AND_MASK] == 0:
             self._alloc_op_caches()
             return
         if ctrl[_C_AND_MASK] + 1 < _OPCACHE_MAX:
@@ -845,7 +887,8 @@ class BDDManager:
     def _grow(self, code: int) -> None:
         """Grow the structure a C core's negative return code names:
         -1 the node arrays, -2 the unique table, ``-6 - i`` cache table
-        ``i`` (see ``_TABLES``)."""
+        ``i`` (see ``_TABLES``).  ``_BAD_NODE`` raises ``ValueError``,
+        and an allocation failure ``MemoryError``."""
         if code == -1:
             self._grow_nodes()
         elif code == -2:
@@ -854,8 +897,23 @@ class BDDManager:
             self._grow_quantify(-6 - code)
         elif code <= -6:
             self._grow_op_cache(-6 - code)
+        elif code == _BAD_NODE:
+            raise ValueError("a node id was not made by this manager")
         else:
             raise MemoryError("native BDD kernel allocation failed")
+
+    def _native_walk(self, fn, *args) -> int:
+        """Run kernel builder ``fn(*args)`` — one of the walks that
+        take this manager's ``bdd_walk`` — to the end: grow what each
+        growth code names and call it again.  The walk keeps what it
+        finished, so each restart re-runs only the operation that asked
+        for the growth.  Returns the result, or ``_BAD_VAR`` for the
+        caller to raise on; the caller clears the walk afterwards."""
+        while True:
+            code = fn(*args)
+            if code >= 0 or code == _BAD_VAR:
+                return code
+            self._grow(code)
 
     def _native_retry(self, code: int, fn, *args: int) -> int:
         """Finish a C core that returned the growth code ``code``: grow
@@ -908,19 +966,19 @@ class BDDManager:
             fn = self._lib.bdd_ite
             result = fn(st, f, g, h)
             return result if result >= 0 else self._native_retry(result, fn, f, g, h)
-        self._prep_op()
+        self._prep_op(f, g, h)
         return self._py_ite(f, g, h)
 
     def negate(self, f: int) -> int:
         """Complement ``~f``."""
-        if f <= 1:
+        if 0 <= f <= 1:
             return 1 - f
         st = self._st
         if st is not None:
             fn = self._lib.bdd_negate
             result = fn(st, f)
             return result if result >= 0 else self._native_retry(result, fn, f)
-        self._prep_op()
+        self._prep_op(f)
         return self._py_negate(f)
 
     def apply_and(self, f: int, g: int) -> int:
@@ -940,7 +998,7 @@ class BDDManager:
             fn = self._lib.bdd_apply
             result = fn(st, 0, f, g)
             return result if result >= 0 else self._native_retry(result, fn, 0, f, g)
-        self._prep_op()
+        self._prep_op(f, g)
         return self._py_apply(0, f, g)
 
     def apply_or(self, f: int, g: int) -> int:
@@ -961,7 +1019,7 @@ class BDDManager:
             fn = self._lib.bdd_apply
             result = fn(st, 1, f, g)
             return result if result >= 0 else self._native_retry(result, fn, 1, f, g)
-        self._prep_op()
+        self._prep_op(f, g)
         return self._py_apply(1, f, g)
 
     def apply_xor(self, f: int, g: int) -> int:
@@ -983,7 +1041,7 @@ class BDDManager:
             fn = self._lib.bdd_apply
             result = fn(st, 2, f, g)
             return result if result >= 0 else self._native_retry(result, fn, 2, f, g)
-        self._prep_op()
+        self._prep_op(f, g)
         return self._py_apply(2, f, g)
 
     # -- pure-Python fallback cores ------------------------------------
@@ -1323,70 +1381,49 @@ class BDDManager:
     # ------------------------------------------------------------------
 
     def _ensure_quantify_caches(self) -> None:
-        if self._ex_k is None:
-            zeros = bytes(8 * _QCACHE_INIT)
-            self._ex_k = array("q", zeros)
-            self._ex_v = array("q", zeros)
-            self._fa_k = array("q", zeros)
-            self._fa_v = array("q", zeros)
-            self._ae_k1 = array("q", zeros)
-            self._ae_k2 = array("q", zeros)
-            self._ae_v = array("q", zeros)
-            ctrl = self._ctrl
+        ctrl = self._ctrl
+        if ctrl[_C_EX_MASK] == 0:
+            self._room(_QCACHE_ARRAYS, _QCACHE_INIT)
             for index in (_T_EX, _T_FA, _T_AE):
                 ctrl[_C_MASK + index] = _QCACHE_INIT - 1
                 ctrl[_C_USED + index] = 0
-            self._point(*_QCACHE_ARRAYS)
 
     def _grow_quantify(self, index: int) -> None:
         """Double quantify cache ``index`` (5=exists, 6=forall,
         7=and_exists) and re-seat every entry, visiting the old slots in
         index order: a lossless rehash (these caches never evict).  The
-        C kernel runs the rehash when it is loaded; the Python loops are
+        C kernel runs the rehash when it is loaded; the Python loop is
         the fallback, and the reference the parity tests hold the C
         rehash to."""
         ctrl = self._ctrl
         names = _TABLE_ARRAYS[index]
-        new_cap = 2 * (ctrl[_C_MASK + index] + 1)
-        mask = new_cap - 1
-        zeros = bytes(8 * new_cap)
-        new = [array("q", zeros) for _ in names]
+        old_size = ctrl[_C_MASK + index] + 1
+        mask = 2 * old_size - 1
+        self._room(names, mask + 1)
         if self._st is not None:
-            ffi = self._ffi
-            views = [ffi.from_buffer("int64_t[]", arr) for arr in new]
-            if index != _T_AE:
-                views.insert(1, ffi.NULL)  # no second key word
-            self._lib.bdd_rehash_quantify(self._st, index, *views, mask)
-            del views
-        elif index == _T_AE:
-            old_k1, old_k2, old_v = self._ae_k1, self._ae_k2, self._ae_v
-            new_k1, new_k2, new_v = new
-            for i, k in enumerate(old_k1):
-                if k == 0:
-                    continue
-                slot = ((k >> 31) * _M1 + (k & 0x7FFFFFFF) * _M2
-                        + old_k2[i] * _M3) & mask
-                while new_k1[slot] != 0:
-                    slot = (slot + 1) & mask
-                new_k1[slot] = k
-                new_k2[slot] = old_k2[i]
-                new_v[slot] = old_v[i]
-        else:
-            old_k = getattr(self, "_" + names[0])
-            old_v = getattr(self, "_" + names[1])
-            new_k, new_v = new
-            for i, k in enumerate(old_k):
-                if k == 0:
-                    continue
-                slot = ((k >> 31) * _M1 + (k & 0x7FFFFFFF) * _M2) & mask
-                while new_k[slot] != 0:
-                    slot = (slot + 1) & mask
-                new_k[slot] = k
-                new_v[slot] = old_v[i]
-        for name, arr in zip(names, new):
-            setattr(self, "_" + name, arr)
+            if self._lib.bdd_grow_table(self._st, index, mask):
+                raise MemoryError("native BDD kernel allocation failed")
+            return
+        arrays = [getattr(self, "_" + name) for name in names]
+        old = [arr[:old_size] for arr in arrays]
+        for arr in arrays:
+            _zero(arr, old_size)
+        keys, values = arrays[0], arrays[-1]
+        second = old[1] if index == _T_AE else None
+        for i, k in enumerate(old[0]):
+            if k == 0:
+                continue
+            mix = (k >> 31) * _M1 + (k & 0x7FFFFFFF) * _M2
+            if second is not None:
+                mix += second[i] * _M3
+            slot = mix & mask
+            while keys[slot] != 0:
+                slot = (slot + 1) & mask
+            keys[slot] = k
+            if second is not None:
+                arrays[1][slot] = second[i]
+            values[slot] = old[-1][i]
         ctrl[_C_MASK + index] = mask
-        self._point(*names)
 
     def _q_put(self, index: int, key: int, value: int) -> None:
         """Lossless linear-probe insert into the exists (``_T_EX``) or
@@ -1577,6 +1614,64 @@ class BDDManager:
                 unique=ctrl[_C_UNIQ_USED],
             )
         return evicted
+
+    def reset(self) -> "BDDManager":
+        """Return this manager to the state of a fresh manager — no
+        variables, the same kernel and reorder threshold — while every
+        array keeps its capacity.  Returns the manager.
+
+        Afterwards nothing a caller can read tells the two apart:
+        ``num_nodes`` is 2; there are no variables, literal nodes,
+        support memos or interned cubes, and cube ids restart at 0;
+        :meth:`cache_sizes`, :meth:`cache_capacities`,
+        :meth:`table_metrics` and :meth:`monitor_sample` read as on a
+        fresh manager (a cache a fresh manager has not allocated reads
+        as unallocated); and every later sequence of operations makes
+        the same nodes, takes the same growth decisions and leaves the
+        same table layouts, because only the arrays' lengths differ.
+        Only the prefix of each buffer that the ending life used is
+        zeroed, in one kernel call on the native path; every word past
+        it is zero already.
+
+        Every node, cube and stats window of the ending life becomes
+        invalid, so only a caller that owns the manager's whole life may
+        reset it.  Under :mod:`repro.obs` the ending life's counters fold
+        into the totals as a collected manager's do, and the new life is
+        tracked as a fresh manager's would be, counted in
+        ``bdd.managers.total`` and ``bdd.managers.reused``.
+        """
+        if self._stats is not None:
+            _obs.retire_bdd_manager(self)
+        ctrl = self._ctrl
+        if self._st is not None:
+            self._lib.bdd_clear(self._st)
+        else:
+            for arr in (self._level, self._lo, self._hi):
+                _zero(arr, ctrl[_C_NNODES])
+            _zero(self._uniq, ctrl[_C_UNIQ_MASK] + 1)
+            for index, names in enumerate(_TABLE_ARRAYS):
+                if ctrl[_C_MASK + index]:
+                    for name in names:
+                        _zero(getattr(self, "_" + name), ctrl[_C_MASK + index] + 1)
+            _zero(self._stat_arr, _N_STATS)
+            _zero(ctrl, _CTRL_SLOTS)
+        self._level[0] = self._level[1] = TERMINAL_LEVEL
+        self._lo[1] = self._hi[1] = TRUE
+        ctrl[_C_NNODES] = 2
+        ctrl[_C_NODECAP] = _NODE_INIT
+        ctrl[_C_UNIQ_MASK] = _UNIQUE_INIT - 1
+        self._cube_table = {}
+        self._var_names = []
+        self._name_to_var = {}
+        self._var_nodes = []
+        self._supports = {}
+        self._stats = None
+        self.reorders = 0
+        self._last_reorder_nodes = 2
+        if _obs.enabled():
+            self._stats = ManagerStats(self._stat_arr, array("q", self._stat_arr))
+            _obs.track_bdd_manager(self, reused=True)
+        return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

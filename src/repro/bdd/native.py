@@ -3,10 +3,13 @@
 The native kernel is one shared object compiled from two C sources:
 
 * ``_kernel.c`` (next to this module) — the BDD manager's hot operator
-  cores (`ite`, AND/OR/XOR, negate) and quantification cores
-  (exists/forall/and_exists).  They work directly on the manager's flat
-  ``array('q')`` buffers, reached through one ``bdd_state`` struct of
-  buffer pointers per manager.
+  cores (`ite`, AND/OR/XOR, negate), quantification cores
+  (exists/forall/and_exists), table growth and reset, and the builder
+  walks behind ``weight_functions``, ``count_relation_from``,
+  ``vector_compose`` and ``transfer_multi``.  They work directly on the
+  manager's flat ``array('q')`` buffers, reached through one
+  ``bdd_state`` struct of buffer pointers per manager; a builder walk
+  keeps what must survive its growth restarts in a ``bdd_walk``.
 * ``repro/sat/_solver.c`` — the CDCL core behind
   :class:`repro.sat.solver.Solver`.  It owns its state (one
   ``sat_solver`` per solver, freed through ``ffi.gc``), because a solve
@@ -50,8 +53,8 @@ _SOURCES = (
 _BUILD_DIR = os.path.join(_DIR, "_build")
 
 #: cffi declarations for both cores' state and entry points (ABI mode);
-#: ``bdd_state``'s field order must match ``_kernel.c``, and
-#: ``sat_solver`` is opaque.
+#: the field order of ``bdd_state`` and ``bdd_walk`` must match
+#: ``_kernel.c``, and ``sat_solver`` is opaque.
 _CDEF = """
 typedef struct {
     int64_t *ctrl;
@@ -70,10 +73,30 @@ int64_t bdd_quantify(const bdd_state *st, int64_t op, int64_t f,
     int64_t cid, const int64_t *cube, int64_t cube_len, int64_t max_level);
 int64_t bdd_and_exists(const bdd_state *st, int64_t f, int64_t g,
     int64_t cid, const int64_t *cube, int64_t cube_len, int64_t max_level);
-void bdd_rehash_unique(const bdd_state *st, int64_t *slots,
-    int64_t new_mask);
-void bdd_rehash_quantify(const bdd_state *st, int64_t q, int64_t *k,
-    int64_t *k2, int64_t *v, int64_t new_mask);
+void bdd_clear(const bdd_state *st);
+void bdd_grow_unique(const bdd_state *st, int64_t new_mask);
+int64_t bdd_grow_table(const bdd_state *st, int64_t t, int64_t new_mask);
+typedef struct {
+    int64_t *memo;
+    int64_t memo_mask, memo_used;
+    int64_t *table;
+    int64_t table_len;
+    int64_t *log;
+    int64_t log_len, log_cap;
+    int64_t step, acc, part, err;
+} bdd_walk;
+void bdd_walk_clear(bdd_walk *w);
+int64_t bdd_walk_table(const bdd_state *st, bdd_walk *w,
+    const int64_t *keys, const int64_t *vals, int64_t n, int64_t len,
+    int64_t nodes);
+int64_t bdd_weight_functions(const bdd_state *st, const int64_t *vars,
+    int64_t n, int64_t m, int64_t *out);
+int64_t bdd_count_relation(const bdd_state *st, bdd_walk *w,
+    const int64_t *weights, int64_t n, const int64_t *bits, int64_t nbits);
+int64_t bdd_vector_compose(const bdd_state *st, bdd_walk *w, int64_t f);
+int64_t bdd_transfer(const bdd_state *src, const bdd_state *st,
+    bdd_walk *w, int64_t *roots, int64_t nroots, int64_t nvars,
+    int64_t log);
 typedef struct sat_solver sat_solver;
 sat_solver *sat_new(void);
 void sat_free(sat_solver *s);

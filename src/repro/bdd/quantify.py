@@ -33,6 +33,7 @@ from repro.bdd.manager import (
     _C_AE_MASK,
     _C_EX_MASK,
     _C_FA_MASK,
+    _C_NNODES,
     _S_AE_HIT,
     _S_AE_MISS,
     _S_EX_HIT,
@@ -41,6 +42,7 @@ from repro.bdd.manager import (
     _S_FA_MISS,
     _T_EX,
     _T_FA,
+    _bad_node,
 )
 
 
@@ -53,6 +55,8 @@ def exists(
     if not var_set:
         return f
     max_level = cube.max_level
+    if not 0 <= f < manager._ctrl[_C_NNODES]:
+        raise _bad_node(f)
     if f <= 1 or manager._level[f] > max_level:
         return f
     cid = cube.cube_id
@@ -161,6 +165,8 @@ def forall(
     if not var_set:
         return f
     max_level = cube.max_level
+    if not 0 <= f < manager._ctrl[_C_NNODES]:
+        raise _bad_node(f)
     if f <= 1 or manager._level[f] > max_level:
         return f
     cid = cube.cube_id
@@ -272,6 +278,9 @@ def and_exists(
     manager._ensure_quantify_caches()
     if manager._lib is not None:
         return manager._native_and_exists(f, g, cube)
+    for node in (f, g):
+        if not 0 <= node < manager._ctrl[_C_NNODES]:
+            raise _bad_node(node)
     sarr = manager._stat_arr
     ctrl = manager._ctrl
     qk1 = manager._ae_k1

@@ -218,6 +218,7 @@ def decompose_interval(
         result = _decompose_with_space(
             interval, space, require_nontrivial, objective
         )
+        _symbolic.release_space(space)
         if result is None:
             continue
         key = (

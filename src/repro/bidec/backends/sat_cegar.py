@@ -295,9 +295,11 @@ class SatCegarBackend:
         symbolic space — both backends then agree by construction."""
         _obs.inc("bidec.attempt.xor")
         space = _symbolic.partition_space(interval, "xor")
-        return _api._decompose_with_space(
+        result = _api._decompose_with_space(
             interval, space, require_nontrivial, objective
         )
+        _symbolic.release_space(space)
+        return result
 
     # -- backend protocol -----------------------------------------------
 

@@ -13,7 +13,11 @@ across the exponentially many decomposability subproblems.
 
 The computation runs in a dedicated scratch manager whose order interleaves
 ``c1_i, c2_i, x_i (, y_i)`` per original variable, which keeps the
-parameterized intermediate forms compact.
+parameterized intermediate forms compact.  A caller that owns a space's
+whole life hands the manager back with :func:`release_space`; the next
+space is then built in it after a :meth:`~BDDManager.reset`, which keeps
+the arrays' capacity but is otherwise indistinguishable from a fresh
+manager, so the space's nodes — and every output byte — are the same.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from typing import Optional, Sequence
 from repro import obs as _obs
 from repro.bdd import builders as _builders
 from repro.bdd import count as _count
+from repro.bdd import native as _native
 from repro.bdd import quantify as _quantify
 from repro.bdd.compose import transfer_multi
 from repro.bdd.manager import BDDManager, FALSE, TRUE
@@ -310,10 +315,36 @@ class _Scratch:
     c2_vars: list[int]
 
 
+#: The scratch manager handed back by :func:`release_space` (at most one),
+#: taken and reset by the next :func:`_make_scratch`.  A list, so that
+#: taking it is one atomic ``pop``: no two spaces can get the same one.
+_spares: list[BDDManager] = []
+
+
+def release_space(space: PartitionSpace) -> None:
+    """Hand ``space``'s scratch manager back for the next space to
+    reuse.  Only a caller that owns the space's whole life may do this:
+    the next space built resets the manager, so every node of ``space``
+    and of the spaces derived from it becomes invalid.  One spare is
+    kept; a manager handed back while one waits is left to the
+    collector."""
+    if not _spares:
+        _spares.append(space.manager)
+
+
 def _make_scratch(num_vars: int, with_y: bool) -> _Scratch:
     """Dedicated manager with the interleaved order
-    ``c1_i, c2_i, x_i (, y_i)`` per original variable."""
-    manager = BDDManager()
+    ``c1_i, c2_i, x_i (, y_i)`` per original variable.  The spare is
+    reset and reused when one is waiting and runs on the kernel a new
+    manager would get; otherwise a new manager is built."""
+    try:
+        manager = _spares.pop()
+    except IndexError:
+        manager = None
+    if manager is not None and manager.native == (_native.kernel() is not None):
+        manager.reset()
+    else:
+        manager = BDDManager()
     x_vars: list[int] = []
     y_vars: list[int] = []
     c1_vars: list[int] = []

@@ -46,6 +46,7 @@ from repro.obs.registry import (
     registry,
     report,
     reset,
+    retire_bdd_manager,
     run_id,
     scope,
     set_gauge,
@@ -81,6 +82,7 @@ __all__ = [
     "render_profile",
     "report",
     "reset",
+    "retire_bdd_manager",
     "run_id",
     "scope",
     "set_crash_context",

@@ -301,15 +301,20 @@ class Registry:
         self._thread_stacks: dict[int, list[str]] = {}
         # BDD managers keep local counters (see repro.bdd.manager); live
         # ones are aggregated at report time, finalized ones flush their
-        # totals here so no work is lost when scratch managers die.
-        self._bdd_live: "weakref.WeakSet[Any]" = weakref.WeakSet()
-        #: The ``stats`` of dead managers, queued by their finalizers and
-        #: folded into ``_bdd_flushed`` under the lock.  A finalizer runs
-        #: wherever the collector does — even inside one of this
-        #: registry's locked sections — so it must not take the lock.
+        # totals here so no work is lost when scratch managers die.  Each
+        # live manager maps to the finalizer of its current life.
+        self._bdd_live: "weakref.WeakKeyDictionary[Any, Any]" = (
+            weakref.WeakKeyDictionary()
+        )
+        #: The ``stats`` of dead managers (or the counter dicts of ended
+        #: lives), queued by their finalizers and folded into
+        #: ``_bdd_flushed`` under the lock.  A finalizer runs wherever
+        #: the collector does — even inside one of this registry's locked
+        #: sections — so it must not take the lock.
         self._bdd_dead: deque[Any] = deque()
         self._bdd_flushed: dict[str, int] = {}
         self._bdd_total_managers = 0
+        self._bdd_reused_managers = 0
         self._bdd_peak_nodes = 0
 
     # -- recording ------------------------------------------------------
@@ -370,26 +375,44 @@ class Registry:
 
     # -- BDD manager aggregation ----------------------------------------
 
-    def track_bdd_manager(self, manager: Any) -> None:
-        """Track a manager's local cache statistics.  The manager must
-        expose ``stats`` (an object with ``as_dict()``) and
-        ``num_nodes``; its final totals are flushed when it is garbage
-        collected."""
+    def track_bdd_manager(self, manager: Any, reused: bool = False) -> None:
+        """Track one life of a manager's local cache statistics.  The
+        manager must expose ``stats`` (an object with ``as_dict()``) and
+        ``num_nodes``; the life's final totals are flushed when the
+        manager is garbage collected or :meth:`retire_bdd_manager` ends
+        the life.  Every life counts in ``bdd.managers.total``; one that
+        ``reused`` a reset manager counts in ``bdd.managers.reused``
+        too."""
         stats = manager.stats
         if stats is None:
             return
-        with self._lock:
-            self._bdd_live.add(manager)
-            self._bdd_total_managers += 1
         # Queued on this generation's queue: a manager tracked before a
         # reset() does not count after it.
-        weakref.finalize(manager, self._bdd_dead.append, stats)
+        finalizer = weakref.finalize(manager, self._bdd_dead.append, stats)
+        with self._lock:
+            self._bdd_live[manager] = finalizer
+            self._bdd_total_managers += 1
+            self._bdd_reused_managers += reused
+
+    def retire_bdd_manager(self, manager: Any) -> None:
+        """End the tracked life of a manager that is about to be reset:
+        fold its counters into the totals exactly as a collected
+        manager's are, and stop reading it as live.  A manager tracked
+        before the last :meth:`reset` (or never) is left alone."""
+        with self._lock:
+            finalizer = self._bdd_live.pop(manager, None)
+        detached = finalizer.detach() if finalizer is not None else None
+        if detached is not None:
+            _, append, (stats,), _ = detached
+            append(stats.as_dict())
 
     def _fold_dead_bdd(self) -> None:
         """Fold the queued final statistics into the flushed totals (the
         caller holds the lock)."""
         while self._bdd_dead:
-            snapshot = self._bdd_dead.popleft().as_dict()
+            snapshot = self._bdd_dead.popleft()
+            if not isinstance(snapshot, dict):
+                snapshot = snapshot.as_dict()
             for key, value in snapshot.items():
                 self._bdd_flushed[key] = self._bdd_flushed.get(key, 0) + value
             # No garbage collection in this engine, so a dead manager's
@@ -438,6 +461,7 @@ class Registry:
             totals = dict(self._bdd_flushed)
             live = list(self._bdd_live)
             total_managers = self._bdd_total_managers
+            reused_managers = self._bdd_reused_managers
             peak = self._bdd_peak_nodes
         # ``peak`` is the largest node count any *single* manager reached
         # (dead or alive); ``bdd.nodes.live`` sums across live managers,
@@ -455,6 +479,7 @@ class Registry:
         gauges = {
             "bdd.managers.live": live_bdd["managers"],
             "bdd.managers.total": total_managers,
+            "bdd.managers.reused": reused_managers,
             "bdd.nodes.live": live_bdd["nodes"],
             "bdd.nodes.peak": peak,
             "bdd.unique.live": live_bdd["unique"],
@@ -519,10 +544,11 @@ class Registry:
             self.histograms.clear()
             self.spans.clear()
             self.events = Ring(MAX_EVENTS)
-            self._bdd_live = weakref.WeakSet()
+            self._bdd_live = weakref.WeakKeyDictionary()
             self._bdd_dead = deque()
             self._bdd_flushed.clear()
             self._bdd_total_managers = 0
+            self._bdd_reused_managers = 0
             self._bdd_peak_nodes = 0
 
 
@@ -634,11 +660,19 @@ def event(ev: str, **fields: Any) -> None:
         sink.event(built)
 
 
-def track_bdd_manager(manager: Any) -> None:
-    """Register a BDD manager for cache-statistics aggregation."""
+def track_bdd_manager(manager: Any, reused: bool = False) -> None:
+    """Register a BDD manager (or, with ``reused``, the new life of a
+    reset one) for cache-statistics aggregation."""
     if not _enabled:
         return
-    _REGISTRY.track_bdd_manager(manager)
+    _REGISTRY.track_bdd_manager(manager, reused)
+
+
+def retire_bdd_manager(manager: Any) -> None:
+    """Fold the ending life of a tracked manager that is being reset
+    into the totals (see :meth:`Registry.retire_bdd_manager`); works
+    while disabled, as a collected manager's finalizer does."""
+    _REGISTRY.retire_bdd_manager(manager)
 
 
 def report() -> dict[str, Any]:

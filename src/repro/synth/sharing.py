@@ -67,6 +67,7 @@ def decompose_with_sharing(
     for order, gate in enumerate(gates):
         space = _symbolic.partition_space(interval, gate).nontrivial()
         if not space.is_feasible():
+            _symbolic.release_space(space)
             continue
         if arrivals is not None:
             pairs = space.size_pairs()
@@ -109,6 +110,7 @@ def decompose_with_sharing(
                 if best_key is None or key < best_key:
                     best_key = key
                     best = (decomposition, shared)
+        _symbolic.release_space(space)
         # A fully shared decomposition cannot be beaten on the primary
         # criterion; stop early when timing is not being optimised.
         if best is not None and best[1] == 2 and arrivals is None:

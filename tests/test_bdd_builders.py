@@ -21,6 +21,20 @@ from repro.bdd import (
     sat_count,
     weight_functions,
 )
+from repro.bdd import native as _native
+from repro.bdd.builders import count_relation_from
+
+#: Both kernels: the pure-Python cores always, the C kernel when it loads.
+KERNELS = [
+    pytest.param(False, id="python"),
+    pytest.param(
+        True,
+        id="native",
+        marks=pytest.mark.skipif(
+            _native.kernel() is None, reason="native kernel unavailable"
+        ),
+    ),
+]
 
 
 class TestWeights:
@@ -104,6 +118,54 @@ class TestEncoding:
         m = BDDManager(6)
         with pytest.raises(ValueError):
             count_relation(m, [0, 1, 2, 3], [4, 5])  # 2 bits can't hold 4
+
+
+@pytest.mark.parametrize("native", KERNELS)
+class TestMalformedInputs:
+    """Duplicate or undeclared variables and counter bits, and negative
+    values, raise ``ValueError`` on both kernels before any node is
+    made."""
+
+    def test_duplicate_weight_variable(self, native):
+        # w_1 would put a level-0 node above children at level 0.
+        m = BDDManager(2, native=native)
+        for build in (
+            lambda: weight_functions(m, [0, 0]),
+            lambda: exactly_k(m, [0, 0], 1),
+            lambda: at_most_k(m, [0, 0], 1),
+        ):
+            with pytest.raises(ValueError, match="repeat"):
+                build()
+        assert m.num_nodes == 2
+
+    def test_undeclared_weight_variable(self, native):
+        # Level 5 of a 2-variable manager has no name to read back.
+        m = BDDManager(2, native=native)
+        for variables in ([5], [0, 2], [-1]):
+            with pytest.raises(ValueError, match="undeclared"):
+                weight_functions(m, variables)
+        assert m.num_nodes == 2
+
+    def test_duplicate_counter_bit(self, native):
+        m = BDDManager(4, native=native)
+        with pytest.raises(ValueError, match="repeat"):
+            encode_int(m, [0, 0], 1)  # the later polarity would win
+        weights = weight_functions(m, [0, 1])
+        with pytest.raises(ValueError, match="repeat"):
+            count_relation_from(m, weights, [3, 3])
+
+    def test_undeclared_counter_bit(self, native):
+        m = BDDManager(4, native=native)
+        with pytest.raises(ValueError):
+            encode_int(m, [0, 7], 1)
+        with pytest.raises(ValueError):
+            count_relation(m, [0, 1], [2, 4])
+
+    def test_negative_value(self, native):
+        m = BDDManager(2, native=native)
+        with pytest.raises(ValueError):
+            encode_int(m, [0, 1], -1)  # would encode 3
+        assert m.num_nodes == 2
 
 
 class TestComparators:

@@ -86,7 +86,8 @@ E4_OPTIONS = dict(
 #: and backends, then the other 12 canonical circuits with the options
 #: the flow benchmark runs them under (defaults for the ISCAS analogs,
 #: ``E4_OPTIONS`` for the macro blocks), then the other five ``iscas_sat``
-#: circuits under the sat-cegar backend.
+#: circuits under the sat-cegar backend, then s344 and seq5 through the
+#: sharing-aware decomposition choice.
 GOLDENS = [
     pytest.param("s344", {}, "1873bead5e96f505", id="s344"),
     pytest.param(
@@ -128,6 +129,15 @@ GOLDENS = [
     ),
     pytest.param(
         "s1269", {"backend": "sat-cegar"}, "80b9df41897b711e", id="s1269-sat"
+    ),
+    pytest.param(
+        "s344", {"sharing_choice": True}, "a2fc4d3be0d95b7a", id="s344-share"
+    ),
+    pytest.param(
+        "seq5",
+        {**E4_OPTIONS, "sharing_choice": True},
+        "ed8a06de1277730e",
+        id="seq5-e4-share",
     ),
 ]
 
