@@ -1,7 +1,8 @@
 /* Native operator cores for the repro BDD manager.
  *
  * This file is compiled on demand (``cc -O2 -shared -fPIC``) by
- * ``repro.bdd.native`` and loaded through cffi's ABI mode.  It operates
+ * ``repro.bdd.native`` and loaded through cffi's ABI mode, with the
+ * declarations precompiled into an out-of-line module.  It operates
  * directly on the manager's flat ``array('q')`` buffers — the node
  * arrays, the open-addressed unique table, the direct-mapped operation
  * caches and the lossless quantification caches — so Python and C
@@ -609,6 +610,19 @@ static inline int q_put1(int64_t *qk, int64_t *qv, uint64_t qmask,
     return 1;
 }
 
+/* The (node << 31 | cid)-keyed quantify cache's value for (f, cid), or
+ * -1. */
+static inline int64_t q_get(const int64_t *qk, const int64_t *qv,
+                            uint64_t qmask, int64_t f, int64_t cid) {
+    int64_t key = (f << 31) | cid;
+    uint64_t slot = ((uint64_t)f * M1 + (uint64_t)cid * M2) & qmask;
+    while (qk[slot] != 0) {
+        if (qk[slot] == key) return qv[slot];
+        slot = (slot + 1) & qmask;
+    }
+    return -1;
+}
+
 /* Existential (T_EX, OR-combine) / universal (T_FA, AND-combine)
  * abstraction.  Mirrors repro.bdd.quantify.exists/forall frame for
  * frame: tag 0 expand, tag 1 rebuild an unquantified level, tag 2
@@ -629,14 +643,10 @@ static int64_t quantify_core(const bdd_state *st, int64_t q, int64_t f,
     int64_t combine = (q == T_EX) ? T_OR : T_AND;
     if (f <= 1 || level[f] > max_level) return f;
     {
-        int64_t fkey = (f << 31) | cid;
-        uint64_t slot = ((uint64_t)f * M1 + (uint64_t)cid * M2) & qmask;
-        while (qk[slot] != 0) {
-            if (qk[slot] == fkey) {
-                stats[s_hit] += 1;
-                return qv[slot];
-            }
-            slot = (slot + 1) & qmask;
+        int64_t hit = q_get(qk, qv, qmask, f, cid);
+        if (hit >= 0) {
+            stats[s_hit] += 1;
+            return hit;
         }
     }
     stacks_t s;
@@ -652,12 +662,7 @@ static int64_t quantify_core(const bdd_state *st, int64_t q, int64_t f,
                 continue;
             }
             int64_t nkey = (n << 31) | cid;
-            uint64_t slot = ((uint64_t)n * M1 + (uint64_t)cid * M2) & qmask;
-            int64_t cached = -1;
-            while (qk[slot] != 0) {
-                if (qk[slot] == nkey) { cached = qv[slot]; break; }
-                slot = (slot + 1) & qmask;
-            }
+            int64_t cached = q_get(qk, qv, qmask, n, cid);
             if (cached >= 0) {
                 stats[s_hit] += 1;
                 if (!push_result(&s, cached)) rc = BDD_NOMEM;
@@ -1021,9 +1026,11 @@ typedef struct {
     int64_t *log;      /* transfer: (source, target) pairs, finishing order */
     int64_t log_len;
     int64_t log_cap;
-    int64_t step;      /* count_relation: the next weight */
-    int64_t acc;       /* count_relation: the relation so far */
-    int64_t part;      /* count_relation: finished AND + 1, or 0 */
+    int64_t step;      /* count_relation and the loops: the next iteration */
+    int64_t acc;       /* the value so far: the relation, U, the fold, l */
+    int64_t acc2;      /* reduce_support: u */
+    int64_t part[3];   /* the iteration's finished operations + 1, or 0 */
+    int64_t started;   /* the loops: nonzero once acc (and acc2) are seeded */
     int64_t err;       /* after BDD_BAD_VAR: the source level */
 } bdd_walk;
 
@@ -1083,6 +1090,18 @@ static int memo_put(bdd_walk *w, int64_t node, int64_t value) {
     return 1;
 }
 
+/* (Re)allocate the walk's level table with ``len`` entries, each its
+ * own level (``identity``) or NO_ENTRY.  Returns 0 or BDD_NOMEM. */
+static int64_t table_init(bdd_walk *w, int64_t len, int identity) {
+    free(w->table);
+    w->table = malloc((size_t)(len > 0 ? len : 1) * sizeof(int64_t));
+    w->table_len = len;
+    if (!w->table) return BDD_NOMEM;
+    for (int64_t l = 0; l < len; l++)
+        w->table[l] = identity ? l : NO_ENTRY;
+    return 0;
+}
+
 /* Fill the walk's level table from ``n`` (key, value) pairs: entry l
  * holds the value of key l, or NO_ENTRY; keys outside 0..len-1 name no
  * level of the walked nodes and are dropped.  NULL keys map every level
@@ -1091,12 +1110,7 @@ static int memo_put(bdd_walk *w, int64_t node, int64_t value) {
 int64_t bdd_walk_table(const bdd_state *st, bdd_walk *w, const int64_t *keys,
                        const int64_t *vals, int64_t n, int64_t len,
                        int64_t nodes) {
-    free(w->table);
-    w->table = malloc((size_t)(len > 0 ? len : 1) * sizeof(int64_t));
-    w->table_len = len;
-    if (!w->table) return BDD_NOMEM;
-    for (int64_t l = 0; l < len; l++)
-        w->table[l] = keys ? NO_ENTRY : l;
+    if (table_init(w, len, keys == NULL)) return BDD_NOMEM;
     for (int64_t i = 0; keys && i < n; i++) {
         if (nodes && bad_node(st, vals[i])) return BDD_BAD_NODE;
         if (keys[i] >= 0 && keys[i] < len) w->table[keys[i]] = vals[i];
@@ -1143,7 +1157,7 @@ int64_t bdd_count_relation(const bdd_state *st, bdd_walk *w,
     for (; w->step < n; w->step++) {
         int64_t value = w->step, weight = weights[value];
         if (weight == BDD_FALSE) continue;
-        if (w->part == 0) {
+        if (w->part[0] == 0) {
             int64_t cube = BDD_TRUE, above = INT64_MAX;
             for (int64_t k = 0; k < nbits; k++) {
                 /* The next bit down: the largest variable below the
@@ -1160,12 +1174,12 @@ int64_t bdd_count_relation(const bdd_state *st, bdd_walk *w,
             }
             int64_t part = apply_entry(st, T_AND, weight, cube);
             if (part < 0) return part;
-            w->part = part + 1;
+            w->part[0] = part + 1;
         }
-        int64_t relation = apply_entry(st, T_OR, w->acc, w->part - 1);
+        int64_t relation = apply_entry(st, T_OR, w->acc, w->part[0] - 1);
         if (relation < 0) return relation;
         w->acc = relation;
-        w->part = 0;
+        w->part[0] = 0;
     }
     return w->acc;
 }
@@ -1281,4 +1295,249 @@ int64_t bdd_transfer(const bdd_state *src, const bdd_state *st, bdd_walk *w,
     for (int64_t i = 0; i < nroots; i++)
         if (roots[i] > 1) roots[i] = memo_get(w, roots[i]);
     return 0;
+}
+
+/* -- Loop entries ------------------------------------------------------
+ * The per-variable and per-model loops of the bi-decomposition step,
+ * each as one entry: the parameterized quantifications and replacements
+ * of repro.bidec.parameterize, Interval.reduce_support, count.iter_models
+ * and manager.conjoin/disjoin over a sequence.  Each makes the calls of
+ * its Python loop in the same order, with each public entry's
+ * short-circuits, Python-side cache probe and entry-time op-cache check
+ * before its core, so both make the same nodes with the same cache
+ * traffic.  A loop keeps its position and the current iteration's
+ * finished operations in its bdd_walk, so a growth restart re-runs only
+ * the operation that asked for the growth. */
+
+/* manager.negate as a whole. */
+static int64_t negate_entry(const bdd_state *st, int64_t f) {
+    if (f <= 1) return 1 - f;
+    int64_t rc = check_opcaches(st);
+    return rc ? rc : negate_core(st, f);
+}
+
+/* quantify.exists (T_EX) / forall (T_FA) on the interned one-variable
+ * cube ``cid`` of variable ``*var`` as a whole: the level
+ * short-circuit; the quantify caches' allocation where exists/forall
+ * make it, as the growth code of table q while they are unallocated;
+ * the Python-side cache probe, whose hit skips the op-cache check; then
+ * the op-cache check and the core. */
+static int64_t quantify_entry(const bdd_state *st, int64_t q, int64_t f,
+                              int64_t cid, const int64_t *var) {
+    if (f <= 1 || st->level[f] > *var) return f;
+    if (st->ctrl[C_MASK + T_EX] == 0) return BDD_GROW_TABLE(q);
+    int64_t hit = q == T_EX
+        ? q_get(st->ex_k, st->ex_v, (uint64_t)st->ctrl[C_MASK + T_EX], f, cid)
+        : q_get(st->fa_k, st->fa_v, (uint64_t)st->ctrl[C_MASK + T_FA], f, cid);
+    if (hit >= 0) {
+        st->stat_arr[q == T_EX ? S_EX_HIT : S_FA_HIT] += 1;
+        return hit;
+    }
+    int64_t rc = check_opcaches(st);
+    return rc ? rc : quantify_core(st, q, f, cid, var, 1, *var);
+}
+
+/* parameterized_forall (op 1) / parameterized_exists (op 0): from
+ * U = f, for each variable i from the walk's step,
+ * U <- ite(c_i, U, Q x_i . U) with Q x_i on the interned cube cids[i].
+ * Before each variable the loop stops once the manager holds more than
+ * ``budget`` nodes; the walk's step then names the first decision
+ * variable skipped (node counts only grow, so the rest are skipped
+ * too).  The walk keeps U (acc) and the finished quantification
+ * (part[0]).  Returns U or a negative code. */
+int64_t bdd_param_quantify(const bdd_state *st, bdd_walk *w, int64_t op,
+                           int64_t f, const int64_t *xs, const int64_t *cids,
+                           const int64_t *cs, int64_t n, int64_t budget) {
+    if (bad_node(st, f)) return BDD_BAD_NODE;
+    if (!w->started) {
+        w->acc = f;
+        w->started = 1;
+    }
+    int64_t q = op == 0 ? T_EX : T_FA;
+    for (; w->step < n; w->step++) {
+        int64_t i = w->step;
+        if (st->ctrl[C_NNODES] > budget) break;
+        if (w->part[0] == 0) {
+            int64_t r = quantify_entry(st, q, w->acc, cids[i], &xs[i]);
+            if (r < 0) return r;
+            w->part[0] = r + 1;
+        }
+        int64_t lit = mk(st, cs[i], BDD_FALSE, BDD_TRUE);
+        if (lit < 0) return lit;
+        int64_t r = ite_entry(st, lit, w->acc, w->part[0] - 1);
+        if (r < 0) return r;
+        w->acc = r;
+        w->part[0] = 0;
+    }
+    return w->acc;
+}
+
+/* parameterized_replace (c2s NULL) / parameterized_replace_pair: for
+ * each i from the walk's step, the literals of c_i (or of c1_i and
+ * c2_i, then their AND), x_i and y_i, then ite(c, x_i, y_i), written
+ * straight into the walk's level table (``len`` levels) at x_i; then
+ * the bdd_vector_compose walk of f over that table.  The walk keeps the
+ * finished AND (part[0]), and vector_compose its memo.  Returns the
+ * result or a negative code. */
+int64_t bdd_param_replace(const bdd_state *st, bdd_walk *w, int64_t f,
+                          const int64_t *xs, const int64_t *ys,
+                          const int64_t *c1s, const int64_t *c2s, int64_t n,
+                          int64_t len) {
+    if (bad_node(st, f)) return BDD_BAD_NODE;
+    if (!w->started) {
+        if (table_init(w, len, 0)) return BDD_NOMEM;
+        w->started = 1;
+    }
+    for (; w->step < n; w->step++) {
+        int64_t i = w->step;
+        int64_t sel = mk(st, c1s[i], BDD_FALSE, BDD_TRUE);
+        if (sel < 0) return sel;
+        if (c2s) {
+            if (w->part[0] == 0) {
+                int64_t c2 = mk(st, c2s[i], BDD_FALSE, BDD_TRUE);
+                if (c2 < 0) return c2;
+                int64_t both = apply_entry(st, T_AND, sel, c2);
+                if (both < 0) return both;
+                w->part[0] = both + 1;
+            }
+            sel = w->part[0] - 1;
+        }
+        int64_t x = mk(st, xs[i], BDD_FALSE, BDD_TRUE);
+        if (x < 0) return x;
+        int64_t y = mk(st, ys[i], BDD_FALSE, BDD_TRUE);
+        if (y < 0) return y;
+        int64_t r = ite_entry(st, sel, x, y);
+        if (r < 0) return r;
+        if (xs[i] >= 0 && xs[i] < w->table_len) w->table[xs[i]] = r;
+        w->part[0] = 0;
+    }
+    return bdd_vector_compose(st, w, f);
+}
+
+/* Interval.reduce_support over the sorted support ``vars`` and their
+ * interned one-variable cubes ``cids``: from [l, u] = [lower, upper],
+ * for each variable i from the walk's step, e = ∃x l, then a = ∀x u,
+ * then ¬e, then ¬e | a; when that is TRUE the interval becomes [e, a]
+ * and dropped[i] is set (cleared otherwise).  The walk keeps l (acc), u
+ * (acc2) and the iteration's finished operations (part[]).  Returns 0 or
+ * a negative code; the caller reads the bounds off the walk. */
+int64_t bdd_reduce_support(const bdd_state *st, bdd_walk *w, int64_t lower,
+                           int64_t upper, const int64_t *vars,
+                           const int64_t *cids, int64_t n, int64_t *dropped) {
+    if (bad_node(st, lower) || bad_node(st, upper)) return BDD_BAD_NODE;
+    if (!w->started) {
+        w->acc = lower;
+        w->acc2 = upper;
+        w->started = 1;
+    }
+    int64_t *part = w->part;
+    for (; w->step < n; w->step++) {
+        int64_t i = w->step;
+        if (part[0] == 0) {
+            int64_t r = quantify_entry(st, T_EX, w->acc, cids[i], &vars[i]);
+            if (r < 0) return r;
+            part[0] = r + 1;
+        }
+        if (part[1] == 0) {
+            int64_t r = quantify_entry(st, T_FA, w->acc2, cids[i], &vars[i]);
+            if (r < 0) return r;
+            part[1] = r + 1;
+        }
+        if (part[2] == 0) {
+            int64_t r = negate_entry(st, part[0] - 1);
+            if (r < 0) return r;
+            part[2] = r + 1;
+        }
+        int64_t r = apply_entry(st, T_OR, part[2] - 1, part[1] - 1);
+        if (r < 0) return r;
+        dropped[i] = r == BDD_TRUE;
+        if (r == BDD_TRUE) {
+            w->acc = part[0] - 1;
+            w->acc2 = part[1] - 1;
+        }
+        part[0] = part[1] = part[2] = 0;
+    }
+    return 0;
+}
+
+/* manager.conjoin (op 0) / disjoin (op 1) over ``n`` nodes: from TRUE
+ * (FALSE), each operand checked when the fold reaches it, then the
+ * public AND (OR) entry, stopping at FALSE (TRUE).  The walk keeps the
+ * position (step) and the result so far (acc).  Returns the result or a
+ * negative code. */
+int64_t bdd_fold(const bdd_state *st, bdd_walk *w, int64_t op,
+                 const int64_t *nodes, int64_t n) {
+    int64_t stop = op == T_AND ? BDD_FALSE : BDD_TRUE;
+    if (!w->started) {
+        w->acc = 1 - stop;
+        w->started = 1;
+    }
+    for (; w->step < n; w->step++) {
+        int64_t node = nodes[w->step];
+        if (bad_node(st, node)) return BDD_BAD_NODE;
+        int64_t r = apply_entry(st, op, w->acc, node);
+        if (r < 0) return r;
+        w->acc = r;
+        if (r == stop) break;
+    }
+    return w->acc;
+}
+
+/* count.iter_models: the next models of ``root`` over the ``n`` sorted,
+ * distinct variables ``order``, depth first with 0 before 1, in the
+ * order the Python recursion yields them.  ``path`` keeps the
+ * enumeration between calls and is all zero before the first: path[0]
+ * is the phase (0 fresh, 1 backtrack from depth path[1], 2 done),
+ * path[2 + d] the node at depth d (d = 0..n) and path[n + 3 + d] the
+ * value taken there.  Up to ``cap`` models are written to ``out``, n
+ * bytes each, the value of order[n - 1] first (the key order of the
+ * Python dicts).  Returns how many; fewer than ``cap`` means the
+ * enumeration is done.  No node is made, so nothing grows and nothing
+ * restarts. */
+int64_t bdd_models(const bdd_state *st, int64_t root, const int64_t *order,
+                   int64_t n, int64_t *path, char *out, int64_t cap) {
+    if (bad_node(st, root)) return BDD_BAD_NODE;
+    if (path[0] == 2) return 0;
+    const int64_t *level = st->level, *loa = st->lo, *hia = st->hi;
+    int64_t *nodes = path + 2, *vals = path + n + 3;
+    int back = path[0] == 1;
+    int64_t d = back ? path[1] : 0;
+    int64_t count = 0;
+    if (!back) nodes[0] = root;
+    while (count < cap) {
+        if (back) {
+            /* Up to the deepest depth that took 0, and take 1 there. */
+            while (d > 0 && vals[d - 1]) d--;
+            if (d == 0) {
+                path[0] = 2;
+                return count;
+            }
+            d--;
+            vals[d] = 1;
+            int64_t node = nodes[d];
+            nodes[d + 1] =
+                node > 1 && level[node] == order[d] ? hia[node] : node;
+            d++;
+            back = 0;
+            continue;
+        }
+        int64_t node = nodes[d];
+        if (node == BDD_FALSE) {
+            back = 1;
+            continue;
+        }
+        if (d == n) {
+            char *model = out + count * n;
+            for (int64_t j = 0; j < n; j++) model[j] = (char)vals[n - 1 - j];
+            count++;
+            back = 1;
+            continue;
+        }
+        vals[d] = 0;
+        nodes[d + 1] = node > 1 && level[node] == order[d] ? loa[node] : node;
+        d++;
+    }
+    path[0] = 1;
+    path[1] = d;
+    return count;
 }

@@ -21,16 +21,19 @@ from typing import Sequence
 from repro.bdd.manager import BDDManager, FALSE, TRUE, _bad_node
 
 
-def _check_vars(manager: BDDManager, variables: Sequence[int], what: str) -> None:
-    """Reject duplicate or undeclared variables (``ValueError``), as
-    :meth:`BDDManager.var` and :meth:`BDDManager.cube` reject undeclared
-    ones: a duplicate would break the variable order of a weight
-    function or let the later polarity of a counter bit win."""
+def _check_vars(
+    manager: BDDManager, variables: Sequence[int], what: str, distinct: bool = True
+) -> None:
+    """Reject undeclared variables (``ValueError``), as
+    :meth:`BDDManager.var` and :meth:`BDDManager.cube` do, and with
+    ``distinct`` duplicate ones too: a duplicate would break the
+    variable order of a weight function, let the later polarity of a
+    counter bit win, or repeat a model."""
     if not variables:
         return
     if min(variables) < 0 or max(variables) >= manager.num_vars:
         raise ValueError(f"{what} {list(variables)} include an undeclared variable")
-    if len(set(variables)) != len(variables):
+    if distinct and len(set(variables)) != len(variables):
         raise ValueError(f"{what} {list(variables)} repeat a variable")
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
+from repro.bdd.builders import _check_vars
 from repro.bdd.manager import BDDManager, FALSE, TRUE, iter_nodes
 
 
@@ -81,19 +82,64 @@ def pick_one(manager: BDDManager, root: int) -> Optional[dict[int, bool]]:
     return assignment
 
 
+#: Models per kernel refill of :func:`iter_models`: the first refill is
+#: small (partition scans stop at the first partition that extracts),
+#: and each later one doubles up to the cap.
+_MODELS_FIRST = 16
+_MODELS_MAX = 4096
+_BOOLS = (False, True)
+
+
 def iter_models(
     manager: BDDManager, root: int, variables: Sequence[int]
 ) -> Iterator[dict[int, bool]]:
     """Iterate total assignments to ``variables`` that satisfy ``root``.
 
-    ``variables`` must cover the support of ``root``; variables in the list
-    but absent from a path are expanded to both polarities, so each yielded
-    dict binds every listed variable exactly once.
+    ``variables`` must be distinct declared variables that cover the
+    support of ``root`` (``ValueError`` otherwise); variables in the list
+    but absent from a path are expanded to both polarities, so each
+    yielded dict binds every listed variable exactly once.  Models come
+    depth first over the sorted variables, 0 before 1.
+
+    On a native manager the kernel (``bdd_models``) enumerates the
+    models into a buffer that each refill doubles, resuming where it
+    stopped, so a consumer that stops early leaves the rest unvisited;
+    :func:`_py_iter_models` is the pure-Python fallback.  Neither makes
+    a node, so the consumer may make nodes in between.
     """
+    _check_vars(manager, variables, "model variables")
     order = sorted(variables)
     missing = manager.support(root).difference(order)
     if missing:
         raise ValueError(f"variable {min(missing)} in support but not listed")
+    if manager._st is None:
+        yield from _py_iter_models(manager, root, order)
+        return
+    ffi = manager._ffi
+    fn = manager._lib.bdd_models
+    n = len(order)
+    keys = order[::-1]  # the key order of the Python recursion's dicts
+    c_order = ffi.new("int64_t[]", order)
+    path = ffi.new("int64_t[]", 2 * n + 3)
+    cap = _MODELS_FIRST
+    while True:
+        out = ffi.new("char[]", cap * n)
+        count = fn(manager._st, root, c_order, n, path, out, cap)
+        if count < 0:
+            manager._grow(count)  # raises: a root the manager never made
+        values = ffi.unpack(out, count * n)
+        for k in range(count):
+            yield dict(zip(keys, map(_BOOLS.__getitem__, values[k * n : k * n + n])))
+        if count < cap:
+            return
+        cap = min(2 * cap, _MODELS_MAX)
+
+
+def _py_iter_models(
+    manager: BDDManager, root: int, order: Sequence[int]
+) -> Iterator[dict[int, bool]]:
+    """:func:`iter_models` over the checked, sorted ``order`` as a
+    Python recursion."""
 
     def recurse(node: int, depth: int) -> Iterator[dict[int, bool]]:
         if node == FALSE:

@@ -186,6 +186,11 @@ def _bad_node(node: int) -> ValueError:
     return ValueError(f"node {node} was not made by this manager")
 
 
+def _first_bad(count: int, *nodes: int) -> int:
+    """The first of ``nodes`` that is not below the node count ``count``."""
+    return next(node for node in nodes if not 0 <= node < count)
+
+
 class VarCube:
     """An interned set of quantification variables.
 
@@ -662,6 +667,8 @@ class BDDManager:
         found = supports.get(root)
         if found is not None:
             return found
+        if not 0 <= root < self._ctrl[_C_NNODES]:
+            raise _bad_node(root)
         variables: set[int] = set()
         if root > 1:
             level = self._level
@@ -937,10 +944,13 @@ class BDDManager:
     # Each public operator applies the terminal short-circuits, then
     # hands the general case to the C kernel when available (one call
     # with the manager's bdd_state, plus growth restarts), else to the
-    # matching pure-Python core below.  The cores are post-order walks
-    # driven by two explicit stacks: ``tasks`` holds tagged frames (tag
-    # 0 = expand a subproblem, tag 1 = reduce with children's results),
-    # ``results`` accumulates one value per finished subproblem.
+    # matching pure-Python core below.  A short-circuit return first
+    # checks the call's operands against the node count; the general
+    # case keeps its one check in the core's entry.  The cores are
+    # post-order walks driven by two explicit stacks: ``tasks`` holds
+    # tagged frames (tag 0 = expand a subproblem, tag 1 = reduce with
+    # children's results), ``results`` accumulates one value per
+    # finished subproblem.
     # Expanding pushes the reduce frame first, then the hi and lo
     # children, so children complete before their reduce frame pops —
     # the traversal order both kernels share.
@@ -951,16 +961,19 @@ class BDDManager:
         The workhorse ternary operator; all other connectives reduce to it,
         though AND/OR/XOR have specialised fast paths below.
         """
-        if f == TRUE:
-            return g
-        if f == FALSE:
-            return h
-        if g == h:
-            return g
-        if g == TRUE and h == FALSE:
-            return f
-        if g == FALSE and h == TRUE:
-            return self.negate(f)
+        if f <= TRUE or g == h or (g <= TRUE and h <= TRUE):
+            count = self._ctrl[_C_NNODES]
+            if not (0 <= f < count and 0 <= g < count and 0 <= h < count):
+                raise _bad_node(_first_bad(count, f, g, h))
+            if f == TRUE:
+                return g
+            if f == FALSE:
+                return h
+            if g == h:
+                return g
+            if g == TRUE:  # and h == FALSE
+                return f
+            return self.negate(f)  # g == FALSE and h == TRUE
         st = self._st
         if st is not None:
             fn = self._lib.bdd_ite
@@ -983,14 +996,15 @@ class BDDManager:
 
     def apply_and(self, f: int, g: int) -> int:
         """Conjunction ``f & g``."""
-        if f == g:
-            return f
-        if f == FALSE or g == FALSE:
-            return FALSE
-        if f == TRUE:
-            return g
-        if g == TRUE:
-            return f
+        if f == g or f <= TRUE or g <= TRUE:
+            count = self._ctrl[_C_NNODES]
+            if not (0 <= f < count and 0 <= g < count):
+                raise _bad_node(_first_bad(count, f, g))
+            if f == g:
+                return f
+            if f == FALSE or g == FALSE:
+                return FALSE
+            return g if f == TRUE else f
         if f > g:
             f, g = g, f
         st = self._st
@@ -1004,14 +1018,15 @@ class BDDManager:
     def apply_or(self, f: int, g: int) -> int:
         """Disjunction ``f | g`` (direct core — no De Morgan detour
         through two negations and an AND)."""
-        if f == g:
-            return f
-        if f == TRUE or g == TRUE:
-            return TRUE
-        if f == FALSE:
-            return g
-        if g == FALSE:
-            return f
+        if f == g or f <= TRUE or g <= TRUE:
+            count = self._ctrl[_C_NNODES]
+            if not (0 <= f < count and 0 <= g < count):
+                raise _bad_node(_first_bad(count, f, g))
+            if f == g:
+                return f
+            if f == TRUE or g == TRUE:
+                return TRUE
+            return g if f == FALSE else f
         if f > g:
             f, g = g, f
         st = self._st
@@ -1024,16 +1039,17 @@ class BDDManager:
 
     def apply_xor(self, f: int, g: int) -> int:
         """Exclusive or ``f ^ g``."""
-        if f == g:
-            return FALSE
-        if f == FALSE:
-            return g
-        if g == FALSE:
-            return f
-        if f == TRUE:
-            return self.negate(g)
-        if g == TRUE:
-            return self.negate(f)
+        if f == g or f <= TRUE or g <= TRUE:
+            count = self._ctrl[_C_NNODES]
+            if not (0 <= f < count and 0 <= g < count):
+                raise _bad_node(_first_bad(count, f, g))
+            if f == g:
+                return FALSE
+            if f == FALSE:
+                return g
+            if g == FALSE:
+                return f
+            return self.negate(g if f == TRUE else f)
         if f > g:
             f, g = g, f
         st = self._st
@@ -1359,7 +1375,17 @@ class BDDManager:
         return self.implies(f, g) == TRUE
 
     def conjoin(self, nodes: Iterable[int]) -> int:
-        """AND of an iterable of nodes (TRUE for an empty iterable)."""
+        """AND of an iterable of nodes (TRUE for an empty iterable).
+
+        On native managers a list or tuple of three or more nodes is
+        folded in one kernel call (:meth:`_native_fold`).  Two or fewer
+        are folded here: the first AND with TRUE short-circuits, so the
+        loop makes at most one core call and costs less than the kernel
+        fold's set-up.  Any other iterable is folded here too, one
+        operand at a time: a generator may make nodes while it is
+        consumed, and materialising it first would renumber them."""
+        if self._st is not None and type(nodes) in (list, tuple) and len(nodes) > 2:
+            return self._native_fold(_T_AND, nodes)
         result = TRUE
         for node in nodes:
             result = self.apply_and(result, node)
@@ -1368,13 +1394,31 @@ class BDDManager:
         return result
 
     def disjoin(self, nodes: Iterable[int]) -> int:
-        """OR of an iterable of nodes (FALSE for an empty iterable)."""
+        """OR of an iterable of nodes (FALSE for an empty iterable); a
+        list or tuple of three or more is folded in the kernel, as by
+        :meth:`conjoin`."""
+        if self._st is not None and type(nodes) in (list, tuple) and len(nodes) > 2:
+            return self._native_fold(_T_OR, nodes)
         result = FALSE
         for node in nodes:
             result = self.apply_or(result, node)
             if result == TRUE:
                 return TRUE
         return result
+
+    def _native_fold(self, op: int, nodes: "list[int] | tuple[int, ...]") -> int:
+        """The fold of :meth:`conjoin` (op 0) / :meth:`disjoin` (op 1)
+        as one kernel walk: from the neutral terminal, each operand
+        checked when the fold reaches it, then the public AND (OR)
+        entry, stopping at the dominating terminal."""
+        lib = self._lib
+        walk = self._walk
+        try:
+            return self._native_walk(
+                lib.bdd_fold, self._st, walk, op, nodes, len(nodes)
+            )
+        finally:
+            lib.bdd_walk_clear(walk)
 
     # ------------------------------------------------------------------
     # Quantification-cache plumbing (used by repro.bdd.quantify)
@@ -1394,8 +1438,14 @@ class BDDManager:
         index order: a lossless rehash (these caches never evict).  The
         C kernel runs the rehash when it is loaded; the Python loop is
         the fallback, and the reference the parity tests hold the C
-        rehash to."""
+        rehash to.  While the quantify caches are unallocated, this
+        allocates all three instead: the kernel's loop entries ask for
+        them by this growth code where the quantifiers would allocate
+        them."""
         ctrl = self._ctrl
+        if ctrl[_C_EX_MASK] == 0:
+            self._ensure_quantify_caches()
+            return
         names = _TABLE_ARRAYS[index]
         old_size = ctrl[_C_MASK + index] + 1
         mask = 2 * old_size - 1

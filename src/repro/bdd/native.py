@@ -4,12 +4,15 @@ The native kernel is one shared object compiled from two C sources:
 
 * ``_kernel.c`` (next to this module) — the BDD manager's hot operator
   cores (`ite`, AND/OR/XOR, negate), quantification cores
-  (exists/forall/and_exists), table growth and reset, and the builder
+  (exists/forall/and_exists), table growth and reset, the builder
   walks behind ``weight_functions``, ``count_relation_from``,
-  ``vector_compose`` and ``transfer_multi``.  They work directly on the
-  manager's flat ``array('q')`` buffers, reached through one
-  ``bdd_state`` struct of buffer pointers per manager; a builder walk
-  keeps what must survive its growth restarts in a ``bdd_walk``.
+  ``vector_compose`` and ``transfer_multi``, and the loop entries
+  behind the parameterized quantifications and replacements,
+  ``Interval.reduce_support``, ``iter_models`` and ``conjoin``/
+  ``disjoin``.  They work directly on the manager's flat
+  ``array('q')`` buffers, reached through one ``bdd_state`` struct of
+  buffer pointers per manager; a walk or loop keeps what must survive
+  its growth restarts in a ``bdd_walk``.
 * ``repro/sat/_solver.c`` — the CDCL core behind
   :class:`repro.sat.solver.Solver`.  It owns its state (one
   ``sat_solver`` per solver, freed through ``ffi.gc``), because a solve
@@ -17,10 +20,14 @@ The native kernel is one shared object compiled from two C sources:
   BDD operation is.
 
 Both are declared in :data:`_CDEF`.  This module compiles them once per
-digest of both sources and the declarations (``cc -O2 -shared -fPIC``)
-into ``_build/`` next to this module and loads the result through
-cffi's ABI mode — no setuptools, no extension machinery, and a silent
-fallback to the pure-Python cores when a compiler or cffi is
+digest of both sources, the declarations and the cffi version
+(``cc -O2 -shared -fPIC``) into ``_build/`` next to this module, and
+writes cffi's out-of-line ABI module for the same digest beside the
+shared object: the declarations, parsed once at build time.  Every load
+imports that module and opens the object with its ``dlopen``, so a
+process that finds both built imports only ``_cffi_backend`` — not
+``cffi`` and its C parser.  No setuptools, no extension machinery, and
+a silent fallback to the pure-Python cores when a compiler or cffi is
 unavailable.
 
 Environment gate ``REPRO_NATIVE`` (one gate for both cores):
@@ -40,6 +47,7 @@ identical either way; :func:`kernel` only decides how fast it runs.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import os
 import subprocess
 import threading
@@ -52,9 +60,10 @@ _SOURCES = (
 )
 _BUILD_DIR = os.path.join(_DIR, "_build")
 
-#: cffi declarations for both cores' state and entry points (ABI mode);
-#: the field order of ``bdd_state`` and ``bdd_walk`` must match
-#: ``_kernel.c``, and ``sat_solver`` is opaque.
+#: cffi declarations for both cores' state and entry points (ABI mode),
+#: compiled into the out-of-line module at build time; the field order
+#: of ``bdd_state`` and ``bdd_walk`` must match ``_kernel.c``, and
+#: ``sat_solver`` is opaque.
 _CDEF = """
 typedef struct {
     int64_t *ctrl;
@@ -83,7 +92,9 @@ typedef struct {
     int64_t table_len;
     int64_t *log;
     int64_t log_len, log_cap;
-    int64_t step, acc, part, err;
+    int64_t step, acc, acc2;
+    int64_t part[3];
+    int64_t started, err;
 } bdd_walk;
 void bdd_walk_clear(bdd_walk *w);
 int64_t bdd_walk_table(const bdd_state *st, bdd_walk *w,
@@ -97,6 +108,19 @@ int64_t bdd_vector_compose(const bdd_state *st, bdd_walk *w, int64_t f);
 int64_t bdd_transfer(const bdd_state *src, const bdd_state *st,
     bdd_walk *w, int64_t *roots, int64_t nroots, int64_t nvars,
     int64_t log);
+int64_t bdd_param_quantify(const bdd_state *st, bdd_walk *w, int64_t op,
+    int64_t f, const int64_t *xs, const int64_t *cids, const int64_t *cs,
+    int64_t n, int64_t budget);
+int64_t bdd_param_replace(const bdd_state *st, bdd_walk *w, int64_t f,
+    const int64_t *xs, const int64_t *ys, const int64_t *c1s,
+    const int64_t *c2s, int64_t n, int64_t len);
+int64_t bdd_reduce_support(const bdd_state *st, bdd_walk *w,
+    int64_t lower, int64_t upper, const int64_t *vars, const int64_t *cids,
+    int64_t n, int64_t *dropped);
+int64_t bdd_fold(const bdd_state *st, bdd_walk *w, int64_t op,
+    const int64_t *nodes, int64_t n);
+int64_t bdd_models(const bdd_state *st, int64_t root, const int64_t *order,
+    int64_t n, int64_t *path, char *out, int64_t cap);
 typedef struct sat_solver sat_solver;
 sat_solver *sat_new(void);
 void sat_free(sat_solver *s);
@@ -131,35 +155,52 @@ def _compiler() -> Optional[str]:
 
 
 def _build_and_load() -> tuple[Any, Any]:
-    from cffi import FFI
+    import _cffi_backend
 
     digest = hashlib.sha256()
     for path in _SOURCES:
         with open(path, "rb") as handle:
             digest.update(handle.read())
     digest.update(_CDEF.encode())
-    so_path = os.path.join(
-        _BUILD_DIR, f"repro_native_{digest.hexdigest()[:16]}.so"
-    )
+    digest.update(_cffi_backend.__version__.encode())
+    name = f"repro_native_{digest.hexdigest()[:16]}"
+    so_path = os.path.join(_BUILD_DIR, name + ".so")
+    module_path = os.path.join(_BUILD_DIR, name + ".py")
+    if not (os.path.exists(so_path) and os.path.exists(module_path)):
+        _build(name, so_path, module_path)
+    spec = importlib.util.spec_from_file_location(name, module_path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    ffi = module.ffi
+    return ffi, ffi.dlopen(so_path)
+
+
+def _build(name: str, so_path: str, module_path: str) -> None:
+    """Compile the shared object and write the out-of-line ABI module,
+    whichever is missing.  Each is written under a per-pid scratch name
+    and renamed into place, so concurrent builds (parallel workers
+    importing simultaneously) never race."""
+    os.makedirs(_BUILD_DIR, exist_ok=True)
+    scratch = os.path.join(_BUILD_DIR, f".tmp_{os.getpid()}")
     if not os.path.exists(so_path):
         cc = _compiler()
         if cc is None:
             raise RuntimeError("no C compiler found (cc/gcc/clang)")
-        os.makedirs(_BUILD_DIR, exist_ok=True)
-        # Per-pid scratch name + atomic rename, so concurrent builds
-        # (parallel workers importing simultaneously) never race.
-        scratch = os.path.join(_BUILD_DIR, f".tmp_{os.getpid()}.so")
         subprocess.run(
-            [cc, "-O2", "-shared", "-fPIC", "-o", scratch, *_SOURCES],
+            [cc, "-O2", "-shared", "-fPIC", "-o", scratch + ".so", *_SOURCES],
             check=True,
             capture_output=True,
             timeout=120,
         )
-        os.replace(scratch, so_path)
-    ffi = FFI()
-    ffi.cdef(_CDEF)
-    lib = ffi.dlopen(so_path)
-    return ffi, lib
+        os.replace(scratch + ".so", so_path)
+    if not os.path.exists(module_path):
+        from cffi import FFI
+
+        ffi = FFI()
+        ffi.cdef(_CDEF)
+        ffi.set_source(name, None, compiler_verbose=False)
+        ffi.emit_python_code(scratch + ".py")
+        os.replace(scratch + ".py", module_path)
 
 
 def kernel() -> Optional[tuple[Any, Any]]:

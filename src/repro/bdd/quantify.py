@@ -52,11 +52,11 @@ def exists(
     """Existential quantification ``∃ variables . f``."""
     cube = manager.intern_cube(variables)
     var_set = cube.vars
+    if not 0 <= f < manager._ctrl[_C_NNODES]:
+        raise _bad_node(f)
     if not var_set:
         return f
     max_level = cube.max_level
-    if not 0 <= f < manager._ctrl[_C_NNODES]:
-        raise _bad_node(f)
     if f <= 1 or manager._level[f] > max_level:
         return f
     cid = cube.cube_id
@@ -162,11 +162,11 @@ def forall(
     """Universal quantification ``∀ variables . f``."""
     cube = manager.intern_cube(variables)
     var_set = cube.vars
+    if not 0 <= f < manager._ctrl[_C_NNODES]:
+        raise _bad_node(f)
     if not var_set:
         return f
     max_level = cube.max_level
-    if not 0 <= f < manager._ctrl[_C_NNODES]:
-        raise _bad_node(f)
     if f <= 1 or manager._level[f] > max_level:
         return f
     cid = cube.cube_id

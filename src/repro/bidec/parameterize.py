@@ -4,16 +4,30 @@ Quantification decisions are encoded with auxiliary decision variables
 ``c``: the ITE operator selects between "variable kept" and "variable
 abstracted" per the value of its ``c`` variable, so a *single* BDD encodes
 the effect of abstracting *every* variable subset at once.
+
+On a native manager each loop below runs as one kernel entry
+(``bdd_param_quantify``, ``bdd_param_replace``) that makes the calls of
+the Python loop (``_py_parameterized_quantify``,
+``_py_parameterized_replace``) in the same order, so both kernels make
+the same nodes; the Python loops stay as the pure-Python fallback and the
+parity reference.  Both read the variable lists only after
+:func:`_check_loop` has accepted them.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 from repro import obs as _obs
 from repro.bdd import quantify as _quantify
+from repro.bdd.builders import _check_vars
 from repro.bdd.compose import vector_compose
-from repro.bdd.manager import BDDManager
+from repro.bdd.manager import BDDManager, _bad_node
+
+_EXISTS, _FORALL = 0, 1
+
+#: The kernel's "no node budget": no node count exceeds it.
+_NO_BUDGET = (1 << 63) - 1
 
 
 def parameterized_forall(
@@ -42,19 +56,9 @@ def parameterized_forall(
     """
     if len(x_vars) != len(c_vars):
         raise ValueError("need one decision variable per abstracted variable")
-    result = f
-    skipped: list[int] = []
-    # Intern the single-variable cubes up front: every ``∀x`` in the loop
-    # then keys the manager's persistent quantification cache on a stable
-    # cube id, so re-parameterizing the same function (or overlapping
-    # subgraphs of different functions) hits instead of re-walking.
-    cubes = [manager.intern_cube((x,)) for x in x_vars]
-    for x_cube, c in zip(cubes, c_vars):
-        if node_budget is not None and manager.num_nodes > node_budget:
-            skipped.append(c)
-            continue
-        abstracted = _quantify.forall(manager, result, x_cube)
-        result = manager.ite(manager.var(c), result, abstracted)
+    result, skipped = _parameterized_quantify(
+        manager, _FORALL, f, x_vars, c_vars, node_budget
+    )
     if _obs.enabled():
         _obs.inc("bidec.param.forall_vars", len(x_vars) - len(skipped))
         if skipped:
@@ -80,13 +84,85 @@ def parameterized_exists(
     bounds)."""
     if len(x_vars) != len(c_vars):
         raise ValueError("need one decision variable per abstracted variable")
-    result = f
-    cubes = [manager.intern_cube((x,)) for x in x_vars]
-    for x_cube, c in zip(cubes, c_vars):
-        abstracted = _quantify.exists(manager, result, x_cube)
-        result = manager.ite(manager.var(c), result, abstracted)
+    result, _ = _parameterized_quantify(manager, _EXISTS, f, x_vars, c_vars, None)
     _obs.inc("bidec.param.exists_vars", len(x_vars))
     return result
+
+
+def _check_loop(manager: BDDManager, f: int, *variable_lists: Sequence[int]) -> None:
+    """The checks both kernels share before a loop reads its lists:
+    every variable declared and ``f`` a node of ``manager``
+    (``ValueError`` otherwise)."""
+    for variables in variable_lists:
+        _check_vars(manager, variables, "loop variables", distinct=False)
+    if not 0 <= f < manager.num_nodes:
+        raise _bad_node(f)
+
+
+def _parameterized_quantify(
+    manager: BDDManager,
+    op: int,
+    f: int,
+    x_vars: Sequence[int],
+    c_vars: Sequence[int],
+    node_budget: Optional[int],
+) -> tuple[int, list[int]]:
+    """``U <- ITE(c_x, U, Q x U)`` over the variables, ``Q`` being ∃ (op
+    0) or ∀ (op 1); returns ``U`` and the decision variables a node
+    budget skipped."""
+    _check_loop(manager, f, x_vars, c_vars)
+    if manager._st is None:
+        return _py_parameterized_quantify(manager, op, f, x_vars, c_vars, node_budget)
+    # Interned in the Python loop's order: the cube ids key the quantify
+    # caches.
+    cubes = [manager.intern_cube((x,)) for x in x_vars]
+    budget = _NO_BUDGET if node_budget is None else node_budget
+    budget = max(-_NO_BUDGET, min(budget, _NO_BUDGET))  # an int64_t
+    lib = manager._lib
+    walk = manager._walk
+    try:
+        result = manager._native_walk(
+            lib.bdd_param_quantify,
+            manager._st,
+            walk,
+            op,
+            f,
+            list(x_vars),
+            [cube.cube_id for cube in cubes],
+            list(c_vars),
+            len(x_vars),
+            budget,
+        )
+        return result, list(c_vars[walk.step :])
+    finally:
+        lib.bdd_walk_clear(walk)
+
+
+def _py_parameterized_quantify(
+    manager: BDDManager,
+    op: int,
+    f: int,
+    x_vars: Sequence[int],
+    c_vars: Sequence[int],
+    node_budget: Optional[int],
+) -> tuple[int, list[int]]:
+    """:func:`_parameterized_quantify` as a Python loop, one quantifier
+    and one ``ite`` call per variable."""
+    quantify = _quantify.exists if op == _EXISTS else _quantify.forall
+    result = f
+    skipped: list[int] = []
+    # Intern the single-variable cubes up front: every ``Q x`` in the loop
+    # then keys the manager's persistent quantification cache on a stable
+    # cube id, so re-parameterizing the same function (or overlapping
+    # subgraphs of different functions) hits instead of re-walking.
+    cubes = [manager.intern_cube((x,)) for x in x_vars]
+    for x_cube, c in zip(cubes, c_vars):
+        if node_budget is not None and manager.num_nodes > node_budget:
+            skipped.append(c)
+            continue
+        abstracted = quantify(manager, result, x_cube)
+        result = manager.ite(manager.var(c), result, abstracted)
+    return result, skipped
 
 
 def parameterized_replace(
@@ -101,11 +177,7 @@ def parameterized_replace(
     exactly when its decision variable is 0."""
     if not len(x_vars) == len(y_vars) == len(c_vars):
         raise ValueError("x, y and c variable lists must align")
-    substitution = {
-        x: manager.ite(manager.var(c), manager.var(x), manager.var(y))
-        for x, y, c in zip(x_vars, y_vars, c_vars)
-    }
-    return vector_compose(manager, f, substitution)
+    return _parameterized_replace(manager, f, x_vars, y_vars, c_vars, None)
 
 
 def parameterized_replace_pair(
@@ -121,8 +193,60 @@ def parameterized_replace_pair(
     decision variable marks it exclusive."""
     if not len(x_vars) == len(y_vars) == len(c1_vars) == len(c2_vars):
         raise ValueError("x, y, c1 and c2 variable lists must align")
+    return _parameterized_replace(manager, f, x_vars, y_vars, c1_vars, c2_vars)
+
+
+def _parameterized_replace(
+    manager: BDDManager,
+    f: int,
+    x_vars: Sequence[int],
+    y_vars: Sequence[int],
+    c1_vars: Sequence[int],
+    c2_vars: Optional[Sequence[int]],
+) -> int:
+    """``f`` with each ``x_i`` replaced by ``ITE(c_i, x_i, y_i)``, where
+    ``c_i`` is ``c1_i``, or ``c1_i · c2_i`` when ``c2_vars`` is given."""
+    _check_loop(manager, f, x_vars, y_vars, c1_vars, c2_vars or ())
+    if not x_vars:
+        return f
+    if manager._st is None:
+        return _py_parameterized_replace(manager, f, x_vars, y_vars, c1_vars, c2_vars)
+    ffi = manager._ffi
+    lib = manager._lib
+    walk = manager._walk
+    try:
+        return manager._native_walk(
+            lib.bdd_param_replace,
+            manager._st,
+            walk,
+            f,
+            list(x_vars),
+            list(y_vars),
+            list(c1_vars),
+            ffi.NULL if c2_vars is None else list(c2_vars),
+            len(x_vars),
+            manager.num_vars,
+        )
+    finally:
+        lib.bdd_walk_clear(walk)
+
+
+def _py_parameterized_replace(
+    manager: BDDManager,
+    f: int,
+    x_vars: Sequence[int],
+    y_vars: Sequence[int],
+    c1_vars: Sequence[int],
+    c2_vars: Optional[Sequence[int]],
+) -> int:
+    """:func:`_parameterized_replace` as a Python loop: the substitution
+    built one ``ite`` per variable, then :func:`vector_compose`."""
     substitution = {}
-    for x, y, c1, c2 in zip(x_vars, y_vars, c1_vars, c2_vars):
-        both = manager.apply_and(manager.var(c1), manager.var(c2))
-        substitution[x] = manager.ite(both, manager.var(x), manager.var(y))
+    if c2_vars is None:
+        for x, y, c in zip(x_vars, y_vars, c1_vars):
+            substitution[x] = manager.ite(manager.var(c), manager.var(x), manager.var(y))
+    else:
+        for x, y, c1, c2 in zip(x_vars, y_vars, c1_vars, c2_vars):
+            both = manager.apply_and(manager.var(c1), manager.var(c2))
+            substitution[x] = manager.ite(both, manager.var(x), manager.var(y))
     return vector_compose(manager, f, substitution)

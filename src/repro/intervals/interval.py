@@ -148,7 +148,45 @@ class Interval:
         The greedy order is by ascending variable index; a variable is
         dropped when the interval abstracted of it *and all previously
         dropped variables* stays consistent.
+
+        On a native manager the loop runs as one kernel entry
+        (``bdd_reduce_support``) that makes the calls of
+        :meth:`_py_reduce_support` in the same order.
         """
+        manager = self.manager
+        if manager._st is None:
+            return self._py_reduce_support()
+        self._require_consistent()
+        variables = sorted(self.support())
+        # Interned in the Python loop's order: the cube ids key the
+        # quantify caches.
+        cids = [manager.intern_cube((var,)).cube_id for var in variables]
+        flags = manager._ffi.new("int64_t[]", len(variables))
+        lib = manager._lib
+        walk = manager._walk
+        try:
+            manager._native_walk(
+                lib.bdd_reduce_support,
+                manager._st,
+                walk,
+                self.lower,
+                self.upper,
+                variables,
+                cids,
+                len(variables),
+                flags,
+            )
+            lower, upper = walk.acc, walk.acc2
+        finally:
+            lib.bdd_walk_clear(walk)
+        dropped = {var for var, flag in zip(variables, flags) if flag}
+        if not dropped:
+            return self, dropped
+        return Interval(manager, lower, upper), dropped
+
+    def _py_reduce_support(self) -> tuple["Interval", set[int]]:
+        """:meth:`reduce_support` as a Python loop: per variable, the
+        abstraction of both bounds, then the consistency test."""
         self._require_consistent()
         dropped: set[int] = set()
         current = self

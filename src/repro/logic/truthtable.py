@@ -9,6 +9,7 @@ variables is a Python int whose bit ``m`` holds ``f(m)``, where minterm
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -22,8 +23,10 @@ def full_mask(num_vars: int) -> int:
     return (1 << (1 << num_vars)) - 1
 
 
+@functools.lru_cache(maxsize=1024)
 def variable_mask(var: int, num_vars: int) -> int:
-    """Truth table of the projection function ``x_var``."""
+    """Truth table of the projection function ``x_var`` (memoised: the
+    mapper asks for the same few masks many times)."""
     mask = 0
     for minterm in range(1 << num_vars):
         if (minterm >> var) & 1:
@@ -148,8 +151,17 @@ class TruthTable:
 
     def depends_on(self, var: int) -> bool:
         """True iff the function differs between the two cofactors of
-        ``var`` (i.e. ``var`` is in the true support)."""
-        return self.cofactor(var, False).bits != self.cofactor(var, True).bits
+        ``var`` (i.e. ``var`` is in the true support).  Compares the
+        table with itself shifted by ``2**var``, under the mask of the
+        minterms where ``x_var = 0``: bit ``m`` of the shifted table is
+        ``f(m + 2**var)``.  ``ValueError`` for a variable outside
+        ``0..num_vars-1``."""
+        n = self.num_vars
+        if not 0 <= var < n:
+            raise ValueError(f"variable {var} outside 0..{n - 1}")
+        bits = self.bits
+        low = full_mask(n) ^ variable_mask(var, n)
+        return ((bits ^ (bits >> (1 << var))) & low) != 0
 
     def support(self) -> set[int]:
         """True support: variables the function actually depends on."""

@@ -16,9 +16,21 @@ from repro.bdd import (
     support,
     support_multi,
 )
+from repro.bdd import native as _native
 from repro.logic.truthtable import TruthTable
 
 from conftest import random_bdd
+
+KERNELS = [
+    pytest.param(False, id="python"),
+    pytest.param(
+        True,
+        id="native",
+        marks=pytest.mark.skipif(
+            _native.kernel() is None, reason="native kernel unavailable"
+        ),
+    ),
+]
 
 
 class TestSatCount:
@@ -108,6 +120,23 @@ class TestPickAndIterate:
         node = m.apply_and(m.var(0), m.var(2))
         with pytest.raises(ValueError):
             list(iter_models(m, node, [0, 1]))
+
+    @pytest.mark.parametrize("native", KERNELS)
+    @pytest.mark.parametrize(
+        "variables, match",
+        [
+            ([0, 0, 1], "repeat a variable"),
+            ([0, 1, 7], "undeclared"),
+            ([0, 1, -1], "undeclared"),
+        ],
+    )
+    def test_iter_models_rejects_bad_variable_lists(self, native, variables, match):
+        """A repeated variable would yield every model twice, and an
+        undeclared one would be bound in every model."""
+        m = BDDManager(4, native=native)
+        f = m.apply_and(m.var(0), m.var(1))
+        with pytest.raises(ValueError, match=match):
+            list(iter_models(m, f, variables))
 
     def test_shortest_cube(self):
         m = BDDManager(4)

@@ -6,7 +6,10 @@ The table-semantics classes run on the pure-Python cores; each has a
 ``...Native`` subclass that reruns it on the C kernel (skipped when the
 kernel is unavailable)."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -386,3 +389,24 @@ class TestRequireMode:
                 _native.kernel()
         with pytest.raises(RuntimeError, match="REPRO_NATIVE=require"):
             BDDManager()
+
+
+@requires_native
+def test_a_built_kernel_loads_without_the_c_parser():
+    """A fresh interpreter that finds the kernel built imports its
+    precompiled declarations: neither cffi nor its C parser loads."""
+    script = (
+        "import sys\n"
+        "from repro.bdd import native\n"
+        "assert native.kernel() is not None\n"
+        "print(sorted(m for m in ('cffi', 'pycparser') if m in sys.modules))\n"
+    )
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

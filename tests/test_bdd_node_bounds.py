@@ -3,7 +3,9 @@
 Every exported kernel entry checks its node operands against the node
 count and the pure-Python cores check at the same point, so on both
 kernels a stray id raises ``ValueError`` instead of reading outside the
-node arrays (natively) or returning a wrong node."""
+node arrays (natively) or returning a wrong node.  A short-circuit
+return (a terminal or an equal partner, an empty cube) checks the
+call's operands first, and ``support`` checks its root."""
 
 import os
 import subprocess
@@ -15,7 +17,10 @@ from repro.bdd import native as _native
 from repro.bdd import quantify
 from repro.bdd.builders import count_relation_from
 from repro.bdd.compose import transfer_multi, vector_compose
-from repro.bdd.manager import BDDManager, TRUE
+from repro.bdd.count import iter_models
+from repro.bdd.manager import BDDManager, FALSE, TRUE
+from repro.bidec import parameterize
+from repro.intervals import Interval
 
 requires_native = pytest.mark.skipif(
     _native.kernel() is None, reason="native kernel unavailable"
@@ -52,6 +57,46 @@ OPERATIONS = {
     "count_relation_weight": lambda m, a, b, x: count_relation_from(
         m, [a, x], [2]
     ),
+    # Short-circuit returns: terminal and equal partners, empty cubes.
+    "and_true": lambda m, a, b, x: m.apply_and(TRUE, x),
+    "and_false": lambda m, a, b, x: m.apply_and(x, FALSE),
+    "and_equal": lambda m, a, b, x: m.apply_and(x, x),
+    "or_false": lambda m, a, b, x: m.apply_or(FALSE, x),
+    "or_true": lambda m, a, b, x: m.apply_or(x, TRUE),
+    "or_equal": lambda m, a, b, x: m.apply_or(x, x),
+    "xor_false": lambda m, a, b, x: m.apply_xor(FALSE, x),
+    "xor_equal": lambda m, a, b, x: m.apply_xor(x, x),
+    "ite_true": lambda m, a, b, x: m.ite(TRUE, x, a),
+    "ite_false": lambda m, a, b, x: m.ite(FALSE, a, x),
+    "ite_equal": lambda m, a, b, x: m.ite(a, x, x),
+    "ite_constants": lambda m, a, b, x: m.ite(x, TRUE, FALSE),
+    "exists_empty": lambda m, a, b, x: quantify.exists(m, x, []),
+    "forall_empty": lambda m, a, b, x: quantify.forall(m, x, []),
+    "and_exists_empty": lambda m, a, b, x: quantify.and_exists(m, TRUE, x, []),
+    "support": lambda m, a, b, x: m.support(x),
+    # The loops: the fold reaches each operand, the others check theirs
+    # before any iteration.
+    "conjoin": lambda m, a, b, x: m.conjoin([TRUE, x]),
+    "conjoin_three": lambda m, a, b, x: m.conjoin([TRUE, a, x]),
+    "disjoin_three": lambda m, a, b, x: m.disjoin((FALSE, a, x)),
+    "conjoin_iterator": lambda m, a, b, x: m.conjoin(iter([a, x])),
+    "param_forall": lambda m, a, b, x: parameterize.parameterized_forall(
+        m, x, [2], [1]
+    ),
+    "param_forall_budget": lambda m, a, b, x: parameterize.parameterized_forall(
+        m, x, [2], [1], 0
+    ),
+    "param_exists_empty": lambda m, a, b, x: parameterize.parameterized_exists(
+        m, x, [], []
+    ),
+    "param_replace": lambda m, a, b, x: parameterize.parameterized_replace(
+        m, x, [0], [1], [2]
+    ),
+    "param_replace_pair": lambda m, a, b, x: parameterize.parameterized_replace_pair(
+        m, x, [0], [1], [2], [2]
+    ),
+    "reduce_support": lambda m, a, b, x: Interval(m, x, x).reduce_support(),
+    "iter_models": lambda m, a, b, x: list(iter_models(m, x, [0, 1, 2])),
 }
 
 

@@ -71,6 +71,24 @@ class TestStructure:
             lambda a, b, c: c, 3
         )
 
+    def test_support_matches_the_cofactor_definition(self):
+        """``support``/``depends_on`` compare shifted masks; the
+        reference is the definition, the two cofactors differ."""
+        rng = random.Random(23)
+        for _ in range(300):
+            n = rng.randrange(0, 7)
+            f = TruthTable.random(n, rng)
+            want = {
+                v for v in range(n) if f.cofactor(v, False) != f.cofactor(v, True)
+            }
+            assert f.support() == want
+            assert [f.depends_on(v) for v in range(n)] == [v in want for v in range(n)]
+
+    def test_depends_on_rejects_a_variable_outside_the_table(self):
+        for var in (5, 1, -1):
+            with pytest.raises(ValueError):
+                TruthTable(1, 1).depends_on(var)
+
     def test_minterms(self):
         f = TruthTable.from_function(lambda a, b: a and b, 2)
         assert list(f.minterms()) == [3]
