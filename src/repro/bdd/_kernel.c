@@ -52,12 +52,12 @@
 #define BDD_GROW_TABLE(i) (-6 - (i))
 #define OPCACHE_MAX (1 << 16) /* keep in sync with manager._OPCACHE_MAX */
 
-/* Cache tables, in ctrl[] and growth-code order. */
+/* Cache tables, in ctrl[], stats[] and growth-code order. */
 enum { T_AND, T_OR, T_XOR, T_NOT, T_ITE, T_EX, T_FA, T_AE, N_OPCACHES = T_EX };
 
-/* ctrl[] layout — keep in sync with repro.bdd.manager.  Table i keeps
- * its slot mask at C_MASK + i (0 while unallocated) and its live-entry
- * count at C_USED + i. */
+/* ctrl[] layout — keep in sync with repro.bdd.manager.  Table t keeps
+ * its slot mask at C_MASK + t (0 while unallocated) and its live-entry
+ * count at C_USED + t. */
 enum {
     C_NNODES = 0,
     C_NODECAP = 1,
@@ -67,18 +67,12 @@ enum {
     C_USED = 12,
 };
 
-/* stats[] layout — keep in sync with repro.bdd.manager. */
-enum {
-    S_ITE_HIT = 0, S_ITE_MISS,
-    S_AND_HIT, S_AND_MISS,
-    S_OR_HIT, S_OR_MISS,
-    S_XOR_HIT, S_XOR_MISS,
-    S_NOT_HIT, S_NOT_MISS,
-    S_EX_HIT, S_EX_MISS,
-    S_FA_HIT, S_FA_MISS,
-    S_AE_HIT, S_AE_MISS,
-    S_INSERTS, S_CLEARS, S_EVICTED, N_STATS,
-};
+/* stats[] layout — keep in sync with repro.bdd.manager.  Cache table t
+ * counts its hits at S_HIT(t) and its misses at S_MISS(t); the
+ * unique-table inserts, cache clears and evictions follow. */
+#define S_HIT(t) (2 * (t))
+#define S_MISS(t) (2 * (t) + 1)
+enum { S_INSERTS = S_HIT(T_AE + 1), S_CLEARS, S_EVICTED, N_STATS };
 
 /* Every buffer the kernel reads or writes — keep the field order in
  * sync with repro.bdd.native._CDEF.  A NULL cache field means that
@@ -279,7 +273,7 @@ static int64_t negate_core(const bdd_state *st, int64_t f) {
     {
         uint64_t slot = ((uint64_t)f * M1) & nmask;
         if (not_k[slot] == f) {
-            stats[S_NOT_HIT] += 1;
+            stats[S_HIT(T_NOT)] += 1;
             return not_v[slot];
         }
     }
@@ -298,11 +292,11 @@ static int64_t negate_core(const bdd_state *st, int64_t f) {
             }
             uint64_t slot = ((uint64_t)n * M1) & nmask;
             if (not_k[slot] == n) {
-                stats[S_NOT_HIT] += 1;
+                stats[S_HIT(T_NOT)] += 1;
                 if (!push_result(&s, not_v[slot])) rc = BDD_NOMEM;
                 continue;
             }
-            stats[S_NOT_MISS] += 1;
+            stats[S_MISS(T_NOT)] += 1;
             if (!push_frame(&s, 1, n, 0, 0) ||
                 !push_frame(&s, 0, hia[n], 0, 0) ||
                 !push_frame(&s, 0, loa[n], 0, 0))
@@ -340,22 +334,16 @@ static int64_t apply_core(const bdd_state *st, int64_t op, int64_t f,
                           int64_t g) {
     int64_t *ctrl = st->ctrl, *stats = st->stat_arr;
     int64_t *level = st->level, *loa = st->lo, *hia = st->hi;
-    int64_t *ck, *cv;
-    int s_hit, s_miss;
-    if (op == T_AND) {
-        ck = st->and_k; cv = st->and_v; s_hit = S_AND_HIT; s_miss = S_AND_MISS;
-    } else if (op == T_OR) {
-        ck = st->or_k; cv = st->or_v; s_hit = S_OR_HIT; s_miss = S_OR_MISS;
-    } else {
-        ck = st->xor_k; cv = st->xor_v; s_hit = S_XOR_HIT; s_miss = S_XOR_MISS;
-    }
+    int64_t *arrs[3];
+    table_arrays(st, op, arrs);
+    int64_t *ck = arrs[0], *cv = arrs[1];
     uint64_t cmask = (uint64_t)ctrl[C_MASK + op];
     int64_t *cused = &ctrl[C_USED + op];
     {
         int64_t key = (f << 31) | g;
         uint64_t slot = ((uint64_t)f * M1 + (uint64_t)g * M2) & cmask;
         if (ck[slot] == key) {
-            stats[s_hit] += 1;
+            stats[S_HIT(op)] += 1;
             return cv[slot];
         }
     }
@@ -399,11 +387,11 @@ static int64_t apply_core(const bdd_state *st, int64_t op, int64_t f,
             int64_t key = (a << 31) | b;
             uint64_t slot = ((uint64_t)a * M1 + (uint64_t)b * M2) & cmask;
             if (ck[slot] == key) {
-                stats[s_hit] += 1;
+                stats[S_HIT(op)] += 1;
                 if (!push_result(&s, cv[slot])) rc = BDD_NOMEM;
                 continue;
             }
-            stats[s_miss] += 1;
+            stats[S_MISS(op)] += 1;
             int64_t la = level[a], lb = level[b];
             int64_t top, a0, a1, b0, b1;
             if (la < lb) {
@@ -451,7 +439,7 @@ static int64_t ite_core(const bdd_state *st, int64_t f, int64_t g,
         uint64_t slot = ((uint64_t)f * M1 + (uint64_t)g * M2 +
                          (uint64_t)h * M3) & imask;
         if (ite_ka[slot] == ka && ite_kb[slot] == h) {
-            stats[S_ITE_HIT] += 1;
+            stats[S_HIT(T_ITE)] += 1;
             return ite_v[slot];
         }
     }
@@ -481,11 +469,11 @@ static int64_t ite_core(const bdd_state *st, int64_t f, int64_t g,
             uint64_t slot = ((uint64_t)a * M1 + (uint64_t)b * M2 +
                              (uint64_t)c * M3) & imask;
             if (ite_ka[slot] == ka && ite_kb[slot] == c) {
-                stats[S_ITE_HIT] += 1;
+                stats[S_HIT(T_ITE)] += 1;
                 if (!push_result(&s, ite_v[slot])) rc = BDD_NOMEM;
                 continue;
             }
-            stats[S_ITE_MISS] += 1;
+            stats[S_MISS(T_ITE)] += 1;
             int64_t lf = level[a], lg = level[b], lh = level[c];
             int64_t top = lf;
             if (lg < top) top = lg;
@@ -623,29 +611,30 @@ static inline int64_t q_get(const int64_t *qk, const int64_t *qv,
     return -1;
 }
 
-/* Existential (T_EX, OR-combine) / universal (T_FA, AND-combine)
- * abstraction.  Mirrors repro.bdd.quantify.exists/forall frame for
- * frame: tag 0 expand, tag 1 rebuild an unquantified level, tag 2
- * lo-cofactor of a quantified level done (early-exit on the dominating
- * terminal), tag 3 both cofactors done (combine). */
+/* Existential (q = T_EX) / universal (q = T_FA) abstraction: q names
+ * the cache table, whose quantifier fixes the dominating terminal a
+ * quantified level stops early at (TRUE for ∃, FALSE for ∀) and the
+ * connective that combines its cofactors (OR for ∃, AND for ∀).
+ * Mirrors BDDManager._py_quantify frame for frame: tag 0 expand, tag 1
+ * rebuild an unquantified level, tag 2 lo-cofactor of a quantified level
+ * done (stop early), tag 3 both cofactors done (combine). */
 static int64_t quantify_core(const bdd_state *st, int64_t q, int64_t f,
                              int64_t cid, const int64_t *cube,
                              int64_t cube_len, int64_t max_level) {
     int64_t *ctrl = st->ctrl, *stats = st->stat_arr;
     int64_t *level = st->level, *loa = st->lo, *hia = st->hi;
-    int64_t *qk = (q == T_EX) ? st->ex_k : st->fa_k;
-    int64_t *qv = (q == T_EX) ? st->ex_v : st->fa_v;
+    int64_t *arrs[3];
+    table_arrays(st, q, arrs);
+    int64_t *qk = arrs[0], *qv = arrs[1];
     uint64_t qmask = (uint64_t)ctrl[C_MASK + q];
     int64_t *quse = &ctrl[C_USED + q];
-    int s_hit = (q == T_EX) ? S_EX_HIT : S_FA_HIT;
-    int s_miss = (q == T_EX) ? S_EX_MISS : S_FA_MISS;
-    int64_t early = (q == T_EX) ? BDD_TRUE : BDD_FALSE;
-    int64_t combine = (q == T_EX) ? T_OR : T_AND;
+    int64_t early = q == T_EX ? BDD_TRUE : BDD_FALSE;
+    int64_t combine = q == T_EX ? T_OR : T_AND;
     if (f <= 1 || level[f] > max_level) return f;
     {
         int64_t hit = q_get(qk, qv, qmask, f, cid);
         if (hit >= 0) {
-            stats[s_hit] += 1;
+            stats[S_HIT(q)] += 1;
             return hit;
         }
     }
@@ -664,11 +653,11 @@ static int64_t quantify_core(const bdd_state *st, int64_t q, int64_t f,
             int64_t nkey = (n << 31) | cid;
             int64_t cached = q_get(qk, qv, qmask, n, cid);
             if (cached >= 0) {
-                stats[s_hit] += 1;
+                stats[S_HIT(q)] += 1;
                 if (!push_result(&s, cached)) rc = BDD_NOMEM;
                 continue;
             }
-            stats[s_miss] += 1;
+            stats[S_MISS(q)] += 1;
             int64_t lvl = level[n];
             if (in_cube(lvl, cube, cube_len)) {
                 if (!push_frame(&s, 2, nkey, hia[n], 0) ||
@@ -741,7 +730,7 @@ static inline int ae_put(int64_t *k1, int64_t *k2, int64_t *v,
 }
 
 /* Fused relational product ∃cube.(f & g).  Mirrors
- * repro.bdd.quantify.and_exists; pair frames pack (a << 31 | b) into
+ * BDDManager._py_and_exists; pair frames pack (a << 31 | b) into
  * one word since both operands are node indices < 2^31. */
 static int64_t and_exists_core(const bdd_state *st, int64_t f, int64_t g,
                                int64_t cid, const int64_t *cube,
@@ -798,11 +787,11 @@ static int64_t and_exists_core(const bdd_state *st, int64_t f, int64_t g,
                 slot = (slot + 1) & amask;
             }
             if (cached >= 0) {
-                stats[S_AE_HIT] += 1;
+                stats[S_HIT(T_AE)] += 1;
                 if (!push_result(&s, cached)) rc = BDD_NOMEM;
                 continue;
             }
-            stats[S_AE_MISS] += 1;
+            stats[S_MISS(T_AE)] += 1;
             int64_t top, a0, a1, b0, b1;
             if (la < lb) {
                 top = la; a0 = loa[a]; a1 = hia[a]; b0 = b; b1 = b;
@@ -886,16 +875,15 @@ int64_t bdd_ite(const bdd_state *st, int64_t f, int64_t g, int64_t h) {
     return rc ? rc : ite_core(st, f, g, h);
 }
 
-/* Exists (op 0) / forall (op 1) over the sorted levels ``cube``; the
- * caller has allocated the quantify caches. */
+/* Exists (op T_EX) / forall (op T_FA) over the sorted levels ``cube``;
+ * op is the table index, as bdd_apply's is.  The caller has allocated
+ * the quantify caches. */
 int64_t bdd_quantify(const bdd_state *st, int64_t op, int64_t f,
                      int64_t cid, const int64_t *cube, int64_t cube_len,
                      int64_t max_level) {
     if (bad_node(st, f)) return BDD_BAD_NODE;
     int64_t rc = check_opcaches(st);
-    return rc ? rc
-              : quantify_core(st, op == 0 ? T_EX : T_FA, f, cid, cube,
-                              cube_len, max_level);
+    return rc ? rc : quantify_core(st, op, f, cid, cube, cube_len, max_level);
 }
 
 int64_t bdd_and_exists(const bdd_state *st, int64_t f, int64_t g,
@@ -1326,11 +1314,12 @@ static int64_t quantify_entry(const bdd_state *st, int64_t q, int64_t f,
                               int64_t cid, const int64_t *var) {
     if (f <= 1 || st->level[f] > *var) return f;
     if (st->ctrl[C_MASK + T_EX] == 0) return BDD_GROW_TABLE(q);
-    int64_t hit = q == T_EX
-        ? q_get(st->ex_k, st->ex_v, (uint64_t)st->ctrl[C_MASK + T_EX], f, cid)
-        : q_get(st->fa_k, st->fa_v, (uint64_t)st->ctrl[C_MASK + T_FA], f, cid);
+    int64_t *arrs[3];
+    table_arrays(st, q, arrs);
+    uint64_t mask = (uint64_t)st->ctrl[C_MASK + q];
+    int64_t hit = q_get(arrs[0], arrs[1], mask, f, cid);
     if (hit >= 0) {
-        st->stat_arr[q == T_EX ? S_EX_HIT : S_FA_HIT] += 1;
+        st->stat_arr[S_HIT(q)] += 1;
         return hit;
     }
     int64_t rc = check_opcaches(st);

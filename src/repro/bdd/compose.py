@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.bdd.manager import BDDManager, FALSE, TRUE, _BAD_VAR, _bad_node
+from repro.bdd.manager import BDDManager, FALSE, TRUE, _BAD_VAR, _bad_node, iter_nodes
 
 
 def compose(manager: BDDManager, f: int, var: int, g: int) -> int:
@@ -61,28 +61,18 @@ def _py_vector_compose(
     for node in (f, *substitution.values()):
         if not 0 <= node < manager.num_nodes:
             raise _bad_node(node)
-    cache: dict[int, int] = {}
-
-    def walk(node: int) -> int:
+    done: dict[int, int] = {}
+    for node in iter_nodes(manager, f):
         if node <= 1:
-            return node
-        hit = cache.get(node)
-        if hit is not None:
-            return hit
+            done[node] = node
+            continue
         level = manager.level(node)
-        lo = walk(manager.lo(node))
-        hi = walk(manager.hi(node))
         selector = substitution.get(level)
         if selector is None:
             selector = manager.var(level)
-        result = manager.ite(selector, hi, lo)
-        cache[node] = result
-        return result
-
-    try:
-        return walk(f)
-    finally:
-        del walk  # it holds itself (and the manager) through its closure
+        hi = done[manager.hi(node)]
+        done[node] = manager.ite(selector, hi, done[manager.lo(node)])
+    return done[f]
 
 
 def rename(manager: BDDManager, f: int, mapping: Mapping[int, int]) -> int:

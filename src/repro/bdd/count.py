@@ -45,18 +45,16 @@ def sat_count(manager: BDDManager, root: int, num_vars: Optional[int] = None) ->
     if num_vars is None:
         num_vars = manager.num_vars
     # Work with the density (fraction of satisfying points), then scale;
-    # this avoids tracking per-node level gaps explicitly.
-    cache: dict[int, Fraction] = {FALSE: Fraction(0), TRUE: Fraction(1)}
-
-    def density(node: int) -> Fraction:
-        hit = cache.get(node)
-        if hit is not None:
-            return hit
-        result = (density(manager.lo(node)) + density(manager.hi(node))) / 2
-        cache[node] = result
-        return result
-
-    total = density(root) * (2 ** num_vars)
+    # this avoids tracking per-node level gaps explicitly.  Children come
+    # before parents, so each node's children are done when it is.
+    density: dict[int, Fraction] = {}
+    for node in iter_nodes(manager, root):
+        density[node] = (
+            Fraction(node)
+            if node <= 1
+            else (density[manager.lo(node)] + density[manager.hi(node)]) / 2
+        )
+    total = density[root] * (2 ** num_vars)
     assert total.denominator == 1
     return int(total)
 
@@ -139,28 +137,38 @@ def _py_iter_models(
     manager: BDDManager, root: int, order: Sequence[int]
 ) -> Iterator[dict[int, bool]]:
     """:func:`iter_models` over the checked, sorted ``order`` as a
-    Python recursion."""
-
-    def recurse(node: int, depth: int) -> Iterator[dict[int, bool]]:
-        if node == FALSE:
+    depth-first walk with an explicit path, as ``bdd_models`` walks:
+    ``nodes[d]`` is the node at depth ``d`` and ``values[d]`` the value
+    taken there."""
+    n = len(order)
+    keys = order[::-1]  # the value of the deepest variable comes first
+    nodes = [root] * (n + 1)
+    values = [False] * n
+    depth = 0
+    while True:
+        node = nodes[depth]
+        if node != FALSE:
+            if depth == n:
+                yield dict(zip(keys, values[::-1]))
+            else:
+                values[depth] = False
+                if node > 1 and manager.top_var(node) == order[depth]:
+                    node = manager.lo(node)
+                depth += 1
+                nodes[depth] = node
+                continue
+        # Back up to the deepest depth that took 0, and take 1 there.
+        while depth > 0 and values[depth - 1]:
+            depth -= 1
+        if depth == 0:
             return
-        if depth == len(order):
-            yield {}
-            return
-        var = order[depth]
-        if node > 1 and manager.top_var(node) == var:
-            branches = ((False, manager.lo(node)), (True, manager.hi(node)))
-        else:
-            branches = ((False, node), (True, node))
-        for value, child in branches:
-            for rest in recurse(child, depth + 1):
-                rest[var] = value
-                yield rest
-
-    try:
-        yield from recurse(root, 0)
-    finally:
-        del recurse  # it holds itself (and the manager) through its closure
+        depth -= 1
+        values[depth] = True
+        node = nodes[depth]
+        if node > 1 and manager.top_var(node) == order[depth]:
+            node = manager.hi(node)
+        depth += 1
+        nodes[depth] = node
 
 
 def iter_cubes(
@@ -200,30 +208,26 @@ def shortest_cube(manager: BDDManager, root: int) -> Optional[dict[int, bool]]:
     """A satisfying cube with the fewest literals (``None`` if UNSAT).
 
     Used to pick decomposition-variable assignments that abstract as many
-    variables as possible.
+    variables as possible.  On a tie the 0-branch wins.
     """
     if root == FALSE:
         return None
-    cache: dict[int, tuple[int, dict[int, bool]]] = {TRUE: (0, {})}
-
-    def best(node: int) -> Optional[tuple[int, dict[int, bool]]]:
-        if node == FALSE:
-            return None
-        hit = cache.get(node)
-        if hit is not None:
-            return hit
-        var = manager.top_var(node)
-        candidates = []
-        lo_best = best(manager.lo(node))
-        if lo_best is not None:
-            candidates.append((lo_best[0] + 1, {**lo_best[1], var: False}))
-        hi_best = best(manager.hi(node))
-        if hi_best is not None:
-            candidates.append((hi_best[0] + 1, {**hi_best[1], var: True}))
-        result = min(candidates, key=lambda item: item[0])
-        cache[node] = result
-        return result
-
-    found = best(root)
-    assert found is not None
-    return found[1]
+    # Per node, children before parents: the literals in its shortest
+    # cube (None: unsatisfiable) and whether that cube takes the
+    # 1-branch.
+    best: dict[int, tuple[Optional[int], bool]] = {}
+    for node in iter_nodes(manager, root):
+        if node <= 1:
+            best[node] = (0 if node == TRUE else None, False)
+            continue
+        lo = best[manager.lo(node)][0]
+        hi = best[manager.hi(node)][0]
+        take_hi = lo is None or (hi is not None and hi < lo)
+        best[node] = (1 + (hi if take_hi else lo), take_hi)
+    path: list[tuple[int, bool]] = []
+    node = root
+    while node > 1:
+        take_hi = best[node][1]
+        path.append((manager.top_var(node), take_hi))
+        node = manager.hi(node) if take_hi else manager.lo(node)
+    return dict(reversed(path))  # the deepest variable first

@@ -36,10 +36,20 @@ shared byte-for-byte with the optional native kernel
   :class:`ManagerStats`.
 * quantification caches (``exists``/``forall``/``and_exists``) — *lossless*
   open-addressed tables that grow by rehash (no eviction): persistence
-  across calls is what the image-computation loops rely on.
+  across calls is what the image-computation loops rely on.  The cores
+  that fill them live here too, behind the public functions of
+  :mod:`repro.bdd.quantify`: one core for ∃ and ∀, selected by the
+  table's index, and one for ``and_exists``.
 * ``ctrl`` — a 20-slot control block holding the node count and
   capacity, the unique table's mask and occupancy, and the mask and
   occupancy of each of the eight cache tables.
+* ``stat_arr`` — the counters behind :class:`ManagerStats`: cache table
+  ``t`` counts its hits at ``2t`` and its misses at ``2t + 1``, then
+  come the unique-table inserts, cache clears and evictions.
+
+Every cache table is found by its index ``t`` in ``_TABLES`` alone —
+its arrays, its mask and occupancy in ``ctrl``, its counters — in both
+kernels.
 
 A table's *capacity* — the length of its arrays — is separate from its
 *mask*, the size the growth policy has reached.  :meth:`BDDManager.reset`
@@ -82,6 +92,7 @@ Conventions
 from __future__ import annotations
 
 from array import array
+from operator import attrgetter
 from typing import FrozenSet, Iterable, Iterator, Optional, Sequence
 
 from repro import obs as _obs
@@ -100,9 +111,9 @@ _M1 = 2654435761  # 0x9E3779B1
 _M2 = 2246822519  # 0x85EBCA77
 _M3 = 3266489917  # 0xC2B2AE3D
 
-# ctrl[] slots — keep in sync with _kernel.c.  Cache table i (see
-# _TABLES) keeps its slot mask at _C_MASK + i (0 while unallocated) and
-# its live-entry count at _C_USED + i.
+# ctrl[] slots — keep in sync with _kernel.c.  Cache table t (see
+# _TABLES) keeps its slot mask at _C_MASK + t (0 while unallocated) and
+# its live-entry count at _C_USED + t.
 _C_NNODES = 0
 _C_NODECAP = 1
 _C_UNIQ_MASK = 2
@@ -111,18 +122,15 @@ _C_MASK = 4
 _C_USED = 12
 _CTRL_SLOTS = 20
 
-#: Cache tables in ctrl[] and kernel growth-code order: the five
+#: Cache tables in ctrl[], stats[] and kernel growth-code order: the five
 #: direct-mapped op caches, then the three lossless quantify caches.
 _TABLES = ("and", "or", "xor", "not", "ite", "exists", "forall", "and_exists")
 _T_AND, _T_OR, _T_XOR, _T_NOT, _T_ITE, _T_EX, _T_FA, _T_AE = range(8)
+_TABLE_INDEX = {name: index for index, name in enumerate(_TABLES)}
 _N_OPCACHES = _T_EX
-(_C_AND_MASK, _C_OR_MASK, _C_XOR_MASK, _C_NOT_MASK, _C_ITE_MASK,
- _C_EX_MASK, _C_FA_MASK, _C_AE_MASK) = range(_C_MASK, _C_MASK + 8)
-(_C_AND_USED, _C_OR_USED, _C_XOR_USED, _C_NOT_USED, _C_ITE_USED,
- _C_EX_USED, _C_FA_USED, _C_AE_USED) = range(_C_USED, _C_USED + 8)
 
-#: Each table's arrays: manager attribute ``_<name>``, ``bdd_state``
-#: field ``<name>``.
+#: Each table's arrays, keys first and values last: manager attribute
+#: ``_<name>``, ``bdd_state`` field ``<name>``.
 _TABLE_ARRAYS = (
     ("and_k", "and_v"),
     ("or_k", "or_v"),
@@ -135,28 +143,18 @@ _TABLE_ARRAYS = (
 )
 _OPCACHE_ARRAYS = sum(_TABLE_ARRAYS[:_N_OPCACHES], ())
 _QCACHE_ARRAYS = sum(_TABLE_ARRAYS[_N_OPCACHES:], ())
+#: Reads a manager's arrays of table t, in _TABLE_ARRAYS order.
+_ARRAYS_OF = tuple(
+    attrgetter(*("_" + name for name in names)) for names in _TABLE_ARRAYS
+)
 
-# stats[] slots — keep in sync with _kernel.c.
-_S_ITE_HIT = 0
-_S_ITE_MISS = 1
-_S_AND_HIT = 2
-_S_AND_MISS = 3
-_S_OR_HIT = 4
-_S_OR_MISS = 5
-_S_XOR_HIT = 6
-_S_XOR_MISS = 7
-_S_NOT_HIT = 8
-_S_NOT_MISS = 9
-_S_EX_HIT = 10
-_S_EX_MISS = 11
-_S_FA_HIT = 12
-_S_FA_MISS = 13
-_S_AE_HIT = 14
-_S_AE_MISS = 15
-_S_INSERTS = 16
-_S_CLEARS = 17
-_S_EVICTED = 18
-_N_STATS = 19
+# stats[] slots — keep in sync with _kernel.c.  Cache table t counts its
+# hits at 2t and its misses at 2t + 1; the unique-table inserts, cache
+# clears and evictions follow.
+_S_INSERTS = 2 * len(_TABLES)
+_S_CLEARS = _S_INSERTS + 1
+_S_EVICTED = _S_INSERTS + 2
+_N_STATS = _S_INSERTS + 3
 
 # Kernel return codes besides growth requests (keep in sync with
 # _kernel.c): a node id the manager never made, and a transfer level
@@ -229,28 +227,19 @@ class VarCube:
         return f"<VarCube #{self.cube_id} vars={sorted(self.vars)}>"
 
 
-#: Field name -> stats-array slot, defining the public counter API.
-_STAT_INDEX = {
-    "ite_hits": _S_ITE_HIT,
-    "ite_misses": _S_ITE_MISS,
-    "and_hits": _S_AND_HIT,
-    "and_misses": _S_AND_MISS,
-    "or_hits": _S_OR_HIT,
-    "or_misses": _S_OR_MISS,
-    "xor_hits": _S_XOR_HIT,
-    "xor_misses": _S_XOR_MISS,
-    "not_hits": _S_NOT_HIT,
-    "not_misses": _S_NOT_MISS,
-    "exists_hits": _S_EX_HIT,
-    "exists_misses": _S_EX_MISS,
-    "forall_hits": _S_FA_HIT,
-    "forall_misses": _S_FA_MISS,
-    "and_exists_hits": _S_AE_HIT,
-    "and_exists_misses": _S_AE_MISS,
-    "inserts": _S_INSERTS,
-    "cache_clears": _S_CLEARS,
-    "cache_evicted": _S_EVICTED,
-}
+#: Every counter as (``ManagerStats`` attribute, obs ``bdd`` key), in
+#: stats-slot order.
+_COUNTERS = tuple(
+    (f"{name}_{kind}", f"cache.{name}.{kind}")
+    for name in _TABLES
+    for kind in ("hits", "misses")
+) + (
+    ("inserts", "unique.inserts"),
+    ("cache_clears", "cache.clears"),
+    ("cache_evicted", "cache.evicted"),
+)
+#: Attribute -> stats-array slot, defining the public counter API.
+_STAT_INDEX = {attribute: slot for slot, (attribute, _) in enumerate(_COUNTERS)}
 
 
 class ManagerStats:
@@ -297,28 +286,7 @@ class ManagerStats:
         """Counter snapshot under the names the obs ``bdd`` family uses."""
         arr = self._arr
         base = self._base
-        get = lambda i: arr[i] - base[i]  # noqa: E731 - tiny local reader
-        return {
-            "cache.ite.hits": get(_S_ITE_HIT),
-            "cache.ite.misses": get(_S_ITE_MISS),
-            "cache.and.hits": get(_S_AND_HIT),
-            "cache.and.misses": get(_S_AND_MISS),
-            "cache.or.hits": get(_S_OR_HIT),
-            "cache.or.misses": get(_S_OR_MISS),
-            "cache.xor.hits": get(_S_XOR_HIT),
-            "cache.xor.misses": get(_S_XOR_MISS),
-            "cache.not.hits": get(_S_NOT_HIT),
-            "cache.not.misses": get(_S_NOT_MISS),
-            "cache.exists.hits": get(_S_EX_HIT),
-            "cache.exists.misses": get(_S_EX_MISS),
-            "cache.forall.hits": get(_S_FA_HIT),
-            "cache.forall.misses": get(_S_FA_MISS),
-            "cache.and_exists.hits": get(_S_AE_HIT),
-            "cache.and_exists.misses": get(_S_AE_MISS),
-            "unique.inserts": get(_S_INSERTS),
-            "cache.clears": get(_S_CLEARS),
-            "cache.evicted": get(_S_EVICTED),
-        }
+        return {key: arr[slot] - base[slot] for slot, (_, key) in enumerate(_COUNTERS)}
 
 
 class BDDManager:
@@ -375,8 +343,9 @@ class BDDManager:
         self._not_k = self._not_v = None
         self._ite_ka = self._ite_kb = self._ite_v = None
         # Persistent quantification caches, keyed by (node, cube_id) —
-        # see repro.bdd.quantify.  Interned cubes live for the manager's
-        # lifetime (bounded by the number of distinct variable sets).
+        # see "Quantification" below.  Interned cubes live for the
+        # manager's lifetime (bounded by the number of distinct variable
+        # sets).
         self._ex_k = self._ex_v = None
         self._fa_k = self._fa_v = None
         self._ae_k1 = self._ae_k2 = self._ae_v = None
@@ -610,7 +579,8 @@ class BDDManager:
         The same variable set always maps to the same cube object (and
         ``cube_id``), which is what makes the persistent quantification
         caches shareable across calls.  Passing an existing cube returns
-        it unchanged.
+        it unchanged.  A new cube over a variable outside
+        ``0..num_vars-1`` raises ``ValueError``.
         """
         if isinstance(variables, VarCube):
             return variables
@@ -620,6 +590,10 @@ class BDDManager:
             cube = VarCube(
                 len(self._cube_table), key, max(key) if key else -1, self._ffi
             )
+            # The extremes bound the rest.
+            for var in cube.levels[:1] + cube.levels[-1:]:
+                if not 0 <= var < len(self._var_names):
+                    raise ValueError(f"variable {var} not declared")
             self._cube_table[key] = cube
         return cube
 
@@ -841,17 +815,16 @@ class BDDManager:
         Without it a direct-mapped cache can thrash a big recursion into
         exponential recomputation."""
         ctrl = self._ctrl
-        if ctrl[_C_AND_MASK] == 0:
+        if ctrl[_C_MASK + _T_AND] == 0:
             self._alloc_op_caches()
             return
-        names = _TABLE_ARRAYS[index]
         old_size = ctrl[_C_MASK + index] + 1
-        self._room(names, 2 * old_size)
+        self._room(_TABLE_ARRAYS[index], 2 * old_size)
         if self._st is not None:
             self._lib.bdd_grow_table(self._st, index, 2 * old_size - 1)
             return
-        for name in names:
-            _zero(getattr(self, "_" + name), old_size)
+        for arr in _ARRAYS_OF[index](self):
+            _zero(arr, old_size)
         self._stat_arr[_S_EVICTED] += ctrl[_C_USED + index]
         ctrl[_C_MASK + index] = 2 * old_size - 1
         ctrl[_C_USED + index] = 0
@@ -872,20 +845,12 @@ class BDDManager:
         for node in nodes:
             if not 0 <= node < ctrl[_C_NNODES]:
                 raise _bad_node(node)
-        if ctrl[_C_AND_MASK] == 0:
+        if ctrl[_C_MASK + _T_AND] == 0:
             self._alloc_op_caches()
-            return
-        if ctrl[_C_AND_MASK] + 1 < _OPCACHE_MAX:
-            if ctrl[_C_AND_USED] * 2 > ctrl[_C_AND_MASK]:
-                self._grow_op_cache(_T_AND)
-            if ctrl[_C_OR_USED] * 2 > ctrl[_C_OR_MASK]:
-                self._grow_op_cache(_T_OR)
-            if ctrl[_C_XOR_USED] * 2 > ctrl[_C_XOR_MASK]:
-                self._grow_op_cache(_T_XOR)
-            if ctrl[_C_NOT_USED] * 2 > ctrl[_C_NOT_MASK]:
-                self._grow_op_cache(_T_NOT)
-            if ctrl[_C_ITE_USED] * 2 > ctrl[_C_ITE_MASK]:
-                self._grow_op_cache(_T_ITE)
+        elif ctrl[_C_MASK + _T_AND] + 1 < _OPCACHE_MAX:
+            for index in range(_N_OPCACHES):
+                if ctrl[_C_USED + index] * 2 > ctrl[_C_MASK + index]:
+                    self._grow_op_cache(index)
 
     # ------------------------------------------------------------------
     # Native dispatch
@@ -953,7 +918,10 @@ class BDDManager:
     # finished subproblem.
     # Expanding pushes the reduce frame first, then the hi and lo
     # children, so children complete before their reduce frame pops —
-    # the traversal order both kernels share.
+    # the traversal order both kernels share.  A core finds its cache
+    # table's arrays, mask, occupancy and counters by the table's index;
+    # a growth in mid-walk extends the arrays in place (see _room), so
+    # the core re-reads only the mask.
 
     def ite(self, f: int, g: int, h: int) -> int:
         """If-then-else: ``f & g | ~f & h``.
@@ -1065,12 +1033,11 @@ class BDDManager:
     def _py_negate(self, f: int) -> int:
         sarr = self._stat_arr
         ctrl = self._ctrl
-        nk = self._not_k
-        nv = self._not_v
-        nmask = ctrl[_C_NOT_MASK]
+        nk, nv = _ARRAYS_OF[_T_NOT](self)
+        nmask = ctrl[_C_MASK + _T_NOT]
         slot = (f * _M1) & nmask
         if nk[slot] == f:
-            sarr[_S_NOT_HIT] += 1
+            sarr[2 * _T_NOT] += 1
             return nv[slot]
         la = self._level
         loa = self._lo
@@ -1089,10 +1056,10 @@ class BDDManager:
                     continue
                 slot = (n * _M1) & nmask
                 if nk[slot] == n:
-                    sarr[_S_NOT_HIT] += 1
+                    sarr[2 * _T_NOT] += 1
                     rpush(nv[slot])
                     continue
-                sarr[_S_NOT_MISS] += 1
+                sarr[2 * _T_NOT + 1] += 1
                 push((1, n))
                 push((0, ha[n]))
                 push((0, loa[n]))
@@ -1102,7 +1069,7 @@ class BDDManager:
                 slot = (n * _M1) & nmask
                 old = nk[slot]
                 if old == 0:
-                    ctrl[_C_NOT_USED] += 1
+                    ctrl[_C_USED + _T_NOT] += 1
                 elif old != n:
                     sarr[_S_EVICTED] += 1
                     ev += 1
@@ -1111,7 +1078,7 @@ class BDDManager:
                 slot = (node * _M1) & nmask
                 old = nk[slot]
                 if old == 0:
-                    ctrl[_C_NOT_USED] += 1
+                    ctrl[_C_USED + _T_NOT] += 1
                 elif old != node:
                     sarr[_S_EVICTED] += 1
                     ev += 1
@@ -1119,27 +1086,19 @@ class BDDManager:
                 nv[slot] = n
                 if ev > nmask and nmask + 1 < _OPCACHE_MAX:
                     self._grow_op_cache(_T_NOT)
-                    nk, nv = self._not_k, self._not_v
-                    nmask = ctrl[_C_NOT_MASK]
+                    nmask = ctrl[_C_MASK + _T_NOT]
                     ev = 0
                 results[-1] = node
         return results[0]
 
     def _py_apply(self, op: int, f: int, g: int) -> int:
+        # ``op`` is the table index of the connective's cache.
         sarr = self._stat_arr
         ctrl = self._ctrl
-        if op == 0:
-            ck, cv = self._and_k, self._and_v
-            cmask = ctrl[_C_AND_MASK]
-            used_idx, s_hit, s_miss = _C_AND_USED, _S_AND_HIT, _S_AND_MISS
-        elif op == 1:
-            ck, cv = self._or_k, self._or_v
-            cmask = ctrl[_C_OR_MASK]
-            used_idx, s_hit, s_miss = _C_OR_USED, _S_OR_HIT, _S_OR_MISS
-        else:
-            ck, cv = self._xor_k, self._xor_v
-            cmask = ctrl[_C_XOR_MASK]
-            used_idx, s_hit, s_miss = _C_XOR_USED, _S_XOR_HIT, _S_XOR_MISS
+        ck, cv = _ARRAYS_OF[op](self)
+        cmask = ctrl[_C_MASK + op]
+        s_hit = 2 * op
+        s_miss = s_hit + 1
         slot = (f * _M1 + g * _M2) & cmask
         if ck[slot] == (f << 31) | g:
             sarr[s_hit] += 1
@@ -1238,7 +1197,7 @@ class BDDManager:
                 slot = ((key >> 31) * _M1 + (key & 0x7FFFFFFF) * _M2) & cmask
                 old = ck[slot]
                 if old == 0:
-                    ctrl[used_idx] += 1
+                    ctrl[_C_USED + op] += 1
                 elif old != key:
                     sarr[_S_EVICTED] += 1
                     ev += 1
@@ -1246,18 +1205,10 @@ class BDDManager:
                 cv[slot] = node
                 if ev > cmask and cmask + 1 < _OPCACHE_MAX:
                     # Thrash escape: this one call has overwritten more
-                    # entries than the cache holds, so grow in place
-                    # (entries are dropped) and rebind the probe locals.
+                    # entries than the cache holds, so grow it (entries
+                    # are dropped).
                     self._grow_op_cache(op)
-                    if op == 0:
-                        ck, cv = self._and_k, self._and_v
-                        cmask = ctrl[_C_AND_MASK]
-                    elif op == 1:
-                        ck, cv = self._or_k, self._or_v
-                        cmask = ctrl[_C_OR_MASK]
-                    else:
-                        ck, cv = self._xor_k, self._xor_v
-                        cmask = ctrl[_C_XOR_MASK]
+                    cmask = ctrl[_C_MASK + op]
                     ev = 0
                 results[-1] = node
         return results[0]
@@ -1265,11 +1216,11 @@ class BDDManager:
     def _py_ite(self, f: int, g: int, h: int) -> int:
         sarr = self._stat_arr
         ctrl = self._ctrl
-        ika, ikb, iv = self._ite_ka, self._ite_kb, self._ite_v
-        imask = ctrl[_C_ITE_MASK]
+        ika, ikb, iv = _ARRAYS_OF[_T_ITE](self)
+        imask = ctrl[_C_MASK + _T_ITE]
         slot = (f * _M1 + g * _M2 + h * _M3) & imask
         if ika[slot] == (f << 31) | g and ikb[slot] == h:
-            sarr[_S_ITE_HIT] += 1
+            sarr[2 * _T_ITE] += 1
             return iv[slot]
         la = self._level
         loa = self._lo
@@ -1303,10 +1254,10 @@ class BDDManager:
                 ka = (a << 31) | b
                 slot = (a * _M1 + b * _M2 + c * _M3) & imask
                 if ika[slot] == ka and ikb[slot] == c:
-                    sarr[_S_ITE_HIT] += 1
+                    sarr[2 * _T_ITE] += 1
                     rpush(iv[slot])
                     continue
-                sarr[_S_ITE_MISS] += 1
+                sarr[2 * _T_ITE + 1] += 1
                 lf = la[a]
                 lg = la[b]
                 lh = la[c]
@@ -1342,7 +1293,7 @@ class BDDManager:
                         + kb * _M3) & imask
                 old = ika[slot]
                 if old == 0:
-                    ctrl[_C_ITE_USED] += 1
+                    ctrl[_C_USED + _T_ITE] += 1
                 elif old != ka or ikb[slot] != kb:
                     sarr[_S_EVICTED] += 1
                     ev += 1
@@ -1351,8 +1302,7 @@ class BDDManager:
                 iv[slot] = node
                 if ev > imask and imask + 1 < _OPCACHE_MAX:
                     self._grow_op_cache(_T_ITE)
-                    ika, ikb, iv = self._ite_ka, self._ite_kb, self._ite_v
-                    imask = ctrl[_C_ITE_MASK]
+                    imask = ctrl[_C_MASK + _T_ITE]
                     ev = 0
                 results[-1] = node
         return results[0]
@@ -1421,40 +1371,277 @@ class BDDManager:
             lib.bdd_walk_clear(walk)
 
     # ------------------------------------------------------------------
-    # Quantification-cache plumbing (used by repro.bdd.quantify)
+    # Quantification
     # ------------------------------------------------------------------
+    #
+    # ∃ and ∀ share one core, selected by the index of their cache table
+    # (_T_EX or _T_FA): the index fixes the arrays and the counters, and
+    # the table's quantifier fixes the terminal at which a quantified
+    # level stops early (TRUE for ∃, FALSE for ∀) and the connective that
+    # combines its two cofactors (OR for ∃, AND for ∀).  The fused
+    # and_exists has its own core over its own table.  All three tables
+    # are lossless open-addressed caches that grow by rehash and never
+    # evict, keyed by the node (the operand pair) and the interned cube
+    # id, so a repeat over the same cube hits across calls.
+
+    def _quantify(
+        self,
+        table: str,
+        f: int,
+        variables: "Iterable[int] | VarCube",
+        g: Optional[int] = None,
+    ) -> int:
+        """The entry behind :mod:`repro.bdd.quantify`: ``∃ variables . f``
+        (``table`` ``"exists"``), ``∀ variables . f`` (``"forall"``), or
+        ``∃ variables . (f & g)`` (``"and_exists"``).  ∃ and ∀ check the
+        node, short-circuit a cube that lies wholly above ``f``
+        (terminals and the empty cube included), allocate the caches,
+        then run the core — in C after a probe in Python, which saves a
+        warm repeat its FFI round trip."""
+        cube = self.intern_cube(variables)
+        index = _TABLE_INDEX[table]
+        if index == _T_AE:
+            return self._and_exists(f, g, cube)
+        if not 0 <= f < self._ctrl[_C_NNODES]:
+            raise _bad_node(f)
+        if self._level[f] > cube.max_level:
+            return f
+        self._ensure_quantify_caches()
+        st = self._st
+        if st is None:
+            return self._py_quantify(index, f, cube)
+        cid = cube.cube_id
+        hit = self._q_get(index, f, cid)
+        if hit >= 0:
+            self._stat_arr[2 * index] += 1
+            return hit
+        fn = self._lib.bdd_quantify
+        args = (index, f, cid, cube.view, len(cube.levels), cube.max_level)
+        result = fn(st, *args)
+        return result if result >= 0 else self._native_retry(result, fn, *args)
+
+    def _py_quantify(self, index: int, f: int, cube: VarCube) -> int:
+        """The ∃/∀ core of quantify cache ``index`` walked in Python; the
+        C ``quantify_core`` mirrors it frame for frame.  Tags: 0 expand;
+        1 rebuild an unquantified level; 2 lo-cofactor of a quantified
+        level done (stop at the dominating terminal, else expand hi); 3
+        both cofactors done (combine them)."""
+        stop = TRUE if index == _T_EX else FALSE
+        combine = self.apply_or if index == _T_EX else self.apply_and
+        var_set = cube.vars
+        max_level = cube.max_level
+        cid = cube.cube_id
+        sarr = self._stat_arr
+        s_hit = 2 * index
+        s_miss = s_hit + 1
+        get = self._q_get
+        put = self._q_put
+        level = self._level
+        lo_arr = self._lo
+        hi_arr = self._hi
+        mk = self._mk
+        tasks: list[tuple] = [(0, f)]
+        push = tasks.append
+        results: list[int] = []
+        rpush = results.append
+        while tasks:
+            frame = tasks.pop()
+            tag = frame[0]
+            if tag == 0:
+                n = frame[1]
+                if level[n] > max_level:
+                    rpush(n)
+                    continue
+                cached = get(index, n, cid)
+                if cached >= 0:
+                    sarr[s_hit] += 1
+                    rpush(cached)
+                    continue
+                sarr[s_miss] += 1
+                lvl = level[n]
+                if lvl in var_set:
+                    push((2, n, hi_arr[n]))
+                    push((0, lo_arr[n]))
+                else:
+                    push((1, n, lvl))
+                    push((0, hi_arr[n]))
+                    push((0, lo_arr[n]))
+            elif tag == 1:
+                _, n, lvl = frame
+                hi = results.pop()
+                lo = results[-1]
+                node = lo if lo == hi else mk(lvl, lo, hi)
+                put(index, n, cid, node)
+                results[-1] = node
+            elif tag == 2:
+                _, n, hi_child = frame
+                if results[-1] == stop:
+                    put(index, n, cid, stop)
+                    continue
+                push((3, n))
+                push((0, hi_child))
+            else:
+                n = frame[1]
+                hi = results.pop()
+                node = combine(results[-1], hi)
+                put(index, n, cid, node)
+                results[-1] = node
+        return results[0]
+
+    def _and_exists(self, f: int, g: int, cube: VarCube) -> int:
+        """``∃ cube . (f & g)``: the node checks — before the caches are
+        allocated — then a plain AND for the empty cube, else the core,
+        in C when the kernel is loaded."""
+        count = self._ctrl[_C_NNODES]
+        if not (0 <= f < count and 0 <= g < count):
+            raise _bad_node(_first_bad(count, f, g))
+        if not cube.vars:
+            return self.apply_and(f, g)
+        self._ensure_quantify_caches()
+        st = self._st
+        if st is None:
+            return self._py_and_exists(f, g, cube)
+        fn = self._lib.bdd_and_exists
+        args = (f, g, cube.cube_id, cube.view, len(cube.levels), cube.max_level)
+        result = fn(st, *args)
+        return result if result >= 0 else self._native_retry(result, fn, *args)
+
+    def _py_and_exists(self, f: int, g: int, cube: VarCube) -> int:
+        """The and_exists core walked in Python; the C
+        ``and_exists_core`` mirrors it frame for frame.  Tags: 0 expand
+        an (a, b) product; 1 rebuild an unquantified level; 2 lo-product
+        of a quantified level done (stop at TRUE, else expand the
+        hi-product); 3 both products done (OR them)."""
+        var_set = cube.vars
+        max_level = cube.max_level
+        cid = cube.cube_id
+        sarr = self._stat_arr
+        ctrl = self._ctrl
+        qk1, qk2, qv = _ARRAYS_OF[_T_AE](self)
+        put = self._ae_put
+        level = self._level
+        lo_arr = self._lo
+        hi_arr = self._hi
+        mk = self._mk
+        tasks: list[tuple] = [(0, f, g)]
+        push = tasks.append
+        results: list[int] = []
+        rpush = results.append
+        while tasks:
+            frame = tasks.pop()
+            tag = frame[0]
+            if tag == 0:
+                _, a, b = frame
+                if a == FALSE or b == FALSE:
+                    rpush(FALSE)
+                    continue
+                if a == TRUE or b == TRUE:
+                    other = b if a == TRUE else a
+                    if other != TRUE:
+                        other = self._quantify("exists", other, cube)
+                    rpush(other)
+                    continue
+                la = level[a]
+                lb = level[b]
+                if la > max_level and lb > max_level:
+                    # No quantified variable below either operand: the
+                    # product degenerates to a plain conjunction.
+                    rpush(self.apply_and(a, b))
+                    continue
+                if a > b:
+                    a, b = b, a
+                    la, lb = lb, la
+                key1 = (a << 31) | b
+                qmask = ctrl[_C_MASK + _T_AE]
+                slot = (a * _M1 + b * _M2 + cid * _M3) & qmask
+                cached = -1
+                while True:
+                    k = qk1[slot]
+                    if k == 0:
+                        break
+                    if k == key1 and qk2[slot] == cid:
+                        cached = qv[slot]
+                        break
+                    slot = (slot + 1) & qmask
+                if cached >= 0:
+                    sarr[2 * _T_AE] += 1
+                    rpush(cached)
+                    continue
+                sarr[2 * _T_AE + 1] += 1
+                if la < lb:
+                    top = la
+                    a0 = lo_arr[a]
+                    a1 = hi_arr[a]
+                    b0 = b1 = b
+                elif lb < la:
+                    top = lb
+                    a0 = a1 = a
+                    b0 = lo_arr[b]
+                    b1 = hi_arr[b]
+                else:
+                    top = la
+                    a0 = lo_arr[a]
+                    a1 = hi_arr[a]
+                    b0 = lo_arr[b]
+                    b1 = hi_arr[b]
+                if top in var_set:
+                    push((2, a, b, a1, b1))
+                    push((0, a0, b0))
+                else:
+                    push((1, a, b, top))
+                    push((0, a1, b1))
+                    push((0, a0, b0))
+            elif tag == 1:
+                _, a, b, top = frame
+                hi = results.pop()
+                lo = results[-1]
+                node = lo if lo == hi else mk(top, lo, hi)
+                put(a, b, cid, node)
+                results[-1] = node
+            elif tag == 2:
+                _, a, b, a1, b1 = frame
+                if results[-1] == TRUE:
+                    put(a, b, cid, TRUE)
+                    continue
+                push((3, a, b))
+                push((0, a1, b1))
+            else:
+                _, a, b = frame
+                hi = results.pop()
+                node = self.apply_or(results[-1], hi)
+                put(a, b, cid, node)
+                results[-1] = node
+        return results[0]
 
     def _ensure_quantify_caches(self) -> None:
         ctrl = self._ctrl
-        if ctrl[_C_EX_MASK] == 0:
+        if ctrl[_C_MASK + _T_EX] == 0:
             self._room(_QCACHE_ARRAYS, _QCACHE_INIT)
             for index in (_T_EX, _T_FA, _T_AE):
                 ctrl[_C_MASK + index] = _QCACHE_INIT - 1
                 ctrl[_C_USED + index] = 0
 
     def _grow_quantify(self, index: int) -> None:
-        """Double quantify cache ``index`` (5=exists, 6=forall,
-        7=and_exists) and re-seat every entry, visiting the old slots in
-        index order: a lossless rehash (these caches never evict).  The
-        C kernel runs the rehash when it is loaded; the Python loop is
-        the fallback, and the reference the parity tests hold the C
-        rehash to.  While the quantify caches are unallocated, this
-        allocates all three instead: the kernel's loop entries ask for
-        them by this growth code where the quantifiers would allocate
-        them."""
+        """Double quantify cache ``index`` and re-seat every entry,
+        visiting the old slots in index order: a lossless rehash (these
+        caches never evict).  The C kernel runs the rehash when it is
+        loaded; the Python loop is the fallback, and the reference the
+        parity tests hold the C rehash to.  While the quantify caches are
+        unallocated, this allocates all three instead: the kernel's loop
+        entries ask for them by this growth code where the quantifiers
+        would allocate them."""
         ctrl = self._ctrl
-        if ctrl[_C_EX_MASK] == 0:
+        if ctrl[_C_MASK + _T_EX] == 0:
             self._ensure_quantify_caches()
             return
-        names = _TABLE_ARRAYS[index]
         old_size = ctrl[_C_MASK + index] + 1
         mask = 2 * old_size - 1
-        self._room(names, mask + 1)
+        self._room(_TABLE_ARRAYS[index], mask + 1)
         if self._st is not None:
             if self._lib.bdd_grow_table(self._st, index, mask):
                 raise MemoryError("native BDD kernel allocation failed")
             return
-        arrays = [getattr(self, "_" + name) for name in names]
+        arrays = _ARRAYS_OF[index](self)
         old = [arr[:old_size] for arr in arrays]
         for arr in arrays:
             _zero(arr, old_size)
@@ -1475,40 +1662,51 @@ class BDDManager:
             values[slot] = old[-1][i]
         ctrl[_C_MASK + index] = mask
 
-    def _q_put(self, index: int, key: int, value: int) -> None:
-        """Lossless linear-probe insert into the exists (``_T_EX``) or
-        forall (``_T_FA``) cache, growing by rehash above 75% load
-        (``key`` packs ``node << 31 | cube_id``; insert only on miss, so
-        existing keys never repeat)."""
+    def _q_get(self, index: int, n: int, cid: int) -> int:
+        """The exists or forall cache ``index``'s result for node ``n``
+        over cube ``cid``, or -1."""
+        keys, values = _ARRAYS_OF[index](self)
+        mask = self._ctrl[_C_MASK + index]
+        key = (n << 31) | cid
+        slot = (n * _M1 + cid * _M2) & mask
+        while True:
+            k = keys[slot]
+            if k == key:
+                return values[slot]
+            if k == 0:
+                return -1
+            slot = (slot + 1) & mask
+
+    def _q_put(self, index: int, n: int, cid: int, value: int) -> None:
+        """Lossless linear-probe insert of ``(n, cid)`` into the exists
+        or forall cache ``index``, growing by rehash above 75% load (a
+        key is inserted only after it missed, so keys never repeat)."""
         ctrl = self._ctrl
         used = ctrl[_C_USED + index]
         if (used + 1) * 4 > (ctrl[_C_MASK + index] + 1) * 3:
             self._grow_quantify(index)
-        karr, varr = (
-            (self._ex_k, self._ex_v) if index == _T_EX else (self._fa_k, self._fa_v)
-        )
+        keys, values = _ARRAYS_OF[index](self)
         mask = ctrl[_C_MASK + index]
-        slot = ((key >> 31) * _M1 + (key & 0x7FFFFFFF) * _M2) & mask
-        while karr[slot] != 0:
-            if karr[slot] == key:
-                varr[slot] = value
+        key = (n << 31) | cid
+        slot = (n * _M1 + cid * _M2) & mask
+        while keys[slot] != 0:
+            if keys[slot] == key:
+                values[slot] = value
                 return
             slot = (slot + 1) & mask
-        karr[slot] = key
-        varr[slot] = value
+        keys[slot] = key
+        values[slot] = value
         ctrl[_C_USED + index] = used + 1
 
     def _ae_put(self, a: int, b: int, cid: int, value: int) -> None:
         """Lossless insert into the two-word-key and_exists cache."""
         ctrl = self._ctrl
-        used = ctrl[_C_AE_USED]
-        if (used + 1) * 4 > (ctrl[_C_AE_MASK] + 1) * 3:
+        used = ctrl[_C_USED + _T_AE]
+        if (used + 1) * 4 > (ctrl[_C_MASK + _T_AE] + 1) * 3:
             self._grow_quantify(_T_AE)
         k1 = (a << 31) | b
-        karr1 = self._ae_k1
-        karr2 = self._ae_k2
-        varr = self._ae_v
-        mask = ctrl[_C_AE_MASK]
+        karr1, karr2, varr = _ARRAYS_OF[_T_AE](self)
+        mask = ctrl[_C_MASK + _T_AE]
         slot = (a * _M1 + b * _M2 + cid * _M3) & mask
         while karr1[slot] != 0:
             if karr1[slot] == k1 and karr2[slot] == cid:
@@ -1518,26 +1716,7 @@ class BDDManager:
         karr1[slot] = k1
         karr2[slot] = cid
         varr[slot] = value
-        ctrl[_C_AE_USED] = used + 1
-
-    def _native_quantify(self, op: int, f: int, cube: "VarCube") -> int:
-        """Run exists (op 0) / forall (op 1) in the C kernel with the
-        grow-and-restart protocol; the quantify caches must be
-        allocated.  The cache is lossless, so a restart after any
-        growth replays cached sub-results and node numbering is
-        unchanged."""
-        fn = self._lib.bdd_quantify
-        args = (op, f, cube.cube_id, cube.view, len(cube.levels), cube.max_level)
-        result = fn(self._st, *args)
-        return result if result >= 0 else self._native_retry(result, fn, *args)
-
-    def _native_and_exists(self, f: int, g: int, cube: "VarCube") -> int:
-        """Fused ∃cube.(f & g) in the C kernel; the quantify caches must
-        be allocated."""
-        fn = self._lib.bdd_and_exists
-        args = (f, g, cube.cube_id, cube.view, len(cube.levels), cube.max_level)
-        result = fn(self._st, *args)
-        return result if result >= 0 else self._native_retry(result, fn, *args)
+        ctrl[_C_USED + _T_AE] = used + 1
 
     # ------------------------------------------------------------------
     # Cofactors and evaluation
@@ -1699,10 +1878,10 @@ class BDDManager:
             for arr in (self._level, self._lo, self._hi):
                 _zero(arr, ctrl[_C_NNODES])
             _zero(self._uniq, ctrl[_C_UNIQ_MASK] + 1)
-            for index, names in enumerate(_TABLE_ARRAYS):
+            for index, arrays_of in enumerate(_ARRAYS_OF):
                 if ctrl[_C_MASK + index]:
-                    for name in names:
-                        _zero(getattr(self, "_" + name), ctrl[_C_MASK + index] + 1)
+                    for arr in arrays_of(self):
+                        _zero(arr, ctrl[_C_MASK + index] + 1)
             _zero(self._stat_arr, _N_STATS)
             _zero(ctrl, _CTRL_SLOTS)
         self._level[0] = self._level[1] = TERMINAL_LEVEL

@@ -2,8 +2,11 @@
 operator cores.
 
 The manager's operators and the quantifiers walk with explicit stacks,
-so chain-shaped BDDs far deeper than the interpreter recursion limit
-must go through without ``RecursionError``.  The randomized section
+and so do the node builders (``vector_compose`` with ``compose``,
+``rename`` and the parameterized replacements) and the count walks
+(``sat_count``, ``shortest_cube``, ``iter_models``) on both kernels, so
+chain-shaped BDDs far deeper than the interpreter recursion limit must
+go through without ``RecursionError``.  The randomized section
 cross-checks the iterative cores against straightforward *recursive*
 reference implementations on small managers, where recursion is safe.
 """
@@ -14,7 +17,22 @@ import sys
 import pytest
 
 from repro import obs
-from repro.bdd import BDDManager, FALSE, TRUE, and_exists, exists, forall
+from repro.bdd import (
+    BDDManager,
+    FALSE,
+    TRUE,
+    and_exists,
+    compose,
+    exists,
+    forall,
+    iter_models,
+    rename,
+    sat_count,
+    shortest_cube,
+    vector_compose,
+)
+from repro.bdd import native as _native
+from repro.bidec.parameterize import parameterized_replace
 from repro.logic.truthtable import TruthTable
 
 #: Far above the default interpreter recursion limit (usually 1000).
@@ -26,6 +44,25 @@ def chain_manager():
     assert CHAIN_VARS > sys.getrecursionlimit()
     manager = BDDManager(CHAIN_VARS)
     return manager
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        pytest.param(False, id="python"),
+        pytest.param(
+            True,
+            id="native",
+            marks=pytest.mark.skipif(
+                _native.kernel() is None, reason="native kernel unavailable"
+            ),
+        ),
+    ],
+)
+def kernel_chain(request):
+    """A 3000-variable manager on each kernel."""
+    assert CHAIN_VARS > sys.getrecursionlimit()
+    return BDDManager(CHAIN_VARS, native=request.param)
 
 
 def _cube(manager, variables):
@@ -101,6 +138,43 @@ class TestDeepChains:
         quantified = range(0, CHAIN_VARS, 4)
         fused = and_exists(m, evens, odds, quantified)
         assert fused == exists(m, m.apply_and(evens, odds), quantified)
+
+    def test_vector_compose_deep_chain(self, kernel_chain):
+        m = kernel_chain
+        all_true = _cube(m, range(CHAIN_VARS))
+        rest = _cube(m, range(1, CHAIN_VARS))
+        assert vector_compose(m, all_true, {0: m.var(1)}) == rest
+        assert compose(m, all_true, 0, TRUE) == rest
+        shift = {v: v + 1 for v in range(CHAIN_VARS - 1)}
+        assert rename(m, _cube(m, range(CHAIN_VARS - 1)), shift) == rest
+
+    def test_parameterized_replace_deep_chain(self, kernel_chain):
+        m = kernel_chain
+        rest = _cube(m, range(3, CHAIN_VARS))
+        replaced = parameterized_replace(m, m.apply_and(m.var(0), rest), [0], [1], [2])
+        assert replaced == m.apply_and(m.ite(m.var(2), m.var(0), m.var(1)), rest)
+
+    def test_iter_models_deep_chain(self, kernel_chain):
+        m = kernel_chain
+        all_true = _cube(m, range(CHAIN_VARS))
+        (model,) = iter_models(m, all_true, range(CHAIN_VARS))
+        assert list(model.items()) == [(v, True) for v in reversed(range(CHAIN_VARS))]
+
+    def test_sat_count_deep_chain(self, kernel_chain):
+        m = kernel_chain
+        all_true = _cube(m, range(CHAIN_VARS))
+        evens = _cube(m, range(0, CHAIN_VARS, 2))
+        assert sat_count(m, all_true) == 1
+        assert sat_count(m, m.negate(all_true)) == 2**CHAIN_VARS - 1
+        assert sat_count(m, evens) == 2 ** (CHAIN_VARS // 2)
+
+    def test_shortest_cube_deep_chain(self, kernel_chain):
+        m = kernel_chain
+        all_true = _cube(m, range(CHAIN_VARS))
+        cube = shortest_cube(m, all_true)
+        assert list(cube.items()) == [(v, True) for v in reversed(range(CHAIN_VARS))]
+        # One literal suffices for the complement: the first 0-branch.
+        assert shortest_cube(m, m.negate(all_true)) == {0: False}
 
     def test_deep_parity_chain_via_xor(self):
         # Parity of 3000 variables: a 2-nodes-per-level chain built by

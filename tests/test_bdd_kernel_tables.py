@@ -175,8 +175,8 @@ def _thrash_one_apply(native):
         g = m.apply_xor(g, m.var(i))
     m._and_k = array("q", bytes(8 * 4))
     m._and_v = array("q", bytes(8 * 4))
-    m._ctrl[mgr._C_AND_MASK] = 3
-    m._ctrl[mgr._C_AND_USED] = 0
+    m._ctrl[mgr._C_MASK + mgr._T_AND] = 3
+    m._ctrl[mgr._C_USED + mgr._T_AND] = 0
     m._point("and_k", "and_v")
     return m.apply_and(f, g), m.cache_capacities()
 

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bdd import BDDManager, FALSE, TRUE, iter_nodes
+from repro.bdd import BDDManager, FALSE, TRUE, and_exists, exists, forall, iter_nodes
 from repro.logic.truthtable import TruthTable
 
 from conftest import random_bdd, tt_of
@@ -54,7 +54,8 @@ class TestVariables:
 
     def test_undeclared_var_rejected(self):
         """A literal or cube over a variable outside ``0..num_vars-1``
-        raises instead of building a node at that level."""
+        raises instead of building a node at that level, and so does a
+        quantification over one, before it allocates its caches."""
         m = BDDManager(3)
         builders = (
             m.var,
@@ -67,6 +68,21 @@ class TestVariables:
                 with pytest.raises(ValueError, match="not declared"):
                     build(bad)
         assert m.num_nodes == 2  # nothing was built on the way
+        f = m.apply_or(m.var(0), m.var(2))
+        a = m.var(1)
+        nodes, capacities = m.num_nodes, m.cache_capacities()
+        quantifications = (
+            lambda var: exists(m, f, [var]),
+            lambda var: forall(m, f, [0, var]),
+            lambda var: and_exists(m, f, a, [var]),
+            lambda var: and_exists(m, f, a, [var, 1]),
+        )
+        for bad in (-2, -1, 3, 5, 7, 9):
+            for quantify in quantifications:
+                with pytest.raises(ValueError, match="not declared"):
+                    quantify(bad)
+        assert m.num_nodes == nodes
+        assert m.cache_capacities() == capacities
 
 
 class TestCanonicity:

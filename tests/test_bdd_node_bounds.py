@@ -107,11 +107,13 @@ def test_stray_id_raises(native, stray, operation):
     m = BDDManager(3, native=native)
     a, b = m.var(0), m.var(1)
     x = {"minus_one": -1, "num_nodes": m.num_nodes, "two_hundred": 200}[stray]
-    nodes = m.num_nodes
+    nodes, capacities = m.num_nodes, m.cache_capacities()
     with pytest.raises(ValueError, match="not made by this manager"):
         OPERATIONS[operation](m, a, b, x)
-    # Rejected before any node was made, and the manager carries on.
+    # Rejected before any node was made or any cache allocated, and the
+    # manager carries on.
     assert m.num_nodes == nodes
+    assert m.cache_capacities() == capacities
     assert m.apply_and(a, m.negate(b)) == m.ite(b, 0, a)
 
 

@@ -1,10 +1,11 @@
 """BDD managers die by reference counting, without the cyclic GC.
 
 A manager holds its node arrays and caches, so one that lingers until
-the cyclic collector runs inflates peak memory.  The recursive helpers
-below define a nested function that calls itself through its closure
-cell; each must break that cycle when it returns, also when an
-``iter_models`` generator is abandoned half way.
+the cyclic collector runs inflates peak memory.  None of the helpers
+below may leave a cycle that holds the manager, also when an
+``iter_models`` generator is abandoned half way: the walks keep
+explicit stacks, and a recursive helper, whose nested function calls
+itself through its closure cell, breaks that cycle when it returns.
 """
 
 import gc
@@ -14,7 +15,7 @@ import pytest
 
 from repro.bdd import BDDManager
 from repro.bdd.compose import vector_compose
-from repro.bdd.count import iter_models
+from repro.bdd.count import iter_models, sat_count, shortest_cube
 from repro.logic.sop import isop
 from repro.logic.truthtable import TruthTable
 from repro.sat.cnf import CnfBuilder, encode_bdd
@@ -25,6 +26,8 @@ CALLS = {
     "iter_models": lambda m, f: list(iter_models(m, f, [0, 1, 2])),
     "iter_models_abandoned": lambda m, f: next(iter_models(m, f, [0, 1, 2])),
     "isop": lambda m, f: isop(m, f, f),
+    "sat_count": lambda m, f: sat_count(m, f),
+    "shortest_cube": lambda m, f: shortest_cube(m, f),
     "encode_bdd": lambda m, f: encode_bdd(m, f, {0: 1, 1: 2, 2: 3}, CnfBuilder()),
     "truth_table": lambda m, f: TruthTable(0b10010110, 3).to_bdd(m, [0, 1, 2]),
 }
