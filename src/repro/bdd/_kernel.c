@@ -543,12 +543,29 @@ static int64_t apply_full(const bdd_state *st, int64_t op, int64_t a,
     return apply_core(st, op, a, b);
 }
 
-/* manager.apply_and/apply_or as a whole, for the builder walks: the
- * short-circuits, then the entry-time op-cache check, then the core. */
+/* manager.negate as a whole. */
+static int64_t negate_entry(const bdd_state *st, int64_t f) {
+    if (f <= 1) return 1 - f;
+    int64_t rc = check_opcaches(st);
+    return rc ? rc : negate_core(st, f);
+}
+
+/* manager.apply_and/apply_or/apply_xor as a whole, for the builder
+ * walks: the short-circuits (XOR with a TRUE operand through
+ * manager.negate), then the entry-time op-cache check, then the core. */
 static int64_t apply_entry(const bdd_state *st, int64_t op, int64_t a,
                            int64_t b) {
-    int64_t r = apply_shortcut(op, a, b);
-    if (r >= 0) return r;
+    int64_t r;
+    if (op == T_XOR) {
+        if (a == b) return BDD_FALSE;
+        if (a == BDD_FALSE) return b;
+        if (b == BDD_FALSE) return a;
+        if (a == BDD_TRUE || b == BDD_TRUE)
+            return negate_entry(st, a == BDD_TRUE ? b : a);
+    } else {
+        r = apply_shortcut(op, a, b);
+        if (r >= 0) return r;
+    }
     r = check_opcaches(st);
     if (r) return r;
     if (a > b) { int64_t t = a; a = b; b = t; }
@@ -1002,6 +1019,8 @@ int64_t bdd_grow_table(const bdd_state *st, int64_t t, int64_t new_mask) {
  * restart re-runs only the operation that asked for the growth, exactly
  * as a growth restart of that single operation would. */
 
+#define N_REGS 12 /* keep in sync with repro.bdd.native._CDEF */
+
 /* Scratch state of one builder entry, kept across its restarts.  The
  * manager owns one, all zero between entries; bdd_walk_clear frees
  * what an entry allocated and zeroes it again. */
@@ -1020,6 +1039,8 @@ typedef struct {
     int64_t part[3];   /* the iteration's finished operations + 1, or 0 */
     int64_t started;   /* the loops: nonzero once acc (and acc2) are seeded */
     int64_t err;       /* after BDD_BAD_VAR: the source level */
+    int64_t stage;     /* the space entries: the step running */
+    int64_t reg[N_REGS]; /* the space entries: the finished steps' results */
 } bdd_walk;
 
 #define MEMO_INIT 64
@@ -1297,22 +1318,16 @@ int64_t bdd_transfer(const bdd_state *src, const bdd_state *st, bdd_walk *w,
  * finished operations in its bdd_walk, so a growth restart re-runs only
  * the operation that asked for the growth. */
 
-/* manager.negate as a whole. */
-static int64_t negate_entry(const bdd_state *st, int64_t f) {
-    if (f <= 1) return 1 - f;
-    int64_t rc = check_opcaches(st);
-    return rc ? rc : negate_core(st, f);
-}
-
-/* quantify.exists (T_EX) / forall (T_FA) on the interned one-variable
- * cube ``cid`` of variable ``*var`` as a whole: the level
- * short-circuit; the quantify caches' allocation where exists/forall
- * make it, as the growth code of table q while they are unallocated;
- * the Python-side cache probe, whose hit skips the op-cache check; then
- * the op-cache check and the core. */
+/* quantify.exists (T_EX) / forall (T_FA) on the interned cube ``cid``
+ * (the sorted levels ``cube``, the deepest ``max_level``) as a whole:
+ * the level short-circuit; the quantify caches' allocation where
+ * exists/forall make it, as the growth code of table q while they are
+ * unallocated; the Python-side cache probe, whose hit skips the
+ * op-cache check; then the op-cache check and the core. */
 static int64_t quantify_entry(const bdd_state *st, int64_t q, int64_t f,
-                              int64_t cid, const int64_t *var) {
-    if (f <= 1 || st->level[f] > *var) return f;
+                              int64_t cid, const int64_t *cube,
+                              int64_t cube_len, int64_t max_level) {
+    if (f <= 1 || st->level[f] > max_level) return f;
     if (st->ctrl[C_MASK + T_EX] == 0) return BDD_GROW_TABLE(q);
     int64_t *arrs[3];
     table_arrays(st, q, arrs);
@@ -1323,7 +1338,7 @@ static int64_t quantify_entry(const bdd_state *st, int64_t q, int64_t f,
         return hit;
     }
     int64_t rc = check_opcaches(st);
-    return rc ? rc : quantify_core(st, q, f, cid, var, 1, *var);
+    return rc ? rc : quantify_core(st, q, f, cid, cube, cube_len, max_level);
 }
 
 /* parameterized_forall (op 1) / parameterized_exists (op 0): from
@@ -1332,8 +1347,10 @@ static int64_t quantify_entry(const bdd_state *st, int64_t q, int64_t f,
  * Before each variable the loop stops once the manager holds more than
  * ``budget`` nodes; the walk's step then names the first decision
  * variable skipped (node counts only grow, so the rest are skipped
- * too).  The walk keeps U (acc) and the finished quantification
- * (part[0]).  Returns U or a negative code. */
+ * too).  The walk keeps U (acc), the finished quantification (part[0])
+ * and whether the iteration passed its budget check (part[1]), so a
+ * restart finishes an iteration the Python loop would finish.  Returns
+ * U or a negative code. */
 int64_t bdd_param_quantify(const bdd_state *st, bdd_walk *w, int64_t op,
                            int64_t f, const int64_t *xs, const int64_t *cids,
                            const int64_t *cs, int64_t n, int64_t budget) {
@@ -1345,9 +1362,12 @@ int64_t bdd_param_quantify(const bdd_state *st, bdd_walk *w, int64_t op,
     int64_t q = op == 0 ? T_EX : T_FA;
     for (; w->step < n; w->step++) {
         int64_t i = w->step;
-        if (st->ctrl[C_NNODES] > budget) break;
+        if (w->part[1] == 0) {
+            if (st->ctrl[C_NNODES] > budget) break;
+            w->part[1] = 1;
+        }
         if (w->part[0] == 0) {
-            int64_t r = quantify_entry(st, q, w->acc, cids[i], &xs[i]);
+            int64_t r = quantify_entry(st, q, w->acc, cids[i], &xs[i], 1, xs[i]);
             if (r < 0) return r;
             w->part[0] = r + 1;
         }
@@ -1356,7 +1376,7 @@ int64_t bdd_param_quantify(const bdd_state *st, bdd_walk *w, int64_t op,
         int64_t r = ite_entry(st, lit, w->acc, w->part[0] - 1);
         if (r < 0) return r;
         w->acc = r;
-        w->part[0] = 0;
+        w->part[0] = w->part[1] = 0;
     }
     return w->acc;
 }
@@ -1423,12 +1443,14 @@ int64_t bdd_reduce_support(const bdd_state *st, bdd_walk *w, int64_t lower,
     for (; w->step < n; w->step++) {
         int64_t i = w->step;
         if (part[0] == 0) {
-            int64_t r = quantify_entry(st, T_EX, w->acc, cids[i], &vars[i]);
+            int64_t r = quantify_entry(st, T_EX, w->acc, cids[i], &vars[i], 1,
+                                       vars[i]);
             if (r < 0) return r;
             part[0] = r + 1;
         }
         if (part[1] == 0) {
-            int64_t r = quantify_entry(st, T_FA, w->acc2, cids[i], &vars[i]);
+            int64_t r = quantify_entry(st, T_FA, w->acc2, cids[i], &vars[i], 1,
+                                       vars[i]);
             if (r < 0) return r;
             part[1] = r + 1;
         }
@@ -1529,4 +1551,312 @@ int64_t bdd_models(const bdd_state *st, int64_t root, const int64_t *order,
     path[0] = 1;
     path[1] = d;
     return count;
+}
+
+/* -- Space entries -----------------------------------------------------
+ * The four steps of repro.bidec.symbolic that build or read a partition
+ * space on its scratch manager, each as one entry: the OR and XOR
+ * bodies of or_partition_space and xor_partition_space,
+ * PartitionSpace.nontrivial and PartitionSpace.size_pairs.  Each chains
+ * the cores, builder walks and loop entries above, making the calls of
+ * the Python composition in the same order with each public entry's
+ * short-circuits, Python-side quantify probe and entry-time op-cache
+ * check, so both make the same nodes with the same cache traffic.  The
+ * walk's ``stage`` names the step running and ``reg[]`` keeps the
+ * finished steps' results: a growth restart re-enters at the step that
+ * asked for the growth, which resumes as that walk or loop would on its
+ * own.  A finished step's memo, level table and loop fields are released
+ * before the next step starts. */
+
+/* Release what the finished step kept, keep the registers, and move to
+ * the next step. */
+static void next_stage(bdd_walk *w) {
+    int64_t reg[N_REGS];
+    int64_t stage = w->stage + 1;
+    memcpy(reg, w->reg, sizeof reg);
+    bdd_walk_clear(w);
+    memcpy(w->reg, reg, sizeof reg);
+    w->stage = stage;
+}
+
+/* op(a, b) — ¬a for T_NOT — through its public entry into *part, as
+ * its result + 1, unless an earlier attempt finished it.  Returns 0 or a
+ * negative code. */
+static int64_t part_op(const bdd_state *st, int64_t *part, int64_t op,
+                       int64_t a, int64_t b) {
+    if (*part) return 0;
+    int64_t r = op == T_NOT ? negate_entry(st, a) : apply_entry(st, op, a, b);
+    if (r < 0) return r;
+    *part = r + 1;
+    return 0;
+}
+
+/* Step 0 of the body entries: [lower, upper] of ``src`` rebuilt in
+ * ``st`` as transfer_multi rebuilds them, through the variable map
+ * vars[i] -> xs[i] (i < n) over the ``src_vars`` levels of ``src``; the
+ * target declares ``nvars``.  The bounds land in reg[0] and reg[1]. */
+static int64_t space_transfer(const bdd_state *src, const bdd_state *st,
+                              bdd_walk *w, int64_t lower, int64_t upper,
+                              const int64_t *vars, const int64_t *xs,
+                              int64_t n, int64_t src_vars, int64_t nvars) {
+    if (!w->started) {
+        if (table_init(w, src_vars, 0)) return BDD_NOMEM;
+        for (int64_t i = 0; i < n; i++)
+            if (vars[i] >= 0 && vars[i] < src_vars) w->table[vars[i]] = xs[i];
+        w->started = 1;
+    }
+    int64_t roots[2] = {lower, upper};
+    int64_t rc = bdd_transfer(src, st, w, roots, 2, nvars, 0);
+    if (rc) return rc;
+    w->reg[0] = roots[0];
+    w->reg[1] = roots[1];
+    next_stage(w);
+    return 0;
+}
+
+/* or_partition_space's body (equation 3.8) over the scratch layout
+ * xs, c1s, c2s (n each) and ``cids``, the interned one-variable cubes of
+ * the xs.  Step 0 transfers [l, u] (reg[0], reg[1]); steps 1 and 2 run
+ * parameterized_forall of u over c1s, then c2s, under ``budget``: U1 and
+ * U2 land in reg[2] and reg[3], where each loop stopped in reg[4] and
+ * reg[6], and the node count then in reg[5] and reg[7]; step 3 builds
+ * ¬l ∨ (U1 ∨ U2) (reg[8]); step 4 applies ∀x over the interned cube
+ * ``cid`` of the xs (reg[9]); step 5 ANDs in the literal of each skipped
+ * decision variable, c1s[reg[4]:] then c2s[reg[6]:].  Returns Bi or a
+ * negative code. */
+int64_t bdd_or_space(const bdd_state *src, const bdd_state *st, bdd_walk *w,
+                     int64_t lower, int64_t upper, const int64_t *vars,
+                     int64_t src_vars, const int64_t *xs, const int64_t *c1s,
+                     const int64_t *c2s, const int64_t *cids, int64_t n,
+                     int64_t nvars, int64_t budget, int64_t cid,
+                     const int64_t *cube, int64_t max_level) {
+    int64_t *reg = w->reg, *part = w->part, r;
+    while (w->stage < 5) {
+        int64_t s = w->stage;
+        switch (s) {
+        case 0:
+            r = space_transfer(src, st, w, lower, upper, vars, xs, n, src_vars,
+                               nvars);
+            if (r) return r;
+            continue;
+        case 1:
+        case 2:
+            r = bdd_param_quantify(st, w, 1, reg[1], xs, cids,
+                                   s == 1 ? c1s : c2s, n, budget);
+            if (r < 0) return r;
+            reg[2 * s + 2] = w->step;
+            reg[2 * s + 3] = st->ctrl[C_NNODES];
+            reg[s + 1] = r;
+            break;
+        case 3:
+            if ((r = part_op(st, &part[0], T_NOT, reg[0], 0)) ||
+                (r = part_op(st, &part[1], T_OR, reg[2], reg[3])) ||
+                (r = part_op(st, &part[2], T_OR, part[0] - 1, part[1] - 1)))
+                return r;
+            reg[8] = part[2] - 1;
+            break;
+        default:
+            r = quantify_entry(st, T_FA, reg[8], cid, cube, n, max_level);
+            if (r < 0) return r;
+            reg[9] = r;
+        }
+        next_stage(w);
+    }
+    if (!w->started) {
+        w->acc = reg[9];
+        w->started = 1;
+    }
+    int64_t skipped1 = n - reg[4], forced = skipped1 + n - reg[6];
+    for (; w->step < forced; w->step++) {
+        int64_t k = w->step;
+        int64_t c = k < skipped1 ? c1s[reg[4] + k] : c2s[reg[6] + k - skipped1];
+        int64_t lit = mk(st, c, BDD_FALSE, BDD_TRUE);
+        if (lit < 0) return lit;
+        r = apply_entry(st, T_AND, w->acc, lit);
+        if (r < 0) return r;
+        w->acc = r;
+    }
+    return w->acc;
+}
+
+/* parameterized_replace (c2s NULL) / parameterized_replace_pair as a
+ * step: ``f`` itself when there is no variable, as the Python entries
+ * return it. */
+static int64_t replace_step(const bdd_state *st, bdd_walk *w, int64_t f,
+                            const int64_t *xs, const int64_t *ys,
+                            const int64_t *c1s, const int64_t *c2s,
+                            int64_t n, int64_t nvars) {
+    return n ? bdd_param_replace(st, w, f, xs, ys, c1s, c2s, n, nvars) : f;
+}
+
+/* xor_partition_space's body (equation 3.9 over intervals) over the
+ * scratch layout xs, ys, c1s, c2s (n each).  Step s stores its result in
+ * reg[s + 1]: step 0 transfers [l, u] (reg[0], reg[1]); steps 1 and 2
+ * replace l and u keyed on c2s; step 3 builds must = (l ⊕ reg[2]) ∧
+ * (u ⊕ reg[3]); steps 4 and 5 replace l and u keyed on c1s, steps 6 and
+ * 7 keyed on c1s · c2s; step 8 builds may = (reg[6] ⊕ reg[8]) ∨
+ * (reg[5] ⊕ reg[7]); step 9 must ⇒ may, as ¬must ∨ may; step 10 applies
+ * ∀ over the interned cube ``cid`` of the xs and ys.  Returns Bi or a
+ * negative code. */
+int64_t bdd_xor_space(const bdd_state *src, const bdd_state *st, bdd_walk *w,
+                      int64_t lower, int64_t upper, const int64_t *vars,
+                      int64_t src_vars, const int64_t *xs, const int64_t *ys,
+                      const int64_t *c1s, const int64_t *c2s, int64_t n,
+                      int64_t nvars, int64_t cid, const int64_t *cube,
+                      int64_t cube_len, int64_t max_level) {
+    int64_t *reg = w->reg, *part = w->part, r;
+    for (;;) {
+        int64_t s = w->stage;
+        switch (s) {
+        case 0:
+            r = space_transfer(src, st, w, lower, upper, vars, xs, n, src_vars,
+                               nvars);
+            if (r) return r;
+            continue;
+        case 1: r = replace_step(st, w, reg[0], xs, ys, c2s, NULL, n, nvars); break;
+        case 2: r = replace_step(st, w, reg[1], xs, ys, c2s, NULL, n, nvars); break;
+        case 3:
+            if ((r = part_op(st, &part[0], T_XOR, reg[0], reg[2])) ||
+                (r = part_op(st, &part[1], T_XOR, reg[1], reg[3])) ||
+                (r = part_op(st, &part[2], T_AND, part[0] - 1, part[1] - 1)))
+                return r;
+            r = part[2] - 1;
+            break;
+        case 4: r = replace_step(st, w, reg[0], xs, ys, c1s, NULL, n, nvars); break;
+        case 5: r = replace_step(st, w, reg[1], xs, ys, c1s, NULL, n, nvars); break;
+        case 6: r = replace_step(st, w, reg[0], xs, ys, c1s, c2s, n, nvars); break;
+        case 7: r = replace_step(st, w, reg[1], xs, ys, c1s, c2s, n, nvars); break;
+        case 8:
+            if ((r = part_op(st, &part[0], T_XOR, reg[6], reg[8])) ||
+                (r = part_op(st, &part[1], T_XOR, reg[5], reg[7])) ||
+                (r = part_op(st, &part[2], T_OR, part[0] - 1, part[1] - 1)))
+                return r;
+            r = part[2] - 1;
+            break;
+        case 9:
+            if ((r = part_op(st, &part[0], T_NOT, reg[4], 0)) ||
+                (r = part_op(st, &part[1], T_OR, part[0] - 1, reg[9])))
+                return r;
+            r = part[1] - 1;
+            break;
+        default:
+            return quantify_entry(st, T_FA, reg[10], cid, cube, cube_len,
+                                  max_level);
+        }
+        if (r < 0) return r;
+        reg[s + 1] = r;
+        next_stage(w);
+    }
+}
+
+/* Steps of the weight-reading entries that build the weight table
+ * [w_0 … w_n] of the decision variables ``cs`` (sorted from the highest
+ * index down) into ``out``, as weight_functions builds it — unless the
+ * caller handed the table over. */
+static int64_t weights_step(const bdd_state *st, const int64_t *cs, int64_t n,
+                            int64_t *out, int handed) {
+    return handed ? 0 : bdd_weight_functions(st, cs, n, n, out);
+}
+
+/* PartitionSpace.nontrivial for a space of n >= 1 variables: step 0
+ * (2) builds the weight table of c1s (c2s) into w1 (w2) unless bit 0
+ * (1) of ``built`` says it is there; step 1 (3) disjoins w1[0..n-1]
+ * (w2[0..n-1]) as manager.disjoin folds them into reg[1] (reg[3]); then
+ * bi ∧ (reg[1] ∧ reg[3]).  Returns the restricted Bi or a negative
+ * code. */
+int64_t bdd_nontrivial(const bdd_state *st, bdd_walk *w, int64_t bi,
+                       const int64_t *c1s, const int64_t *c2s, int64_t n,
+                       int64_t *w1, int64_t *w2, int64_t built) {
+    if (bad_node(st, bi)) return BDD_BAD_NODE;
+    int64_t *reg = w->reg, *part = w->part, r;
+    for (;;) {
+        int64_t s = w->stage;
+        switch (s) {
+        case 0: r = weights_step(st, c1s, n, w1, built & 1); break;
+        case 1: r = bdd_fold(st, w, T_OR, w1, n); break;
+        case 2: r = weights_step(st, c2s, n, w2, built & 2); break;
+        case 3: r = bdd_fold(st, w, T_OR, w2, n); break;
+        default:
+            if ((r = part_op(st, &part[0], T_AND, reg[1], reg[3])) ||
+                (r = part_op(st, &part[1], T_AND, bi, part[0] - 1)))
+                return r;
+            return part[1] - 1;
+        }
+        if (r < 0) return r;
+        reg[s] = r;
+        next_stage(w);
+    }
+}
+
+/* The models of ``root`` over the ascending counter bits — e1, the
+ * ``nbits`` bits of k1, then e2 — in count.iter_models order, each
+ * decoded as builders.decode_int reads it into the pair (k1, k2) at
+ * pairs[2i], pairs[2i + 1].  Returns the pair count, or BDD_NOMEM past
+ * ``cap`` pairs or when the path cannot be allocated. */
+static int64_t space_pairs(const bdd_state *st, int64_t root,
+                           const int64_t *bits, int64_t nbits, int64_t *pairs,
+                           int64_t cap) {
+    int64_t m = 2 * nbits, count = 0, rc = 0;
+    int64_t *path = calloc((size_t)(2 * m + 3), sizeof(int64_t));
+    char *model = malloc((size_t)m);
+    if (!path || !model) rc = BDD_NOMEM;
+    while (rc == 0 && bdd_models(st, root, bits, m, path, model, 1) == 1) {
+        if (count == cap) {
+            rc = BDD_NOMEM;
+            break;
+        }
+        /* model[j] is the value of bits[m - 1 - j]. */
+        int64_t k1 = 0, k2 = 0;
+        for (int64_t d = 0; d < nbits; d++) {
+            k1 |= (int64_t)model[m - 1 - d] << d;
+            k2 |= (int64_t)model[nbits - 1 - d] << d;
+        }
+        pairs[2 * count] = k1;
+        pairs[2 * count + 1] = k2;
+        count++;
+    }
+    free(path);
+    free(model);
+    return rc ? rc : count;
+}
+
+/* PartitionSpace.size_pairs without the symbolic pruning: step 0 (2)
+ * builds the weight table of c1s (c2s) into w1 (w2) unless bit 0 (1) of
+ * ``built`` says it is there; step 1 (3) builds K(c1, e1) (K(c2, e2))
+ * over the counter bits bits[0..nbits-1] (bits[nbits..2 nbits-1]) into
+ * reg[1] (reg[3]); step 4 conjoins [bi, reg[1], reg[3]] as
+ * manager.conjoin folds a list (reg[4]); step 5 applies ∃ over the
+ * interned cube ``cid`` of c1s and c2s, giving Bi_κ (reg[5]); then
+ * Bi_κ's models are decoded into at most ``cap`` pairs (space_pairs).
+ * The bits ascend.  Returns the pair count or a negative code. */
+int64_t bdd_size_pairs(const bdd_state *st, bdd_walk *w, int64_t bi,
+                       const int64_t *c1s, const int64_t *c2s, int64_t n,
+                       int64_t *w1, int64_t *w2, int64_t built,
+                       const int64_t *bits, int64_t nbits, int64_t cid,
+                       const int64_t *cube, int64_t cube_len,
+                       int64_t max_level, int64_t *pairs, int64_t cap) {
+    if (bad_node(st, bi)) return BDD_BAD_NODE;
+    int64_t *reg = w->reg, r;
+    while (w->stage < 6) {
+        int64_t s = w->stage;
+        switch (s) {
+        case 0: r = weights_step(st, c1s, n, w1, built & 1); break;
+        case 1: r = bdd_count_relation(st, w, w1, n + 1, bits, nbits); break;
+        case 2: r = weights_step(st, c2s, n, w2, built & 2); break;
+        case 3:
+            r = bdd_count_relation(st, w, w2, n + 1, bits + nbits, nbits);
+            break;
+        case 4: {
+            int64_t nodes[3] = {bi, reg[1], reg[3]};
+            r = bdd_fold(st, w, T_AND, nodes, 3);
+            break;
+        }
+        default:
+            r = quantify_entry(st, T_EX, reg[4], cid, cube, cube_len, max_level);
+        }
+        if (r < 0) return r;
+        reg[s] = r;
+        next_stage(w);
+    }
+    return space_pairs(st, reg[5], bits, nbits, pairs, cap);
 }

@@ -153,14 +153,20 @@ def transfer_multi(
             pairs = iter(ffi.unpack(walk.log, 2 * walk.log_len))
             node_map.update(zip(pairs, pairs))
         if code == _BAD_VAR:
-            level = walk.err
-            if var_map is not None and level not in var_map:
-                raise KeyError(level)
-            var = level if var_map is None else var_map[level]
-            raise ValueError(f"variable {var} not declared")
+            raise bad_var(walk.err, var_map)
         return ffi.unpack(out, len(roots))
     finally:
         lib.bdd_walk_clear(walk)
+
+
+def bad_var(level: int, var_map: Mapping[int, int] | None) -> Exception:
+    """The error of a kernel transfer that stopped at source ``level``:
+    ``KeyError`` when ``var_map`` lacks the level, else ``ValueError``
+    for the undeclared target variable it maps to."""
+    if var_map is not None and level not in var_map:
+        return KeyError(level)
+    var = level if var_map is None else var_map[level]
+    return ValueError(f"variable {var} not declared")
 
 
 def _py_transfer_multi(

@@ -199,7 +199,7 @@ class VarCube:
     matters, do not construct these directly.
     """
 
-    __slots__ = ("cube_id", "vars", "max_level", "levels", "view")
+    __slots__ = ("cube_id", "vars", "max_level", "_levels", "_view", "_ffi")
 
     def __init__(
         self, cube_id: int, vars: FrozenSet[int], max_level: int, ffi=None
@@ -207,12 +207,26 @@ class VarCube:
         self.cube_id = cube_id
         self.vars = vars
         self.max_level = max_level
-        #: Sorted flat copy of ``vars`` — the native quantify kernel
-        #: scans this buffer for level membership.
-        self.levels = array("q", sorted(vars))
-        #: ``levels`` exported once to the native kernel (``None`` on
-        #: pure-Python managers).
-        self.view = None if ffi is None else ffi.from_buffer("int64_t[]", self.levels)
+        self._levels: Optional[array] = None
+        self._view = None
+        self._ffi = ffi
+
+    @property
+    def levels(self) -> array:
+        """Sorted flat copy of ``vars``, made on first use: the native
+        quantify core scans it for level membership, while the loop
+        entries key one-variable cubes by id alone."""
+        if self._levels is None:
+            self._levels = array("q", sorted(self.vars))
+        return self._levels
+
+    @property
+    def view(self):
+        """``levels`` exported to the native kernel, once, on first use
+        (``None`` on pure-Python managers)."""
+        if self._view is None and self._ffi is not None:
+            self._view = self._ffi.from_buffer("int64_t[]", self.levels)
+        return self._view
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.vars)
@@ -538,6 +552,26 @@ class BDDManager:
         start = len(self._var_names)
         return [self.new_var(f"{prefix}{start + i}") for i in range(count)]
 
+    def declare_vars(self, names: Sequence[str]) -> range:
+        """Declare one fresh variable per name, in order, in one call:
+        the same indices, names and :meth:`var_index` results as a
+        :meth:`new_var` per name.  Returns the new indices.  Raises
+        ``ValueError``, declaring nothing, when a name repeats or is
+        taken."""
+        start = len(self._var_names)
+        indices = range(start, start + len(names))
+        table = dict(zip(names, indices))
+        if len(table) != len(names) or not table.keys().isdisjoint(self._name_to_var):
+            seen = set(self._name_to_var)
+            for name in names:
+                if name in seen:
+                    raise ValueError(f"duplicate variable name: {name!r}")
+                seen.add(name)
+        self._var_names.extend(names)
+        self._name_to_var.update(table)
+        self._var_nodes.extend([0] * len(names))
+        return indices
+
     def var_name(self, var: int) -> str:
         """Name of variable ``var``."""
         return self._var_names[var]
@@ -587,13 +621,14 @@ class BDDManager:
         key = frozenset(variables)
         cube = self._cube_table.get(key)
         if cube is None:
-            cube = VarCube(
-                len(self._cube_table), key, max(key) if key else -1, self._ffi
-            )
-            # The extremes bound the rest.
-            for var in cube.levels[:1] + cube.levels[-1:]:
-                if not 0 <= var < len(self._var_names):
-                    raise ValueError(f"variable {var} not declared")
+            max_level = -1
+            if key:
+                # The extremes bound the rest.
+                low, max_level = min(key), max(key)
+                for var in (low, max_level):
+                    if not 0 <= var < len(self._var_names):
+                        raise ValueError(f"variable {var} not declared")
+            cube = VarCube(len(self._cube_table), key, max_level, self._ffi)
             self._cube_table[key] = cube
         return cube
 
@@ -1416,7 +1451,7 @@ class BDDManager:
             self._stat_arr[2 * index] += 1
             return hit
         fn = self._lib.bdd_quantify
-        args = (index, f, cid, cube.view, len(cube.levels), cube.max_level)
+        args = (index, f, cid, cube.view, len(cube.vars), cube.max_level)
         result = fn(st, *args)
         return result if result >= 0 else self._native_retry(result, fn, *args)
 
@@ -1502,7 +1537,7 @@ class BDDManager:
         if st is None:
             return self._py_and_exists(f, g, cube)
         fn = self._lib.bdd_and_exists
-        args = (f, g, cube.cube_id, cube.view, len(cube.levels), cube.max_level)
+        args = (f, g, cube.cube_id, cube.view, len(cube.vars), cube.max_level)
         result = fn(st, *args)
         return result if result >= 0 else self._native_retry(result, fn, *args)
 

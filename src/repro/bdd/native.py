@@ -9,10 +9,13 @@ The native kernel is one shared object compiled from two C sources:
   ``vector_compose`` and ``transfer_multi``, and the loop entries
   behind the parameterized quantifications and replacements,
   ``Interval.reduce_support``, ``iter_models`` and ``conjoin``/
-  ``disjoin``.  They work directly on the manager's flat
-  ``array('q')`` buffers, reached through one ``bdd_state`` struct of
-  buffer pointers per manager; a walk or loop keeps what must survive
-  its growth restarts in a ``bdd_walk``.
+  ``disjoin``, and the space entries behind the OR and XOR bodies of
+  the partition spaces, ``PartitionSpace.nontrivial`` and
+  ``PartitionSpace.size_pairs``.  They work directly on the manager's
+  flat ``array('q')`` buffers, reached through one ``bdd_state`` struct
+  of buffer pointers per manager; a walk, loop or space entry keeps
+  what must survive its growth restarts in a ``bdd_walk`` — a space
+  entry its step counter and the finished steps' results too.
 * ``repro/sat/_solver.c`` — the CDCL core behind
   :class:`repro.sat.solver.Solver`.  It owns its state (one
   ``sat_solver`` per solver, freed through ``ffi.gc``), because a solve
@@ -95,6 +98,8 @@ typedef struct {
     int64_t step, acc, acc2;
     int64_t part[3];
     int64_t started, err;
+    int64_t stage;
+    int64_t reg[12];
 } bdd_walk;
 void bdd_walk_clear(bdd_walk *w);
 int64_t bdd_walk_table(const bdd_state *st, bdd_walk *w,
@@ -121,6 +126,24 @@ int64_t bdd_fold(const bdd_state *st, bdd_walk *w, int64_t op,
     const int64_t *nodes, int64_t n);
 int64_t bdd_models(const bdd_state *st, int64_t root, const int64_t *order,
     int64_t n, int64_t *path, char *out, int64_t cap);
+int64_t bdd_or_space(const bdd_state *src, const bdd_state *st, bdd_walk *w,
+    int64_t lower, int64_t upper, const int64_t *vars, int64_t src_vars,
+    const int64_t *xs, const int64_t *c1s, const int64_t *c2s,
+    const int64_t *cids, int64_t n, int64_t nvars, int64_t budget,
+    int64_t cid, const int64_t *cube, int64_t max_level);
+int64_t bdd_xor_space(const bdd_state *src, const bdd_state *st, bdd_walk *w,
+    int64_t lower, int64_t upper, const int64_t *vars, int64_t src_vars,
+    const int64_t *xs, const int64_t *ys, const int64_t *c1s,
+    const int64_t *c2s, int64_t n, int64_t nvars, int64_t cid,
+    const int64_t *cube, int64_t cube_len, int64_t max_level);
+int64_t bdd_nontrivial(const bdd_state *st, bdd_walk *w, int64_t bi,
+    const int64_t *c1s, const int64_t *c2s, int64_t n, int64_t *w1,
+    int64_t *w2, int64_t built);
+int64_t bdd_size_pairs(const bdd_state *st, bdd_walk *w, int64_t bi,
+    const int64_t *c1s, const int64_t *c2s, int64_t n, int64_t *w1,
+    int64_t *w2, int64_t built, const int64_t *bits, int64_t nbits,
+    int64_t cid, const int64_t *cube, int64_t cube_len, int64_t max_level,
+    int64_t *pairs, int64_t cap);
 typedef struct sat_solver sat_solver;
 sat_solver *sat_new(void);
 void sat_free(sat_solver *s);

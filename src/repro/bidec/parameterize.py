@@ -59,8 +59,20 @@ def parameterized_forall(
     result, skipped = _parameterized_quantify(
         manager, _FORALL, f, x_vars, c_vars, node_budget
     )
+    record_forall(len(x_vars), skipped, manager.num_nodes, node_budget)
+    if node_budget is None:
+        return result
+    return result, skipped
+
+
+def record_forall(
+    count: int, skipped: Sequence[int], nodes: int, node_budget: int | None
+) -> None:
+    """The obs record of one :func:`parameterized_forall` loop over
+    ``count`` variables that left ``skipped`` unparameterized, with
+    ``nodes`` in the manager when it ended."""
     if _obs.enabled():
-        _obs.inc("bidec.param.forall_vars", len(x_vars) - len(skipped))
+        _obs.inc("bidec.param.forall_vars", count - len(skipped))
         if skipped:
             # Resource-monitored relaxation kicked in: these variables
             # stay pinned to "kept in both supports".
@@ -68,12 +80,16 @@ def parameterized_forall(
             _obs.event(
                 "bidec.param.budget_hit",
                 skipped=len(skipped),
-                nodes=manager.num_nodes,
+                nodes=nodes,
                 budget=node_budget,
             )
-    if node_budget is None:
-        return result
-    return result, skipped
+
+
+def kernel_budget(node_budget: int | None) -> int:
+    """``node_budget`` as the kernel loops take it: an ``int64_t``, with
+    no budget as one no node count exceeds."""
+    budget = _NO_BUDGET if node_budget is None else node_budget
+    return max(-_NO_BUDGET, min(budget, _NO_BUDGET))
 
 
 def parameterized_exists(
@@ -116,8 +132,6 @@ def _parameterized_quantify(
     # Interned in the Python loop's order: the cube ids key the quantify
     # caches.
     cubes = [manager.intern_cube((x,)) for x in x_vars]
-    budget = _NO_BUDGET if node_budget is None else node_budget
-    budget = max(-_NO_BUDGET, min(budget, _NO_BUDGET))  # an int64_t
     lib = manager._lib
     walk = manager._walk
     try:
@@ -131,7 +145,7 @@ def _parameterized_quantify(
             [cube.cube_id for cube in cubes],
             list(c_vars),
             len(x_vars),
-            budget,
+            kernel_budget(node_budget),
         )
         return result, list(c_vars[walk.step :])
     finally:

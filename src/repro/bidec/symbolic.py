@@ -13,16 +13,30 @@ across the exponentially many decomposability subproblems.
 
 The computation runs in a dedicated scratch manager whose order interleaves
 ``c1_i, c2_i, x_i (, y_i)`` per original variable, which keeps the
-parameterized intermediate forms compact.  A caller that owns a space's
-whole life hands the manager back with :func:`release_space`; the next
-space is then built in it after a :meth:`~BDDManager.reset`, which keeps
-the arrays' capacity but is otherwise indistinguishable from a fresh
-manager, so the space's nodes — and every output byte — are the same.
+parameterized intermediate forms compact; the names and indices of that
+layout are made once per ``(n, with_y)`` and declared in one call.  A
+caller that owns a space's whole life hands the manager back with
+:func:`release_space`; the next space is then built in it after a
+:meth:`~BDDManager.reset`, which keeps the arrays' capacity but is
+otherwise indistinguishable from a fresh manager, so the space's nodes —
+and every output byte — are the same.
+
+On native managers four steps each run as one kernel entry: the OR body
+of :func:`or_partition_space` (and so of :func:`and_partition_space`),
+the XOR body of :func:`xor_partition_space`,
+:meth:`PartitionSpace.nontrivial` and :meth:`PartitionSpace.size_pairs`.
+Each entry makes the calls of the Python composition it replaces
+(``_py_or_body``, ``_py_xor_body``, ``_py_nontrivial``,
+``_py_size_pairs``) in the same order, so both make the same nodes with
+the same cache traffic; the compositions stay as the pure-Python
+fallback and the parity reference.  The spans and the
+``bidec.param.*`` records stay here, fed from what the entries report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from repro import obs as _obs
@@ -30,8 +44,9 @@ from repro.bdd import builders as _builders
 from repro.bdd import count as _count
 from repro.bdd import native as _native
 from repro.bdd import quantify as _quantify
-from repro.bdd.compose import transfer_multi
-from repro.bdd.manager import BDDManager, FALSE, TRUE
+from repro.bdd.builders import _check_vars
+from repro.bdd.compose import bad_var, transfer_multi
+from repro.bdd.manager import BDDManager, FALSE, TRUE, _BAD_VAR
 from repro.bidec import parameterize as _param
 from repro.intervals import Interval
 
@@ -88,18 +103,69 @@ class PartitionSpace:
     def nontrivial(self) -> "PartitionSpace":
         """Restrict to non-trivial partitions: each component must drop at
         least one variable (``k_i < n``), ruling out ``g = f`` solutions."""
-        n = len(self.variables)
-        if n == 0:
+        if not self.variables:
             return self._with_bi(FALSE)
+        manager = self.manager
+        if manager._st is None:
+            return self._with_bi(self._py_nontrivial())
+        return self._with_bi(self._weights_entry(manager._lib.bdd_nontrivial))
+
+    def _py_nontrivial(self) -> int:
+        """:meth:`nontrivial`'s ``Bi`` as the Python composition: both
+        weight tables, the two disjunctions and the two ANDs."""
+        n = len(self.variables)
         manager = self.manager
         constraint = manager.apply_and(
             manager.disjoin(self.weights(self.c1_vars)[:n]),
             manager.disjoin(self.weights(self.c2_vars)[:n]),
         )
-        return self._with_bi(manager.apply_and(self.bi, constraint))
+        return manager.apply_and(self.bi, constraint)
 
     def _with_bi(self, bi: int) -> "PartitionSpace":
         return replace(self, bi=bi)
+
+    def _weights_entry(self, fn, *args) -> int:
+        """Run kernel entry ``fn`` — ``bdd_nontrivial`` or
+        ``bdd_size_pairs`` — with ``args`` after the arguments both
+        take: ``bi``, each decision vector sorted from the highest index
+        down, a buffer per weight table and the bit mask of the tables
+        handed over.  A table not built yet is built by the entry where
+        :meth:`weights` would build it, then kept.  Returns the entry's
+        result."""
+        manager = self.manager
+        ffi = manager._ffi
+        n = len(self.variables)
+        vectors = (self.c1_vars, self.c2_vars)
+        buffers = []
+        built = 0
+        for bit, c_vars in enumerate(vectors):
+            table = self.weight_tables.get(c_vars)
+            if table is None:
+                _check_vars(manager, c_vars, "weight variables")
+                buffers.append(ffi.new("int64_t[]", n + 1))
+            else:
+                built |= 1 << bit
+                buffers.append(ffi.new("int64_t[]", table))
+        walk = manager._walk
+        try:
+            result = manager._native_walk(
+                fn,
+                manager._st,
+                walk,
+                self.bi,
+                sorted(self.c1_vars, reverse=True),
+                sorted(self.c2_vars, reverse=True),
+                n,
+                *buffers,
+                built,
+                *args,
+            )
+        finally:
+            manager._lib.bdd_walk_clear(walk)
+        for bit, c_vars in enumerate(vectors):
+            if not built >> bit & 1:
+                self.weight_tables[c_vars] = ffi.unpack(buffers[bit], n + 1)
+        return result
 
     # -- size-pair analysis (Section 3.5.2) ------------------------------
 
@@ -120,21 +186,56 @@ class PartitionSpace:
         if self.bi == FALSE:
             return []
         with _obs.span("bidec.size_pairs"):
-            bi_kappa, e1, e2 = self._size_pair_relation()
-            if prune_dominated and symbolic_prune:
-                bi_kappa = self._prune_dominated_symbolic(bi_kappa, e1, e2)
-            pairs = sorted(
-                (
-                    _builders.decode_int(e1, model),
-                    _builders.decode_int(e2, model),
-                )
-                for model in _count.iter_models(self.manager, bi_kappa, e1 + e2)
-            )
+            symbolic = prune_dominated and symbolic_prune
+            if self.manager._st is None or symbolic:
+                pairs = self._py_size_pairs(symbolic)
+            else:
+                pairs = self._native_size_pairs()
+            pairs.sort()
             if prune_dominated and not symbolic_prune:
                 pairs = prune_dominated_pairs(pairs)
         if _obs.enabled():
             _obs.observe(f"bidec.size_pairs.{self.gate}", len(pairs))
         return pairs
+
+    def _py_size_pairs(self, symbolic_prune: bool) -> list[tuple[int, int]]:
+        """The feasible pairs as the Python composition: ``Bi_κ`` (after
+        the symbolic pruning, with ``symbolic_prune``), then the walk of
+        its models, each decoded."""
+        bi_kappa, e1, e2 = self._size_pair_relation()
+        if symbolic_prune:
+            bi_kappa = self._prune_dominated_symbolic(bi_kappa, e1, e2)
+        return [
+            (_builders.decode_int(e1, model), _builders.decode_int(e2, model))
+            for model in _count.iter_models(self.manager, bi_kappa, e1 + e2)
+        ]
+
+    def _native_size_pairs(self) -> list[tuple[int, int]]:
+        """The feasible pairs as one kernel entry (``bdd_size_pairs``):
+        ``Bi_κ`` over counter bits declared, and the cube of the decision
+        variables interned, as :meth:`_size_pair_relation` declares and
+        interns them, then its models decoded in C.  ``Bi_κ`` has at most
+        one model per pair of weights ``0..n``."""
+        manager = self.manager
+        n = len(self.variables)
+        bits_needed = max(1, n.bit_length())
+        bits = manager.new_vars(bits_needed) + manager.new_vars(bits_needed)
+        cube = manager.intern_cube(self.c1_vars + self.c2_vars)
+        cap = (n + 1) ** 2
+        out = manager._ffi.new("int64_t[]", 2 * cap)
+        count = self._weights_entry(
+            manager._lib.bdd_size_pairs,
+            bits,
+            bits_needed,
+            cube.cube_id,
+            cube.view,
+            len(cube.vars),
+            cube.max_level,
+            out,
+            cap,
+        )
+        values = manager._ffi.unpack(out, 2 * count)
+        return list(zip(values[::2], values[1::2]))
 
     def _size_pair_relation(self) -> tuple[int, list[int], list[int]]:
         """``Bi_κ`` over freshly allocated counter bits ``(e1, e2)``."""
@@ -306,13 +407,26 @@ def _record_space(space: PartitionSpace) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Scratch:
-    manager: BDDManager
-    x_vars: list[int]
-    y_vars: list[int]
-    c1_vars: list[int]
-    c2_vars: list[int]
+@dataclass(frozen=True)
+class _Layout:
+    """The variables of a scratch manager over ``n`` function
+    variables: ``c1_i, c2_i, x_i (, y_i)`` per variable, in declaration
+    order, with their names."""
+
+    names: tuple[str, ...]
+    c1_vars: tuple[int, ...]
+    c2_vars: tuple[int, ...]
+    x_vars: tuple[int, ...]
+    y_vars: tuple[int, ...]
+
+
+@lru_cache(maxsize=64)
+def _layout(num_vars: int, with_y: bool) -> _Layout:
+    kinds = ("c1", "c2", "x", "y") if with_y else ("c1", "c2", "x")
+    step = len(kinds)
+    names = tuple(f"{kind}_{i}" for i in range(num_vars) for kind in kinds)
+    columns = [tuple(range(k, step * num_vars, step)) for k in range(step)]
+    return _Layout(names, *columns[:3], columns[3] if with_y else ())
 
 
 #: The scratch manager handed back by :func:`release_space` (at most one),
@@ -332,11 +446,12 @@ def release_space(space: PartitionSpace) -> None:
         _spares.append(space.manager)
 
 
-def _make_scratch(num_vars: int, with_y: bool) -> _Scratch:
+def _make_scratch(num_vars: int, with_y: bool) -> tuple[BDDManager, _Layout]:
     """Dedicated manager with the interleaved order
-    ``c1_i, c2_i, x_i (, y_i)`` per original variable.  The spare is
-    reset and reused when one is waiting and runs on the kernel a new
-    manager would get; otherwise a new manager is built."""
+    ``c1_i, c2_i, x_i (, y_i)`` per original variable, declared in one
+    call, and its layout.  The spare is reset and reused when one is
+    waiting and runs on the kernel a new manager would get; otherwise a
+    new manager is built."""
     try:
         manager = _spares.pop()
     except IndexError:
@@ -345,17 +460,55 @@ def _make_scratch(num_vars: int, with_y: bool) -> _Scratch:
         manager.reset()
     else:
         manager = BDDManager()
-    x_vars: list[int] = []
-    y_vars: list[int] = []
-    c1_vars: list[int] = []
-    c2_vars: list[int] = []
-    for i in range(num_vars):
-        c1_vars.append(manager.new_var(f"c1_{i}"))
-        c2_vars.append(manager.new_var(f"c2_{i}"))
-        x_vars.append(manager.new_var(f"x_{i}"))
-        if with_y:
-            y_vars.append(manager.new_var(f"y_{i}"))
-    return _Scratch(manager, x_vars, y_vars, c1_vars, c2_vars)
+    layout = _layout(num_vars, with_y)
+    manager.declare_vars(layout.names)
+    return manager, layout
+
+
+def _space_variables(
+    interval: Interval, variables: Optional[Sequence[int]]
+) -> list[int]:
+    """The function variables a space is built over: ``variables``, or
+    the interval's sorted support.  A given list must name distinct
+    variables of the interval's manager (``ValueError`` otherwise,
+    before any scratch manager is taken): the variable map would drop a
+    repeated, negative or undeclared entry and leave a decision pair no
+    function variable stands behind."""
+    if variables is None:
+        return sorted(interval.support())
+    variables = list(variables)
+    _check_vars(interval.manager, variables, "space variables")
+    return variables
+
+
+def _run_body(
+    entry, interval: Interval, variables: list[int], sm: BDDManager, x_vars, *args
+) -> tuple[int, list[int]]:
+    """Run body entry ``entry`` on the scratch manager ``sm``: the
+    interval's bounds, the variable map ``variables`` -> ``x_vars``,
+    then ``args``.  A bound's level that ``variables`` lacks raises
+    ``KeyError``, as the transfer does.  Returns ``Bi`` and the first
+    eight of the walk's registers."""
+    source = interval.manager
+    walk = sm._walk
+    try:
+        bi = sm._native_walk(
+            entry,
+            source._st,
+            sm._st,
+            walk,
+            interval.lower,
+            interval.upper,
+            variables,
+            source.num_vars,
+            x_vars,
+            *args,
+        )
+        if bi == _BAD_VAR:
+            raise bad_var(walk.err, dict(zip(variables, x_vars)))
+        return bi, sm._ffi.unpack(walk.reg, 8)
+    finally:
+        sm._lib.bdd_walk_clear(walk)
 
 
 def or_partition_space(
@@ -376,43 +529,101 @@ def or_partition_space(
     becomes a sound *subset* of the full solution set rather than an
     exhaustive one.
     """
-    if variables is None:
-        variables = sorted(interval.support())
-    variables = list(variables)
+    variables = _space_variables(interval, variables)
     with _obs.span("bidec.build.or"):
-        scratch = _make_scratch(len(variables), with_y=False)
-        var_map = {orig: scratch.x_vars[i] for i, orig in enumerate(variables)}
-        sm = scratch.manager
-        lower, upper = transfer_multi(
-            interval.manager, [interval.lower, interval.upper], sm, var_map
-        )
-        forced: list[int] = []
-        if node_budget is None:
-            u1 = _param.parameterized_forall(sm, upper, scratch.x_vars, scratch.c1_vars)
-            u2 = _param.parameterized_forall(sm, upper, scratch.x_vars, scratch.c2_vars)
-        else:
-            u1, skipped1 = _param.parameterized_forall(
-                sm, upper, scratch.x_vars, scratch.c1_vars, node_budget
-            )
-            u2, skipped2 = _param.parameterized_forall(
-                sm, upper, scratch.x_vars, scratch.c2_vars, node_budget
-            )
-            forced = skipped1 + skipped2
-        body = sm.apply_or(sm.negate(lower), sm.apply_or(u1, u2))
-        bi = _quantify.forall(sm, body, scratch.x_vars)
-        for c in forced:
-            bi = sm.apply_and(bi, sm.var(c))
+        sm, layout = _make_scratch(len(variables), with_y=False)
+        body = _native_or_body if _native_pair(interval, sm) else _py_or_body
+        bi = body(interval, variables, sm, layout, node_budget)
         space = PartitionSpace(
             gate="or",
             manager=sm,
             bi=bi,
             variables=tuple(variables),
-            c1_vars=tuple(scratch.c1_vars),
-            c2_vars=tuple(scratch.c2_vars),
-            x_vars=tuple(scratch.x_vars),
+            c1_vars=layout.c1_vars,
+            c2_vars=layout.c2_vars,
+            x_vars=layout.x_vars,
         )
     _record_space(space)
     return space
+
+
+def _native_pair(interval: Interval, sm: BDDManager) -> bool:
+    """Whether a body can run as one kernel entry: both the interval's
+    manager and the scratch manager are native."""
+    return interval.manager._st is not None and sm._st is not None
+
+
+def _py_or_body(
+    interval: Interval,
+    variables: list[int],
+    sm: BDDManager,
+    layout: _Layout,
+    node_budget: Optional[int],
+) -> int:
+    """The OR body as the Python composition: the transfer of
+    ``[l, u]``, both parameterized ∀ loops, ``¬l ∨ (U1 ∨ U2)``, ``∀x``
+    and the forcing ANDs."""
+    var_map = {orig: layout.x_vars[i] for i, orig in enumerate(variables)}
+    lower, upper = transfer_multi(
+        interval.manager, [interval.lower, interval.upper], sm, var_map
+    )
+    forced: list[int] = []
+    if node_budget is None:
+        u1 = _param.parameterized_forall(sm, upper, layout.x_vars, layout.c1_vars)
+        u2 = _param.parameterized_forall(sm, upper, layout.x_vars, layout.c2_vars)
+    else:
+        u1, skipped1 = _param.parameterized_forall(
+            sm, upper, layout.x_vars, layout.c1_vars, node_budget
+        )
+        u2, skipped2 = _param.parameterized_forall(
+            sm, upper, layout.x_vars, layout.c2_vars, node_budget
+        )
+        forced = skipped1 + skipped2
+    body = sm.apply_or(sm.negate(lower), sm.apply_or(u1, u2))
+    bi = _quantify.forall(sm, body, layout.x_vars)
+    for c in forced:
+        bi = sm.apply_and(bi, sm.var(c))
+    return bi
+
+
+def _native_or_body(
+    interval: Interval,
+    variables: list[int],
+    sm: BDDManager,
+    layout: _Layout,
+    node_budget: Optional[int],
+) -> int:
+    """The OR body as one kernel entry (``bdd_or_space``), with the
+    cubes interned in the composition's order first (their ids key the
+    quantify caches); each ∀ loop's obs record is made from where the
+    entry reports it stopped."""
+    x_vars = layout.x_vars
+    cids = [sm.intern_cube((x,)).cube_id for x in x_vars]
+    cube = sm.intern_cube(x_vars)
+    bi, reg = _run_body(
+        sm._lib.bdd_or_space,
+        interval,
+        variables,
+        sm,
+        x_vars,
+        layout.c1_vars,
+        layout.c2_vars,
+        cids,
+        len(x_vars),
+        sm.num_vars,
+        _param.kernel_budget(node_budget),
+        cube.cube_id,
+        cube.view,
+        cube.max_level,
+    )
+    # reg[4], reg[6]: where each loop stopped; reg[5], reg[7]: the node
+    # count then.
+    for c_vars, stop, nodes in (
+        (layout.c1_vars, reg[4], reg[5]),
+        (layout.c2_vars, reg[6], reg[7]),
+    ):
+        _param.record_forall(len(x_vars), c_vars[stop:], nodes, node_budget)
+    return bi
 
 
 def and_partition_space(
@@ -420,6 +631,7 @@ def and_partition_space(
 ) -> PartitionSpace:
     """AND partitions via the OR space of the complement interval
     (Section 3.3.1 duality); the feasible partitions coincide."""
+    variables = _space_variables(interval, variables)
     with _obs.span("bidec.build.and"):
         inner = or_partition_space(interval.complement(), variables)
         space = replace(inner, gate="and")
@@ -445,48 +657,81 @@ def xor_partition_space(
     uses ``c2`` — with the support-indicator convention ``c1`` still
     counts ``|support(g1)|``.
     """
-    if variables is None:
-        variables = sorted(interval.support())
-    variables = list(variables)
+    variables = _space_variables(interval, variables)
     with _obs.span("bidec.build.xor"):
-        scratch = _make_scratch(len(variables), with_y=True)
-        var_map = {orig: scratch.x_vars[i] for i, orig in enumerate(variables)}
-        sm = scratch.manager
-        lower, upper = transfer_multi(
-            interval.manager, [interval.lower, interval.upper], sm, var_map
-        )
-        xs, ys = scratch.x_vars, scratch.y_vars
-        c1, c2 = scratch.c1_vars, scratch.c2_vars
-
-        # Flip variables exclusive to g1 (not in support(g2)): substitution
-        # keyed on c2.
-        l_excl1 = _param.parameterized_replace(sm, lower, xs, ys, c2)
-        u_excl1 = _param.parameterized_replace(sm, upper, xs, ys, c2)
-        must_differ = sm.apply_and(
-            sm.apply_xor(lower, l_excl1), sm.apply_xor(upper, u_excl1)
-        )
-        # Flip variables exclusive to g2 (keyed on c1), and variables
-        # exclusive to either side (keyed on c1·c2).
-        l_excl2 = _param.parameterized_replace(sm, lower, xs, ys, c1)
-        u_excl2 = _param.parameterized_replace(sm, upper, xs, ys, c1)
-        l_both = _param.parameterized_replace_pair(sm, lower, xs, ys, c1, c2)
-        u_both = _param.parameterized_replace_pair(sm, upper, xs, ys, c1, c2)
-        may_differ = sm.apply_or(
-            sm.apply_xor(u_excl2, u_both), sm.apply_xor(l_excl2, l_both)
-        )
-        condition = sm.implies(must_differ, may_differ)
-        bi = _quantify.forall(sm, condition, xs + ys)
+        sm, layout = _make_scratch(len(variables), with_y=True)
+        body = _native_xor_body if _native_pair(interval, sm) else _py_xor_body
+        bi = body(interval, variables, sm, layout)
         space = PartitionSpace(
             gate="xor",
             manager=sm,
             bi=bi,
             variables=tuple(variables),
-            c1_vars=tuple(scratch.c1_vars),
-            c2_vars=tuple(scratch.c2_vars),
-            x_vars=tuple(scratch.x_vars),
+            c1_vars=layout.c1_vars,
+            c2_vars=layout.c2_vars,
+            x_vars=layout.x_vars,
         )
     _record_space(space)
     return space
+
+
+def _py_xor_body(
+    interval: Interval, variables: list[int], sm: BDDManager, layout: _Layout
+) -> int:
+    """The XOR body as the Python composition: the transfer of
+    ``[l, u]``, the six parameterized replacements, the XOR/AND/OR/
+    ``implies`` and ``∀(x ∪ y)``."""
+    var_map = {orig: layout.x_vars[i] for i, orig in enumerate(variables)}
+    lower, upper = transfer_multi(
+        interval.manager, [interval.lower, interval.upper], sm, var_map
+    )
+    xs, ys = layout.x_vars, layout.y_vars
+    c1, c2 = layout.c1_vars, layout.c2_vars
+
+    # Flip variables exclusive to g1 (not in support(g2)): substitution
+    # keyed on c2.
+    l_excl1 = _param.parameterized_replace(sm, lower, xs, ys, c2)
+    u_excl1 = _param.parameterized_replace(sm, upper, xs, ys, c2)
+    must_differ = sm.apply_and(
+        sm.apply_xor(lower, l_excl1), sm.apply_xor(upper, u_excl1)
+    )
+    # Flip variables exclusive to g2 (keyed on c1), and variables
+    # exclusive to either side (keyed on c1·c2).
+    l_excl2 = _param.parameterized_replace(sm, lower, xs, ys, c1)
+    u_excl2 = _param.parameterized_replace(sm, upper, xs, ys, c1)
+    l_both = _param.parameterized_replace_pair(sm, lower, xs, ys, c1, c2)
+    u_both = _param.parameterized_replace_pair(sm, upper, xs, ys, c1, c2)
+    may_differ = sm.apply_or(
+        sm.apply_xor(u_excl2, u_both), sm.apply_xor(l_excl2, l_both)
+    )
+    condition = sm.implies(must_differ, may_differ)
+    return _quantify.forall(sm, condition, xs + ys)
+
+
+def _native_xor_body(
+    interval: Interval, variables: list[int], sm: BDDManager, layout: _Layout
+) -> int:
+    """The XOR body as one kernel entry (``bdd_xor_space``), with the
+    cube of the xs and ys interned first."""
+    xs, ys = layout.x_vars, layout.y_vars
+    cube = sm.intern_cube(xs + ys)
+    bi, _ = _run_body(
+        sm._lib.bdd_xor_space,
+        interval,
+        variables,
+        sm,
+        xs,
+        ys,
+        layout.c1_vars,
+        layout.c2_vars,
+        len(xs),
+        sm.num_vars,
+        cube.cube_id,
+        cube.view,
+        len(cube.vars),
+        cube.max_level,
+    )
+    return bi
 
 
 def partition_space(

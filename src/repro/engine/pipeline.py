@@ -95,14 +95,16 @@ class Pipeline:
     @staticmethod
     def _network_metrics(context: SynthesisContext) -> dict[str, int]:
         """Size of the pipeline's current product (nodes / literals /
-        latches), for the per-pass delta rows.  Best-effort: an
-        unreadable network yields an empty dict, never an error."""
+        latches), for the per-pass delta rows: only these three, so the
+        and/inv expansion of ``Network.stats`` is not walked.
+        Best-effort: an unreadable network yields an empty dict, never an
+        error."""
         try:
-            stats = context.result_network().stats()
+            network = context.result_network()
             return {
-                "nodes": int(stats["nodes"]),
-                "literals": int(stats["literals"]),
-                "latches": int(stats["latches"]),
+                "nodes": len(network.nodes),
+                "literals": network.literal_count(),
+                "latches": len(network.latches),
             }
         except Exception:
             return {}

@@ -139,6 +139,23 @@ class TestParameterizedQuantify:
         assert 0 < len(got[1]) < k  # some variables ran, some were skipped
         assert _state(m1) == _state(m2)
 
+    def test_budget_scan(self):
+        """Every budget over a range: a growth restart inside an
+        iteration finishes that iteration, as the Python loop does, even
+        when the node count passed the budget during it."""
+        k = 10
+        history, step = _scratch_history(0, k)
+        xs, cs = _vars(k, step, 2), _vars(k, step, 0)
+        for extra in range(0, 400, 9):
+            (m1, m2), (f, _) = _pair(history, step * k)
+            budget = m1.num_nodes + extra
+            got = parameterize.parameterized_forall(m1, f, xs, cs, budget)
+            want = parameterize._py_parameterized_quantify(
+                m2, parameterize._FORALL, f, xs, cs, budget
+            )
+            assert got == want, budget
+            assert _state(m1) == _state(m2), budget
+
     def test_every_quantification_short_circuits(self):
         """Each variable lies above ``f``'s top level, so no quantifier
         passes its short-circuit: the quantify caches stay unallocated."""

@@ -40,6 +40,30 @@ class TestVariables:
         m = BDDManager(3)
         assert [m.var_name(i) for i in range(3)] == ["x0", "x1", "x2"]
 
+    def test_declare_vars_matches_new_var(self):
+        names = ["c1_0", "c2_0", "x_0", "c1_1", "c2_1", "x_1"]
+        one_call, one_each = BDDManager(2), BDDManager(2)
+        assert one_call.declare_vars(names) == range(2, 8)
+        assert [one_each.new_var(name) for name in names] == list(range(2, 8))
+        for m in (one_call, one_each):
+            assert m.num_vars == 8
+            assert [m.var_index(name) for name in names] == list(range(2, 8))
+        assert [one_call.var_name(i) for i in range(8)] == [
+            one_each.var_name(i) for i in range(8)
+        ]
+        assert one_call.var(7) == one_each.var(7)
+        assert one_call.declare_vars([]) == range(8, 8)
+
+    def test_declare_vars_rejects_clashes(self):
+        """A repeated or taken name raises and declares nothing."""
+        m = BDDManager(2)
+        for names in (["a", "b", "a"], ["a", "x1"]):
+            with pytest.raises(ValueError, match="duplicate variable name"):
+                m.declare_vars(names)
+            assert m.num_vars == 2
+        with pytest.raises(KeyError):
+            m.var_index("a")
+
     def test_var_literal_structure(self):
         m = BDDManager(1)
         v = m.var(0)

@@ -142,15 +142,26 @@ class TestWeightTables:
         weight_functions = _builders.weight_functions
         partition_space = _symbolic.partition_space
 
+        weights_entry = _symbolic.PartitionSpace._weights_entry
+
         def counting(manager, variables, max_weight=None):
             sweeps.append((manager, tuple(variables)))
             return weight_functions(manager, variables, max_weight)
+
+        def counting_entry(space, fn, *args):
+            # On the kernel, the non-triviality and size-pair entries
+            # build the tables the space does not hold yet.
+            for c_vars in (space.c1_vars, space.c2_vars):
+                if c_vars not in space.weight_tables:
+                    sweeps.append((space.manager, c_vars))
+            return weights_entry(space, fn, *args)
 
         def recording(interval, gate, variables=None):
             spaces.append(partition_space(interval, gate, variables))
             return spaces[-1]
 
         monkeypatch.setattr(_builders, "weight_functions", counting)
+        monkeypatch.setattr(_symbolic.PartitionSpace, "_weights_entry", counting_entry)
         monkeypatch.setattr(_symbolic, "partition_space", recording)
         result = decompose_interval(Interval.exact(m, f))
         assert result is not None and result.verify()

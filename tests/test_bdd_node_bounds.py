@@ -20,6 +20,7 @@ from repro.bdd.compose import transfer_multi, vector_compose
 from repro.bdd.count import iter_models
 from repro.bdd.manager import BDDManager, FALSE, TRUE
 from repro.bidec import parameterize
+from repro.bidec.symbolic import partition_space
 from repro.intervals import Interval
 
 requires_native = pytest.mark.skipif(
@@ -115,6 +116,46 @@ def test_stray_id_raises(native, stray, operation):
     assert m.num_nodes == nodes
     assert m.cache_capacities() == capacities
     assert m.apply_and(a, m.negate(b)) == m.ite(b, 0, a)
+
+
+@pytest.fixture
+def one_kernel(monkeypatch):
+    """Run partition spaces' scratch managers on the kernel of the
+    interval's manager: ``one_kernel(False)`` keeps them pure Python."""
+
+    def select(native):
+        if not native:
+            monkeypatch.setattr(_native, "kernel", lambda: None)
+
+    return select
+
+
+@pytest.mark.parametrize("native", KERNELS)
+@pytest.mark.parametrize("gate", ["or", "and", "xor"])
+@pytest.mark.parametrize("given", [True, False], ids=["variables", "support"])
+@pytest.mark.parametrize("stray", ["minus_one", "num_nodes", "two_hundred"])
+def test_stray_space_bound_raises(one_kernel, native, gate, given, stray):
+    """A partition space over an interval whose upper bound is a stray
+    id, with the variables given or read off the bounds."""
+    one_kernel(native)
+    m = BDDManager(3, native=native)
+    a = m.var(0)
+    x = {"minus_one": -1, "num_nodes": m.num_nodes, "two_hundred": 200}[stray]
+    with pytest.raises(ValueError, match="not made by this manager"):
+        partition_space(Interval(m, a, x), gate, [0, 1, 2] if given else None)
+
+
+@pytest.mark.parametrize("native", KERNELS)
+@pytest.mark.parametrize("gate", ["or", "and", "xor"])
+def test_space_variables_must_cover_the_bounds(one_kernel, native, gate):
+    """The variable map of a space lacks a level of its bounds: the
+    transfer raises ``KeyError`` naming the level."""
+    one_kernel(native)
+    m = BDDManager(3, native=native)
+    f = m.apply_and(m.var(0), m.var(2))
+    with pytest.raises(KeyError) as info:
+        partition_space(Interval.exact(m, f), gate, [0, 1])
+    assert info.value.args == (2,)
 
 
 @pytest.mark.parametrize("native", KERNELS)

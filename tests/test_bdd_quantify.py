@@ -3,6 +3,8 @@ abstraction."""
 
 import random
 
+import pytest
+
 from hypothesis import given, settings, strategies as st
 
 from repro.bdd import BDDManager, FALSE, TRUE, exists, forall, and_exists, abstract_interval
@@ -141,3 +143,43 @@ def test_property_quantifier_oracle(bits, subset):
     subset = sorted(subset)
     assert tt_of(m, exists(m, node, subset), 4) == oracle_exists(table, subset)
     assert tt_of(m, forall(m, node, subset), 4) == oracle_forall(table, subset)
+
+
+class TestCubeExport:
+    """A cube makes its sorted level array, and the kernel's view of it,
+    only when a core first reads them."""
+
+    def test_levels_made_on_first_use(self):
+        m = BDDManager(4)
+        f = m.apply_and(m.var(1), m.var(3))
+        cube = m.intern_cube((3, 1))
+        assert (cube.cube_id, cube.max_level, cube._levels) == (0, 3, None)
+        assert list(cube.levels) == [1, 3]
+        assert cube.levels is cube.levels
+        if m.native:
+            assert cube.view is cube.view
+            assert list(cube.view) == [1, 3]
+        else:
+            assert cube.view is None
+        assert exists(m, f, cube) == TRUE
+
+    def test_loop_cubes_are_keyed_by_id(self):
+        """The parameterized loop interns one-variable cubes and keys the
+        quantify caches by their ids: it reads no level array."""
+        from repro.bidec.parameterize import parameterized_forall
+
+        m = BDDManager(6)
+        f = m.apply_or(m.apply_and(m.var(2), m.var(5)), m.var(3))
+        parameterized_forall(m, f, [2, 5], [0, 1])
+        cubes = [m.intern_cube((x,)) for x in (2, 5)]
+        assert [cube.cube_id for cube in cubes] == [0, 1]
+        if m.native:
+            assert [cube._levels for cube in cubes] == [None, None]
+
+    def test_new_cube_checks_its_extremes(self):
+        m = BDDManager(3)
+        m.intern_cube((0, 1))
+        for bad in ((0, 3), (-1, 2), (5,)):
+            with pytest.raises(ValueError, match="not declared"):
+                m.intern_cube(bad)
+        assert len(m._cube_table) == 1

@@ -3,11 +3,16 @@ core construction (Section 3.4)."""
 
 import math
 
+import pytest
+
 from repro.bdd import BDDManager
+from repro.bdd import native as _native
+from repro.bidec import symbolic as _symbolic
 from repro.bidec.checks import or_decomposable, xor_decomposable_cs
 from repro.bidec.symbolic import (
     and_partition_space,
     or_partition_space,
+    partition_space,
     prune_dominated_pairs,
     xor_partition_space,
 )
@@ -291,3 +296,78 @@ class TestDominance:
 
     def test_prune_empty(self):
         assert prune_dominated_pairs([]) == []
+
+
+class TestPhantomVariables:
+    """A repeated, negative or undeclared entry of ``variables`` has no
+    function variable behind it: the variable map would drop it and give
+    the space a decision pair that lets trivial partitions through.  It
+    is rejected before a scratch manager is taken."""
+
+    BUILDERS = {
+        "or": or_partition_space,
+        "and": and_partition_space,
+        "xor": xor_partition_space,
+    }
+
+    @pytest.fixture(
+        params=[
+            pytest.param(False, id="python"),
+            pytest.param(
+                True,
+                id="native",
+                marks=pytest.mark.skipif(
+                    _native.kernel() is None, reason="native kernel unavailable"
+                ),
+            ),
+        ]
+    )
+    def native(self, request, monkeypatch):
+        """Run the interval's manager and the scratch managers on one
+        kernel."""
+        if not request.param:
+            monkeypatch.setattr(_native, "kernel", lambda: None)
+        return request.param
+
+    @pytest.mark.parametrize("gate", ["or", "and", "xor"])
+    def test_rejected_before_a_scratch_manager(self, native, gate, monkeypatch):
+        m = BDDManager(4, native=native)
+        a, b, c, d = (m.var(i) for i in range(4))
+        interval = Interval.exact(m, m.apply_or(m.apply_and(a, b), m.apply_and(c, d)))
+        spare = BDDManager(native=native)
+        monkeypatch.setattr(_symbolic, "_spares", [spare])
+        nodes = m.num_nodes
+        for extra in (3, -1, 9):
+            for build in (
+                lambda v: partition_space(interval, gate, v),
+                lambda v: self.BUILDERS[gate](interval, v),
+            ):
+                with pytest.raises(ValueError, match="space variables"):
+                    build([0, 1, 2, 3, extra])
+        assert _symbolic._spares == [spare]
+        assert m.num_nodes == nodes  # not even the AND space's complement
+        space = partition_space(interval, gate, (0, 1, 2, 3))
+        assert space.manager is spare
+        restricted = space.nontrivial()
+        assert (restricted.size_pairs(), restricted.pick_partition()) == {
+            "or": ([(2, 2)], ({0, 1}, {2, 3})),
+            "and": ([(3, 3)], ({0, 1, 2}, {0, 1, 3})),
+            "xor": ([], None),
+        }[gate]
+
+
+class TestScratchLayout:
+    @pytest.mark.parametrize("with_y", [False, True])
+    def test_names_and_indices(self, with_y, monkeypatch):
+        """The layout declared in one call names and numbers the
+        variables as one ``new_var`` per variable did."""
+        monkeypatch.setattr(_symbolic, "_spares", [])
+        manager, layout = _symbolic._make_scratch(3, with_y)
+        kinds = ("c1", "c2", "x", "y") if with_y else ("c1", "c2", "x")
+        names = [f"{kind}_{i}" for i in range(3) for kind in kinds]
+        assert [manager.var_name(v) for v in range(manager.num_vars)] == names
+        columns = (layout.c1_vars, layout.c2_vars, layout.x_vars, layout.y_vars)
+        for kind, column in zip(kinds, columns):
+            assert tuple(manager.var_index(f"{kind}_{i}") for i in range(3)) == column
+        assert layout.y_vars == (() if not with_y else (3, 7, 11))
+        assert _symbolic._layout(3, with_y) is layout

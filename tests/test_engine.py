@@ -246,6 +246,26 @@ class TestPipeline:
         ]
         assert all(p["elapsed"] >= 0 for p in report.passes)
 
+    def test_pass_rows_skip_the_and_inv_walk(self, monkeypatch):
+        """Each row reads nodes, literals and latches of the product
+        after its pass, and nothing walks the and/inv expansion for it."""
+        from repro.network.netlist import Network
+
+        def no_walk(self):
+            raise AssertionError("walked the and/inv expansion")
+
+        monkeypatch.setattr(Network, "and_inv_count", no_walk)
+        net = small_circuit()
+        report = algorithm1(net, SynthesisOptions(max_partition_size=8))
+        last = report.passes[-1]
+        final = report.network
+        assert (last["nodes"], last["literals"], last["latches"]) == (
+            len(final.nodes), final.literal_count(), len(final.latches)
+        )
+        first = report.passes[0]
+        assert first["nodes"] - first["nodes_delta"] == len(net.nodes)
+        assert first["literals"] - first["literals_delta"] == net.literal_count()
+
     def test_pipeline_emits_obs_events(self):
         from repro import obs
 
