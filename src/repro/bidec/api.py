@@ -69,12 +69,46 @@ class BiDecomposition:
         )
 
 
+def _size_key(k1: int, k2: int, order: int) -> tuple[int, int, int]:
+    """The rank of a decomposition with supports of ``k1`` and ``k2``
+    variables found by the gate at position ``order`` of a gate loop:
+    ``(max(k1, k2), k1 + k2, order)``, the smallest best."""
+    return max(k1, k2), k1 + k2, order
+
+
+def _cannot_win(
+    key: tuple[int, int, int], best_key: Optional[tuple[int, int, int]]
+) -> bool:
+    """Whether a gate whose result would rank ``key`` — or no better,
+    when ``key`` is a lower bound — loses to the best decomposition found
+    so far, ranked ``best_key`` (see :func:`_size_key`).  The gate loops
+    of :func:`decompose_interval` and of the sat-cegar backend ask this
+    one predicate before building a gate's space and before extracting
+    its partition."""
+    return best_key is not None and key > best_key
+
+
+def _support_floor(interval: Interval, size: int) -> tuple[int, int]:
+    """The least ``(max(|x1|, |x2|), |x1| + |x2|)`` a decomposition of
+    ``interval``, whose support has ``size`` variables, can have.  Every
+    variable of an exact interval's support is essential, since a
+    reduced BDD depends on each variable it mentions, so the two
+    supports must cover it: ``(⌈size/2⌉, size)``.  A member of a proper
+    interval may drop variables, so its floor is ``(0, 0)``."""
+    if interval.is_exact():
+        return (size + 1) // 2, size
+    return 0, 0
+
+
 def _decompose_with_space(
     interval: Interval,
     space: _symbolic.PartitionSpace,
     require_nontrivial: bool,
     objective: str,
     max_partition_tries: int = 8,
+    *,
+    order: int = 0,
+    best_key: Optional[tuple[int, int, int]] = None,
 ) -> Optional[BiDecomposition]:
     _obs.inc(f"bidec.attempt.{space.gate}")
     if require_nontrivial:
@@ -90,6 +124,10 @@ def _decompose_with_space(
     if best is None:
         return None
     k1, k2 = best
+    if _cannot_win(_size_key(k1, k2, order), best_key):
+        # Every partition of these sizes ranks exactly this key.
+        _obs.inc(f"bidec.pruned.{space.gate}")
+        return None
     for support1, support2 in space.iter_partitions(k1, k2, max_partition_tries):
         pair = _extract_pair(interval, space.gate, support1, support2)
         if pair is not None:
@@ -198,6 +236,19 @@ def decompose_interval(
     ``max(|x1|, |x2|)`` (ties broken by smaller total support, then by
     the order of ``gates``).
 
+    A gate that cannot beat the best decomposition found so far is cut
+    short (:func:`_cannot_win`), and the result is the one the full loop
+    would return:
+
+    * once its space gives its best size pair ``(k1, k2)``, a gate whose
+      rank ``(max(k1, k2), k1 + k2, order)`` loses is not extracted
+      (``bidec.pruned.<gate>``), since each of its partitions would rank
+      exactly that;
+    * once the best rank reaches the support floor of an exact interval
+      of ``n`` support variables, ``(⌈n/2⌉, n)``, no later gate's space
+      is built (``bidec.skipped.<gate>``), since every decomposition
+      covers the whole support.
+
     ``max_support`` bounds the support size for which the exhaustive
     symbolic enumeration is used; above the bound the greedy procedure of
     :mod:`repro.bidec.greedy` (which the paper says the symbolic form was
@@ -213,19 +264,24 @@ def decompose_interval(
         return greedy_decompose(interval, gates, require_nontrivial)
     best: Optional[BiDecomposition] = None
     best_key: Optional[tuple[int, int, int]] = None
+    floor = _support_floor(interval, len(support))
     for order, gate in enumerate(gates):
+        if _cannot_win((*floor, order), best_key):
+            _obs.inc(f"bidec.skipped.{gate}")
+            continue
         space = _symbolic.partition_space(interval, gate)
         result = _decompose_with_space(
-            interval, space, require_nontrivial, objective
+            interval,
+            space,
+            require_nontrivial,
+            objective,
+            order=order,
+            best_key=best_key,
         )
         _symbolic.release_space(space)
         if result is None:
             continue
-        key = (
-            result.max_support_size,
-            len(result.support1) + len(result.support2),
-            order,
-        )
+        key = _size_key(len(result.support1), len(result.support2), order)
         if best_key is None or key < best_key:
             best, best_key = result, key
     if best is not None:

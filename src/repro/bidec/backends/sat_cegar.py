@@ -254,8 +254,12 @@ class SatCegarBackend:
         gate: str,
         checkers: _GateCheckers,
         budget: int,
+        order: int,
+        best_key: Optional[tuple[int, int, int]],
     ) -> tuple[Optional[BiDecomposition], int, bool]:
-        """CEGAR one gate; returns (result, iterations_used, cut_off)."""
+        """CEGAR one gate, at position ``order`` of the gate loop;
+        returns (result, iterations_used, cut_off).  A grown partition
+        whose rank loses to ``best_key`` is not extracted."""
         support = checkers.cnf.support
         check = checkers.checker(gate)
         search = CegarPartitionSearch(
@@ -270,6 +274,10 @@ class SatCegarBackend:
         all_vars = set(support)
         support1 = all_vars - e2
         support2 = all_vars - e1
+        key = _api._size_key(len(support1), len(support2), order)
+        if _api._cannot_win(key, best_key):
+            _obs.inc(f"bidec.pruned.{gate}")
+            return None, search.iterations, False
         pair = _extract_pair(interval, gate, support1, support2)
         if pair is None:  # pragma: no cover - feasible checks extract
             return None, search.iterations, search.exhausted
@@ -289,14 +297,20 @@ class SatCegarBackend:
         interval: Interval,
         require_nontrivial: bool,
         objective: str,
+        order: int,
+        best_key: Optional[tuple[int, int, int]],
     ) -> Optional[BiDecomposition]:
         """XOR over a *proper* interval: the 4-copy parity check only
         matches the completely-specified case, so delegate to the exact
         symbolic space — both backends then agree by construction."""
-        _obs.inc("bidec.attempt.xor")
         space = _symbolic.partition_space(interval, "xor")
         result = _api._decompose_with_space(
-            interval, space, require_nontrivial, objective
+            interval,
+            space,
+            require_nontrivial,
+            objective,
+            order=order,
+            best_key=best_key,
         )
         _symbolic.release_space(space)
         return result
@@ -340,28 +354,36 @@ class SatCegarBackend:
         best_key: Optional[tuple[int, int, int]] = None
         cut_off = False
         remaining = self.max_iterations
-        for _, order, gate in indexed:
+        floor = _api._support_floor(interval, len(support))
+        for index, (_, order, gate) in enumerate(indexed):
+            # Stop once no gate left can reach the best rank.  A gate is
+            # not skipped alone: the searches share one budget, so the
+            # XOR search after it would get more than the full loop's.
+            pending = indexed[index:]
+            lowest = min(pending_order for _, pending_order, _ in pending)
+            if _api._cannot_win((*floor, lowest), best_key):
+                for _, _, skipped in pending:
+                    _obs.inc(f"bidec.skipped.{skipped}")
+                break
             if gate == "xor" and not interval.is_exact():
                 if len(support) > max_support:
                     continue
                 result = self._xor_symbolic(
-                    interval, require_nontrivial, objective
+                    interval, require_nontrivial, objective, order, best_key
                 )
             else:
                 if remaining <= 0:
                     cut_off = True
                     continue
                 result, used, gate_cut = self._gate_result(
-                    interval, gate, checkers, remaining
+                    interval, gate, checkers, remaining, order, best_key
                 )
                 remaining -= used
                 cut_off |= gate_cut
             if result is None:
                 continue
-            key = (
-                result.max_support_size,
-                len(result.support1) + len(result.support2),
-                order,
+            key = _api._size_key(
+                len(result.support1), len(result.support2), order
             )
             if best_key is None or key < best_key:
                 best, best_key = result, key

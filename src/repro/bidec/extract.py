@@ -98,7 +98,8 @@ def extract_and(
     pair = ExtractedPair(
         "and", manager.negate(or_pair.g1), manager.negate(or_pair.g2)
     )
-    assert pair.verify(interval)
+    if not pair.verify(interval):
+        raise ValueError("partition is not AND-feasible")
     return pair
 
 

@@ -35,7 +35,7 @@ fallback and the parity reference.  The spans and the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -62,8 +62,8 @@ class PartitionSpace:
 
     Every one of those operations reads the weight functions
     ``[w_0 … w_n]`` of ``c1`` and of ``c2``.  Each table is built once,
-    on first use, and shared with every space derived from this one
-    (:meth:`nontrivial`, the AND space over its inner OR space).
+    on first use, and shared with the space :meth:`nontrivial` derives
+    from this one.
     """
 
     gate: str
@@ -122,7 +122,16 @@ class PartitionSpace:
         return manager.apply_and(self.bi, constraint)
 
     def _with_bi(self, bi: int) -> "PartitionSpace":
-        return replace(self, bi=bi)
+        return PartitionSpace(
+            self.gate,
+            self.manager,
+            bi,
+            self.variables,
+            self.c1_vars,
+            self.c2_vars,
+            self.x_vars,
+            self.weight_tables,
+        )
 
     def _weights_entry(self, fn, *args) -> int:
         """Run kernel entry ``fn`` — ``bdd_nontrivial`` or
@@ -531,20 +540,32 @@ def or_partition_space(
     """
     variables = _space_variables(interval, variables)
     with _obs.span("bidec.build.or"):
-        sm, layout = _make_scratch(len(variables), with_y=False)
-        body = _native_or_body if _native_pair(interval, sm) else _py_or_body
-        bi = body(interval, variables, sm, layout, node_budget)
-        space = PartitionSpace(
-            gate="or",
-            manager=sm,
-            bi=bi,
-            variables=tuple(variables),
-            c1_vars=layout.c1_vars,
-            c2_vars=layout.c2_vars,
-            x_vars=layout.x_vars,
-        )
+        space = _or_space(interval, variables, "or", node_budget)
     _record_space(space)
     return space
+
+
+def _or_space(
+    interval: Interval,
+    variables: list[int],
+    gate: str,
+    node_budget: Optional[int] = None,
+) -> PartitionSpace:
+    """The space of equation (3.8) over ``interval``, named ``gate``:
+    ``"or"``, or ``"and"`` when ``interval`` is the complement of the
+    one decomposed."""
+    sm, layout = _make_scratch(len(variables), with_y=False)
+    body = _native_or_body if _native_pair(interval, sm) else _py_or_body
+    bi = body(interval, variables, sm, layout, node_budget)
+    return PartitionSpace(
+        gate=gate,
+        manager=sm,
+        bi=bi,
+        variables=tuple(variables),
+        c1_vars=layout.c1_vars,
+        c2_vars=layout.c2_vars,
+        x_vars=layout.x_vars,
+    )
 
 
 def _native_pair(interval: Interval, sm: BDDManager) -> bool:
@@ -630,11 +651,11 @@ def and_partition_space(
     interval: Interval, variables: Optional[Sequence[int]] = None
 ) -> PartitionSpace:
     """AND partitions via the OR space of the complement interval
-    (Section 3.3.1 duality); the feasible partitions coincide."""
+    (Section 3.3.1 duality); the feasible partitions coincide.  The
+    space is built, and recorded, once, as an AND space."""
     variables = _space_variables(interval, variables)
     with _obs.span("bidec.build.and"):
-        inner = or_partition_space(interval.complement(), variables)
-        space = replace(inner, gate="and")
+        space = _or_space(interval.complement(), variables, "and")
     _record_space(space)
     return space
 

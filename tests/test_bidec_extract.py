@@ -75,6 +75,20 @@ class TestExtractAnd:
             assert result.verify(interval)
             assert m.apply_and(result.g1, result.g2) == f
 
+    def test_failed_check_returns_none(self, monkeypatch):
+        """The AND pair's check raises ``ValueError``, as OR's does, so
+        it holds under ``python -O`` and ``extract`` returns ``None``
+        instead of letting it escape."""
+        from repro.bidec.extract import ExtractedPair
+
+        m = BDDManager(2)
+        interval = Interval.exact(m, m.apply_and(m.var(0), m.var(1)))
+        assert extract(interval, "and", {0}, {1}) is not None
+        monkeypatch.setattr(
+            ExtractedPair, "verify", lambda pair, interval: pair.gate != "and"
+        )
+        assert extract(interval, "and", {0}, {1}) is None
+
 
 class TestExtractXor:
     def test_cs_construction(self):

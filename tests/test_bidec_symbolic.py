@@ -36,6 +36,54 @@ def enumerate_or_feasible(interval, variables):
     return feasible
 
 
+class TestAndSpace:
+    def test_built_and_recorded_once_as_and(self):
+        """An AND space is the OR body on the complement interval, but
+        it is recorded as one AND space: no OR space, no nested span."""
+        from repro import obs
+
+        m = BDDManager(4)
+        f = m.apply_or(
+            m.apply_and(m.var(0), m.var(1)), m.apply_and(m.var(2), m.var(3))
+        )
+        obs.disable()
+        obs.reset()
+        try:
+            with obs.scope():
+                space = and_partition_space(Interval.exact(m, f))
+            report = obs.report()
+        finally:
+            obs.reset()
+        counters = report["counters"]
+        assert space.gate == "and"
+        assert counters["bidec.spaces.and"] == 1
+        assert counters["bidec.feasible.and"] == 1
+        assert report["histograms"]["bidec.bi_size.and"]["count"] == 1
+        assert not any(name.endswith(".or") for name in counters)
+        assert "bidec.bi_size.or" not in report["histograms"]
+        assert list(report["spans"]) == ["bidec.build.and"]
+
+    def test_nontrivial_shares_the_weight_tables(self):
+        m = BDDManager(4)
+        f = m.apply_and(
+            m.apply_or(m.var(0), m.var(1)), m.apply_or(m.var(2), m.var(3))
+        )
+        space = and_partition_space(Interval.exact(m, f))
+        derived = space.nontrivial()
+        assert derived.weight_tables is space.weight_tables
+        assert (derived.gate, derived.manager, derived.variables) == (
+            space.gate,
+            space.manager,
+            space.variables,
+        )
+        assert (derived.c1_vars, derived.c2_vars, derived.x_vars) == (
+            space.c1_vars,
+            space.c2_vars,
+            space.x_vars,
+        )
+        assert derived.size_pairs() == [(2, 2)]
+
+
 class TestOrSpace:
     def test_bi_matches_per_partition_checks(self, rng):
         """Bi(c1,c2) agrees with the explicit check (3.2) on EVERY

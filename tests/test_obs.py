@@ -316,9 +316,14 @@ class TestLayerInstrumentation:
         counters = report["counters"]
         assert counters["bidec.attempt.or"] == 1
         assert counters[f"bidec.accepted.{result.gate}"] == 1
-        assert counters["bidec.spaces.or"] >= 1
-        assert report["histograms"]["bidec.bi_size.or"]["count"] >= 1
+        assert counters["bidec.spaces.or"] == 1
+        assert report["histograms"]["bidec.bi_size.or"]["count"] == 1
         assert any(path.startswith("bidec.build.") for path in report["spans"])
+        # OR reaches the support floor (2, 4), so AND and XOR are never
+        # built.
+        assert counters["bidec.skipped.and"] == counters["bidec.skipped.xor"] == 1
+        assert "bidec.spaces.and" not in counters
+        assert "bidec.spaces.xor" not in counters
 
     def test_algorithm1_metrics(self):
         from repro.benchgen import iscas_analog

@@ -137,6 +137,27 @@ class TestSatCegarBackend:
         assert result.verify() and result.is_nontrivial()
         assert sat.stats["candidates"] >= 1
 
+    def test_xor_fallback_counts_one_attempt(self):
+        """XOR over a proper interval runs on the symbolic space; that
+        attempt is counted once, as the space is."""
+        from repro import obs
+
+        m = BDDManager(4)
+        x = [m.var(i) for i in range(4)]
+        f = m.apply_xor(m.apply_and(x[0], x[1]), m.apply_and(x[2], x[3]))
+        interval = Interval.with_dont_cares(m, f, m.conjoin(x))
+        assert not interval.is_exact()
+        obs.disable()
+        obs.reset()
+        try:
+            with obs.scope():
+                SatCegarBackend().decompose_interval(interval)
+            counters = obs.report()["counters"]
+        finally:
+            obs.reset()
+        assert counters["bidec.attempt.xor"] == 1
+        assert counters["bidec.spaces.xor"] == 1
+
     def test_backend_registry_round_trip(self):
         from repro.bidec.backends import available_backends
 
