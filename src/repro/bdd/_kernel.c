@@ -32,6 +32,13 @@
  * node count and returns ``BDD_BAD_NODE`` for one the manager never
  * made, so a stray id raises ``ValueError`` instead of reading outside
  * the node arrays.
+ *
+ * Every exported entry that takes a state also counts the call in the
+ * state's ``calls`` word, once per call from Python: a growth restart is
+ * a call of its own, and an entry that chains others runs their static
+ * bodies, so a chain counts once.  The word sits outside ``stat_arr``,
+ * so the cache statistics of an entry and of the Python loop it
+ * replaces stay comparable.
  */
 
 #include <stdint.h>
@@ -76,7 +83,8 @@ enum { S_INSERTS = S_HIT(T_AE + 1), S_CLEARS, S_EVICTED, N_STATS };
 
 /* Every buffer the kernel reads or writes — keep the field order in
  * sync with repro.bdd.native._CDEF.  A NULL cache field means that
- * cache is not allocated (its ctrl mask is then 0). */
+ * cache is not allocated (its ctrl mask is then 0).  ``calls`` points at
+ * the manager's one-word kernel call counter. */
 typedef struct {
     int64_t *ctrl;
     int64_t *level, *lo, *hi;
@@ -86,7 +94,11 @@ typedef struct {
     int64_t *ex_k, *ex_v, *fa_k, *fa_v;
     int64_t *ae_k1, *ae_k2, *ae_v;
     int64_t *stat_arr;
+    int64_t *calls;
 } bdd_state;
+
+/* Count one call from Python into an exported entry. */
+static inline void count_call(const bdd_state *st) { st->calls[0] += 1; }
 
 /* Point ``arrs`` at cache table t's arrays (keys first, values last);
  * returns how many there are. */
@@ -874,18 +886,21 @@ static int64_t and_exists_core(const bdd_state *st, int64_t f, int64_t g,
  * without either check, as the Python cores do. */
 
 int64_t bdd_negate(const bdd_state *st, int64_t f) {
+    count_call(st);
     if (bad_node(st, f)) return BDD_BAD_NODE;
     int64_t rc = check_opcaches(st);
     return rc ? rc : negate_core(st, f);
 }
 
 int64_t bdd_apply(const bdd_state *st, int64_t op, int64_t f, int64_t g) {
+    count_call(st);
     if (bad_node(st, f) || bad_node(st, g)) return BDD_BAD_NODE;
     int64_t rc = check_opcaches(st);
     return rc ? rc : apply_core(st, op, f, g);
 }
 
 int64_t bdd_ite(const bdd_state *st, int64_t f, int64_t g, int64_t h) {
+    count_call(st);
     if (bad_node(st, f) || bad_node(st, g) || bad_node(st, h))
         return BDD_BAD_NODE;
     int64_t rc = check_opcaches(st);
@@ -898,6 +913,7 @@ int64_t bdd_ite(const bdd_state *st, int64_t f, int64_t g, int64_t h) {
 int64_t bdd_quantify(const bdd_state *st, int64_t op, int64_t f,
                      int64_t cid, const int64_t *cube, int64_t cube_len,
                      int64_t max_level) {
+    count_call(st);
     if (bad_node(st, f)) return BDD_BAD_NODE;
     int64_t rc = check_opcaches(st);
     return rc ? rc : quantify_core(st, op, f, cid, cube, cube_len, max_level);
@@ -906,6 +922,7 @@ int64_t bdd_quantify(const bdd_state *st, int64_t op, int64_t f,
 int64_t bdd_and_exists(const bdd_state *st, int64_t f, int64_t g,
                        int64_t cid, const int64_t *cube, int64_t cube_len,
                        int64_t max_level) {
+    count_call(st);
     if (bad_node(st, f) || bad_node(st, g)) return BDD_BAD_NODE;
     int64_t rc = check_opcaches(st);
     return rc ? rc
@@ -921,6 +938,7 @@ int64_t bdd_and_exists(const bdd_state *st, int64_t f, int64_t g,
  * all zero; BDDManager.reset then writes the fresh control values and
  * the terminals. */
 void bdd_clear(const bdd_state *st) {
+    count_call(st);
     int64_t *ctrl = st->ctrl;
     size_t nodes = (size_t)ctrl[C_NNODES] * sizeof(int64_t);
     memset(st->level, 0, nodes);
@@ -943,6 +961,7 @@ void bdd_clear(const bdd_state *st) {
  * holds new_mask + 1 slots — and re-seat every live node (all internal
  * nodes are always live: there is no garbage collection). */
 void bdd_grow_unique(const bdd_state *st, int64_t new_mask) {
+    count_call(st);
     int64_t *ctrl = st->ctrl, *slots = st->uniq;
     const int64_t *level = st->level, *loa = st->lo, *hia = st->hi;
     uint64_t mask = (uint64_t)new_mask;
@@ -968,6 +987,7 @@ void bdd_grow_unique(const bdd_state *st, int64_t new_mask) {
  * copy of the old entries cannot be allocated (the table is then
  * untouched). */
 int64_t bdd_grow_table(const bdd_state *st, int64_t t, int64_t new_mask) {
+    count_call(st);
     int64_t *ctrl = st->ctrl;
     int64_t *arrs[3];
     int k = table_arrays(st, t, arrs);
@@ -1119,6 +1139,7 @@ static int64_t table_init(bdd_walk *w, int64_t len, int identity) {
 int64_t bdd_walk_table(const bdd_state *st, bdd_walk *w, const int64_t *keys,
                        const int64_t *vals, int64_t n, int64_t len,
                        int64_t nodes) {
+    count_call(st);
     if (table_init(w, len, keys == NULL)) return BDD_NOMEM;
     for (int64_t i = 0; keys && i < n; i++) {
         if (nodes && bad_node(st, vals[i])) return BDD_BAD_NODE;
@@ -1133,8 +1154,8 @@ int64_t bdd_walk_table(const bdd_state *st, bdd_walk *w, const int64_t *keys,
  * by variable, one mk per weight j = 0..m.  Only mk runs here, and mk
  * finds a node it made before, so a restart simply starts over.
  * Returns 0 or a growth code. */
-int64_t bdd_weight_functions(const bdd_state *st, const int64_t *vars,
-                             int64_t n, int64_t m, int64_t *out) {
+static int64_t weight_functions(const bdd_state *st, const int64_t *vars,
+                                int64_t n, int64_t m, int64_t *out) {
     out[0] = BDD_TRUE;
     for (int64_t j = 1; j <= m; j++) out[j] = BDD_FALSE;
     for (int64_t i = 0; i < n; i++) {
@@ -1150,6 +1171,12 @@ int64_t bdd_weight_functions(const bdd_state *st, const int64_t *vars,
     return 0;
 }
 
+int64_t bdd_weight_functions(const bdd_state *st, const int64_t *vars,
+                             int64_t n, int64_t m, int64_t *out) {
+    count_call(st);
+    return weight_functions(st, vars, n, m, out);
+}
+
 /* The encoding relation K(c, e) = OR_v w_v(c) & kappa_v(e) over the
  * weight table ``weights`` (w_0..w_{n-1}) and the little-endian counter
  * ``bits`` (distinct declared variables).  Mirrors
@@ -1158,9 +1185,9 @@ int64_t bdd_weight_functions(const bdd_state *st, const int64_t *vars,
  * w_v, and the OR into the relation.  The walk keeps the relation, the
  * next weight and a finished AND, so a restart resumes at the operation
  * that asked for growth.  Returns the relation or a negative code. */
-int64_t bdd_count_relation(const bdd_state *st, bdd_walk *w,
-                           const int64_t *weights, int64_t n,
-                           const int64_t *bits, int64_t nbits) {
+static int64_t count_relation(const bdd_state *st, bdd_walk *w,
+                              const int64_t *weights, int64_t n,
+                              const int64_t *bits, int64_t nbits) {
     for (int64_t i = 0; i < n; i++)
         if (bad_node(st, weights[i])) return BDD_BAD_NODE;
     for (; w->step < n; w->step++) {
@@ -1193,6 +1220,13 @@ int64_t bdd_count_relation(const bdd_state *st, bdd_walk *w,
     return w->acc;
 }
 
+int64_t bdd_count_relation(const bdd_state *st, bdd_walk *w,
+                           const int64_t *weights, int64_t n,
+                           const int64_t *bits, int64_t nbits) {
+    count_call(st);
+    return count_relation(st, w, weights, n, bits, nbits);
+}
+
 /* Simultaneous substitution of the walk's level table (set by
  * bdd_walk_table with nodes) into ``f``.  Mirrors
  * compose._py_vector_compose: a post-order walk that finishes the lo
@@ -1200,7 +1234,7 @@ int64_t bdd_count_relation(const bdd_state *st, bdd_walk *w,
  * makes its literal node) and calls ite(selector, hi, lo).  Finished
  * nodes live on in the memo across restarts.  Returns the result or a
  * negative code. */
-int64_t bdd_vector_compose(const bdd_state *st, bdd_walk *w, int64_t f) {
+static int64_t vector_compose(const bdd_state *st, bdd_walk *w, int64_t f) {
     if (bad_node(st, f)) return BDD_BAD_NODE;
     if (f <= 1) return f;
     const int64_t *level = st->level, *loa = st->lo, *hia = st->hi;
@@ -1238,6 +1272,11 @@ int64_t bdd_vector_compose(const bdd_state *st, bdd_walk *w, int64_t f) {
     return rc;
 }
 
+int64_t bdd_vector_compose(const bdd_state *st, bdd_walk *w, int64_t f) {
+    count_call(st);
+    return vector_compose(st, w, f);
+}
+
 /* Rebuild the ``nroots`` nodes ``roots`` of manager ``src`` inside
  * ``st``, replacing each root by its copy once all are done.  The walk's
  * level table maps source levels to target variables (``nvars`` are
@@ -1247,9 +1286,9 @@ int64_t bdd_vector_compose(const bdd_state *st, bdd_walk *w, int64_t f) {
  * With ``log`` set, every finished node is appended to the walk's log.
  * Returns 0 or a negative code; after BDD_BAD_VAR the walk's ``err``
  * names the source level the table lacks or maps outside 0..nvars-1. */
-int64_t bdd_transfer(const bdd_state *src, const bdd_state *st, bdd_walk *w,
-                     int64_t *roots, int64_t nroots, int64_t nvars,
-                     int64_t log) {
+static int64_t transfer_walk(const bdd_state *src, const bdd_state *st,
+                             bdd_walk *w, int64_t *roots, int64_t nroots,
+                             int64_t nvars, int64_t log) {
     for (int64_t i = 0; i < nroots; i++)
         if (bad_node(src, roots[i])) return BDD_BAD_NODE;
     const int64_t *level = src->level, *loa = src->lo, *hia = src->hi;
@@ -1306,6 +1345,13 @@ int64_t bdd_transfer(const bdd_state *src, const bdd_state *st, bdd_walk *w,
     return 0;
 }
 
+int64_t bdd_transfer(const bdd_state *src, const bdd_state *st, bdd_walk *w,
+                     int64_t *roots, int64_t nroots, int64_t nvars,
+                     int64_t log) {
+    count_call(st);
+    return transfer_walk(src, st, w, roots, nroots, nvars, log);
+}
+
 /* -- Loop entries ------------------------------------------------------
  * The per-variable and per-model loops of the bi-decomposition step,
  * each as one entry: the parameterized quantifications and replacements
@@ -1351,9 +1397,10 @@ static int64_t quantify_entry(const bdd_state *st, int64_t q, int64_t f,
  * and whether the iteration passed its budget check (part[1]), so a
  * restart finishes an iteration the Python loop would finish.  Returns
  * U or a negative code. */
-int64_t bdd_param_quantify(const bdd_state *st, bdd_walk *w, int64_t op,
-                           int64_t f, const int64_t *xs, const int64_t *cids,
-                           const int64_t *cs, int64_t n, int64_t budget) {
+static int64_t param_quantify(const bdd_state *st, bdd_walk *w, int64_t op,
+                              int64_t f, const int64_t *xs,
+                              const int64_t *cids, const int64_t *cs,
+                              int64_t n, int64_t budget) {
     if (bad_node(st, f)) return BDD_BAD_NODE;
     if (!w->started) {
         w->acc = f;
@@ -1381,6 +1428,13 @@ int64_t bdd_param_quantify(const bdd_state *st, bdd_walk *w, int64_t op,
     return w->acc;
 }
 
+int64_t bdd_param_quantify(const bdd_state *st, bdd_walk *w, int64_t op,
+                           int64_t f, const int64_t *xs, const int64_t *cids,
+                           const int64_t *cs, int64_t n, int64_t budget) {
+    count_call(st);
+    return param_quantify(st, w, op, f, xs, cids, cs, n, budget);
+}
+
 /* parameterized_replace (c2s NULL) / parameterized_replace_pair: for
  * each i from the walk's step, the literals of c_i (or of c1_i and
  * c2_i, then their AND), x_i and y_i, then ite(c, x_i, y_i), written
@@ -1388,10 +1442,10 @@ int64_t bdd_param_quantify(const bdd_state *st, bdd_walk *w, int64_t op,
  * the bdd_vector_compose walk of f over that table.  The walk keeps the
  * finished AND (part[0]), and vector_compose its memo.  Returns the
  * result or a negative code. */
-int64_t bdd_param_replace(const bdd_state *st, bdd_walk *w, int64_t f,
-                          const int64_t *xs, const int64_t *ys,
-                          const int64_t *c1s, const int64_t *c2s, int64_t n,
-                          int64_t len) {
+static int64_t param_replace(const bdd_state *st, bdd_walk *w, int64_t f,
+                             const int64_t *xs, const int64_t *ys,
+                             const int64_t *c1s, const int64_t *c2s, int64_t n,
+                             int64_t len) {
     if (bad_node(st, f)) return BDD_BAD_NODE;
     if (!w->started) {
         if (table_init(w, len, 0)) return BDD_NOMEM;
@@ -1420,7 +1474,15 @@ int64_t bdd_param_replace(const bdd_state *st, bdd_walk *w, int64_t f,
         if (xs[i] >= 0 && xs[i] < w->table_len) w->table[xs[i]] = r;
         w->part[0] = 0;
     }
-    return bdd_vector_compose(st, w, f);
+    return vector_compose(st, w, f);
+}
+
+int64_t bdd_param_replace(const bdd_state *st, bdd_walk *w, int64_t f,
+                          const int64_t *xs, const int64_t *ys,
+                          const int64_t *c1s, const int64_t *c2s, int64_t n,
+                          int64_t len) {
+    count_call(st);
+    return param_replace(st, w, f, xs, ys, c1s, c2s, n, len);
 }
 
 /* Interval.reduce_support over the sorted support ``vars`` and their
@@ -1433,6 +1495,7 @@ int64_t bdd_param_replace(const bdd_state *st, bdd_walk *w, int64_t f,
 int64_t bdd_reduce_support(const bdd_state *st, bdd_walk *w, int64_t lower,
                            int64_t upper, const int64_t *vars,
                            const int64_t *cids, int64_t n, int64_t *dropped) {
+    count_call(st);
     if (bad_node(st, lower) || bad_node(st, upper)) return BDD_BAD_NODE;
     if (!w->started) {
         w->acc = lower;
@@ -1476,8 +1539,8 @@ int64_t bdd_reduce_support(const bdd_state *st, bdd_walk *w, int64_t lower,
  * public AND (OR) entry, stopping at FALSE (TRUE).  The walk keeps the
  * position (step) and the result so far (acc).  Returns the result or a
  * negative code. */
-int64_t bdd_fold(const bdd_state *st, bdd_walk *w, int64_t op,
-                 const int64_t *nodes, int64_t n) {
+static int64_t fold(const bdd_state *st, bdd_walk *w, int64_t op,
+                    const int64_t *nodes, int64_t n) {
     int64_t stop = op == T_AND ? BDD_FALSE : BDD_TRUE;
     if (!w->started) {
         w->acc = 1 - stop;
@@ -1494,6 +1557,12 @@ int64_t bdd_fold(const bdd_state *st, bdd_walk *w, int64_t op,
     return w->acc;
 }
 
+int64_t bdd_fold(const bdd_state *st, bdd_walk *w, int64_t op,
+                 const int64_t *nodes, int64_t n) {
+    count_call(st);
+    return fold(st, w, op, nodes, n);
+}
+
 /* count.iter_models: the next models of ``root`` over the ``n`` sorted,
  * distinct variables ``order``, depth first with 0 before 1, in the
  * order the Python recursion yields them.  ``path`` keeps the
@@ -1505,8 +1574,8 @@ int64_t bdd_fold(const bdd_state *st, bdd_walk *w, int64_t op,
  * Python dicts).  Returns how many; fewer than ``cap`` means the
  * enumeration is done.  No node is made, so nothing grows and nothing
  * restarts. */
-int64_t bdd_models(const bdd_state *st, int64_t root, const int64_t *order,
-                   int64_t n, int64_t *path, char *out, int64_t cap) {
+static int64_t models(const bdd_state *st, int64_t root, const int64_t *order,
+                      int64_t n, int64_t *path, char *out, int64_t cap) {
     if (bad_node(st, root)) return BDD_BAD_NODE;
     if (path[0] == 2) return 0;
     const int64_t *level = st->level, *loa = st->lo, *hia = st->hi;
@@ -1551,6 +1620,12 @@ int64_t bdd_models(const bdd_state *st, int64_t root, const int64_t *order,
     path[0] = 1;
     path[1] = d;
     return count;
+}
+
+int64_t bdd_models(const bdd_state *st, int64_t root, const int64_t *order,
+                   int64_t n, int64_t *path, char *out, int64_t cap) {
+    count_call(st);
+    return models(st, root, order, n, path, out, cap);
 }
 
 /* -- Space entries -----------------------------------------------------
@@ -1606,7 +1681,7 @@ static int64_t space_transfer(const bdd_state *src, const bdd_state *st,
         w->started = 1;
     }
     int64_t roots[2] = {lower, upper};
-    int64_t rc = bdd_transfer(src, st, w, roots, 2, nvars, 0);
+    int64_t rc = transfer_walk(src, st, w, roots, 2, nvars, 0);
     if (rc) return rc;
     w->reg[0] = roots[0];
     w->reg[1] = roots[1];
@@ -1630,6 +1705,7 @@ int64_t bdd_or_space(const bdd_state *src, const bdd_state *st, bdd_walk *w,
                      const int64_t *c2s, const int64_t *cids, int64_t n,
                      int64_t nvars, int64_t budget, int64_t cid,
                      const int64_t *cube, int64_t max_level) {
+    count_call(st);
     int64_t *reg = w->reg, *part = w->part, r;
     while (w->stage < 5) {
         int64_t s = w->stage;
@@ -1641,7 +1717,7 @@ int64_t bdd_or_space(const bdd_state *src, const bdd_state *st, bdd_walk *w,
             continue;
         case 1:
         case 2:
-            r = bdd_param_quantify(st, w, 1, reg[1], xs, cids,
+            r = param_quantify(st, w, 1, reg[1], xs, cids,
                                    s == 1 ? c1s : c2s, n, budget);
             if (r < 0) return r;
             reg[2 * s + 2] = w->step;
@@ -1686,7 +1762,7 @@ static int64_t replace_step(const bdd_state *st, bdd_walk *w, int64_t f,
                             const int64_t *xs, const int64_t *ys,
                             const int64_t *c1s, const int64_t *c2s,
                             int64_t n, int64_t nvars) {
-    return n ? bdd_param_replace(st, w, f, xs, ys, c1s, c2s, n, nvars) : f;
+    return n ? param_replace(st, w, f, xs, ys, c1s, c2s, n, nvars) : f;
 }
 
 /* xor_partition_space's body (equation 3.9 over intervals) over the
@@ -1704,6 +1780,7 @@ int64_t bdd_xor_space(const bdd_state *src, const bdd_state *st, bdd_walk *w,
                       const int64_t *c1s, const int64_t *c2s, int64_t n,
                       int64_t nvars, int64_t cid, const int64_t *cube,
                       int64_t cube_len, int64_t max_level) {
+    count_call(st);
     int64_t *reg = w->reg, *part = w->part, r;
     for (;;) {
         int64_t s = w->stage;
@@ -1755,7 +1832,7 @@ int64_t bdd_xor_space(const bdd_state *src, const bdd_state *st, bdd_walk *w,
  * caller handed the table over. */
 static int64_t weights_step(const bdd_state *st, const int64_t *cs, int64_t n,
                             int64_t *out, int handed) {
-    return handed ? 0 : bdd_weight_functions(st, cs, n, n, out);
+    return handed ? 0 : weight_functions(st, cs, n, n, out);
 }
 
 /* PartitionSpace.nontrivial for a space of n >= 1 variables: step 0
@@ -1767,15 +1844,16 @@ static int64_t weights_step(const bdd_state *st, const int64_t *cs, int64_t n,
 int64_t bdd_nontrivial(const bdd_state *st, bdd_walk *w, int64_t bi,
                        const int64_t *c1s, const int64_t *c2s, int64_t n,
                        int64_t *w1, int64_t *w2, int64_t built) {
+    count_call(st);
     if (bad_node(st, bi)) return BDD_BAD_NODE;
     int64_t *reg = w->reg, *part = w->part, r;
     for (;;) {
         int64_t s = w->stage;
         switch (s) {
         case 0: r = weights_step(st, c1s, n, w1, built & 1); break;
-        case 1: r = bdd_fold(st, w, T_OR, w1, n); break;
+        case 1: r = fold(st, w, T_OR, w1, n); break;
         case 2: r = weights_step(st, c2s, n, w2, built & 2); break;
-        case 3: r = bdd_fold(st, w, T_OR, w2, n); break;
+        case 3: r = fold(st, w, T_OR, w2, n); break;
         default:
             if ((r = part_op(st, &part[0], T_AND, reg[1], reg[3])) ||
                 (r = part_op(st, &part[1], T_AND, bi, part[0] - 1)))
@@ -1800,7 +1878,7 @@ static int64_t space_pairs(const bdd_state *st, int64_t root,
     int64_t *path = calloc((size_t)(2 * m + 3), sizeof(int64_t));
     char *model = malloc((size_t)m);
     if (!path || !model) rc = BDD_NOMEM;
-    while (rc == 0 && bdd_models(st, root, bits, m, path, model, 1) == 1) {
+    while (rc == 0 && models(st, root, bits, m, path, model, 1) == 1) {
         if (count == cap) {
             rc = BDD_NOMEM;
             break;
@@ -1835,20 +1913,21 @@ int64_t bdd_size_pairs(const bdd_state *st, bdd_walk *w, int64_t bi,
                        const int64_t *bits, int64_t nbits, int64_t cid,
                        const int64_t *cube, int64_t cube_len,
                        int64_t max_level, int64_t *pairs, int64_t cap) {
+    count_call(st);
     if (bad_node(st, bi)) return BDD_BAD_NODE;
     int64_t *reg = w->reg, r;
     while (w->stage < 6) {
         int64_t s = w->stage;
         switch (s) {
         case 0: r = weights_step(st, c1s, n, w1, built & 1); break;
-        case 1: r = bdd_count_relation(st, w, w1, n + 1, bits, nbits); break;
+        case 1: r = count_relation(st, w, w1, n + 1, bits, nbits); break;
         case 2: r = weights_step(st, c2s, n, w2, built & 2); break;
         case 3:
-            r = bdd_count_relation(st, w, w2, n + 1, bits + nbits, nbits);
+            r = count_relation(st, w, w2, n + 1, bits + nbits, nbits);
             break;
         case 4: {
             int64_t nodes[3] = {bi, reg[1], reg[3]};
-            r = bdd_fold(st, w, T_AND, nodes, 3);
+            r = fold(st, w, T_AND, nodes, 3);
             break;
         }
         default:
@@ -1859,4 +1938,91 @@ int64_t bdd_size_pairs(const bdd_state *st, bdd_walk *w, int64_t bi,
         next_stage(w);
     }
     return space_pairs(st, reg[5], bits, nbits, pairs, cap);
+}
+
+/* -- Reachability --------------------------------------------------------
+ * One fixpoint iteration of repro.reach.traversal.forward_reachable as
+ * one entry, over the static image schedule of repro.reach.image: it
+ * makes the calls of the Python iteration (image._py_reach_step) in the
+ * same order, with each public entry's short-circuits, node checks,
+ * quantify-cache allocation and entry-time op-cache check, so both make
+ * the same nodes with the same cache traffic.  The walk's ``stage``
+ * names the step running and ``reg[]`` keeps the finished steps'
+ * results, as in the space entries. */
+
+/* quantify.and_exists on the interned cube ``cid`` (never empty) as a
+ * whole: the quantify caches' allocation where and_exists makes it, as
+ * the growth code of its table while they are unallocated; then the
+ * op-cache check and the core. */
+static int64_t and_exists_entry(const bdd_state *st, int64_t f, int64_t g,
+                                int64_t cid, const int64_t *cube,
+                                int64_t cube_len, int64_t max_level) {
+    if (st->ctrl[C_MASK + T_EX] == 0) return BDD_GROW_TABLE(T_AE);
+    int64_t rc = check_opcaches(st);
+    return rc ? rc
+              : and_exists_core(st, f, g, cid, cube, cube_len, max_level);
+}
+
+/* The image of ``frontier`` and the sets that follow it.  Step 0 folds
+ * the frontier through the ``n`` conjuncts ``parts`` in order: position
+ * i runs and_exists over the interned cube cids[i], whose sorted levels
+ * are levels[ends[i - 1]..ends[i] - 1] (from 0 for i = 0), or a plain
+ * AND when that range is empty; each conjunct is checked when the fold
+ * reaches it, and the walk keeps the position (step) and the product
+ * (acc).  Step 1 renames the product as vector_compose does, the level
+ * ns[j] to the literal node ps[j] (j < nren) over a table of ``nvars``
+ * levels (reg[1]).  Step 2 builds ¬reached, the new frontier
+ * img ∧ ¬reached and the new reached set reached ∨ frontier (reg[2]).
+ * Returns the new frontier, or a negative code. */
+int64_t bdd_reach_step(const bdd_state *st, bdd_walk *w, int64_t frontier,
+                       int64_t reached, const int64_t *parts,
+                       const int64_t *cids, const int64_t *levels,
+                       const int64_t *ends, int64_t n, const int64_t *ns,
+                       const int64_t *ps, int64_t nren, int64_t nvars) {
+    count_call(st);
+    if (bad_node(st, frontier) || bad_node(st, reached)) return BDD_BAD_NODE;
+    int64_t *reg = w->reg, *part = w->part, r;
+    for (;;) {
+        switch (w->stage) {
+        case 0:
+            if (!w->started) {
+                w->acc = frontier;
+                w->started = 1;
+            }
+            for (; w->step < n; w->step++) {
+                int64_t i = w->step, begin = i ? ends[i - 1] : 0;
+                if (bad_node(st, parts[i])) return BDD_BAD_NODE;
+                r = begin == ends[i]
+                        ? apply_entry(st, T_AND, w->acc, parts[i])
+                        : and_exists_entry(st, w->acc, parts[i], cids[i],
+                                           levels + begin, ends[i] - begin,
+                                           levels[ends[i] - 1]);
+                if (r < 0) return r;
+                w->acc = r;
+            }
+            reg[0] = w->acc;
+            break;
+        case 1:
+            if (!w->started) {
+                if (table_init(w, nvars, 0)) return BDD_NOMEM;
+                for (int64_t j = 0; j < nren; j++) {
+                    if (bad_node(st, ps[j])) return BDD_BAD_NODE;
+                    if (ns[j] >= 0 && ns[j] < nvars) w->table[ns[j]] = ps[j];
+                }
+                w->started = 1;
+            }
+            r = nren ? vector_compose(st, w, reg[0]) : reg[0];
+            if (r < 0) return r;
+            reg[1] = r;
+            break;
+        default:
+            if ((r = part_op(st, &part[0], T_NOT, reached, 0)) ||
+                (r = part_op(st, &part[1], T_AND, reg[1], part[0] - 1)) ||
+                (r = part_op(st, &part[2], T_OR, reached, part[1] - 1)))
+                return r;
+            reg[2] = part[2] - 1;
+            return part[1] - 1;
+        }
+        next_stage(w);
+    }
 }

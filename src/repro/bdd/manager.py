@@ -46,6 +46,10 @@ shared byte-for-byte with the optional native kernel
 * ``stat_arr`` — the counters behind :class:`ManagerStats`: cache table
   ``t`` counts its hits at ``2t`` and its misses at ``2t + 1``, then
   come the unique-table inserts, cache clears and evictions.
+* ``calls`` — one word that every kernel entry bumps once per call from
+  Python (``kernel_calls`` in :class:`ManagerStats`; 0 on pure-Python
+  managers).  It is kept apart from ``stat_arr``, so a kernel entry and
+  the Python loop it replaces leave the same statistics.
 
 Every cache table is found by its index ``t`` in ``_TABLES`` alone —
 its arrays, its mask and occupancy in ``ctrl``, its counters — in both
@@ -264,8 +268,9 @@ class ManagerStats:
     with one array store — and this object is a *window* over that
     buffer: each named counter reads as the delta since
     :meth:`BDDManager.enable_stats` captured its baseline, preserving
-    the historical "counting begins now" semantics.  ``None`` on
-    untracked managers.
+    the historical "counting begins now" semantics.  ``kernel_calls``
+    reads the manager's kernel call counter the same way (0 on
+    pure-Python managers).  ``None`` on untracked managers.
 
     Structural counters (``inserts``) are exact and kernel-independent;
     probe counters (hits/misses), ``cache_evicted`` and op-cache
@@ -276,13 +281,19 @@ class ManagerStats:
     Node numbering is unaffected either way.
     """
 
-    __slots__ = ("_arr", "_base")
+    __slots__ = ("_arr", "_base", "_calls", "_calls_base")
 
-    def __init__(self, arr: array, base: array) -> None:
+    def __init__(
+        self, arr: array, base: array, calls: array, calls_base: int
+    ) -> None:
         object.__setattr__(self, "_arr", arr)
         object.__setattr__(self, "_base", base)
+        object.__setattr__(self, "_calls", calls)
+        object.__setattr__(self, "_calls_base", calls_base)
 
     def __getattr__(self, name: str) -> int:
+        if name == "kernel_calls":
+            return self._calls[0] - self._calls_base
         try:
             index = _STAT_INDEX[name]
         except KeyError:
@@ -300,7 +311,11 @@ class ManagerStats:
         """Counter snapshot under the names the obs ``bdd`` family uses."""
         arr = self._arr
         base = self._base
-        return {key: arr[slot] - base[slot] for slot, (_, key) in enumerate(_COUNTERS)}
+        counters = {
+            key: arr[slot] - base[slot] for slot, (_, key) in enumerate(_COUNTERS)
+        }
+        counters["kernel_calls"] = self._calls[0] - self._calls_base
+        return counters
 
 
 class BDDManager:
@@ -336,6 +351,7 @@ class BDDManager:
     ) -> None:
         self._ctrl = array("q", bytes(8 * _CTRL_SLOTS))
         self._stat_arr = array("q", bytes(8 * _N_STATS))
+        self._calls = array("q", [0])
         # Parallel node arrays; slots 0/1 are the terminals.
         self._level = array("q", bytes(8 * _NODE_INIT))
         self._lo = array("q", bytes(8 * _NODE_INIT))
@@ -414,7 +430,9 @@ class BDDManager:
         begins now; managers built while ``repro.obs`` is enabled track
         from birth automatically)."""
         if self._stats is None:
-            self._stats = ManagerStats(self._stat_arr, array("q", self._stat_arr))
+            self._stats = ManagerStats(
+                self._stat_arr, array("q", self._stat_arr), self._calls, self._calls[0]
+            )
             _obs.track_bdd_manager(self)
         return self._stats
 
@@ -746,15 +764,15 @@ class BDDManager:
     def _init_state(self) -> None:
         """Build the kernel's ``bdd_state``, once per manager: one
         pointer per buffer, each backed by a cffi view in ``_views``
-        that keeps the buffer exported.  The control block and the stats
-        array never move; every other field is re-pointed by
-        :meth:`_point` after a growth replaces or resizes its array.
-        The builder walks' ``bdd_walk`` is made here too."""
+        that keeps the buffer exported.  The control block, the stats
+        array and the call counter never move; every other field is
+        re-pointed by :meth:`_point` after a growth replaces or resizes
+        its array.  The builder walks' ``bdd_walk`` is made here too."""
         self._st = self._ffi.new("bdd_state *")
         self._walk = self._ffi.new("bdd_walk *")
         self._views = {}
         # The caches are unallocated: their fields start NULL.
-        self._point("ctrl", "stat_arr", "level", "lo", "hi", "uniq")
+        self._point("ctrl", "stat_arr", "calls", "level", "lo", "hi", "uniq")
 
     def _point(self, *names: str) -> None:
         """Point the named ``bdd_state`` fields at the current
@@ -1902,10 +1920,13 @@ class BDDManager:
         reset it.  Under :mod:`repro.obs` the ending life's counters fold
         into the totals as a collected manager's do, and the new life is
         tracked as a fresh manager's would be, counted in
-        ``bdd.managers.total`` and ``bdd.managers.reused``.
+        ``bdd.managers.total`` and ``bdd.managers.reused``; its
+        ``kernel_calls`` start with the kernel call that cleared the
+        buffers.
         """
         if self._stats is not None:
             _obs.retire_bdd_manager(self)
+        calls = self._calls[0]
         ctrl = self._ctrl
         if self._st is not None:
             self._lib.bdd_clear(self._st)
@@ -1933,7 +1954,9 @@ class BDDManager:
         self.reorders = 0
         self._last_reorder_nodes = 2
         if _obs.enabled():
-            self._stats = ManagerStats(self._stat_arr, array("q", self._stat_arr))
+            self._stats = ManagerStats(
+                self._stat_arr, array("q", self._stat_arr), self._calls, calls
+            )
             _obs.track_bdd_manager(self, reused=True)
         return self
 

@@ -9,13 +9,16 @@ The native kernel is one shared object compiled from two C sources:
   ``vector_compose`` and ``transfer_multi``, and the loop entries
   behind the parameterized quantifications and replacements,
   ``Interval.reduce_support``, ``iter_models`` and ``conjoin``/
-  ``disjoin``, and the space entries behind the OR and XOR bodies of
-  the partition spaces, ``PartitionSpace.nontrivial`` and
-  ``PartitionSpace.size_pairs``.  They work directly on the manager's
-  flat ``array('q')`` buffers, reached through one ``bdd_state`` struct
-  of buffer pointers per manager; a walk, loop or space entry keeps
-  what must survive its growth restarts in a ``bdd_walk`` — a space
-  entry its step counter and the finished steps' results too.
+  ``disjoin``, the space entries behind the OR and XOR bodies of the
+  partition spaces, ``PartitionSpace.nontrivial`` and
+  ``PartitionSpace.size_pairs``, and the entry behind one fixpoint
+  iteration of forward reachability.  They work directly on the
+  manager's flat ``array('q')`` buffers, reached through one
+  ``bdd_state`` struct of buffer pointers per manager, which also
+  points at the manager's kernel call counter; a walk, loop or
+  composite entry keeps what must survive its growth restarts in a
+  ``bdd_walk`` — a composite entry its step counter and the finished
+  steps' results too.
 * ``repro/sat/_solver.c`` — the CDCL core behind
   :class:`repro.sat.solver.Solver`.  It owns its state (one
   ``sat_solver`` per solver, freed through ``ffi.gc``), because a solve
@@ -77,6 +80,7 @@ typedef struct {
     int64_t *ex_k, *ex_v, *fa_k, *fa_v;
     int64_t *ae_k1, *ae_k2, *ae_v;
     int64_t *stat_arr;
+    int64_t *calls;
 } bdd_state;
 int64_t bdd_negate(const bdd_state *st, int64_t f);
 int64_t bdd_apply(const bdd_state *st, int64_t op, int64_t f, int64_t g);
@@ -144,6 +148,10 @@ int64_t bdd_size_pairs(const bdd_state *st, bdd_walk *w, int64_t bi,
     int64_t *w2, int64_t built, const int64_t *bits, int64_t nbits,
     int64_t cid, const int64_t *cube, int64_t cube_len, int64_t max_level,
     int64_t *pairs, int64_t cap);
+int64_t bdd_reach_step(const bdd_state *st, bdd_walk *w, int64_t frontier,
+    int64_t reached, const int64_t *parts, const int64_t *cids,
+    const int64_t *levels, const int64_t *ends, int64_t n, const int64_t *ns,
+    const int64_t *ps, int64_t nren, int64_t nvars);
 typedef struct sat_solver sat_solver;
 sat_solver *sat_new(void);
 void sat_free(sat_solver *s);

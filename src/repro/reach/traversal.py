@@ -11,7 +11,7 @@ from typing import Optional
 from repro import obs as _obs
 from repro.bdd import count as _count
 from repro.bdd.manager import FALSE
-from repro.reach.image import image_early, image_monolithic, image_schedule
+from repro.reach.image import image_schedule, reach_step
 from repro.reach.transition import TransitionSystem
 
 
@@ -62,7 +62,9 @@ def forward_reachable(
     """Least fixpoint of the image operator from the initial states.
 
     ``strategy`` is ``"early"`` (partitioned relation, early
-    quantification) or ``"monolithic"``.  If ``max_iterations``,
+    quantification) or ``"monolithic"`` (the whole relation as one
+    conjunct); each iteration is one :func:`~repro.reach.image.reach_step`
+    over that schedule.  If ``max_iterations``,
     ``time_budget`` or an exhausted ``governor`` (a
     :class:`repro.engine.governor.ResourceGovernor`, checked between
     image steps; its node budget covers this traversal's manager) stops
@@ -85,7 +87,7 @@ def forward_reachable(
     track = _obs.enabled()
     start = time.perf_counter()
     with _obs.span("reach.fixpoint"):
-        step = _image_step(ts, strategy)
+        schedule = _schedule(ts, strategy)
         if track and strategy == "early":
             _obs.observe("reach.relation.parts", ts.num_state_bits())
         reached = ts.initial_states()
@@ -108,8 +110,8 @@ def forward_reachable(
             if auto_reorder and manager.reorder_due():
                 # Iteration boundary = safe point: the only live handles
                 # are the reached set and frontier, passed through the
-                # rebuild; the relation, its schedule and the step are
-                # rebuilt against the re-sifted manager.
+                # rebuild; the relation and its schedule are rebuilt
+                # against the re-sifted manager.
                 size_before = manager.num_nodes
                 with _obs.span("reach.reorder"):
                     reached, frontier = ts.reorder_manager(
@@ -119,7 +121,7 @@ def forward_reachable(
                     governor.detach_manager(manager)
                     governor.attach_manager(ts.manager)
                 manager = ts.manager
-                step = _image_step(ts, strategy)
+                schedule = _schedule(ts, strategy)
                 if track:
                     _obs.event(
                         "bdd.reorder.reach",
@@ -128,9 +130,7 @@ def forward_reachable(
                         nodes_after=manager.num_nodes,
                     )
             image_start = time.perf_counter()
-            next_states = step(frontier)
-            frontier = manager.apply_and(next_states, manager.negate(reached))
-            reached = manager.apply_or(reached, frontier)
+            frontier, reached = reach_step(manager, schedule, frontier, reached)
             iterations += 1
             if track:
                 _obs.inc("reach.iterations")
@@ -154,16 +154,14 @@ def forward_reachable(
     )
 
 
-def _image_step(ts: TransitionSystem, strategy: str):
-    """The image operator over ``ts``'s current manager.  The relation
-    (and for ``"early"`` its quantification schedule) is built here
-    once, for every step until a reorder replaces the manager."""
+def _schedule(ts: TransitionSystem, strategy: str):
+    """The image schedule over ``ts``'s current manager: the relation
+    and its quantification schedule are built here once, for every step
+    until a reorder replaces the manager."""
     if strategy == "monolithic":
-        relation = ts.monolithic_relation()
-        return lambda frontier: image_monolithic(ts, frontier, relation)
+        return image_schedule(ts, [ts.monolithic_relation()])
     if strategy == "early":
-        schedule = image_schedule(ts.manager, ts.part_relations())
-        return lambda frontier: image_early(ts, frontier, schedule)
+        return image_schedule(ts, ts.part_relations())
     raise ValueError(f"unknown image strategy {strategy!r}")
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence
 
+from repro import obs as _obs
 from repro.bidec.extract import extract as _extract_pair
 from repro.bidec import symbolic as _symbolic
 from repro.bidec.api import BiDecomposition
@@ -58,6 +59,10 @@ def decompose_with_sharing(
     late-arriving input into a shallow component.  Returns the chosen
     decomposition and the number of its components found in ``existing``
     (0-2), or ``None``.
+
+    It counts as ``decompose_interval`` does: ``bidec.attempt.<gate>``
+    for each gate's space, ``bidec.extracted.<gate>`` for each
+    partition extracted and ``bidec.accepted.<gate>`` for the choice.
     """
     support = interval.support()
     if len(support) < 2:
@@ -65,6 +70,7 @@ def decompose_with_sharing(
     best: Optional[tuple[BiDecomposition, int]] = None
     best_key: Optional[tuple] = None
     for order, gate in enumerate(gates):
+        _obs.inc(f"bidec.attempt.{gate}")
         space = _symbolic.partition_space(interval, gate).nontrivial()
         if not space.is_feasible():
             _symbolic.release_space(space)
@@ -84,6 +90,7 @@ def decompose_with_sharing(
                 extracted = _extract_pair(interval, gate, support1, support2)
                 if extracted is None:
                     continue
+                _obs.inc(f"bidec.extracted.{gate}")
                 shared = int(extracted.g1 in existing) + int(
                     extracted.g2 in existing
                 )
@@ -115,4 +122,6 @@ def decompose_with_sharing(
         # criterion; stop early when timing is not being optimised.
         if best is not None and best[1] == 2 and arrivals is None:
             break
+    if best is not None:
+        _obs.inc(f"bidec.accepted.{best[0].gate}")
     return best

@@ -146,9 +146,9 @@ class TestReorderSemantics:
         schedules = []
         build = _traversal.image_schedule
 
-        def counting(manager, parts):
-            schedules.append(manager)
-            return build(manager, parts)
+        def counting(ts, parts):
+            schedules.append(ts.manager)
+            return build(ts, parts)
 
         monkeypatch.setattr(_traversal, "image_schedule", counting)
         for seed in (3, 7):

@@ -2,10 +2,12 @@
 
 For each of the manager's eight caches one operation misses exactly
 once and its repeat hits exactly once; no other table's counter moves,
-under either the ``ManagerStats`` attribute or the obs key."""
+under either the ``ManagerStats`` attribute or the obs key.  The kernel
+call counter reads an exact count of the crossings into C."""
 
 import pytest
 
+from repro import obs
 from repro.bdd import BDDManager, and_exists, exists, forall
 from repro.bdd import native as _native
 
@@ -61,3 +63,39 @@ def test_miss_then_hit_counts_in_its_table_only(native, table):
     assert _counters(stats) == {f"{table}_misses": 1}
     assert operation(*operands) == first
     assert _counters(stats) == {f"{table}_misses": 1, f"{table}_hits": 1}
+
+
+@pytest.mark.parametrize("native", KERNELS)
+def test_kernel_calls(native):
+    """One count per call into the kernel, a growth restart included;
+    pure-Python managers read 0, and the stats array has no slot for
+    it."""
+    m = BDDManager(4, native=native)
+    x = [m.var(i) for i in range(4)]
+    stats = m.enable_stats()
+    calls = []
+    # The first AND's entry asks for the op caches, then runs again.
+    f = m.apply_and(x[0], x[1])
+    calls.append(stats.kernel_calls)
+    # An OR, then ∃ (the quantify caches are allocated in Python).
+    exists(m, m.apply_or(f, x[2]), [0])
+    calls.append(stats.kernel_calls)
+    # A fold of three operands is one call.
+    m.conjoin([x[1], x[2], x[3]])
+    calls.append(stats.kernel_calls)
+    assert calls == ([2, 4, 5] if native else [0, 0, 0])
+    assert stats.as_dict()["kernel_calls"] == calls[-1]
+    assert len(m._stat_arr) == len(BDDManager(native=native)._stat_arr)
+
+
+@pytest.mark.skipif(_native.kernel() is None, reason="native kernel unavailable")
+def test_kernel_calls_reach_the_report():
+    obs.reset()
+    try:
+        with obs.scope():
+            m = BDDManager(2, native=True)
+            m.apply_and(m.var(0), m.var(1))
+            m.reset()  # the clear is the new life's first call
+        assert obs.report()["counters"]["bdd.kernel_calls"] == 3
+    finally:
+        obs.reset()

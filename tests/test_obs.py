@@ -301,6 +301,26 @@ class TestLayerInstrumentation:
         assert histograms["reach.image.time"]["count"] == result.iterations
         assert "reach.fixpoint" in obs.report()["spans"]
 
+    def test_sharing_choice_counts_attempts(self):
+        """The sharing path counts its attempts as decompose_interval
+        does: each gate's space is one attempt."""
+        from repro.benchgen import iscas_analog
+        from repro.synth import SynthesisOptions, algorithm1
+
+        with obs.scope():
+            algorithm1(iscas_analog("s344"), SynthesisOptions(sharing_choice=True))
+        counters = obs.report()["counters"]
+        accepted = 0
+        for gate in ("or", "and", "xor"):
+            spaces = counters.get(f"bidec.spaces.{gate}", 0)
+            assert spaces > 0
+            assert counters.get(f"bidec.attempt.{gate}", 0) == spaces, gate
+            accepted += counters.get(f"bidec.accepted.{gate}", 0)
+            assert counters.get(f"bidec.extracted.{gate}", 0) >= counters.get(
+                f"bidec.accepted.{gate}", 0
+            )
+        assert accepted > 0
+
     def test_bidec_metrics(self, manager4):
         from repro.bidec import decompose_interval
         from repro.intervals import Interval

@@ -81,7 +81,7 @@ class TestImages:
     def test_strategies_agree(self):
         ts = TransitionSystem(mod6_counter())
         relation = ts.monolithic_relation()
-        schedule = image_schedule(ts.manager, ts.part_relations())
+        schedule = image_schedule(ts, ts.part_relations())
         frontier = ts.initial_states()
         for _ in range(4):
             a = image_monolithic(ts, frontier, relation)
@@ -94,11 +94,11 @@ class TestImages:
         image under a schedule built fresh for that step."""
         ts = TransitionSystem(mod6_counter())
         manager = ts.manager
-        schedule = image_schedule(manager, ts.part_relations())
+        schedule = image_schedule(ts, ts.part_relations())
         reached = frontier = ts.initial_states()
         steps = 0
         while frontier != 0:
-            fresh = image_schedule(manager, ts.part_relations())
+            fresh = image_schedule(ts, ts.part_relations())
             image = image_early(ts, frontier, schedule)
             assert image == image_early(ts, frontier, fresh)
             frontier = manager.apply_and(image, manager.negate(reached))
