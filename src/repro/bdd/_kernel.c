@@ -1050,17 +1050,27 @@ typedef struct {
     int64_t memo_used;
     int64_t *table;    /* level -> substitution node / target variable */
     int64_t table_len;
-    int64_t *log;      /* transfer: (source, target) pairs, finishing order */
+    int64_t *log;      /* transfer: log_len (source, target) pairs, in
+                          finishing order; isop: the cover records,
+                          log_len words */
     int64_t log_len;
     int64_t log_cap;
     int64_t step;      /* count_relation and the loops: the next iteration */
-    int64_t acc;       /* the value so far: the relation, U, the fold, l */
-    int64_t acc2;      /* reduce_support: u */
+    int64_t acc;       /* the value so far: the relation, U, the fold, l;
+                          isop: g */
+    int64_t acc2;      /* reduce_support: u; isop: g's cover */
     int64_t part[3];   /* the iteration's finished operations + 1, or 0 */
     int64_t started;   /* the loops: nonzero once acc (and acc2) are seeded */
     int64_t err;       /* after BDD_BAD_VAR: the source level */
-    int64_t stage;     /* the space entries: the step running */
-    int64_t reg[N_REGS]; /* the space entries: the finished steps' results */
+    int64_t stage;     /* the composite entries: the step running */
+    int64_t reg[N_REGS]; /* the composite entries: the finished steps' results */
+    int64_t *stack;    /* isop: the open frames, then the cube expansion's */
+    int64_t stack_len; /* words in use */
+    int64_t stack_cap;
+    int64_t *cubes;    /* isop: the cover, each cube's literal count, then
+                          2 var + polarity per literal */
+    int64_t cubes_len; /* words in use */
+    int64_t cubes_cap;
 } bdd_walk;
 
 #define MEMO_INIT 64
@@ -1070,7 +1080,25 @@ void bdd_walk_clear(bdd_walk *w) {
     free(w->memo);
     free(w->table);
     free(w->log);
+    free(w->stack);
+    free(w->cubes);
     memset(w, 0, sizeof(*w));
+}
+
+/* Room for ``n`` more words past ``len`` in the growable buffer *buf of
+ * ``*cap`` words (doubling from MEMO_INIT).  Returns a pointer to the
+ * first free word, or NULL on allocation failure (the buffer is then
+ * untouched). */
+static int64_t *reserve(int64_t **buf, int64_t len, int64_t *cap, int64_t n) {
+    if (len + n > *cap) {
+        int64_t grown = *cap ? *cap : MEMO_INIT;
+        while (grown < len + n) grown *= 2;
+        int64_t *fresh = realloc(*buf, (size_t)grown * sizeof(int64_t));
+        if (!fresh) return NULL;
+        *buf = fresh;
+        *cap = grown;
+    }
+    return *buf + len;
 }
 
 /* The memo's result for ``node`` (>= 2), or -1. */
@@ -2022,6 +2050,296 @@ int64_t bdd_reach_step(const bdd_state *st, bdd_walk *w, int64_t frontier,
                 return r;
             reg[2] = part[2] - 1;
             return part[1] - 1;
+        }
+        next_stage(w);
+    }
+}
+
+/* -- ISOP and extraction -------------------------------------------------
+ * logic.sop.isop (Minato–Morreale) as one kernel walk, and the OR/AND
+ * extraction of repro.bidec.extract as one entry that chains it.  Both
+ * make the calls of the Python functions in the same order, with each
+ * public entry's short-circuits, quantify probe and entry-time op-cache
+ * check, so both make the same nodes with the same cache traffic. */
+
+/* An open ISOP frame, the call isop(l, u) that is not a terminal case
+ * or a memo hit: the interval, its top variable and the cofactors there,
+ * the next operation (phase), the covers its three calls returned, then
+ * the result of operation p at F_R + p. */
+enum {
+    F_L, F_U, F_VAR, F_L0, F_L1, F_U0, F_U1, F_PHASE, F_C0, F_C1, F_CR, F_R,
+    F_WORDS = F_R + 16
+};
+
+/* Covers are records in the walk's log, REC_WORDS each: (g, var, c0, c1,
+ * cr), whose cubes are those of c0 with ¬var, those of c1 with var, then
+ * those of cr.  Cover 0 has no cube (g = FALSE), cover 1 the empty cube
+ * (g = TRUE), and record i is cover i + 2. */
+#define COVER_NONE 0
+#define COVER_ONE 1
+#define REC_WORDS 5
+
+static inline int64_t cover_g(const bdd_walk *w, int64_t c) {
+    return c <= COVER_ONE ? c : w->log[(c - 2) * REC_WORDS];
+}
+
+/* Hand the cover ``c`` of a finished call to its caller: the open frame
+ * on top, whose phase is the call's (2, 5 or 12), or the walk itself
+ * (acc = g, acc2 = the cover) for the first call. */
+static void isop_return(bdd_walk *w, int64_t c) {
+    if (w->stack_len == 0) {
+        w->acc = cover_g(w, c);
+        w->acc2 = c;
+        return;
+    }
+    int64_t *f = w->stack + w->stack_len - F_WORDS;
+    int64_t p = f[F_PHASE];
+    f[F_R + p] = cover_g(w, c);
+    f[p == 2 ? F_C0 : p == 5 ? F_C1 : F_CR] = c;
+    f[F_PHASE] = p + 1;
+}
+
+/* The call isop(l, u): its terminal cases and the (l, u) memo return at
+ * once; otherwise a frame is opened.  Returns 0 or BDD_NOMEM. */
+static int64_t isop_call(const bdd_state *st, bdd_walk *w, int64_t l,
+                         int64_t u) {
+    if (l == BDD_FALSE || u == BDD_TRUE) {
+        isop_return(w, l == BDD_FALSE ? COVER_NONE : COVER_ONE);
+        return 0;
+    }
+    int64_t c = memo_get(w, (l << 31) | u);
+    if (c >= 0) {
+        isop_return(w, c);
+        return 0;
+    }
+    int64_t *f = reserve(&w->stack, w->stack_len, &w->stack_cap, F_WORDS);
+    if (!f) return BDD_NOMEM;
+    w->stack_len += F_WORDS;
+    const int64_t *level = st->level, *loa = st->lo, *hia = st->hi;
+    int64_t var = level[l] < level[u] ? level[l] : level[u];
+    f[F_L] = l;
+    f[F_U] = u;
+    f[F_VAR] = var;
+    f[F_L0] = level[l] == var ? loa[l] : l;
+    f[F_L1] = level[l] == var ? hia[l] : l;
+    f[F_U0] = level[u] == var ? loa[u] : u;
+    f[F_U1] = level[u] == var ? hia[u] : u;
+    f[F_PHASE] = 0;
+    return 0;
+}
+
+/* Run the open frames to the end.  Operation p of a frame stores its
+ * result at F_R + p: ¬u1, l0 ∧ ¬u1, the call on [l0 ∧ ¬u1, u0] (g0),
+ * ¬u0, l1 ∧ ¬u0, the call on [l1 ∧ ¬u0, u1] (g1), ¬g0, l0 ∧ ¬g0, ¬g1,
+ * l1 ∧ ¬g1, their OR (l_rest), u0 ∧ u1, the call on [l_rest, u0 ∧ u1]
+ * (g_rest), the literal of var, ite(var, g1, g0) and its OR with g_rest
+ * (g).  Then the frame's cover is recorded, memoised under (l, u) and
+ * returned.  A growth code leaves the phase as it was, so the restart
+ * re-runs the operation that asked.  Returns 0 or a negative code. */
+static int64_t isop_frames(const bdd_state *st, bdd_walk *w) {
+    while (w->stack_len > 0) {
+        int64_t *f = w->stack + w->stack_len - F_WORDS, *R = f + F_R;
+        int64_t p = f[F_PHASE], r;
+        switch (p) {
+        case 0: r = negate_entry(st, f[F_U1]); break;
+        case 1: r = apply_entry(st, T_AND, f[F_L0], R[0]); break;
+        case 2: r = isop_call(st, w, R[1], f[F_U0]); if (r) return r; continue;
+        case 3: r = negate_entry(st, f[F_U0]); break;
+        case 4: r = apply_entry(st, T_AND, f[F_L1], R[3]); break;
+        case 5: r = isop_call(st, w, R[4], f[F_U1]); if (r) return r; continue;
+        case 6: r = negate_entry(st, R[2]); break;
+        case 7: r = apply_entry(st, T_AND, f[F_L0], R[6]); break;
+        case 8: r = negate_entry(st, R[5]); break;
+        case 9: r = apply_entry(st, T_AND, f[F_L1], R[8]); break;
+        case 10: r = apply_entry(st, T_OR, R[7], R[9]); break;
+        case 11: r = apply_entry(st, T_AND, f[F_U0], f[F_U1]); break;
+        case 12: r = isop_call(st, w, R[10], R[11]); if (r) return r; continue;
+        case 13: r = mk(st, f[F_VAR], BDD_FALSE, BDD_TRUE); break;
+        case 14: r = ite_entry(st, R[13], R[5], R[2]); break;
+        case 15: r = apply_entry(st, T_OR, R[14], R[12]); break;
+        default: {
+            int64_t c = 2 + w->log_len / REC_WORDS;
+            int64_t *rec = reserve(&w->log, w->log_len, &w->log_cap, REC_WORDS);
+            if (!rec || !memo_put(w, (f[F_L] << 31) | f[F_U], c))
+                return BDD_NOMEM;
+            rec[0] = f[F_R + 15];
+            rec[1] = f[F_VAR];
+            rec[2] = f[F_C0];
+            rec[3] = f[F_C1];
+            rec[4] = f[F_CR];
+            w->log_len += REC_WORDS;
+            w->stack_len -= F_WORDS;
+            isop_return(w, c);
+            continue;
+        }
+        }
+        if (r < 0) return r;
+        R[p] = r;
+        f[F_PHASE] = p + 1;
+    }
+    return 0;
+}
+
+/* manager.leq(f, g) through part[0] and part[1]: ¬f, then ¬f ∨ g.
+ * Returns 1 when it holds, 0 when not, or a negative code. */
+static int64_t leq_step(const bdd_state *st, int64_t *part, int64_t f,
+                        int64_t g) {
+    int64_t r;
+    if ((r = part_op(st, &part[0], T_NOT, f, 0)) ||
+        (r = part_op(st, &part[1], T_OR, part[0] - 1, g)))
+        return r;
+    return part[1] - 1 == BDD_TRUE;
+}
+
+/* logic.sop.isop's walk: the leq check of [lower, upper], then the
+ * call on it.  Returns 1 with g in acc and its cover in acc2, 0 when the
+ * interval is inconsistent, or a negative code. */
+static int64_t isop_walk(const bdd_state *st, bdd_walk *w, int64_t lower,
+                         int64_t upper) {
+    int64_t r;
+    if (!w->started) {
+        if ((r = leq_step(st, w->part, lower, upper)) <= 0) return r;
+        if ((r = isop_call(st, w, lower, upper))) return r;
+        w->started = 1;
+    }
+    r = isop_frames(st, w);
+    return r ? r : 1;
+}
+
+/* The cubes of cover ``root`` into the walk's cubes, in the order
+ * logic.sop.isop lists them, each cube's literals by ascending variable.
+ * A depth-first walk of the records over the walk's stack, three words
+ * an entry: the cover, the depth of its cubes' prefix, and the literal
+ * the entry appends to it (or -1).  Returns 0 or BDD_NOMEM. */
+static int64_t isop_cubes(bdd_walk *w, int64_t root) {
+    int64_t *prefix = NULL, prefix_cap = 0, rc = 0;
+    int64_t *e = reserve(&w->stack, 0, &w->stack_cap, 3);
+    if (!e) return BDD_NOMEM;
+    e[0] = root;
+    e[1] = 0;
+    e[2] = -1;
+    w->stack_len = 3;
+    w->cubes_len = 0;
+    while (rc == 0 && w->stack_len > 0) {
+        w->stack_len -= 3;
+        e = w->stack + w->stack_len;
+        int64_t c = e[0], depth = e[1], lit = e[2];
+        if (lit >= 0) {
+            if (!reserve(&prefix, depth, &prefix_cap, 1)) { rc = BDD_NOMEM; break; }
+            prefix[depth++] = lit;
+        }
+        if (c == COVER_NONE) continue;
+        if (c == COVER_ONE) {
+            int64_t *cube = reserve(&w->cubes, w->cubes_len, &w->cubes_cap, depth + 1);
+            if (!cube) { rc = BDD_NOMEM; break; }
+            cube[0] = depth;
+            if (depth) memcpy(cube + 1, prefix, (size_t)depth * sizeof(int64_t));
+            w->cubes_len += depth + 1;
+            continue;
+        }
+        const int64_t *rec = w->log + (c - 2) * REC_WORDS;
+        e = reserve(&w->stack, w->stack_len, &w->stack_cap, 9);
+        if (!e) { rc = BDD_NOMEM; break; }
+        e[0] = rec[4]; e[1] = depth; e[2] = -1;
+        e[3] = rec[3]; e[4] = depth; e[5] = 2 * rec[1] + 1;
+        e[6] = rec[2]; e[7] = depth; e[8] = 2 * rec[1];
+        w->stack_len += 9;
+    }
+    free(prefix);
+    return rc;
+}
+
+/* logic.sop.isop on [lower, upper]: with ``cubes`` set, the cover's
+ * cubes land in the walk's cubes too.  Returns 1 with g in acc, 0 when
+ * the interval is inconsistent, or a negative code. */
+int64_t bdd_isop(const bdd_state *st, bdd_walk *w, int64_t lower,
+                 int64_t upper, int64_t cubes) {
+    count_call(st);
+    if (bad_node(st, lower) || bad_node(st, upper)) return BDD_BAD_NODE;
+    int64_t r = isop_walk(st, w, lower, upper);
+    if (r != 1 || !cubes) return r;
+    r = isop_cubes(w, w->acc2);
+    return r ? r : 1;
+}
+
+/* extract_or (gate T_OR) or extract_and (gate T_AND) of [lower, upper]
+ * with ISOP minimisation, over the interned cubes of x̄2 (``cid2``) and
+ * x̄1 (``cid1``), the support variables outside support2 and support1.
+ * Step 0 sets the interval [L, U] the OR chain decomposes: [l, u] for
+ * OR, the complement [¬u, ¬l] for AND (reg[0], reg[1]).  Steps 1 and 2
+ * take g2 = ∀x̄2 U and ∀x̄1 U (reg[2], reg[3]); step 3 takes
+ * ∃x̄1 (L ∧ ¬g2) (reg[4]); step 4 checks that it is ≤ ∀x̄1 U; step 5
+ * runs the ISOP walk on that interval: g1 (reg[5]).  Steps 6 and 7 check
+ * g1 ∨ g2 (reg[6]) against [L, U].  For AND, step 8 negates g1, then g2;
+ * the caller checks that pair against [l, u] (ExtractedPair.verify).
+ * Returns 1 with the pair in reg[0] and reg[1], 0 when a check fails, or
+ * a negative code. */
+int64_t bdd_extract(const bdd_state *st, bdd_walk *w, int64_t gate,
+                    int64_t lower, int64_t upper, int64_t cid2,
+                    const int64_t *cube2, int64_t len2, int64_t max2,
+                    int64_t cid1, const int64_t *cube1, int64_t len1,
+                    int64_t max1) {
+    count_call(st);
+    if (bad_node(st, lower) || bad_node(st, upper)) return BDD_BAD_NODE;
+    int64_t *reg = w->reg, *part = w->part, r;
+    for (;;) {
+        switch (w->stage) {
+        case 0:
+            if (gate == T_OR) {
+                reg[0] = lower;
+                reg[1] = upper;
+                break;
+            }
+            if ((r = part_op(st, &part[0], T_NOT, upper, 0)) ||
+                (r = part_op(st, &part[1], T_NOT, lower, 0)))
+                return r;
+            reg[0] = part[0] - 1;
+            reg[1] = part[1] - 1;
+            break;
+        case 1:
+        case 2:
+            r = w->stage == 1
+                    ? quantify_entry(st, T_FA, reg[1], cid2, cube2, len2, max2)
+                    : quantify_entry(st, T_FA, reg[1], cid1, cube1, len1, max1);
+            if (r < 0) return r;
+            reg[w->stage + 1] = r;
+            break;
+        case 3:
+            if ((r = part_op(st, &part[0], T_NOT, reg[2], 0)) ||
+                (r = part_op(st, &part[1], T_AND, reg[0], part[0] - 1)))
+                return r;
+            r = quantify_entry(st, T_EX, part[1] - 1, cid1, cube1, len1, max1);
+            if (r < 0) return r;
+            reg[4] = r;
+            break;
+        case 4:
+            if ((r = leq_step(st, part, reg[4], reg[3])) <= 0) return r;
+            break;
+        case 5:
+            if ((r = isop_walk(st, w, reg[4], reg[3])) <= 0) return r;
+            reg[5] = w->acc;
+            break;
+        case 6:
+            if ((r = part_op(st, &part[0], T_OR, reg[5], reg[2])) ||
+                (r = leq_step(st, part + 1, reg[0], part[0] - 1)) <= 0)
+                return r;
+            reg[6] = part[0] - 1;
+            break;
+        case 7:
+            if ((r = leq_step(st, part, reg[6], reg[1])) <= 0) return r;
+            if (gate == T_OR) {
+                reg[0] = reg[5];
+                reg[1] = reg[2];
+                return 1;
+            }
+            break;
+        default:
+            if ((r = part_op(st, &part[0], T_NOT, reg[5], 0)) ||
+                (r = part_op(st, &part[1], T_NOT, reg[2], 0)))
+                return r;
+            reg[0] = part[0] - 1;
+            reg[1] = part[1] - 1;
+            return 1;
         }
         next_stage(w);
     }

@@ -11,14 +11,17 @@ The native kernel is one shared object compiled from two C sources:
   ``Interval.reduce_support``, ``iter_models`` and ``conjoin``/
   ``disjoin``, the space entries behind the OR and XOR bodies of the
   partition spaces, ``PartitionSpace.nontrivial`` and
-  ``PartitionSpace.size_pairs``, and the entry behind one fixpoint
-  iteration of forward reachability.  They work directly on the
+  ``PartitionSpace.size_pairs``, the entry behind one fixpoint
+  iteration of forward reachability, the ISOP walk behind
+  ``logic.sop.isop`` and the entry behind the minimised OR/AND
+  extraction of ``bidec.extract``.  They work directly on the
   manager's flat ``array('q')`` buffers, reached through one
   ``bdd_state`` struct of buffer pointers per manager, which also
   points at the manager's kernel call counter; a walk, loop or
   composite entry keeps what must survive its growth restarts in a
   ``bdd_walk`` — a composite entry its step counter and the finished
-  steps' results too.
+  steps' results too, the ISOP walk its open frames and its cover's
+  cubes.
 * ``repro/sat/_solver.c`` — the CDCL core behind
   :class:`repro.sat.solver.Solver`.  It owns its state (one
   ``sat_solver`` per solver, freed through ``ffi.gc``), because a solve
@@ -104,6 +107,10 @@ typedef struct {
     int64_t started, err;
     int64_t stage;
     int64_t reg[12];
+    int64_t *stack;
+    int64_t stack_len, stack_cap;
+    int64_t *cubes;
+    int64_t cubes_len, cubes_cap;
 } bdd_walk;
 void bdd_walk_clear(bdd_walk *w);
 int64_t bdd_walk_table(const bdd_state *st, bdd_walk *w,
@@ -152,6 +159,12 @@ int64_t bdd_reach_step(const bdd_state *st, bdd_walk *w, int64_t frontier,
     int64_t reached, const int64_t *parts, const int64_t *cids,
     const int64_t *levels, const int64_t *ends, int64_t n, const int64_t *ns,
     const int64_t *ps, int64_t nren, int64_t nvars);
+int64_t bdd_isop(const bdd_state *st, bdd_walk *w, int64_t lower,
+    int64_t upper, int64_t cubes);
+int64_t bdd_extract(const bdd_state *st, bdd_walk *w, int64_t gate,
+    int64_t lower, int64_t upper, int64_t cid2, const int64_t *cube2,
+    int64_t len2, int64_t max2, int64_t cid1, const int64_t *cube1,
+    int64_t len1, int64_t max1);
 typedef struct sat_solver sat_solver;
 sat_solver *sat_new(void);
 void sat_free(sat_solver *s);

@@ -8,6 +8,14 @@ feasible support partition is known (Section 3.5.2, last paragraph).
 * AND: dual through the complement interval.
 * XOR: the constructive algorithm from [17] (cofactor at a reference
   block assignment) generalised to intervals by candidate-and-verify.
+
+On a native manager the minimised OR and AND extractions run as one
+kernel entry (``bdd_extract``) that makes the calls of the Python
+compositions (:func:`_py_extract_or`, :func:`_py_extract_and`) in the
+same order, the ISOP walk included; the AND pair's final check stays
+here, in :meth:`ExtractedPair.verify`.  The compositions are the
+pure-Python path and the parity reference.  XOR extraction runs in
+Python on both kernels.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from repro.bdd import count as _count
 from repro.bdd import quantify as _quantify
 from repro.bdd.manager import BDDManager
 from repro.intervals import Interval
+from repro.logic.sop import _isop
 
 
 @dataclass(frozen=True)
@@ -58,8 +67,20 @@ def extract_or(
     with ``minimize`` the remaining freedom for ``g1`` — the interval
     ``[∃xbar1 (l & ~g2), ∀xbar1 u]`` — is exercised by taking an ISOP
     member, which tends to have fewer literals than the canonical upper
-    bound.
+    bound.  Raises ``ValueError`` when the partition is not OR-feasible.
     """
+    if minimize and interval.manager._st is not None:
+        return _native_extract("or", interval, support1, support2)
+    return _py_extract_or(interval, support1, support2, minimize)
+
+
+def _py_extract_or(
+    interval: Interval,
+    support1: Iterable[int],
+    support2: Iterable[int],
+    minimize: bool = True,
+) -> ExtractedPair:
+    """:func:`extract_or` as the Python composition of public calls."""
     manager = interval.manager
     all_vars = interval.support()
     xbar1 = sorted(all_vars - set(support1))
@@ -74,9 +95,7 @@ def extract_or(
         )
         if not manager.leq(g1_lower, g1_upper):
             raise ValueError("partition is not OR-feasible")
-        from repro.logic.sop import isop
-
-        _, g1 = isop(manager, g1_lower, g1_upper)
+        _, g1 = _isop(manager, g1_lower, g1_upper, False)
     else:
         g1 = g1_upper
     pair = ExtractedPair("or", g1, g2)
@@ -92,15 +111,73 @@ def extract_and(
     minimize: bool = True,
 ) -> ExtractedPair:
     """AND decomposition via OR on the complement interval: if
-    ``~[l,u] = [~u,~l] = h1 + h2`` then ``[l,u] ∋ ~h1 & ~h2``."""
+    ``~[l,u] = [~u,~l] = h1 + h2`` then ``[l,u] ∋ ~h1 & ~h2``.  Raises
+    ``ValueError`` when the partition is not AND-feasible."""
+    if minimize and interval.manager._st is not None:
+        return _native_extract("and", interval, support1, support2)
+    return _py_extract_and(interval, support1, support2, minimize)
+
+
+def _py_extract_and(
+    interval: Interval,
+    support1: Iterable[int],
+    support2: Iterable[int],
+    minimize: bool = True,
+) -> ExtractedPair:
+    """:func:`extract_and` as the Python composition of public calls."""
     manager = interval.manager
-    or_pair = extract_or(interval.complement(), support1, support2, minimize)
+    or_pair = _py_extract_or(interval.complement(), support1, support2, minimize)
     pair = ExtractedPair(
         "and", manager.negate(or_pair.g1), manager.negate(or_pair.g2)
     )
     if not pair.verify(interval):
         raise ValueError("partition is not AND-feasible")
     return pair
+
+
+def _native_extract(
+    gate: str, interval: Interval, support1: Iterable[int], support2: Iterable[int]
+) -> ExtractedPair:
+    """:func:`extract_or` or :func:`extract_and`, minimised, as one kernel
+    entry (``bdd_extract``): for AND, the complement, the OR chain with
+    its check and the two negations, and then the AND pair's check here,
+    as the composition makes it.  The cubes of ``xbar2`` and ``xbar1``
+    are interned first, in the composition's order: their ids key the
+    quantify caches.  The complement's support is the interval's."""
+    manager = interval.manager
+    all_vars = interval.support()
+    cube2 = manager.intern_cube(all_vars.difference(support2))
+    cube1 = manager.intern_cube(all_vars.difference(support1))
+    lib = manager._lib
+    walk = manager._walk
+    try:
+        found = manager._native_walk(
+            lib.bdd_extract,
+            manager._st,
+            walk,
+            _GATE_OP[gate],
+            interval.lower,
+            interval.upper,
+            *_cube_args(cube2),
+            *_cube_args(cube1),
+        )
+        pair = ExtractedPair(gate, walk.reg[0], walk.reg[1])
+    finally:
+        lib.bdd_walk_clear(walk)
+    if not found:
+        raise ValueError("partition is not OR-feasible")
+    if gate == "and" and not pair.verify(interval):
+        raise ValueError("partition is not AND-feasible")
+    return pair
+
+
+#: Each gate's ``bdd_apply`` op code, which ``bdd_extract`` takes.
+_GATE_OP = {"and": 0, "or": 1}
+
+
+def _cube_args(cube) -> tuple:
+    """An interned cube as the kernel's quantifiers take it."""
+    return cube.cube_id, cube.view, len(cube.vars), cube.max_level
 
 
 def extract_xor_cs(

@@ -92,7 +92,8 @@ def espresso(
 
     Deterministic; seeded from the Minato-Morreale ISOP unless
     ``initial`` is given.  Raises ``ValueError`` on an inconsistent
-    interval.
+    interval, and when the final cover is not a member of it (a check
+    that also runs under ``python -O``).
     """
     if not manager.leq(lower, upper):
         raise ValueError("inconsistent interval")
@@ -123,7 +124,8 @@ def espresso(
         cubes = list(dict.fromkeys(reduced))
     result = Cover(cubes)
     cover_node = _cover_node(manager, cubes)
-    assert manager.leq(lower, cover_node) and manager.leq(cover_node, upper)
+    if not (manager.leq(lower, cover_node) and manager.leq(cover_node, upper)):
+        raise ValueError("the minimised cover is not a member of [lower, upper]")
     return result
 
 

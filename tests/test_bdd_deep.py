@@ -3,10 +3,10 @@ operator cores.
 
 The manager's operators and the quantifiers walk with explicit stacks,
 and so do the node builders (``vector_compose`` with ``compose``,
-``rename`` and the parameterized replacements) and the count walks
-(``sat_count``, ``shortest_cube``, ``iter_models``) on both kernels, so
-chain-shaped BDDs far deeper than the interpreter recursion limit must
-go through without ``RecursionError``.  The randomized section
+``rename`` and the parameterized replacements), the count walks
+(``sat_count``, ``shortest_cube``, ``iter_models``) and ISOP on both
+kernels, so chain-shaped BDDs far deeper than the interpreter recursion
+limit must go through without ``RecursionError``.  The randomized section
 cross-checks the iterative cores against straightforward *recursive*
 reference implementations on small managers, where recursion is safe.
 """
@@ -33,6 +33,7 @@ from repro.bdd import (
 )
 from repro.bdd import native as _native
 from repro.bidec.parameterize import parameterized_replace
+from repro.logic.sop import Cube, isop
 from repro.logic.truthtable import TruthTable
 
 #: Far above the default interpreter recursion limit (usually 1000).
@@ -175,6 +176,22 @@ class TestDeepChains:
         assert list(cube.items()) == [(v, True) for v in reversed(range(CHAIN_VARS))]
         # One literal suffices for the complement: the first 0-branch.
         assert shortest_cube(m, m.negate(all_true)) == {0: False}
+
+    def test_isop_deep_chain(self, kernel_chain):
+        m = kernel_chain
+        all_true = _cube(m, range(CHAIN_VARS))
+        cover, g = isop(m, all_true, all_true)
+        assert g == all_true
+        assert cover.cubes == [Cube(tuple((v, True) for v in range(CHAIN_VARS)))]
+
+    def test_isop_deep_chain_interval(self, kernel_chain):
+        # [all variables, the even ones]: each odd variable drops out,
+        # so the cover is the one cube of the even variables.
+        m = kernel_chain
+        evens = _cube(m, range(0, CHAIN_VARS, 2))
+        cover, g = isop(m, _cube(m, range(CHAIN_VARS)), evens)
+        assert g == evens
+        assert cover.cubes == [Cube(tuple((v, True) for v in range(0, CHAIN_VARS, 2)))]
 
     def test_deep_parity_chain_via_xor(self):
         # Parity of 3000 variables: a 2-nodes-per-level chain built by

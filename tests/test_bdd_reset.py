@@ -237,6 +237,28 @@ class TestHandBack:
         assert snapshot == (m.num_nodes, list(m._level[: m.num_nodes]), list(m._lo[: m.num_nodes]))
         assert space.best_balanced_pair() == best
 
+    def test_or_body_on_reset_scratch_equals_fresh(self, monkeypatch):
+        """After an OR body, a reset scratch manager's interned cubes —
+        ids and variable sets — and every table, the quantify caches
+        included, equal a fresh manager's."""
+        monkeypatch.setattr(_symbolic, "_spares", [])
+        first = _symbolic.or_partition_space(_interval(0))
+        _symbolic.release_space(first)
+        reused = _symbolic.or_partition_space(_interval(1))
+        assert reused.manager is first.manager
+        monkeypatch.setattr(_symbolic, "_spares", [])
+        fresh = _symbolic.or_partition_space(_interval(1))
+        assert fresh.manager is not reused.manager
+        assert reused.bi == fresh.bi
+
+        def cubes(m):
+            return [(cube.cube_id, sorted(cube.vars)) for cube in m._cube_table.values()]
+
+        assert cubes(reused.manager) == cubes(fresh.manager)
+        assert len(cubes(fresh.manager)) == len(reused.variables) + 1
+        assert list(reused.manager._ctrl) == list(fresh.manager._ctrl)
+        assert _prefixes(reused.manager) == _prefixes(fresh.manager)
+
     def test_sharing_choice_hands_back(self, monkeypatch):
         monkeypatch.setattr(_symbolic, "_spares", [])
         decompose_with_sharing(_interval(), {})

@@ -10,6 +10,9 @@ import pytest
 from repro import obs
 from repro.bdd import BDDManager, and_exists, exists, forall
 from repro.bdd import native as _native
+from repro.bidec.extract import extract_and, extract_or
+from repro.intervals import Interval
+from repro.logic.sop import isop
 
 KERNELS = [
     pytest.param(False, id="python"),
@@ -86,6 +89,30 @@ def test_kernel_calls(native):
     assert calls == ([2, 4, 5] if native else [0, 0, 0])
     assert stats.as_dict()["kernel_calls"] == calls[-1]
     assert len(m._stat_arr) == len(BDDManager(native=native)._stat_arr)
+
+
+@pytest.mark.parametrize("native", KERNELS)
+def test_kernel_calls_of_isop_and_extraction(native):
+    """An ISOP is one kernel call and an OR extraction one call plus
+    the restart that allocates the quantify caches; an AND extraction is
+    one call, then its pair's check: an AND and two ``leq`` (a NOT and
+    an OR each).  Pure-Python managers read 0."""
+    m = BDDManager(4, native=native)
+    x = [m.var(i) for i in range(4)]
+    f = m.apply_or(m.apply_and(x[0], x[1]), m.apply_and(x[2], x[3]))
+    h = m.apply_and(m.apply_or(x[0], x[1]), m.apply_or(x[2], x[3]))
+    dc = m.apply_and(x[0], m.apply_and(x[2], m.negate(x[1])))
+    for_or = Interval(m, m.apply_and(f, m.negate(dc)), m.apply_or(f, dc))
+    for_and = Interval(m, m.apply_and(h, m.negate(dc)), m.apply_or(h, dc))
+    stats = m.enable_stats()
+    calls = []
+    isop(m, for_or.lower, for_or.upper)
+    calls.append(stats.kernel_calls)
+    extract_or(for_or, {0, 1}, {2, 3})
+    calls.append(stats.kernel_calls)
+    extract_and(for_and, {0, 1}, {2, 3})
+    calls.append(stats.kernel_calls)
+    assert calls == ([1, 3, 9] if native else [0, 0, 0])
 
 
 @pytest.mark.skipif(_native.kernel() is None, reason="native kernel unavailable")

@@ -115,6 +115,21 @@ class TestEspresso:
         with pytest.raises(ValueError):
             espresso(m, TRUE, FALSE)
 
+    def test_final_check_raises(self, monkeypatch):
+        """The final check that the cover lies in ``[lower, upper]``
+        raises ``ValueError``, not an ``AssertionError``: it also runs,
+        and makes its nodes, under ``python -O``."""
+        import importlib
+
+        from repro.bdd.manager import FALSE
+
+        espresso_module = importlib.import_module("repro.logic.espresso")
+        m = BDDManager(2)
+        f = m.apply_or(m.var(0), m.var(1))
+        monkeypatch.setattr(espresso_module, "_cover_node", lambda manager, cubes: FALSE)
+        with pytest.raises(ValueError):
+            espresso(m, f, f)
+
     def test_all_cubes_prime_and_irredundant(self, rng):
         m = BDDManager(4)
         f, _ = random_bdd(m, 4, rng)

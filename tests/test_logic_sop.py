@@ -4,10 +4,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bdd import BDDManager
+from repro.bdd import native as _native
+from repro.bdd.manager import FALSE
+from repro.logic import sop
 from repro.logic.sop import Cover, Cube, isop, isop_function
 from repro.logic.truthtable import TruthTable
 
 from conftest import random_bdd, tt_of
+from strategies import truth_table_pairs
+
+KERNELS = [
+    pytest.param(False, id="python"),
+    pytest.param(
+        True,
+        id="native",
+        marks=pytest.mark.skipif(
+            _native.kernel() is None, reason="native kernel unavailable"
+        ),
+    ),
+]
 
 
 class TestCube:
@@ -139,3 +154,33 @@ def test_property_isop_interval(bits_f, bits_dc):
     cover, g = isop(m, lower, upper)
     assert m.leq(lower, g) and m.leq(g, upper)
     assert cover.to_bdd(m) == g
+
+
+@pytest.mark.parametrize("native", KERNELS)
+@given(pair=truth_table_pairs(max_vars=5))
+def test_property_isop_cover_is_irredundant(native, pair):
+    """For ``[f & ~dc, f | dc]`` on either kernel: ``l <= g <= u``, the
+    cover's BDD is ``g``, and each cube covers a minterm of ``l`` that
+    no other cube covers."""
+    f, dc = pair
+    m = BDDManager(f.num_vars, native=native)
+    variables = list(range(f.num_vars))
+    lower = (f & ~dc).to_bdd(m, variables)
+    upper = (f | dc).to_bdd(m, variables)
+    cover, g = isop(m, lower, upper)
+    assert m.leq(lower, g) and m.leq(g, upper)
+    assert cover.to_bdd(m) == g
+    cubes = [cube.to_bdd(m) for cube in cover]
+    for index, cube in enumerate(cubes):
+        others = m.disjoin(cubes[:index] + cubes[index + 1 :])
+        assert m.apply_and(m.apply_and(lower, cube), m.negate(others)) != FALSE
+
+
+def test_isop_function_check_raises(monkeypatch):
+    """The check that the cover builds ``f`` raises ``ValueError``, not
+    an ``AssertionError``, so it also runs under ``python -O``."""
+    m = BDDManager(2)
+    f = m.apply_and(m.var(0), m.var(1))
+    monkeypatch.setattr(sop, "isop", lambda manager, lower, upper: (Cover([]), FALSE))
+    with pytest.raises(ValueError):
+        isop_function(m, f)
