@@ -35,8 +35,9 @@
  *
  * Every exported entry that takes a state also counts the call in the
  * state's ``calls`` word, once per call from Python: a growth restart is
- * a call of its own, and an entry that chains others runs their static
- * bodies, so a chain counts once.  The word sits outside ``stat_arr``,
+ * a call of its own, and an entry that chains others — bdd_run running a
+ * step program — runs their static bodies, so a chain counts once.  The
+ * word sits outside ``stat_arr``,
  * so the cache statistics of an entry and of the Python loop it
  * replaces stay comparable.
  */
@@ -1039,11 +1040,10 @@ int64_t bdd_grow_table(const bdd_state *st, int64_t t, int64_t new_mask) {
  * restart re-runs only the operation that asked for the growth, exactly
  * as a growth restart of that single operation would. */
 
-#define N_REGS 12 /* keep in sync with repro.bdd.native._CDEF */
-
-/* Scratch state of one builder entry, kept across its restarts.  The
- * manager owns one, all zero between entries; bdd_walk_clear frees
- * what an entry allocated and zeroes it again. */
+/* Scratch state of one builder entry, kept across its restarts (field
+ * order as in repro.bdd.native._CDEF).  The manager owns one, all zero
+ * between entries; bdd_walk_clear frees what an entry allocated and
+ * zeroes it again. */
 typedef struct {
     int64_t *memo;     /* (node, result) pairs, open-addressed; node 0 = empty */
     int64_t memo_mask; /* slot count - 1; 0 while unallocated */
@@ -1062,8 +1062,7 @@ typedef struct {
     int64_t part[3];   /* the iteration's finished operations + 1, or 0 */
     int64_t started;   /* the loops: nonzero once acc (and acc2) are seeded */
     int64_t err;       /* after BDD_BAD_VAR: the source level */
-    int64_t stage;     /* the composite entries: the step running */
-    int64_t reg[N_REGS]; /* the composite entries: the finished steps' results */
+    int64_t stage;     /* bdd_run: the program counter */
     int64_t *stack;    /* isop: the open frames, then the cube expansion's */
     int64_t stack_len; /* words in use */
     int64_t stack_cap;
@@ -1177,16 +1176,16 @@ int64_t bdd_walk_table(const bdd_state *st, bdd_walk *w, const int64_t *keys,
 }
 
 /* Weight functions: ``out[j]`` = "exactly j of ``vars`` are 1" for
- * j = 0..m, over ``n`` distinct declared variables sorted from the
- * highest index down.  Mirrors builders._py_weight_functions: variable
- * by variable, one mk per weight j = 0..m.  Only mk runs here, and mk
- * finds a node it made before, so a restart simply starts over.
+ * j = 0..m, over ``n`` distinct declared variables in ascending order.
+ * Mirrors builders._py_weight_functions: variable by variable from the
+ * highest index down, one mk per weight j = 0..m.  Only mk runs here,
+ * and mk finds a node it made before, so a restart simply starts over.
  * Returns 0 or a growth code. */
 static int64_t weight_functions(const bdd_state *st, const int64_t *vars,
                                 int64_t n, int64_t m, int64_t *out) {
     out[0] = BDD_TRUE;
     for (int64_t j = 1; j <= m; j++) out[j] = BDD_FALSE;
-    for (int64_t i = 0; i < n; i++) {
+    for (int64_t i = n - 1; i >= 0; i--) {
         int64_t take = BDD_FALSE; /* old out[j - 1] */
         for (int64_t j = 0; j <= m; j++) {
             int64_t skip = out[j];
@@ -1656,411 +1655,11 @@ int64_t bdd_models(const bdd_state *st, int64_t root, const int64_t *order,
     return models(st, root, order, n, path, out, cap);
 }
 
-/* -- Space entries -----------------------------------------------------
- * The four steps of repro.bidec.symbolic that build or read a partition
- * space on its scratch manager, each as one entry: the OR and XOR
- * bodies of or_partition_space and xor_partition_space,
- * PartitionSpace.nontrivial and PartitionSpace.size_pairs.  Each chains
- * the cores, builder walks and loop entries above, making the calls of
- * the Python composition in the same order with each public entry's
- * short-circuits, Python-side quantify probe and entry-time op-cache
- * check, so both make the same nodes with the same cache traffic.  The
- * walk's ``stage`` names the step running and ``reg[]`` keeps the
- * finished steps' results: a growth restart re-enters at the step that
- * asked for the growth, which resumes as that walk or loop would on its
- * own.  A finished step's memo, level table and loop fields are released
- * before the next step starts. */
-
-/* Release what the finished step kept, keep the registers, and move to
- * the next step. */
-static void next_stage(bdd_walk *w) {
-    int64_t reg[N_REGS];
-    int64_t stage = w->stage + 1;
-    memcpy(reg, w->reg, sizeof reg);
-    bdd_walk_clear(w);
-    memcpy(w->reg, reg, sizeof reg);
-    w->stage = stage;
-}
-
-/* op(a, b) — ¬a for T_NOT — through its public entry into *part, as
- * its result + 1, unless an earlier attempt finished it.  Returns 0 or a
- * negative code. */
-static int64_t part_op(const bdd_state *st, int64_t *part, int64_t op,
-                       int64_t a, int64_t b) {
-    if (*part) return 0;
-    int64_t r = op == T_NOT ? negate_entry(st, a) : apply_entry(st, op, a, b);
-    if (r < 0) return r;
-    *part = r + 1;
-    return 0;
-}
-
-/* Step 0 of the body entries: [lower, upper] of ``src`` rebuilt in
- * ``st`` as transfer_multi rebuilds them, through the variable map
- * vars[i] -> xs[i] (i < n) over the ``src_vars`` levels of ``src``; the
- * target declares ``nvars``.  The bounds land in reg[0] and reg[1]. */
-static int64_t space_transfer(const bdd_state *src, const bdd_state *st,
-                              bdd_walk *w, int64_t lower, int64_t upper,
-                              const int64_t *vars, const int64_t *xs,
-                              int64_t n, int64_t src_vars, int64_t nvars) {
-    if (!w->started) {
-        if (table_init(w, src_vars, 0)) return BDD_NOMEM;
-        for (int64_t i = 0; i < n; i++)
-            if (vars[i] >= 0 && vars[i] < src_vars) w->table[vars[i]] = xs[i];
-        w->started = 1;
-    }
-    int64_t roots[2] = {lower, upper};
-    int64_t rc = transfer_walk(src, st, w, roots, 2, nvars, 0);
-    if (rc) return rc;
-    w->reg[0] = roots[0];
-    w->reg[1] = roots[1];
-    next_stage(w);
-    return 0;
-}
-
-/* or_partition_space's body (equation 3.8) over the scratch layout
- * xs, c1s, c2s (n each) and ``cids``, the interned one-variable cubes of
- * the xs.  Step 0 transfers [l, u] (reg[0], reg[1]); steps 1 and 2 run
- * parameterized_forall of u over c1s, then c2s, under ``budget``: U1 and
- * U2 land in reg[2] and reg[3], where each loop stopped in reg[4] and
- * reg[6], and the node count then in reg[5] and reg[7]; step 3 builds
- * ¬l ∨ (U1 ∨ U2) (reg[8]); step 4 applies ∀x over the interned cube
- * ``cid`` of the xs (reg[9]); step 5 ANDs in the literal of each skipped
- * decision variable, c1s[reg[4]:] then c2s[reg[6]:].  Returns Bi or a
- * negative code. */
-int64_t bdd_or_space(const bdd_state *src, const bdd_state *st, bdd_walk *w,
-                     int64_t lower, int64_t upper, const int64_t *vars,
-                     int64_t src_vars, const int64_t *xs, const int64_t *c1s,
-                     const int64_t *c2s, const int64_t *cids, int64_t n,
-                     int64_t nvars, int64_t budget, int64_t cid,
-                     const int64_t *cube, int64_t max_level) {
-    count_call(st);
-    int64_t *reg = w->reg, *part = w->part, r;
-    while (w->stage < 5) {
-        int64_t s = w->stage;
-        switch (s) {
-        case 0:
-            r = space_transfer(src, st, w, lower, upper, vars, xs, n, src_vars,
-                               nvars);
-            if (r) return r;
-            continue;
-        case 1:
-        case 2:
-            r = param_quantify(st, w, 1, reg[1], xs, cids,
-                                   s == 1 ? c1s : c2s, n, budget);
-            if (r < 0) return r;
-            reg[2 * s + 2] = w->step;
-            reg[2 * s + 3] = st->ctrl[C_NNODES];
-            reg[s + 1] = r;
-            break;
-        case 3:
-            if ((r = part_op(st, &part[0], T_NOT, reg[0], 0)) ||
-                (r = part_op(st, &part[1], T_OR, reg[2], reg[3])) ||
-                (r = part_op(st, &part[2], T_OR, part[0] - 1, part[1] - 1)))
-                return r;
-            reg[8] = part[2] - 1;
-            break;
-        default:
-            r = quantify_entry(st, T_FA, reg[8], cid, cube, n, max_level);
-            if (r < 0) return r;
-            reg[9] = r;
-        }
-        next_stage(w);
-    }
-    if (!w->started) {
-        w->acc = reg[9];
-        w->started = 1;
-    }
-    int64_t skipped1 = n - reg[4], forced = skipped1 + n - reg[6];
-    for (; w->step < forced; w->step++) {
-        int64_t k = w->step;
-        int64_t c = k < skipped1 ? c1s[reg[4] + k] : c2s[reg[6] + k - skipped1];
-        int64_t lit = mk(st, c, BDD_FALSE, BDD_TRUE);
-        if (lit < 0) return lit;
-        r = apply_entry(st, T_AND, w->acc, lit);
-        if (r < 0) return r;
-        w->acc = r;
-    }
-    return w->acc;
-}
-
-/* parameterized_replace (c2s NULL) / parameterized_replace_pair as a
- * step: ``f`` itself when there is no variable, as the Python entries
- * return it. */
-static int64_t replace_step(const bdd_state *st, bdd_walk *w, int64_t f,
-                            const int64_t *xs, const int64_t *ys,
-                            const int64_t *c1s, const int64_t *c2s,
-                            int64_t n, int64_t nvars) {
-    return n ? param_replace(st, w, f, xs, ys, c1s, c2s, n, nvars) : f;
-}
-
-/* xor_partition_space's body (equation 3.9 over intervals) over the
- * scratch layout xs, ys, c1s, c2s (n each).  Step s stores its result in
- * reg[s + 1]: step 0 transfers [l, u] (reg[0], reg[1]); steps 1 and 2
- * replace l and u keyed on c2s; step 3 builds must = (l ⊕ reg[2]) ∧
- * (u ⊕ reg[3]); steps 4 and 5 replace l and u keyed on c1s, steps 6 and
- * 7 keyed on c1s · c2s; step 8 builds may = (reg[6] ⊕ reg[8]) ∨
- * (reg[5] ⊕ reg[7]); step 9 must ⇒ may, as ¬must ∨ may; step 10 applies
- * ∀ over the interned cube ``cid`` of the xs and ys.  Returns Bi or a
- * negative code. */
-int64_t bdd_xor_space(const bdd_state *src, const bdd_state *st, bdd_walk *w,
-                      int64_t lower, int64_t upper, const int64_t *vars,
-                      int64_t src_vars, const int64_t *xs, const int64_t *ys,
-                      const int64_t *c1s, const int64_t *c2s, int64_t n,
-                      int64_t nvars, int64_t cid, const int64_t *cube,
-                      int64_t cube_len, int64_t max_level) {
-    count_call(st);
-    int64_t *reg = w->reg, *part = w->part, r;
-    for (;;) {
-        int64_t s = w->stage;
-        switch (s) {
-        case 0:
-            r = space_transfer(src, st, w, lower, upper, vars, xs, n, src_vars,
-                               nvars);
-            if (r) return r;
-            continue;
-        case 1: r = replace_step(st, w, reg[0], xs, ys, c2s, NULL, n, nvars); break;
-        case 2: r = replace_step(st, w, reg[1], xs, ys, c2s, NULL, n, nvars); break;
-        case 3:
-            if ((r = part_op(st, &part[0], T_XOR, reg[0], reg[2])) ||
-                (r = part_op(st, &part[1], T_XOR, reg[1], reg[3])) ||
-                (r = part_op(st, &part[2], T_AND, part[0] - 1, part[1] - 1)))
-                return r;
-            r = part[2] - 1;
-            break;
-        case 4: r = replace_step(st, w, reg[0], xs, ys, c1s, NULL, n, nvars); break;
-        case 5: r = replace_step(st, w, reg[1], xs, ys, c1s, NULL, n, nvars); break;
-        case 6: r = replace_step(st, w, reg[0], xs, ys, c1s, c2s, n, nvars); break;
-        case 7: r = replace_step(st, w, reg[1], xs, ys, c1s, c2s, n, nvars); break;
-        case 8:
-            if ((r = part_op(st, &part[0], T_XOR, reg[6], reg[8])) ||
-                (r = part_op(st, &part[1], T_XOR, reg[5], reg[7])) ||
-                (r = part_op(st, &part[2], T_OR, part[0] - 1, part[1] - 1)))
-                return r;
-            r = part[2] - 1;
-            break;
-        case 9:
-            if ((r = part_op(st, &part[0], T_NOT, reg[4], 0)) ||
-                (r = part_op(st, &part[1], T_OR, part[0] - 1, reg[9])))
-                return r;
-            r = part[1] - 1;
-            break;
-        default:
-            return quantify_entry(st, T_FA, reg[10], cid, cube, cube_len,
-                                  max_level);
-        }
-        if (r < 0) return r;
-        reg[s + 1] = r;
-        next_stage(w);
-    }
-}
-
-/* Steps of the weight-reading entries that build the weight table
- * [w_0 … w_n] of the decision variables ``cs`` (sorted from the highest
- * index down) into ``out``, as weight_functions builds it — unless the
- * caller handed the table over. */
-static int64_t weights_step(const bdd_state *st, const int64_t *cs, int64_t n,
-                            int64_t *out, int handed) {
-    return handed ? 0 : weight_functions(st, cs, n, n, out);
-}
-
-/* PartitionSpace.nontrivial for a space of n >= 1 variables: step 0
- * (2) builds the weight table of c1s (c2s) into w1 (w2) unless bit 0
- * (1) of ``built`` says it is there; step 1 (3) disjoins w1[0..n-1]
- * (w2[0..n-1]) as manager.disjoin folds them into reg[1] (reg[3]); then
- * bi ∧ (reg[1] ∧ reg[3]).  Returns the restricted Bi or a negative
- * code. */
-int64_t bdd_nontrivial(const bdd_state *st, bdd_walk *w, int64_t bi,
-                       const int64_t *c1s, const int64_t *c2s, int64_t n,
-                       int64_t *w1, int64_t *w2, int64_t built) {
-    count_call(st);
-    if (bad_node(st, bi)) return BDD_BAD_NODE;
-    int64_t *reg = w->reg, *part = w->part, r;
-    for (;;) {
-        int64_t s = w->stage;
-        switch (s) {
-        case 0: r = weights_step(st, c1s, n, w1, built & 1); break;
-        case 1: r = fold(st, w, T_OR, w1, n); break;
-        case 2: r = weights_step(st, c2s, n, w2, built & 2); break;
-        case 3: r = fold(st, w, T_OR, w2, n); break;
-        default:
-            if ((r = part_op(st, &part[0], T_AND, reg[1], reg[3])) ||
-                (r = part_op(st, &part[1], T_AND, bi, part[0] - 1)))
-                return r;
-            return part[1] - 1;
-        }
-        if (r < 0) return r;
-        reg[s] = r;
-        next_stage(w);
-    }
-}
-
-/* The models of ``root`` over the ascending counter bits — e1, the
- * ``nbits`` bits of k1, then e2 — in count.iter_models order, each
- * decoded as builders.decode_int reads it into the pair (k1, k2) at
- * pairs[2i], pairs[2i + 1].  Returns the pair count, or BDD_NOMEM past
- * ``cap`` pairs or when the path cannot be allocated. */
-static int64_t space_pairs(const bdd_state *st, int64_t root,
-                           const int64_t *bits, int64_t nbits, int64_t *pairs,
-                           int64_t cap) {
-    int64_t m = 2 * nbits, count = 0, rc = 0;
-    int64_t *path = calloc((size_t)(2 * m + 3), sizeof(int64_t));
-    char *model = malloc((size_t)m);
-    if (!path || !model) rc = BDD_NOMEM;
-    while (rc == 0 && models(st, root, bits, m, path, model, 1) == 1) {
-        if (count == cap) {
-            rc = BDD_NOMEM;
-            break;
-        }
-        /* model[j] is the value of bits[m - 1 - j]. */
-        int64_t k1 = 0, k2 = 0;
-        for (int64_t d = 0; d < nbits; d++) {
-            k1 |= (int64_t)model[m - 1 - d] << d;
-            k2 |= (int64_t)model[nbits - 1 - d] << d;
-        }
-        pairs[2 * count] = k1;
-        pairs[2 * count + 1] = k2;
-        count++;
-    }
-    free(path);
-    free(model);
-    return rc ? rc : count;
-}
-
-/* PartitionSpace.size_pairs without the symbolic pruning: step 0 (2)
- * builds the weight table of c1s (c2s) into w1 (w2) unless bit 0 (1) of
- * ``built`` says it is there; step 1 (3) builds K(c1, e1) (K(c2, e2))
- * over the counter bits bits[0..nbits-1] (bits[nbits..2 nbits-1]) into
- * reg[1] (reg[3]); step 4 conjoins [bi, reg[1], reg[3]] as
- * manager.conjoin folds a list (reg[4]); step 5 applies ∃ over the
- * interned cube ``cid`` of c1s and c2s, giving Bi_κ (reg[5]); then
- * Bi_κ's models are decoded into at most ``cap`` pairs (space_pairs).
- * The bits ascend.  Returns the pair count or a negative code. */
-int64_t bdd_size_pairs(const bdd_state *st, bdd_walk *w, int64_t bi,
-                       const int64_t *c1s, const int64_t *c2s, int64_t n,
-                       int64_t *w1, int64_t *w2, int64_t built,
-                       const int64_t *bits, int64_t nbits, int64_t cid,
-                       const int64_t *cube, int64_t cube_len,
-                       int64_t max_level, int64_t *pairs, int64_t cap) {
-    count_call(st);
-    if (bad_node(st, bi)) return BDD_BAD_NODE;
-    int64_t *reg = w->reg, r;
-    while (w->stage < 6) {
-        int64_t s = w->stage;
-        switch (s) {
-        case 0: r = weights_step(st, c1s, n, w1, built & 1); break;
-        case 1: r = count_relation(st, w, w1, n + 1, bits, nbits); break;
-        case 2: r = weights_step(st, c2s, n, w2, built & 2); break;
-        case 3:
-            r = count_relation(st, w, w2, n + 1, bits + nbits, nbits);
-            break;
-        case 4: {
-            int64_t nodes[3] = {bi, reg[1], reg[3]};
-            r = fold(st, w, T_AND, nodes, 3);
-            break;
-        }
-        default:
-            r = quantify_entry(st, T_EX, reg[4], cid, cube, cube_len, max_level);
-        }
-        if (r < 0) return r;
-        reg[s] = r;
-        next_stage(w);
-    }
-    return space_pairs(st, reg[5], bits, nbits, pairs, cap);
-}
-
-/* -- Reachability --------------------------------------------------------
- * One fixpoint iteration of repro.reach.traversal.forward_reachable as
- * one entry, over the static image schedule of repro.reach.image: it
- * makes the calls of the Python iteration (image._py_reach_step) in the
- * same order, with each public entry's short-circuits, node checks,
- * quantify-cache allocation and entry-time op-cache check, so both make
- * the same nodes with the same cache traffic.  The walk's ``stage``
- * names the step running and ``reg[]`` keeps the finished steps'
- * results, as in the space entries. */
-
-/* quantify.and_exists on the interned cube ``cid`` (never empty) as a
- * whole: the quantify caches' allocation where and_exists makes it, as
- * the growth code of its table while they are unallocated; then the
- * op-cache check and the core. */
-static int64_t and_exists_entry(const bdd_state *st, int64_t f, int64_t g,
-                                int64_t cid, const int64_t *cube,
-                                int64_t cube_len, int64_t max_level) {
-    if (st->ctrl[C_MASK + T_EX] == 0) return BDD_GROW_TABLE(T_AE);
-    int64_t rc = check_opcaches(st);
-    return rc ? rc
-              : and_exists_core(st, f, g, cid, cube, cube_len, max_level);
-}
-
-/* The image of ``frontier`` and the sets that follow it.  Step 0 folds
- * the frontier through the ``n`` conjuncts ``parts`` in order: position
- * i runs and_exists over the interned cube cids[i], whose sorted levels
- * are levels[ends[i - 1]..ends[i] - 1] (from 0 for i = 0), or a plain
- * AND when that range is empty; each conjunct is checked when the fold
- * reaches it, and the walk keeps the position (step) and the product
- * (acc).  Step 1 renames the product as vector_compose does, the level
- * ns[j] to the literal node ps[j] (j < nren) over a table of ``nvars``
- * levels (reg[1]).  Step 2 builds ¬reached, the new frontier
- * img ∧ ¬reached and the new reached set reached ∨ frontier (reg[2]).
- * Returns the new frontier, or a negative code. */
-int64_t bdd_reach_step(const bdd_state *st, bdd_walk *w, int64_t frontier,
-                       int64_t reached, const int64_t *parts,
-                       const int64_t *cids, const int64_t *levels,
-                       const int64_t *ends, int64_t n, const int64_t *ns,
-                       const int64_t *ps, int64_t nren, int64_t nvars) {
-    count_call(st);
-    if (bad_node(st, frontier) || bad_node(st, reached)) return BDD_BAD_NODE;
-    int64_t *reg = w->reg, *part = w->part, r;
-    for (;;) {
-        switch (w->stage) {
-        case 0:
-            if (!w->started) {
-                w->acc = frontier;
-                w->started = 1;
-            }
-            for (; w->step < n; w->step++) {
-                int64_t i = w->step, begin = i ? ends[i - 1] : 0;
-                if (bad_node(st, parts[i])) return BDD_BAD_NODE;
-                r = begin == ends[i]
-                        ? apply_entry(st, T_AND, w->acc, parts[i])
-                        : and_exists_entry(st, w->acc, parts[i], cids[i],
-                                           levels + begin, ends[i] - begin,
-                                           levels[ends[i] - 1]);
-                if (r < 0) return r;
-                w->acc = r;
-            }
-            reg[0] = w->acc;
-            break;
-        case 1:
-            if (!w->started) {
-                if (table_init(w, nvars, 0)) return BDD_NOMEM;
-                for (int64_t j = 0; j < nren; j++) {
-                    if (bad_node(st, ps[j])) return BDD_BAD_NODE;
-                    if (ns[j] >= 0 && ns[j] < nvars) w->table[ns[j]] = ps[j];
-                }
-                w->started = 1;
-            }
-            r = nren ? vector_compose(st, w, reg[0]) : reg[0];
-            if (r < 0) return r;
-            reg[1] = r;
-            break;
-        default:
-            if ((r = part_op(st, &part[0], T_NOT, reached, 0)) ||
-                (r = part_op(st, &part[1], T_AND, reg[1], part[0] - 1)) ||
-                (r = part_op(st, &part[2], T_OR, reached, part[1] - 1)))
-                return r;
-            reg[2] = part[2] - 1;
-            return part[1] - 1;
-        }
-        next_stage(w);
-    }
-}
-
-/* -- ISOP and extraction -------------------------------------------------
- * logic.sop.isop (Minato–Morreale) as one kernel walk, and the OR/AND
- * extraction of repro.bidec.extract as one entry that chains it.  Both
- * make the calls of the Python functions in the same order, with each
- * public entry's short-circuits, quantify probe and entry-time op-cache
- * check, so both make the same nodes with the same cache traffic. */
+/* -- ISOP --------------------------------------------------------------
+ * logic.sop.isop (Minato–Morreale) as one kernel walk.  It makes the
+ * calls of the Python twin in the same order, with each public entry's
+ * short-circuits and entry-time op-cache check, so both make the same
+ * nodes with the same cache traffic. */
 
 /* An open ISOP frame, the call isop(l, u) that is not a terminal case
  * or a memo hit: the interval, its top variable and the cofactors there,
@@ -2180,6 +1779,18 @@ static int64_t isop_frames(const bdd_state *st, bdd_walk *w) {
     return 0;
 }
 
+/* op(a, b) — ¬a for T_NOT — through its public entry into *part, as
+ * its result + 1, unless an earlier attempt finished it.  Returns 0 or a
+ * negative code. */
+static int64_t part_op(const bdd_state *st, int64_t *part, int64_t op,
+                       int64_t a, int64_t b) {
+    if (*part) return 0;
+    int64_t r = op == T_NOT ? negate_entry(st, a) : apply_entry(st, op, a, b);
+    if (r < 0) return r;
+    *part = r + 1;
+    return 0;
+}
+
 /* manager.leq(f, g) through part[0] and part[1]: ¬f, then ¬f ∨ g.
  * Returns 1 when it holds, 0 when not, or a negative code. */
 static int64_t leq_step(const bdd_state *st, int64_t *part, int64_t f,
@@ -2262,85 +1873,250 @@ int64_t bdd_isop(const bdd_state *st, bdd_walk *w, int64_t lower,
     return r ? r : 1;
 }
 
-/* extract_or (gate T_OR) or extract_and (gate T_AND) of [lower, upper]
- * with ISOP minimisation, over the interned cubes of x̄2 (``cid2``) and
- * x̄1 (``cid1``), the support variables outside support2 and support1.
- * Step 0 sets the interval [L, U] the OR chain decomposes: [l, u] for
- * OR, the complement [¬u, ¬l] for AND (reg[0], reg[1]).  Steps 1 and 2
- * take g2 = ∀x̄2 U and ∀x̄1 U (reg[2], reg[3]); step 3 takes
- * ∃x̄1 (L ∧ ¬g2) (reg[4]); step 4 checks that it is ≤ ∀x̄1 U; step 5
- * runs the ISOP walk on that interval: g1 (reg[5]).  Steps 6 and 7 check
- * g1 ∨ g2 (reg[6]) against [L, U].  For AND, step 8 negates g1, then g2;
- * the caller checks that pair against [l, u] (ExtractedPair.verify).
- * Returns 1 with the pair in reg[0] and reg[1], 0 when a check fails, or
- * a negative code. */
-int64_t bdd_extract(const bdd_state *st, bdd_walk *w, int64_t gate,
-                    int64_t lower, int64_t upper, int64_t cid2,
-                    const int64_t *cube2, int64_t len2, int64_t max2,
-                    int64_t cid1, const int64_t *cube1, int64_t len1,
-                    int64_t max1) {
-    count_call(st);
-    if (bad_node(st, lower) || bad_node(st, upper)) return BDD_BAD_NODE;
-    int64_t *reg = w->reg, *part = w->part, r;
-    for (;;) {
-        switch (w->stage) {
-        case 0:
-            if (gate == T_OR) {
-                reg[0] = lower;
-                reg[1] = upper;
-                break;
-            }
-            if ((r = part_op(st, &part[0], T_NOT, upper, 0)) ||
-                (r = part_op(st, &part[1], T_NOT, lower, 0)))
-                return r;
-            reg[0] = part[0] - 1;
-            reg[1] = part[1] - 1;
+/* -- Step programs -------------------------------------------------------
+ * The composite operations of the flow — the OR and XOR bodies of the
+ * partition spaces, PartitionSpace.nontrivial and size_pairs, the
+ * minimised OR/AND extraction and one fixpoint iteration of forward
+ * reachability — are step programs: fixed chains of the operations
+ * above, declared once in Python (repro.bdd.program) and run here by
+ * bdd_run, one call per run plus the growth restarts.  The Python
+ * interpreter there runs the same steps through the public functions,
+ * which land in the same static bodies below, so both make the same
+ * nodes with the same cache traffic.
+ *
+ * A step is STEP_WORDS words: the op, the destination register and up
+ * to five operands.  An operand is a register of ``regs`` (a node of
+ * ``st``, a transfer's root in ``src``, or a plain integer such as a
+ * node budget), an immediate count, or a view: view i of ``vecs``
+ * starts at vecs + vecs[i], and its first word is its length n:
+ *
+ *   VARS   n, then the n values;
+ *   CUBE   n, the cube id, the deepest level, then the n sorted levels
+ *          of one interned cube;
+ *   CUBES  n, the n variables, then the ids of their interned
+ *          one-variable cubes.
+ *
+ * The walk's ``stage`` is the program counter.  A step that asks for
+ * growth returns the code and keeps its progress in the walk, so the
+ * restart re-enters at that step and resumes as its walk or loop would
+ * on its own; a finished step writes its registers, and the walk is
+ * cleared before the next step starts. */
+
+#define STEP_WORDS 7 /* keep in sync with repro.bdd.program */
+#define BDD_BAD_OP (-64)        /* an op code the interpreter does not know */
+#define BDD_INCONSISTENT (-65)  /* isop on an interval with lower > upper */
+
+/* Op codes — keep in sync with repro.bdd.program._OPS. */
+enum {
+    OP_NOT, OP_AND, OP_OR, OP_XOR, OP_EXISTS, OP_FORALL, OP_AND_EXISTS,
+    OP_PARAM_FORALL, OP_REPLACE, OP_REPLACE_PAIR, OP_TRANSFER, OP_WEIGHTS,
+    OP_KREL, OP_CONJOIN, OP_DISJOIN, OP_RENAME, OP_ISOP, OP_LEQ, OP_FORCE,
+    OP_PAIRS, N_OPS
+};
+
+/* Per op, the operands (bit k: operand k) that are nodes of ``st`` and
+ * that no body below checks: the public function checks them first. */
+static const unsigned char CHECKED[N_OPS] = {
+    [OP_NOT] = 1, [OP_AND] = 3, [OP_OR] = 3, [OP_XOR] = 3,
+    [OP_EXISTS] = 1, [OP_FORALL] = 1, [OP_AND_EXISTS] = 3,
+    [OP_REPLACE] = 1, [OP_REPLACE_PAIR] = 1, [OP_ISOP] = 3, [OP_LEQ] = 3,
+    [OP_FORCE] = 1, [OP_PAIRS] = 1,
+};
+
+/* quantify.and_exists on an interned cube that is not empty: the
+ * quantify caches' allocation where and_exists makes it, as the growth
+ * code of its table while they are unallocated; then the op-cache check
+ * and the core. */
+static int64_t and_exists_entry(const bdd_state *st, int64_t f, int64_t g,
+                                int64_t cid, const int64_t *cube,
+                                int64_t cube_len, int64_t max_level) {
+    if (st->ctrl[C_MASK + T_EX] == 0) return BDD_GROW_TABLE(T_AE);
+    int64_t rc = check_opcaches(st);
+    return rc ? rc
+              : and_exists_core(st, f, g, cid, cube, cube_len, max_level);
+}
+
+/* The models of ``root`` over the ascending counter bits — e1, the
+ * ``nbits`` bits of k1, then e2 — in count.iter_models order, each
+ * decoded as builders.decode_int reads it into the pair (k1, k2) at
+ * pairs[2i], pairs[2i + 1].  Returns the pair count, or BDD_NOMEM past
+ * ``cap`` pairs or when the path cannot be allocated. */
+static int64_t decode_pairs(const bdd_state *st, int64_t root,
+                            const int64_t *bits, int64_t nbits,
+                            int64_t *pairs, int64_t cap) {
+    int64_t m = 2 * nbits, count = 0, rc = 0;
+    int64_t *path = calloc((size_t)(2 * m + 3), sizeof(int64_t));
+    char *model = malloc((size_t)(m > 0 ? m : 1));
+    if (!path || !model) rc = BDD_NOMEM;
+    while (rc == 0 && models(st, root, bits, m, path, model, 1) == 1) {
+        if (count == cap) {
+            rc = BDD_NOMEM;
             break;
-        case 1:
-        case 2:
-            r = w->stage == 1
-                    ? quantify_entry(st, T_FA, reg[1], cid2, cube2, len2, max2)
-                    : quantify_entry(st, T_FA, reg[1], cid1, cube1, len1, max1);
-            if (r < 0) return r;
-            reg[w->stage + 1] = r;
-            break;
-        case 3:
-            if ((r = part_op(st, &part[0], T_NOT, reg[2], 0)) ||
-                (r = part_op(st, &part[1], T_AND, reg[0], part[0] - 1)))
-                return r;
-            r = quantify_entry(st, T_EX, part[1] - 1, cid1, cube1, len1, max1);
-            if (r < 0) return r;
-            reg[4] = r;
-            break;
-        case 4:
-            if ((r = leq_step(st, part, reg[4], reg[3])) <= 0) return r;
-            break;
-        case 5:
-            if ((r = isop_walk(st, w, reg[4], reg[3])) <= 0) return r;
-            reg[5] = w->acc;
-            break;
-        case 6:
-            if ((r = part_op(st, &part[0], T_OR, reg[5], reg[2])) ||
-                (r = leq_step(st, part + 1, reg[0], part[0] - 1)) <= 0)
-                return r;
-            reg[6] = part[0] - 1;
-            break;
-        case 7:
-            if ((r = leq_step(st, part, reg[6], reg[1])) <= 0) return r;
-            if (gate == T_OR) {
-                reg[0] = reg[5];
-                reg[1] = reg[2];
-                return 1;
-            }
-            break;
-        default:
-            if ((r = part_op(st, &part[0], T_NOT, reg[5], 0)) ||
-                (r = part_op(st, &part[1], T_NOT, reg[2], 0)))
-                return r;
-            reg[0] = part[0] - 1;
-            reg[1] = part[1] - 1;
-            return 1;
         }
-        next_stage(w);
+        /* model[j] is the value of bits[m - 1 - j]. */
+        int64_t k1 = 0, k2 = 0;
+        for (int64_t d = 0; d < nbits; d++) {
+            k1 |= (int64_t)model[m - 1 - d] << d;
+            k2 |= (int64_t)model[nbits - 1 - d] << d;
+        }
+        pairs[2 * count] = k1;
+        pairs[2 * count + 1] = k2;
+        count++;
     }
+    free(path);
+    free(model);
+    return rc ? rc : count;
+}
+
+/* Step ``s`` of a program; it writes its results into ``regs``.
+ * Returns 0, 1 when a check failed, or a negative code. */
+static int64_t run_step(const bdd_state *src, const bdd_state *st,
+                        bdd_walk *w, const int64_t *s, int64_t *regs,
+                        const int64_t *vecs, int64_t nvars) {
+    int64_t op = s[0], dst = s[1], a = s[2], b = s[3], c = s[4];
+    const int64_t *v, *x, *y;
+    int64_t r;
+    switch (op) {
+    case OP_NOT: r = negate_entry(st, regs[a]); break;
+    case OP_AND:
+    case OP_OR:
+    case OP_XOR: r = apply_entry(st, T_AND + op - OP_AND, regs[a], regs[b]); break;
+    case OP_EXISTS:
+    case OP_FORALL: /* f, CUBE */
+        v = vecs + vecs[b];
+        r = quantify_entry(st, op == OP_EXISTS ? T_EX : T_FA, regs[a], v[1],
+                           v + 3, v[0], v[2]);
+        break;
+    case OP_AND_EXISTS: /* f, g, CUBE; an empty cube is a plain AND */
+        v = vecs + vecs[c];
+        r = v[0] ? and_exists_entry(st, regs[a], regs[b], v[1], v + 3, v[0], v[2])
+                 : apply_entry(st, T_AND, regs[a], regs[b]);
+        break;
+    case OP_PARAM_FORALL: /* f, CUBES of x, VARS c, budget register */
+        x = vecs + vecs[b];
+        v = vecs + vecs[c];
+        r = param_quantify(st, w, 1, regs[a], x + 1, x + 1 + x[0], v + 1,
+                           x[0], regs[s[5]]);
+        if (r < 0) return r;
+        regs[dst] = r;
+        regs[dst + 1] = w->step; /* the first decision variable skipped */
+        regs[dst + 2] = st->ctrl[C_NNODES];
+        return 0;
+    case OP_REPLACE:
+    case OP_REPLACE_PAIR: /* f, VARS x, y, c (, c2) */
+        x = vecs + vecs[b];
+        y = vecs + vecs[c];
+        v = vecs + vecs[s[5]];
+        r = x[0] ? param_replace(st, w, regs[a], x + 1, y + 1, v + 1,
+                                 op == OP_REPLACE ? NULL : vecs + vecs[s[6]] + 1,
+                                 x[0], nvars)
+                 : regs[a];
+        break;
+    case OP_TRANSFER: { /* roots a, a + 1 of src; VARS source, target */
+        x = vecs + vecs[b];
+        y = vecs + vecs[c];
+        if (!w->started) {
+            int64_t len = 0;
+            for (int64_t i = 1; i <= x[0]; i++)
+                if (x[i] >= len) len = x[i] + 1;
+            if (table_init(w, len, 0)) return BDD_NOMEM;
+            for (int64_t i = 1; i <= x[0]; i++)
+                if (x[i] >= 0) w->table[x[i]] = y[i];
+            w->started = 1;
+        }
+        int64_t roots[2] = {regs[a], regs[a + 1]};
+        r = transfer_walk(src, st, w, roots, 2, nvars, 0);
+        if (r) return r;
+        regs[dst] = roots[0];
+        regs[dst + 1] = roots[1];
+        return 0;
+    }
+    case OP_WEIGHTS: /* VARS ascending, n: n + 1 registers */
+        v = vecs + vecs[a];
+        return weight_functions(st, v + 1, v[0], b, regs + dst);
+    case OP_KREL: /* the weights' registers a..a + b - 1, VARS bits */
+        v = vecs + vecs[c];
+        r = count_relation(st, w, regs + a, b, v + 1, v[0]);
+        break;
+    case OP_CONJOIN:
+    case OP_DISJOIN: /* registers a..a + b - 1 */
+        r = fold(st, w, op == OP_CONJOIN ? T_AND : T_OR, regs + a, b);
+        break;
+    case OP_RENAME: /* f, VARS levels, VARS their substitute nodes */
+        x = vecs + vecs[b];
+        y = vecs + vecs[c];
+        if (x[0] == 0) {
+            r = regs[a];
+            break;
+        }
+        if (!w->started) {
+            if (table_init(w, nvars, 0)) return BDD_NOMEM;
+            for (int64_t i = 1; i <= x[0]; i++) {
+                if (bad_node(st, y[i])) return BDD_BAD_NODE;
+                if (x[i] >= 0 && x[i] < nvars) w->table[x[i]] = y[i];
+            }
+            w->started = 1;
+        }
+        r = vector_compose(st, w, regs[a]);
+        break;
+    case OP_ISOP:
+        r = isop_walk(st, w, regs[a], regs[b]);
+        if (r <= 0) return r ? r : BDD_INCONSISTENT;
+        r = w->acc;
+        break;
+    case OP_LEQ:
+        r = leq_step(st, w->part, regs[a], regs[b]);
+        return r < 0 ? r : !r;
+    case OP_FORCE: /* f, VARS c, the register of the first c to force */
+        v = vecs + vecs[b];
+        if (!w->started) {
+            w->acc = regs[a];
+            w->step = regs[c];
+            w->started = 1;
+        }
+        for (; w->step < v[0]; w->step++) {
+            int64_t lit = mk(st, v[1 + w->step], BDD_FALSE, BDD_TRUE);
+            if (lit < 0) return lit;
+            r = apply_entry(st, T_AND, w->acc, lit);
+            if (r < 0) return r;
+            w->acc = r;
+        }
+        r = w->acc;
+        break;
+    case OP_PAIRS: /* Bi_κ, VARS e1 then e2; the count, then c pairs */
+        v = vecs + vecs[b];
+        r = decode_pairs(st, regs[a], v + 1, v[0] / 2, regs + dst + 1, c);
+        if (r < 0) return r;
+        regs[dst] = r;
+        return 0;
+    default:
+        return BDD_BAD_OP;
+    }
+    if (r < 0) return r;
+    regs[dst] = r;
+    return 0;
+}
+
+/* Run the ``nsteps`` steps of ``prog`` from the walk's stage over the
+ * register file ``regs`` and the views ``vecs``; ``nvars`` is the number
+ * of variables ``st`` declares, and ``src`` the source manager of a
+ * transfer.  Returns 1 when the program ran to its end, 0 when a check
+ * failed, or a negative code. */
+int64_t bdd_run(const bdd_state *src, const bdd_state *st, bdd_walk *w,
+                const int64_t *prog, int64_t nsteps, int64_t *regs,
+                const int64_t *vecs, int64_t nvars) {
+    count_call(st);
+    while (w->stage < nsteps) {
+        const int64_t *s = prog + STEP_WORDS * w->stage;
+        if ((uint64_t)s[0] >= N_OPS) return BDD_BAD_OP;
+        for (int k = 0; k < 5; k++)
+            if (((CHECKED[s[0]] >> k) & 1) && bad_node(st, regs[s[2 + k]]))
+                return BDD_BAD_NODE;
+        int64_t r = run_step(src, st, w, s, regs, vecs, nvars);
+        if (r) return r < 0 ? r : 0;
+        int64_t stage = w->stage + 1;
+        bdd_walk_clear(w);
+        w->stage = stage;
+    }
+    return 1;
 }

@@ -67,10 +67,10 @@ def weight_functions(
         max_weight = n
     max_weight = min(max_weight, n)
     # Process variables bottom-up (highest level first) so node levels
-    # are consistent.
-    ordered = sorted(variables, reverse=True)
+    # are consistent; the kernel walks the ascending list from its end.
+    ordered = sorted(variables)
     if manager._st is None or max_weight < 0:
-        return _py_weight_functions(manager, ordered, max_weight)
+        return _py_weight_functions(manager, ordered[::-1], max_weight)
     out = manager._ffi.new("int64_t[]", max_weight + 1)
     manager._native_walk(
         manager._lib.bdd_weight_functions, manager._st, ordered, n, max_weight, out

@@ -161,10 +161,14 @@ _S_EVICTED = _S_INSERTS + 2
 _N_STATS = _S_INSERTS + 3
 
 # Kernel return codes besides growth requests (keep in sync with
-# _kernel.c): a node id the manager never made, and a transfer level
-# that var_map lacks or maps to an undeclared variable.
+# _kernel.c): a node id the manager never made, a transfer level that
+# var_map lacks or maps to an undeclared variable, a step program's op
+# code the interpreter does not know, and an isop step on an interval
+# whose lower bound is not below its upper one.
 _BAD_NODE = -4
 _BAD_VAR = -5
+_BAD_OP = -64
+_INCONSISTENT = -65
 
 #: Initial node-array capacity (entries).
 _NODE_INIT = 1 << 8
@@ -912,18 +916,23 @@ class BDDManager:
     def _grow(self, code: int) -> None:
         """Grow the structure a C core's negative return code names:
         -1 the node arrays, -2 the unique table, ``-6 - i`` cache table
-        ``i`` (see ``_TABLES``).  ``_BAD_NODE`` raises ``ValueError``,
-        and an allocation failure ``MemoryError``."""
+        ``i`` (see ``_TABLES``).  ``_BAD_NODE``, ``_BAD_OP`` and
+        ``_INCONSISTENT`` raise ``ValueError``, and an allocation
+        failure ``MemoryError``."""
         if code == -1:
             self._grow_nodes()
         elif code == -2:
             self._grow_unique()
-        elif code <= -6 - _N_OPCACHES:
+        elif -6 - len(_TABLES) < code <= -6 - _N_OPCACHES:
             self._grow_quantify(-6 - code)
-        elif code <= -6:
+        elif -6 - _N_OPCACHES < code <= -6:
             self._grow_op_cache(-6 - code)
         elif code == _BAD_NODE:
             raise ValueError("a node id was not made by this manager")
+        elif code == _BAD_OP:
+            raise ValueError("the kernel does not know a step's op code")
+        elif code == _INCONSISTENT:
+            raise ValueError("inconsistent interval: lower is not <= upper")
         else:
             raise MemoryError("native BDD kernel allocation failed")
 

@@ -6,21 +6,19 @@ The native kernel is one shared object compiled from two C sources:
   cores (`ite`, AND/OR/XOR, negate), quantification cores
   (exists/forall/and_exists), table growth and reset, the builder
   walks behind ``weight_functions``, ``count_relation_from``,
-  ``vector_compose`` and ``transfer_multi``, and the loop entries
-  behind the parameterized quantifications and replacements,
+  ``vector_compose`` and ``transfer_multi``, the loop entries behind
+  the parameterized quantifications and replacements,
   ``Interval.reduce_support``, ``iter_models`` and ``conjoin``/
-  ``disjoin``, the space entries behind the OR and XOR bodies of the
-  partition spaces, ``PartitionSpace.nontrivial`` and
-  ``PartitionSpace.size_pairs``, the entry behind one fixpoint
-  iteration of forward reachability, the ISOP walk behind
-  ``logic.sop.isop`` and the entry behind the minimised OR/AND
-  extraction of ``bidec.extract``.  They work directly on the
-  manager's flat ``array('q')`` buffers, reached through one
-  ``bdd_state`` struct of buffer pointers per manager, which also
-  points at the manager's kernel call counter; a walk, loop or
-  composite entry keeps what must survive its growth restarts in a
-  ``bdd_walk`` — a composite entry its step counter and the finished
-  steps' results too, the ISOP walk its open frames and its cover's
+  ``disjoin``, the ISOP walk behind ``logic.sop.isop``, and
+  ``bdd_run``, the interpreter of the step programs of
+  :mod:`repro.bdd.program` (the partition-space bodies and analyses,
+  the OR/AND extraction and the reachability step), whose ops call
+  those same bodies.  They work directly on the manager's flat
+  ``array('q')`` buffers, reached through one ``bdd_state`` struct of
+  buffer pointers per manager, which also points at the manager's
+  kernel call counter; a walk, loop or program run keeps what must
+  survive its growth restarts in a ``bdd_walk`` — a program run its
+  program counter too, the ISOP walk its open frames and its cover's
   cubes.
 * ``repro/sat/_solver.c`` — the CDCL core behind
   :class:`repro.sat.solver.Solver`.  It owns its state (one
@@ -106,7 +104,6 @@ typedef struct {
     int64_t part[3];
     int64_t started, err;
     int64_t stage;
-    int64_t reg[12];
     int64_t *stack;
     int64_t stack_len, stack_cap;
     int64_t *cubes;
@@ -137,34 +134,11 @@ int64_t bdd_fold(const bdd_state *st, bdd_walk *w, int64_t op,
     const int64_t *nodes, int64_t n);
 int64_t bdd_models(const bdd_state *st, int64_t root, const int64_t *order,
     int64_t n, int64_t *path, char *out, int64_t cap);
-int64_t bdd_or_space(const bdd_state *src, const bdd_state *st, bdd_walk *w,
-    int64_t lower, int64_t upper, const int64_t *vars, int64_t src_vars,
-    const int64_t *xs, const int64_t *c1s, const int64_t *c2s,
-    const int64_t *cids, int64_t n, int64_t nvars, int64_t budget,
-    int64_t cid, const int64_t *cube, int64_t max_level);
-int64_t bdd_xor_space(const bdd_state *src, const bdd_state *st, bdd_walk *w,
-    int64_t lower, int64_t upper, const int64_t *vars, int64_t src_vars,
-    const int64_t *xs, const int64_t *ys, const int64_t *c1s,
-    const int64_t *c2s, int64_t n, int64_t nvars, int64_t cid,
-    const int64_t *cube, int64_t cube_len, int64_t max_level);
-int64_t bdd_nontrivial(const bdd_state *st, bdd_walk *w, int64_t bi,
-    const int64_t *c1s, const int64_t *c2s, int64_t n, int64_t *w1,
-    int64_t *w2, int64_t built);
-int64_t bdd_size_pairs(const bdd_state *st, bdd_walk *w, int64_t bi,
-    const int64_t *c1s, const int64_t *c2s, int64_t n, int64_t *w1,
-    int64_t *w2, int64_t built, const int64_t *bits, int64_t nbits,
-    int64_t cid, const int64_t *cube, int64_t cube_len, int64_t max_level,
-    int64_t *pairs, int64_t cap);
-int64_t bdd_reach_step(const bdd_state *st, bdd_walk *w, int64_t frontier,
-    int64_t reached, const int64_t *parts, const int64_t *cids,
-    const int64_t *levels, const int64_t *ends, int64_t n, const int64_t *ns,
-    const int64_t *ps, int64_t nren, int64_t nvars);
 int64_t bdd_isop(const bdd_state *st, bdd_walk *w, int64_t lower,
     int64_t upper, int64_t cubes);
-int64_t bdd_extract(const bdd_state *st, bdd_walk *w, int64_t gate,
-    int64_t lower, int64_t upper, int64_t cid2, const int64_t *cube2,
-    int64_t len2, int64_t max2, int64_t cid1, const int64_t *cube1,
-    int64_t len1, int64_t max1);
+int64_t bdd_run(const bdd_state *src, const bdd_state *st, bdd_walk *w,
+    const int64_t *prog, int64_t nsteps, int64_t *regs, const int64_t *vecs,
+    int64_t nvars);
 typedef struct sat_solver sat_solver;
 sat_solver *sat_new(void);
 void sat_free(sat_solver *s);

@@ -9,13 +9,12 @@ feasible support partition is known (Section 3.5.2, last paragraph).
 * XOR: the constructive algorithm from [17] (cofactor at a reference
   block assignment) generalised to intervals by candidate-and-verify.
 
-On a native manager the minimised OR and AND extractions run as one
-kernel entry (``bdd_extract``) that makes the calls of the Python
-compositions (:func:`_py_extract_or`, :func:`_py_extract_and`) in the
-same order, the ISOP walk included; the AND pair's final check stays
-here, in :meth:`ExtractedPair.verify`.  The compositions are the
-pure-Python path and the parity reference.  XOR extraction runs in
-Python on both kernels.
+The OR and AND extractions are step programs (:mod:`repro.bdd.program`),
+one per gate (and per ``minimize`` setting), declared once here: one
+kernel call on native managers, the same public calls on pure-Python
+ones.  A failed check of the program raises :class:`InfeasiblePartition`;
+the AND pair's own check stays here, in :meth:`ExtractedPair.verify`.
+XOR extraction runs in Python on both kernels.
 """
 
 from __future__ import annotations
@@ -23,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from repro.bdd import count as _count
+from repro.bdd import program as _program
 from repro.bdd import quantify as _quantify
 from repro.bdd.manager import BDDManager
+from repro.bdd.program import Program
 from repro.intervals import Interval
-from repro.logic.sop import _isop
 
 
 @dataclass(frozen=True)
@@ -54,6 +53,11 @@ class ExtractedPair:
         return interval.contains(self.recompose(interval.manager))
 
 
+class InfeasiblePartition(ValueError):
+    """The partition fails a check of the extraction: the interval has no
+    pair of the gate over these supports."""
+
+
 def extract_or(
     interval: Interval,
     support1: Iterable[int],
@@ -67,41 +71,10 @@ def extract_or(
     with ``minimize`` the remaining freedom for ``g1`` — the interval
     ``[∃xbar1 (l & ~g2), ∀xbar1 u]`` — is exercised by taking an ISOP
     member, which tends to have fewer literals than the canonical upper
-    bound.  Raises ``ValueError`` when the partition is not OR-feasible.
+    bound.  Raises :class:`InfeasiblePartition` (a ``ValueError``) when
+    the partition is not OR-feasible.
     """
-    if minimize and interval.manager._st is not None:
-        return _native_extract("or", interval, support1, support2)
-    return _py_extract_or(interval, support1, support2, minimize)
-
-
-def _py_extract_or(
-    interval: Interval,
-    support1: Iterable[int],
-    support2: Iterable[int],
-    minimize: bool = True,
-) -> ExtractedPair:
-    """:func:`extract_or` as the Python composition of public calls."""
-    manager = interval.manager
-    all_vars = interval.support()
-    xbar1 = sorted(all_vars - set(support1))
-    xbar2 = sorted(all_vars - set(support2))
-    g2 = _quantify.forall(manager, interval.upper, xbar2)
-    g1_upper = _quantify.forall(manager, interval.upper, xbar1)
-    if minimize:
-        g1_lower = _quantify.exists(
-            manager,
-            manager.apply_and(interval.lower, manager.negate(g2)),
-            xbar1,
-        )
-        if not manager.leq(g1_lower, g1_upper):
-            raise ValueError("partition is not OR-feasible")
-        _, g1 = _isop(manager, g1_lower, g1_upper, False)
-    else:
-        g1 = g1_upper
-    pair = ExtractedPair("or", g1, g2)
-    if not pair.verify(interval):
-        raise ValueError("partition is not OR-feasible")
-    return pair
+    return _extract("or", interval, support1, support2, minimize)
 
 
 def extract_and(
@@ -112,72 +85,73 @@ def extract_and(
 ) -> ExtractedPair:
     """AND decomposition via OR on the complement interval: if
     ``~[l,u] = [~u,~l] = h1 + h2`` then ``[l,u] ∋ ~h1 & ~h2``.  Raises
-    ``ValueError`` when the partition is not AND-feasible."""
-    if minimize and interval.manager._st is not None:
-        return _native_extract("and", interval, support1, support2)
-    return _py_extract_and(interval, support1, support2, minimize)
+    :class:`InfeasiblePartition` when the partition is not
+    AND-feasible."""
+    return _extract("and", interval, support1, support2, minimize)
 
 
-def _py_extract_and(
+def _extraction(gate: str, minimize: bool) -> tuple[Program, tuple[int, int]]:
+    """The extraction program of ``gate`` and the registers of its pair.
+    Inputs: ``[l, u]``; vectors: ``x̄2`` and ``x̄1``, the support outside
+    ``support2`` and ``support1``.  For AND the OR chain runs on the
+    complement ``[¬u, ¬l]`` (registers 2, 3) and the pair is negated at
+    the end.  The chain: ``g2 = ∀x̄2 U`` (4) and ``∀x̄1 U`` (5); with
+    ``minimize``, ``∃x̄1 (L ∧ ¬g2)`` (8), the check that it is below
+    ``∀x̄1 U`` and the ISOP member ``g1`` of that interval (9), else ``g1 =
+    ∀x̄1 U``; then the check of ``g1 ∨ g2`` (10) against ``[L, U]``."""
+    steps: list[tuple] = []
+    lower, upper = 0, 1
+    if gate == "and":
+        steps += [("not", 2, 1), ("not", 3, 0)]
+        lower, upper = 2, 3
+    g1 = 5
+    steps += [("forall", 4, upper, 0), ("forall", 5, upper, 1)]
+    if minimize:
+        g1 = 9
+        steps += [
+            ("not", 6, 4),
+            ("and", 7, lower, 6),
+            ("exists", 8, 7, 1),
+            ("leq", None, 8, 5),
+            ("isop", 9, 8, 5),
+        ]
+    steps += [("or", 10, g1, 4), ("leq", None, lower, 10), ("leq", None, 10, upper)]
+    if gate == "or":
+        return Program(steps, 13, (0, 1)), (g1, 4)
+    steps += [("not", 11, g1), ("not", 12, 4)]
+    return Program(steps, 13, (0, 1)), (11, 12)
+
+
+_EXTRACTIONS = {
+    (gate, minimize): _extraction(gate, minimize)
+    for gate in ("or", "and")
+    for minimize in (False, True)
+}
+
+
+def _extract(
+    gate: str,
     interval: Interval,
     support1: Iterable[int],
     support2: Iterable[int],
-    minimize: bool = True,
+    minimize: bool,
 ) -> ExtractedPair:
-    """:func:`extract_and` as the Python composition of public calls."""
-    manager = interval.manager
-    or_pair = _py_extract_or(interval.complement(), support1, support2, minimize)
-    pair = ExtractedPair(
-        "and", manager.negate(or_pair.g1), manager.negate(or_pair.g2)
-    )
-    if not pair.verify(interval):
-        raise ValueError("partition is not AND-feasible")
-    return pair
-
-
-def _native_extract(
-    gate: str, interval: Interval, support1: Iterable[int], support2: Iterable[int]
-) -> ExtractedPair:
-    """:func:`extract_or` or :func:`extract_and`, minimised, as one kernel
-    entry (``bdd_extract``): for AND, the complement, the OR chain with
-    its check and the two negations, and then the AND pair's check here,
-    as the composition makes it.  The cubes of ``xbar2`` and ``xbar1``
-    are interned first, in the composition's order: their ids key the
-    quantify caches.  The complement's support is the interval's."""
-    manager = interval.manager
+    """:func:`extract_or` or :func:`extract_and`: the gate's program, then
+    for AND the pair's own check."""
     all_vars = interval.support()
-    cube2 = manager.intern_cube(all_vars.difference(support2))
-    cube1 = manager.intern_cube(all_vars.difference(support1))
-    lib = manager._lib
-    walk = manager._walk
-    try:
-        found = manager._native_walk(
-            lib.bdd_extract,
-            manager._st,
-            walk,
-            _GATE_OP[gate],
-            interval.lower,
-            interval.upper,
-            *_cube_args(cube2),
-            *_cube_args(cube1),
-        )
-        pair = ExtractedPair(gate, walk.reg[0], walk.reg[1])
-    finally:
-        lib.bdd_walk_clear(walk)
+    program, (first, second) = _EXTRACTIONS[gate, minimize]
+    found, regs = _program.run(
+        interval.manager,
+        program,
+        (interval.lower, interval.upper),
+        (all_vars.difference(support2), all_vars.difference(support1)),
+    )
     if not found:
-        raise ValueError("partition is not OR-feasible")
+        raise InfeasiblePartition("partition is not OR-feasible")
+    pair = ExtractedPair(gate, regs[first], regs[second])
     if gate == "and" and not pair.verify(interval):
-        raise ValueError("partition is not AND-feasible")
+        raise InfeasiblePartition("partition is not AND-feasible")
     return pair
-
-
-#: Each gate's ``bdd_apply`` op code, which ``bdd_extract`` takes.
-_GATE_OP = {"and": 0, "or": 1}
-
-
-def _cube_args(cube) -> tuple:
-    """An interned cube as the kernel's quantifiers take it."""
-    return cube.cube_id, cube.view, len(cube.vars), cube.max_level
 
 
 def extract_xor_cs(
@@ -294,16 +268,14 @@ def extract(
     support1: Iterable[int],
     support2: Iterable[int],
 ) -> Optional[ExtractedPair]:
-    """Dispatch on gate type; returns ``None`` when extraction fails."""
-    if gate == "or":
+    """Dispatch on gate type; returns ``None`` when the partition fails a
+    check of the extraction.  A node id the interval's manager never made
+    raises ``ValueError`` for every gate."""
+    if gate in ("or", "and"):
+        extractor = extract_or if gate == "or" else extract_and
         try:
-            return extract_or(interval, support1, support2)
-        except ValueError:
-            return None
-    if gate == "and":
-        try:
-            return extract_and(interval, support1, support2)
-        except ValueError:
+            return extractor(interval, support1, support2)
+        except InfeasiblePartition:
             return None
     if gate == "xor":
         return extract_xor(interval, support1, support2)

@@ -21,16 +21,15 @@ caller that owns a space's whole life hands the manager back with
 otherwise indistinguishable from a fresh manager, so the space's nodes —
 and every output byte — are the same.
 
-On native managers four steps each run as one kernel entry: the OR body
-of :func:`or_partition_space` (and so of :func:`and_partition_space`),
-the XOR body of :func:`xor_partition_space`,
-:meth:`PartitionSpace.nontrivial` and :meth:`PartitionSpace.size_pairs`.
-Each entry makes the calls of the Python composition it replaces
-(``_py_or_body``, ``_py_xor_body``, ``_py_nontrivial``,
-``_py_size_pairs``) in the same order, so both make the same nodes with
-the same cache traffic; the compositions stay as the pure-Python
-fallback and the parity reference.  The spans and the
-``bidec.param.*`` records stay here, fed from what the entries report.
+Each step that builds or reads a space on its scratch manager is a step
+program (:mod:`repro.bdd.program`) declared once here: the OR body of
+:func:`or_partition_space` (and so of :func:`and_partition_space`), the
+XOR body of :func:`xor_partition_space`, and the analyses behind
+:meth:`PartitionSpace.nontrivial` and :meth:`PartitionSpace.size_pairs`
+(per layout size and set of weight tables the space already holds).  A
+run is one kernel call on native managers and the same public calls on
+pure-Python ones.  The spans and the ``bidec.param.*`` records stay here,
+fed from the registers the programs leave.
 """
 
 from __future__ import annotations
@@ -43,10 +42,11 @@ from repro import obs as _obs
 from repro.bdd import builders as _builders
 from repro.bdd import count as _count
 from repro.bdd import native as _native
+from repro.bdd import program as _program
 from repro.bdd import quantify as _quantify
 from repro.bdd.builders import _check_vars
-from repro.bdd.compose import bad_var, transfer_multi
-from repro.bdd.manager import BDDManager, FALSE, TRUE, _BAD_VAR
+from repro.bdd.manager import BDDManager, FALSE
+from repro.bdd.program import Program
 from repro.bidec import parameterize as _param
 from repro.intervals import Interval
 
@@ -105,21 +105,8 @@ class PartitionSpace:
         least one variable (``k_i < n``), ruling out ``g = f`` solutions."""
         if not self.variables:
             return self._with_bi(FALSE)
-        manager = self.manager
-        if manager._st is None:
-            return self._with_bi(self._py_nontrivial())
-        return self._with_bi(self._weights_entry(manager._lib.bdd_nontrivial))
-
-    def _py_nontrivial(self) -> int:
-        """:meth:`nontrivial`'s ``Bi`` as the Python composition: both
-        weight tables, the two disjunctions and the two ANDs."""
-        n = len(self.variables)
-        manager = self.manager
-        constraint = manager.apply_and(
-            manager.disjoin(self.weights(self.c1_vars)[:n]),
-            manager.disjoin(self.weights(self.c2_vars)[:n]),
-        )
-        return manager.apply_and(self.bi, constraint)
+        regs = self._analyse("nontrivial")
+        return self._with_bi(regs[_analysis_out(len(self.variables))])
 
     def _with_bi(self, bi: int) -> "PartitionSpace":
         return PartitionSpace(
@@ -133,48 +120,25 @@ class PartitionSpace:
             self.weight_tables,
         )
 
-    def _weights_entry(self, fn, *args) -> int:
-        """Run kernel entry ``fn`` — ``bdd_nontrivial`` or
-        ``bdd_size_pairs`` — with ``args`` after the arguments both
-        take: ``bi``, each decision vector sorted from the highest index
-        down, a buffer per weight table and the bit mask of the tables
-        handed over.  A table not built yet is built by the entry where
-        :meth:`weights` would build it, then kept.  Returns the entry's
-        result."""
-        manager = self.manager
-        ffi = manager._ffi
+    def _analyse(self, kind: str, vectors: Sequence[Sequence[int]] = ()) -> list[int]:
+        """Run the ``kind`` analysis program (see :func:`_analysis`) on
+        ``Bi``, the weight tables the space holds and ``vectors`` after
+        the decision vectors; a weight table the program builds is kept.
+        Returns the registers."""
         n = len(self.variables)
-        vectors = (self.c1_vars, self.c2_vars)
-        buffers = []
-        built = 0
-        for bit, c_vars in enumerate(vectors):
-            table = self.weight_tables.get(c_vars)
-            if table is None:
-                _check_vars(manager, c_vars, "weight variables")
-                buffers.append(ffi.new("int64_t[]", n + 1))
-            else:
-                built |= 1 << bit
-                buffers.append(ffi.new("int64_t[]", table))
-        walk = manager._walk
-        try:
-            result = manager._native_walk(
-                fn,
-                manager._st,
-                walk,
-                self.bi,
-                sorted(self.c1_vars, reverse=True),
-                sorted(self.c2_vars, reverse=True),
-                n,
-                *buffers,
-                built,
-                *args,
-            )
-        finally:
-            manager._lib.bdd_walk_clear(walk)
-        for bit, c_vars in enumerate(vectors):
-            if not built >> bit & 1:
-                self.weight_tables[c_vars] = ffi.unpack(buffers[bit], n + 1)
-        return result
+        tables = self.weight_tables
+        c1, c2 = self.c1_vars, self.c2_vars
+        w1, w2 = tables.get(c1), tables.get(c2)
+        inputs = [self.bi]
+        inputs += w1 or ()
+        inputs += w2 or ()
+        program = _analysis(n, (w1 is not None, w2 is not None), kind)
+        _, regs = _program.run(self.manager, program, inputs, (c1, c2, *vectors))
+        if w1 is None:
+            tables[c1] = regs[3 : n + 4]
+        if w2 is None:
+            tables[c2] = regs[n + 4 : 2 * n + 5]
+        return regs
 
     # -- size-pair analysis (Section 3.5.2) ------------------------------
 
@@ -195,74 +159,32 @@ class PartitionSpace:
         if self.bi == FALSE:
             return []
         with _obs.span("bidec.size_pairs"):
+            manager = self.manager
+            n = len(self.variables)
+            bits_needed = max(1, n.bit_length())
+            e1 = manager.new_vars(bits_needed)
+            e2 = manager.new_vars(bits_needed)
             symbolic = prune_dominated and symbolic_prune
-            if self.manager._st is None or symbolic:
-                pairs = self._py_size_pairs(symbolic)
+            regs = self._analyse(
+                "kappa" if symbolic else "pairs",
+                (e1, e2, self.c1_vars + self.c2_vars, e1 + e2),
+            )
+            at = _analysis_out(n)
+            if symbolic:
+                bi_kappa = self._prune_dominated_symbolic(regs[at], e1, e2)
+                pairs = [
+                    (_builders.decode_int(e1, model), _builders.decode_int(e2, model))
+                    for model in _count.iter_models(manager, bi_kappa, e1 + e2)
+                ]
             else:
-                pairs = self._native_size_pairs()
+                flat = regs[at + 2 : at + 2 + 2 * regs[at + 1]]
+                pairs = list(zip(flat[::2], flat[1::2]))
             pairs.sort()
             if prune_dominated and not symbolic_prune:
                 pairs = prune_dominated_pairs(pairs)
         if _obs.enabled():
             _obs.observe(f"bidec.size_pairs.{self.gate}", len(pairs))
         return pairs
-
-    def _py_size_pairs(self, symbolic_prune: bool) -> list[tuple[int, int]]:
-        """The feasible pairs as the Python composition: ``Bi_κ`` (after
-        the symbolic pruning, with ``symbolic_prune``), then the walk of
-        its models, each decoded."""
-        bi_kappa, e1, e2 = self._size_pair_relation()
-        if symbolic_prune:
-            bi_kappa = self._prune_dominated_symbolic(bi_kappa, e1, e2)
-        return [
-            (_builders.decode_int(e1, model), _builders.decode_int(e2, model))
-            for model in _count.iter_models(self.manager, bi_kappa, e1 + e2)
-        ]
-
-    def _native_size_pairs(self) -> list[tuple[int, int]]:
-        """The feasible pairs as one kernel entry (``bdd_size_pairs``):
-        ``Bi_κ`` over counter bits declared, and the cube of the decision
-        variables interned, as :meth:`_size_pair_relation` declares and
-        interns them, then its models decoded in C.  ``Bi_κ`` has at most
-        one model per pair of weights ``0..n``."""
-        manager = self.manager
-        n = len(self.variables)
-        bits_needed = max(1, n.bit_length())
-        bits = manager.new_vars(bits_needed) + manager.new_vars(bits_needed)
-        cube = manager.intern_cube(self.c1_vars + self.c2_vars)
-        cap = (n + 1) ** 2
-        out = manager._ffi.new("int64_t[]", 2 * cap)
-        count = self._weights_entry(
-            manager._lib.bdd_size_pairs,
-            bits,
-            bits_needed,
-            cube.cube_id,
-            cube.view,
-            len(cube.vars),
-            cube.max_level,
-            out,
-            cap,
-        )
-        values = manager._ffi.unpack(out, 2 * count)
-        return list(zip(values[::2], values[1::2]))
-
-    def _size_pair_relation(self) -> tuple[int, list[int], list[int]]:
-        """``Bi_κ`` over freshly allocated counter bits ``(e1, e2)``."""
-        n = len(self.variables)
-        bits_needed = max(1, n.bit_length())
-        e1 = [self.manager.new_var() for _ in range(bits_needed)]
-        e2 = [self.manager.new_var() for _ in range(bits_needed)]
-        k_rel1 = _builders.count_relation_from(
-            self.manager, self.weights(self.c1_vars), e1
-        )
-        k_rel2 = _builders.count_relation_from(
-            self.manager, self.weights(self.c2_vars), e2
-        )
-        product = self.manager.conjoin([self.bi, k_rel1, k_rel2])
-        bi_kappa = _quantify.exists(
-            self.manager, product, list(self.c1_vars) + list(self.c2_vars)
-        )
-        return bi_kappa, e1, e2
 
     def _prune_dominated_symbolic(
         self, bi_kappa: int, e1: list[int], e2: list[int]
@@ -490,36 +412,6 @@ def _space_variables(
     return variables
 
 
-def _run_body(
-    entry, interval: Interval, variables: list[int], sm: BDDManager, x_vars, *args
-) -> tuple[int, list[int]]:
-    """Run body entry ``entry`` on the scratch manager ``sm``: the
-    interval's bounds, the variable map ``variables`` -> ``x_vars``,
-    then ``args``.  A bound's level that ``variables`` lacks raises
-    ``KeyError``, as the transfer does.  Returns ``Bi`` and the first
-    eight of the walk's registers."""
-    source = interval.manager
-    walk = sm._walk
-    try:
-        bi = sm._native_walk(
-            entry,
-            source._st,
-            sm._st,
-            walk,
-            interval.lower,
-            interval.upper,
-            variables,
-            source.num_vars,
-            x_vars,
-            *args,
-        )
-        if bi == _BAD_VAR:
-            raise bad_var(walk.err, dict(zip(variables, x_vars)))
-        return bi, sm._ffi.unpack(walk.reg, 8)
-    finally:
-        sm._lib.bdd_walk_clear(walk)
-
-
 def or_partition_space(
     interval: Interval,
     variables: Optional[Sequence[int]] = None,
@@ -545,6 +437,30 @@ def or_partition_space(
     return space
 
 
+#: Equation (3.8)'s body over the scratch layout.  Inputs: ``[l, u]`` in
+#: the interval's manager and the node budget; vectors: the function
+#: variables, the xs they map to, ``c1`` and ``c2``.  The transfer of
+#: ``[l, u]`` (registers 3, 4); ``U1`` and ``U2``, each with where its loop
+#: stopped and the node count then (5-7, 8-10); ``¬l ∨ (U1 ∨ U2)`` (13);
+#: ``∀x`` (14); then the literal of each skipped decision variable ANDed
+#: in (16).
+_OR_BODY = Program(
+    (
+        ("transfer", 3, 0, 0, 1),
+        ("param_forall", 5, 4, 1, 2, 2),
+        ("param_forall", 8, 4, 1, 3, 2),
+        ("not", 11, 3),
+        ("or", 12, 5, 8),
+        ("or", 13, 11, 12),
+        ("forall", 14, 13, 1),
+        ("force", 15, 14, 2, 6),
+        ("force", 16, 15, 3, 9),
+    ),
+    nregs=17,
+    inputs=(0, 1, 2),
+)
+
+
 def _or_space(
     interval: Interval,
     variables: list[int],
@@ -555,12 +471,10 @@ def _or_space(
     ``"or"``, or ``"and"`` when ``interval`` is the complement of the
     one decomposed."""
     sm, layout = _make_scratch(len(variables), with_y=False)
-    body = _native_or_body if _native_pair(interval, sm) else _py_or_body
-    bi = body(interval, variables, sm, layout, node_budget)
     return PartitionSpace(
         gate=gate,
         manager=sm,
-        bi=bi,
+        bi=_or_body(interval, variables, sm, layout, node_budget),
         variables=tuple(variables),
         c1_vars=layout.c1_vars,
         c2_vars=layout.c2_vars,
@@ -568,83 +482,29 @@ def _or_space(
     )
 
 
-def _native_pair(interval: Interval, sm: BDDManager) -> bool:
-    """Whether a body can run as one kernel entry: both the interval's
-    manager and the scratch manager are native."""
-    return interval.manager._st is not None and sm._st is not None
-
-
-def _py_or_body(
+def _or_body(
     interval: Interval,
     variables: list[int],
     sm: BDDManager,
     layout: _Layout,
     node_budget: Optional[int],
 ) -> int:
-    """The OR body as the Python composition: the transfer of
-    ``[l, u]``, both parameterized ∀ loops, ``¬l ∨ (U1 ∨ U2)``, ``∀x``
-    and the forcing ANDs."""
-    var_map = {orig: layout.x_vars[i] for i, orig in enumerate(variables)}
-    lower, upper = transfer_multi(
-        interval.manager, [interval.lower, interval.upper], sm, var_map
-    )
-    forced: list[int] = []
-    if node_budget is None:
-        u1 = _param.parameterized_forall(sm, upper, layout.x_vars, layout.c1_vars)
-        u2 = _param.parameterized_forall(sm, upper, layout.x_vars, layout.c2_vars)
-    else:
-        u1, skipped1 = _param.parameterized_forall(
-            sm, upper, layout.x_vars, layout.c1_vars, node_budget
-        )
-        u2, skipped2 = _param.parameterized_forall(
-            sm, upper, layout.x_vars, layout.c2_vars, node_budget
-        )
-        forced = skipped1 + skipped2
-    body = sm.apply_or(sm.negate(lower), sm.apply_or(u1, u2))
-    bi = _quantify.forall(sm, body, layout.x_vars)
-    for c in forced:
-        bi = sm.apply_and(bi, sm.var(c))
-    return bi
-
-
-def _native_or_body(
-    interval: Interval,
-    variables: list[int],
-    sm: BDDManager,
-    layout: _Layout,
-    node_budget: Optional[int],
-) -> int:
-    """The OR body as one kernel entry (``bdd_or_space``), with the
-    cubes interned in the composition's order first (their ids key the
-    quantify caches); each ∀ loop's obs record is made from where the
-    entry reports it stopped."""
-    x_vars = layout.x_vars
-    cids = [sm.intern_cube((x,)).cube_id for x in x_vars]
-    cube = sm.intern_cube(x_vars)
-    bi, reg = _run_body(
-        sm._lib.bdd_or_space,
-        interval,
-        variables,
+    """``Bi`` of equation (3.8) on the scratch manager ``sm``: one run of
+    :data:`_OR_BODY`.  Each ∀ loop's obs record is made from where the
+    program reports it stopped and the node count then."""
+    _, regs = _program.run(
         sm,
-        x_vars,
-        layout.c1_vars,
-        layout.c2_vars,
-        cids,
-        len(x_vars),
-        sm.num_vars,
-        _param.kernel_budget(node_budget),
-        cube.cube_id,
-        cube.view,
-        cube.max_level,
+        _OR_BODY,
+        (interval.lower, interval.upper, _param.kernel_budget(node_budget)),
+        (variables, layout.x_vars, layout.c1_vars, layout.c2_vars),
+        interval.manager,
     )
-    # reg[4], reg[6]: where each loop stopped; reg[5], reg[7]: the node
-    # count then.
     for c_vars, stop, nodes in (
-        (layout.c1_vars, reg[4], reg[5]),
-        (layout.c2_vars, reg[6], reg[7]),
+        (layout.c1_vars, regs[6], regs[7]),
+        (layout.c2_vars, regs[9], regs[10]),
     ):
-        _param.record_forall(len(x_vars), c_vars[stop:], nodes, node_budget)
-    return bi
+        _param.record_forall(len(variables), c_vars[stop:], nodes, node_budget)
+    return regs[16]
 
 
 def and_partition_space(
@@ -681,12 +541,10 @@ def xor_partition_space(
     variables = _space_variables(interval, variables)
     with _obs.span("bidec.build.xor"):
         sm, layout = _make_scratch(len(variables), with_y=True)
-        body = _native_xor_body if _native_pair(interval, sm) else _py_xor_body
-        bi = body(interval, variables, sm, layout)
         space = PartitionSpace(
             gate="xor",
             manager=sm,
-            bi=bi,
+            bi=_xor_body(interval, variables, sm, layout),
             variables=tuple(variables),
             c1_vars=layout.c1_vars,
             c2_vars=layout.c2_vars,
@@ -696,63 +554,100 @@ def xor_partition_space(
     return space
 
 
-def _py_xor_body(
+#: Equation (3.9)'s body over intervals, on the scratch layout.  Inputs:
+#: ``[l, u]`` in the interval's manager; vectors: the function variables,
+#: the xs they map to, the ys, ``c1``, ``c2`` and the xs and ys together.
+#: The transfer (registers 2, 3); ``l`` and ``u`` with the xs exclusive to
+#: ``g1`` flipped, keyed on ``c2`` (4, 5), and ``must`` = ``(l ≠ l^c2) ∧
+#: (u ≠ u^c2)`` (8); keyed on ``c1`` (9, 10) and on ``c1·c2`` (11, 12), and
+#: ``may`` = ``(u^c1 ≠ u^c1c2) ∨ (l^c1 ≠ l^c1c2)`` (15); ``must ⇒ may``
+#: (17); then ``∀(x ∪ y)`` (18).
+_XOR_BODY = Program(
+    (
+        ("transfer", 2, 0, 0, 1),
+        ("replace", 4, 2, 1, 2, 4),
+        ("replace", 5, 3, 1, 2, 4),
+        ("xor", 6, 2, 4),
+        ("xor", 7, 3, 5),
+        ("and", 8, 6, 7),
+        ("replace", 9, 2, 1, 2, 3),
+        ("replace", 10, 3, 1, 2, 3),
+        ("replace_pair", 11, 2, 1, 2, 3, 4),
+        ("replace_pair", 12, 3, 1, 2, 3, 4),
+        ("xor", 13, 10, 12),
+        ("xor", 14, 9, 11),
+        ("or", 15, 13, 14),
+        ("not", 16, 8),
+        ("or", 17, 16, 15),
+        ("forall", 18, 17, 5),
+    ),
+    nregs=19,
+    inputs=(0, 1),
+)
+
+
+def _xor_body(
     interval: Interval, variables: list[int], sm: BDDManager, layout: _Layout
 ) -> int:
-    """The XOR body as the Python composition: the transfer of
-    ``[l, u]``, the six parameterized replacements, the XOR/AND/OR/
-    ``implies`` and ``∀(x ∪ y)``."""
-    var_map = {orig: layout.x_vars[i] for i, orig in enumerate(variables)}
-    lower, upper = transfer_multi(
-        interval.manager, [interval.lower, interval.upper], sm, var_map
-    )
+    """``Bi`` of equation (3.9) on the scratch manager ``sm``: one run of
+    :data:`_XOR_BODY`."""
     xs, ys = layout.x_vars, layout.y_vars
-    c1, c2 = layout.c1_vars, layout.c2_vars
-
-    # Flip variables exclusive to g1 (not in support(g2)): substitution
-    # keyed on c2.
-    l_excl1 = _param.parameterized_replace(sm, lower, xs, ys, c2)
-    u_excl1 = _param.parameterized_replace(sm, upper, xs, ys, c2)
-    must_differ = sm.apply_and(
-        sm.apply_xor(lower, l_excl1), sm.apply_xor(upper, u_excl1)
-    )
-    # Flip variables exclusive to g2 (keyed on c1), and variables
-    # exclusive to either side (keyed on c1·c2).
-    l_excl2 = _param.parameterized_replace(sm, lower, xs, ys, c1)
-    u_excl2 = _param.parameterized_replace(sm, upper, xs, ys, c1)
-    l_both = _param.parameterized_replace_pair(sm, lower, xs, ys, c1, c2)
-    u_both = _param.parameterized_replace_pair(sm, upper, xs, ys, c1, c2)
-    may_differ = sm.apply_or(
-        sm.apply_xor(u_excl2, u_both), sm.apply_xor(l_excl2, l_both)
-    )
-    condition = sm.implies(must_differ, may_differ)
-    return _quantify.forall(sm, condition, xs + ys)
-
-
-def _native_xor_body(
-    interval: Interval, variables: list[int], sm: BDDManager, layout: _Layout
-) -> int:
-    """The XOR body as one kernel entry (``bdd_xor_space``), with the
-    cube of the xs and ys interned first."""
-    xs, ys = layout.x_vars, layout.y_vars
-    cube = sm.intern_cube(xs + ys)
-    bi, _ = _run_body(
-        sm._lib.bdd_xor_space,
-        interval,
-        variables,
+    _, regs = _program.run(
         sm,
-        xs,
-        ys,
-        layout.c1_vars,
-        layout.c2_vars,
-        len(xs),
-        sm.num_vars,
-        cube.cube_id,
-        cube.view,
-        len(cube.vars),
-        cube.max_level,
+        _XOR_BODY,
+        (interval.lower, interval.upper),
+        (variables, xs, ys, layout.c1_vars, layout.c2_vars, xs + ys),
+        interval.manager,
     )
-    return bi
+    return regs[18]
+
+
+@lru_cache(maxsize=256)
+def _analysis(n: int, handed: tuple[bool, bool], kind: str) -> Program:
+    """The Section 3.5.2 analysis ``kind`` of a space over ``n`` function
+    variables.  Registers: ``Bi`` (an input), one result per decision
+    vector (1, 2), the weight table ``[w_0 … w_n]`` of ``c1`` (from 3) and
+    of ``c2`` (from ``n + 4``), then the program's own.  Vectors: ``c1``
+    and ``c2``, each in ascending order, then for ``"kappa"`` and
+    ``"pairs"`` the counter bits ``e1`` and ``e2``, the decision variables
+    and all the bits.  Per decision vector, its weight table — an input
+    where ``handed`` says the space holds it — and then:
+
+    * ``"nontrivial"``: the disjunction of ``w_0 … w_{n-1}``; then
+      ``Bi ∧ (d1 ∧ d2)``;
+    * ``"kappa"``: ``K(c, e)``; then ``Bi ∧ K1 ∧ K2`` folded as
+      :meth:`~BDDManager.conjoin` folds a list, and ``∃(c1 ∪ c2)``, which
+      is ``Bi_κ``;
+    * ``"pairs"``: as ``"kappa"``, then ``Bi_κ``'s model count and each
+      model decoded into ``(k1, k2)``.
+
+    The result (``Bi`` restricted, or ``Bi_κ``) is at
+    :func:`_analysis_out`, the model count after it."""
+    out = _analysis_out(n)
+    steps: list[tuple] = []
+    inputs = [0]
+    for slot, table in enumerate((3, n + 4)):
+        if handed[slot]:
+            inputs += range(table, table + n + 1)
+        else:
+            steps.append(("weights", table, slot, n))
+        if kind == "nontrivial":
+            steps.append(("disjoin", 1 + slot, table, n))
+        else:
+            steps.append(("krel", 1 + slot, table, n + 1, 2 + slot))
+    if kind == "nontrivial":
+        steps += [("and", out - 1, 1, 2), ("and", out, 0, out - 1)]
+        return Program(steps, out + 1, inputs)
+    steps += [("conjoin", out - 1, 0, 3), ("exists", out, out - 1, 4)]
+    cap = (n + 1) ** 2 if kind == "pairs" else 0
+    if cap:  # Bi_κ has at most one model per pair of weights 0..n
+        steps.append(("pairs", out + 1, out, 5, cap))
+    return Program(steps, out + 2 + 2 * cap, inputs)
+
+
+def _analysis_out(n: int) -> int:
+    """The result register of the :func:`_analysis` programs."""
+    return 2 * n + 6
 
 
 def partition_space(

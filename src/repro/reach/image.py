@@ -14,24 +14,27 @@ built.  The A1 ablation bench compares two schedules of it:
   variable at that one position.
 
 A schedule depends only on the relation, so it is built once per
-relation and reused by every image step.  :func:`reach_step` runs one
-whole fixpoint iteration — the fold, the rename to present-state
-variables and the frontier and reached-set updates — as one kernel call
-on native managers (``bdd_reach_step``), and through the same public
-operations in the same order on pure-Python ones
-(:func:`_py_reach_step`, also the parity reference), so both kernels
-make the same nodes.
+relation, with the kernel's buffer for its runs, and reused by every
+image step.  One step program (:mod:`repro.bdd.program`), made once per
+pattern of quantifying positions, runs :func:`reach_step`'s whole
+fixpoint iteration — the fold, the rename to present-state variables
+and the frontier and reached-set updates — and, from an empty reached
+set, the image alone.  Each run is one kernel call on native managers
+and the same public operations, in the same order, on pure-Python ones,
+so both kernels make the same nodes.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
+from functools import lru_cache
 from typing import Any, NamedTuple, Optional, Sequence
 
 from repro import obs as _obs
+from repro.bdd import program as _program
 from repro.bdd import quantify as _quantify
-from repro.bdd.compose import rename, vector_compose
-from repro.bdd.manager import BDDManager, VarCube
+from repro.bdd.compose import rename
+from repro.bdd.manager import BDDManager, FALSE, VarCube
+from repro.bdd.program import Program
 from repro.reach.transition import TransitionSystem
 
 
@@ -46,9 +49,14 @@ class ImageSchedule(NamedTuple):
     #: The rename of the product: next-state variable -> the literal node
     #: of its present-state variable.
     rename: dict[int, int]
-    #: The schedule as ``bdd_reach_step`` reads it (``None`` on
-    #: pure-Python managers).
-    kernel: Optional[tuple[Any, ...]]
+    #: One fixpoint iteration as a step program (see :func:`_step_program`).
+    step: Program
+    #: The program's vectors: the rename's levels and literal nodes, then
+    #: each position's cube variables.
+    vectors: tuple[Sequence[int], ...]
+    #: The kernel's buffer for :attr:`step`'s runs (``None`` on
+    #: pure-Python managers), prepared once.
+    prepared: Any
 
 
 def image_schedule(ts: TransitionSystem, parts: Sequence[int]) -> ImageSchedule:
@@ -77,43 +85,55 @@ def image_schedule(ts: TransitionSystem, parts: Sequence[int]) -> ImageSchedule:
     substitution = {ns: manager.var(ps) for ns, ps in ts.ns_to_ps().items()}
     if _obs.enabled():
         _obs.inc("reach.image.early_quantified", len(position))
-    kernel = None
+    vectors = (
+        tuple(substitution),
+        tuple(substitution.values()),
+        *(() if cube is None else tuple(cube.levels) for cube in cubes),
+    )
+    step = _step_program(tuple(cube is not None for cube in cubes))
+    prepared = None
     if manager._st is not None:
-        new = manager._ffi.new
-        levels = [var for cube in cubes if cube is not None for var in cube.levels]
-        ends = list(accumulate(0 if cube is None else len(cube) for cube in cubes))
-        kernel = (
-            new("int64_t[]", list(parts)),
-            new("int64_t[]", [0 if c is None else c.cube_id for c in cubes]),
-            new("int64_t[]", levels),
-            new("int64_t[]", ends),
-            len(parts),
-            new("int64_t[]", list(substitution)),
-            new("int64_t[]", list(substitution.values())),
-            len(substitution),
-        )
-    return ImageSchedule(tuple(parts), cubes, substitution, kernel)
+        prepared = _program.prepare(manager, step, vectors, ())
+    return ImageSchedule(tuple(parts), cubes, substitution, step, vectors, prepared)
 
 
-def _image(manager: BDDManager, schedule: ImageSchedule, states: int) -> int:
-    """The image of ``states`` through the public operations: per
-    position ``and_exists`` on its cube (or ``apply_and``), then the
-    rename to present-state variables."""
-    product = states
-    for part, cube in zip(schedule.parts, schedule.cubes):
-        if cube is None:
-            product = manager.apply_and(product, part)
+@lru_cache(maxsize=256)
+def _step_program(quantifies: tuple[bool, ...]) -> Program:
+    """One fixpoint iteration over a schedule whose positions
+    ``quantifies`` says have a cube.  Registers 0 and 1 hold the frontier
+    and the reached set, the conjuncts follow (inputs).  Per position,
+    ``and_exists`` on its cube (vector ``2 + i``) or a plain AND; the
+    rename (vectors 0 and 1) into register ``2 + 2n``, the image; then
+    ``¬reached``, the new frontier ``image ∧ ¬reached`` and the new
+    reached set ``reached ∨ frontier'``."""
+    count = len(quantifies)
+    steps: list[tuple] = []
+    product = 0
+    for index, quantified in enumerate(quantifies):
+        dst, part = 2 + count + index, 2 + index
+        if quantified:
+            steps.append(("and_exists", dst, product, part, 2 + index))
         else:
-            product = _quantify.and_exists(manager, product, part, cube)
-    return vector_compose(manager, product, schedule.rename)
+            steps.append(("and", dst, product, part))
+        product = dst
+    image = 2 + 2 * count
+    steps += [
+        ("rename", image, product, 0, 1),
+        ("not", image + 1, 1),
+        ("and", image + 2, image, image + 1),
+        ("or", image + 3, 1, image + 2),
+    ]
+    return Program(steps, image + 4, range(2 + count))
 
 
 def image_early(
     ts: TransitionSystem, states: int, schedule: ImageSchedule
 ) -> int:
     """``∃ ps, free . states(ps) & T(ps, free, ns)`` renamed to PS vars,
-    through ``schedule`` (built by :func:`image_schedule`)."""
-    return _image(ts.manager, schedule, states)
+    through ``schedule`` (built by :func:`image_schedule`): the new
+    frontier of an iteration from an empty reached set, whose updates
+    all end at a terminal short-circuit."""
+    return reach_step(ts.manager, schedule, states, FALSE)[0]
 
 
 def image_monolithic(
@@ -129,33 +149,16 @@ def reach_step(
 ) -> tuple[int, int]:
     """One fixpoint iteration: the image of ``frontier`` under
     ``schedule``, the new frontier ``image & ~reached`` and the new
-    reached set ``reached | frontier'``, returned as that pair.  One
-    kernel call (plus growth restarts) on native managers; the same
-    operations through :func:`_py_reach_step` otherwise."""
-    if schedule.kernel is None:
-        return _py_reach_step(manager, schedule, frontier, reached)
-    lib = manager._lib
-    walk = manager._walk
-    try:
-        frontier = manager._native_walk(
-            lib.bdd_reach_step, manager._st, walk, frontier, reached,
-            *schedule.kernel, manager.num_vars,
-        )
-        return frontier, walk.reg[2]
-    finally:
-        lib.bdd_walk_clear(walk)
-
-
-def _py_reach_step(
-    manager: BDDManager, schedule: ImageSchedule, frontier: int, reached: int
-) -> tuple[int, int]:
-    """:func:`reach_step` through the public operations, in the order
-    ``bdd_reach_step`` makes them: the image, ``negate(reached)``, the
-    AND that gives the new frontier, the OR that gives the new reached
-    set."""
-    image = _image(manager, schedule, frontier)
-    frontier = manager.apply_and(image, manager.negate(reached))
-    return frontier, manager.apply_or(reached, frontier)
+    reached set ``reached | frontier'``, returned as that pair — one run
+    of the schedule's step program."""
+    _, regs = _program.run(
+        manager,
+        schedule.step,
+        (frontier, reached, *schedule.parts),
+        schedule.vectors,
+        prepared=schedule.prepared,
+    )
+    return regs[-2], regs[-1]
 
 
 def preimage_monolithic(

@@ -12,6 +12,7 @@ import pytest
 from repro.bdd import builders as _builders
 from repro.bdd import count as _count
 from repro.bdd import native as _native
+from repro.bdd import program as _program
 from repro.bdd.manager import BDDManager, FALSE, TRUE
 from repro.bidec import symbolic as _symbolic
 from repro.bidec.api import decompose_interval
@@ -142,26 +143,27 @@ class TestWeightTables:
         weight_functions = _builders.weight_functions
         partition_space = _symbolic.partition_space
 
-        weights_entry = _symbolic.PartitionSpace._weights_entry
+        run = _program.run
 
         def counting(manager, variables, max_weight=None):
             sweeps.append((manager, tuple(variables)))
             return weight_functions(manager, variables, max_weight)
 
-        def counting_entry(space, fn, *args):
-            # On the kernel, the non-triviality and size-pair entries
-            # build the tables the space does not hold yet.
-            for c_vars in (space.c1_vars, space.c2_vars):
-                if c_vars not in space.weight_tables:
-                    sweeps.append((space.manager, c_vars))
-            return weights_entry(space, fn, *args)
+        def counting_run(manager, program, inputs, vectors=(), source=None):
+            # On the kernel, the weight tables a program builds never
+            # reach builders.weight_functions: count its weights steps.
+            if manager.native:
+                for op, _, *args in program.steps:
+                    if op == "weights":
+                        sweeps.append((manager, tuple(vectors[args[0]])))
+            return run(manager, program, inputs, vectors, source)
 
         def recording(interval, gate, variables=None):
             spaces.append(partition_space(interval, gate, variables))
             return spaces[-1]
 
         monkeypatch.setattr(_builders, "weight_functions", counting)
-        monkeypatch.setattr(_symbolic.PartitionSpace, "_weights_entry", counting_entry)
+        monkeypatch.setattr(_program, "run", counting_run)
         monkeypatch.setattr(_symbolic, "partition_space", recording)
         result = decompose_interval(Interval.exact(m, f))
         assert result is not None and result.verify()

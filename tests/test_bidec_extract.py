@@ -1,6 +1,9 @@
 """Tests for decomposition-function extraction."""
 
+import pytest
+
 from repro.bdd import BDDManager, support
+from repro.bdd import native as _native
 from repro.bidec.extract import (
     extract,
     extract_and,
@@ -167,3 +170,35 @@ class TestDispatch:
         f = m.apply_and(m.var(0), m.var(1))
         interval = Interval.exact(m, f)
         assert extract(interval, "or", {0}, {1}) is None
+
+
+@pytest.mark.parametrize(
+    "native",
+    [
+        False,
+        pytest.param(
+            True,
+            marks=pytest.mark.skipif(
+                _native.kernel() is None, reason="native kernel unavailable"
+            ),
+        ),
+    ],
+)
+class TestStrayIds:
+    """Only a failed check of the extraction reads as "no
+    decomposition"; a node id the manager never made raises."""
+
+    @pytest.mark.parametrize("gate", ["or", "and", "xor"])
+    def test_stray_node_raises(self, native, gate):
+        m = BDDManager(2, native=native)
+        f = m.apply_and(m.var(0), m.var(1))
+        for interval in (Interval(m, m.num_nodes + 5, f), Interval(m, f, -3)):
+            with pytest.raises(ValueError, match="not made by this manager"):
+                extract(interval, gate, {0}, {1})
+
+    def test_infeasible_partition_returns_none(self, native):
+        m = BDDManager(2, native=native)
+        a, b = m.var(0), m.var(1)
+        assert extract(Interval.exact(m, m.apply_and(a, b)), "or", {0}, {1}) is None
+        assert extract(Interval.exact(m, m.apply_or(a, b)), "and", {0}, {1}) is None
+        assert extract(Interval.exact(m, m.apply_or(a, b)), "or", {0}, {1}) is not None

@@ -1,25 +1,25 @@
-"""The kernel's ISOP walk and extraction entry against their Python
-twins.
+"""The kernel's ISOP walk and the extraction programs against their
+Python twins.
 
 ``bdd_isop`` runs the Minato–Morreale recursion of ``logic.sop.isop`` as
-one kernel walk, and ``bdd_extract`` the minimised OR/AND extraction of
-``bidec.extract`` as one entry that chains it.  Each must make the same
-public-entry calls, in the same order, as its Python counterpart: the
-explicit-stack twin ``sop._py_isop`` and the compositions
-``extract._py_extract_or``/``_py_extract_and``.  Each parity test runs
-the kernel on one native manager and the Python side on a second native
-manager with the same history, and compares results, cubes in order,
-node arrays, the control block, the unique table, the op and quantify
-caches, the interned cubes, the statistics and ``cache_capacities()``.
-Each manager starts at its small initial capacities, so the walk and the
-chain grow tables mid-way and restart there.
+one kernel walk, and the minimised OR/AND extraction of
+``bidec.extract`` is a step program per gate that runs it as one step.
+Each must make the same public-entry calls, in the same order, as its
+Python counterpart: the explicit-stack twin ``sop._py_isop`` and the
+Python interpreter of the programs.  Each parity test runs the kernel on
+one native manager and the Python side on a second native manager with
+the same history, and compares results, cubes in order, node arrays, the
+control block, the unique table, the op and quantify caches, the
+interned cubes, the statistics and ``cache_capacities()``.  Each manager
+starts at its small initial capacities, so the walk and the program grow
+tables mid-way and restart there.
 
 The twin is held to the recursion it replaced (kept here as
 ``_recursive_isop``), and the results of both kernels to those of
 pure-Python managers.  A sweep puts each op cache just short of its
 doubling threshold at every offset, so each entry-time op-cache check
-of the chain fires somewhere and must fire where the composition's
-public entry does."""
+of the program fires somewhere and must fire where the Python
+interpreter's public call does."""
 
 import importlib
 import random
@@ -28,6 +28,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.bdd import native as _native
+from repro.bdd import program as _program
 from repro.bdd.manager import _C_MASK, _C_USED, _TABLE_INDEX, BDDManager, FALSE, TRUE
 from repro.bidec.symbolic import and_partition_space, or_partition_space
 from repro.intervals import Interval
@@ -35,6 +36,7 @@ from repro.logic import sop
 from repro.logic.sop import Cube
 
 from test_bdd_loop_parity import _random_function, _state
+from test_bidec_space_parity import python_interpreter
 
 _extract = importlib.import_module("repro.bidec.extract")
 
@@ -203,22 +205,19 @@ def _partitions(interval, gate, limit=4):
     return found
 
 
-def _py_extract(gate, interval, support1, support2):
-    compose = _extract._py_extract_or if gate == "or" else _extract._py_extract_and
-    try:
-        pair = compose(interval, support1, support2)
-    except ValueError:
-        return None
-    return pair.g1, pair.g2
-
-
 def _kernel_extract(gate, interval, support1, support2):
+    extractor = _extract.extract_or if gate == "or" else _extract.extract_and
     try:
-        pair = _extract._native_extract(gate, interval, support1, support2)
-    except ValueError:
+        pair = extractor(interval, support1, support2)
+    except _extract.InfeasiblePartition:
         return None
     assert pair.gate == gate
     return pair.g1, pair.g2
+
+
+def _py_extract(gate, interval, support1, support2):
+    with python_interpreter():
+        return _kernel_extract(gate, interval, support1, support2)
 
 
 @native_only
@@ -241,21 +240,20 @@ class TestExtractParity:
                 assert _state(m1) == _state(m2)
                 outcomes.append(got is not None)
         assert any(outcomes) and not all(outcomes)
-        # The managers start small: the chain restarts in at least three
-        # of its steps, on seeds 0-2 inside the ISOP step (5) too.
+        # The managers start small: the program restarts in at least three
+        # of its steps, on seeds 0-2 inside the ISOP step too.
+        program, _ = _extract._EXTRACTIONS[gate, True]
+        ops = [program.steps[stage][0] for stage in stages]
         assert len(set(stages)) >= 3
-        assert seed > 2 or 5 in stages
+        assert seed > 2 or "isop" in ops
 
     def test_stray_node_raises(self):
         (m,), _ = _managers(3, kernels=(True,))
-        args = _extract._cube_args(m.intern_cube([0, 1]))
-        for gate in (0, 1):
+        for gate in ("or", "and"):
+            program, _ = _extract._EXTRACTIONS[gate, True]
             for lower, upper in ((m.num_nodes, TRUE), (FALSE, -2)):
                 with pytest.raises(ValueError, match="not made by this manager"):
-                    m._native_walk(
-                        m._lib.bdd_extract, m._st, m._walk, gate, lower, upper, *args, *args
-                    )
-                m._lib.bdd_walk_clear(m._walk)
+                    _program.run(m, program, (lower, upper), ([0, 1], [0, 1]))
 
     @pytest.mark.parametrize("gate", ["or", "and"])
     @pytest.mark.parametrize("seed", range(3))

@@ -1,23 +1,26 @@
-"""The kernel's space entries against their Python compositions.
+"""The space programs on the kernel against the Python interpreter.
 
-Each space entry — the OR and XOR bodies of the partition-space
+Each space step — the OR and XOR bodies of the partition-space
 builders, ``PartitionSpace.nontrivial`` and ``PartitionSpace.size_pairs``
-— must make the calls of the Python composition it replaces, in the same
-order.  Each parity test runs the entry on one native scratch manager
-and the composition on a second native manager with the same history,
-and compares results, node arrays, the control block, the unique table,
-the op and quantify caches, the interned cubes, the declared variables,
-the statistics and ``cache_capacities()``.  The scratch managers start
-at their small initial capacities, so the entries grow tables mid-entry
-and restart.  Last, the spaces, pairs and partitions built on the kernel
-must equal those built wholly on pure-Python managers, as
-``REPRO_NATIVE=0`` builds them."""
+— is a step program that runs as one ``bdd_run`` call on a native
+manager and through the public functions under the Python interpreter.
+Each parity test runs the program on one native scratch manager and
+under the Python interpreter on a second native manager with the same
+history, and compares results, node arrays, the control block, the
+unique table, the op and quantify caches, the interned cubes, the
+declared variables, the statistics and ``cache_capacities()``.  The
+scratch managers start at their small initial capacities, so the runs
+grow tables mid-program and restart.  Last, the spaces, pairs and
+partitions built on the kernel must equal those built wholly on
+pure-Python managers, as ``REPRO_NATIVE=0`` builds them."""
 
 import random
+from contextlib import contextmanager
 
 import pytest
 
 from repro.bdd import native as _native
+from repro.bdd import program as _program
 from repro.bdd.manager import (
     BDDManager,
     FALSE,
@@ -34,8 +37,20 @@ pytestmark = pytest.mark.skipif(
 )
 
 
+@contextmanager
+def python_interpreter():
+    """Run every step program through the Python interpreter, on native
+    managers too."""
+    real = _program._native_run
+    _program._native_run = _program._py_run
+    try:
+        yield
+    finally:
+        _program._native_run = real
+
+
 def _state(m):
-    """Everything an entry and its composition must leave identical."""
+    """Everything the two interpreters must leave identical."""
     n = m.num_nodes
     tables = {
         name: None if getattr(m, "_" + name) is None else list(getattr(m, "_" + name))
@@ -87,7 +102,7 @@ def _scratch_pair(n, with_y):
 
 def _restart_stages(m, call):
     """Run ``call``; returns its result and, for each growth restart of
-    ``m``, the entry step that asked for it."""
+    ``m``, the program step that asked for it."""
     stages = []
     real = m._grow
 
@@ -103,29 +118,32 @@ def _restart_stages(m, call):
 
 
 def _or_bodies(interval, variables, budget=None):
-    """The OR body run by the entry and by the composition; returns both
-    results, both scratch managers and the entry's restart steps."""
+    """The OR body run on the kernel and under the Python interpreter;
+    returns both results, both scratch managers and the kernel run's
+    restart steps."""
     (sm1, sm2), layout = _scratch_pair(len(variables), with_y=False)
     got, stages = _restart_stages(
         sm1,
-        lambda: _symbolic._native_or_body(interval, variables, sm1, layout, budget),
+        lambda: _symbolic._or_body(interval, variables, sm1, layout, budget),
     )
-    want = _symbolic._py_or_body(interval, variables, sm2, layout, budget)
+    with python_interpreter():
+        want = _symbolic._or_body(interval, variables, sm2, layout, budget)
     return got, want, sm1, sm2, stages
 
 
 def _space_pair(interval, with_y=False):
-    """The same space built by the composition on two native scratch
-    managers, whose caches are then dropped: an entry on it starts from
-    unallocated caches and grows them as it runs."""
+    """The same space built under the Python interpreter on two native
+    scratch managers, whose caches are then dropped: a program run on it
+    starts from unallocated caches and grows them as it runs."""
     variables = sorted(interval.support())
     (sm1, sm2), layout = _scratch_pair(len(variables), with_y)
     spaces = []
     for sm in (sm1, sm2):
-        if with_y:
-            bi = _symbolic._py_xor_body(interval, variables, sm, layout)
-        else:
-            bi = _symbolic._py_or_body(interval, variables, sm, layout, None)
+        with python_interpreter():
+            if with_y:
+                bi = _symbolic._xor_body(interval, variables, sm, layout)
+            else:
+                bi = _symbolic._or_body(interval, variables, sm, layout, None)
         spaces.append(
             _symbolic.PartitionSpace(
                 gate="xor" if with_y else "or",
@@ -141,6 +159,18 @@ def _space_pair(interval, with_y=False):
         sm.clear_caches()
     assert _state(sm1) == _state(sm2)
     return spaces
+
+
+def _py_nontrivial(space):
+    """``space.nontrivial().bi`` under the Python interpreter."""
+    with python_interpreter():
+        return space.nontrivial().bi
+
+
+def _py_pairs(space):
+    """``space``'s unpruned size pairs under the Python interpreter."""
+    with python_interpreter():
+        return space.size_pairs(prune_dominated=False)
 
 
 class TestOrBody:
@@ -159,9 +189,9 @@ class TestOrBody:
         assert any(stage > 0 for stage in stages)  # restarted mid-entry
 
     def test_budget_trips_mid_loop(self, monkeypatch):
-        """A budget that stops the first ∀ loop part way: the entry
+        """A budget that stops the first ∀ loop part way: the kernel run
         reports where each loop stopped and the node count then, so the
-        forcing ANDs and the obs records match the composition's."""
+        forcing ANDs and the obs records match the Python interpreter's."""
         records = []
         real = parameterize.record_forall
         monkeypatch.setattr(
@@ -176,15 +206,15 @@ class TestOrBody:
         got, want, sm1, sm2, _ = _or_bodies(interval, variables, budget)
         assert got == want
         assert _state(sm1) == _state(sm2)
-        entry, composition = records[:2], records[2:]
-        assert entry == composition
-        skipped = [len(record[1]) for record in entry]
+        kernel, python = records[:2], records[2:]
+        assert kernel == python
+        skipped = [len(record[1]) for record in kernel]
         assert 0 < skipped[0] < len(variables)  # tripped mid-loop
 
     def test_budget_scan(self):
-        """Every budget over a range: the entry stops each loop where the
-        composition does, and where the pure-Python loop does, which
-        finishes an iteration whose node count passed the budget."""
+        """Every budget over a range: the kernel run stops each loop where
+        the Python interpreter does, and where the pure-Python loop does,
+        which finishes an iteration whose node count passed the budget."""
         interval = _interval(5)
         pure = _interval(5, native=False)
         variables = sorted(interval.support())
@@ -195,17 +225,17 @@ class TestOrBody:
             assert _state(sm1) == _state(sm2), budget
             pm = BDDManager(native=False)
             pm.declare_vars(layout.names)
-            assert got == _symbolic._py_or_body(pure, variables, pm, layout, budget)
+            assert got == _symbolic._or_body(pure, variables, pm, layout, budget)
 
     def test_variable_map_lacks_a_level(self):
         interval = _interval(6)
         variables = sorted(interval.support())[1:]
         (sm1, sm2), layout = _scratch_pair(len(variables), with_y=False)
-        with pytest.raises(KeyError) as entry:
-            _symbolic._native_or_body(interval, variables, sm1, layout, None)
-        with pytest.raises(KeyError) as composition:
-            _symbolic._py_or_body(interval, variables, sm2, layout, None)
-        assert entry.value.args == composition.value.args
+        with pytest.raises(KeyError) as kernel:
+            _symbolic._or_body(interval, variables, sm1, layout, None)
+        with python_interpreter(), pytest.raises(KeyError) as python:
+            _symbolic._or_body(interval, variables, sm2, layout, None)
+        assert kernel.value.args == python.value.args
 
 
 class TestXorBody:
@@ -215,9 +245,10 @@ class TestXorBody:
         variables = sorted(interval.support())
         (sm1, sm2), layout = _scratch_pair(len(variables), with_y=True)
         got, stages = _restart_stages(
-            sm1, lambda: _symbolic._native_xor_body(interval, variables, sm1, layout)
+            sm1, lambda: _symbolic._xor_body(interval, variables, sm1, layout)
         )
-        want = _symbolic._py_xor_body(interval, variables, sm2, layout)
+        with python_interpreter():
+            want = _symbolic._xor_body(interval, variables, sm2, layout)
         assert got == want
         assert _state(sm1) == _state(sm2)
         assert any(stage > 0 for stage in stages)
@@ -229,14 +260,14 @@ class TestNontrivial:
     def test_parity(self, seed, with_y):
         first, second = _space_pair(_interval(seed, k=7), with_y)
         got, stages = _restart_stages(first.manager, first.nontrivial)
-        want = second._py_nontrivial()
+        want = _py_nontrivial(second)
         assert got.bi == want
         assert got.weight_tables == second.weight_tables
         assert _state(first.manager) == _state(second.manager)
         assert any(stage > 0 for stage in stages)
 
     def test_handed_tables(self):
-        """A weight table the space holds is handed to the entry and
+        """A weight table the space holds is handed to the program and
         used as it is, as :meth:`weights` would return it — here a
         stand-in, c1's table, for c2's — and the tables stay shared
         with the restricted space."""
@@ -244,7 +275,7 @@ class TestNontrivial:
         for space in (first, second):
             space.weight_tables[space.c2_vars] = space.weights(space.c1_vars)
         got = first.nontrivial()
-        assert got.bi == second._py_nontrivial()
+        assert got.bi == _py_nontrivial(second)
         assert got.weight_tables is first.weight_tables
         assert first.weight_tables == second.weight_tables
         assert _state(first.manager) == _state(second.manager)
@@ -256,7 +287,7 @@ class TestNontrivial:
         interval = Interval(m, m.apply_or(a, b), m.apply_and(a, b))
         first, second = _space_pair(interval)
         assert first.bi == FALSE
-        assert first.nontrivial().bi == second._py_nontrivial() == FALSE
+        assert first.nontrivial().bi == _py_nontrivial(second) == FALSE
         assert first.size_pairs() == second.size_pairs() == []
         assert _state(first.manager) == _state(second.manager)
 
@@ -266,8 +297,10 @@ class TestSizePairs:
     @pytest.mark.parametrize("with_y", [False, True])
     def test_parity(self, seed, with_y):
         first, second = _space_pair(_interval(seed, k=7), with_y)
-        got, stages = _restart_stages(first.manager, first._native_size_pairs)
-        want = second._py_size_pairs(False)
+        got, stages = _restart_stages(
+            first.manager, lambda: first.size_pairs(prune_dominated=False)
+        )
+        want = _py_pairs(second)
         assert sorted(got) == sorted(want)
         assert len(got) > 4
         assert _state(first.manager) == _state(second.manager)
@@ -289,15 +322,17 @@ class TestSizePairs:
             m = space.manager
             forced = m.apply_and(m.var(space.c1_vars[0]), m.nvar(space.c2_vars[0]))
             spaces.append(space._with_bi(m.apply_and(space.bi, forced)))
-        got = sorted(spaces[0]._native_size_pairs())
-        assert got == sorted(spaces[1]._py_size_pairs(False))
+        got = sorted(spaces[0].size_pairs(prune_dominated=False))
+        assert got == sorted(_py_pairs(spaces[1]))
         assert got != sorted((k2, k1) for k1, k2 in got)
         assert _state(first.manager) == _state(second.manager)
 
     def test_after_nontrivial(self):
         first, second = _space_pair(_interval(15))
         first, second = first.nontrivial(), second.nontrivial()
-        assert sorted(first._native_size_pairs()) == sorted(second._py_size_pairs(False))
+        assert sorted(first.size_pairs(prune_dominated=False)) == sorted(
+            _py_pairs(second)
+        )
         assert _state(first.manager) == _state(second.manager)
 
     def test_no_nontrivial_partition(self):
@@ -328,16 +363,15 @@ class TestSmallSpaces:
         interval = Interval.exact(m, m.nvar(1))
         variables = [1]
         (sm1, sm2), layout = _scratch_pair(1, with_y)
-        if with_y:
-            got = _symbolic._native_xor_body(interval, variables, sm1, layout)
-            want = _symbolic._py_xor_body(interval, variables, sm2, layout)
-        else:
-            got = _symbolic._native_or_body(interval, variables, sm1, layout, None)
-            want = _symbolic._py_or_body(interval, variables, sm2, layout, None)
+        body = _symbolic._xor_body if with_y else _symbolic._or_body
+        extra = () if with_y else (None,)
+        got = body(interval, variables, sm1, layout, *extra)
+        with python_interpreter():
+            want = body(interval, variables, sm2, layout, *extra)
         assert got == want
         assert _state(sm1) == _state(sm2)
         first, second = _space_pair(interval, with_y)
-        assert first.nontrivial().bi == second._py_nontrivial()
+        assert first.nontrivial().bi == _py_nontrivial(second)
         assert first.size_pairs() == second.size_pairs()
         assert _state(first.manager) == _state(second.manager)
 

@@ -1,17 +1,18 @@
-"""The kernel's reachability step against its Python iteration.
+"""The reachability step program on the kernel against the Python
+interpreter.
 
-``bdd_reach_step`` runs one fixpoint iteration of ``forward_reachable``
-— the fold of the frontier through the schedule's conjuncts, with
-``and_exists`` wherever variables leave the product, the rename to
-present-state variables, and the frontier and reached-set updates — as
-one kernel call.  It must make the same public-entry calls, in the same
-order, as the Python iteration ``image._py_reach_step``.  Each parity
-test runs the entry on one native manager and the Python iteration on
-a second native manager with the same history, and compares results,
-node arrays, the control block, the unique table, the op and quantify
-caches, the interned cubes, the statistics and ``cache_capacities()``.
-Each manager starts at its small initial capacities, so the entry grows
-tables mid-fold and mid-rename and restarts there.
+One fixpoint iteration of ``forward_reachable`` — the fold of the
+frontier through the schedule's conjuncts, with ``and_exists`` wherever
+variables leave the product, the rename to present-state variables, and
+the frontier and reached-set updates — is the schedule's step program,
+one ``bdd_run`` call on a native manager.  Each parity test runs it on
+one native manager and under the Python interpreter, which makes the
+public calls, on a second native manager with the same history, and
+compares results, node arrays, the control block, the unique table, the
+op and quantify caches, the interned cubes, the statistics and
+``cache_capacities()``.  Each manager starts at its small initial
+capacities, so the run grows tables mid-fold and mid-rename and
+restarts there.
 
 The rest holds the fixpoint to its contracts on both kernels: the
 limits stop at the same iteration, the early and monolithic schedules
@@ -35,6 +36,7 @@ from repro.reach import image as _image
 from repro.reach import traversal as _traversal
 from strategies import circuits, small_circuit
 from test_bdd_loop_parity import _state
+from test_bidec_space_parity import python_interpreter
 
 native_only = pytest.mark.skipif(
     _native.kernel() is None, reason="native kernel unavailable"
@@ -53,11 +55,19 @@ def _systems(network, latches=None):
     ]
 
 
+def _phase(schedule, stage):
+    """The part of an iteration the program step ``stage`` belongs to:
+    0 the fold, 1 the rename, 2 the frontier and reached-set updates."""
+    count = len(schedule.parts)
+    return 0 if stage < count else 1 if stage == count else 2
+
+
 def _run_pair(network, latches=None, strategy="early"):
-    """Run the fixpoint of ``latches`` step by step through the entry on
-    one system and the Python iteration on the other, comparing every
-    step's sets and the managers at the end.  Returns the iteration
-    count and the ``walk.stage`` of every growth restart of the entry."""
+    """Run the fixpoint of ``latches`` step by step on the kernel on one
+    system and under the Python interpreter on the other, comparing
+    every step's sets and the managers at the end.  Returns the
+    iteration count and the phase (see :func:`_phase`) of every growth
+    restart of the kernel run."""
     systems = _systems(network, latches)
     schedules = [_traversal._schedule(ts, strategy) for ts in systems]
     (m1, m2) = [ts.manager for ts in systems]
@@ -66,7 +76,7 @@ def _run_pair(network, latches=None, strategy="early"):
     grow = m1._grow
 
     def counting(code):
-        stages.append(m1._walk.stage)
+        stages.append(_phase(schedules[0], m1._walk.stage))
         return grow(code)
 
     m1._grow = counting
@@ -75,7 +85,8 @@ def _run_pair(network, latches=None, strategy="early"):
     iterations = 0
     while frontier != FALSE:
         got = _image.reach_step(m1, schedules[0], frontier, reached)
-        want = _image._py_reach_step(m2, schedules[1], frontier, reached)
+        with python_interpreter():
+            want = _image.reach_step(m2, schedules[1], frontier, reached)
         assert got == want, iterations
         frontier, reached = got
         iterations += 1
@@ -105,8 +116,8 @@ class TestEntryParity:
     def test_iscas_sat_partitions(self, name):
         """Every partition of the circuit, as the flow selects them (at
         its default partition size).  On every circuit the runs restart
-        in each step of the entry but the rename, and all but s953 in
-        the rename too."""
+        in the fold and in the updates, and all but s953 in the rename
+        too."""
         network = iscas_analog(name)
         stages = set()
         for partition in select_latch_partitions(network, max_size=16):
@@ -124,9 +135,10 @@ class TestEntryParity:
             _image.reach_step(ts.manager, schedule, init, -1)
 
     def test_one_kernel_call_per_iteration(self):
-        """Each iteration crosses into C once, plus one call per growth
-        restart and the table growth it asks for; the kernel's own call
-        counter agrees with a count of the calls into the library."""
+        """Each iteration crosses into C once (``bdd_run``), plus one call
+        per growth restart and the table growth it asks for; the kernel's
+        own call counter agrees with a count of the calls into the
+        library."""
 
         class CountingLib:
             def __init__(self, lib):
@@ -149,10 +161,10 @@ class TestEntryParity:
         while frontier != FALSE:
             before, lib.names[:], grows[:] = manager._calls[0], [], []
             frontier, reached = _image.reach_step(manager, schedule, frontier, reached)
-            assert lib.names.count("bdd_reach_step") == 1 + len(grows)
+            assert lib.names.count("bdd_run") == 1 + len(grows)
             assert lib.names[-1] == "bdd_walk_clear"
             assert set(lib.names) <= {
-                "bdd_reach_step", "bdd_grow_unique", "bdd_grow_table", "bdd_walk_clear"
+                "bdd_run", "bdd_grow_unique", "bdd_grow_table", "bdd_walk_clear"
             }
             assert manager._calls[0] - before == len(lib.names) - 1
             restarted += bool(grows)
