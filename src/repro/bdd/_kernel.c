@@ -1031,28 +1031,26 @@ int64_t bdd_grow_table(const bdd_state *st, int64_t t, int64_t new_mask) {
 
 /* -- Builder walks ---------------------------------------------------
  * Kernel versions of the Python node builders in repro.bdd.builders and
- * repro.bdd.compose.  Each makes its node, ``ite`` and AND/OR calls in
- * the order of the Python walk, with the public entries' short-circuits
- * and entry-time op-cache check before each, so both produce the same
- * nodes, the same caches and the same statistics.  On a growth request
- * the entry returns the code and the manager calls it again from the
- * top; what the walk finished lives on in its ``bdd_walk``, so the
- * restart re-runs only the operation that asked for the growth, exactly
- * as a growth restart of that single operation would. */
+ * repro.bdd.compose, run as bdd_run ops.  Each makes its node, ``ite``
+ * and AND/OR calls in the order of the Python walk, with the public
+ * entries' short-circuits and entry-time op-cache check before each, so
+ * both produce the same nodes, the same caches and the same statistics.
+ * On a growth request the walk returns the code and the manager calls
+ * bdd_run again; what the walk finished lives on in its ``bdd_walk``,
+ * so the restart re-runs only the operation that asked for the growth,
+ * exactly as a growth restart of that single operation would. */
 
-/* Scratch state of one builder entry, kept across its restarts (field
- * order as in repro.bdd.native._CDEF).  The manager owns one, all zero
- * between entries; bdd_walk_clear frees what an entry allocated and
- * zeroes it again. */
+/* Scratch state of one walk, loop or program run, kept across its
+ * restarts (field order as in repro.bdd.native._CDEF).  The manager
+ * owns one, all zero between entries; bdd_walk_clear frees what an
+ * entry allocated and zeroes it again. */
 typedef struct {
     int64_t *memo;     /* (node, result) pairs, open-addressed; node 0 = empty */
     int64_t memo_mask; /* slot count - 1; 0 while unallocated */
     int64_t memo_used;
     int64_t *table;    /* level -> substitution node / target variable */
     int64_t table_len;
-    int64_t *log;      /* transfer: log_len (source, target) pairs, in
-                          finishing order; isop: the cover records,
-                          log_len words */
+    int64_t *log;      /* isop: the cover records, log_len words */
     int64_t log_len;
     int64_t log_cap;
     int64_t step;      /* count_relation and the loops: the next iteration */
@@ -1146,32 +1144,14 @@ static int memo_put(bdd_walk *w, int64_t node, int64_t value) {
     return 1;
 }
 
-/* (Re)allocate the walk's level table with ``len`` entries, each its
- * own level (``identity``) or NO_ENTRY.  Returns 0 or BDD_NOMEM. */
-static int64_t table_init(bdd_walk *w, int64_t len, int identity) {
+/* (Re)allocate the walk's level table with ``len`` entries, each
+ * NO_ENTRY.  Returns 0 or BDD_NOMEM. */
+static int64_t table_init(bdd_walk *w, int64_t len) {
     free(w->table);
     w->table = malloc((size_t)(len > 0 ? len : 1) * sizeof(int64_t));
     w->table_len = len;
     if (!w->table) return BDD_NOMEM;
-    for (int64_t l = 0; l < len; l++)
-        w->table[l] = identity ? l : NO_ENTRY;
-    return 0;
-}
-
-/* Fill the walk's level table from ``n`` (key, value) pairs: entry l
- * holds the value of key l, or NO_ENTRY; keys outside 0..len-1 name no
- * level of the walked nodes and are dropped.  NULL keys map every level
- * to itself.  With ``nodes`` set the values are substitution nodes of
- * ``st`` and each must be one.  Returns 0, BDD_NOMEM or BDD_BAD_NODE. */
-int64_t bdd_walk_table(const bdd_state *st, bdd_walk *w, const int64_t *keys,
-                       const int64_t *vals, int64_t n, int64_t len,
-                       int64_t nodes) {
-    count_call(st);
-    if (table_init(w, len, keys == NULL)) return BDD_NOMEM;
-    for (int64_t i = 0; keys && i < n; i++) {
-        if (nodes && bad_node(st, vals[i])) return BDD_BAD_NODE;
-        if (keys[i] >= 0 && keys[i] < len) w->table[keys[i]] = vals[i];
-    }
+    for (int64_t l = 0; l < len; l++) w->table[l] = NO_ENTRY;
     return 0;
 }
 
@@ -1196,12 +1176,6 @@ static int64_t weight_functions(const bdd_state *st, const int64_t *vars,
         }
     }
     return 0;
-}
-
-int64_t bdd_weight_functions(const bdd_state *st, const int64_t *vars,
-                             int64_t n, int64_t m, int64_t *out) {
-    count_call(st);
-    return weight_functions(st, vars, n, m, out);
 }
 
 /* The encoding relation K(c, e) = OR_v w_v(c) & kappa_v(e) over the
@@ -1247,15 +1221,8 @@ static int64_t count_relation(const bdd_state *st, bdd_walk *w,
     return w->acc;
 }
 
-int64_t bdd_count_relation(const bdd_state *st, bdd_walk *w,
-                           const int64_t *weights, int64_t n,
-                           const int64_t *bits, int64_t nbits) {
-    count_call(st);
-    return count_relation(st, w, weights, n, bits, nbits);
-}
-
-/* Simultaneous substitution of the walk's level table (set by
- * bdd_walk_table with nodes) into ``f``.  Mirrors
+/* Simultaneous substitution of the walk's level table (set by the
+ * rename op or by param_replace) into ``f``.  Mirrors
  * compose._py_vector_compose: a post-order walk that finishes the lo
  * subtree, then the hi subtree, then takes the level's substitute (or
  * makes its literal node) and calls ite(selector, hi, lo).  Finished
@@ -1299,23 +1266,18 @@ static int64_t vector_compose(const bdd_state *st, bdd_walk *w, int64_t f) {
     return rc;
 }
 
-int64_t bdd_vector_compose(const bdd_state *st, bdd_walk *w, int64_t f) {
-    count_call(st);
-    return vector_compose(st, w, f);
-}
-
 /* Rebuild the ``nroots`` nodes ``roots`` of manager ``src`` inside
- * ``st``, replacing each root by its copy once all are done.  The walk's
- * level table maps source levels to target variables (``nvars`` are
- * declared).  Mirrors compose._py_transfer_multi: roots in order, each a
- * post-order walk that finishes the lo subtree, then the hi subtree,
- * then makes the target literal node and calls ite(literal, hi, lo).
- * With ``log`` set, every finished node is appended to the walk's log.
- * Returns 0 or a negative code; after BDD_BAD_VAR the walk's ``err``
- * names the source level the table lacks or maps outside 0..nvars-1. */
+ * ``st``; the copy of each root that is not a terminal is then in the
+ * walk's memo.  The walk's level table maps source levels to target
+ * variables (``nvars`` are declared).  Mirrors
+ * compose._py_transfer_multi: roots in order, each a post-order walk
+ * that finishes the lo subtree, then the hi subtree, then makes the
+ * target literal node and calls ite(literal, hi, lo).  Returns 0 or a
+ * negative code; after BDD_BAD_VAR the walk's ``err`` names the source
+ * level the table lacks or maps outside 0..nvars-1. */
 static int64_t transfer_walk(const bdd_state *src, const bdd_state *st,
-                             bdd_walk *w, int64_t *roots, int64_t nroots,
-                             int64_t nvars, int64_t log) {
+                             bdd_walk *w, const int64_t *roots,
+                             int64_t nroots, int64_t nvars) {
     for (int64_t i = 0; i < nroots; i++)
         if (bad_node(src, roots[i])) return BDD_BAD_NODE;
     const int64_t *level = src->level, *loa = src->lo, *hia = src->hi;
@@ -1350,46 +1312,23 @@ static int64_t transfer_walk(const bdd_state *src, const bdd_state *st,
             int64_t node = lit < 0 ? lit : ite_entry(st, lit, hi, lo);
             if (node < 0) { rc = node; break; }
             if (!memo_put(w, n, node)) { rc = BDD_NOMEM; break; }
-            if (log) {
-                if (w->log_len == w->log_cap) {
-                    int64_t cap = w->log_cap ? 2 * w->log_cap : MEMO_INIT;
-                    int64_t *grown =
-                        realloc(w->log, (size_t)(2 * cap) * sizeof(int64_t));
-                    if (!grown) { rc = BDD_NOMEM; break; }
-                    w->log = grown;
-                    w->log_cap = cap;
-                }
-                w->log[2 * w->log_len] = n;
-                w->log[2 * w->log_len + 1] = node;
-                w->log_len += 1;
-            }
         }
     }
     stacks_free(&s);
-    if (rc != 0) return rc;
-    for (int64_t i = 0; i < nroots; i++)
-        if (roots[i] > 1) roots[i] = memo_get(w, roots[i]);
-    return 0;
-}
-
-int64_t bdd_transfer(const bdd_state *src, const bdd_state *st, bdd_walk *w,
-                     int64_t *roots, int64_t nroots, int64_t nvars,
-                     int64_t log) {
-    count_call(st);
-    return transfer_walk(src, st, w, roots, nroots, nvars, log);
+    return rc;
 }
 
 /* -- Loop entries ------------------------------------------------------
  * The per-variable and per-model loops of the bi-decomposition step,
- * each as one entry: the parameterized quantifications and replacements
- * of repro.bidec.parameterize, Interval.reduce_support, count.iter_models
- * and manager.conjoin/disjoin over a sequence.  Each makes the calls of
- * its Python loop in the same order, with each public entry's
- * short-circuits, Python-side cache probe and entry-time op-cache check
- * before its core, so both make the same nodes with the same cache
- * traffic.  A loop keeps its position and the current iteration's
- * finished operations in its bdd_walk, so a growth restart re-runs only
- * the operation that asked for the growth. */
+ * each as one call: the parameterized quantifications and replacements
+ * of repro.bidec.parameterize (bdd_run ops), Interval.reduce_support,
+ * count.iter_models and manager.conjoin/disjoin over a sequence.  Each
+ * makes the calls of its Python loop in the same order, with each public
+ * entry's short-circuits, Python-side cache probe and entry-time
+ * op-cache check before its core, so both make the same nodes with the
+ * same cache traffic.  A loop keeps its position and the current
+ * iteration's finished operations in its bdd_walk, so a growth restart
+ * re-runs only the operation that asked for the growth. */
 
 /* quantify.exists (T_EX) / forall (T_FA) on the interned cube ``cid``
  * (the sorted levels ``cube``, the deepest ``max_level``) as a whole:
@@ -1455,18 +1394,11 @@ static int64_t param_quantify(const bdd_state *st, bdd_walk *w, int64_t op,
     return w->acc;
 }
 
-int64_t bdd_param_quantify(const bdd_state *st, bdd_walk *w, int64_t op,
-                           int64_t f, const int64_t *xs, const int64_t *cids,
-                           const int64_t *cs, int64_t n, int64_t budget) {
-    count_call(st);
-    return param_quantify(st, w, op, f, xs, cids, cs, n, budget);
-}
-
 /* parameterized_replace (c2s NULL) / parameterized_replace_pair: for
  * each i from the walk's step, the literals of c_i (or of c1_i and
  * c2_i, then their AND), x_i and y_i, then ite(c, x_i, y_i), written
  * straight into the walk's level table (``len`` levels) at x_i; then
- * the bdd_vector_compose walk of f over that table.  The walk keeps the
+ * the vector_compose walk of f over that table.  The walk keeps the
  * finished AND (part[0]), and vector_compose its memo.  Returns the
  * result or a negative code. */
 static int64_t param_replace(const bdd_state *st, bdd_walk *w, int64_t f,
@@ -1475,7 +1407,7 @@ static int64_t param_replace(const bdd_state *st, bdd_walk *w, int64_t f,
                              int64_t len) {
     if (bad_node(st, f)) return BDD_BAD_NODE;
     if (!w->started) {
-        if (table_init(w, len, 0)) return BDD_NOMEM;
+        if (table_init(w, len)) return BDD_NOMEM;
         w->started = 1;
     }
     for (; w->step < n; w->step++) {
@@ -1502,14 +1434,6 @@ static int64_t param_replace(const bdd_state *st, bdd_walk *w, int64_t f,
         w->part[0] = 0;
     }
     return vector_compose(st, w, f);
-}
-
-int64_t bdd_param_replace(const bdd_state *st, bdd_walk *w, int64_t f,
-                          const int64_t *xs, const int64_t *ys,
-                          const int64_t *c1s, const int64_t *c2s, int64_t n,
-                          int64_t len) {
-    count_call(st);
-    return param_replace(st, w, f, xs, ys, c1s, c2s, n, len);
 }
 
 /* Interval.reduce_support over the sorted support ``vars`` and their
@@ -1879,10 +1803,13 @@ int64_t bdd_isop(const bdd_state *st, bdd_walk *w, int64_t lower,
  * minimised OR/AND extraction and one fixpoint iteration of forward
  * reachability — are step programs: fixed chains of the operations
  * above, declared once in Python (repro.bdd.program) and run here by
- * bdd_run, one call per run plus the growth restarts.  The Python
- * interpreter there runs the same steps through the public functions,
- * which land in the same static bodies below, so both make the same
- * nodes with the same cache traffic.
+ * bdd_run, one call per run plus the growth restarts.  A public
+ * function whose body is one op — the parameterized quantifications and
+ * replacements, vector_compose, transfer_multi, the weight table and
+ * K(c, e) — runs as a one-step program.  The Python interpreter there
+ * runs the same steps through the public functions, which land in the
+ * same static bodies below, so both make the same nodes with the same
+ * cache traffic.
  *
  * A step is STEP_WORDS words: the op, the destination register and up
  * to five operands.  An operand is a register of ``regs`` (a node of
@@ -1911,7 +1838,7 @@ enum {
     OP_NOT, OP_AND, OP_OR, OP_XOR, OP_EXISTS, OP_FORALL, OP_AND_EXISTS,
     OP_PARAM_FORALL, OP_REPLACE, OP_REPLACE_PAIR, OP_TRANSFER, OP_WEIGHTS,
     OP_KREL, OP_CONJOIN, OP_DISJOIN, OP_RENAME, OP_ISOP, OP_LEQ, OP_FORCE,
-    OP_PAIRS, N_OPS
+    OP_PAIRS, OP_PARAM_EXISTS, N_OPS
 };
 
 /* Per op, the operands (bit k: operand k) that are nodes of ``st`` and
@@ -1992,11 +1919,12 @@ static int64_t run_step(const bdd_state *src, const bdd_state *st,
         r = v[0] ? and_exists_entry(st, regs[a], regs[b], v[1], v + 3, v[0], v[2])
                  : apply_entry(st, T_AND, regs[a], regs[b]);
         break;
-    case OP_PARAM_FORALL: /* f, CUBES of x, VARS c, budget register */
+    case OP_PARAM_FORALL:
+    case OP_PARAM_EXISTS: /* f, CUBES of x, VARS c, budget register */
         x = vecs + vecs[b];
         v = vecs + vecs[c];
-        r = param_quantify(st, w, 1, regs[a], x + 1, x + 1 + x[0], v + 1,
-                           x[0], regs[s[5]]);
+        r = param_quantify(st, w, op == OP_PARAM_FORALL, regs[a], x + 1,
+                           x + 1 + x[0], v + 1, x[0], regs[s[5]]);
         if (r < 0) return r;
         regs[dst] = r;
         regs[dst + 1] = w->step; /* the first decision variable skipped */
@@ -2012,25 +1940,24 @@ static int64_t run_step(const bdd_state *src, const bdd_state *st,
                                  x[0], nvars)
                  : regs[a];
         break;
-    case OP_TRANSFER: { /* roots a, a + 1 of src; VARS source, target */
-        x = vecs + vecs[b];
-        y = vecs + vecs[c];
+    case OP_TRANSFER: /* roots a..a + b - 1 of src; VARS source, target */
+        x = vecs + vecs[c];
+        y = vecs + vecs[s[5]];
         if (!w->started) {
             int64_t len = 0;
             for (int64_t i = 1; i <= x[0]; i++)
                 if (x[i] >= len) len = x[i] + 1;
-            if (table_init(w, len, 0)) return BDD_NOMEM;
+            if (table_init(w, len)) return BDD_NOMEM;
             for (int64_t i = 1; i <= x[0]; i++)
                 if (x[i] >= 0) w->table[x[i]] = y[i];
             w->started = 1;
         }
-        int64_t roots[2] = {regs[a], regs[a + 1]};
-        r = transfer_walk(src, st, w, roots, 2, nvars, 0);
+        r = transfer_walk(src, st, w, regs + a, b, nvars);
         if (r) return r;
-        regs[dst] = roots[0];
-        regs[dst + 1] = roots[1];
+        memmove(regs + dst, regs + a, (size_t)b * sizeof(int64_t));
+        for (int64_t i = dst; i < dst + b; i++)
+            if (regs[i] > 1) regs[i] = memo_get(w, regs[i]);
         return 0;
-    }
     case OP_WEIGHTS: /* VARS ascending, n: n + 1 registers */
         v = vecs + vecs[a];
         return weight_functions(st, v + 1, v[0], b, regs + dst);
@@ -2050,7 +1977,7 @@ static int64_t run_step(const bdd_state *src, const bdd_state *st,
             break;
         }
         if (!w->started) {
-            if (table_init(w, nvars, 0)) return BDD_NOMEM;
+            if (table_init(w, nvars)) return BDD_NOMEM;
             for (int64_t i = 1; i <= x[0]; i++) {
                 if (bad_node(st, y[i])) return BDD_BAD_NODE;
                 if (x[i] >= 0 && x[i] < nvars) w->table[x[i]] = y[i];

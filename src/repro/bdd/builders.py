@@ -7,8 +7,9 @@ the encoding relation ``K(c, e)`` between decision assignments and binary
 counters, and the ``gte``/``equ`` comparators used by dominance pruning.
 
 On a native manager :func:`weight_functions` and
-:func:`count_relation_from` run as kernel walks that make their nodes in
-the order of the Python walks below (``_py_weight_functions``,
+:func:`count_relation_from` run as the one-step ``weights`` and ``krel``
+programs of :mod:`repro.bdd.program`, whose kernel walks make their
+nodes in the order of the Python walks below (``_py_weight_functions``,
 ``_py_count_relation_from``), which stay as the pure-Python fallback and
 the parity reference.  Both kernels read the variable lists only after
 :func:`_check_vars` has accepted them.
@@ -16,9 +17,12 @@ the parity reference.  Both kernels read the variable lists only after
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
+from repro.bdd import program as _program
 from repro.bdd.manager import BDDManager, FALSE, TRUE, _bad_node
+from repro.bdd.program import Program
 
 
 def _check_vars(
@@ -71,11 +75,14 @@ def weight_functions(
     ordered = sorted(variables)
     if manager._st is None or max_weight < 0:
         return _py_weight_functions(manager, ordered[::-1], max_weight)
-    out = manager._ffi.new("int64_t[]", max_weight + 1)
-    manager._native_walk(
-        manager._lib.bdd_weight_functions, manager._st, ordered, n, max_weight, out
-    )
-    return manager._ffi.unpack(out, max_weight + 1)
+    return _program.run(manager, _weights(max_weight), (), (ordered,))[1]
+
+
+@lru_cache(maxsize=256)
+def _weights(max_weight: int) -> Program:
+    """The weight table ``w_0 … w_max_weight`` over the ascending
+    variables of slot 0, into registers ``0 … max_weight``."""
+    return Program((("weights", 0, 0, max_weight),), max_weight + 1)
 
 
 def _py_weight_functions(
@@ -134,19 +141,14 @@ def count_relation_from(
     _check_vars(manager, bits, "counter bits")
     if manager._st is None:
         return _py_count_relation_from(manager, weights, bits)
-    walk = manager._walk
-    try:
-        return manager._native_walk(
-            manager._lib.bdd_count_relation,
-            manager._st,
-            walk,
-            list(weights),
-            len(weights),
-            list(bits),
-            len(bits),
-        )
-    finally:
-        manager._lib.bdd_walk_clear(walk)
+    return _program.run(manager, _krel(len(weights)), weights, (bits,))[1][-1]
+
+
+@lru_cache(maxsize=256)
+def _krel(count: int) -> Program:
+    """``K(c, e)`` over the ``count`` weights in registers ``0 … count -
+    1`` and the counter bits of slot 0, into register ``count``."""
+    return Program((("krel", count, 0, count, 0),), count + 1, range(count))
 
 
 def _py_count_relation_from(

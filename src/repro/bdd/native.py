@@ -4,22 +4,22 @@ The native kernel is one shared object compiled from two C sources:
 
 * ``_kernel.c`` (next to this module) — the BDD manager's hot operator
   cores (`ite`, AND/OR/XOR, negate), quantification cores
-  (exists/forall/and_exists), table growth and reset, the builder
-  walks behind ``weight_functions``, ``count_relation_from``,
-  ``vector_compose`` and ``transfer_multi``, the loop entries behind
-  the parameterized quantifications and replacements,
-  ``Interval.reduce_support``, ``iter_models`` and ``conjoin``/
-  ``disjoin``, the ISOP walk behind ``logic.sop.isop``, and
-  ``bdd_run``, the interpreter of the step programs of
-  :mod:`repro.bdd.program` (the partition-space bodies and analyses,
-  the OR/AND extraction and the reachability step), whose ops call
-  those same bodies.  They work directly on the manager's flat
-  ``array('q')`` buffers, reached through one ``bdd_state`` struct of
-  buffer pointers per manager, which also points at the manager's
-  kernel call counter; a walk, loop or program run keeps what must
-  survive its growth restarts in a ``bdd_walk`` — a program run its
-  program counter too, the ISOP walk its open frames and its cover's
-  cubes.
+  (exists/forall/and_exists), table growth and reset, the loop
+  entries behind ``Interval.reduce_support``, ``iter_models`` and
+  ``conjoin``/``disjoin``, the ISOP walk behind ``logic.sop.isop``,
+  and ``bdd_run``, the interpreter of the step programs of
+  :mod:`repro.bdd.program`.  Its ops run the flow's composite chains
+  (the partition-space bodies and analyses, the OR/AND extraction and
+  the reachability step) and, as one-step programs, the builder walks
+  and loops behind ``weight_functions``, ``count_relation_from``,
+  ``vector_compose``, ``transfer_multi`` and the parameterized
+  quantifications and replacements.  They work directly on the
+  manager's flat ``array('q')`` buffers, reached through one
+  ``bdd_state`` struct of buffer pointers per manager, which also
+  points at the manager's kernel call counter; a walk, loop or program
+  run keeps what must survive its growth restarts in a ``bdd_walk`` — a
+  program run its program counter too, the ISOP walk its open frames
+  and its cover's cubes.
 * ``repro/sat/_solver.c`` — the CDCL core behind
   :class:`repro.sat.solver.Solver`.  It owns its state (one
   ``sat_solver`` per solver, freed through ``ffi.gc``), because a solve
@@ -110,23 +110,6 @@ typedef struct {
     int64_t cubes_len, cubes_cap;
 } bdd_walk;
 void bdd_walk_clear(bdd_walk *w);
-int64_t bdd_walk_table(const bdd_state *st, bdd_walk *w,
-    const int64_t *keys, const int64_t *vals, int64_t n, int64_t len,
-    int64_t nodes);
-int64_t bdd_weight_functions(const bdd_state *st, const int64_t *vars,
-    int64_t n, int64_t m, int64_t *out);
-int64_t bdd_count_relation(const bdd_state *st, bdd_walk *w,
-    const int64_t *weights, int64_t n, const int64_t *bits, int64_t nbits);
-int64_t bdd_vector_compose(const bdd_state *st, bdd_walk *w, int64_t f);
-int64_t bdd_transfer(const bdd_state *src, const bdd_state *st,
-    bdd_walk *w, int64_t *roots, int64_t nroots, int64_t nvars,
-    int64_t log);
-int64_t bdd_param_quantify(const bdd_state *st, bdd_walk *w, int64_t op,
-    int64_t f, const int64_t *xs, const int64_t *cids, const int64_t *cs,
-    int64_t n, int64_t budget);
-int64_t bdd_param_replace(const bdd_state *st, bdd_walk *w, int64_t f,
-    const int64_t *xs, const int64_t *ys, const int64_t *c1s,
-    const int64_t *c2s, int64_t n, int64_t len);
 int64_t bdd_reduce_support(const bdd_state *st, bdd_walk *w,
     int64_t lower, int64_t upper, const int64_t *vars, const int64_t *cids,
     int64_t n, int64_t *dropped);

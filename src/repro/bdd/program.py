@@ -20,12 +20,12 @@ op                        dst   operands
 ``exists`` ``forall``     1     f, slot (one interned cube of its variables)
 ``and_exists``            1     f, g, slot (a cube; an empty one is an AND)
 ``param_forall``          3     f, slot x, slot c, budget register:
-                                ``U``, the index of the first decision
+``param_exists``                ``U``, the index of the first decision
                                 variable the budget skipped, the node count
 ``replace``               1     f, slots x, y, c
 ``replace_pair``          1     f, slots x, y, c1, c2
-``transfer``              2     the roots' two registers (in the run's
-                                source manager), slots source, target vars
+``transfer``              n     first of n root registers (in the run's
+                                source manager), n, slots source, target vars
 ``weights``               n+1   slot c (ascending), n: ``w_0 … w_n``
 ``krel``                  1     first of n weight registers, n, slot bits
 ``conjoin`` ``disjoin``   1     first of n registers, n
@@ -54,27 +54,28 @@ once).  On pure-Python managers (``REPRO_NATIVE=0``)
 which on a native manager land in the same static kernel bodies — so
 the two interpreters make the same nodes with the same cache traffic by
 construction, and the Python one is the parity reference.
+
+A public function whose body is one op — the parameterized ∀/∃ and
+replacements, ``vector_compose``, ``transfer_multi``, the weight table
+and ``K(c, e)`` — runs on native managers as a one-step program declared
+next to it; this module imports none of them at load, so each may
+import it.
 """
 
 from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.bdd import builders as _builders
-from repro.bdd import count as _count
-from repro.bdd import quantify as _quantify
-from repro.bdd.compose import bad_var, transfer_multi, vector_compose
 from repro.bdd.manager import BDDManager, _BAD_VAR
 
 #: Words per step in the kernel's encoding: the op, the destination and
 #: up to five operands (keep in sync with ``_kernel.c``).
 STEP_WORDS = 7
 
-# Operand kinds: ``r`` one register read, ``R`` two consecutive ones,
-# ``B`` the next operand's count of consecutive ones, ``k`` an
-# immediate count, and a vector slot read as its values (``v``), as one
-# interned cube of them (``c``) or as their one-variable cubes (``C``).
-_REGISTERS = {"r": 1, "R": 2}
+# Operand kinds: ``r`` one register read, ``B`` the next operand's count
+# of consecutive ones, ``k`` an immediate count, and a vector slot read
+# as its values (``v``), as one interned cube of them (``c``) or as
+# their one-variable cubes (``C``).
 _VIEWS = "vcC"
 
 #: op -> (kernel op code, destination width, operand kinds).  A width
@@ -88,9 +89,10 @@ _OPS: dict[str, tuple[int, Any, str]] = {
     "forall": (5, 1, "rc"),
     "and_exists": (6, 1, "rrc"),
     "param_forall": (7, 3, "rCvr"),
+    "param_exists": (20, 3, "rCvr"),
     "replace": (8, 1, "rvvv"),
     "replace_pair": (9, 1, "rvvvv"),
-    "transfer": (10, 2, "Rvv"),
+    "transfer": (10, lambda args: args[1], "Bkvv"),
     "weights": (11, lambda args: args[1] + 1, "vk"),
     "krel": (12, 1, "Bkv"),
     "conjoin": (13, 1, "Bk"),
@@ -142,7 +144,7 @@ class Program:
                     words.append(self.views.index((arg, kind)))
                     continue
                 if kind != "k":
-                    count = args[position + 1] if kind == "B" else _REGISTERS[kind]
+                    count = args[position + 1] if kind == "B" else 1
                     unset = [reg for reg in range(arg, arg + count) if reg not in written]
                     if unset:
                         raise ValueError(
@@ -238,8 +240,8 @@ def _native_run(
             manager.num_vars,
         )
         if ok == _BAD_VAR:
-            _, _, _, sources, targets = program.steps[walk.stage]
-            raise bad_var(walk.err, dict(zip(vectors[sources], vectors[targets])))
+            *_, sources, targets = program.steps[walk.stage]
+            raise _bad_var(walk.err, dict(zip(vectors[sources], vectors[targets])))
     finally:
         lib.bdd_walk_clear(walk)
     if program.pairs is None:
@@ -247,6 +249,15 @@ def _native_run(
     # A pairs block that ends the register file is read up to its count.
     count = program.pairs + 1 + 2 * data[program.pairs]
     return ok, ffi.unpack(data, count) + [0] * (nregs - count)
+
+
+def _bad_var(level: int, var_map: dict[int, int]) -> Exception:
+    """The error of a transfer step that stopped at source ``level``:
+    ``KeyError`` when ``var_map`` lacks the level, else ``ValueError``
+    for the undeclared target variable it maps to."""
+    if level not in var_map:
+        return KeyError(level)
+    return ValueError(f"variable {var_map[level]} not declared")
 
 
 def pack(
@@ -283,14 +294,27 @@ def _py_run(
     prepared: Any = None,
 ) -> tuple[int, list[int]]:
     """:func:`run` step by step through the public functions, on either
-    kernel: the ``REPRO_NATIVE=0`` path and the parity reference."""
+    kernel: the ``REPRO_NATIVE=0`` path and the parity reference.  The
+    cubes of the views are interned first, in the order :func:`pack`
+    interns them, so a run that raises part way leaves the same cube
+    table as the kernel's."""
+    from repro.bdd import builders as _builders
+    from repro.bdd import count as _count
+    from repro.bdd import quantify as _quantify
+    from repro.bdd.compose import transfer_multi, vector_compose
     from repro.bidec import parameterize as _param
     from repro.logic.sop import _isop
 
+    m = manager
+    for slot, kind in program.views:
+        if kind == "c":
+            m.intern_cube(vectors[slot])
+        elif kind == "C":
+            for var in vectors[slot]:
+                m.intern_cube((var,))
     regs = [0] * program.nregs
     for reg, value in zip(program.inputs, inputs):
         regs[reg] = value
-    m = manager
     for op, dst, *args in program.steps:
         a = args[0]
         if op == "not":
@@ -301,10 +325,11 @@ def _py_run(
             regs[dst] = getattr(_quantify, op)(m, regs[a], vectors[args[1]])
         elif op == "and_exists":
             regs[dst] = _quantify.and_exists(m, regs[a], regs[args[1]], vectors[args[2]])
-        elif op == "param_forall":
+        elif op in ("param_forall", "param_exists"):
             xs, cs = vectors[args[1]], vectors[args[2]]
+            quantifier = _param._FORALL if op == "param_forall" else _param._EXISTS
             u, skipped = _param._parameterized_quantify(
-                m, _param._FORALL, regs[a], xs, cs, regs[args[3]]
+                m, quantifier, regs[a], xs, cs, regs[args[3]]
             )
             regs[dst : dst + 3] = u, len(cs) - len(skipped), m.num_nodes
         elif op == "replace":
@@ -314,9 +339,9 @@ def _py_run(
             xs, ys, c1s, c2s = (vectors[slot] for slot in args[1:])
             regs[dst] = _param.parameterized_replace_pair(m, regs[a], xs, ys, c1s, c2s)
         elif op == "transfer":
-            var_map = dict(zip(vectors[args[1]], vectors[args[2]]))
-            roots = [regs[a], regs[a + 1]]
-            regs[dst : dst + 2] = transfer_multi(source, roots, m, var_map)
+            var_map = dict(zip(vectors[args[2]], vectors[args[3]]))
+            roots = regs[a : a + args[1]]
+            regs[dst : dst + args[1]] = transfer_multi(source, roots, m, var_map)
         elif op == "weights":
             regs[dst : dst + args[1] + 1] = _builders.weight_functions(
                 m, vectors[a], args[1]

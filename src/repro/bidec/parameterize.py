@@ -5,9 +5,10 @@ Quantification decisions are encoded with auxiliary decision variables
 abstracted" per the value of its ``c`` variable, so a *single* BDD encodes
 the effect of abstracting *every* variable subset at once.
 
-On a native manager each loop below runs as one kernel entry
-(``bdd_param_quantify``, ``bdd_param_replace``) that makes the calls of
-the Python loop (``_py_parameterized_quantify``,
+On a native manager each loop below runs as a one-step program of
+:mod:`repro.bdd.program` (``param_exists``, ``param_forall``,
+``replace``, ``replace_pair``) whose kernel loop makes the calls of the
+Python loop (``_py_parameterized_quantify``,
 ``_py_parameterized_replace``) in the same order, so both kernels make
 the same nodes; the Python loops stay as the pure-Python fallback and the
 parity reference.  Both read the variable lists only after
@@ -19,15 +20,31 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro import obs as _obs
+from repro.bdd import program as _program
 from repro.bdd import quantify as _quantify
 from repro.bdd.builders import _check_vars
 from repro.bdd.compose import vector_compose
 from repro.bdd.manager import BDDManager, _bad_node
+from repro.bdd.program import Program
 
 _EXISTS, _FORALL = 0, 1
 
 #: The kernel's "no node budget": no node count exceeds it.
 _NO_BUDGET = (1 << 63) - 1
+
+#: Per quantifier, ``f`` (register 0) parameterized over the xs and cs
+#: of slots 0 and 1 under the budget in register 1: ``U``, the index of
+#: the first decision variable the budget skipped and the node count
+#: then (registers 2-4).
+_QUANTIFY = {
+    _EXISTS: Program((("param_exists", 2, 0, 0, 1, 1),), 5, (0, 1)),
+    _FORALL: Program((("param_forall", 2, 0, 0, 1, 1),), 5, (0, 1)),
+}
+
+#: ``f`` (register 0) with the xs of slot 0 replaced under the ys and cs
+#: of the next slots, into register 1.
+_REPLACE = Program((("replace", 1, 0, 0, 1, 2),), 2, (0,))
+_REPLACE_PAIR = Program((("replace_pair", 1, 0, 0, 1, 2, 3),), 2, (0,))
 
 
 def parameterized_forall(
@@ -129,27 +146,10 @@ def _parameterized_quantify(
     _check_loop(manager, f, x_vars, c_vars)
     if manager._st is None:
         return _py_parameterized_quantify(manager, op, f, x_vars, c_vars, node_budget)
-    # Interned in the Python loop's order: the cube ids key the quantify
-    # caches.
-    cubes = [manager.intern_cube((x,)) for x in x_vars]
-    lib = manager._lib
-    walk = manager._walk
-    try:
-        result = manager._native_walk(
-            lib.bdd_param_quantify,
-            manager._st,
-            walk,
-            op,
-            f,
-            list(x_vars),
-            [cube.cube_id for cube in cubes],
-            list(c_vars),
-            len(x_vars),
-            kernel_budget(node_budget),
-        )
-        return result, list(c_vars[walk.step :])
-    finally:
-        lib.bdd_walk_clear(walk)
+    _, regs = _program.run(
+        manager, _QUANTIFY[op], (f, kernel_budget(node_budget)), (x_vars, c_vars)
+    )
+    return regs[2], list(c_vars[regs[3] :])
 
 
 def _py_parameterized_quantify(
@@ -225,24 +225,11 @@ def _parameterized_replace(
         return f
     if manager._st is None:
         return _py_parameterized_replace(manager, f, x_vars, y_vars, c1_vars, c2_vars)
-    ffi = manager._ffi
-    lib = manager._lib
-    walk = manager._walk
-    try:
-        return manager._native_walk(
-            lib.bdd_param_replace,
-            manager._st,
-            walk,
-            f,
-            list(x_vars),
-            list(y_vars),
-            list(c1_vars),
-            ffi.NULL if c2_vars is None else list(c2_vars),
-            len(x_vars),
-            manager.num_vars,
-        )
-    finally:
-        lib.bdd_walk_clear(walk)
+    if c2_vars is None:
+        program, vectors = _REPLACE, (x_vars, y_vars, c1_vars)
+    else:
+        program, vectors = _REPLACE_PAIR, (x_vars, y_vars, c1_vars, c2_vars)
+    return _program.run(manager, program, (f,), vectors)[1][1]
 
 
 def _py_parameterized_replace(

@@ -446,7 +446,7 @@ def or_partition_space(
 #: in (16).
 _OR_BODY = Program(
     (
-        ("transfer", 3, 0, 0, 1),
+        ("transfer", 3, 0, 2, 0, 1),
         ("param_forall", 5, 4, 1, 2, 2),
         ("param_forall", 8, 4, 1, 3, 2),
         ("not", 11, 3),
@@ -564,7 +564,7 @@ def xor_partition_space(
 #: (17); then ``∀(x ∪ y)`` (18).
 _XOR_BODY = Program(
     (
-        ("transfer", 2, 0, 0, 1),
+        ("transfer", 2, 0, 2, 0, 1),
         ("replace", 4, 2, 1, 2, 4),
         ("replace", 5, 3, 1, 2, 4),
         ("xor", 6, 2, 4),

@@ -154,7 +154,8 @@ class ConeCollapser:
 
         The variable order and names are preserved exactly, so rebuilt
         functions are semantically identical; only node *handles* change.
-        Returns the old-node -> new-node map so holders of outstanding
+        Returns the old-node -> new-node map of the roots (the cached
+        signal functions and ``extra_roots``) so holders of outstanding
         handles (share tables, context caches) can remap themselves.
         This is the safe-point shrink the engine's ``--auto-reorder``
         hook applies to the long-lived collapser manager — order-neutral
@@ -173,8 +174,7 @@ class ConeCollapser:
             target.new_var(name)
         roots = list(self._cache.values())
         roots.extend(extra_roots)
-        node_map: dict[int, int] = {}
-        transfer_multi(old, roots, target, node_map=node_map)
+        node_map = dict(zip(roots, transfer_multi(old, roots, target)))
         self._cache = {
             signal: node_map[node] for signal, node in self._cache.items()
         }

@@ -26,6 +26,15 @@ from repro.reach.traversal import forward_reachable
 from repro.synth import SynthesisOptions, algorithm1
 
 
+def _table(manager, node, support):
+    """``node``'s values under the first 1024 assignments to the
+    variables ``support``."""
+    return [
+        manager.evaluate(node, {v: bool(bits >> i & 1) for i, v in enumerate(support)})
+        for bits in range(1 << min(len(support), 10))
+    ]
+
+
 class TestGrowthTrigger:
     def test_due_after_threshold_growth(self):
         m = BDDManager(8, auto_reorder_threshold=50)
@@ -83,38 +92,57 @@ class TestReorderSemantics:
     @settings(deadline=None)
     @given(circuits(max_latches=6, max_outputs=3))
     def test_collapser_compact_preserves_functions(self, network):
+        """Compaction maps every cached signal function and every extra
+        root to a node of the new manager with the same truth table."""
         collapser = ConeCollapser(network)
         sinks = list(network.combinational_sinks())[:4]
         before = {s: collapser.node_function(s) for s in sinks}
         manager = collapser.manager
-        support = {
-            s: sorted(_count.support(manager, before[s]))
-            for s in sinks
-        }
-        tables = {
-            s: [
-                manager.evaluate(
-                    before[s],
-                    {v: bool(bits >> i & 1) for i, v in enumerate(support[s])},
-                )
-                for bits in range(1 << min(len(support[s]), 10))
-            ]
-            for s in sinks
-        }
-        node_map = collapser.compact()
+        extra = [TRUE] + [
+            manager.apply_xor(before[a], manager.negate(before[b]))
+            for a, b in zip(sinks, sinks[1:])
+        ]
+        roots = [*collapser._cache.values(), *extra]
+        support = {node: sorted(_count.support(manager, node)) for node in roots}
+        tables = {node: _table(manager, node, support[node]) for node in roots}
+        node_map = collapser.compact(extra_roots=extra)
         new_manager = collapser.manager
         assert new_manager is not manager
+        assert set(node_map) == set(roots)
         for s in sinks:
-            moved = node_map[before[s]]
-            assert moved == collapser.node_function(s)
-            redone = [
-                new_manager.evaluate(
-                    moved,
-                    {v: bool(bits >> i & 1) for i, v in enumerate(support[s])},
-                )
-                for bits in range(1 << min(len(support[s]), 10))
-            ]
-            assert redone == tables[s]
+            assert node_map[before[s]] == collapser.node_function(s)
+        for node in roots:
+            assert _table(new_manager, node_map[node], support[node]) == tables[node]
+
+    def test_maybe_compact_bdds_remaps_share_table(self):
+        """The engine's safe-point compaction, due at once under a
+        threshold of one node, moves the share table into the new
+        manager, each signal on a node with its old truth table."""
+        from repro.engine.context import SynthesisContext
+
+        context = SynthesisContext(
+            small_circuit(4), SynthesisOptions(auto_reorder=True, reorder_threshold=1)
+        )
+        collapser = context.ensure_collapser()
+        manager = collapser.manager
+        for sink in context.source.combinational_sinks():
+            f = collapser.node_function(sink)
+            context.share_table[f] = sink
+            context.share_table[manager.negate(f)] = "~" + sink
+        support = {
+            signal: sorted(_count.support(manager, node))
+            for node, signal in context.share_table.items()
+        }
+        tables = {
+            signal: _table(manager, node, support[signal])
+            for node, signal in context.share_table.items()
+        }
+        assert context.maybe_compact_bdds()
+        new_manager = collapser.manager
+        assert new_manager is not manager and not new_manager.reorder_due()
+        assert sorted(context.share_table.values()) == sorted(tables)
+        for node, signal in context.share_table.items():
+            assert _table(new_manager, node, support[signal]) == tables[signal]
 
     @settings(deadline=None)
     @given(

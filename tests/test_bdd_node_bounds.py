@@ -52,9 +52,6 @@ OPERATIONS = {
     "compose_root": lambda m, a, b, x: vector_compose(m, x, {0: b}),
     "compose_substitute": lambda m, a, b, x: vector_compose(m, a, {0: x}),
     "transfer_root": lambda m, a, b, x: transfer_multi(m, [a, x], BDDManager(3)),
-    "transfer_node_map": lambda m, a, b, x: transfer_multi(
-        m, [a], BDDManager(3), node_map={a: x}
-    ),
     "count_relation_weight": lambda m, a, b, x: count_relation_from(
         m, [a, x], [2]
     ),

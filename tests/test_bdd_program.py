@@ -4,7 +4,8 @@ and the traffic of a whole flow.
 A program is checked once, when it is declared, so a malformed one
 raises before either interpreter makes a node; the kernel's interpreter
 also rejects an op code it does not know with an error code.  On a
-native manager every run of each of the flow's programs crosses into C
+native manager every run of each of the flow's programs, and each call
+of a public function that runs as a one-step program, crosses into C
 once (``bdd_run``), plus one call per growth restart and per table
 growth the kernel runs, and the manager's own call counter agrees.  Last,
 one ``algorithm1`` run pins the node and kernel-call traffic the programs
@@ -16,11 +17,14 @@ import random
 import pytest
 
 from repro import obs
+from repro.bdd import builders
 from repro.bdd import native as _native
 from repro.bdd import program as _program
-from repro.bdd.manager import _BAD_OP, BDDManager, FALSE
+from repro.bdd.compose import transfer_multi, vector_compose
+from repro.bdd.manager import _BAD_OP, BDDManager, FALSE, TRUE
 from repro.bdd.program import STEP_WORDS, Program
 from repro.benchgen import iscas_analog
+from repro.bidec import parameterize
 from repro.bidec import symbolic as _symbolic
 from repro.intervals import Interval
 from repro.reach import TransitionSystem
@@ -49,7 +53,7 @@ class TestValidation:
             ((("not", 1, 0), ("and", 2, 1, 3)), 4, "reads register 3 before"),
             ((("conjoin", 2, 0, 2),), 3, "reads register 1 before"),
             ((("not", 2, 0),), 2, "writes outside the 2 registers"),
-            ((("transfer", 1, 0, 0, 1),), 2, "reads register 1 before"),
+            ((("transfer", 1, 0, 2, 0, 1),), 2, "reads register 1 before"),
             ((("weights", 1, 0, 2),), 3, "writes outside the 3 registers"),
             ((("leq", 1, 0, 0),), 2, "leq has no destination"),
             ((("not", -1, 0),), 2, "writes outside"),
@@ -173,6 +177,83 @@ class TestOneCallPerRun:
         assert restarted
 
 
+def _random_functions(m, seed, count):
+    """``count`` random sums of four-literal cubes over all of ``m``'s
+    variables."""
+    rng = random.Random(seed)
+    variables = range(m.num_vars)
+    return [
+        m.disjoin([m.cube({v: rng.random() < 0.5 for v in rng.sample(variables, 4)}) for _ in range(8)])
+        for _ in range(count)
+    ]
+
+
+#: Each public function that runs as a one-step program, on a native
+#: manager over 16 variables, three random functions ``fs`` of it and
+#: the weight table ``ws`` of variables 0-11.
+ONE_STEP = {
+    "param_forall": lambda m, fs, ws: parameterize.parameterized_forall(
+        m, fs[0], range(8), range(8, 16)
+    ),
+    "param_forall_budget": lambda m, fs, ws: parameterize.parameterized_forall(
+        m, fs[0], range(8), range(8, 16), m.num_nodes + 40
+    ),
+    "param_exists": lambda m, fs, ws: parameterize.parameterized_exists(
+        m, fs[1], range(0, 16, 2), range(1, 16, 2)
+    ),
+    "param_replace": lambda m, fs, ws: parameterize.parameterized_replace(
+        m, fs[0], range(5), range(5, 10), range(10, 15)
+    ),
+    "param_replace_pair": lambda m, fs, ws: parameterize.parameterized_replace_pair(
+        m, fs[1], range(4), range(4, 8), range(8, 12), range(12, 16)
+    ),
+    "vector_compose": lambda m, fs, ws: vector_compose(
+        m, fs[0], {0: fs[1], 5: fs[2], 9: TRUE, 11: m.var(3)}
+    ),
+    "weight_functions": lambda m, fs, ws: builders.weight_functions(m, range(1, 16, 2)),
+    "count_relation_from": lambda m, fs, ws: builders.count_relation_from(
+        m, ws, range(12, 16)
+    ),
+}
+
+
+@native_only
+class TestOneCallPerPublicFunction:
+    """Each public function whose body is one op crosses into C once,
+    as a one-step program, plus its restarts."""
+
+    @pytest.mark.parametrize("name", sorted(ONE_STEP))
+    def test_one_call(self, name):
+        m = BDDManager(16, native=True)
+        functions = _random_functions(m, 31, 3)
+        weights = builders.weight_functions(m, range(12))
+        result, restarts = _one_call(m, lambda: ONE_STEP[name](m, functions, weights))
+        assert restarts
+        if name == "param_forall_budget":
+            assert result[1]  # the budget skipped some decision variables
+
+    @pytest.mark.parametrize(
+        "roots, var_map",
+        [
+            ((0,), "reversed"),
+            ((0, 1, 2), "reversed"),
+            ((0, 1, 2), None),
+        ],
+        ids=["one_root", "three_roots", "identity"],
+    )
+    def test_transfer_multi(self, roots, var_map):
+        source = BDDManager(16, native=True)
+        functions = _random_functions(source, 32, 3)
+        target = BDDManager(16, native=True)
+        if var_map == "reversed":
+            var_map = {v: 15 - v for v in range(16)}
+        picked = [functions[i] for i in roots]
+        moved, restarts = _one_call(
+            target, lambda: transfer_multi(source, picked, target, var_map)
+        )
+        assert len(moved) == len(roots) and restarts
+
+
 def _extract_vectors(interval, support1, support2):
     """The extraction programs' vectors: x̄2, then x̄1."""
     support = interval.support()
@@ -196,4 +277,4 @@ def test_algorithm1_traffic(native, monkeypatch):
     finally:
         obs.reset()
     assert counters["bdd.unique.inserts"] == 197_600
-    assert counters.get("bdd.kernel_calls", 0) == (2_739 if native else 0)
+    assert counters.get("bdd.kernel_calls", 0) == (2_713 if native else 0)
