@@ -16,17 +16,23 @@
  * kernel ran.
  *
  * Growth protocol: the C side never allocates Python storage.  When an
- * insert would overflow the node arrays it returns ``BDD_GROW_NODES``;
- * when the unique table crosses 75% load it returns
- * ``BDD_GROW_UNIQUE``; when a cache table must grow it returns
- * ``BDD_GROW_TABLE(i)``.  The Python wrapper grows the corresponding
- * structure and restarts the operation.  The nodes an aborted attempt
- * created live in the unique table, so the restart finds them again and
- * creates only the rest, in the same order; after a node, unique or
+ * insert would overflow the node arrays a core returns
+ * ``BDD_GROW_NODES``; when the unique table crosses 75% load,
+ * ``BDD_GROW_UNIQUE``; when a cache table must grow (or be allocated),
+ * ``BDD_GROW_TABLE(i)``.  Every exported entry that takes a state first
+ * tries the growth itself (grow_in_place): when the arrays already hold
+ * the room — ``bdd_state.room`` has each group's array length, which the
+ * manager writes whenever it points a field — it doubles the table in
+ * place exactly as ``BDDManager._grow`` would, and re-enters the
+ * operation.  Only a growth that needs a longer array (or a cache
+ * array that is not there) returns the code; the Python wrapper then
+ * extends the arrays, grows the structure and calls the entry again.
+ * Either way the restart is the same: the nodes an aborted attempt
+ * created live in the unique table, so it finds them again and creates
+ * only the rest, in the same order; after a node, unique or
  * quantify-cache growth the partial results also still live in the
- * caches, so the restart is near-free.  A table doubles in place when
- * its arrays already hold the room (``bdd_grow_unique``,
- * ``bdd_grow_table``); the manager extends them first otherwise.
+ * caches, so the restart is near-free.  A walk keeps its progress in
+ * its ``bdd_walk`` across both kinds of restart.
  *
  * Every exported entry checks the node ids it is handed against the
  * node count and returns ``BDD_BAD_NODE`` for one the manager never
@@ -34,12 +40,12 @@
  * the node arrays.
  *
  * Every exported entry that takes a state also counts the call in the
- * state's ``calls`` word, once per call from Python: a growth restart is
- * a call of its own, and an entry that chains others — bdd_run running a
- * step program — runs their static bodies, so a chain counts once.  The
- * word sits outside ``stat_arr``,
- * so the cache statistics of an entry and of the Python loop it
- * replaces stay comparable.
+ * state's ``calls`` word, once per call from Python: a restart after a
+ * growth made in Python is a call of its own, one made in place is not,
+ * and an entry that chains others — bdd_run running a step program —
+ * runs their static bodies, so a chain counts once.  The word sits
+ * outside ``stat_arr``, so the cache statistics of an entry and of the
+ * Python loop it replaces stay comparable.
  */
 
 #include <stdint.h>
@@ -56,9 +62,12 @@
 #define BDD_BAD_VAR (-5)  /* transfer: a level var_map lacks or maps badly */
 /* -(6+i): cache table i must grow.  An op cache (i < N_OPCACHES) doubles
  * and drops its entries; a quantify cache doubles by a lossless rehash
- * (bdd_grow_table). */
+ * (grow_table). */
 #define BDD_GROW_TABLE(i) (-6 - (i))
-#define OPCACHE_MAX (1 << 16) /* keep in sync with manager._OPCACHE_MAX */
+/* Keep in sync with manager._OPCACHE_INIT, _OPCACHE_MAX, _QCACHE_INIT. */
+#define OPCACHE_INIT (1 << 8)
+#define OPCACHE_MAX (1 << 16)
+#define QCACHE_INIT (1 << 8)
 
 /* Cache tables, in ctrl[], stats[] and growth-code order. */
 enum { T_AND, T_OR, T_XOR, T_NOT, T_ITE, T_EX, T_FA, T_AE, N_OPCACHES = T_EX };
@@ -82,10 +91,18 @@ enum {
 #define S_MISS(t) (2 * (t) + 1)
 enum { S_INSERTS = S_HIT(T_AE + 1), S_CLEARS, S_EVICTED, N_STATS };
 
+/* room[] layout — keep in sync with repro.bdd.manager: the node arrays,
+ * the unique table, then cache table t at R_TABLE(t). */
+enum { R_NODES, R_UNIQ, N_ROOM = 2 + T_AE + 1 };
+#define R_TABLE(t) (2 + (t))
+
 /* Every buffer the kernel reads or writes — keep the field order in
  * sync with repro.bdd.native._CDEF.  A NULL cache field means that
  * cache is not allocated (its ctrl mask is then 0).  ``calls`` points at
- * the manager's one-word kernel call counter. */
+ * the manager's one-word kernel call counter.  ``room`` holds the length
+ * of each group's arrays (the shortest, 0 while one is missing), which
+ * can exceed what the growth policy has reached: a reset manager keeps
+ * its arrays. */
 typedef struct {
     int64_t *ctrl;
     int64_t *level, *lo, *hi;
@@ -96,6 +113,7 @@ typedef struct {
     int64_t *ae_k1, *ae_k2, *ae_v;
     int64_t *stat_arr;
     int64_t *calls;
+    int64_t room[N_ROOM];
 } bdd_state;
 
 /* Count one call from Python into an exported entry. */
@@ -881,88 +899,10 @@ static int64_t and_exists_core(const bdd_state *st, int64_t f, int64_t g,
     return rc;
 }
 
-/* -- Exported entry points ------------------------------------------
- * Each checks its node operands, applies the entry-time op-cache
- * policy, then runs its core.  The cores call each other directly,
- * without either check, as the Python cores do. */
-
-int64_t bdd_negate(const bdd_state *st, int64_t f) {
-    count_call(st);
-    if (bad_node(st, f)) return BDD_BAD_NODE;
-    int64_t rc = check_opcaches(st);
-    return rc ? rc : negate_core(st, f);
-}
-
-int64_t bdd_apply(const bdd_state *st, int64_t op, int64_t f, int64_t g) {
-    count_call(st);
-    if (bad_node(st, f) || bad_node(st, g)) return BDD_BAD_NODE;
-    int64_t rc = check_opcaches(st);
-    return rc ? rc : apply_core(st, op, f, g);
-}
-
-int64_t bdd_ite(const bdd_state *st, int64_t f, int64_t g, int64_t h) {
-    count_call(st);
-    if (bad_node(st, f) || bad_node(st, g) || bad_node(st, h))
-        return BDD_BAD_NODE;
-    int64_t rc = check_opcaches(st);
-    return rc ? rc : ite_core(st, f, g, h);
-}
-
-/* Exists (op T_EX) / forall (op T_FA) over the sorted levels ``cube``;
- * op is the table index, as bdd_apply's is.  The caller has allocated
- * the quantify caches. */
-int64_t bdd_quantify(const bdd_state *st, int64_t op, int64_t f,
-                     int64_t cid, const int64_t *cube, int64_t cube_len,
-                     int64_t max_level) {
-    count_call(st);
-    if (bad_node(st, f)) return BDD_BAD_NODE;
-    int64_t rc = check_opcaches(st);
-    return rc ? rc : quantify_core(st, op, f, cid, cube, cube_len, max_level);
-}
-
-int64_t bdd_and_exists(const bdd_state *st, int64_t f, int64_t g,
-                       int64_t cid, const int64_t *cube, int64_t cube_len,
-                       int64_t max_level) {
-    count_call(st);
-    if (bad_node(st, f) || bad_node(st, g)) return BDD_BAD_NODE;
-    int64_t rc = check_opcaches(st);
-    return rc ? rc
-              : and_exists_core(st, f, g, cid, cube, cube_len, max_level);
-}
-
-/* -- Table maintenance ---------------------------------------------- */
-
-/* Zero the prefix of every buffer that the manager's current life used:
- * the node arrays up to the node count, the unique table and each
- * allocated cache up to its mask, and the stats and control block.
- * Every word past those prefixes is zero already, so the buffers end up
- * all zero; BDDManager.reset then writes the fresh control values and
- * the terminals. */
-void bdd_clear(const bdd_state *st) {
-    count_call(st);
-    int64_t *ctrl = st->ctrl;
-    size_t nodes = (size_t)ctrl[C_NNODES] * sizeof(int64_t);
-    memset(st->level, 0, nodes);
-    memset(st->lo, 0, nodes);
-    memset(st->hi, 0, nodes);
-    memset(st->uniq, 0, (size_t)(ctrl[C_UNIQ_MASK] + 1) * sizeof(int64_t));
-    for (int64_t t = 0; t <= T_AE; t++) {
-        if (ctrl[C_MASK + t] == 0) continue; /* unallocated: nothing used */
-        int64_t *arrs[3];
-        int k = table_arrays(st, t, arrs);
-        for (int i = 0; i < k; i++)
-            memset(arrs[i], 0,
-                   (size_t)(ctrl[C_MASK + t] + 1) * sizeof(int64_t));
-    }
-    memset(st->stat_arr, 0, N_STATS * sizeof(int64_t));
-    memset(ctrl, 0, (C_USED + T_AE + 1) * sizeof(int64_t));
-}
-
 /* Double the unique table to ``new_mask`` in place — its array already
  * holds new_mask + 1 slots — and re-seat every live node (all internal
  * nodes are always live: there is no garbage collection). */
-void bdd_grow_unique(const bdd_state *st, int64_t new_mask) {
-    count_call(st);
+static void grow_unique(const bdd_state *st, int64_t new_mask) {
     int64_t *ctrl = st->ctrl, *slots = st->uniq;
     const int64_t *level = st->level, *loa = st->lo, *hia = st->hi;
     uint64_t mask = (uint64_t)new_mask;
@@ -987,8 +927,7 @@ void bdd_grow_unique(const bdd_state *st, int64_t new_mask) {
  * unchanged (the rehash is lossless).  Returns 0, or BDD_NOMEM when the
  * copy of the old entries cannot be allocated (the table is then
  * untouched). */
-int64_t bdd_grow_table(const bdd_state *st, int64_t t, int64_t new_mask) {
-    count_call(st);
+static int64_t grow_table(const bdd_state *st, int64_t t, int64_t new_mask) {
     int64_t *ctrl = st->ctrl;
     int64_t *arrs[3];
     int k = table_arrays(st, t, arrs);
@@ -1027,6 +966,173 @@ int64_t bdd_grow_table(const bdd_state *st, int64_t t, int64_t new_mask) {
     free(old);
     ctrl[C_MASK + t] = new_mask;
     return 0;
+}
+
+/* Grow what growth code ``code`` names in place, as BDDManager._grow
+ * would, when the arrays already hold the room: double the node
+ * capacity, the unique table or cache table t, or — while the op
+ * (quantify) caches' masks are 0 but their arrays are there, as after a
+ * reset — allocate all of them at their initial size.  Returns 1 when it
+ * grew, 0 when the growth needs a longer array (or the code names no
+ * growth) and must go back to Python, or BDD_NOMEM. */
+static int64_t grow_in_place(const bdd_state *st, int64_t code) {
+    int64_t *ctrl = st->ctrl;
+    const int64_t *room = st->room;
+    if (code == BDD_GROW_NODES) {
+        if (room[R_NODES] < 2 * ctrl[C_NODECAP]) return 0;
+        ctrl[C_NODECAP] *= 2;
+        return 1;
+    }
+    if (code == BDD_GROW_UNIQUE) {
+        int64_t size = 2 * (ctrl[C_UNIQ_MASK] + 1);
+        if (room[R_UNIQ] < size) return 0;
+        grow_unique(st, size - 1);
+        return 1;
+    }
+    if (code > BDD_GROW_TABLE(0) || code < BDD_GROW_TABLE(T_AE)) return 0;
+    int64_t t = BDD_GROW_TABLE(0) - code;
+    int64_t first = t < N_OPCACHES ? T_AND : T_EX;
+    int64_t last = t < N_OPCACHES ? T_ITE : T_AE;
+    if (ctrl[C_MASK + first] == 0) {
+        int64_t size = t < N_OPCACHES ? OPCACHE_INIT : QCACHE_INIT;
+        for (int64_t u = first; u <= last; u++)
+            if (room[R_TABLE(u)] < size) return 0;
+        for (int64_t u = first; u <= last; u++) {
+            ctrl[C_MASK + u] = size - 1;
+            ctrl[C_USED + u] = 0;
+        }
+        return 1;
+    }
+    int64_t size = 2 * (ctrl[C_MASK + t] + 1);
+    if (room[R_TABLE(t)] < size) return 0;
+    return grow_table(st, t, size - 1) ? BDD_NOMEM : 1;
+}
+
+/* After an attempt that returned *r: 1 when *r was a growth code that
+ * grow_in_place finished, so the caller re-enters the operation; else 0,
+ * with *r the code to return (BDD_NOMEM when growing failed). */
+static inline int regrow(const bdd_state *st, int64_t *r) {
+    if (*r >= 0) return 0;
+    int64_t g = grow_in_place(st, *r);
+    if (g < 0) *r = g;
+    return g == 1;
+}
+
+/* True for a code that asks Python to grow something. */
+static inline int growth_code(int64_t r) {
+    return r == BDD_GROW_NODES || r == BDD_GROW_UNIQUE ||
+           (r <= BDD_GROW_TABLE(0) && r >= BDD_GROW_TABLE(T_AE));
+}
+
+/* -- Exported entry points ------------------------------------------
+ * Each checks its node operands, applies the entry-time op-cache
+ * policy, then runs its core, and re-runs both after each growth it
+ * makes in place.  The cores call each other directly, without either
+ * check, as the Python cores do. */
+
+int64_t bdd_negate(const bdd_state *st, int64_t f) {
+    count_call(st);
+    if (bad_node(st, f)) return BDD_BAD_NODE;
+    int64_t r;
+    do {
+        r = check_opcaches(st);
+        if (!r) r = negate_core(st, f);
+    } while (regrow(st, &r));
+    return r;
+}
+
+int64_t bdd_apply(const bdd_state *st, int64_t op, int64_t f, int64_t g) {
+    count_call(st);
+    if (bad_node(st, f) || bad_node(st, g)) return BDD_BAD_NODE;
+    int64_t r;
+    do {
+        r = check_opcaches(st);
+        if (!r) r = apply_core(st, op, f, g);
+    } while (regrow(st, &r));
+    return r;
+}
+
+int64_t bdd_ite(const bdd_state *st, int64_t f, int64_t g, int64_t h) {
+    count_call(st);
+    if (bad_node(st, f) || bad_node(st, g) || bad_node(st, h))
+        return BDD_BAD_NODE;
+    int64_t r;
+    do {
+        r = check_opcaches(st);
+        if (!r) r = ite_core(st, f, g, h);
+    } while (regrow(st, &r));
+    return r;
+}
+
+/* Exists (op T_EX) / forall (op T_FA) over the sorted levels ``cube``;
+ * op is the table index, as bdd_apply's is.  The caller has allocated
+ * the quantify caches. */
+int64_t bdd_quantify(const bdd_state *st, int64_t op, int64_t f,
+                     int64_t cid, const int64_t *cube, int64_t cube_len,
+                     int64_t max_level) {
+    count_call(st);
+    if (bad_node(st, f)) return BDD_BAD_NODE;
+    int64_t r;
+    do {
+        r = check_opcaches(st);
+        if (!r) r = quantify_core(st, op, f, cid, cube, cube_len, max_level);
+    } while (regrow(st, &r));
+    return r;
+}
+
+int64_t bdd_and_exists(const bdd_state *st, int64_t f, int64_t g,
+                       int64_t cid, const int64_t *cube, int64_t cube_len,
+                       int64_t max_level) {
+    count_call(st);
+    if (bad_node(st, f) || bad_node(st, g)) return BDD_BAD_NODE;
+    int64_t r;
+    do {
+        r = check_opcaches(st);
+        if (!r) r = and_exists_core(st, f, g, cid, cube, cube_len, max_level);
+    } while (regrow(st, &r));
+    return r;
+}
+
+/* -- Table maintenance ---------------------------------------------- */
+
+/* Zero the prefix of every buffer that the manager's current life used:
+ * the node arrays up to the node count, the unique table and each
+ * allocated cache up to its mask, and the stats and control block.
+ * Every word past those prefixes is zero already, so the buffers end up
+ * all zero; BDDManager.reset then writes the fresh control values and
+ * the terminals. */
+void bdd_clear(const bdd_state *st) {
+    count_call(st);
+    int64_t *ctrl = st->ctrl;
+    size_t nodes = (size_t)ctrl[C_NNODES] * sizeof(int64_t);
+    memset(st->level, 0, nodes);
+    memset(st->lo, 0, nodes);
+    memset(st->hi, 0, nodes);
+    memset(st->uniq, 0, (size_t)(ctrl[C_UNIQ_MASK] + 1) * sizeof(int64_t));
+    for (int64_t t = 0; t <= T_AE; t++) {
+        if (ctrl[C_MASK + t] == 0) continue; /* unallocated: nothing used */
+        int64_t *arrs[3];
+        int k = table_arrays(st, t, arrs);
+        for (int i = 0; i < k; i++)
+            memset(arrs[i], 0,
+                   (size_t)(ctrl[C_MASK + t] + 1) * sizeof(int64_t));
+    }
+    memset(st->stat_arr, 0, N_STATS * sizeof(int64_t));
+    memset(ctrl, 0, (C_USED + T_AE + 1) * sizeof(int64_t));
+}
+
+/* Double the unique table to ``new_mask`` in place; its array already
+ * holds new_mask + 1 slots (see grow_unique). */
+void bdd_grow_unique(const bdd_state *st, int64_t new_mask) {
+    count_call(st);
+    grow_unique(st, new_mask);
+}
+
+/* Double cache table t to ``new_mask`` in place; its arrays already hold
+ * new_mask + 1 slots (see grow_table).  Returns 0 or BDD_NOMEM. */
+int64_t bdd_grow_table(const bdd_state *st, int64_t t, int64_t new_mask) {
+    count_call(st);
+    return grow_table(st, t, new_mask);
 }
 
 /* -- Builder walks ---------------------------------------------------
@@ -1443,11 +1549,10 @@ static int64_t param_replace(const bdd_state *st, bdd_walk *w, int64_t f,
  * and dropped[i] is set (cleared otherwise).  The walk keeps l (acc), u
  * (acc2) and the iteration's finished operations (part[]).  Returns 0 or
  * a negative code; the caller reads the bounds off the walk. */
-int64_t bdd_reduce_support(const bdd_state *st, bdd_walk *w, int64_t lower,
-                           int64_t upper, const int64_t *vars,
-                           const int64_t *cids, int64_t n, int64_t *dropped) {
-    count_call(st);
-    if (bad_node(st, lower) || bad_node(st, upper)) return BDD_BAD_NODE;
+static int64_t reduce_support(const bdd_state *st, bdd_walk *w,
+                              int64_t lower, int64_t upper,
+                              const int64_t *vars, const int64_t *cids,
+                              int64_t n, int64_t *dropped) {
     if (!w->started) {
         w->acc = lower;
         w->acc2 = upper;
@@ -1485,6 +1590,17 @@ int64_t bdd_reduce_support(const bdd_state *st, bdd_walk *w, int64_t lower,
     return 0;
 }
 
+int64_t bdd_reduce_support(const bdd_state *st, bdd_walk *w, int64_t lower,
+                           int64_t upper, const int64_t *vars,
+                           const int64_t *cids, int64_t n, int64_t *dropped) {
+    count_call(st);
+    if (bad_node(st, lower) || bad_node(st, upper)) return BDD_BAD_NODE;
+    int64_t r;
+    do r = reduce_support(st, w, lower, upper, vars, cids, n, dropped);
+    while (regrow(st, &r));
+    return r;
+}
+
 /* manager.conjoin (op 0) / disjoin (op 1) over ``n`` nodes: from TRUE
  * (FALSE), each operand checked when the fold reaches it, then the
  * public AND (OR) entry, stopping at FALSE (TRUE).  The walk keeps the
@@ -1511,7 +1627,10 @@ static int64_t fold(const bdd_state *st, bdd_walk *w, int64_t op,
 int64_t bdd_fold(const bdd_state *st, bdd_walk *w, int64_t op,
                  const int64_t *nodes, int64_t n) {
     count_call(st);
-    return fold(st, w, op, nodes, n);
+    int64_t r;
+    do r = fold(st, w, op, nodes, n);
+    while (regrow(st, &r));
+    return r;
 }
 
 /* count.iter_models: the next models of ``root`` over the ``n`` sorted,
@@ -1791,7 +1910,9 @@ int64_t bdd_isop(const bdd_state *st, bdd_walk *w, int64_t lower,
                  int64_t upper, int64_t cubes) {
     count_call(st);
     if (bad_node(st, lower) || bad_node(st, upper)) return BDD_BAD_NODE;
-    int64_t r = isop_walk(st, w, lower, upper);
+    int64_t r;
+    do r = isop_walk(st, w, lower, upper);
+    while (regrow(st, &r));
     if (r != 1 || !cubes) return r;
     r = isop_cubes(w, w->acc2);
     return r ? r : 1;
@@ -2024,15 +2145,11 @@ static int64_t run_step(const bdd_state *src, const bdd_state *st,
     return 0;
 }
 
-/* Run the ``nsteps`` steps of ``prog`` from the walk's stage over the
- * register file ``regs`` and the views ``vecs``; ``nvars`` is the number
- * of variables ``st`` declares, and ``src`` the source manager of a
- * transfer.  Returns 1 when the program ran to its end, 0 when a check
- * failed, or a negative code. */
-int64_t bdd_run(const bdd_state *src, const bdd_state *st, bdd_walk *w,
-                const int64_t *prog, int64_t nsteps, int64_t *regs,
-                const int64_t *vecs, int64_t nvars) {
-    count_call(st);
+/* The steps of ``prog`` from the walk's stage to the end: 1 when the
+ * program ran to its end, 0 when a check failed, or a negative code. */
+static int64_t run_steps(const bdd_state *src, const bdd_state *st,
+                         bdd_walk *w, const int64_t *prog, int64_t nsteps,
+                         int64_t *regs, const int64_t *vecs, int64_t nvars) {
     while (w->stage < nsteps) {
         const int64_t *s = prog + STEP_WORDS * w->stage;
         if ((uint64_t)s[0] >= N_OPS) return BDD_BAD_OP;
@@ -2046,4 +2163,23 @@ int64_t bdd_run(const bdd_state *src, const bdd_state *st, bdd_walk *w,
         w->stage = stage;
     }
     return 1;
+}
+
+/* Run the ``nsteps`` steps of ``prog`` from the walk's stage over the
+ * register file ``regs`` and the views ``vecs``; ``nvars`` is the number
+ * of variables ``st`` declares, and ``src`` the source manager of a
+ * transfer.  Returns 1 when the program ran to its end, 0 when a check
+ * failed, or a negative code.  A run that ends here — every return but
+ * a growth code, which Python answers by calling again, and
+ * BDD_BAD_VAR, whose stage and level Python reads — leaves the walk
+ * clear. */
+int64_t bdd_run(const bdd_state *src, const bdd_state *st, bdd_walk *w,
+                const int64_t *prog, int64_t nsteps, int64_t *regs,
+                const int64_t *vecs, int64_t nvars) {
+    count_call(st);
+    int64_t r;
+    do r = run_steps(src, st, w, prog, nsteps, regs, vecs, nvars);
+    while (regrow(st, &r));
+    if (r != BDD_BAD_VAR && !growth_code(r)) bdd_walk_clear(w);
+    return r;
 }

@@ -152,6 +152,13 @@ _ARRAYS_OF = tuple(
     attrgetter(*("_" + name for name in names)) for names in _TABLE_ARRAYS
 )
 
+# bdd_state.room[] slots — keep in sync with _kernel.c: the length of the
+# node arrays, of the unique table, then of cache table t's arrays at
+# 2 + t (the shortest; 0 while one is missing).
+_R_GROUPS = (("level", "lo", "hi"), ("uniq",)) + _TABLE_ARRAYS
+#: Array name -> its room slot.
+_ROOM_SLOT = {name: slot for slot, names in enumerate(_R_GROUPS) for name in names}
+
 # stats[] slots — keep in sync with _kernel.c.  Cache table t counts its
 # hits at 2t and its misses at 2t + 1; the unique-table inserts, cache
 # clears and evictions follow.
@@ -180,6 +187,10 @@ _OPCACHE_INIT = 1 << 8
 _OPCACHE_MAX = 1 << 16
 #: Initial quantification-cache slot count (grows by rehash, lossless).
 _QCACHE_INIT = 1 << 8
+
+
+#: The cube-table token of a table with no cube (see ``_cube_token``).
+_EMPTY_CUBES = object()
 
 
 def _zero(arr: array, count: int) -> None:
@@ -384,6 +395,11 @@ class BDDManager:
         self._fa_k = self._fa_v = None
         self._ae_k1 = self._ae_k2 = self._ae_v = None
         self._cube_table: dict[FrozenSet[int], VarCube] = {}
+        # What the cube table holds, as a token that repro.bdd.program's
+        # view cache compares by identity: _EMPTY_CUBES for an empty
+        # table, the token a packed view block left, or None once a cube
+        # is interned outside one.
+        self._cube_token: object = _EMPTY_CUBES
         self._var_names: list[str] = []
         self._name_to_var: dict[str, int] = {}
         # Per-manager memos of facts that never change, because nodes
@@ -652,6 +668,7 @@ class BDDManager:
                         raise ValueError(f"variable {var} not declared")
             cube = VarCube(len(self._cube_table), key, max_level, self._ffi)
             self._cube_table[key] = cube
+            self._cube_token = None
         return cube
 
     # ------------------------------------------------------------------
@@ -781,7 +798,9 @@ class BDDManager:
     def _point(self, *names: str) -> None:
         """Point the named ``bdd_state`` fields at the current
         ``_<name>`` arrays (NULL for an unallocated cache), replacing
-        the views that kept the old arrays exported.  A no-op on
+        the views that kept the old arrays exported, and write the
+        length of each group they belong to into ``bdd_state.room``:
+        what the kernel may double into in place.  A no-op on
         pure-Python managers."""
         st = self._st
         if st is None:
@@ -793,6 +812,9 @@ class BDDManager:
             view = ffi.NULL if arr is None else ffi.from_buffer("int64_t[]", arr)
             views[name] = view
             setattr(st, name, view)
+        for slot in {_ROOM_SLOT[name] for name in names if name in _ROOM_SLOT}:
+            arrays = [getattr(self, "_" + name) for name in _R_GROUPS[slot]]
+            st.room[slot] = 0 if None in arrays else min(map(len, arrays))
 
     def _room(self, names: Sequence[str], capacity: int) -> None:
         """Give each named array at least ``capacity`` zeroed entries.
@@ -914,10 +936,13 @@ class BDDManager:
     # ------------------------------------------------------------------
 
     def _grow(self, code: int) -> None:
-        """Grow the structure a C core's negative return code names:
-        -1 the node arrays, -2 the unique table, ``-6 - i`` cache table
-        ``i`` (see ``_TABLES``).  ``_BAD_NODE``, ``_BAD_OP`` and
-        ``_INCONSISTENT`` raise ``ValueError``, and an allocation
+        """Grow the structure a kernel entry's negative return code
+        names: -1 the node arrays, -2 the unique table, ``-6 - i`` cache
+        table ``i`` (see ``_TABLES``).  The kernel returns a growth code
+        only when the growth needs a longer array (or a cache array that
+        is not there), having made every other growth in place itself,
+        so this is the array-extension path.  ``_BAD_NODE``, ``_BAD_OP``
+        and ``_INCONSISTENT`` raise ``ValueError``, and an allocation
         failure ``MemoryError``."""
         if code == -1:
             self._grow_nodes()
@@ -939,10 +964,12 @@ class BDDManager:
     def _native_walk(self, fn, *args) -> int:
         """Run kernel builder ``fn(*args)`` — one of the walks that
         take this manager's ``bdd_walk`` — to the end: grow what each
-        growth code names and call it again.  The walk keeps what it
-        finished, so each restart re-runs only the operation that asked
-        for the growth.  Returns the result, or ``_BAD_VAR`` for the
-        caller to raise on; the caller clears the walk afterwards."""
+        growth code names (a growth that fits the arrays never returns
+        here) and call it again.  The walk keeps what it finished, so
+        each restart re-runs only the operation that asked for the
+        growth.  Returns the result, or ``_BAD_VAR`` for the caller to
+        raise on; the caller clears the walk afterwards, unless the
+        entry does (``bdd_run``)."""
         while True:
             code = fn(*args)
             if code >= 0 or code == _BAD_VAR:
@@ -950,13 +977,14 @@ class BDDManager:
             self._grow(code)
 
     def _native_retry(self, code: int, fn, *args: int) -> int:
-        """Finish a C core that returned the growth code ``code``: grow
-        what it asked for and re-run it until it returns a node.  The
-        nodes an aborted attempt created live in the unique table, so
-        the restart finds them again and creates only the rest, in the
-        same order: numbering is unchanged.  Unless an op cache was just
-        dropped, the partial results also still sit in the caches and
-        the restart is near-free."""
+        """Finish a C core that returned the growth code ``code`` — one
+        that needs a longer array — : grow what it asked for and re-run
+        it until it returns a node.  The nodes an aborted attempt
+        created live in the unique table, so the restart finds them
+        again and creates only the rest, in the same order: numbering is
+        unchanged.  Unless an op cache was just dropped, the partial
+        results also still sit in the caches and the restart is
+        near-free."""
         st = self._st
         while True:
             self._grow(code)
@@ -970,10 +998,11 @@ class BDDManager:
     #
     # Each public operator applies the terminal short-circuits, then
     # hands the general case to the C kernel when available (one call
-    # with the manager's bdd_state, plus growth restarts), else to the
-    # matching pure-Python core below.  A short-circuit return first
-    # checks the call's operands against the node count; the general
-    # case keeps its one check in the core's entry.  The cores are
+    # with the manager's bdd_state, plus a restart after each growth
+    # that needs a longer array), else to the matching pure-Python core
+    # below.  A short-circuit return first checks the call's operands
+    # against the node count; the general case keeps its one check in
+    # the core's entry.  The cores are
     # post-order walks driven by two explicit stacks: ``tasks`` holds
     # tagged frames (tag 0 = expand a subproblem, tag 1 = reduce with
     # children's results), ``results`` accumulates one value per
@@ -1955,6 +1984,7 @@ class BDDManager:
         ctrl[_C_NODECAP] = _NODE_INIT
         ctrl[_C_UNIQ_MASK] = _UNIQUE_INIT - 1
         self._cube_table = {}
+        self._cube_token = _EMPTY_CUBES
         self._var_names = []
         self._name_to_var = {}
         self._var_nodes = []

@@ -69,8 +69,8 @@ _BUILD_DIR = os.path.join(_DIR, "_build")
 
 #: cffi declarations for both cores' state and entry points (ABI mode),
 #: compiled into the out-of-line module at build time; the field order
-#: of ``bdd_state`` and ``bdd_walk`` must match ``_kernel.c``, and
-#: ``sat_solver`` is opaque.
+#: of ``bdd_state`` and ``bdd_walk`` must match ``_kernel.c`` (and the
+#: length of ``room`` its ``N_ROOM``), and ``sat_solver`` is opaque.
 _CDEF = """
 typedef struct {
     int64_t *ctrl;
@@ -82,6 +82,7 @@ typedef struct {
     int64_t *ae_k1, *ae_k2, *ae_v;
     int64_t *stat_arr;
     int64_t *calls;
+    int64_t room[10];
 } bdd_state;
 int64_t bdd_negate(const bdd_state *st, int64_t f);
 int64_t bdd_apply(const bdd_state *st, int64_t op, int64_t f, int64_t g);

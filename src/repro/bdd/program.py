@@ -43,17 +43,24 @@ it, or a destination outside the register file raises ``ValueError``
 before any node is made.
 
 :func:`run` is the one dispatcher.  On native managers the steps run as
-one kernel call (``bdd_run``), plus the growth restarts: the kernel's
-program counter is the walk's ``stage``, so a restart re-enters at the
-step that asked for the growth.  The registers and the run's vectors
-are packed into one buffer per run (:func:`prepare`, the cubes interned
-in the order the steps first use them; a caller that runs over the same
-vectors again, as the reachability schedule does, prepares the buffer
-once).  On pure-Python managers (``REPRO_NATIVE=0``)
-:func:`_py_run` runs the same steps through the same public functions,
-which on a native manager land in the same static kernel bodies — so
-the two interpreters make the same nodes with the same cache traffic by
-construction, and the Python one is the parity reference.
+one kernel call (``bdd_run``), which makes every growth that fits the
+manager's arrays in place; only a growth that needs a longer array
+returns to Python and restarts the run.  The kernel's program counter
+is the walk's ``stage``, so a restart re-enters at the step that asked
+for the growth.  The registers and the run's vectors sit in one buffer
+(:func:`pack`, the cubes interned in the order the steps first use
+them), which the program keeps for the next run with vectors of the
+same lengths (:class:`_Block`): a reused scratch manager's run then
+adds the block's cubes to its table and writes only its inputs and the
+vectors not read as cubes, while a manager whose table holds cubes
+interned elsewhere packs a buffer per run.  A caller that runs over the
+same vectors again, as the reachability schedule does, may instead
+prepare its own buffer once (:func:`prepare`).  On pure-Python managers
+(``REPRO_NATIVE=0``) :func:`_py_run` runs the same steps through the
+same public functions, which on a native manager land in the same
+static kernel bodies — so the two interpreters make the same nodes with
+the same cache traffic by construction, and the Python one is the
+parity reference.
 
 A public function whose body is one op — the parameterized ∀/∃ and
 replacements, ``vector_compose``, ``transfer_multi``, the weight table
@@ -64,6 +71,7 @@ import it.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Any, Sequence
 
 from repro.bdd.manager import BDDManager, _BAD_VAR
@@ -109,7 +117,10 @@ class Program:
     """A validated step program over ``nregs`` registers, of which
     ``inputs`` are set by each run, in that order."""
 
-    __slots__ = ("steps", "nregs", "inputs", "views", "code", "pairs", "_buffer")
+    __slots__ = (
+        "steps", "nregs", "inputs", "views", "code", "pairs",
+        "_buffer", "_zeros", "_cubed", "_plain", "_blocks",
+    )
 
     def __init__(
         self, steps: Sequence[tuple], nregs: int, inputs: Sequence[int] = ()
@@ -163,7 +174,97 @@ class Program:
             if op == "pairs" and dst + width == nregs:
                 self.pairs = dst
             self.code.extend(words + [0] * (STEP_WORDS - len(words)))
-        self._buffer = None
+        self._buffer = self._zeros = None
+        #: The slots read as cubes, whose vectors key a cached block, and
+        #: the (view, slot) of every other view, which a run rewrites.
+        self._cubed = tuple(sorted({slot for slot, kind in self.views if kind != "v"}))
+        self._plain = [
+            (index, slot)
+            for index, (slot, _) in enumerate(self.views)
+            if slot not in self._cubed
+        ]
+        #: The cached blocks (see :class:`_Block`), by the vectors' lengths.
+        self._blocks: dict[tuple[int, ...], _Block] = {}
+
+
+class _Block:
+    """A run buffer of one program on native managers: the register
+    file, then the packed views (see :func:`pack`), kept by the program
+    for the next run with vectors of the same lengths.
+
+    A block holds the ids of the cubes it interned, so it serves only a
+    manager whose cube table is the one it was packed against
+    (``before``, a cube-table token of :class:`BDDManager`, never
+    ``None``) and only the same vectors in its cube slots (``keys``).
+    Using it leaves the table as interning would have: ``added``, the
+    cubes the packing interned, go into the table and the manager's
+    token becomes ``after``.  A program with no cube view ignores the
+    cube table.  The other vectors are written into their views on each
+    run (a tuple the block already holds is not written again)."""
+
+    __slots__ = ("data", "keys", "plain", "before", "after", "added", "top")
+
+    def __init__(
+        self, manager: BDDManager, program: Program, vectors: Sequence[Sequence[int]]
+    ) -> None:
+        table = manager._cube_table
+        before, count = manager._cube_token, len(table)
+        self.data = data = prepare(manager, program, vectors)
+        nregs = program.nregs
+        self.plain = []
+        for index, slot in program._plain:
+            start = nregs + data[nregs + index] + 1
+            vector = vectors[slot]
+            held = vector if type(vector) is tuple else None
+            self.plain.append([slot, start, start + len(vector), held])
+        self.keys = tuple(_held(vectors[slot]) for slot in program._cubed)
+        if not program._cubed:
+            self.added, self.top, self.before, self.after = {}, -1, None, None
+            return
+        # The cubes packing interned are the table's last, in id order.
+        added = list(islice(reversed(table.items()), len(table) - count))
+        added.reverse()
+        self.added = dict(added)
+        self.top = max((cube.max_level for _, cube in added), default=-1)
+        self.before = before
+        self.after = object() if added else before
+        manager._cube_token = self.after
+
+    def fits(
+        self, manager: BDDManager, program: Program, vectors: Sequence[Sequence[int]]
+    ) -> bool:
+        """Whether a run of ``program`` over ``vectors`` on ``manager``
+        may use this block: the cube table and the cube slots' vectors
+        are those it was packed against, and every cube it adds names
+        a declared variable (else packing raises)."""
+        if not program._cubed:
+            return True
+        if self.before is not manager._cube_token or self.top >= manager.num_vars:
+            return False
+        for slot, key in zip(program._cubed, self.keys):
+            vector = vectors[slot]
+            if vector is not key and key != _held(vector):
+                return False
+        return True
+
+    def reuse(self, manager: BDDManager, vectors: Sequence[Sequence[int]]) -> None:
+        """Make the block ready for a run over ``vectors`` on ``manager``:
+        intern its cubes and write the vectors outside its cube slots."""
+        if self.added:
+            manager._cube_table.update(self.added)
+        if self.after is not None:
+            manager._cube_token = self.after
+        data = self.data
+        for view in self.plain:
+            vector = vectors[view[0]]
+            if vector is not view[3]:
+                data[view[1] : view[2]] = vector
+                view[3] = vector if type(vector) is tuple else None
+
+
+def _held(vector: Sequence[int]) -> tuple[int, ...]:
+    """``vector`` as a tuple, which a block may keep and compare."""
+    return vector if type(vector) is tuple else tuple(vector)
 
 
 def run(
@@ -189,18 +290,14 @@ def run(
     return _native_run(manager, program, inputs, vectors, source, prepared)
 
 
-def prepare(
-    manager: BDDManager, program: Program, vectors: Sequence[Sequence[int]], inputs: Sequence[int]
-) -> Any:
+def prepare(manager: BDDManager, program: Program, vectors: Sequence[Sequence[int]]) -> Any:
     """The kernel's buffer for runs of ``program`` over ``vectors`` on the
-    native ``manager``: the register file, its inputs set to ``inputs``,
-    then the views (see :func:`pack`).  Registers a run writes are
+    native ``manager``: the register file, zeroed, then the views (see
+    :func:`pack`).  Each run sets its inputs; registers a run writes are
     written again by the next, so the buffer serves every run."""
     packed = pack(manager, program, vectors)
     data = manager._ffi.new("int64_t[]", program.nregs + len(packed))  # zero-filled
     data[program.nregs : program.nregs + len(packed)] = packed
-    for reg, value in zip(program.inputs, inputs):
-        data[reg] = value
     return data
 
 
@@ -212,17 +309,52 @@ def _native_run(
     source: BDDManager | None,
     prepared: Any,
 ) -> tuple[int, list[int]]:
-    """:func:`run` as one ``bdd_run`` call plus its growth restarts, over
-    one buffer: the registers, then the packed vectors."""
+    """:func:`run` as one ``bdd_run`` call plus the restarts after a
+    growth the kernel could not make in place, over one buffer: the
+    registers, then the packed vectors — ``prepared``, else the
+    program's block for vectors of these lengths when it fits (see
+    :class:`_Block`), else a new block, which the program keeps.  A run
+    that reads cubes on a manager whose table holds cubes interned
+    outside a block packs a buffer of its own: no block serves that
+    table."""
     ffi = manager._ffi
     if program._buffer is None:
         program._buffer = ffi.new("int64_t[]", program.code)
-    if prepared is None:
-        data = prepare(manager, program, vectors, inputs)
-    else:
-        data = prepared
-        for reg, value in zip(program.inputs, inputs):
-            data[reg] = value
+        program._zeros = ffi.new("int64_t[]", program.nregs)
+    if prepared is None and program._cubed and manager._cube_token is None:
+        prepared = prepare(manager, program, vectors)
+    if prepared is not None:
+        return _kernel_run(manager, program, prepared, inputs, vectors, source)
+    shape = tuple(map(len, vectors))
+    blocks = program._blocks
+    # Taken out while it runs, so no other run can write into it.
+    block = kept = blocks.pop(shape, None)
+    try:
+        if block is not None and block.fits(manager, program, vectors):
+            block.reuse(manager, vectors)
+            ffi.memmove(block.data, program._zeros, 8 * program.nregs)
+        else:
+            block = kept = _Block(manager, program, vectors)
+        return _kernel_run(manager, program, block.data, inputs, vectors, source)
+    finally:
+        if kept is not None:
+            blocks[shape] = kept
+
+
+def _kernel_run(
+    manager: BDDManager,
+    program: Program,
+    data: Any,
+    inputs: Sequence[int],
+    vectors: Sequence[Sequence[int]],
+    source: BDDManager | None,
+) -> tuple[int, list[int]]:
+    """Set the input registers in ``data`` and run the program over it.
+    The kernel leaves the walk clear when the run ends there; a run
+    that stops at an undeclared transfer target or raises leaves it to
+    be cleared here."""
+    for reg, value in zip(program.inputs, inputs):
+        data[reg] = value
     nregs = program.nregs
     lib = manager._lib
     walk = manager._walk
@@ -237,13 +369,15 @@ def _native_run(
             len(program.steps),
             data,
             data + nregs,
-            manager.num_vars,
+            len(manager._var_names),
         )
         if ok == _BAD_VAR:
             *_, sources, targets = program.steps[walk.stage]
             raise _bad_var(walk.err, dict(zip(vectors[sources], vectors[targets])))
-    finally:
+    except BaseException:
         lib.bdd_walk_clear(walk)
+        raise
+    ffi = manager._ffi
     if program.pairs is None:
         return ok, ffi.unpack(data, nregs)
     # A pairs block that ends the register file is read up to its count.

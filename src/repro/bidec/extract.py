@@ -12,9 +12,12 @@ feasible support partition is known (Section 3.5.2, last paragraph).
 The OR and AND extractions are step programs (:mod:`repro.bdd.program`),
 one per gate (and per ``minimize`` setting), declared once here: one
 kernel call on native managers, the same public calls on pure-Python
-ones.  A failed check of the program raises :class:`InfeasiblePartition`;
-the AND pair's own check stays here, in :meth:`ExtractedPair.verify`.
-XOR extraction runs in Python on both kernels.
+ones.  A failed check of the program raises :class:`InfeasiblePartition`.
+The AND program ends with its pair's own check, the calls of
+:meth:`ExtractedPair.verify` in the same order: by De Morgan it re-tests
+what the OR chain's check on the complement tested, so it holds
+whenever the run gets there.  XOR extraction runs in Python on both
+kernels.
 """
 
 from __future__ import annotations
@@ -98,7 +101,9 @@ def _extraction(gate: str, minimize: bool) -> tuple[Program, tuple[int, int]]:
     the end.  The chain: ``g2 = ∀x̄2 U`` (4) and ``∀x̄1 U`` (5); with
     ``minimize``, ``∃x̄1 (L ∧ ¬g2)`` (8), the check that it is below
     ``∀x̄1 U`` and the ISOP member ``g1`` of that interval (9), else ``g1 =
-    ∀x̄1 U``; then the check of ``g1 ∨ g2`` (10) against ``[L, U]``."""
+    ∀x̄1 U``; then the check of ``g1 ∨ g2`` (10) against ``[L, U]``.  AND
+    then checks its pair (11, 12) as :meth:`ExtractedPair.verify` would:
+    ``g1 ∧ g2`` (13) against ``[l, u]``."""
     steps: list[tuple] = []
     lower, upper = 0, 1
     if gate == "and":
@@ -118,8 +123,14 @@ def _extraction(gate: str, minimize: bool) -> tuple[Program, tuple[int, int]]:
     steps += [("or", 10, g1, 4), ("leq", None, lower, 10), ("leq", None, 10, upper)]
     if gate == "or":
         return Program(steps, 13, (0, 1)), (g1, 4)
-    steps += [("not", 11, g1), ("not", 12, 4)]
-    return Program(steps, 13, (0, 1)), (11, 12)
+    steps += [
+        ("not", 11, g1),
+        ("not", 12, 4),
+        ("and", 13, 11, 12),
+        ("leq", None, 0, 13),
+        ("leq", None, 13, 1),
+    ]
+    return Program(steps, 14, (0, 1)), (11, 12)
 
 
 _EXTRACTIONS = {
@@ -136,8 +147,8 @@ def _extract(
     support2: Iterable[int],
     minimize: bool,
 ) -> ExtractedPair:
-    """:func:`extract_or` or :func:`extract_and`: the gate's program, then
-    for AND the pair's own check."""
+    """:func:`extract_or` or :func:`extract_and`: one run of the gate's
+    program."""
     all_vars = interval.support()
     program, (first, second) = _EXTRACTIONS[gate, minimize]
     found, regs = _program.run(
@@ -147,11 +158,8 @@ def _extract(
         (all_vars.difference(support2), all_vars.difference(support1)),
     )
     if not found:
-        raise InfeasiblePartition("partition is not OR-feasible")
-    pair = ExtractedPair(gate, regs[first], regs[second])
-    if gate == "and" and not pair.verify(interval):
-        raise InfeasiblePartition("partition is not AND-feasible")
-    return pair
+        raise InfeasiblePartition(f"partition is not {gate.upper()}-feasible")
+    return ExtractedPair(gate, regs[first], regs[second])
 
 
 def extract_xor_cs(

@@ -26,10 +26,12 @@ program (:mod:`repro.bdd.program`) declared once here: the OR body of
 :func:`or_partition_space` (and so of :func:`and_partition_space`), the
 XOR body of :func:`xor_partition_space`, and the analyses behind
 :meth:`PartitionSpace.nontrivial` and :meth:`PartitionSpace.size_pairs`
-(per layout size and set of weight tables the space already holds).  A
-run is one kernel call on native managers and the same public calls on
-pure-Python ones.  The spans and the ``bidec.param.*`` records stay here,
-fed from the registers the programs leave.
+(per layout and set of weight tables the space already holds).  A run
+is one kernel call on native managers and the same public calls on
+pure-Python ones; on a reused scratch manager each run finds its
+layout's packed views kept by its program.  The spans and the
+``bidec.param.*`` records stay here, fed from the registers the programs
+leave.
 """
 
 from __future__ import annotations
@@ -132,7 +134,8 @@ class PartitionSpace:
         inputs = [self.bi]
         inputs += w1 or ()
         inputs += w2 or ()
-        program = _analysis(n, (w1 is not None, w2 is not None), kind)
+        handed = (w1 is not None, w2 is not None)
+        program = _analysis(n, handed, kind, self.gate == "xor")
         _, regs = _program.run(self.manager, program, inputs, (c1, c2, *vectors))
         if w1 is None:
             tables[c1] = regs[3 : n + 4]
@@ -603,9 +606,12 @@ def _xor_body(
 
 
 @lru_cache(maxsize=256)
-def _analysis(n: int, handed: tuple[bool, bool], kind: str) -> Program:
+def _analysis(n: int, handed: tuple[bool, bool], kind: str, with_y: bool) -> Program:
     """The Section 3.5.2 analysis ``kind`` of a space over ``n`` function
-    variables.  Registers: ``Bi`` (an input), one result per decision
+    variables on the scratch layout ``(n, with_y)``: the same steps for
+    both layouts, but one program each, so that each keeps the packed
+    views of its own layout (see :class:`~repro.bdd.program.Program`).
+    Registers: ``Bi`` (an input), one result per decision
     vector (1, 2), the weight table ``[w_0 … w_n]`` of ``c1`` (from 3) and
     of ``c2`` (from ``n + 4``), then the program's own.  Vectors: ``c1``
     and ``c2``, each in ascending order, then for ``"kappa"`` and

@@ -93,7 +93,7 @@ def image_schedule(ts: TransitionSystem, parts: Sequence[int]) -> ImageSchedule:
     step = _step_program(tuple(cube is not None for cube in cubes))
     prepared = None
     if manager._st is not None:
-        prepared = _program.prepare(manager, step, vectors, ())
+        prepared = _program.prepare(manager, step, vectors)
     return ImageSchedule(tuple(parts), cubes, substitution, step, vectors, prepared)
 
 

@@ -6,8 +6,9 @@ raises before either interpreter makes a node; the kernel's interpreter
 also rejects an op code it does not know with an error code.  On a
 native manager every run of each of the flow's programs, and each call
 of a public function that runs as a one-step program, crosses into C
-once (``bdd_run``), plus one call per growth restart and per table
-growth the kernel runs, and the manager's own call counter agrees.  Last,
+once (``bdd_run``), plus one call per restart that returns to Python and
+per table growth made there, and the manager's own call counter agrees.
+Last,
 one ``algorithm1`` run pins the node and kernel-call traffic the programs
 make."""
 
@@ -104,9 +105,11 @@ class CountingLib:
 
 def _one_call(manager, call):
     """Run ``call`` with ``manager``'s library counted: one ``bdd_run``
-    plus one per growth restart, the table growths and the walk's clear,
-    nothing else, and the manager's call counter agrees.  Returns the
-    result and the number of restarts."""
+    plus one per restart that returns to Python, each after the table
+    growth it asked for, nothing else — the kernel makes every growth
+    that fits the arrays in place and leaves the walk clear — and the
+    manager's call counter agrees.  Returns the result and the number of
+    restarts."""
     real_lib, real_grow = manager._lib, manager._grow
     lib = manager._lib = CountingLib(real_lib)
     grows = []
@@ -118,9 +121,9 @@ def _one_call(manager, call):
         manager._lib = real_lib
         del manager._grow
     assert lib.names.count("bdd_run") == 1 + len(grows)
-    assert lib.names[-1] == "bdd_walk_clear"
-    assert set(lib.names) <= {"bdd_run", "bdd_grow_unique", "bdd_grow_table", "bdd_walk_clear"}
-    assert manager._calls[0] - before == len(lib.names) - lib.names.count("bdd_walk_clear")
+    assert lib.names[-1] == "bdd_run"
+    assert set(lib.names) <= {"bdd_run", "bdd_grow_unique", "bdd_grow_table"}
+    assert manager._calls[0] - before == len(lib.names)
     return result, len(grows)
 
 
@@ -277,4 +280,4 @@ def test_algorithm1_traffic(native, monkeypatch):
     finally:
         obs.reset()
     assert counters["bdd.unique.inserts"] == 197_600
-    assert counters.get("bdd.kernel_calls", 0) == (2_713 if native else 0)
+    assert counters.get("bdd.kernel_calls", 0) == (1_729 if native else 0)

@@ -1,10 +1,14 @@
 """Tests for decomposition-function extraction."""
 
+import importlib
+
 import pytest
 
 from repro.bdd import BDDManager, support
 from repro.bdd import native as _native
+from repro.bdd.program import Program
 from repro.bidec.extract import (
+    InfeasiblePartition,
     extract,
     extract_and,
     extract_or,
@@ -19,6 +23,8 @@ from repro.bidec.symbolic import (
 from repro.intervals import Interval
 
 from conftest import random_bdd
+
+_extract_module = importlib.import_module("repro.bidec.extract")
 
 
 class TestExtractOr:
@@ -79,18 +85,30 @@ class TestExtractAnd:
             assert m.apply_and(result.g1, result.g2) == f
 
     def test_failed_check_returns_none(self, monkeypatch):
-        """The AND pair's check raises ``ValueError``, as OR's does, so
-        it holds under ``python -O`` and ``extract`` returns ``None``
-        instead of letting it escape."""
-        from repro.bidec.extract import ExtractedPair
-
-        m = BDDManager(2)
-        interval = Interval.exact(m, m.apply_and(m.var(0), m.var(1)))
-        assert extract(interval, "and", {0}, {1}) is not None
-        monkeypatch.setattr(
-            ExtractedPair, "verify", lambda pair, interval: pair.gate != "and"
-        )
-        assert extract(interval, "and", {0}, {1}) is None
+        """A failed check of the AND program raises ``ValueError``, as
+        OR's does, so it holds under ``python -O`` and ``extract``
+        returns ``None`` instead of letting it escape, on both kernels.
+        The programs are patched with one more check after the pair's
+        own, which no pair of a satisfiable interval passes: ``g1 ∧ g2``
+        (register 13) below its complement."""
+        managers = [BDDManager(2, native=native) for native in (False, None)]
+        intervals = [Interval.exact(m, m.apply_and(m.var(0), m.var(1))) for m in managers]
+        assert all(extract(interval, "and", {0}, {1}) for interval in intervals)
+        for minimize in (False, True):
+            program, pair = _extract_module._EXTRACTIONS["and", minimize]
+            assert program.steps[-3:] == (
+                ("and", 13, 11, 12), ("leq", None, 0, 13), ("leq", None, 13, 1)
+            )
+            steps = program.steps + (("not", 14, 13), ("leq", None, 13, 14))
+            monkeypatch.setitem(
+                _extract_module._EXTRACTIONS,
+                ("and", minimize),
+                (Program(steps, 15, program.inputs), pair),
+            )
+        for interval in intervals:
+            assert extract(interval, "and", {0}, {1}) is None
+            with pytest.raises(InfeasiblePartition, match="not AND-feasible"):
+                extract_and(interval, {0}, {1})
 
 
 class TestExtractXor:

@@ -136,9 +136,9 @@ class TestEntryParity:
 
     def test_one_kernel_call_per_iteration(self):
         """Each iteration crosses into C once (``bdd_run``), plus one call
-        per growth restart and the table growth it asks for; the kernel's
-        own call counter agrees with a count of the calls into the
-        library."""
+        per restart that returns to Python and the table growth it asks
+        for; the kernel's own call counter agrees with a count of the
+        calls into the library."""
 
         class CountingLib:
             def __init__(self, lib):
@@ -162,11 +162,9 @@ class TestEntryParity:
             before, lib.names[:], grows[:] = manager._calls[0], [], []
             frontier, reached = _image.reach_step(manager, schedule, frontier, reached)
             assert lib.names.count("bdd_run") == 1 + len(grows)
-            assert lib.names[-1] == "bdd_walk_clear"
-            assert set(lib.names) <= {
-                "bdd_run", "bdd_grow_unique", "bdd_grow_table", "bdd_walk_clear"
-            }
-            assert manager._calls[0] - before == len(lib.names) - 1
+            assert lib.names[-1] == "bdd_run"
+            assert set(lib.names) <= {"bdd_run", "bdd_grow_unique", "bdd_grow_table"}
+            assert manager._calls[0] - before == len(lib.names)
             restarted += bool(grows)
         assert restarted
 
